@@ -63,11 +63,7 @@ from repro.naming.tdirectory import TransactionalDirectory
 from repro.file_service.attributes import LockingLevel, ServiceType
 from repro.file_service.cache import WritePolicy
 from repro.recovery.health import HealthRegistry, HealthState
-from repro.recovery.schedule import (
-    FailureEvent,
-    FailureSchedule,
-    ShardFailureEvent,
-)
+from repro.recovery.schedule import FailureSchedule, Outage
 from repro.rpc.bus import FaultProfile
 from repro.rpc.retry import BackoffPolicy, BreakerPolicy
 from repro.simkernel.runner import InterleavedRunner, LockWaitPending
@@ -104,9 +100,8 @@ __all__ = [
     "BreakerPolicy",
     "HealthRegistry",
     "HealthState",
-    "FailureEvent",
     "FailureSchedule",
-    "ShardFailureEvent",
+    "Outage",
     "InterleavedRunner",
     "LockWaitPending",
     "TimeoutPolicy",

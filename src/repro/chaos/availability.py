@@ -43,7 +43,7 @@ The RAID scenarios (``raid_member_loss``, ``raid_rebuild_interrupted``)
 measure the redundancy tier *below* volume replication: a volume whose
 data disk is a RAID-5 :class:`~repro.simdisk.raid.StripedVolume` loses
 member drives mid-workload via scripted
-:class:`~repro.recovery.schedule.MemberFailureEvent` entries.  Unlike a
+:class:`~repro.recovery.schedule.Outage` entries.  Unlike a
 volume crash there is **no downtime window at all** — the SLOs are that
 every operation succeeds throughout (reads never unavailable, zero
 acked-write loss), the array walks OPTIMAL → DEGRADED → REBUILDING →
@@ -63,9 +63,9 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.system import RhodosCluster
@@ -76,12 +76,7 @@ from repro.disk_service.scrub import Scrubber, ScrubFinding
 from repro.file_service.cache import WritePolicy
 from repro.naming.attributed import AttributedName
 from repro.naming.service import NamingService
-from repro.recovery.schedule import (
-    FailureEvent,
-    FailureSchedule,
-    MemberFailureEvent,
-    ShardFailureEvent,
-)
+from repro.recovery.schedule import FailureSchedule, Outage
 from repro.replication.service import volume_component
 from repro.rpc.bus import FaultProfile
 from repro.rpc.retry import BackoffPolicy, BreakerPolicy
@@ -95,6 +90,13 @@ from repro.verify.fsck import verify_checksums
 REPLICATED_LEN = 96
 AGENT_LEN = 64
 
+BACKOFF = BackoffPolicy(base_us=5_000, multiplier=2.0, max_us=40_000, jitter=0.5)
+BREAKER = BreakerPolicy(threshold=4, cooldown_us=150_000)
+
+#: What a replicated operation may legitimately raise while a volume
+#: is down; anything else propagates as a harness crash.
+REPLICATED_ERRORS = (ReplicationError, RpcError)
+
 
 def version_content(version: int, length: int) -> bytes:
     """Deterministic content encoding one version (never the zero byte,
@@ -107,252 +109,70 @@ def decode_version(data: bytes, reference: int) -> Optional[int]:
     if not data:
         return None
     byte = data[0]
-    if any(b != byte for b in data):
+    if not 1 <= byte <= 251 or any(b != byte for b in data):
         return None  # torn content: not any whole version
-    for version in range(max(0, reference - 250), reference + 251):
-        if version % 251 + 1 == byte:
-            candidate = version
-            # The highest candidate <= reference + 250 closest to the
-            # reference is the plausible one; versions only move in
-            # small steps between reads, so the first match in range
-            # suffices and stays deterministic.
-            return candidate
-    return None
+    # The encoding repeats every 251 versions, and versions only move
+    # in small steps between reads, so the plausible match is the one
+    # nearest the reference: ``ahead`` versions past it, or the one a
+    # whole period below that when that is closer (and not negative).
+    ahead = (byte - 1 - reference) % 251
+    if ahead > 125 and reference + ahead >= 251:
+        return reference + ahead - 251
+    return reference + ahead
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One cell of the campaign grid: a fault profile x a crash script."""
-
-    name: str
-    profile: FaultProfile
-    events: Tuple[FailureEvent, ...]
-    steps: int
-    think_us: int = 5_000
-    seed: int = 0
-    description: str = ""
-
-
-BACKOFF = BackoffPolicy(base_us=5_000, multiplier=2.0, max_us=40_000, jitter=0.5)
-BREAKER = BreakerPolicy(threshold=4, cooldown_us=150_000)
-
-#: Crash volume 0 once, then volume 1, windows disjoint so one replica
-#: of every replicated file is live at all times.
-ALTERNATING = (
-    FailureEvent(at_us=300_000, volume_id=0, down_us=400_000),
-    FailureEvent(at_us=1_400_000, volume_id=1, down_us=400_000),
-)
-
-#: Volume 0 crashes twice with a short recovered gap in between: the
-#: second crash hits while the breaker's memory of the first is fresh.
-BACK_TO_BACK = (
-    FailureEvent(at_us=300_000, volume_id=0, down_us=300_000),
-    FailureEvent(at_us=1_000_000, volume_id=0, down_us=300_000),
-)
-
-SCENARIOS: Tuple[Scenario, ...] = (
-    Scenario(
-        name="clean_restarts",
-        profile=FaultProfile.reliable(),
-        events=ALTERNATING,
-        steps=420,
-        description="reliable bus; alternating single-volume crashes",
-    ),
-    Scenario(
-        name="lossy_bus",
-        profile=FaultProfile(
-            request_loss=0.05, reply_loss=0.05, duplication=0.02, reorder=0.02
-        ),
-        events=ALTERNATING,
-        steps=420,
-        description="message loss/duplication/reordering during the crashes",
-    ),
-    Scenario(
-        name="reorder_heavy",
-        profile=FaultProfile(duplication=0.05, reorder=0.10),
-        events=(FailureEvent(at_us=500_000, volume_id=0, down_us=400_000),),
-        steps=360,
-        description="heavy reordering; one crash window",
-    ),
-    Scenario(
-        name="back_to_back",
-        profile=FaultProfile(request_loss=0.03, reply_loss=0.03),
-        events=BACK_TO_BACK,
-        steps=420,
-        description="volume 0 crashes twice in quick succession",
-    ),
-)
-
-SMOKE_SCENARIOS = ("clean_restarts", "lossy_bus")
-
-
-@dataclass(frozen=True)
-class ScrubScenario:
-    """One media-failure campaign cell: an injection mode x SLO bounds.
+    """One cell of the campaign grid: a scenario family x its script.
 
     Attributes:
-        kind: ``"rot"`` (at-rest byte flips) or ``"media"`` (latent
-            unreadable sectors).
-        targets: checksummed fragments corrupted on volume 0, chosen by
-            the seeded :meth:`FaultInjector.pick_targets`.
-        max_cycles: scrub cycles within which the volume must verify
-            clean — the bounded-repair SLO.
+        runner: the :class:`_Run` subclass — the scenario family — that
+            executes this cell.
+        profile: RPC fault injection; ``None`` = direct calls, no bus.
+        events: the outage script, fired through one
+            :class:`FailureSchedule` whatever the target kinds.
+        steps: workload operations (one per think-step).
+        smoke: part of the fast ``--smoke`` subset.
+        inject: scrub family — ``"rot"`` (at-rest byte flips) or
+            ``"media"`` (latent unreadable sectors).
+        targets: scrub family — checksummed fragments corrupted on
+            volume 0, chosen by the seeded
+            :meth:`FaultInjector.pick_targets`.
+        max_cycles: scrub family — cycles within which the volume must
+            verify clean: the bounded-repair SLO.
+        exhaust_finale: RAID family — after the scripted phase
+            converges, kill two members on purpose and demand the array
+            report FAILED and refuse, loudly, to serve a single byte.
+        n_shards: naming shard servers the binding space partitions
+            across (1 = the flat namespace).
     """
 
     name: str
-    kind: str
+    runner: type
+    description: str
+    profile: Optional[FaultProfile] = FaultProfile.reliable()
+    events: Tuple[Outage, ...] = ()
+    steps: int = 0
+    think_us: int = 5_000
+    seed: int = 0
+    smoke: bool = False
+    inject: str = ""
     targets: int = 4
     max_cycles: int = 3
-    seed: int = 0
-    description: str = ""
-
-
-SCRUB_SCENARIOS: Tuple[ScrubScenario, ...] = (
-    ScrubScenario(
-        name="scrub_latent_rot",
-        kind="rot",
-        description="silent at-rest byte flips; scrub + mirror/replica repair",
-    ),
-    ScrubScenario(
-        name="scrub_media_errors",
-        kind="media",
-        description="latent unreadable sectors; scrub + rewrite repair",
-    ),
-)
-
-SCRUB_SMOKE = tuple(scenario.name for scenario in SCRUB_SCENARIOS)
-
-
-@dataclass(frozen=True)
-class RaidScenario:
-    """One RAID-tier campaign cell: a member kill/replace script.
-
-    Attributes:
-        level: array layout backing every volume's data disk.
-        members: member drives per array.
-        events: the member kill/replace script, fired through the same
-            :class:`FailureSchedule` the volume crashes use.
-        steps: workload operations (one per think-step).
-        exhaust_finale: after the scripted phase converges, kill two
-            members on purpose and demand the array report FAILED and
-            refuse — loudly — to serve a single byte.
-    """
-
-    name: str
-    level: str
-    events: Tuple[MemberFailureEvent, ...]
-    steps: int
-    members: int = 4
-    chunk_sectors: int = 64
-    rebuild_chunks: int = 32
     exhaust_finale: bool = False
-    think_us: int = 5_000
-    seed: int = 0
-    description: str = ""
+    n_shards: int = 1
 
 
-#: One member dies at 300 ms; its blank replacement arrives 400 ms
-#: later and rebuilds in the idle slots between operations.
-SINGLE_MEMBER_LOSS = (
-    MemberFailureEvent(at_us=300_000, volume_id=0, member_index=1, down_us=400_000),
-)
-
-#: Member 2 dies, is replaced, then dies *again* 60 ms into its own
-#: rebuild — the second kill must cancel the rebuild and drop the array
-#: back to degraded, never to FAILED (three healthy members remain).
-REBUILD_INTERRUPTED = (
-    MemberFailureEvent(at_us=200_000, volume_id=0, member_index=2, down_us=300_000),
-    MemberFailureEvent(at_us=560_000, volume_id=0, member_index=2, down_us=340_000),
-)
-
-RAID_SCENARIOS: Tuple[RaidScenario, ...] = (
-    RaidScenario(
-        name="raid_member_loss",
-        level="raid5",
-        events=SINGLE_MEMBER_LOSS,
-        steps=240,
-        description="single member dies under mixed load; degraded "
-        "service, background rebuild, zero unavailability",
-    ),
-    RaidScenario(
-        name="raid_rebuild_interrupted",
-        level="raid5",
-        events=REBUILD_INTERRUPTED,
-        steps=240,
-        exhaust_finale=True,
-        description="rebuild target dies mid-rebuild (degrade, never "
-        "fail); finale exhausts redundancy and demands loud refusal",
-    ),
-)
-
-RAID_SMOKE = tuple(scenario.name for scenario in RAID_SCENARIOS)
-
-
-@dataclass(frozen=True)
-class ShardScenario:
-    """One sharded-namespace campaign cell (PR 10).
-
-    Attributes:
-        kind: ``"storm"`` — a metadata workload over the RPC bus while
-            a :class:`ShardFailureEvent` kills a shard server mid-run —
-            or ``"rebalance"`` — an online migration whose destination
-            dies mid-stream (direct calls; the interruption under test
-            is the shard's, not the bus's).
-        n_shards: shard servers the binding space partitions across.
-        events: the shard kill/restart script (``storm`` only).
-    """
-
-    name: str
-    kind: str
-    profile: FaultProfile
-    events: Tuple[ShardFailureEvent, ...] = ()
-    n_shards: int = 4
-    steps: int = 360
-    think_us: int = 5_000
-    seed: int = 0
-    description: str = ""
-
-
-SHARD_SCENARIOS: Tuple[ShardScenario, ...] = (
-    ShardScenario(
-        name="shard_death_metadata_storm",
-        kind="storm",
-        profile=FaultProfile(
-            request_loss=0.03, reply_loss=0.03, duplication=0.02
-        ),
-        events=(
-            ShardFailureEvent(at_us=400_000, shard_id=1, down_us=400_000),
-        ),
-        description="a shard server dies mid-metadata-storm over a lossy "
-        "bus; resolves fail over to the replica, binds bounded to the "
-        "window, restart resyncs every acked binding",
-    ),
-    ShardScenario(
-        name="rebalance_interrupted",
-        kind="rebalance",
-        profile=FaultProfile.reliable(),
-        n_shards=2,
-        steps=0,
-        description="the migration destination dies mid-stream; the "
-        "migration aborts with zero resolve misses, then re-runs to "
-        "completion after the restart",
-    ),
-)
-
-SHARD_SMOKE = tuple(scenario.name for scenario in SHARD_SCENARIOS)
-
-
-def recovery_allowance_us(
-    scenario: Scenario, *, timeout_us: int = 20_000
-) -> int:
+def recovery_allowance_us(scenario: Scenario, timeout_us: int) -> int:
     """The post-restart grace period failures may legally extend into.
 
     After a restart the breaker may stay open for up to its full
     cooldown (the last re-open can land just before the restart), one
     more call may then fail the slow way (threshold failed attempts,
-    each a timeout plus the backoff cap), and bus latency plus a few
-    think-steps of slack pad the edges.  Everything here is a
-    configured constant — the bound is parametric, not empirical.
+    each the RPC client's ``timeout_us`` plus the backoff cap), and bus
+    latency plus a few think-steps of slack pad the edges.  Everything
+    here is a configured constant — the bound is parametric, not
+    empirical.
     """
     worst_call_us = BREAKER.threshold * (timeout_us + BACKOFF.max_us)
     return (
@@ -364,107 +184,351 @@ def recovery_allowance_us(
 
 
 class _Run:
-    """One scenario execution: workload, bookkeeping, verdicts."""
+    """One scenario execution: workload, bookkeeping, verdicts.
+
+    Owns what every family needs — the cluster, the outage schedule and
+    the seeded rng; the poll → pump-background → think → op loop and its
+    run-out; the timed-op wrapper that files an exception as a budgeted
+    failure or a violation; the scheduled-window-plus-allowance check;
+    the acked-offset file workload; and the report skeleton.  A family
+    supplies its cluster ``CONFIG``, its ``op`` mix, its ``converge``
+    probes and its ``extras`` report keys.
+    """
+
+    #: Cluster settings beyond what the scenario record carries.
+    CONFIG: Dict[str, object] = {}
+    STATS: Tuple[str, ...] = ()
+    COUNTERS: Tuple[str, ...] = ()
+    #: How the family words the file workload's two byte-check verdicts.
+    FILE_READ_WRONG = FILE_LOST = ""
 
     def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
         self.cluster = RhodosCluster(
             ClusterConfig(
-                n_machines=1,
-                n_disks=3,
-                replication_degree=2,
                 fault_profile=scenario.profile,
-                rpc_backoff=BACKOFF,
-                rpc_breaker=BREAKER,
-                write_policy=WritePolicy.WRITE_THROUGH,
+                n_shards=scenario.n_shards,
                 client_cache_blocks=0,
                 seed=scenario.seed,
+                **self.CONFIG,
             )
         )
         self.schedule = FailureSchedule(
-            scenario.events,
-            self.cluster.clock,
-            metrics=self.cluster.metrics,
+            scenario.events, self.cluster.clock, metrics=self.cluster.metrics
         )
         self.rng = random.Random(scenario.seed)
         self.action_log: List[str] = []
-        # Replicated files: name -> (acked_version, last_observed_version)
-        self.acked: Dict[str, int] = {}
-        self.observed: Dict[str, int] = {}
-        # The unreplicated agent file rides the RPC bus on volume 0 (the
-        # crashed volume) so its traffic exercises breaker + backoff.
-        self.agent_acked: Dict[int, bytes] = {}  # offset -> content
-        self.agent_version = 0
-        # Failure samples: (start_us, end_us, kind)
+        #: Budgeted failures, (start_us, end_us, kind): legal only
+        #: inside a scheduled window plus the recovery allowance.
         self.failures: List[Tuple[int, int, str]] = []
-        self.stats = {
-            "replicated_reads": 0,
-            "replicated_writes": 0,
-            "agent_reads": 0,
-            "agent_writes": 0,
-            "failed_ops": 0,
-        }
         self.violations: List[str] = []
+        self.stats = dict.fromkeys(self.STATS, 0)
+        #: The file workload's acknowledged writes: offset -> content.
+        self.file_acked: Dict[int, bytes] = {}
 
-    # ------------------------------------------------------- workload
+    # --------------------------------------------------- family hooks
+
+    def setup(self) -> None:
+        """Create the files/bindings the workload runs against."""
+
+    def op(self, step: int) -> None:
+        """One workload operation, drawn from the family's mix."""
+
+    def converge(self) -> None:
+        """After run-out: finish repairs, then probe the durable state."""
+
+    def extras(self) -> Dict[str, object]:
+        """Report keys beyond the skeleton."""
+        return {}
+
+    # ------------------------------------------------------- campaign
 
     def run(self) -> Dict[str, object]:
-        cluster, schedule = self.cluster, self.schedule
-        rfiles = ["/availability/r0", "/availability/r1"]
-        for path in rfiles:
-            cluster.replication.create(AttributedName.file(path))
-            self.acked[path] = 0
-            self.observed[path] = 0
-        agent = cluster.machine.file_agent
-        descriptor = agent.create(
-            AttributedName.file("/availability/agent"), volume_id=0
-        )
+        self.setup()
+        self.workload()
+        self.converge()
+        extras = self.extras()  # first: its checks may still file violations
+        metrics = self.cluster.metrics
+        return {
+            "counters": {name: metrics.get(name) for name in self.COUNTERS},
+            "description": self.scenario.description,
+            "seed": self.scenario.seed,
+            "status": "pass" if not self.violations else "fail",
+            "violations": list(self.violations),
+            **extras,
+        }
 
+    def workload(self) -> None:
+        """Ops under the outage script, then run the script out.
+
+        Every step polls the schedule and grants background work (RAID
+        rebuilds) one idle slot before the think time and the op, so
+        repairs compete with foreground traffic.  Run-out fires what is
+        left and delivers parked messages, leaving a fully repaired
+        system for :meth:`converge`.
+        """
+        cluster, schedule = self.cluster, self.schedule
         for step in range(self.scenario.steps):
             self.action_log.extend(schedule.poll(cluster))
+            cluster.step_rebuilds()
             cluster.clock.advance_us(self.scenario.think_us)
-            choice = self.rng.random()
-            path = rfiles[step % len(rfiles)]
-            if choice < 0.30:
-                self._replicated_write(path)
-            elif choice < 0.60:
-                self._replicated_read(path)
-            elif choice < 0.80:
-                self._agent_write(agent, descriptor)
-            else:
-                self._agent_read(agent, descriptor)
-
-        # Converge: fire any remaining restarts, deliver parked
-        # messages, and let the recovery hooks finish their repairs.
+            self.op(step)
         self.action_log.extend(schedule.run_out(cluster))
         if cluster.bus is not None:
             cluster.bus.drain_delayed()
-        cluster.replication.resync_all_stale()
-        cluster.replication.sweep_orphans()
-        self._verify_convergence(rfiles, agent, descriptor)
-        return self._report(rfiles)
+
+    def attempt(
+        self,
+        fn: Callable[[], object],
+        *,
+        budget: Optional[str] = None,
+        violation: Optional[Callable[[int, Exception], str]] = None,
+        stat: Optional[str] = None,
+        catch: Tuple[type, ...] = (RhodosError,),
+    ) -> Tuple[bool, object]:
+        """Time one operation and file its failure; returns (ok, result).
+
+        An exception in ``catch`` is either a *budgeted failure* —
+        ``budget`` labels the sample the window check must cover — or,
+        for an operation that must never fail, a *violation* worded by
+        ``violation(start_us, exc)``.  ``stat`` names the ops counter a
+        failure bumps.
+        """
+        clock = self.cluster.clock
+        start = clock.now_us
+        try:
+            return True, fn()
+        except catch as exc:
+            if stat is not None:
+                self.stats[stat] += 1
+            if budget is not None:
+                self.failures.append(
+                    (start, clock.now_us, f"{budget}:{type(exc).__name__}")
+                )
+            else:
+                self.violations.append(violation(start, exc))
+            return False, None
+
+    @staticmethod
+    def must(what: str, slo: str) -> Callable[[int, Exception], str]:
+        """Violation wording for an operation whose SLO forbids failure."""
+        return lambda start, exc: (
+            f"t={start}us {what} failed ({type(exc).__name__}) — {slo}"
+        )
+
+    # ------------------------------------------------- window check
+
+    @property
+    def rpc_timeout_us(self) -> int:
+        """The timeout of the RPC client the cluster actually built."""
+        return self.cluster.router.client.timeout_us
+
+    def allowance_us(self) -> int:
+        return recovery_allowance_us(self.scenario, self.rpc_timeout_us)
+
+    def out_of_bound(self, what: str, spans: Sequence[Sequence]) -> List[List]:
+        """The ``(start, end, ...)`` spans no scheduled window covers.
+
+        A span is covered when it lies inside one scripted outage
+        extended by the parametric recovery allowance; any that is not
+        is a violation (``what`` names the spans).
+        """
+        allowance = self.allowance_us()
+        outside = [
+            list(span)
+            for span in spans
+            if not any(
+                event.at_us <= span[0] and span[1] <= event.up_at_us + allowance
+                for event in self.scenario.events
+            )
+        ]
+        if outside:
+            self.violations.append(
+                f"{what} outside scheduled-downtime bound: {outside}"
+            )
+        return outside
+
+    # ------------------------------------------------ file workload
+
+    def open_file(self, path: str) -> None:
+        """The unreplicated file on volume 0 the file workload drives."""
+        self.agent = self.cluster.machine.file_agent
+        self.descriptor = self.agent.create(
+            AttributedName.file(path), volume_id=0
+        )
+
+    def file_write(self, *, slo: str = "", **filing) -> None:
+        """Write the next version at its own offset; ack once flushed.
+
+        Distinct per-version offsets make the eventual retry of a write
+        that executed server-side (reply lost) idempotent either way.
+        ``filing`` budgets a failure (see :meth:`attempt`); otherwise
+        it is a violation, ``slo`` naming the promise it broke.
+        """
+        version = len(self.file_acked)
+        offset = version * AGENT_LEN
+        content = version_content(version, AGENT_LEN)
+
+        def write() -> None:
+            self.agent.pwrite(self.descriptor, content, offset)
+            # Ack-then-fsync: the server's FIT (file size) is write-back,
+            # so a crash could forget the write's extent without this.
+            self.agent.router.flush_volume(0)
+
+        ok, _ = self.attempt(
+            write, violation=self.must(f"write v{version}", slo), **filing
+        )
+        if ok:
+            self.file_acked[offset] = content
+
+    def file_read(self, *, slo: str = "", **filing) -> None:
+        """Read one acked offset back through the agent; byte-check it."""
+        offsets = sorted(self.file_acked)
+        offset = offsets[self.rng.randrange(len(offsets))]
+        start = self.cluster.clock.now_us
+        ok, data = self.attempt(
+            lambda: self.agent.pread(self.descriptor, AGENT_LEN, offset),
+            violation=self.must(f"read at {offset}", slo),
+            **filing,
+        )
+        if ok and data != self.file_acked[offset]:
+            self.violations.append(
+                f"t={start}us {self.FILE_READ_WRONG.format(offset=offset)} "
+                f"({data[:8]!r}...)"
+            )
+
+    def file_read_back(self) -> None:
+        """Every acked write, against the *server's durable state*
+        directly — the invariant is about what survived the outages,
+        not about bus luck during the check itself."""
+        name = self.agent.system_name(self.descriptor)
+        server = self.cluster.file_servers[name.volume_id]
+        for offset in sorted(self.file_acked):
+            if server.read(name, offset, AGENT_LEN) != self.file_acked[offset]:
+                self.violations.append(self.FILE_LOST.format(offset=offset))
+
+    def check_none_stale(self, paths: Sequence[str], after: str) -> None:
+        """No replica of any of ``paths`` may still be marked stale."""
+        replication = self.cluster.replication
+        for path in paths:
+            stale = replication.lookup(AttributedName.file(path)).stale
+            if stale:
+                self.violations.append(
+                    f"{path}: replicas still stale after {after}: "
+                    f"{sorted(stale)}"
+                )
+
+    def script_report(self) -> Dict[str, object]:
+        """The report keys of every family that runs an outage script."""
+        return {
+            "events": [
+                [event.at_us, *event.ids, event.down_us]
+                for event in self.scenario.events
+            ],
+            "lifecycle_log": self.action_log,
+            "ops": dict(sorted(self.stats.items())),
+        }
+
+
+class _CrashRun(_Run):
+    """Volume crashes under a mixed replicated + bus-served workload.
+
+    Three volumes, replication degree two, a faulty RPC bus with
+    backoff and a breaker feeding the health registry.  The
+    unreplicated agent file rides the bus on volume 0 (the crashed
+    volume) so its traffic exercises breaker + backoff.  SLOs:
+    durability, freshness, bounded unavailability (module docstring).
+    """
+
+    CONFIG = dict(
+        n_disks=3,
+        replication_degree=2,
+        rpc_backoff=BACKOFF,
+        rpc_breaker=BREAKER,
+        write_policy=WritePolicy.WRITE_THROUGH,
+    )
+    STATS = (
+        "replicated_reads",
+        "replicated_writes",
+        "agent_reads",
+        "agent_writes",
+        "failed_ops",
+    )
+    COUNTERS = (
+        "cluster.volume_failures",
+        "cluster.volume_restarts",
+        "health.marked_down",
+        "health.recoveries",
+        "health.transient_errors",
+        "recovery.crashes_injected",
+        "recovery.restarts_injected",
+        "replication.failovers",
+        "replication.orphans_recorded",
+        "replication.orphans_swept",
+        "replication.reads_degraded",
+        "replication.reads_skipped_down",
+        "replication.resyncs",
+        "replication.resyncs_verified",
+        "replication.writes_skipped_down",
+        "rpc.breaker_closes",
+        "rpc.breaker_opens",
+        "rpc.breaker_probes",
+        "rpc.breaker_rejections",
+        "rpc.reordered_executions",
+        "rpc.requests_delayed",
+        "rpc.retransmissions",
+        "transactions.recoveries",
+    )
+    FILE_READ_WRONG = "agent file: acked content lost at offset {offset}"
+    FILE_LOST = "agent file: acked write at offset {offset} lost"
+    RFILES = ("/availability/r0", "/availability/r1")
+
+    def setup(self) -> None:
+        # Replicated files: path -> acked version, last observed version.
+        self.acked: Dict[str, int] = {}
+        self.observed: Dict[str, int] = {}
+        for path in self.RFILES:
+            self.cluster.replication.create(AttributedName.file(path))
+            self.acked[path] = self.observed[path] = 0
+        self.open_file("/availability/agent")
+
+    def op(self, step: int) -> None:
+        choice = self.rng.random()
+        path = self.RFILES[step % len(self.RFILES)]
+        if choice < 0.30:
+            self._replicated_write(path)
+        elif choice < 0.60:
+            self._replicated_read(path)
+        elif choice < 0.80:
+            self.stats["agent_writes"] += 1
+            self.file_write(budget="agent_write", stat="failed_ops")
+        elif self.file_acked:
+            self.stats["agent_reads"] += 1
+            self.file_read(budget="agent_read", stat="failed_ops")
 
     def _replicated_write(self, path: str) -> None:
         cluster = self.cluster
+        name = AttributedName.file(path)
         version = self.acked[path] + 1
-        start = cluster.clock.now_us
         self.stats["replicated_writes"] += 1
-        try:
-            cluster.replication.write(
-                AttributedName.file(path), 0, version_content(version, REPLICATED_LEN)
-            )
-        except (ReplicationError, RpcError) as exc:
-            self._record_failure(start, f"replicated_write:{type(exc).__name__}")
+        ok, _ = self.attempt(
+            lambda: cluster.replication.write(
+                name, 0, version_content(version, REPLICATED_LEN)
+            ),
+            budget="replicated_write",
+            stat="failed_ops",
+            catch=REPLICATED_ERRORS,
+        )
+        if not ok:
             return
         # Ack-then-fsync: the write counts as acknowledged only once
         # the live replica servers flushed their FIT metadata (data
         # blocks are write-through already; file *size* is not).
         # Crashes land between steps, so these flushes cannot race a
         # new failure within the same step.
-        replica_set = cluster.replication.lookup(AttributedName.file(path))
-        for system_name in replica_set.replicas:
+        for system_name in cluster.replication.lookup(name).replicas:
             volume_id = system_name.volume_id
-            if cluster.health.is_down(f"volume.{volume_id}"):
+            if cluster.health.is_down(volume_component(volume_id)):
                 continue
             try:
                 cluster.file_servers[volume_id].flush()
@@ -473,17 +537,17 @@ class _Run:
         self.acked[path] = version
 
     def _replicated_read(self, path: str) -> None:
-        cluster = self.cluster
-        start = cluster.clock.now_us
+        start = self.cluster.clock.now_us
         self.stats["replicated_reads"] += 1
-        try:
-            data = cluster.replication.read(
+        ok, data = self.attempt(
+            lambda: self.cluster.replication.read(
                 AttributedName.file(path), 0, REPLICATED_LEN
-            )
-        except (ReplicationError, RpcError) as exc:
-            self._record_failure(start, f"replicated_read:{type(exc).__name__}")
-            return
-        if data == b"" and self.acked[path] == 0:
+            ),
+            budget="replicated_read",
+            stat="failed_ops",
+            catch=REPLICATED_ERRORS,
+        )
+        if not ok or (data == b"" and self.acked[path] == 0):
             return  # nothing acknowledged yet: an empty file is correct
         version = decode_version(data, self.acked[path])
         if version is None:
@@ -503,88 +567,26 @@ class _Run:
             )
         self.observed[path] = max(self.observed[path], version)
 
-    def _agent_write(self, agent, descriptor: int) -> None:
+    def converge(self) -> None:
         cluster = self.cluster
-        version = self.agent_version
-        offset = version * AGENT_LEN
-        content = version_content(version, AGENT_LEN)
-        start = cluster.clock.now_us
-        self.stats["agent_writes"] += 1
-        try:
-            agent.pwrite(descriptor, content, offset)
-            # Ack-then-fsync: the server's FIT (file size) is write-back,
-            # so a crash could forget the write's extent without this.
-            cluster.machine.file_agent.router.flush_volume(0)
-        except (RpcError, RhodosError) as exc:
-            # The write may have executed server-side (reply lost before
-            # the breaker opened); distinct per-version offsets make the
-            # eventual retry of the same content idempotent either way.
-            self._record_failure(start, f"agent_write:{type(exc).__name__}")
-            return
-        self.agent_acked[offset] = content
-        self.agent_version = version + 1
-
-    def _agent_read(self, agent, descriptor: int) -> None:
-        cluster = self.cluster
-        if not self.agent_acked:
-            return
-        offsets = sorted(self.agent_acked)
-        offset = offsets[self.rng.randrange(len(offsets))]
-        start = cluster.clock.now_us
-        self.stats["agent_reads"] += 1
-        try:
-            data = agent.pread(descriptor, AGENT_LEN, offset)
-        except (RpcError, RhodosError) as exc:
-            self._record_failure(start, f"agent_read:{type(exc).__name__}")
-            return
-        if data != self.agent_acked[offset]:
-            self.violations.append(
-                f"t={start}us agent file: acked content lost at offset "
-                f"{offset} ({data[:8]!r}...)"
-            )
-
-    def _record_failure(self, start_us: int, kind: str) -> None:
-        self.stats["failed_ops"] += 1
-        self.failures.append((start_us, self.cluster.clock.now_us, kind))
-
-    # ----------------------------------------------------- invariants
-
-    def _verify_convergence(self, rfiles: List[str], agent, descriptor: int) -> None:
-        cluster = self.cluster
-        for path in rfiles:
-            expected = (
-                version_content(self.acked[path], REPLICATED_LEN)
-                if self.acked[path]
-                else None
-            )
+        # Let the recovery hooks finish their repairs.
+        cluster.replication.resync_all_stale()
+        cluster.replication.sweep_orphans()
+        self.check_none_stale(self.RFILES, "run-out")
+        for path in self.RFILES:
             replica_set = cluster.replication.lookup(AttributedName.file(path))
-            if replica_set.stale:
-                self.violations.append(
-                    f"{path}: replicas still stale after run-out: "
-                    f"{sorted(replica_set.stale)}"
-                )
             for system_name in replica_set.replicas:
                 server = cluster.file_servers[system_name.volume_id]
                 size = server.get_attribute(system_name).file_size
                 data = server.read(system_name, 0, size)
-                if expected is None:
-                    continue
-                if data != expected:
+                if self.acked[path] and data != version_content(
+                    self.acked[path], REPLICATED_LEN
+                ):
                     self.violations.append(
                         f"{path}: replica on volume {system_name.volume_id} "
                         f"diverged from acked v{self.acked[path]}"
                     )
-        # Verify the agent file against the *server's durable state*
-        # directly — the invariant is about what survived the crashes,
-        # not about bus luck during the check itself.
-        agent_name = agent.system_name(descriptor)
-        server = cluster.file_servers[agent_name.volume_id]
-        for offset in sorted(self.agent_acked):
-            data = server.read(agent_name, offset, AGENT_LEN)
-            if data != self.agent_acked[offset]:
-                self.violations.append(
-                    f"agent file: acked write at offset {offset} lost"
-                )
+        self.file_read_back()
         remaining = cluster.replication.orphans()
         if remaining:
             self.violations.append(
@@ -594,100 +596,35 @@ class _Run:
     def _unavailability(self) -> Dict[str, object]:
         """Merge failure samples into windows; check each against the
         schedule extended by the parametric recovery allowance."""
-        allowance = recovery_allowance_us(self.scenario)
-        merge_gap = 4 * self.scenario.think_us + 2 * 20_000
+        merge_gap = 4 * self.scenario.think_us + 2 * self.rpc_timeout_us
         windows: List[List[int]] = []
         for start, end, _kind in sorted(self.failures):
             if windows and start - windows[-1][1] <= merge_gap:
                 windows[-1][1] = max(windows[-1][1], end)
             else:
                 windows.append([start, end])
-        scheduled = [
-            (event.at_us, event.restart_at_us) for event in self.scenario.events
-        ]
-        out_of_bound = []
-        for start, end in windows:
-            covered = any(
-                s_start <= start and end <= s_end + allowance
-                for s_start, s_end in scheduled
-            )
-            if not covered:
-                out_of_bound.append([start, end])
-        if out_of_bound:
-            self.violations.append(
-                f"unavailability outside scheduled-downtime bound: "
-                f"{out_of_bound}"
-            )
         return {
-            "allowance_us": allowance,
+            "allowance_us": self.allowance_us(),
             "merge_gap_us": merge_gap,
-            "out_of_bound": out_of_bound,
+            "out_of_bound": self.out_of_bound("unavailability", windows),
             "total_us": sum(end - start for start, end in windows),
-            "windows": [[start, end] for start, end in windows],
+            "windows": windows,
         }
 
-    def _report(self, rfiles: List[str]) -> Dict[str, object]:
-        metrics = self.cluster.metrics
-        unavailability = self._unavailability()
-        counters = {
-            name: metrics.get(name)
-            for name in (
-                "cluster.volume_failures",
-                "cluster.volume_restarts",
-                "health.marked_down",
-                "health.recoveries",
-                "health.transient_errors",
-                "recovery.crashes_injected",
-                "recovery.restarts_injected",
-                "replication.failovers",
-                "replication.orphans_recorded",
-                "replication.orphans_swept",
-                "replication.reads_degraded",
-                "replication.reads_skipped_down",
-                "replication.resyncs",
-                "replication.resyncs_verified",
-                "replication.writes_skipped_down",
-                "rpc.breaker_closes",
-                "rpc.breaker_opens",
-                "rpc.breaker_probes",
-                "rpc.breaker_rejections",
-                "rpc.reordered_executions",
-                "rpc.requests_delayed",
-                "rpc.retransmissions",
-                "transactions.recoveries",
-            )
-        }
+    def extras(self) -> Dict[str, object]:
         return {
-            "counters": counters,
-            "description": self.scenario.description,
-            "events": [
-                [event.at_us, event.volume_id, event.down_us]
-                for event in self.scenario.events
-            ],
-            "failures": [
-                [start, end, kind] for start, end, kind in self.failures
-            ],
+            **self.script_report(),
+            "failures": [list(sample) for sample in self.failures],
             "final_versions": {
-                "acked": {path: self.acked[path] for path in rfiles},
-                "agent_writes_acked": len(self.agent_acked),
+                "acked": dict(self.acked),
+                "agent_writes_acked": len(self.file_acked),
             },
-            "lifecycle_log": self.action_log,
-            "ops": dict(sorted(self.stats.items())),
-            "profile": {
-                "duplication": self.scenario.profile.duplication,
-                "latency_us": self.scenario.profile.latency_us,
-                "reorder": self.scenario.profile.reorder,
-                "reply_loss": self.scenario.profile.reply_loss,
-                "request_loss": self.scenario.profile.request_loss,
-            },
-            "seed": self.scenario.seed,
-            "status": "pass" if not self.violations else "fail",
-            "unavailability": unavailability,
-            "violations": list(self.violations),
+            "profile": asdict(self.scenario.profile),
+            "unavailability": self._unavailability(),
         }
 
 
-class _ScrubRun:
+class _ScrubRun(_Run):
     """One scrub scenario: inject, byte-check reads, scrub, verify.
 
     The run seeds two replicated files (degree two, volumes 0 and 1),
@@ -701,57 +638,60 @@ class _ScrubRun:
     read anywhere in the campaign observed corrupt bytes.
     """
 
+    CONFIG = dict(
+        n_disks=3,
+        replication_degree=2,
+        write_policy=WritePolicy.WRITE_THROUGH,
+    )
+    COUNTERS = (
+        "disk_server.0.checksum_failures",
+        "disk_server.0.read_repairs",
+        "disk_server.0.stable_repairs",
+        "replication.media_quarantines",
+        "replication.quarantine_deferrals",
+        "replication.resyncs",
+        "replication.resyncs_verified",
+        "scrub.0.cycles",
+        "scrub.0.fragments_verified",
+        "scrub.0.mirrors_verified",
+        "scrub.0.repairs",
+        "scrub.0.repair_failures",
+    )
     FILE_BLOCKS = 4
+    PATHS = ("/scrub/r0", "/scrub/r1")
 
-    def __init__(self, scenario: ScrubScenario) -> None:
-        self.scenario = scenario
-        self.cluster = RhodosCluster(
-            ClusterConfig(
-                n_machines=1,
-                n_disks=3,
-                replication_degree=2,
-                fault_profile=FaultProfile.reliable(),
-                write_policy=WritePolicy.WRITE_THROUGH,
-                client_cache_blocks=0,
-                seed=scenario.seed,
-            )
-        )
-        self.violations: List[str] = []
-        self.findings_log: List[List[object]] = []
-        self.reads_checked = 0
-
-    # ------------------------------------------------------- campaign
-
-    def run(self) -> Dict[str, object]:
+    def setup(self) -> None:
         cluster = self.cluster
-        scenario = self.scenario
-        paths = ["/scrub/r0", "/scrub/r1"]
-        expected: Dict[str, bytes] = {}
-        for index, path in enumerate(paths):
+        self.expected: Dict[str, bytes] = {}
+        for index, path in enumerate(self.PATHS):
             cluster.replication.create(AttributedName.file(path))
             content = bytes(
                 (index * 37 + offset * 7 + 13) % 251 + 1
                 for offset in range(self.FILE_BLOCKS * BLOCK_SIZE)
             )
             cluster.replication.write(AttributedName.file(path), 0, content)
-            expected[path] = content
+            self.expected[path] = content
         for volume_id in sorted(cluster.file_servers):
             cluster.file_servers[volume_id].flush()
+        self.reads_checked = 0
+        self.findings_log: List[List[object]] = []
 
+    def workload(self) -> None:
+        """The fault script is corruption, the repair is the scrubber."""
+        cluster, scenario = self.cluster, self.scenario
         disk_server = cluster.file_servers[0].disk
         sim_disk = disk_server.disk
-        population = disk_server.checksummed_fragments()
-        targets = sim_disk.faults.pick_targets(
-            population, scenario.targets, salt=17
+        self.targets = sim_disk.faults.pick_targets(
+            disk_server.checksummed_fragments(), scenario.targets, salt=17
         )
         # Pre-corruption ground truth for the direct-read byte checks.
-        pristine = {
+        self.pristine = {
             fragment: disk_server.get(Extent(fragment, 1), use_cache=False)
-            for fragment in targets
+            for fragment in self.targets
         }
-        for fragment in targets:
+        for fragment in self.targets:
             extent = Extent(fragment, 1)
-            if scenario.kind == "rot":
+            if scenario.inject == "rot":
                 sim_disk.corrupt_sectors(extent.first_sector, extent.n_sectors)
             else:
                 sim_disk.faults.schedule_media_error(extent.first_sector)
@@ -759,34 +699,34 @@ class _ScrubRun:
         # SLO 2, before any repair ran: a read of a damaged fragment
         # either raises (checksum/media error) or returns exact bytes
         # (an uncorrupted cached copy) — never silently wrong data.
-        direct_errors = 0
-        for fragment in sorted(targets):
+        self.direct_errors = 0
+        for fragment in sorted(self.targets):
             try:
                 data = disk_server.get(Extent(fragment, 1))
             except MediaError:
-                direct_errors += 1
+                self.direct_errors += 1
                 continue
             self.reads_checked += 1
-            if data != pristine[fragment]:
+            if data != self.pristine[fragment]:
                 self.violations.append(
                     f"fragment {fragment}: corrupt bytes served to a "
                     f"direct read before scrub"
                 )
-        self._client_reads(paths, expected)
+        self._client_reads()
 
         # The scrub loop: every volume, full cycles, repair callbacks.
-        unrepaired: List[Tuple[int, ScrubFinding]] = []
+        self.unrepaired: List[Tuple[int, ScrubFinding]] = []
         scrubbers = {
             volume_id: Scrubber(
                 cluster.file_servers[volume_id].disk,
                 on_corruption=lambda finding, volume_id=volume_id: (
-                    unrepaired.append((volume_id, finding))
+                    self.unrepaired.append((volume_id, finding))
                 ),
             )
             for volume_id in sorted(cluster.file_servers)
         }
-        cycles_to_clean: Optional[int] = None
-        first_cycle_found: set[int] = set()
+        self.cycles_to_clean: Optional[int] = None
+        self.first_cycle_found: set[int] = set()
         for cycle in range(1, scenario.max_cycles + 1):
             cycle_findings: List[Tuple[int, ScrubFinding]] = []
             for volume_id in sorted(scrubbers):
@@ -804,70 +744,61 @@ class _ScrubRun:
                     )
             if cycle == 1:
                 for _, finding in cycle_findings:
-                    first_cycle_found.update(
+                    self.first_cycle_found.update(
                         range(finding.extent.start, finding.extent.end)
                     )
             if not cycle_findings:
-                cycles_to_clean = cycle
+                self.cycles_to_clean = cycle
                 break
             for volume_id in sorted(
                 {vid for vid, finding in cycle_findings if not finding.repaired}
             ):
                 cluster.replication.quarantine_volume_media(volume_id)
 
-        # SLO 1: everything injected was found, and a clean cycle
-        # arrived within the bound.
-        if cycles_to_clean is None:
-            self.violations.append(
-                f"scrub still finding corruption after "
-                f"{scenario.max_cycles} cycles"
-            )
-        missed = sorted(set(targets) - first_cycle_found)
-        if missed:
-            self.violations.append(
-                f"injected corruption never found by the scrubber: "
-                f"fragments {missed}"
-            )
-        self._verify_repaired(paths, expected, targets, pristine)
-        return self._report(targets, cycles_to_clean, direct_errors, unrepaired)
-
-    # ------------------------------------------------------ internal
-
-    def _client_reads(self, paths: List[str], expected: Dict[str, bytes]) -> None:
+    def _client_reads(self) -> None:
         """Read every replicated file end to end; byte-check the result.
 
         Read-one failover means these reads succeed with exact content
         even while volume 0 is damaged — a wrong byte is an SLO 2
         violation, not a degraded read.
         """
-        for path in paths:
-            try:
-                data = self.cluster.replication.read(
-                    AttributedName.file(path), 0, len(expected[path])
-                )
-            except (ReplicationError, RpcError) as exc:
-                self.violations.append(
+        for path, expected in self.expected.items():
+            ok, data = self.attempt(
+                lambda: self.cluster.replication.read(
+                    AttributedName.file(path), 0, len(expected)
+                ),
+                violation=lambda _start, exc: (
                     f"{path}: replicated read failed outright ({exc})"
-                )
+                ),
+                catch=REPLICATED_ERRORS,
+            )
+            if not ok:
                 continue
             self.reads_checked += 1
-            if data != expected[path]:
+            if data != expected:
                 self.violations.append(
                     f"{path}: corrupt bytes reached the client"
                 )
 
-    def _verify_repaired(
-        self,
-        paths: List[str],
-        expected: Dict[str, bytes],
-        targets: List[int],
-        pristine: Dict[int, bytes],
-    ) -> None:
+    def converge(self) -> None:
         cluster = self.cluster
+        # SLO 1: everything injected was found, and a clean cycle
+        # arrived within the bound.
+        if self.cycles_to_clean is None:
+            self.violations.append(
+                f"scrub still finding corruption after "
+                f"{self.scenario.max_cycles} cycles"
+            )
+        missed = sorted(set(self.targets) - self.first_cycle_found)
+        if missed:
+            self.violations.append(
+                f"injected corruption never found by the scrubber: "
+                f"fragments {missed}"
+            )
         # Every damaged fragment reads clean — through the cache and
         # around it — so nothing corrupt survived into the cache.
         disk_server = cluster.file_servers[0].disk
-        for fragment in sorted(targets):
+        for fragment in sorted(self.targets):
             for use_cache in (True, False):
                 try:
                     data = disk_server.get(
@@ -880,7 +811,7 @@ class _ScrubRun:
                     )
                     continue
                 self.reads_checked += 1
-                if data != pristine[fragment]:
+                if data != self.pristine[fragment]:
                     self.violations.append(
                         f"fragment {fragment}: content wrong after repair "
                         f"(cache={use_cache})"
@@ -891,116 +822,81 @@ class _ScrubRun:
             for finding in findings:
                 self.violations.append(f"volume {volume_id} fsck: {finding}")
         # Client-visible content, and no replica left stale.
-        self._client_reads(paths, expected)
-        for path in paths:
-            replica_set = cluster.replication.lookup(AttributedName.file(path))
-            if replica_set.stale:
-                self.violations.append(
-                    f"{path}: replicas still stale after scrub repair: "
-                    f"{sorted(replica_set.stale)}"
-                )
+        self._client_reads()
+        self.check_none_stale(self.PATHS, "scrub repair")
 
-    def _report(
-        self,
-        targets: List[int],
-        cycles_to_clean: Optional[int],
-        direct_errors: int,
-        unrepaired: List[Tuple[int, ScrubFinding]],
-    ) -> Dict[str, object]:
-        metrics = self.cluster.metrics
-        counters = {
-            name: metrics.get(name)
-            for name in (
-                "disk_server.0.checksum_failures",
-                "disk_server.0.read_repairs",
-                "disk_server.0.stable_repairs",
-                "replication.media_quarantines",
-                "replication.quarantine_deferrals",
-                "replication.resyncs",
-                "replication.resyncs_verified",
-                "scrub.0.cycles",
-                "scrub.0.fragments_verified",
-                "scrub.0.mirrors_verified",
-                "scrub.0.repairs",
-                "scrub.0.repair_failures",
-            )
-        }
+    def extras(self) -> Dict[str, object]:
         return {
-            "counters": counters,
-            "cycles_to_clean": cycles_to_clean,
-            "description": self.scenario.description,
-            "direct_read_errors": direct_errors,
+            "cycles_to_clean": self.cycles_to_clean,
+            "direct_read_errors": self.direct_errors,
             "findings": self.findings_log,
             "injected": {
-                "fragments": sorted(targets),
-                "kind": self.scenario.kind,
+                "fragments": sorted(self.targets),
+                "kind": self.scenario.inject,
             },
             "reads_checked": self.reads_checked,
-            "routed_to_replication": len(unrepaired),
-            "seed": self.scenario.seed,
-            "status": "pass" if not self.violations else "fail",
-            "violations": list(self.violations),
+            "routed_to_replication": len(self.unrepaired),
         }
 
 
-class _RaidRun:
+class _RaidRun(_Run):
     """One RAID scenario: member kills mid-workload, rebuild, verdicts.
 
     A single volume backed by a :class:`StripedVolume` serves a mixed
     read/write workload over the client agent path (reliable bus — any
     failed operation is attributable to the RAID tier, not bus luck).
     The schedule kills and replaces member drives between operations;
-    :meth:`RhodosCluster.step_rebuilds` is pumped each step so the
-    background rebuild competes with foreground traffic for idle slots.
-    Unlike the volume-crash scenarios there is no unavailability budget
-    to spend: **every** operation must succeed, and at the end every
-    acked byte must read back exactly from the server's durable state.
+    the workload loop pumps :meth:`RhodosCluster.step_rebuilds` each
+    step so the background rebuild competes with foreground traffic for
+    idle slots.  Unlike the volume-crash scenarios there is no
+    unavailability budget to spend: **every** operation must succeed,
+    and at the end every acked byte must read back exactly from the
+    server's durable state.
     """
 
-    def __init__(self, scenario: RaidScenario) -> None:
-        self.scenario = scenario
-        self.cluster = RhodosCluster(
-            ClusterConfig(
-                n_machines=1,
-                n_disks=1,
-                # 64 MB members keep the rebuild long enough to overlap
-                # dozens of foreground steps yet finish within the run.
-                geometry=DiskGeometry.small(),
-                replication_degree=1,
-                fault_profile=FaultProfile.reliable(),
-                write_policy=WritePolicy.WRITE_THROUGH,
-                # Every cache off: each read reaches the platters, so
-                # degraded reads really exercise XOR reconstruction on
-                # the client path rather than a cached block.
-                client_cache_blocks=0,
-                server_cache_blocks=0,
-                disk_cache_tracks=0,
-                disk_readahead=False,
-                raid_level=scenario.level,
-                raid_members=scenario.members,
-                raid_chunk_sectors=scenario.chunk_sectors,
-                raid_rebuild_chunks=scenario.rebuild_chunks,
-                seed=scenario.seed,
-            )
-        )
-        self.schedule = FailureSchedule(
-            scenario.events,
-            self.cluster.clock,
-            metrics=self.cluster.metrics,
-        )
-        self.rng = random.Random(scenario.seed)
-        self.action_log: List[str] = []
-        self.state_log: List[List[object]] = []
-        self.acked: Dict[int, bytes] = {}  # offset -> content
-        self.version = 0
-        self.stats = {
-            "reads": 0,
-            "writes": 0,
-            "reads_degraded": 0,
-            "writes_degraded": 0,
-        }
-        self.violations: List[str] = []
+    #: The array backing the volume's data disk.
+    LAYOUT = {"chunk_sectors": 64, "level": "raid5", "members": 4}
+    CONFIG = dict(
+        # 64 MB members keep the rebuild long enough to overlap
+        # dozens of foreground steps yet finish within the run.
+        geometry=DiskGeometry.small(),
+        replication_degree=1,
+        write_policy=WritePolicy.WRITE_THROUGH,
+        # Every cache off: each read reaches the platters, so
+        # degraded reads really exercise XOR reconstruction on
+        # the client path rather than a cached block.
+        server_cache_blocks=0,
+        disk_cache_tracks=0,
+        disk_readahead=False,
+        raid_rebuild_chunks=32,
+        **{f"raid_{key}": value for key, value in LAYOUT.items()},
+    )
+    STATS = ("reads", "writes", "reads_degraded", "writes_degraded")
+    COUNTERS = (
+        "cluster.member_failures",
+        "cluster.member_replacements",
+        "health.marked_down",
+        "health.recoveries",
+        "health.transient_errors",
+        "recovery.member_kills_injected",
+        "recovery.member_replacements_injected",
+        "raid.0.degraded_reads",
+        "raid.0.degraded_writes",
+        "raid.0.journal_arms",
+        "raid.0.member_failures",
+        "raid.0.member_replacements",
+        "raid.0.parity_writes",
+        "raid.0.rebuild.chunks",
+        "raid.0.rebuild.steps_yielded",
+        "raid.0.segments_reconstructed",
+    )
+    FILE_READ_WRONG = "read at {offset} returned wrong bytes"
+    FILE_LOST = "acked write at offset {offset} lost after rebuild"
+
+    def setup(self) -> None:
         self.array = self.cluster.arrays[0]
+        self.state_log: List[List[object]] = []
+        self.finale: Optional[Dict[str, object]] = None
         # Chain onto the cluster's health wiring so the campaign sees
         # the same transitions the failure detector does.
         chain = self.array.on_state_change
@@ -1013,27 +909,22 @@ class _RaidRun:
                 chain(old, new)
 
         self.array.on_state_change = observe
+        self.open_file("/availability/raid")
 
-    # ------------------------------------------------------- workload
+    def op(self, step: int) -> None:
+        degraded = self.array.state is not ArrayState.OPTIMAL
+        if self.rng.random() < 0.55 or not self.file_acked:
+            self.stats["writes"] += 1
+            self.stats["writes_degraded"] += degraded
+            self.file_write(slo="the volume must keep serving")
+        else:
+            self.stats["reads"] += 1
+            self.stats["reads_degraded"] += degraded
+            self.file_read(slo="reads are never unavailable")
 
-    def run(self) -> Dict[str, object]:
-        cluster, schedule = self.cluster, self.schedule
-        agent = cluster.machine.file_agent
-        descriptor = agent.create(
-            AttributedName.file("/availability/raid"), volume_id=0
-        )
-        for _step in range(self.scenario.steps):
-            self.action_log.extend(schedule.poll(cluster))
-            cluster.step_rebuilds()
-            cluster.clock.advance_us(self.scenario.think_us)
-            if self.rng.random() < 0.55 or not self.acked:
-                self._write(agent, descriptor)
-            else:
-                self._read(agent, descriptor)
-
-        # Converge: fire the remaining replacements, then grant the
-        # rebuild exclusive slots until the array is whole again.
-        self.action_log.extend(schedule.run_out(cluster))
+    def converge(self) -> None:
+        cluster = self.cluster
+        # Grant the rebuild exclusive slots until the array is whole.
         for _ in range(8 * self.scenario.steps):
             if not cluster.rebuilders:
                 break
@@ -1041,57 +932,6 @@ class _RaidRun:
             cluster.step_rebuilds(force=True)
         else:
             self.violations.append("rebuild never completed at run-out")
-        self._verify_convergence(agent, descriptor)
-        finale = self._exhaust_redundancy() if self.scenario.exhaust_finale else None
-        return self._report(finale)
-
-    def _write(self, agent, descriptor: int) -> None:
-        cluster = self.cluster
-        version = self.version
-        offset = version * AGENT_LEN
-        content = version_content(version, AGENT_LEN)
-        start = cluster.clock.now_us
-        degraded = self.array.state is not ArrayState.OPTIMAL
-        self.stats["writes"] += 1
-        self.stats["writes_degraded"] += 1 if degraded else 0
-        try:
-            agent.pwrite(descriptor, content, offset)
-            cluster.machine.file_agent.router.flush_volume(0)
-        except (RpcError, RhodosError) as exc:
-            self.violations.append(
-                f"t={start}us write v{version} failed "
-                f"({type(exc).__name__}) — the volume must keep serving"
-            )
-            return
-        self.acked[offset] = content
-        self.version = version + 1
-
-    def _read(self, agent, descriptor: int) -> None:
-        cluster = self.cluster
-        offsets = sorted(self.acked)
-        offset = offsets[self.rng.randrange(len(offsets))]
-        start = cluster.clock.now_us
-        degraded = self.array.state is not ArrayState.OPTIMAL
-        self.stats["reads"] += 1
-        self.stats["reads_degraded"] += 1 if degraded else 0
-        try:
-            data = agent.pread(descriptor, AGENT_LEN, offset)
-        except (RpcError, RhodosError) as exc:
-            self.violations.append(
-                f"t={start}us read at {offset} failed "
-                f"({type(exc).__name__}) — reads are never unavailable"
-            )
-            return
-        if data != self.acked[offset]:
-            self.violations.append(
-                f"t={start}us read at {offset} returned wrong bytes "
-                f"({data[:8]!r}...)"
-            )
-
-    # ----------------------------------------------------- invariants
-
-    def _verify_convergence(self, agent, descriptor: int) -> None:
-        cluster = self.cluster
         if self.array.state is not ArrayState.OPTIMAL:
             self.violations.append(
                 f"array ended {self.array.state.name}, not OPTIMAL"
@@ -1102,20 +942,14 @@ class _RaidRun:
                     f"t={entry[0]}us array went FAILED with redundancy "
                     f"remaining"
                 )
-        # Durability against the server's durable state, not bus luck.
-        agent_name = agent.system_name(descriptor)
-        server = cluster.file_servers[agent_name.volume_id]
-        for offset in sorted(self.acked):
-            data = server.read(agent_name, offset, AGENT_LEN)
-            if data != self.acked[offset]:
-                self.violations.append(
-                    f"acked write at offset {offset} lost after rebuild"
-                )
+        self.file_read_back()
         if cluster.health.is_down(volume_component(0)):
             self.violations.append(
                 "health registry still holds the volume down after the "
                 "array returned to OPTIMAL"
             )
+        if self.scenario.exhaust_finale:
+            self.finale = self._exhaust_redundancy()
 
     def _exhaust_redundancy(self) -> Dict[str, object]:
         """Kill two members: FAILED is mandatory, silence is forbidden."""
@@ -1144,187 +978,210 @@ class _RaidRun:
             "state": self.array.state.name,
         }
 
-    def _report(self, finale: Optional[Dict[str, object]]) -> Dict[str, object]:
-        metrics = self.cluster.metrics
-        counters = {
-            name: metrics.get(name)
-            for name in (
-                "cluster.member_failures",
-                "cluster.member_replacements",
-                "health.marked_down",
-                "health.recoveries",
-                "health.transient_errors",
-                "recovery.member_kills_injected",
-                "recovery.member_replacements_injected",
-                "raid.0.degraded_reads",
-                "raid.0.degraded_writes",
-                "raid.0.journal_arms",
-                "raid.0.member_failures",
-                "raid.0.member_replacements",
-                "raid.0.parity_writes",
-                "raid.0.rebuild.chunks",
-                "raid.0.rebuild.steps_yielded",
-                "raid.0.segments_reconstructed",
-            )
-        }
+    def extras(self) -> Dict[str, object]:
         return {
-            "counters": counters,
-            "description": self.scenario.description,
-            "events": [
-                [event.at_us, event.volume_id, event.member_index, event.down_us]
-                for event in self.scenario.events
-            ],
-            "finale": finale,
-            "final_versions": {"writes_acked": len(self.acked)},
-            "layout": {
-                "chunk_sectors": self.scenario.chunk_sectors,
-                "level": self.scenario.level,
-                "members": self.scenario.members,
-            },
-            "lifecycle_log": self.action_log,
-            "member_windows": [
-                list(window) for window in self.schedule.member_windows()
-            ],
-            "ops": dict(sorted(self.stats.items())),
-            "seed": self.scenario.seed,
+            **self.script_report(),
+            "finale": self.finale,
+            "final_versions": {"writes_acked": len(self.file_acked)},
+            "layout": dict(self.LAYOUT),
+            "member_windows": self.schedule.windows("member"),
             "state_log": self.state_log,
-            "status": "pass" if not self.violations else "fail",
-            "violations": list(self.violations),
         }
 
 
-class _ShardRun:
-    """One sharded-namespace scenario: kills, failover, verdicts.
+class _ShardRun(_Run):
+    """The sharded-namespace families: kills, failover, verdicts."""
 
-    The ``storm`` kind binds fresh names and resolves acked ones over
-    the lossy RPC bus while the schedule kills and restarts one shard
-    server.  SLOs: an acked name **never** fails to resolve (reads fail
-    over to the replica peer), bind failures fall only inside the
-    scheduled kill window plus the parametric recovery allowance, and
-    after the restart every acked binding resolves with its exact
-    target while the per-shard dumps stay pairwise disjoint.
+    CONFIG = dict(rpc_backoff=BACKOFF, rpc_breaker=BREAKER)
+    STATS = ("binds", "resolves", "failed_binds", "failed_resolves")
+    COUNTERS = (
+        "cluster.shard_failures",
+        "cluster.shard_restarts",
+        "cluster.shards_added",
+        "health.marked_down",
+        "health.recoveries",
+        "naming_shard.failovers",
+        "naming_shard.fan_outs",
+        "naming_shard.migrations_aborted",
+        "naming_shard.migrations_completed",
+        "naming_shard.migrations_started",
+        "naming_shard.redirects",
+        "naming_shard.resyncs",
+        "naming_shard.streamed_bindings",
+        "recovery.shard_kills_injected",
+        "recovery.shard_restarts_injected",
+        "rpc.breaker_opens",
+        "rpc.retransmissions",
+    )
+    #: Directory the family binds under; only these names are policed.
+    PREFIX = ""
 
-    The ``rebalance`` kind runs an online migration and kills its
-    destination mid-stream: the migration must abort (sources keep sole
-    ownership — zero resolve misses at every step), then re-run to
-    completion after the restart with the map epoch bumped.
-    """
-
-    def __init__(self, scenario: ShardScenario) -> None:
-        self.scenario = scenario
-        profile = scenario.profile if scenario.kind == "storm" else None
-        self.cluster = RhodosCluster(
-            ClusterConfig(
-                n_machines=1,
-                n_disks=1,
-                n_shards=scenario.n_shards,
-                fault_profile=profile,
-                rpc_backoff=BACKOFF,
-                rpc_breaker=BREAKER,
-                client_cache_blocks=0,
-                seed=scenario.seed,
-            )
-        )
-        self.schedule = FailureSchedule(
-            scenario.events, self.cluster.clock, metrics=self.cluster.metrics
-        )
-        self.rng = random.Random(scenario.seed)
-        self.action_log: List[str] = []
+    def setup(self) -> None:
+        # path -> (name, target), acknowledged and merely attempted.
         self.acked: Dict[str, Tuple[AttributedName, str]] = {}
         self.attempted: Dict[str, Tuple[AttributedName, str]] = {}
-        self.failures: List[Tuple[int, int, str]] = []
-        self.stats = {
-            "binds": 0,
-            "resolves": 0,
-            "failed_binds": 0,
-            "failed_resolves": 0,
-        }
-        self.violations: List[str] = []
 
-    # ------------------------------------------------------- workload
+    def binding(self, index: int) -> Tuple[str, AttributedName, str]:
+        """The index-th (path, name, target) the family binds."""
+        path = f"{self.PREFIX}dev{index}"
+        name = AttributedName.tty(f"dev{index}", path=path)
+        return path, name, f"host{index % 4}:{path}"
 
-    def run(self) -> Dict[str, object]:
-        if self.scenario.kind == "rebalance":
-            return self._run_rebalance()
-        return self._run_storm()
+    def resolve_compare(
+        self,
+        path: str,
+        failed: Callable[[int, Exception], str],
+        wrong: Callable[[str, str], str],
+        *,
+        counted: bool = True,
+    ) -> None:
+        """Resolve one acked name; it must succeed with the acked target."""
+        name, target = self.acked[path]
+        if counted:
+            self.stats["resolves"] += 1
+        ok, observed = self.attempt(
+            lambda: self.cluster.naming.resolve(name),
+            violation=failed,
+            stat="failed_resolves" if counted else None,
+        )
+        if ok and observed != target:
+            self.violations.append(wrong(observed, target))
 
-    def _run_storm(self) -> Dict[str, object]:
-        cluster, schedule = self.cluster, self.schedule
-        for step in range(self.scenario.steps):
-            self.action_log.extend(schedule.poll(cluster))
-            cluster.clock.advance_us(self.scenario.think_us)
-            if self.rng.random() < 0.45 or not self.acked:
-                self._bind(step)
-            else:
-                self._resolve()
-        self.action_log.extend(schedule.run_out(cluster))
-        if cluster.bus is not None:
-            cluster.bus.drain_delayed()
-        self._verify_convergence()
-        self._check_bind_windows()
-        if cluster.metrics.get("naming_shard.failovers") == 0:
-            self.violations.append(
-                "the storm never exercised a failover read — the kill "
-                "window missed the workload entirely"
-            )
-        return self._report()
-
-    def _bind(self, step: int) -> None:
+    def converge(self) -> None:
         cluster = self.cluster
-        path = f"/storm/dev{step}"
-        name = AttributedName.tty(f"dev{step}", path=path)
-        target = f"host{step % 4}:{path}"
-        start = cluster.clock.now_us
-        self.stats["binds"] += 1
-        self.attempted[path] = (name, target)
-        try:
+        for path in sorted(self.acked):
+            self.resolve_compare(
+                path,
+                lambda _start, exc: (
+                    f"{path}: acked binding lost after run-out ({exc})"
+                ),
+                lambda observed, target: (
+                    f"{path}: resolves to {observed!r} after run-out, "
+                    f"acked {target!r}"
+                ),
+                counted=False,
+            )
+        # The partition invariant: per-shard dumps pairwise disjoint,
+        # every acked binding present, nothing present that was never
+        # attempted (a failed bind may have applied server-side — its
+        # reply was lost — so the union may exceed the acked set, but
+        # never the attempted set).
+        seen: Dict[str, int] = {}
+        union: Dict[str, str] = {}
+        for shard_id, blob in sorted(cluster.naming.shard_dumps().items()):
+            part = NamingService.from_bytes(blob)
+            for name in part:
+                path = name.get("path") or repr(name)
+                if path in seen:
+                    self.violations.append(
+                        f"{path} lives on shards {seen[path]} and {shard_id}"
+                    )
+                seen[path] = shard_id
+                union[path] = part.resolve(name)
+        for path in sorted(self.acked):
+            _name, target = self.acked[path]
+            if union.get(path) != target:
+                self.violations.append(
+                    f"{path}: acked {target!r} but the dumps hold "
+                    f"{union.get(path)!r}"
+                )
+        # Only the campaign's own names are policed — the cluster seeds
+        # bindings of its own (the root directory).
+        for path in sorted(set(union) - set(self.attempted)):
+            if path.startswith(self.PREFIX):
+                self.violations.append(
+                    f"{path}: present in a shard dump but never attempted"
+                )
+
+    def extras(self) -> Dict[str, object]:
+        return {
+            **self.script_report(),
+            "failures": [list(sample) for sample in self.failures],
+            "final_versions": {
+                "acked_bindings": len(self.acked),
+                "attempted_bindings": len(self.attempted),
+            },
+            "n_shards": self.scenario.n_shards,
+            "shard_windows": self.schedule.windows("shard"),
+        }
+
+
+class _StormRun(_ShardRun):
+    """A metadata storm over the lossy bus while a shard server dies.
+
+    Binds fresh names and resolves acked ones while the schedule kills
+    and restarts one shard server.  SLOs: an acked name **never** fails
+    to resolve (reads fail over to the replica peer), bind failures
+    fall only inside the scheduled kill window plus the parametric
+    recovery allowance, and after the restart every acked binding
+    resolves with its exact target while the per-shard dumps stay
+    pairwise disjoint.
+    """
+
+    PREFIX = "/storm/"
+
+    def op(self, step: int) -> None:
+        if self.rng.random() < 0.45 or not self.acked:
+            path, name, target = self.binding(step)
+            self.stats["binds"] += 1
+            self.attempted[path] = (name, target)
             # rebind, not bind: a reply lost after the server applied
             # the write makes a retried bind a duplicate — rebind is
             # idempotent at the workload layer, and the shard's reply
             # cache absorbs bus-level duplicates below it.
-            cluster.naming.rebind(name, target)
-        except (RpcError, RhodosError) as exc:
-            self.stats["failed_binds"] += 1
-            self.failures.append(
-                (start, cluster.clock.now_us, f"bind:{type(exc).__name__}")
+            ok, _ = self.attempt(
+                lambda: self.cluster.naming.rebind(name, target),
+                budget="bind",
+                stat="failed_binds",
             )
+            if ok:
+                self.acked[path] = (name, target)
             return
-        self.acked[path] = (name, target)
-
-    def _resolve(self) -> None:
-        cluster = self.cluster
         paths = sorted(self.acked)
         path = paths[self.rng.randrange(len(paths))]
-        name, target = self.acked[path]
-        start = cluster.clock.now_us
-        self.stats["resolves"] += 1
-        try:
-            observed = cluster.naming.resolve(name)
-        except (RpcError, RhodosError) as exc:
-            self.stats["failed_resolves"] += 1
-            self.violations.append(
-                f"t={start}us resolve {path} failed "
-                f"({type(exc).__name__}) — acked names must fail over"
-            )
-            return
-        if observed != target:
-            self.violations.append(
+        start = self.cluster.clock.now_us
+        self.resolve_compare(
+            path,
+            self.must(f"resolve {path}", "acked names must fail over"),
+            lambda observed, target: (
                 f"t={start}us resolve {path} returned {observed!r}, "
                 f"acked {target!r}"
+            ),
+        )
+
+    def converge(self) -> None:
+        super().converge()
+        self.out_of_bound("bind failures", self.failures)
+        if self.cluster.metrics.get("naming_shard.failovers") == 0:
+            self.violations.append(
+                "the storm never exercised a failover read — the kill "
+                "window missed the workload entirely"
             )
 
-    # ----------------------------------------------------- rebalancing
 
-    def _run_rebalance(self) -> Dict[str, object]:
-        cluster = self.cluster
-        manager = cluster.shard_manager
+class _RebalanceRun(_ShardRun):
+    """An online migration whose destination dies mid-stream.
+
+    Direct calls — the interruption under test is the shard's, not the
+    bus's.  The migration must abort (sources keep sole ownership —
+    zero resolve misses at every step), then re-run to completion after
+    the restart with the map epoch bumped.
+    """
+
+    PREFIX = "/reb/"
+
+    def setup(self) -> None:
+        super().setup()
         for index in range(40):
-            path = f"/reb/dev{index}"
-            name = AttributedName.tty(f"dev{index}", path=path)
-            target = f"host{index % 4}:{path}"
-            cluster.naming.rebind(name, target)
+            path, name, target = self.binding(index)
+            self.cluster.naming.rebind(name, target)
             self.acked[path] = self.attempted[path] = (name, target)
             self.stats["binds"] += 1
+
+    def workload(self) -> None:
+        """The fault script is hand-placed inside the migration."""
+        cluster = self.cluster
+        manager = cluster.shard_manager
         epoch_before = cluster.naming.map_epoch
 
         spare = cluster.add_shard()
@@ -1332,11 +1189,10 @@ class _ShardRun:
         self.action_log.append(
             f"rebalance {len(slots)} slot(s) -> shard {spare}"
         )
-        streamed_before_kill = 0
         for _round in range(3):
             if manager.rebalance_done:
                 break
-            streamed_before_kill += manager.step_rebalance(max_bindings=4)
+            manager.step_rebalance(max_bindings=4)
             self._resolve_all("mid-stream")
         cluster.fail_shard(spare)
         self.action_log.append(f"kill migration target shard {spare}")
@@ -1371,183 +1227,157 @@ class _ShardRun:
                 f"router stuck at epoch {cluster.naming.map_epoch}, "
                 f"manager at {manager.map.epoch}"
             )
-        self._verify_convergence()
-        return self._report()
 
     def _resolve_all(self, stage: str) -> None:
-        cluster = self.cluster
         for path in sorted(self.acked):
-            name, target = self.acked[path]
-            self.stats["resolves"] += 1
-            try:
-                observed = cluster.naming.resolve(name)
-            except (RpcError, RhodosError) as exc:
-                self.stats["failed_resolves"] += 1
-                self.violations.append(
+            self.resolve_compare(
+                path,
+                lambda _start, exc: (
                     f"{stage}: resolve {path} missed "
                     f"({type(exc).__name__}) — migration must be invisible"
-                )
-                continue
-            if observed != target:
-                self.violations.append(
+                ),
+                lambda observed, target: (
                     f"{stage}: resolve {path} returned {observed!r}, "
                     f"acked {target!r}"
-                )
-
-    # ----------------------------------------------------- invariants
-
-    def _verify_convergence(self) -> None:
-        cluster = self.cluster
-        for path in sorted(self.acked):
-            name, target = self.acked[path]
-            try:
-                observed = cluster.naming.resolve(name)
-            except (RpcError, RhodosError) as exc:
-                self.violations.append(
-                    f"{path}: acked binding lost after run-out ({exc})"
-                )
-                continue
-            if observed != target:
-                self.violations.append(
-                    f"{path}: resolves to {observed!r} after run-out, "
-                    f"acked {target!r}"
-                )
-        # The partition invariant: per-shard dumps pairwise disjoint,
-        # every acked binding present, nothing present that was never
-        # attempted (a failed bind may have applied server-side — its
-        # reply was lost — so the union may exceed the acked set, but
-        # never the attempted set).
-        seen: Dict[str, int] = {}
-        union: Dict[str, str] = {}
-        for shard_id, blob in sorted(cluster.naming.shard_dumps().items()):
-            part = NamingService.from_bytes(blob)
-            for name in part:
-                path = name.get("path") or repr(name)
-                if path in seen:
-                    self.violations.append(
-                        f"{path} lives on shards {seen[path]} and {shard_id}"
-                    )
-                seen[path] = shard_id
-                union[path] = part.resolve(name)
-        for path in sorted(self.acked):
-            _name, target = self.acked[path]
-            if union.get(path) != target:
-                self.violations.append(
-                    f"{path}: acked {target!r} but the dumps hold "
-                    f"{union.get(path)!r}"
-                )
-        # Only the campaign's own names are policed — the cluster seeds
-        # bindings of its own (the root directory).
-        prefix = "/storm/" if self.scenario.kind == "storm" else "/reb/"
-        for path in sorted(set(union) - set(self.attempted)):
-            if path.startswith(prefix):
-                self.violations.append(
-                    f"{path}: present in a shard dump but never attempted"
-                )
-
-    def _check_bind_windows(self) -> None:
-        """Bind failures are legal only inside kill windows + allowance."""
-        allowance = recovery_allowance_us(self.scenario)
-        scheduled = [
-            (event.at_us, event.restart_at_us)
-            for event in self.scenario.events
-        ]
-        out_of_bound = [
-            [start, end, kind]
-            for start, end, kind in self.failures
-            if not any(
-                s_start <= start and end <= s_end + allowance
-                for s_start, s_end in scheduled
-            )
-        ]
-        if out_of_bound:
-            self.violations.append(
-                f"bind failures outside scheduled-downtime bound: "
-                f"{out_of_bound}"
+                ),
             )
 
-    def _report(self) -> Dict[str, object]:
-        metrics = self.cluster.metrics
-        counters = {
-            name: metrics.get(name)
-            for name in (
-                "cluster.shard_failures",
-                "cluster.shard_restarts",
-                "cluster.shards_added",
-                "health.marked_down",
-                "health.recoveries",
-                "naming_shard.failovers",
-                "naming_shard.fan_outs",
-                "naming_shard.migrations_aborted",
-                "naming_shard.migrations_completed",
-                "naming_shard.migrations_started",
-                "naming_shard.redirects",
-                "naming_shard.resyncs",
-                "naming_shard.streamed_bindings",
-                "recovery.shard_kills_injected",
-                "recovery.shard_restarts_injected",
-                "rpc.breaker_opens",
-                "rpc.retransmissions",
-            )
-        }
-        return {
-            "counters": counters,
-            "description": self.scenario.description,
-            "events": [
-                [event.at_us, event.shard_id, event.down_us]
-                for event in self.scenario.events
-            ],
-            "failures": [
-                [start, end, kind] for start, end, kind in self.failures
-            ],
-            "final_versions": {
-                "acked_bindings": len(self.acked),
-                "attempted_bindings": len(self.attempted),
-            },
-            "lifecycle_log": self.action_log,
-            "n_shards": self.scenario.n_shards,
-            "ops": dict(sorted(self.stats.items())),
-            "seed": self.scenario.seed,
-            "shard_windows": [
-                list(window) for window in self.schedule.shard_windows()
-            ],
-            "status": "pass" if not self.violations else "fail",
-            "violations": list(self.violations),
-        }
+
+#: Crash volume 0 once, then volume 1, windows disjoint so one replica
+#: of every replicated file is live at all times.
+ALTERNATING = (
+    Outage(at_us=300_000, down_us=400_000, target=("volume", 0)),
+    Outage(at_us=1_400_000, down_us=400_000, target=("volume", 1)),
+)
+
+#: The one registry: ``--all`` / ``--list`` order is insertion order.
+SCENARIOS: Dict[str, Scenario] = {
+    scenario.name: scenario
+    for scenario in (
+        Scenario(
+            "clean_restarts",
+            _CrashRun,
+            "reliable bus; alternating single-volume crashes",
+            events=ALTERNATING,
+            steps=420,
+            smoke=True,
+        ),
+        Scenario(
+            "lossy_bus",
+            _CrashRun,
+            "message loss/duplication/reordering during the crashes",
+            profile=FaultProfile(
+                request_loss=0.05, reply_loss=0.05, duplication=0.02, reorder=0.02
+            ),
+            events=ALTERNATING,
+            steps=420,
+            smoke=True,
+        ),
+        Scenario(
+            "reorder_heavy",
+            _CrashRun,
+            "heavy reordering; one crash window",
+            profile=FaultProfile(duplication=0.05, reorder=0.10),
+            events=(Outage(at_us=500_000, down_us=400_000, target=("volume", 0)),),
+            steps=360,
+        ),
+        # Volume 0 crashes twice with a short recovered gap in between:
+        # the second crash hits while the breaker's memory of the first
+        # is fresh.
+        Scenario(
+            "back_to_back",
+            _CrashRun,
+            "volume 0 crashes twice in quick succession",
+            profile=FaultProfile(request_loss=0.03, reply_loss=0.03),
+            events=(
+                Outage(at_us=300_000, down_us=300_000, target=("volume", 0)),
+                Outage(at_us=1_000_000, down_us=300_000, target=("volume", 0)),
+            ),
+            steps=420,
+        ),
+        Scenario(
+            "scrub_latent_rot",
+            _ScrubRun,
+            "silent at-rest byte flips; scrub + mirror/replica repair",
+            inject="rot",
+        ),
+        Scenario(
+            "scrub_media_errors",
+            _ScrubRun,
+            "latent unreadable sectors; scrub + rewrite repair",
+            inject="media",
+        ),
+        # One member dies at 300 ms; its blank replacement arrives
+        # 400 ms later and rebuilds in the idle slots between operations.
+        Scenario(
+            "raid_member_loss",
+            _RaidRun,
+            "single member dies under mixed load; degraded "
+            "service, background rebuild, zero unavailability",
+            events=(
+                Outage(at_us=300_000, down_us=400_000, target=("member", 0, 1)),
+            ),
+            steps=240,
+        ),
+        # Member 2 dies, is replaced, then dies *again* 60 ms into its
+        # own rebuild — the second kill must cancel the rebuild and drop
+        # the array back to degraded, never to FAILED (three healthy
+        # members remain).
+        Scenario(
+            "raid_rebuild_interrupted",
+            _RaidRun,
+            "rebuild target dies mid-rebuild (degrade, never "
+            "fail); finale exhausts redundancy and demands loud refusal",
+            events=(
+                Outage(at_us=200_000, down_us=300_000, target=("member", 0, 2)),
+                Outage(at_us=560_000, down_us=340_000, target=("member", 0, 2)),
+            ),
+            steps=240,
+            exhaust_finale=True,
+        ),
+        Scenario(
+            "shard_death_metadata_storm",
+            _StormRun,
+            "a shard server dies mid-metadata-storm over a lossy "
+            "bus; resolves fail over to the replica, binds bounded to the "
+            "window, restart resyncs every acked binding",
+            profile=FaultProfile(
+                request_loss=0.03, reply_loss=0.03, duplication=0.02
+            ),
+            events=(Outage(at_us=400_000, down_us=400_000, target=("shard", 1)),),
+            steps=360,
+            n_shards=4,
+        ),
+        Scenario(
+            "rebalance_interrupted",
+            _RebalanceRun,
+            "the migration destination dies mid-stream; the "
+            "migration aborts with zero resolve misses, then re-runs to "
+            "completion after the restart",
+            profile=None,
+            n_shards=2,
+        ),
+    )
+}
 
 
-def run_scenario(scenario) -> Dict[str, object]:
+def run_scenario(scenario: Scenario) -> Dict[str, object]:
     """Execute one scenario; returns its deterministic report dict."""
-    if isinstance(scenario, ScrubScenario):
-        return _ScrubRun(scenario).run()
-    if isinstance(scenario, RaidScenario):
-        return _RaidRun(scenario).run()
-    if isinstance(scenario, ShardScenario):
-        return _ShardRun(scenario).run()
-    return _Run(scenario).run()
+    return scenario.runner(scenario).run()
 
 
 def run_campaign(names: List[str]) -> Dict[str, object]:
     """Run the named scenarios; returns the full JSON document."""
-    by_name: Dict[str, object] = {
-        scenario.name: scenario
-        for scenario in (
-            *SCENARIOS,
-            *SCRUB_SCENARIOS,
-            *RAID_SCENARIOS,
-            *SHARD_SCENARIOS,
-        )
-    }
-    unknown = sorted(set(names) - set(by_name))
+    unknown = sorted(set(names) - set(SCENARIOS))
     if unknown:
         raise SystemExit(
             f"unknown scenario(s): {', '.join(unknown)} "
-            f"(known: {', '.join(sorted(by_name))})"
+            f"(known: {', '.join(sorted(SCENARIOS))})"
         )
     return {
         "schema_version": 1,
         "suite": "repro-availability",
-        "scenarios": {name: run_scenario(by_name[name]) for name in names},
+        "scenarios": {name: run_scenario(SCENARIOS[name]) for name in names},
     }
 
 
@@ -1566,7 +1396,8 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     scope.add_argument(
         "--smoke",
         action="store_true",
-        help=f"run the fast subset only: {', '.join(SMOKE_SCENARIOS)}",
+        help="run the fast subset only: "
+        + ", ".join(name for name, s in SCENARIOS.items() if s.smoke),
     )
     scope.add_argument(
         "--only", nargs="+", metavar="NAME", help="run the named scenarios only"
@@ -1585,28 +1416,12 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parse_args(argv)
     if args.list:
-        for scenario in (
-            *SCENARIOS,
-            *SCRUB_SCENARIOS,
-            *RAID_SCENARIOS,
-            *SHARD_SCENARIOS,
-        ):
+        for scenario in SCENARIOS.values():
             print(f"{scenario.name:24s} {scenario.description}")
         return 0
-    if args.only:
-        names = list(args.only)
-    elif args.smoke:
-        names = list(SMOKE_SCENARIOS)
-    else:
-        names = [
-            scenario.name
-            for scenario in (
-                *SCENARIOS,
-                *SCRUB_SCENARIOS,
-                *RAID_SCENARIOS,
-                *SHARD_SCENARIOS,
-            )
-        ]
+    names = args.only or [
+        name for name, s in SCENARIOS.items() if s.smoke or not args.smoke
+    ]
     document = run_campaign(names)
     out_path = Path(args.out)
     out_path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")

@@ -12,11 +12,12 @@ repair loop:
   *transient* faults (a torn-sector retry, one lost message) from
   *permanent* ones (a crashed volume), and broadcasts recovery events
   so repair work (replica resync, orphan sweeps) starts automatically.
-* :class:`FailureSchedule` — a deterministic crash/restart script in
-  simulated time.  Driven from the shared clock it takes named volumes
-  down mid-workload and restarts them through the ordinary recovery
-  path, so recovery is always exercised against concurrent traffic
-  rather than a quiesced system.
+* :class:`FailureSchedule` — a deterministic script of :class:`Outage`
+  entries in simulated time.  Driven from the shared clock it takes
+  named targets (volumes, RAID members, naming shards) down
+  mid-workload and repairs them through the ordinary recovery path, so
+  recovery is always exercised against concurrent traffic rather than
+  a quiesced system.
 
 Both are pure state machines over :mod:`repro.common` — the layers
 that act on them (``rpc``, ``replication``, ``cluster``, ``chaos``)
@@ -24,20 +25,11 @@ import downward into this package, never the reverse.
 """
 
 from repro.recovery.health import HealthRegistry, HealthState
-from repro.recovery.schedule import (
-    FailureEvent,
-    FailureSchedule,
-    MemberFailureEvent,
-    MemberLifecycleHost,
-    VolumeLifecycleHost,
-)
+from repro.recovery.schedule import FailureSchedule, Outage
 
 __all__ = [
     "HealthRegistry",
     "HealthState",
-    "FailureEvent",
     "FailureSchedule",
-    "MemberFailureEvent",
-    "MemberLifecycleHost",
-    "VolumeLifecycleHost",
+    "Outage",
 ]

@@ -1,264 +1,180 @@
-"""Deterministic crash/restart scripts in simulated time.
+"""Deterministic outage scripts in simulated time.
 
-A :class:`FailureSchedule` is a list of :class:`FailureEvent` — "at
-simulated time *t*, take volume *v* down for *d* microseconds" — polled
-from a workload loop.  Because the simulation is single-threaded,
-crashes land *between* operations, never inside a physical write; the
+A :class:`FailureSchedule` is a list of :class:`Outage` — "at simulated
+time *t*, target *T* goes down for *d* microseconds" — polled from a
+workload loop.  Because the simulation is single-threaded, failures
+land *between* operations, never inside a physical write; the
 sub-write crash atomicity story belongs to the crash-point sweep
 (:mod:`repro.chaos.scheduler`).  What the schedule adds is the other
 half of the reliability claim: recovery running **concurrently with
-traffic** — the workload keeps issuing operations while a volume is
-down and while its restart/resync is in progress.
+traffic** — the workload keeps issuing operations while a target is
+down and while its restart/resync/rebuild is in progress.
 
-The schedule is pure bookkeeping: the actual crash and restart are
-performed by a :class:`VolumeLifecycleHost` (in practice
-:class:`~repro.cluster.system.RhodosCluster`), so this module depends
-only on :mod:`repro.common`.
+A target is a volume, one RAID member of a volume, or a naming shard;
+:data:`KINDS` holds everything that differs between them.  The
+schedule is pure bookkeeping: the actual failure and repair are
+performed by the host it is polled with (in practice
+:class:`~repro.cluster.system.RhodosCluster`), which needs only the two
+methods each scripted kind names, so this module depends only on
+:mod:`repro.common`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.clock import SimClock
 from repro.common.metrics import Metrics
 
 
+class _Action(NamedTuple):
+    """One half of an outage, as the schedule performs it."""
+
+    method: str  # host method called with the target ids
+    wording: str  # lifecycle-log phrase, formatted with the target ids
+    counter: str  # ``recovery.*`` counter bumped per firing
+
+
+class _Kind(NamedTuple):
+    """Everything one target kind contributes to the schedule."""
+
+    rank: int  # same-instant firing order among kinds
+    arity: int  # ids in the target
+    fail: _Action
+    repair: _Action
+
+
+#: The kind table: adding an outage kind is one row here plus the two
+#: host methods it names.  A volume *crashes* and restarts through the
+#: ordinary recovery path; a RAID member is *killed* and a blank
+#: replacement arrives (the volume keeps serving throughout — degraded,
+#: then rebuilding); a naming shard is killed (keyed operations fail
+#: over to its ring successor's replica) and resyncs on restart.
+KINDS: Dict[str, _Kind] = {
+    "volume": _Kind(
+        rank=0,
+        arity=1,
+        fail=_Action(
+            "fail_volume", "crash volume {0}", "recovery.crashes_injected"
+        ),
+        repair=_Action(
+            "restart_volume", "restart volume {0}", "recovery.restarts_injected"
+        ),
+    ),
+    "member": _Kind(
+        rank=1,
+        arity=2,
+        fail=_Action(
+            "fail_member",
+            "kill member {1} of volume {0}",
+            "recovery.member_kills_injected",
+        ),
+        repair=_Action(
+            "replace_member",
+            "replace member {1} of volume {0}",
+            "recovery.member_replacements_injected",
+        ),
+    ),
+    "shard": _Kind(
+        rank=2,
+        arity=1,
+        fail=_Action(
+            "fail_shard", "kill shard {0}", "recovery.shard_kills_injected"
+        ),
+        repair=_Action(
+            "restart_shard",
+            "restart shard {0}",
+            "recovery.shard_restarts_injected",
+        ),
+    ),
+}
+
+
 @dataclass(frozen=True, slots=True)
-class FailureEvent:
-    """One crash/restart pair: down at ``at_us``, back ``down_us`` later."""
+class Outage:
+    """One fail/repair pair: ``target`` down at ``at_us``, back ``down_us`` later.
+
+    ``target`` is ``("volume", v)``, ``("member", v, m)`` or
+    ``("shard", s)`` — a kind from :data:`KINDS` followed by its ids.
+    """
 
     at_us: int
-    volume_id: int
     down_us: int
+    target: Tuple
 
     def __post_init__(self) -> None:
         if self.at_us < 0:
-            raise ValueError("crash time cannot be negative")
+            raise ValueError("outage time cannot be negative")
         if self.down_us <= 0:
             raise ValueError("downtime must be positive")
-        if self.volume_id < 0:
-            raise ValueError("volume id cannot be negative")
+        kind = KINDS.get(self.kind)
+        if kind is None:
+            raise ValueError(f"unknown outage target kind {self.kind!r}")
+        if len(self.ids) != kind.arity:
+            raise ValueError(f"malformed {self.kind} target {self.target!r}")
+        if any(i < 0 for i in self.ids):
+            raise ValueError("target ids cannot be negative")
 
     @property
-    def restart_at_us(self) -> int:
-        return self.at_us + self.down_us
-
-
-@dataclass(frozen=True, slots=True)
-class MemberFailureEvent:
-    """One member-disk kill/replace pair for a RAID-backed volume.
-
-    "Disk ``member_index`` of volume ``volume_id`` dies at ``at_us``;
-    a blank replacement arrives ``down_us`` later" — the scripted form
-    of the RAID tier's degraded/rebuild scenarios.  Unlike a
-    :class:`FailureEvent` the *volume keeps serving* throughout: the
-    kill drops the array to degraded mode, the replacement starts a
-    background rebuild.
-    """
-
-    at_us: int
-    volume_id: int
-    member_index: int
-    down_us: int
-
-    def __post_init__(self) -> None:
-        if self.at_us < 0:
-            raise ValueError("member kill time cannot be negative")
-        if self.down_us <= 0:
-            raise ValueError("replacement lag must be positive")
-        if self.volume_id < 0:
-            raise ValueError("volume id cannot be negative")
-        if self.member_index < 0:
-            raise ValueError("member index cannot be negative")
+    def kind(self) -> str:
+        return self.target[0] if self.target else ""
 
     @property
-    def replace_at_us(self) -> int:
-        return self.at_us + self.down_us
-
-
-@dataclass(frozen=True, slots=True)
-class ShardFailureEvent:
-    """One naming-shard kill/restart pair.
-
-    "Shard server ``shard_id`` crashes at ``at_us`` and restarts
-    ``down_us`` later" — the scripted form of the sharded namespace's
-    failover scenarios.  While the shard is down its keyed operations
-    fail over to the replica held by its ring successor; the restart
-    resyncs the primary from that replica.
-    """
-
-    at_us: int
-    shard_id: int
-    down_us: int
-
-    def __post_init__(self) -> None:
-        if self.at_us < 0:
-            raise ValueError("shard kill time cannot be negative")
-        if self.down_us <= 0:
-            raise ValueError("downtime must be positive")
-        if self.shard_id < 0:
-            raise ValueError("shard id cannot be negative")
+    def ids(self) -> Tuple[int, ...]:
+        return tuple(self.target[1:])
 
     @property
-    def restart_at_us(self) -> int:
+    def up_at_us(self) -> int:
         return self.at_us + self.down_us
-
-
-#: Anything a schedule can script.
-ScheduledEvent = Union[FailureEvent, MemberFailureEvent, ShardFailureEvent]
-
-
-class VolumeLifecycleHost(Protocol):
-    """What a schedule drives: something that can crash and restart volumes."""
-
-    def fail_volume(self, volume_id: int) -> None: ...
-
-    def restart_volume(self, volume_id: int) -> None: ...
-
-
-class MemberLifecycleHost(VolumeLifecycleHost, Protocol):
-    """A host that can additionally kill/replace RAID member disks.
-
-    Only required when the schedule contains
-    :class:`MemberFailureEvent` entries (in practice
-    :class:`~repro.cluster.system.RhodosCluster` with a RAID config).
-    """
-
-    def fail_member(self, volume_id: int, member_index: int) -> None: ...
-
-    def replace_member(self, volume_id: int, member_index: int) -> object: ...
-
-
-class ShardLifecycleHost(VolumeLifecycleHost, Protocol):
-    """A host that can additionally kill/restart naming shard servers.
-
-    Only required when the schedule contains
-    :class:`ShardFailureEvent` entries (in practice
-    :class:`~repro.cluster.system.RhodosCluster` with ``n_shards > 1``).
-    """
-
-    def fail_shard(self, shard_id: int) -> None: ...
-
-    def restart_shard(self, shard_id: int) -> None: ...
 
 
 class FailureSchedule:
-    """Polls the clock and fires due crash/restart events, in order.
+    """Polls the clock and fires due failures and repairs, in order.
 
     Args:
-        events: the script — volume crash/restart pairs, RAID member
-            kill/replace pairs, and naming-shard kill/restart pairs,
-            freely mixed; windows of the same volume (or the same
-            member of the same volume, or the same shard) must not
-            overlap.
+        events: the script — outages of any kinds, freely mixed;
+            windows of the same target must not overlap.
         clock: the shared simulated clock the script reads.
         metrics: optional registry (``recovery.*`` counters).
     """
 
-    #: Action kinds; the numeric order is the same-instant firing order,
-    #: so every repair precedes every failure scheduled at that time.
-    (
-        _RESTART,
-        _REPLACE,
-        _SHARD_RESTART,
-        _CRASH,
-        _KILL,
-        _SHARD_KILL,
-    ) = range(6)
-
     def __init__(
         self,
-        events: Sequence[ScheduledEvent],
+        events: Sequence[Outage],
         clock: SimClock,
         *,
         metrics: Optional[Metrics] = None,
     ) -> None:
         self.clock = clock
         self.metrics = metrics or Metrics()
-        volume_events = sorted(
-            (e for e in events if isinstance(e, FailureEvent)),
-            key=lambda e: (e.at_us, e.volume_id),
+        self._events = tuple(
+            sorted(events, key=lambda e: (e.at_us, KINDS[e.kind].rank, e.ids))
         )
-        member_events = sorted(
-            (e for e in events if isinstance(e, MemberFailureEvent)),
-            key=lambda e: (e.at_us, e.volume_id, e.member_index),
-        )
-        shard_events = sorted(
-            (e for e in events if isinstance(e, ShardFailureEvent)),
-            key=lambda e: (e.at_us, e.shard_id),
-        )
-        last_restart: dict[int, int] = {}
-        for event in volume_events:
-            previous = last_restart.get(event.volume_id)
+        last_up: Dict[Tuple, int] = {}
+        for event in self._events:
+            previous = last_up.get(event.target)
             if previous is not None and event.at_us < previous:
                 raise ValueError(
-                    f"volume {event.volume_id}: crash at {event.at_us}us "
-                    f"overlaps the window ending at {previous}us"
+                    f"{event.target}: outage at {event.at_us}us overlaps "
+                    f"the window ending at {previous}us"
                 )
-            last_restart[event.volume_id] = event.restart_at_us
-        last_replace: dict[tuple[int, int], int] = {}
-        for event in member_events:
-            slot = (event.volume_id, event.member_index)
-            previous = last_replace.get(slot)
-            if previous is not None and event.at_us < previous:
-                raise ValueError(
-                    f"volume {event.volume_id} member {event.member_index}: "
-                    f"kill at {event.at_us}us overlaps the window "
-                    f"ending at {previous}us"
-                )
-            last_replace[slot] = event.replace_at_us
-        last_shard_restart: dict[int, int] = {}
-        for event in shard_events:
-            previous = last_shard_restart.get(event.shard_id)
-            if previous is not None and event.at_us < previous:
-                raise ValueError(
-                    f"shard {event.shard_id}: kill at {event.at_us}us "
-                    f"overlaps the window ending at {previous}us"
-                )
-            last_shard_restart[event.shard_id] = event.restart_at_us
-        #: (time, kind, volume-or-shard, member) actions not yet fired;
-        #: member is -1 for volume- and shard-level actions.
-        self._pending: List[Tuple[int, int, int, int]] = sorted(
-            [(e.at_us, self._CRASH, e.volume_id, -1) for e in volume_events]
-            + [
-                (e.restart_at_us, self._RESTART, e.volume_id, -1)
-                for e in volume_events
-            ]
-            + [
-                (e.at_us, self._KILL, e.volume_id, e.member_index)
-                for e in member_events
-            ]
-            + [
-                (e.replace_at_us, self._REPLACE, e.volume_id, e.member_index)
-                for e in member_events
-            ]
-            + [
-                (e.at_us, self._SHARD_KILL, e.shard_id, -1)
-                for e in shard_events
-            ]
-            + [
-                (e.restart_at_us, self._SHARD_RESTART, e.shard_id, -1)
-                for e in shard_events
-            ]
+            last_up[event.target] = event.up_at_us
+        #: (time, failing, kind rank, ids, kind) actions not yet fired.
+        #: The tuple order *is* the firing order: by time, then every
+        #: repair (failing=0) before every failure, then kind rank, ids.
+        self._pending: List[Tuple[int, int, int, Tuple[int, ...], str]] = sorted(
+            (at_us, failing, KINDS[e.kind].rank, e.ids, e.kind)
+            for e in self._events
+            for at_us, failing in ((e.at_us, 1), (e.up_at_us, 0))
         )
-        self._events = (
-            tuple(volume_events) + tuple(member_events) + tuple(shard_events)
-        )
-        self._down_since: dict[int, int] = {}
-        self._windows: List[Tuple[int, int, int]] = []  # (volume, start, end)
-        self._member_down_since: dict[tuple[int, int], int] = {}
-        #: Completed (volume, member, killed_at, replaced_at) windows.
-        self._member_windows: List[Tuple[int, int, int, int]] = []
-        self._shard_down_since: dict[int, int] = {}
-        #: Completed (shard, killed_at, restarted_at) windows.
-        self._shard_windows: List[Tuple[int, int, int]] = []
+        self._down_since: Dict[Tuple, int] = {}
+        self._windows: Dict[str, List[Tuple[int, ...]]] = {k: [] for k in KINDS}
 
     # ----------------------------------------------------------- api
 
     @property
-    def events(self) -> Tuple[ScheduledEvent, ...]:
+    def events(self) -> Tuple[Outage, ...]:
         return self._events
 
     def done(self) -> bool:
@@ -268,66 +184,37 @@ class FailureSchedule:
         """Simulated time of the next unfired action (None when done)."""
         return self._pending[0][0] if self._pending else None
 
-    def poll(self, host: VolumeLifecycleHost) -> List[str]:
+    def poll(self, host: object) -> List[str]:
         """Fire every action due at the current clock; returns a log.
 
         Call between workload operations.  Actions fire in scripted
         time order even when the clock jumped past several of them, so
-        a restart always precedes a later crash of the same volume.
+        a repair always precedes a later failure of the same target.
+        ``host`` must have the methods :data:`KINDS` names for every
+        kind in the script.
         """
         actions: List[str] = []
         now = self.clock.now_us
         while self._pending and self._pending[0][0] <= now:
-            at_us, kind, volume_id, member = self._pending.pop(0)
-            if kind == self._CRASH:
-                self._down_since[volume_id] = at_us
-                host.fail_volume(volume_id)
-                self.metrics.add("recovery.crashes_injected")
-                actions.append(f"t={at_us}us crash volume {volume_id}")
-            elif kind == self._RESTART:
-                started = self._down_since.pop(volume_id, at_us)
-                self._windows.append((volume_id, started, at_us))
-                host.restart_volume(volume_id)
-                self.metrics.add("recovery.restarts_injected")
-                actions.append(f"t={at_us}us restart volume {volume_id}")
-            elif kind == self._KILL:
-                self._member_down_since[(volume_id, member)] = at_us
-                host.fail_member(volume_id, member)
-                self.metrics.add("recovery.member_kills_injected")
-                actions.append(
-                    f"t={at_us}us kill member {member} of volume {volume_id}"
-                )
-            elif kind == self._REPLACE:
-                started = self._member_down_since.pop(
-                    (volume_id, member), at_us
-                )
-                self._member_windows.append(
-                    (volume_id, member, started, at_us)
-                )
-                host.replace_member(volume_id, member)
-                self.metrics.add("recovery.member_replacements_injected")
-                actions.append(
-                    f"t={at_us}us replace member {member} "
-                    f"of volume {volume_id}"
-                )
-            elif kind == self._SHARD_KILL:
-                self._shard_down_since[volume_id] = at_us
-                host.fail_shard(volume_id)
-                self.metrics.add("recovery.shard_kills_injected")
-                actions.append(f"t={at_us}us kill shard {volume_id}")
+            at_us, failing, _rank, ids, kind = self._pending.pop(0)
+            target = (kind, *ids)
+            if failing:
+                self._down_since[target] = at_us
+                action = KINDS[kind].fail
             else:
-                started = self._shard_down_since.pop(volume_id, at_us)
-                self._shard_windows.append((volume_id, started, at_us))
-                host.restart_shard(volume_id)
-                self.metrics.add("recovery.shard_restarts_injected")
-                actions.append(f"t={at_us}us restart shard {volume_id}")
+                started = self._down_since.pop(target, at_us)
+                self._windows[kind].append((*ids, started, at_us))
+                action = KINDS[kind].repair
+            getattr(host, action.method)(*ids)
+            self.metrics.add(action.counter)
+            actions.append(f"t={at_us}us {action.wording.format(*ids)}")
         return actions
 
-    def run_out(self, host: VolumeLifecycleHost) -> List[str]:
+    def run_out(self, host: object) -> List[str]:
         """Advance the clock through every remaining action and fire it.
 
         Used at end-of-workload so a run always converges to a fully
-        restarted system before the final invariant checks.
+        repaired system before the final invariant checks.
         """
         actions: List[str] = []
         while self._pending:
@@ -335,17 +222,9 @@ class FailureSchedule:
             actions.extend(self.poll(host))
         return actions
 
-    def downtime_windows(self) -> List[Tuple[int, int, int]]:
-        """Completed (volume_id, down_at_us, restarted_at_us) windows."""
-        return list(self._windows)
-
-    def member_windows(self) -> List[Tuple[int, int, int, int]]:
-        """Completed (volume, member, killed_at, replaced_at) windows."""
-        return list(self._member_windows)
-
-    def shard_windows(self) -> List[Tuple[int, int, int]]:
-        """Completed (shard_id, killed_at, restarted_at) windows."""
-        return list(self._shard_windows)
+    def windows(self, kind: str) -> List[Tuple[int, ...]]:
+        """Completed ``(*ids, down_at_us, up_at_us)`` windows of one kind."""
+        return list(self._windows[kind])
 
     def __repr__(self) -> str:
         return (

@@ -1,6 +1,6 @@
 """Operator tooling for the RHODOS file facility.
 
-* :mod:`repro.tools.fsck` — an offline volume checker that rediscovers
+* :mod:`repro.verify.fsck` — an offline volume checker that rediscovers
   every file index table by scanning the disk, then cross-checks the
   block maps against the allocation bitmap (orphaned space, lost
   blocks, cross-linked files, stale contiguity counts).
@@ -12,6 +12,6 @@
 """
 
 from repro.tools.backup import dump_volume, restore_volume
-from repro.tools.fsck import FsckReport, fsck_volume
+from repro.verify.fsck import FsckReport, fsck_volume
 
 __all__ = ["FsckReport", "fsck_volume", "dump_volume", "restore_volume"]

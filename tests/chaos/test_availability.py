@@ -1,45 +1,95 @@
 """The availability campaign: determinism, SLO verdicts, CLI surface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.chaos.availability import (
-    RAID_SCENARIOS,
-    RAID_SMOKE,
+    BREAKER,
     SCENARIOS,
-    SCRUB_SCENARIOS,
-    SCRUB_SMOKE,
-    SHARD_SCENARIOS,
-    SHARD_SMOKE,
-    SMOKE_SCENARIOS,
+    decode_version,
     recovery_allowance_us,
     run_campaign,
     run_scenario,
+    version_content,
 )
 
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[2] / "AVAILABILITY_pr10.json").read_text()
+)["scenarios"]
 
-def by_name(name):
-    return next(s for s in SCENARIOS if s.name == name)
+
+def run(name):
+    return run_scenario(SCENARIOS[name])
+
+
+def assert_golden(name, report):
+    """The report is, value for value, the committed artifact's entry."""
+    assert json.loads(json.dumps(report)) == GOLDEN[name]
 
 
 class TestScenarioCatalogue:
-    def test_smoke_is_a_subset(self):
-        names = {scenario.name for scenario in SCENARIOS}
-        assert set(SMOKE_SCENARIOS) <= names
+    def test_one_registry_in_campaign_order(self):
+        # --all and --list run in this order; a duplicate name would
+        # silently drop an entry and show up here.
+        assert list(SCENARIOS) == [
+            "clean_restarts",
+            "lossy_bus",
+            "reorder_heavy",
+            "back_to_back",
+            "scrub_latent_rot",
+            "scrub_media_errors",
+            "raid_member_loss",
+            "raid_rebuild_interrupted",
+            "shard_death_metadata_storm",
+            "rebalance_interrupted",
+        ]
+        assert all(name == s.name for name, s in SCENARIOS.items())
+        assert set(SCENARIOS) == set(GOLDEN)
 
-    def test_names_unique(self):
-        names = [scenario.name for scenario in SCENARIOS]
-        assert len(names) == len(set(names))
+    def test_smoke_is_the_fast_subset(self):
+        smoke = [name for name, s in SCENARIOS.items() if s.smoke]
+        assert smoke == ["clean_restarts", "lossy_bus"]
 
     def test_allowance_is_parametric(self):
-        scenario = by_name("clean_restarts")
-        allowance = recovery_allowance_us(scenario)
+        scenario = SCENARIOS["clean_restarts"]
+        allowance = recovery_allowance_us(scenario, 20_000)
         # The bound is built from configured constants: breaker
         # cooldown plus one worst-case slow call plus slack — so it
         # moves when the policies move, never by empirical tuning.
         assert allowance > 150_000  # at least the breaker cooldown
         assert allowance < 2_000_000  # and far below a whole run
+        # The RPC timeout is read from the client the cluster built:
+        # move the client's timeout and the bound moves with it.
+        campaign = scenario.runner(scenario)
+        client = campaign.cluster.router.client
+        assert campaign.allowance_us() == recovery_allowance_us(
+            scenario, client.timeout_us
+        )
+        before = campaign.allowance_us()
+        client.timeout_us += 5_000
+        assert campaign.allowance_us() == before + BREAKER.threshold * 5_000
+
+
+class TestDecodeVersion:
+    """``decode_version`` picks the match nearest the reference."""
+
+    @pytest.mark.parametrize("reference", [0, 250, 300, 600])
+    def test_versions_around_the_reference(self, reference):
+        for version in (reference - 1, reference, reference + 1):
+            if version >= 0:
+                data = version_content(version, 8)
+                assert decode_version(data, reference) == version
+
+    def test_wrap_around_does_not_read_as_stale(self):
+        # 301 and 50 share a byte; near reference 300 it is 301.
+        assert decode_version(version_content(301, 8), 300) == 301
+
+    def test_torn_and_empty_input(self):
+        assert decode_version(b"", 5) is None
+        assert decode_version(b"\x05\x05\x06", 5) is None
+        assert decode_version(b"\x00" * 8, 5) is None  # never written
 
 
 class TestCleanRestarts:
@@ -47,7 +97,10 @@ class TestCleanRestarts:
 
     @pytest.fixture(scope="class")
     def report(self):
-        return run_scenario(by_name("clean_restarts"))
+        return run("clean_restarts")
+
+    def test_matches_the_committed_artifact(self, report):
+        assert_golden("clean_restarts", report)
 
     def test_passes_its_slo(self, report):
         assert report["status"] == "pass"
@@ -72,13 +125,13 @@ class TestCleanRestarts:
     def test_unavailability_bounded(self, report):
         unavailability = report["unavailability"]
         assert unavailability["out_of_bound"] == []
-        allowance = recovery_allowance_us(by_name("clean_restarts"))
+        allowance = recovery_allowance_us(SCENARIOS["clean_restarts"], 20_000)
         assert unavailability["allowance_us"] == allowance
 
     def test_deterministic_and_json_clean(self, report):
         # Byte-for-byte reproducibility is the whole contract: the
         # same scenario serialises identically on a second run.
-        again = run_scenario(by_name("clean_restarts"))
+        again = run("clean_restarts")
         assert json.dumps(report, sort_keys=True) == json.dumps(
             again, sort_keys=True
         )
@@ -89,29 +142,22 @@ class TestScrubScenarios:
 
     @pytest.fixture(scope="class")
     def rot_report(self):
-        return run_scenario(next(
-            s for s in SCRUB_SCENARIOS if s.name == "scrub_latent_rot"
-        ))
+        return run("scrub_latent_rot")
 
     @pytest.fixture(scope="class")
     def media_report(self):
-        return run_scenario(next(
-            s for s in SCRUB_SCENARIOS if s.name == "scrub_media_errors"
-        ))
+        return run("scrub_media_errors")
 
-    def test_scrub_smoke_names_the_catalogue(self):
-        assert set(SCRUB_SMOKE) == {s.name for s in SCRUB_SCENARIOS}
-        # No collisions with the crash/restart scenario namespace.
-        assert not set(SCRUB_SMOKE) & {s.name for s in SCENARIOS}
+    def test_match_the_committed_artifact(self, rot_report, media_report):
+        assert_golden("scrub_latent_rot", rot_report)
+        assert_golden("scrub_media_errors", media_report)
 
     def test_rot_scenario_passes_both_slos(self, rot_report):
         assert rot_report["status"] == "pass"
         assert rot_report["violations"] == []
 
     def test_injected_corruptions_all_found_and_repaired(self, rot_report):
-        scenario = next(
-            s for s in SCRUB_SCENARIOS if s.name == "scrub_latent_rot"
-        )
+        scenario = SCENARIOS["scrub_latent_rot"]
         injected = set(rot_report["injected"]["fragments"])
         assert len(injected) == scenario.targets
         found = {start for _, _, _, start, _, _ in rot_report["findings"]}
@@ -146,9 +192,7 @@ class TestScrubScenarios:
         )
 
     def test_scrub_reports_are_deterministic(self, rot_report):
-        again = run_scenario(next(
-            s for s in SCRUB_SCENARIOS if s.name == "scrub_latent_rot"
-        ))
+        again = run("scrub_latent_rot")
         assert json.dumps(rot_report, sort_keys=True) == json.dumps(
             again, sort_keys=True
         )
@@ -159,20 +203,15 @@ class TestRaidScenarios:
 
     @pytest.fixture(scope="class")
     def loss_report(self):
-        return run_scenario(next(
-            s for s in RAID_SCENARIOS if s.name == "raid_member_loss"
-        ))
+        return run("raid_member_loss")
 
     @pytest.fixture(scope="class")
     def interrupted_report(self):
-        return run_scenario(next(
-            s for s in RAID_SCENARIOS if s.name == "raid_rebuild_interrupted"
-        ))
+        return run("raid_rebuild_interrupted")
 
-    def test_raid_smoke_names_the_catalogue(self):
-        assert set(RAID_SMOKE) == {s.name for s in RAID_SCENARIOS}
-        taken = {s.name for s in SCENARIOS} | {s.name for s in SCRUB_SCENARIOS}
-        assert not set(RAID_SMOKE) & taken
+    def test_match_the_committed_artifact(self, loss_report, interrupted_report):
+        assert_golden("raid_member_loss", loss_report)
+        assert_golden("raid_rebuild_interrupted", interrupted_report)
 
     def test_member_loss_passes_its_slo(self, loss_report):
         assert loss_report["status"] == "pass"
@@ -228,9 +267,7 @@ class TestRaidScenarios:
         assert finale["health_down"] is True
 
     def test_raid_reports_are_deterministic(self, loss_report):
-        again = run_scenario(next(
-            s for s in RAID_SCENARIOS if s.name == "raid_member_loss"
-        ))
+        again = run("raid_member_loss")
         assert json.dumps(loss_report, sort_keys=True) == json.dumps(
             again, sort_keys=True
         )
@@ -241,24 +278,15 @@ class TestShardScenarios:
 
     @pytest.fixture(scope="class")
     def storm_report(self):
-        return run_scenario(next(
-            s for s in SHARD_SCENARIOS if s.name == "shard_death_metadata_storm"
-        ))
+        return run("shard_death_metadata_storm")
 
     @pytest.fixture(scope="class")
     def rebalance_report(self):
-        return run_scenario(next(
-            s for s in SHARD_SCENARIOS if s.name == "rebalance_interrupted"
-        ))
+        return run("rebalance_interrupted")
 
-    def test_shard_smoke_names_the_catalogue(self):
-        assert set(SHARD_SMOKE) == {s.name for s in SHARD_SCENARIOS}
-        taken = (
-            {s.name for s in SCENARIOS}
-            | {s.name for s in SCRUB_SCENARIOS}
-            | {s.name for s in RAID_SCENARIOS}
-        )
-        assert not set(SHARD_SMOKE) & taken
+    def test_match_the_committed_artifact(self, storm_report, rebalance_report):
+        assert_golden("shard_death_metadata_storm", storm_report)
+        assert_golden("rebalance_interrupted", rebalance_report)
 
     def test_storm_passes_its_slo(self, storm_report):
         assert storm_report["status"] == "pass"
@@ -297,9 +325,7 @@ class TestShardScenarios:
         assert rebalance_report["ops"]["failed_resolves"] == 0
 
     def test_shard_reports_are_deterministic(self, storm_report):
-        again = run_scenario(next(
-            s for s in SHARD_SCENARIOS if s.name == "shard_death_metadata_storm"
-        ))
+        again = run("shard_death_metadata_storm")
         assert json.dumps(storm_report, sort_keys=True) == json.dumps(
             again, sort_keys=True
         )
@@ -315,6 +341,12 @@ class TestCampaign:
         assert document["schema_version"] == 1
         assert document["suite"] == "repro-availability"
         assert set(document["scenarios"]) == {"clean_restarts"}
+
+    @pytest.mark.parametrize(
+        "name", ["lossy_bus", "reorder_heavy", "back_to_back"]
+    )
+    def test_remaining_scenarios_match_the_committed_artifact(self, name):
+        assert_golden(name, run(name))
 
     def test_campaign_dispatches_scrub_scenarios(self):
         document = run_campaign(["scrub_media_errors"])

@@ -10,7 +10,7 @@ from repro.common.errors import ShardDownError
 from repro.naming.attributed import AttributedName
 from repro.naming.shard import ShardedNamespace, shard_component
 from repro.recovery.health import HealthState
-from repro.recovery.schedule import FailureSchedule, ShardFailureEvent
+from repro.recovery.schedule import FailureSchedule, Outage
 from repro.rpc.bus import FaultProfile
 from repro.simdisk.geometry import DiskGeometry
 
@@ -169,7 +169,7 @@ class TestFailoverLifecycle:
         populate(cluster, 6)
         victim = max(cluster.shards, key=lambda s: cluster.shards[s].size())
         schedule = FailureSchedule(
-            [ShardFailureEvent(at_us=cluster.clock.now_us + 10, shard_id=victim, down_us=50)],
+            [Outage(cluster.clock.now_us + 10, 50, ("shard", victim))],
             cluster.clock,
             metrics=cluster.metrics,
         )

@@ -1,15 +1,12 @@
 """Failure schedules: ordering, overlap rejection, poll/run_out."""
 
+from typing import NamedTuple
+
 import pytest
 
 from repro.common.clock import SimClock
 from repro.common.metrics import Metrics
-from repro.recovery.schedule import (
-    FailureEvent,
-    FailureSchedule,
-    MemberFailureEvent,
-    ShardFailureEvent,
-)
+from repro.recovery.schedule import FailureSchedule, Outage
 
 
 class _Host:
@@ -42,68 +39,108 @@ def build(events):
     return FailureSchedule(events, clock, metrics=Metrics()), clock, _Host()
 
 
-class TestEvents:
-    def test_validation(self):
+def volume(at_us, volume_id, down_us):
+    return Outage(at_us, down_us, ("volume", volume_id))
+
+
+def member(at_us, volume_id, member_index, down_us):
+    return Outage(at_us, down_us, ("member", volume_id, member_index))
+
+
+def shard(at_us, shard_id, down_us):
+    return Outage(at_us, down_us, ("shard", shard_id))
+
+
+class Case(NamedTuple):
+    """One target kind: two distinct targets of it, the host calls and
+    the ``recovery.*`` counter stems its failure and repair use."""
+
+    kind: str
+    ids: tuple
+    other: tuple
+    fail: str
+    repair: str
+    fail_counter: str
+    repair_counter: str
+
+
+CASES = [
+    Case("volume", (0,), (1,), "fail", "restart", "crashes", "restarts"),
+    Case("member", (0, 2), (0, 1), "kill", "replace",
+         "member_kills", "member_replacements"),
+    Case("shard", (2,), (1,), "shard_kill", "shard_restart",
+         "shard_kills", "shard_restarts"),
+]
+
+
+@pytest.fixture(params=CASES, ids=[case.kind for case in CASES])
+def case(request):
+    return request.param
+
+
+class TestEveryKind:
+    """One outage model: the same behaviour for every target kind."""
+
+    def test_validation(self, case):
+        kind, ids = case.kind, case.ids
         with pytest.raises(ValueError):
-            FailureEvent(at_us=-1, volume_id=0, down_us=10)
+            Outage(-1, 10, (kind, *ids))
         with pytest.raises(ValueError):
-            FailureEvent(at_us=0, volume_id=0, down_us=0)
-
-    def test_restart_time(self):
-        event = FailureEvent(at_us=100, volume_id=0, down_us=50)
-        assert event.restart_at_us == 150
-
-    def test_overlapping_windows_same_volume_rejected(self):
+            Outage(0, 0, (kind, *ids))
         with pytest.raises(ValueError):
-            FailureSchedule(
-                [
-                    FailureEvent(at_us=0, volume_id=0, down_us=100),
-                    FailureEvent(at_us=50, volume_id=0, down_us=100),
-                ],
-                SimClock(),
-            )
+            Outage(0, 10, (kind, *ids[:-1], -1))
+        with pytest.raises(ValueError):
+            Outage(0, 10, (kind, *ids, 0))  # one id too many
+        with pytest.raises(ValueError):
+            Outage(0, 10, ("planet", *ids))
+        event = Outage(100, 40, (kind, *ids))
+        assert event.up_at_us == 140
+        assert (event.kind, event.ids) == (kind, ids)
 
-    def test_overlapping_windows_distinct_volumes_allowed(self):
-        schedule, _, _ = build(
-            [
-                FailureEvent(at_us=0, volume_id=0, down_us=100),
-                FailureEvent(at_us=50, volume_id=1, down_us=100),
-            ]
-        )
-        assert len(schedule.events) == 2
-
-
-class TestPoll:
-    def test_nothing_fires_before_its_time(self):
-        schedule, clock, host = build(
-            [FailureEvent(at_us=100, volume_id=0, down_us=50)]
-        )
+    def test_down_then_up_with_windows(self, case):
+        kind, ids = case.kind, case.ids
+        schedule, clock, host = build([Outage(100, 50, (kind, *ids))])
         assert schedule.poll(host) == []
         assert host.calls == []
         assert schedule.next_event_us() == 100
-
-    def test_crash_then_restart(self):
-        schedule, clock, host = build(
-            [FailureEvent(at_us=100, volume_id=0, down_us=50)]
-        )
         clock.advance_to(100)
         schedule.poll(host)
-        assert host.calls == [("fail", 0)]
+        assert host.calls == [(case.fail, *ids)]
         clock.advance_to(150)
         schedule.poll(host)
-        assert host.calls == [("fail", 0), ("restart", 0)]
+        assert host.calls == [(case.fail, *ids), (case.repair, *ids)]
         assert schedule.done()
-        assert schedule.downtime_windows() == [(0, 100, 150)]
+        assert schedule.windows(kind) == [(*ids, 100, 150)]
+        for stem in (case.fail_counter, case.repair_counter):
+            assert schedule.metrics.get(f"recovery.{stem}_injected") == 1
 
+    def test_same_target_overlap_rejected(self, case):
+        target = (case.kind, *case.ids)
+        with pytest.raises(ValueError):
+            build([Outage(0, 100, target), Outage(50, 100, target)])
+
+    def test_distinct_targets_may_overlap(self, case):
+        # The schedule does not police redundancy; whether two members
+        # (or volumes, or shards) down at once is survivable is the
+        # host's verdict to deliver.
+        kind, ids, other = case.kind, case.ids, case.other
+        schedule, _, host = build(
+            [Outage(0, 100, (kind, *ids)), Outage(50, 100, (kind, *other))]
+        )
+        assert len(schedule.events) == 2
+        schedule.run_out(host)
+        assert sorted(schedule.windows(kind)) == sorted(
+            [(*ids, 0, 100), (*other, 50, 150)]
+        )
+
+
+class TestPoll:
     def test_clock_jump_fires_actions_in_script_order(self):
         """A big jump past crash AND restart still restarts after the
         crash — and a restart due at the same instant as another
         volume's crash fires first."""
         schedule, clock, host = build(
-            [
-                FailureEvent(at_us=100, volume_id=0, down_us=100),
-                FailureEvent(at_us=200, volume_id=1, down_us=100),
-            ]
+            [volume(100, 0, 100), volume(200, 1, 100)]
         )
         clock.advance_to(400)
         schedule.poll(host)
@@ -115,97 +152,18 @@ class TestPoll:
         ]
 
     def test_run_out_advances_to_each_action(self):
-        schedule, clock, host = build(
-            [FailureEvent(at_us=300, volume_id=2, down_us=100)]
-        )
+        schedule, clock, host = build([volume(300, 2, 100)])
         actions = schedule.run_out(host)
-        assert [call for call in host.calls] == [("fail", 2), ("restart", 2)]
+        assert host.calls == [("fail", 2), ("restart", 2)]
         assert clock.now_us == 400
-        assert len(actions) == 2
+        assert actions == ["t=300us crash volume 2", "t=400us restart volume 2"]
         assert schedule.done()
-
-    def test_metrics_counted(self):
-        metrics = Metrics()
-        clock = SimClock()
-        schedule = FailureSchedule(
-            [FailureEvent(at_us=10, volume_id=0, down_us=10)],
-            clock,
-            metrics=metrics,
-        )
-        schedule.run_out(_Host())
-        assert metrics.get("recovery.crashes_injected") == 1
-        assert metrics.get("recovery.restarts_injected") == 1
-
-
-class TestMemberEvents:
-    """PR 9: scripted RAID member kill/replace pairs."""
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MemberFailureEvent(at_us=-1, volume_id=0, member_index=0, down_us=10)
-        with pytest.raises(ValueError):
-            MemberFailureEvent(at_us=0, volume_id=0, member_index=0, down_us=0)
-        with pytest.raises(ValueError):
-            MemberFailureEvent(at_us=0, volume_id=0, member_index=-1, down_us=10)
-        event = MemberFailureEvent(
-            at_us=100, volume_id=1, member_index=2, down_us=40
-        )
-        assert event.replace_at_us == 140
-
-    def test_kill_then_replace_with_windows(self):
-        schedule, clock, host = build(
-            [MemberFailureEvent(at_us=100, volume_id=0, member_index=2, down_us=50)]
-        )
-        clock.advance_to(100)
-        schedule.poll(host)
-        assert host.calls == [("kill", 0, 2)]
-        clock.advance_to(150)
-        schedule.poll(host)
-        assert host.calls == [("kill", 0, 2), ("replace", 0, 2)]
-        assert schedule.done()
-        assert schedule.member_windows() == [(0, 2, 100, 150)]
-
-    def test_same_member_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            FailureSchedule(
-                [
-                    MemberFailureEvent(
-                        at_us=0, volume_id=0, member_index=1, down_us=100
-                    ),
-                    MemberFailureEvent(
-                        at_us=50, volume_id=0, member_index=1, down_us=100
-                    ),
-                ],
-                SimClock(),
-            )
-
-    def test_distinct_members_may_overlap(self):
-        # The schedule does not police redundancy; whether two members
-        # down at once is survivable is the array's verdict to deliver.
-        schedule, _, _ = build(
-            [
-                MemberFailureEvent(
-                    at_us=0, volume_id=0, member_index=0, down_us=100
-                ),
-                MemberFailureEvent(
-                    at_us=50, volume_id=0, member_index=1, down_us=100
-                ),
-            ]
-        )
-        assert len(schedule.events) == 2
 
     def test_rekill_after_replace_allowed(self):
         """Losing the same slot again after its replacement is the
         rebuild-interrupted scenario — a legal script."""
         schedule, clock, host = build(
-            [
-                MemberFailureEvent(
-                    at_us=0, volume_id=0, member_index=2, down_us=100
-                ),
-                MemberFailureEvent(
-                    at_us=100, volume_id=0, member_index=2, down_us=100
-                ),
-            ]
+            [member(0, 0, 2, 100), member(100, 0, 2, 100)]
         )
         schedule.run_out(host)
         # The same-instant replace fires before the second kill.
@@ -215,96 +173,35 @@ class TestMemberEvents:
             ("kill", 0, 2),
             ("replace", 0, 2),
         ]
-        assert schedule.member_windows() == [(0, 2, 0, 100), (0, 2, 100, 200)]
+        assert schedule.windows("member") == [(0, 2, 0, 100), (0, 2, 100, 200)]
 
     def test_mixed_volume_and_member_script(self):
-        metrics = Metrics()
-        clock = SimClock()
-        host = _Host()
-        schedule = FailureSchedule(
-            [
-                FailureEvent(at_us=10, volume_id=1, down_us=30),
-                MemberFailureEvent(
-                    at_us=20, volume_id=0, member_index=3, down_us=30
-                ),
-            ],
-            clock,
-            metrics=metrics,
-        )
-        schedule.run_out(host)
+        schedule, clock, host = build([volume(10, 1, 30), member(20, 0, 3, 30)])
+        actions = schedule.run_out(host)
         assert host.calls == [
             ("fail", 1),
             ("kill", 0, 3),
             ("restart", 1),
             ("replace", 0, 3),
         ]
-        assert metrics.get("recovery.member_kills_injected") == 1
-        assert metrics.get("recovery.member_replacements_injected") == 1
+        assert actions[1] == "t=20us kill member 3 of volume 0"
+        assert actions[3] == "t=50us replace member 3 of volume 0"
 
-
-class TestShardEvents:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ShardFailureEvent(at_us=-1, shard_id=0, down_us=10)
-        with pytest.raises(ValueError):
-            ShardFailureEvent(at_us=0, shard_id=0, down_us=0)
-        with pytest.raises(ValueError):
-            ShardFailureEvent(at_us=0, shard_id=-1, down_us=10)
-
-    def test_kill_then_restart_with_windows(self):
+    def test_same_instant_repairs_before_failures_then_kind_order(self):
+        """Windows of different kinds are independent, and the
+        same-instant firing order is: all repairs precede all failures,
+        then volume < member < shard within each class."""
         schedule, clock, host = build(
-            [ShardFailureEvent(at_us=50, shard_id=2, down_us=100)]
-        )
-        clock.advance_to(50)
-        schedule.poll(host)
-        assert host.calls == [("shard_kill", 2)]
-        clock.advance_to(150)
-        schedule.poll(host)
-        assert host.calls == [("shard_kill", 2), ("shard_restart", 2)]
-        assert schedule.shard_windows() == [(2, 50, 150)]
-        assert schedule.done()
-
-    def test_same_shard_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            build(
-                [
-                    ShardFailureEvent(at_us=0, shard_id=1, down_us=100),
-                    ShardFailureEvent(at_us=50, shard_id=1, down_us=100),
-                ]
-            )
-
-    def test_distinct_shards_may_overlap(self):
-        schedule, _, host = build(
-            [
-                ShardFailureEvent(at_us=0, shard_id=0, down_us=100),
-                ShardFailureEvent(at_us=50, shard_id=1, down_us=100),
-            ]
+            [shard(10, 1, 50), member(10, 0, 1, 50), volume(10, 1, 50)]
         )
         schedule.run_out(host)
-        assert schedule.shard_windows() == [(0, 0, 100), (1, 50, 150)]
-
-    def test_shard_and_volume_windows_are_independent(self):
-        metrics = Metrics()
-        clock = SimClock()
-        host = _Host()
-        schedule = FailureSchedule(
-            [
-                FailureEvent(at_us=10, volume_id=1, down_us=50),
-                ShardFailureEvent(at_us=10, shard_id=1, down_us=50),
-            ],
-            clock,
-            metrics=metrics,
-        )
-        schedule.run_out(host)
-        # same-instant firing order: all repairs precede all failures,
-        # volume before shard within each class
         assert host.calls == [
             ("fail", 1),
+            ("kill", 0, 1),
             ("shard_kill", 1),
             ("restart", 1),
+            ("replace", 0, 1),
             ("shard_restart", 1),
         ]
-        assert schedule.downtime_windows() == [(1, 10, 60)]
-        assert schedule.shard_windows() == [(1, 10, 60)]
-        assert metrics.get("recovery.shard_kills_injected") == 1
-        assert metrics.get("recovery.shard_restarts_injected") == 1
+        assert schedule.windows("volume") == [(1, 10, 60)]
+        assert schedule.windows("shard") == [(1, 10, 60)]
