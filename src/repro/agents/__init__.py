@@ -22,14 +22,13 @@ process called a device agent which facilitates I/O on devices"
   object descriptors but are forbidden while transactions are live.
 """
 
-from repro.agents.routing import DirectRouter, FileServiceRouter
+from repro.agents.routing import FileServiceRouter
 from repro.agents.devices import DeviceAgent, SimTTY
 from repro.agents.file_agent import FileAgent
 from repro.agents.process import Process
 
 __all__ = [
     "FileServiceRouter",
-    "DirectRouter",
     "DeviceAgent",
     "SimTTY",
     "FileAgent",

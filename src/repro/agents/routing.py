@@ -2,11 +2,11 @@
 
 Step one of the paper's three-step data location (section 5) is "to
 locate the file service which manages the file".  A system name
-carries its volume id, so routing is a table lookup.  Two router
-flavours exist: a direct in-process router (unit tests, single-machine
-examples) and an RPC router (the cluster facade), both presenting the
-same file-server-shaped surface so the file agent cannot tell them
-apart.
+carries its volume id, so routing is a table lookup: volume id ->
+:data:`~repro.rpc.endpoint.Caller`.  Whether a caller dispatches
+in-process or crosses the message bus is decided where the table is
+built (DESIGN.md "Transports"); the router — and the file agent above
+it — cannot tell the two apart.
 """
 
 from __future__ import annotations
@@ -15,150 +15,43 @@ from typing import Any, Dict
 
 from repro.common.errors import FileServiceError
 from repro.common.ids import SystemName
-from repro.file_service.attributes import FileAttributes, LockingLevel, ServiceType
-from repro.file_service.server import FileServer
-from repro.rpc.endpoint import RpcClient, RpcServer
+from repro.file_service.attributes import FileAttributes
+from repro.rpc.endpoint import Caller
+
+#: Every operation a file server answers: the exposure table of its
+#: endpoint, the filter of its direct caller, and all the router sends.
+FILE_SERVER_OPS = (
+    "create",
+    "open",
+    "close",
+    "delete",
+    "read",
+    "write",
+    "get_attribute",
+    "flush",
+)
 
 
 class FileServiceRouter:
-    """Interface: anything that can carry file-server calls by volume."""
+    """Carries file-server calls to the volume that owns the file.
 
-    def volume_ids(self) -> list[int]:
-        raise NotImplementedError
+    ``callers`` maps volume id -> the transport to that volume's file
+    server.
+    """
 
-    def create(self, volume_id: int, **kwargs: Any) -> SystemName:
-        raise NotImplementedError
-
-    def open(self, name: SystemName) -> FileAttributes:
-        raise NotImplementedError
-
-    def close(self, name: SystemName) -> None:
-        raise NotImplementedError
-
-    def delete(self, name: SystemName) -> None:
-        raise NotImplementedError
-
-    def read(self, name: SystemName, offset: int, n_bytes: int) -> bytes:
-        raise NotImplementedError
-
-    def write(self, name: SystemName, offset: int, data: bytes) -> int:
-        raise NotImplementedError
-
-    def get_attribute(self, name: SystemName) -> FileAttributes:
-        raise NotImplementedError
-
-    def flush_volume(self, volume_id: int) -> None:
-        raise NotImplementedError
-
-
-class DirectRouter(FileServiceRouter):
-    """In-process router over a table of file servers."""
-
-    def __init__(self, servers: Dict[int, FileServer]) -> None:
-        if not servers:
+    def __init__(self, callers: Dict[int, Caller]) -> None:
+        if not callers:
             raise FileServiceError("router needs at least one file server")
-        self._servers = dict(servers)
-
-    def add_server(self, server: FileServer) -> None:
-        self._servers[server.volume_id] = server
-
-    def server_for(self, name: SystemName) -> FileServer:
-        server = self._servers.get(name.volume_id)
-        if server is None:
-            raise FileServiceError(f"no file server for volume {name.volume_id}")
-        return server
-
-    def volume_ids(self) -> list[int]:
-        return sorted(self._servers)
-
-    def create(self, volume_id: int, **kwargs: Any) -> SystemName:
-        server = self._servers.get(volume_id)
-        if server is None:
-            raise FileServiceError(f"no file server for volume {volume_id}")
-        return server.create(**kwargs)
-
-    def open(self, name: SystemName) -> FileAttributes:
-        return self.server_for(name).open(name)
-
-    def close(self, name: SystemName) -> None:
-        self.server_for(name).close(name)
-
-    def delete(self, name: SystemName) -> None:
-        self.server_for(name).delete(name)
-
-    def read(self, name: SystemName, offset: int, n_bytes: int) -> bytes:
-        return self.server_for(name).read(name, offset, n_bytes)
-
-    def write(self, name: SystemName, offset: int, data: bytes) -> int:
-        return self.server_for(name).write(name, offset, data)
-
-    def get_attribute(self, name: SystemName) -> FileAttributes:
-        return self.server_for(name).get_attribute(name)
-
-    def flush_volume(self, volume_id: int) -> None:
-        server = self._servers.get(volume_id)
-        if server is not None:
-            server.flush()
-
-
-#: RPC op names for a file server endpoint; shared by both sides so the
-#: exposure table and the stub cannot drift apart.
-FILE_SERVER_OPS = {
-    "create": "create",
-    "open": "open",
-    "close": "close",
-    "delete": "delete",
-    "read": "read",
-    "write": "write",
-    "get_attribute": "get_attribute",
-    "flush": "flush",
-}
-
-
-def expose_file_server(server: FileServer, rpc_server: RpcServer) -> None:
-    """Expose a file server's operations on an RPC endpoint.
-
-    Payloads are (args, kwargs) tuples; every operation is positional
-    and therefore idempotent under retransmission.
-    """
-
-    def wrap(method_name: str):
-        method = getattr(server, method_name)
-
-        def handler(payload: Any) -> Any:
-            args, kwargs = payload
-            return method(*args, **kwargs)
-
-        return handler
-
-    for op, method_name in FILE_SERVER_OPS.items():
-        rpc_server.expose(op, wrap(method_name))
-
-
-class RpcRouter(FileServiceRouter):
-    """Router that reaches file servers through the message bus.
-
-    ``addresses`` maps volume id -> bus address of that volume's file
-    server endpoint.
-    """
-
-    def __init__(self, client: RpcClient, addresses: Dict[int, str]) -> None:
-        if not addresses:
-            raise FileServiceError("RPC router needs at least one address")
-        self.client = client
-        self._addresses = dict(addresses)
-
-    def _address_for(self, volume_id: int) -> str:
-        address = self._addresses.get(volume_id)
-        if address is None:
-            raise FileServiceError(f"no file server address for volume {volume_id}")
-        return address
+        self._callers = dict(callers)
 
     def _call(self, volume_id: int, op: str, *args: Any, **kwargs: Any) -> Any:
-        return self.client.call(self._address_for(volume_id), op, (args, kwargs))
+        caller = self._callers.get(volume_id)
+        if caller is None:
+            raise FileServiceError(f"no file server for volume {volume_id}")
+        return caller(op, *args, **kwargs)
 
     def volume_ids(self) -> list[int]:
-        return sorted(self._addresses)
+        return sorted(self._callers)
 
     def create(self, volume_id: int, **kwargs: Any) -> SystemName:
         return self._call(volume_id, "create", **kwargs)

@@ -321,7 +321,7 @@ class _Run:
     @property
     def rpc_timeout_us(self) -> int:
         """The timeout of the RPC client the cluster actually built."""
-        return self.cluster.router.client.timeout_us
+        return self.cluster.file_client.timeout_us
 
     def allowance_us(self) -> int:
         return recovery_allowance_us(self.scenario, self.rpc_timeout_us)
@@ -855,7 +855,7 @@ class _RaidRun(_Run):
     """
 
     #: The array backing the volume's data disk.
-    LAYOUT = {"chunk_sectors": 64, "level": "raid5", "members": 4}
+    LAYOUT = {"level": "raid5", "members": 4}
     CONFIG = dict(
         # 64 MB members keep the rebuild long enough to overlap
         # dozens of foreground steps yet finish within the run.
@@ -868,7 +868,6 @@ class _RaidRun(_Run):
         server_cache_blocks=0,
         disk_cache_tracks=0,
         disk_readahead=False,
-        raid_rebuild_chunks=32,
         **{f"raid_{key}": value for key, value in LAYOUT.items()},
     )
     STATS = ("reads", "writes", "reads_degraded", "writes_degraded")
@@ -983,7 +982,7 @@ class _RaidRun(_Run):
             **self.script_report(),
             "finale": self.finale,
             "final_versions": {"writes_acked": len(self.file_acked)},
-            "layout": dict(self.LAYOUT),
+            "layout": {"chunk_sectors": self.array.chunk_sectors, **self.LAYOUT},
             "member_windows": self.schedule.windows("member"),
             "state_log": self.state_log,
         }

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal, Optional
 
-from repro.disk_service.scheduler import DEFAULT_AGING_BOUND_US
 from repro.file_service.cache import WritePolicy
+from repro.naming.shard import DEFAULT_SLOTS
 from repro.rpc.bus import FaultProfile
 from repro.rpc.retry import BackoffPolicy, BreakerPolicy
 from repro.simdisk.geometry import DiskGeometry
@@ -29,7 +29,6 @@ class ClusterConfig:
             agents).
         n_disks: volumes; one disk server and one file server each.
         geometry: disk geometry for every data disk.
-        stable_geometry: geometry of each stable-storage mirror disk.
         timing: disk service-time model.
         client_cache_blocks: per-machine file-agent cache capacity
             (0 = no client cache — the Amoeba Bullet configuration).
@@ -38,8 +37,6 @@ class ClusterConfig:
         disk_readahead: rest-of-track readahead on/off.
         disk_scheduler: service-order policy of each disk's request
             pipeline — ``fcfs``, ``scan``, or ``scan+coalesce`` (E16).
-        scan_aging_bound_us: SCAN's starvation bound; a request waiting
-            at least this long is served oldest-first.
         write_policy: file-server policy for basic files.
         extent_rows / extent_columns: free-extent array dimensions.
         timeout_policy: the LT/N deadlock policy.
@@ -54,14 +51,10 @@ class ClusterConfig:
         rpc_breaker: per-destination circuit-breaker policy; None = no
             breaker (every call spends its full attempt budget).
             Breaker transitions feed the cluster's health registry.
-        health_transient_tolerance: consecutive transient replica
-            errors one volume may accumulate before the failure
-            detector treats it as down.
         n_shards: naming shard servers the binding space partitions
             across (1 = the flat namespace, behaviourally identical to
-            the historical single ``NamingService``).
-        shard_slots: hash slots of the shard map; fixed for the life
-            of a namespace.
+            the historical single ``NamingService``); at most one per
+            hash slot of the shard map.
         shard_service_us: modelled per-operation service time charged
             to a shard server's timeline (0 = free metadata, the
             historical timing).
@@ -74,27 +67,19 @@ class ClusterConfig:
             (``raid0`` / ``raid1`` / ``raid5``) instead of a single
             drive; None (default) keeps the single-disk configuration.
         raid_members: member drives per array (each of ``geometry``).
-        raid_chunk_sectors: sectors per stripe unit; the default of one
-            track keeps a stripe unit a single-track reference.
-        raid_rebuild_chunks: physical chunks the background rebuilder
-            reconstructs per granted idle step.
         seed: RNG seed for every stochastic component.
         tracing: record cross-layer request spans (zero-cost when off).
-        trace_capacity: completed spans retained in the tracer's ring
-            buffer.
     """
 
     n_machines: int = 1
     n_disks: int = 1
     geometry: DiskGeometry = field(default_factory=DiskGeometry.medium)
-    stable_geometry: DiskGeometry = field(default_factory=DiskGeometry.small)
     timing: DiskTimingModel = field(default_factory=DiskTimingModel)
     client_cache_blocks: int = 128
     server_cache_blocks: int = 256
     disk_cache_tracks: int = 128
     disk_readahead: bool = True
     disk_scheduler: Literal["fcfs", "scan", "scan+coalesce"] = "fcfs"
-    scan_aging_bound_us: int = DEFAULT_AGING_BOUND_US
     write_policy: WritePolicy = WritePolicy.DELAYED
     extent_rows: int = 64
     extent_columns: int = 64
@@ -104,19 +89,14 @@ class ClusterConfig:
     fault_profile: Optional[FaultProfile] = None
     rpc_backoff: Optional[BackoffPolicy] = None
     rpc_breaker: Optional[BreakerPolicy] = None
-    health_transient_tolerance: int = 3
     n_shards: int = 1
-    shard_slots: int = 64
     shard_service_us: int = 0
     placement_policy: Literal["fixed", "round_robin", "least_loaded"] = "fixed"
     replication_degree: int = 2
     raid_level: Optional[Literal["raid0", "raid1", "raid5"]] = None
     raid_members: int = 4
-    raid_chunk_sectors: int = 64
-    raid_rebuild_chunks: int = 32
     seed: int = 0
     tracing: bool = False
-    trace_capacity: int = 4096
 
     def __post_init__(self) -> None:
         if self.n_machines < 1:
@@ -125,7 +105,7 @@ class ClusterConfig:
             raise ValueError("need at least one disk")
         if self.n_shards < 1:
             raise ValueError("need at least one naming shard")
-        if self.shard_slots < self.n_shards:
+        if self.n_shards > DEFAULT_SLOTS:
             raise ValueError("need at least one hash slot per shard")
         if self.shard_service_us < 0:
             raise ValueError("shard service time cannot be negative")
@@ -135,8 +115,6 @@ class ClusterConfig:
                 raise ValueError(
                     f"{self.raid_level} needs at least {floor} members"
                 )
-            if self.raid_chunk_sectors < 1:
-                raise ValueError("raid chunk size must be positive")
 
     @classmethod
     def bullet_style(cls, **overrides) -> "ClusterConfig":

@@ -12,22 +12,11 @@ the counters".
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.agents.devices import DeviceAgent
 from repro.agents.file_agent import FileAgent
-from repro.agents.routing import (
-    DirectRouter,
-    FileServiceRouter,
-    RpcRouter,
-    expose_file_server,
-)
-from repro.agents.shard_routing import (
-    direct_shard_caller,
-    expose_naming_shard,
-    rpc_shard_caller,
-    shard_address,
-)
+from repro.agents.routing import FILE_SERVER_OPS, FileServiceRouter
 from repro.cluster.config import ClusterConfig
 from repro.cluster.machine import Machine
 from repro.common.clock import SimClock
@@ -40,18 +29,28 @@ from repro.file_service.server import FileServer
 from repro.naming.directory import DirectoryService
 from repro.naming.tdirectory import TransactionalDirectory
 from repro.naming.shard import (
+    NAMING_SHARD_OPS,
     NamingShard,
     PlacementPolicy,
     ShardedNamespace,
     ShardManager,
+    shard_address,
     shard_component,
 )
 from repro.recovery.health import HealthRegistry
 from repro.replication.service import ReplicationService, volume_component
 from repro.rpc.bus import MessageBus
-from repro.rpc.endpoint import RpcClient, RpcServer
+from repro.rpc.endpoint import (
+    Caller,
+    RpcClient,
+    RpcServer,
+    direct_caller,
+    expose,
+    rpc_caller,
+)
 from repro.rpc.retry import CircuitBreaker
 from repro.simdisk.disk import SimDisk
+from repro.simdisk.geometry import DiskGeometry
 from repro.simdisk.raid import ArrayState, RaidRebuilder, StripedVolume
 from repro.simdisk.stable import StableStore
 from repro.simkernel.loop import EventLoop
@@ -59,38 +58,36 @@ from repro.transactions.agent import TransactionAgentHost
 from repro.transactions.coordinator import TransactionCoordinator
 
 
+def file_server_address(volume_id: int) -> str:
+    """The bus address of one volume's file-server endpoint."""
+    return f"file_server.{volume_id}"
+
+
 class _VolumeHealthFeed:
     """Relay circuit-breaker transitions into the health registry.
 
     The breaker speaks bus addresses (``file_server.N``,
     ``naming_shard.N``); the registry speaks components (``volume.N``,
-    ``shard.N``).  Breaker-open means the detector should stop routing
-    work at the component; breaker-close means a half-open probe
-    reached a live server, which *is* a recovery signal — it fires the
-    registry's repair hooks (replica resync, orphan sweep) without
-    waiting for an administrative restart.
+    ``shard.N``); ``components`` is the address -> component table the
+    cluster fills as it exposes each endpoint.  Breaker-open means the
+    detector should stop routing work at the component; breaker-close
+    means a half-open probe reached a live server, which *is* a
+    recovery signal — it fires the registry's repair hooks (replica
+    resync, orphan sweep) without waiting for an administrative
+    restart.
     """
 
-    def __init__(self, health: HealthRegistry) -> None:
+    def __init__(self, health: HealthRegistry, components: Dict[str, str]) -> None:
         self.health = health
-
-    @staticmethod
-    def _component(address: str) -> Optional[str]:
-        for prefix, to_component in (
-            ("file_server.", volume_component),
-            ("naming_shard.", shard_component),
-        ):
-            if address.startswith(prefix) and address[len(prefix):].isdigit():
-                return to_component(int(address[len(prefix):]))
-        return None
+        self.components = components
 
     def on_breaker_open(self, address: str) -> None:
-        component = self._component(address)
+        component = self.components.get(address)
         if component is not None:
             self.health.mark_down(component)
 
     def on_breaker_close(self, address: str) -> None:
-        component = self._component(address)
+        component = self.components.get(address)
         if component is not None:
             self.health.note_recovered(component)
 
@@ -102,11 +99,7 @@ class RhodosCluster:
         self.config = config or ClusterConfig()
         self.clock = SimClock()
         self.metrics = Metrics()
-        self.tracer = Tracer(
-            self.clock,
-            capacity=self.config.trace_capacity,
-            enabled=self.config.tracing,
-        )
+        self.tracer = Tracer(self.clock, enabled=self.config.tracing)
         self.loop = EventLoop(self.clock)
 
         #: Per-volume data "disk": a SimDisk, or a StripedVolume duck-
@@ -136,7 +129,6 @@ class RhodosCluster:
                     str(volume_id),
                     members,
                     level=self.config.raid_level,
-                    chunk_sectors=self.config.raid_chunk_sectors,
                     metrics=self.metrics,
                 )
                 disk.on_state_change = (
@@ -156,14 +148,14 @@ class RhodosCluster:
             stable = StableStore(
                 SimDisk(
                     f"{volume_id}.stable_a",
-                    self.config.stable_geometry,
+                    DiskGeometry.small(),
                     self.clock,
                     self.metrics,
                     timing=self.config.timing,
                 ),
                 SimDisk(
                     f"{volume_id}.stable_b",
-                    self.config.stable_geometry,
+                    DiskGeometry.small(),
                     self.clock,
                     self.metrics,
                     timing=self.config.timing,
@@ -196,20 +188,25 @@ class RhodosCluster:
             self.pipelines[volume_id] = DiskPipeline(
                 disk_server,
                 self.loop,
-                make_scheduler(
-                    self.config.disk_scheduler,
-                    aging_bound_us=self.config.scan_aging_bound_us,
-                ),
+                make_scheduler(self.config.disk_scheduler),
             )
             self.file_servers[volume_id] = file_server
 
-        self.health = HealthRegistry(
-            self.metrics,
-            transient_tolerance=self.config.health_transient_tolerance,
-        )
+        self.health = HealthRegistry(self.metrics)
 
+        # ------------------------------------------------- transports
+        # With a fault profile every server sits behind a bus endpoint
+        # and is reached by RPC; without one, callers dispatch
+        # in-process.  _endpoint makes that choice, once, for file
+        # servers and naming shards alike.
         self.bus: Optional[MessageBus] = None
         self.breaker: Optional[CircuitBreaker] = None
+        #: The RPC clients of the file-service router and of the naming
+        #: router (None without a bus).
+        self.file_client: Optional[RpcClient] = None
+        self.shard_client: Optional[RpcClient] = None
+        #: bus address -> health component of every exposed endpoint.
+        self._components: Dict[str, str] = {}
         if self.config.fault_profile is not None:
             self.bus = MessageBus(
                 self.clock,
@@ -218,34 +215,28 @@ class RhodosCluster:
                 seed=self.config.seed,
                 tracer=self.tracer,
             )
-            addresses = {}
-            for volume_id, file_server in self.file_servers.items():
-                address = f"file_server.{volume_id}"
-                expose_file_server(file_server, RpcServer(self.bus, address))
-                addresses[volume_id] = address
             if self.config.rpc_breaker is not None:
                 self.breaker = CircuitBreaker(
                     self.config.rpc_breaker,
                     self.clock,
                     self.metrics,
-                    listener=_VolumeHealthFeed(self.health),
+                    listener=_VolumeHealthFeed(self.health, self._components),
                     tracer=self.tracer,
                 )
-            # A generous retransmission budget: at 30% triple-fault rates
-            # a call still succeeds with overwhelming probability, which
-            # is the regime experiment E12 sweeps.
-            self.router: FileServiceRouter = RpcRouter(
-                RpcClient(
-                    self.bus,
-                    max_attempts=30,
-                    backoff=self.config.rpc_backoff,
-                    breaker=self.breaker,
-                    seed=self.config.seed,
-                ),
-                addresses,
-            )
-        else:
-            self.router = DirectRouter(self.file_servers)
+            self.file_client = self._rpc_client(self.config.seed)
+            self.shard_client = self._rpc_client(self.config.seed + 1)
+        self.router = FileServiceRouter(
+            {
+                volume_id: self._endpoint(
+                    file_server,
+                    FILE_SERVER_OPS,
+                    file_server_address(volume_id),
+                    volume_component(volume_id),
+                    self.file_client,
+                )
+                for volume_id, file_server in self.file_servers.items()
+            }
+        )
 
         # ---------------------------------------------- sharded naming
         # The binding space partitions across n_shards shard servers;
@@ -261,24 +252,12 @@ class RhodosCluster:
             )
             for shard_id in range(self.config.n_shards)
         }
-        self.shard_manager = ShardManager(
-            self.shards, n_slots=self.config.shard_slots, metrics=self.metrics
-        )
-        self._shard_client: Optional[RpcClient] = None
-        if self.bus is not None:
-            self._shard_client = RpcClient(
-                self.bus,
-                max_attempts=30,
-                backoff=self.config.rpc_backoff,
-                breaker=self.breaker,
-                seed=self.config.seed + 1,
-            )
-        callers = {
-            shard_id: self._make_shard_caller(shard)
-            for shard_id, shard in self.shards.items()
-        }
+        self.shard_manager = ShardManager(self.shards, metrics=self.metrics)
         self.naming = ShardedNamespace(
-            callers,
+            {
+                shard_id: self._shard_endpoint(shard)
+                for shard_id, shard in self.shards.items()
+            },
             self.shard_manager.get_map,
             peer_of=self.shard_manager.peer_id_of,
             metrics=self.metrics,
@@ -339,16 +318,46 @@ class RhodosCluster:
                 Machine(machine_id, device_agent, file_agent, transaction_host)
             )
 
-    # ------------------------------------------------- shard lifecycle
+    # ----------------------------------------------------- transports
 
-    def _make_shard_caller(self, shard: NamingShard):
-        """The transport for one shard: RPC when a bus exists, direct otherwise."""
-        if self.bus is not None:
-            address = shard_address(shard.shard_id)
-            expose_naming_shard(shard, RpcServer(self.bus, address))
-            assert self._shard_client is not None
-            return rpc_shard_caller(self._shard_client, address)
-        return direct_shard_caller(shard)
+    def _rpc_client(self, seed: int) -> RpcClient:
+        # A generous retransmission budget: at 30% triple-fault rates
+        # a call still succeeds with overwhelming probability, which
+        # is the regime experiment E12 sweeps.
+        return RpcClient(
+            self.bus,
+            max_attempts=30,
+            backoff=self.config.rpc_backoff,
+            breaker=self.breaker,
+            seed=seed,
+        )
+
+    def _endpoint(
+        self,
+        server: object,
+        ops: Tuple[str, ...],
+        address: str,
+        component: str,
+        client: Optional[RpcClient],
+    ) -> Caller:
+        """The transport to one server: direct without a bus, else an
+        RPC stub for the endpoint this exposes at ``address``."""
+        if client is None:
+            return direct_caller(server, ops)
+        expose(RpcServer(client.bus, address), server, ops)
+        self._components[address] = component
+        return rpc_caller(client, address)
+
+    def _shard_endpoint(self, shard: NamingShard) -> Caller:
+        return self._endpoint(
+            shard,
+            NAMING_SHARD_OPS,
+            shard_address(shard.shard_id),
+            shard_component(shard.shard_id),
+            self.shard_client,
+        )
+
+    # ------------------------------------------------- shard lifecycle
 
     def add_shard(self) -> int:
         """Register a spare shard server (owns no slots until a rebalance).
@@ -367,7 +376,7 @@ class RhodosCluster:
         )
         self.shards[shard_id] = shard
         self.shard_manager.add_shard(shard)
-        self.naming.add_caller(shard_id, self._make_shard_caller(shard))
+        self.naming.add_caller(shard_id, self._shard_endpoint(shard))
         self.metrics.add("cluster.shards_added")
         return shard_id
 
@@ -463,7 +472,7 @@ class RhodosCluster:
         if cache is not None:
             cache.invalidate()
         if self.bus is not None:
-            self.bus.set_down(f"file_server.{volume_id}")
+            self.bus.set_down(file_server_address(volume_id))
         for machine in self.machines:
             machine.file_agent.invalidate_volume(volume_id)
         self.metrics.add("cluster.volume_failures")
@@ -481,7 +490,7 @@ class RhodosCluster:
         self.disks[volume_id].repair()
         self.coordinator.recover_volume(volume_id)
         if self.bus is not None:
-            self.bus.set_down(f"file_server.{volume_id}", False)
+            self.bus.set_down(file_server_address(volume_id), False)
         self.metrics.add("cluster.volume_restarts")
         self.health.note_recovered(volume_component(volume_id))
 
@@ -526,11 +535,7 @@ class RhodosCluster:
         array = self.arrays[volume_id]
         array.replace_member(member_index, blank=blank)
         pipeline = self.pipelines[volume_id]
-        rebuilder = RaidRebuilder(
-            array,
-            chunks_per_step=self.config.raid_rebuild_chunks,
-            idle_gate=lambda p=pipeline: p.busy,
-        )
+        rebuilder = RaidRebuilder(array, idle_gate=lambda p=pipeline: p.busy)
         self.rebuilders[volume_id] = rebuilder
         self.metrics.add("cluster.member_replacements")
         return rebuilder

@@ -9,8 +9,8 @@ whole simulated world: two operations on two different disks cost the
 A :class:`ServiceFrame` is the deferred-time context one overlapped
 operation runs inside.  While a frame is open, components charge their
 delays to the frame's *cursor* (via :func:`charge_elapsed` or a
-disk's :class:`~repro.simdisk.timeline.DiskTimeline`) instead of the
-global clock.  On exit the cursor is the operation's completion time;
+server's busy-until :class:`Timeline`) instead of the global clock.
+On exit the cursor is the operation's completion time;
 the caller (a request pipeline or the cluster's concurrent driver)
 schedules the completion on the event loop, and the loop advances the
 clock event-to-event.  With no frame open, charging falls back to
@@ -126,6 +126,92 @@ def charge_elapsed(clock: SimClock, delta_us: float) -> None:
     charged = ceil_us(delta_us)
     frame.cursor_us += charged
     frame.charged_us += charged
+
+
+class Timeline:
+    """One server's busy-until timeline (a disk's head, a shard's CPU).
+
+    Charges to one timeline serialize; charges to different timelines
+    overlap — which is all "two spindles" or "eight shard servers"
+    means to the simulator.
+
+    Args:
+        clock: the shared simulated clock the timeline waits against.
+
+    Attributes:
+        busy_until_us: absolute time the server finishes its last
+            accepted reference; new charges start at
+            ``max(now, busy_until_us)``.
+        busy_total_us: cumulative service time ever charged — the
+            numerator of the utilization gauge.
+        last_wait_us: queue wait of the most recent charge (how long it
+            sat behind earlier reservations).
+    """
+
+    __slots__ = ("clock", "busy_until_us", "busy_total_us", "last_wait_us")
+
+    def __init__(self, clock: SimClock) -> None:
+        self.clock = clock
+        self.busy_until_us = 0
+        self.busy_total_us = 0
+        self.last_wait_us = 0
+
+    def charge(self, elapsed_us: float) -> tuple[int, int]:
+        """Charge one reference's service time; returns ``(start, end)``.
+
+        With no frame active this blocks in simulated time — the global
+        clock advances to ``end`` exactly as the old inline
+        ``advance_us`` did for sequential callers.  Inside a
+        :func:`service_frame` only the frame cursor moves; the global
+        clock is left for the event loop to advance.
+        """
+        return self.charge_ceiled(ceil_us(elapsed_us))
+
+    def charge_ceiled(self, busy: int) -> tuple[int, int]:
+        """:meth:`charge` for a service time already in whole us.
+
+        The disk's service-time memo caches the ceiled integer next to
+        the raw float, so repeat references skip the rounding too.
+        """
+        # Reservation order is a real synchronization point: the server
+        # serves charges in the order they reserved the timeline.
+        # (Guarded so the no-monitor common case pays two attribute
+        # reads instead of a no-op method call.)
+        mon = _monitor.active()
+        if mon.enabled:
+            mon.chain(self)
+        frame = active_frame(self.clock)
+        now = frame.cursor_us if frame is not None else self.clock.now_us
+        start = max(now, self.busy_until_us)
+        end = start + busy
+        self.busy_until_us = end
+        self.busy_total_us += busy
+        self.last_wait_us = start - now
+        if frame is not None:
+            frame.cursor_us = end
+            frame.waited_us += start - now
+            frame.charged_us += busy
+        else:
+            self.clock.advance_to(end)
+        return start, end
+
+    def utilization_percent(self) -> int:
+        """Busy time as an integer percentage of elapsed simulated time.
+
+        Measured against the later of the global clock and the
+        timeline's own horizon, so deferred-mode reservations count as
+        elapsed time instead of inflating the ratio past 100.
+        """
+        horizon = max(self.clock.now_us, self.busy_until_us)
+        if horizon <= 0:
+            return 0
+        return min(100, self.busy_total_us * 100 // horizon)
+
+    def __repr__(self) -> str:
+        return (
+            f"Timeline(busy_until_us={self.busy_until_us}, "
+            f"busy_total_us={self.busy_total_us})"
+        )
 
 
 class FrameFork:

@@ -31,13 +31,10 @@ ADVANCE_CALLS: FrozenSet[str] = frozenset({"advance_us", "advance_to"})
 #: DESIGN.md §10 documents the discipline.
 ALLOWED_MODULES: FrozenSet[str] = frozenset(
     {
-        # the clock's own implementation
-        "repro.common.clock",
-        # the deferral substrate: charges fall back to inline
+        # the deferral substrate: charges (plain, or against a
+        # server's busy-until Timeline) fall back to inline
         # advancement only in blocking mode
         "repro.common.frames",
-        # blocking-mode waits on a disk's busy-until timeline
-        "repro.simdisk.timeline",
         # the event loop advances to each next scheduled event
         "repro.simkernel.loop",
         # interleaved lock-wait stepper: charges think time between steps
@@ -46,8 +43,6 @@ ALLOWED_MODULES: FrozenSet[str] = frozenset(
         "repro.recovery.schedule",
         # retransmission timer: the caller blocks for the retry interval
         "repro.rpc.endpoint",
-        # shard-server timeline: blocking mode waits on shard busy-until
-        "repro.naming.shard",
         # availability campaign driver: owns the clock between client ops
         "repro.chaos.availability",
     }
@@ -60,7 +55,7 @@ class ClockAdvanceRule(Rule):
 
     rule_id = "clock-advance-discipline"
     hint = (
-        "model the delay by charging it (DiskTimeline.charge or "
+        "model the delay by charging it (Timeline.charge or "
         "repro.common.frames.charge_elapsed) so concurrent operations "
         "overlap; only reviewed timeline/driver modules — see "
         "repro.lint.rules.clock_advance.ALLOWED_MODULES — may move the "

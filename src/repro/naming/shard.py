@@ -36,17 +36,23 @@ incoming set and bumps the map in one atomic instant — the
 arbitration that makes a resolve miss structurally impossible.
 
 Time: every shard operation charges ``service_us`` to the shard's
-:class:`ShardTimeline` — the shard server's busy-until resource —
-so concurrent metadata operations overlap across shards exactly as
-disk requests overlap across spindles, and aggregate metadata
-throughput scales with shard count under ``run_concurrent`` (E20).
+busy-until :class:`~repro.common.frames.Timeline` — the very class a
+disk charges its references to — so concurrent metadata operations
+overlap across shards exactly as disk requests overlap across
+spindles, and aggregate metadata throughput scales with shard count
+under ``run_concurrent`` (E20).
+
+Transport: a router reaches a shard through a ``caller(op, *args)``
+(DESIGN.md "Transports"); :data:`NAMING_SHARD_OPS` is the whole wire
+surface and :func:`shard_address` the endpoint's bus address — plain
+data here, so this module imports neither ``rpc`` nor ``agents``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import zlib
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.common.clock import SimClock
 from repro.common.errors import (
@@ -57,7 +63,7 @@ from repro.common.errors import (
     ShardDownError,
     WrongShardError,
 )
-from repro.common.frames import active_frame
+from repro.common.frames import Timeline
 from repro.common.ids import SystemName, monotonic_id_factory
 from repro.common.metrics import Metrics
 from repro.naming.attributed import AttributedName, ObjectType
@@ -73,9 +79,32 @@ DEFAULT_SLOTS = 64
 _VNODES = 16
 
 
+#: Every operation a shard server answers: the exposure table of its
+#: endpoint, the filter of its direct caller, and all a router sends.
+NAMING_SHARD_OPS = (
+    "bind",
+    "rebind",
+    "unbind",
+    "unbind_path",
+    "resolve",
+    "contains",
+    "match",
+    "list_paths",
+    "size",
+    "names",
+    "dump",
+    "replica_read",
+)
+
+
 def shard_component(shard_id: int) -> str:
     """The health-registry component name of one shard server."""
     return f"shard.{shard_id}"
+
+
+def shard_address(shard_id: int) -> str:
+    """The bus address of one shard server's endpoint."""
+    return f"naming_shard.{shard_id}"
 
 
 def canonical_key(name: AttributedName) -> str:
@@ -202,39 +231,29 @@ class ShardMap:
         return f"ShardMap(epoch={self.epoch}, slots={counts})"
 
 
-class ShardTimeline:
-    """A shard server's busy-until resource (the CPU it resolves on).
+def _match(
+    table: NamingService, query: AttributedName
+) -> List[Tuple[AttributedName, Target, bool]]:
+    """One table's matches of a subset query: ``(name, target, exact)``."""
+    exact = query in table
+    return [
+        (name, target, exact and name == query)
+        for name, target in table.lookup(query)
+    ]
 
-    The metadata analogue of :class:`~repro.simdisk.timeline.DiskTimeline`:
-    inside a service frame the charge reserves the next free interval
-    at or after the frame cursor and moves the cursor to its end, so
-    operations on different shards overlap while operations on one
-    shard serialize; with no frame open it blocks the global clock
-    inline, bit-identical to the sequential semantics.
-    """
 
-    __slots__ = ("clock", "busy_until_us")
-
-    def __init__(self, clock: SimClock) -> None:
-        self.clock = clock
-        self.busy_until_us = 0
-
-    def charge(self, service_us: int) -> None:
-        if service_us <= 0:
-            return
-        frame = active_frame(self.clock)
-        if frame is None:
-            start = max(self.clock.now_us, self.busy_until_us)
-            end = start + service_us
-            self.busy_until_us = end
-            self.clock.advance_to(end)
-            return
-        start = max(frame.cursor_us, self.busy_until_us)
-        end = start + service_us
-        frame.waited_us += start - frame.cursor_us
-        frame.charged_us += service_us
-        frame.cursor_us = end
-        self.busy_until_us = end
+#: Read op -> how a binding table answers it.  The primary serves these
+#: from ``service``; ``replica_read`` serves the same functions from
+#: ``replica`` — so the two answers cannot drift apart.
+_READS: Dict[str, Callable[..., Any]] = {
+    "resolve": NamingService.resolve,
+    "contains": NamingService.__contains__,
+    "match": _match,
+    "list_paths": NamingService.list_directory,
+    "size": NamingService.__len__,
+    "names": list,
+    "dump": NamingService.to_bytes,
+}
 
 
 class NamingShard:
@@ -262,7 +281,7 @@ class NamingShard:
         self.clock = clock
         self.metrics = metrics
         self.service_us = service_us
-        self.timeline = ShardTimeline(clock)
+        self.timeline = Timeline(clock)
         self.service = NamingService(metrics)
         #: Replica copy of the ring predecessor's primary table.  Kept
         #: on a private registry so mirrored writes don't double the
@@ -298,7 +317,8 @@ class NamingShard:
         if self.crashed:
             raise ShardDownError(f"shard {self.shard_id} is down")
         self._ops.add()
-        self.timeline.charge(self.service_us)
+        if self.service_us > 0:
+            self.timeline.charge_ceiled(self.service_us)
 
     def _check_owner(self, key: str) -> int:
         slot = slot_of(key, self.map.n_slots)
@@ -313,56 +333,53 @@ class NamingShard:
 
     # ------------------------------------------------------ keyed ops
 
-    def bind(
-        self, name: AttributedName, target: Target, token: Optional[int] = None
-    ) -> None:
+    def _write(
+        self,
+        op: str,
+        name: AttributedName,
+        target: Optional[Target],
+        token: Optional[int],
+    ) -> Optional[Target]:
+        """The one keyed-write body: reply cache, owner check, apply,
+        mirror, write-through.  ``target`` None means unbind; the
+        recorded answer is what the op returns (the unbound target)."""
         self._enter()
         if token is not None and token in self._done:
             return self._done[token]
         slot = self._check_owner(canonical_key(name))
-        self.service.bind(name, target)
-        self._mirror("rebind", name, target)
+        apply = getattr(self.service, op)
+        answer = apply(name) if op == "unbind" else apply(name, target)
+        self._mirror(name, target)
         self._write_through(slot, name, target)
         if token is not None:
-            self._done[token] = None
+            self._done[token] = answer
+        return answer
+
+    def bind(
+        self, name: AttributedName, target: Target, token: Optional[int] = None
+    ) -> None:
+        self._write("bind", name, target, token)
 
     def rebind(
         self, name: AttributedName, target: Target, token: Optional[int] = None
     ) -> None:
-        self._enter()
-        if token is not None and token in self._done:
-            return self._done[token]
-        slot = self._check_owner(canonical_key(name))
-        self.service.rebind(name, target)
-        self._mirror("rebind", name, target)
-        self._write_through(slot, name, target)
-        if token is not None:
-            self._done[token] = None
+        self._write("rebind", name, target, token)
 
     def unbind(
         self, name: AttributedName, token: Optional[int] = None
     ) -> Target:
-        self._enter()
-        if token is not None and token in self._done:
-            return self._done[token]
-        slot = self._check_owner(canonical_key(name))
-        target = self.service.unbind(name)
-        self._mirror("unbind", name, None)
-        self._write_through(slot, name, None)
-        if token is not None:
-            self._done[token] = target
-        return target
+        return self._write("unbind", name, None, token)
 
     def resolve(self, query: AttributedName) -> Target:
         """Keyed resolution: the whole match set lives on this shard."""
         self._enter()
         self._check_owner(canonical_key(query))
-        return self.service.resolve(query)
+        return _READS["resolve"](self.service, query)
 
     def contains(self, name: AttributedName) -> bool:
         self._enter()
         self._check_owner(canonical_key(name))
-        return name in self.service
+        return _READS["contains"](self.service, name)
 
     def unbind_path(self, path: str, token: Optional[int] = None) -> Target:
         self._enter()
@@ -395,69 +412,45 @@ class NamingShard:
         stay invisible until the cutover (single-authority reads).
         """
         self._enter()
-        exact = query in self.service
-        return [
-            (name, target, exact and name == query)
-            for name, target in self.service.lookup(query)
-        ]
+        return _READS["match"](self.service, query)
 
     def list_paths(self, prefix: str) -> List[str]:
         """This shard's contribution to ``list_directory(prefix)``."""
         self._enter()
-        return self.service.list_directory(prefix)
+        return _READS["list_paths"](self.service, prefix)
 
     def size(self) -> int:
         self._enter()
-        return len(self.service)
+        return _READS["size"](self.service)
 
     def names(self) -> List[AttributedName]:
         self._enter()
-        return list(self.service)
+        return _READS["names"](self.service)
 
     def dump(self) -> bytes:
         """Codec snapshot of the primary table (satellite: partition
         round-trips are proven against the unsharded oracle)."""
         self._enter()
-        return self.service.to_bytes()
+        return _READS["dump"](self.service)
 
     # ------------------------------------------------- replica reads
 
-    def replica_resolve(self, query: AttributedName) -> Target:
+    def replica_read(self, op: str, *args: Any) -> Any:
+        """Answer read ``op`` from the replica copy of the ring
+        predecessor's table — what a router asks for when that primary
+        is dead.  No owner check: the replica holds exactly the
+        predecessor's slots, whatever this shard's own map says."""
         self._enter()
-        return self.replica.resolve(query)
-
-    def replica_match(
-        self, query: AttributedName
-    ) -> List[Tuple[AttributedName, Target, bool]]:
-        self._enter()
-        exact = query in self.replica
-        return [
-            (name, target, exact and name == query)
-            for name, target in self.replica.lookup(query)
-        ]
-
-    def replica_contains(self, name: AttributedName) -> bool:
-        self._enter()
-        return name in self.replica
-
-    def replica_list_paths(self, prefix: str) -> List[str]:
-        self._enter()
-        return self.replica.list_directory(prefix)
-
-    def replica_size(self) -> int:
-        self._enter()
-        return len(self.replica)
-
-    def replica_names(self) -> List[AttributedName]:
-        self._enter()
-        return list(self.replica)
+        read = _READS.get(op)
+        if read is None:
+            raise NamingError(f"shard {self.shard_id}: no replica read {op!r}")
+        return read(self.replica, *args)
 
     # ------------------------------------------------- mirror channel
 
-    def _mirror(
-        self, op: str, name: AttributedName, target: Optional[Target]
-    ) -> None:
-        """Write-through to the replica peer (intra-service channel).
+    def _mirror(self, name: AttributedName, target: Optional[Target]) -> None:
+        """Write-through to the replica peer (intra-service channel);
+        ``target`` None mirrors an unbind.
 
         The channel is modelled reliable and synchronous — the paper's
         servers replicate over the same trusted interconnect the disk
@@ -468,13 +461,12 @@ class NamingShard:
         peer = self.peer
         if peer is None or peer is self or peer.crashed:
             return
-        if op == "unbind":
+        if target is None:
             try:
                 peer.replica.unbind(name)
             except NameNotFoundError:
                 pass
         else:
-            assert target is not None
             peer.replica.rebind(name, target)
 
     # --------------------------------------------------- migration io
@@ -526,10 +518,6 @@ class NamingShard:
     def snapshot(self) -> bytes:
         """Control-plane copy of the primary table (no timeline charge)."""
         return self.service.to_bytes()
-
-    def replica_dump(self) -> bytes:
-        self._enter()
-        return self.replica.to_bytes()
 
     def replica_snapshot(self) -> bytes:
         return self.replica.to_bytes()
@@ -809,11 +797,11 @@ class ShardManager:
         )
 
 
-#: How a router invokes one shard op: ``caller(op, args_tuple)``.
-ShardCaller = Callable[[str, tuple], Any]
-
 #: Errors that mean "this shard is unreachable" — fail reads over.
 _DOWN_ERRORS = (ShardDownError, RpcTimeoutError, CircuitOpenError)
+
+#: Epoch bumps one keyed call chases before giving up on convergence.
+_MAX_REDIRECTS = 4
 
 
 class PlacementPolicy:
@@ -867,7 +855,8 @@ class ShardedNamespace:
     fails reads over to the replica peer when a primary is dead.
 
     Args:
-        callers: shard id -> transport (direct closure or RPC stub).
+        callers: shard id -> transport, ``caller(op, *args)`` (a
+            :data:`repro.rpc.endpoint.Caller`, direct or over the bus).
         fetch_map: the manager's authoritative-map fetch.
         peer_of: shard id -> replica peer id (None = no failover).
         metrics: shared registry.
@@ -877,14 +866,13 @@ class ShardedNamespace:
 
     def __init__(
         self,
-        callers: Dict[int, ShardCaller],
+        callers: Dict[int, Callable[..., Any]],
         fetch_map: Callable[[], ShardMap],
         *,
         peer_of: Optional[Callable[[int], Optional[int]]] = None,
         metrics: Optional[Metrics] = None,
         health: Optional[HealthRegistry] = None,
         placement: Optional[PlacementPolicy] = None,
-        max_redirects: int = 4,
     ) -> None:
         if not callers:
             raise NamingError("router needs at least one shard caller")
@@ -894,7 +882,6 @@ class ShardedNamespace:
         self.metrics = metrics or Metrics()
         self.health = health
         self.placement = placement
-        self.max_redirects = max_redirects
         self._map = fetch_map()
         #: Per-call token for mutating ops — the shard's reply cache
         #: dedupes retransmitted/duplicated deliveries against it.
@@ -902,7 +889,7 @@ class ShardedNamespace:
 
     # --------------------------------------------------------- wiring
 
-    def add_caller(self, shard_id: int, caller: ShardCaller) -> None:
+    def add_caller(self, shard_id: int, caller: Callable[..., Any]) -> None:
         """Register the transport of a shard added after construction."""
         self._callers[shard_id] = caller
 
@@ -922,29 +909,22 @@ class ShardedNamespace:
         caller = self._callers.get(shard_id)
         if caller is None:
             raise NamingError(f"no transport for shard {shard_id}")
-        return caller(op, args)
+        return caller(op, *args)
 
     def _note_down(self, shard_id: int) -> None:
         self.metrics.add("naming_shard.failovers")
         if self.health is not None:
             self.health.note_error(shard_component(shard_id), permanent=True)
 
-    def _call_keyed(self, key: str, op: str, args: tuple) -> Any:
-        """Route a keyed op to the slot owner; chase epoch bumps."""
-        for _attempt in range(self.max_redirects + 1):
-            shard_id = self._map.owner_of(key)
-            try:
-                return self._invoke(shard_id, op, args)
-            except WrongShardError:
-                self.metrics.add("naming_shard.redirects")
-                self._map = self._fetch_map()
-        raise NamingError(
-            f"shard map did not converge after {self.max_redirects} redirects"
-        )
+    def _call_keyed(
+        self, key: str, op: str, args: tuple, *, failover: bool = False
+    ) -> Any:
+        """Route a keyed op to the slot owner; chase epoch bumps.
 
-    def _read_keyed(self, key: str, op: str, args: tuple) -> Any:
-        """A keyed *read*: on a dead primary, serve from the peer replica."""
-        for _attempt in range(self.max_redirects + 1):
+        With ``failover`` (reads only) a dead primary is answered from
+        its peer's replica instead of surfacing as unavailability.
+        """
+        for _attempt in range(_MAX_REDIRECTS + 1):
             shard_id = self._map.owner_of(key)
             try:
                 return self._invoke(shard_id, op, args)
@@ -952,10 +932,12 @@ class ShardedNamespace:
                 self.metrics.add("naming_shard.redirects")
                 self._map = self._fetch_map()
             except _DOWN_ERRORS:
+                if not failover:
+                    raise
                 self._note_down(shard_id)
                 return self._failover_read(shard_id, op, args)
         raise NamingError(
-            f"shard map did not converge after {self.max_redirects} redirects"
+            f"shard map did not converge after {_MAX_REDIRECTS} redirects"
         )
 
     def _failover_read(self, shard_id: int, op: str, args: tuple) -> Any:
@@ -964,7 +946,7 @@ class ShardedNamespace:
             raise ShardDownError(
                 f"shard {shard_id} is down and has no replica peer"
             )
-        return self._invoke(peer_id, "replica_" + op, args)
+        return self._invoke(peer_id, "replica_read", (op, *args))
 
     def _read_all(self, op: str, args: tuple) -> Iterator[Tuple[int, Any]]:
         """Fan a read out to every shard, replica-failing-over per shard."""
@@ -995,7 +977,7 @@ class ShardedNamespace:
     def resolve(self, query: AttributedName) -> Target:
         key = routing_key(query)
         if key is not None:
-            return self._read_keyed(key, "resolve", (query,))
+            return self._call_keyed(key, "resolve", (query,), failover=True)
         self.metrics.add("naming_shard.fan_outs")
         matches: List[Tuple[int, AttributedName, Target, bool]] = []
         for shard_id, local in self._read_all("match", (query,)):
@@ -1029,7 +1011,9 @@ class ShardedNamespace:
         return results
 
     def __contains__(self, name: AttributedName) -> bool:
-        return bool(self._read_keyed(canonical_key(name), "contains", (name,)))
+        return bool(
+            self._call_keyed(canonical_key(name), "contains", (name,), failover=True)
+        )
 
     def __len__(self) -> int:
         return sum(count for _sid, count in self._read_all("size", ()))
@@ -1080,12 +1064,7 @@ class ShardedNamespace:
         before.  Shards are merged in id order for byte determinism.
         """
         merged = NamingService()
-        for shard_id in sorted(self._callers):
-            try:
-                blob = self._invoke(shard_id, "dump", ())
-            except _DOWN_ERRORS:
-                self._note_down(shard_id)
-                blob = self._failover_read(shard_id, "dump", ())
+        for _shard_id, blob in self._read_all("dump", ()):
             part = NamingService.from_bytes(blob)
             for name in part:
                 merged._install(name, part.resolve(name))
@@ -1096,6 +1075,3 @@ class ShardedNamespace:
             f"ShardedNamespace({len(self._callers)} shards, "
             f"epoch={self._map.epoch})"
         )
-
-
-Shardable = Union[NamingService, ShardedNamespace]

@@ -18,10 +18,9 @@ benches established.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.common.errors import CircuitOpenError, RpcError, RpcTimeoutError
-from repro.common.ids import monotonic_id_factory
 from repro.rpc.bus import MessageBus
 from repro.rpc.retry import BackoffPolicy, CircuitBreaker
 
@@ -45,11 +44,6 @@ class RpcServer:
         if op in self._ops:
             raise RpcError(f"{self.address}: op {op!r} already exposed")
         self._ops[op] = fn
-
-    def expose_object(self, obj: object, ops: Dict[str, str]) -> None:
-        """Expose methods of ``obj``: ``ops`` maps op name -> method name."""
-        for op, method_name in ops.items():
-            self.expose(op, getattr(obj, method_name))
 
     def _dispatch(self, op: str, payload: Any) -> Any:
         fn = self._ops.get(op)
@@ -97,7 +91,6 @@ class RpcClient:
         self.backoff = backoff
         self.breaker = breaker
         self._rng = random.Random(seed)
-        self._next_request_id = monotonic_id_factory()
 
     def call(self, dst: str, op: str, payload: Any) -> Any:
         """Invoke ``op`` at ``dst``; retransmits until a reply arrives.
@@ -106,7 +99,6 @@ class RpcClient:
         :class:`CircuitOpenError` as soon as the breaker trips), and
         re-raises any error the remote handler produced.
         """
-        self._next_request_id()  # request ids exist for tracing/metrics
         if self.breaker is not None and not self.breaker.allow(dst):
             raise CircuitOpenError(
                 f"circuit open for {dst!r} op {op!r}: failing fast until "
@@ -146,3 +138,46 @@ class RpcClient:
             f"attempts (bus fault seed {self.bus.seed}, profile "
             f"{self.bus.profile})"
         )
+
+
+#: How every client invokes one server operation, whatever the
+#: transport: ``caller(op, *args, **kwargs)``.
+Caller = Callable[..., Any]
+
+
+def expose(rpc_server: RpcServer, obj: object, ops: Tuple[str, ...]) -> None:
+    """Expose the methods of ``obj`` named in ``ops`` on an RPC endpoint.
+
+    Payloads are ``(args, kwargs)`` tuples; every operation is
+    positional and therefore idempotent under retransmission.
+    """
+
+    def wrap(method: Callable[..., Any]) -> Callable[[Any], Any]:
+        return lambda payload: method(*payload[0], **payload[1])
+
+    for op in ops:
+        rpc_server.expose(op, wrap(getattr(obj, op)))
+
+
+def direct_caller(obj: object, ops: Tuple[str, ...]) -> Caller:
+    """In-process transport: the same op table, no bus in between.
+
+    The method is looked up when called, not when the caller is built,
+    and an op outside ``ops`` is refused exactly as an endpoint would.
+    """
+
+    def caller(op: str, *args: Any, **kwargs: Any) -> Any:
+        if op not in ops:
+            raise RpcError(f"{type(obj).__name__}: unknown op {op!r}")
+        return getattr(obj, op)(*args, **kwargs)
+
+    return caller
+
+
+def rpc_caller(client: RpcClient, address: str) -> Caller:
+    """Bus transport: one RPC per operation; faults and breakers apply."""
+
+    def caller(op: str, *args: Any, **kwargs: Any) -> Any:
+        return client.call(address, op, (args, kwargs))
+
+    return caller

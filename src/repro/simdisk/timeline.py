@@ -6,26 +6,26 @@ two *different* disks cost the sum of their service times instead of
 the max.  The timeline splits the two meanings that call conflated:
 
 * **service time charged to a disk** — each :class:`SimDisk` owns a
-  :class:`DiskTimeline` whose ``busy_until_us`` advances by the
-  modelled service time of every reference it absorbs;
+  :class:`DiskTimeline` (:class:`repro.common.frames.Timeline`) whose
+  ``busy_until_us`` advances by the modelled service time of every
+  reference it absorbs;
 * **global clock advanced** — only happens when somebody *waits* for a
   timeline: the blocking path (``charge`` with no active frame) waits
   inline, exactly reproducing the old semantics for sequential
   callers, while overlapped paths defer the wait to the event loop.
 
-The frame machinery itself lives in :mod:`repro.common.frames` (so the
-rpc and agent layers can charge their latencies frame-aware without
-importing the disk substrate); this module re-exports it for the
-pipeline and driver, and adds the disk-specific busy-until resource.
+The frame machinery and the busy-until class itself live in
+:mod:`repro.common.frames` (so the rpc, agent and naming layers can
+charge their latencies frame-aware without importing the disk
+substrate); this module re-exports them for the disk side.
 """
 
 from __future__ import annotations
 
-from repro.analysis import monitor as _monitor
-from repro.common.clock import SimClock
 from repro.common.frames import (  # noqa: F401 - re-exported surface
     FrameFork,
     ServiceFrame,
+    Timeline,
     active_frame,
     ceil_us,
     charge_elapsed,
@@ -33,85 +33,5 @@ from repro.common.frames import (  # noqa: F401 - re-exported surface
     service_frame,
 )
 
-
-class DiskTimeline:
-    """One disk's busy-until timeline.
-
-    Args:
-        clock: the shared simulated clock the timeline waits against.
-
-    Attributes:
-        busy_until_us: absolute time the disk finishes its last
-            accepted reference; new charges start at
-            ``max(now, busy_until_us)``.
-        busy_total_us: cumulative service time ever charged — the
-            numerator of the utilization gauge.
-        last_wait_us: queue wait of the most recent charge (how long it
-            sat behind earlier reservations).
-    """
-
-    __slots__ = ("clock", "busy_until_us", "busy_total_us", "last_wait_us")
-
-    def __init__(self, clock: SimClock) -> None:
-        self.clock = clock
-        self.busy_until_us = 0
-        self.busy_total_us = 0
-        self.last_wait_us = 0
-
-    def charge(self, elapsed_us: float) -> tuple[int, int]:
-        """Charge one reference's service time; returns ``(start, end)``.
-
-        With no frame active this blocks in simulated time — the global
-        clock advances to ``end`` exactly as the old inline
-        ``advance_us`` did for sequential callers.  Inside a
-        :func:`~repro.common.frames.service_frame` only the frame
-        cursor moves; the global clock is left for the event loop to
-        advance.
-        """
-        return self.charge_ceiled(ceil_us(elapsed_us))
-
-    def charge_ceiled(self, busy: int) -> tuple[int, int]:
-        """:meth:`charge` for a service time already in whole us.
-
-        The disk's service-time memo caches the ceiled integer next to
-        the raw float, so repeat references skip the rounding too.
-        """
-        # Reservation order is a real synchronization point: the disk
-        # head serves charges in the order they reserved the timeline.
-        # (Guarded so the no-monitor common case pays two attribute
-        # reads instead of a no-op method call.)
-        mon = _monitor.active()
-        if mon.enabled:
-            mon.chain(self)
-        frame = active_frame(self.clock)
-        now = frame.cursor_us if frame is not None else self.clock.now_us
-        start = max(now, self.busy_until_us)
-        end = start + busy
-        self.busy_until_us = end
-        self.busy_total_us += busy
-        self.last_wait_us = start - now
-        if frame is not None:
-            frame.cursor_us = end
-            frame.waited_us += start - now
-            frame.charged_us += busy
-        else:
-            self.clock.advance_to(end)
-        return start, end
-
-    def utilization_percent(self) -> int:
-        """Busy time as an integer percentage of elapsed simulated time.
-
-        Measured against the later of the global clock and the
-        timeline's own horizon, so deferred-mode reservations count as
-        elapsed time instead of inflating the ratio past 100.
-        """
-        horizon = max(self.clock.now_us, self.busy_until_us)
-        if horizon <= 0:
-            return 0
-        return min(100, self.busy_total_us * 100 // horizon)
-
-    def __repr__(self) -> str:
-        return (
-            f"DiskTimeline(busy_until_us={self.busy_until_us}, "
-            f"busy_total_us={self.busy_total_us})"
-        )
+#: The disk side's historical name for the one busy-until class.
+DiskTimeline = Timeline

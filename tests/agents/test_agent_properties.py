@@ -8,13 +8,12 @@ must behave exactly like a plain bytearray, regardless of cache size
 from hypothesis import given, settings, strategies as st
 
 from repro.agents.file_agent import FileAgent
-from repro.agents.routing import DirectRouter
 from repro.common.clock import SimClock
 from repro.common.metrics import Metrics
 from repro.common.units import BLOCK_SIZE
 from repro.naming.attributed import AttributedName
 from repro.naming.service import NamingService
-from tests.conftest import build_file_server
+from tests.conftest import build_direct_router, build_file_server
 
 SPAN = 3 * BLOCK_SIZE  # the byte range ops play within
 
@@ -41,7 +40,7 @@ def run_against_oracle(ops, cache_blocks):
     agent = FileAgent(
         "m0",
         naming,
-        DirectRouter({0: server}),
+        build_direct_router({0: server}),
         clock,
         metrics,
         cache_blocks=cache_blocks,

@@ -5,7 +5,6 @@ import os
 import pytest
 
 from repro.agents.file_agent import FileAgent
-from repro.agents.routing import DirectRouter
 from repro.common.clock import SimClock
 from repro.common.errors import BadDescriptorError, FileSizeError
 from repro.common.ids import DEVICE_DESCRIPTOR_LIMIT
@@ -13,7 +12,7 @@ from repro.common.metrics import Metrics
 from repro.common.units import BLOCK_SIZE
 from repro.naming.attributed import AttributedName
 from repro.naming.service import NamingService
-from tests.conftest import build_file_server
+from tests.conftest import build_direct_router, build_file_server
 
 
 def build_agent(cache_blocks=64):
@@ -23,7 +22,7 @@ def build_agent(cache_blocks=64):
     agent = FileAgent(
         "m0",
         naming,
-        DirectRouter({0: server}),
+        build_direct_router({0: server}),
         clock,
         metrics,
         cache_blocks=cache_blocks,

@@ -5,7 +5,6 @@ import pytest
 from repro.agents.devices import DeviceAgent
 from repro.agents.file_agent import FileAgent
 from repro.agents.process import Process
-from repro.agents.routing import DirectRouter
 from repro.common.clock import SimClock
 from repro.common.errors import BadDescriptorError, ProcessError
 from repro.common.ids import (
@@ -16,7 +15,7 @@ from repro.common.ids import (
 from repro.common.metrics import Metrics
 from repro.naming.attributed import AttributedName
 from repro.naming.service import NamingService
-from tests.conftest import build_file_server
+from tests.conftest import build_direct_router, build_file_server
 
 
 @pytest.fixture
@@ -26,7 +25,7 @@ def setup():
     naming = NamingService(metrics)
     device_agent = DeviceAgent("m0", naming, metrics)
     file_agent = FileAgent(
-        "m0", naming, DirectRouter({0: server}), clock, metrics
+        "m0", naming, build_direct_router({0: server}), clock, metrics
     )
     return Process(device_agent, file_agent), device_agent, file_agent, server
 

@@ -1,20 +1,22 @@
-"""Routers: direct and RPC-backed, same surface."""
+"""The file-service router over both transports: same surface, same refusals."""
 
 import pytest
 
-from repro.agents.routing import (
-    DirectRouter,
-    FILE_SERVER_OPS,
-    RpcRouter,
-    expose_file_server,
-)
+from repro.agents.routing import FILE_SERVER_OPS, FileServiceRouter
 from repro.common.clock import SimClock
-from repro.common.errors import FileNotFoundError_, FileServiceError
+from repro.common.errors import FileNotFoundError_, FileServiceError, RpcError
 from repro.common.ids import SystemName
 from repro.common.metrics import Metrics
+from repro.naming.shard import NAMING_SHARD_OPS, NamingShard
 from repro.rpc.bus import MessageBus
-from repro.rpc.endpoint import RpcClient, RpcServer
-from tests.conftest import build_file_server
+from repro.rpc.endpoint import (
+    RpcClient,
+    RpcServer,
+    direct_caller,
+    expose,
+    rpc_caller,
+)
+from tests.conftest import build_direct_router, build_file_server
 
 
 def build_direct(n_volumes=2):
@@ -23,21 +25,22 @@ def build_direct(n_volumes=2):
         volume: build_file_server(clock, metrics, volume_id=volume)
         for volume in range(n_volumes)
     }
-    return DirectRouter(servers), servers, clock, metrics
+    return build_direct_router(servers), servers, clock, metrics
 
 
 def build_rpc(n_volumes=2):
     clock, metrics = SimClock(), Metrics()
     bus = MessageBus(clock, metrics)
+    client = RpcClient(bus)
     servers = {}
-    addresses = {}
+    callers = {}
     for volume in range(n_volumes):
         server = build_file_server(clock, metrics, volume_id=volume)
         address = f"fs.{volume}"
-        expose_file_server(server, RpcServer(bus, address))
+        expose(RpcServer(bus, address), server, FILE_SERVER_OPS)
         servers[volume] = server
-        addresses[volume] = address
-    return RpcRouter(RpcClient(bus), addresses), servers, clock, metrics
+        callers[volume] = rpc_caller(client, address)
+    return FileServiceRouter(callers), servers, clock, metrics
 
 
 @pytest.mark.parametrize("builder", [build_direct, build_rpc])
@@ -72,6 +75,16 @@ class TestRouterSurface:
         with pytest.raises(FileServiceError):
             router.read(SystemName(9, 0, 1), 0, 1)
 
+    def test_unknown_volume_is_loud_on_volume_keyed_ops(self, builder):
+        """Regression: the direct router's ``flush_volume`` used to
+        return None for a volume it did not know while the RPC router
+        raised; one ``_call`` makes every method refuse alike."""
+        router, _, _, _ = builder()
+        with pytest.raises(FileServiceError, match="no file server for volume 9"):
+            router.flush_volume(9)
+        with pytest.raises(FileServiceError, match="no file server for volume 9"):
+            router.create(9)
+
     def test_remote_errors_propagate(self, builder):
         router, _, _, _ = builder()
         stale = SystemName(0, 0, 999_999)
@@ -86,6 +99,36 @@ class TestRouterSurface:
         assert metrics.get("file_server.0.flushes") >= 1
 
 
+def _file_server():
+    server = build_file_server(SimClock(), Metrics())
+    return server, FILE_SERVER_OPS, lambda: server.disk.disk.crashed
+
+
+def _naming_shard():
+    shard = NamingShard(0, SimClock(), Metrics())
+    return shard, NAMING_SHARD_OPS, lambda: shard.crashed
+
+
+def _rpc(server, ops):
+    bus = MessageBus(SimClock(), Metrics())
+    expose(RpcServer(bus, "srv"), server, ops)
+    return rpc_caller(RpcClient(bus), "srv")
+
+
+@pytest.mark.parametrize("transport", [direct_caller, _rpc])
+@pytest.mark.parametrize("build", [_file_server, _naming_shard])
+def test_op_outside_the_table_is_refused(build, transport):
+    """Regression: in-process, any attribute used to be callable (asking
+    the direct shard transport for ``crash`` crashed the shard) while the
+    endpoint answered ``unknown op``; both transports now refuse an op
+    outside the table with the same error."""
+    server, ops, crashed = build()
+    assert "crash" not in ops and hasattr(server, "crash")
+    with pytest.raises(RpcError, match="unknown op 'crash'"):
+        transport(server, ops)("crash")
+    assert not crashed()
+
+
 class TestRpcSpecifics:
     def test_calls_cross_the_bus(self):
         router, _, _, metrics = build_rpc()
@@ -94,7 +137,14 @@ class TestRpcSpecifics:
         assert metrics.get("rpc.messages") >= 2
 
     def test_ops_table_complete(self):
-        """Every op the router calls must be in the exposure table."""
-        for op in ("create", "open", "close", "delete", "read", "write",
-                   "get_attribute", "flush"):
-            assert op in FILE_SERVER_OPS
+        """Every op the router sends must be in the exposure table."""
+        sent = []
+        router = FileServiceRouter({0: lambda op, *a, **kw: sent.append(op)})
+        name = SystemName(0, 0, 1)
+        router.create(0)
+        for method in ("open", "close", "delete", "get_attribute"):
+            getattr(router, method)(name)
+        router.read(name, 0, 1)
+        router.write(name, 0, b"x")
+        router.flush_volume(0)
+        assert sorted(sent) == sorted(FILE_SERVER_OPS)

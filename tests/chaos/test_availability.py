@@ -63,7 +63,7 @@ class TestScenarioCatalogue:
         # The RPC timeout is read from the client the cluster built:
         # move the client's timeout and the bound moves with it.
         campaign = scenario.runner(scenario)
-        client = campaign.cluster.router.client
+        client = campaign.cluster.file_client
         assert campaign.allowance_us() == recovery_allowance_us(
             scenario, client.timeout_us
         )

@@ -48,7 +48,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ClusterConfig(n_shards=0)
         with pytest.raises(ValueError):
-            ClusterConfig(n_shards=8, shard_slots=4)
+            ClusterConfig(n_shards=65)  # more shards than hash slots
         with pytest.raises(ValueError):
             ClusterConfig(shard_service_us=-1)
 

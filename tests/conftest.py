@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.agents.routing import FILE_SERVER_OPS, FileServiceRouter
 from repro.cluster.config import ClusterConfig
 from repro.cluster.system import RhodosCluster
 from repro.common.clock import SimClock
@@ -11,6 +12,7 @@ from repro.common.metrics import Metrics
 from repro.disk_service.server import DiskServer
 from repro.file_service.server import FileServer
 from repro.naming.service import NamingService
+from repro.rpc.endpoint import direct_caller
 from repro.simdisk.disk import SimDisk
 from repro.simdisk.geometry import DiskGeometry
 from repro.simdisk.stable import StableStore
@@ -73,6 +75,16 @@ def build_file_server(
         **(disk_kwargs or {}),
     )
     return FileServer(volume_id, disk_server, clock, metrics, **kwargs)
+
+
+def build_direct_router(servers: dict[int, FileServer]) -> FileServiceRouter:
+    """A router dispatching in-process to ``servers`` (volume id -> server)."""
+    return FileServiceRouter(
+        {
+            volume_id: direct_caller(server, FILE_SERVER_OPS)
+            for volume_id, server in servers.items()
+        }
+    )
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ from repro.naming.attributed import AttributedName
 from repro.naming.service import NamingService
 from repro.naming.shard import (
     DEFAULT_SLOTS,
+    NAMING_SHARD_OPS,
     NamingShard,
     PlacementPolicy,
     ShardedNamespace,
@@ -24,7 +25,7 @@ from repro.naming.shard import (
     routing_key,
     slot_of,
 )
-from repro.agents.shard_routing import direct_shard_caller
+from repro.rpc.endpoint import direct_caller
 
 
 def make_namespace(n_shards=3, service_us=0, n_slots=DEFAULT_SLOTS):
@@ -36,7 +37,10 @@ def make_namespace(n_shards=3, service_us=0, n_slots=DEFAULT_SLOTS):
     }
     manager = ShardManager(shards, n_slots=n_slots, metrics=metrics)
     namespace = ShardedNamespace(
-        {sid: direct_shard_caller(shard) for sid, shard in shards.items()},
+        {
+            sid: direct_caller(shard, NAMING_SHARD_OPS)
+            for sid, shard in shards.items()
+        },
         manager.get_map,
         peer_of=manager.peer_id_of,
         metrics=metrics,
@@ -250,6 +254,11 @@ class TestFailover:
         for index in range(5):
             assert namespace.resolve_path(f"/f{index}") == sys_name(index)
 
+    def test_replica_read_serves_reads_only(self):
+        _, _, shards, _, _ = make_namespace()
+        with pytest.raises(NamingError, match="no replica read 'unbind'"):
+            shards[0].replica_read("unbind", AttributedName.file("/a"))
+
     def test_fan_out_survives_a_dead_shard(self):
         namespace, _, shards, _, _ = make_namespace()
         bound = AttributedName.file("/solo", owner="only")
@@ -270,7 +279,7 @@ class TestRebalancing:
         self.fill(namespace)
         spare = NamingShard(2, clock, metrics)
         manager.add_shard(spare)
-        namespace.add_caller(2, direct_shard_caller(spare))
+        namespace.add_caller(2, direct_caller(spare, NAMING_SHARD_OPS))
         slots = manager.begin_rebalance(2)
         assert slots  # the new shard's tokens capture something
         while not manager.rebalance_done:
@@ -288,7 +297,7 @@ class TestRebalancing:
         self.fill(namespace, 10)
         spare = NamingShard(2, clock, metrics)
         manager.add_shard(spare)
-        namespace.add_caller(2, direct_shard_caller(spare))
+        namespace.add_caller(2, direct_caller(spare, NAMING_SHARD_OPS))
         manager.begin_rebalance(2)
         # interleave fresh writes and unbinds with the stream
         namespace.bind_path("/during", sys_name(100))
@@ -312,7 +321,7 @@ class TestRebalancing:
         self.fill(namespace, 25)
         spare = NamingShard(2, clock, metrics)
         manager.add_shard(spare)
-        namespace.add_caller(2, direct_shard_caller(spare))
+        namespace.add_caller(2, direct_caller(spare, NAMING_SHARD_OPS))
         manager.begin_rebalance(2)
         while not manager.rebalance_done:
             manager.step_rebalance(max_bindings=1)
@@ -327,7 +336,7 @@ class TestRebalancing:
         self.fill(namespace, 20)
         spare = NamingShard(2, clock, metrics)
         manager.add_shard(spare)
-        namespace.add_caller(2, direct_shard_caller(spare))
+        namespace.add_caller(2, direct_caller(spare, NAMING_SHARD_OPS))
         manager.begin_rebalance(2)
         manager.step_rebalance(max_bindings=3)
         spare.crash()
@@ -360,7 +369,9 @@ class TestRebalancing:
             assert namespace.resolve_path(f"/f{index}") == sys_name(index)
 
 
-class TestShardTimeline:
+class TestShardServiceTime:
+    """Shard service time rides the shared busy-until ``Timeline``."""
+
     def test_blocking_ops_serialize_on_one_shard(self):
         namespace, _, _, clock, _ = make_namespace(n_shards=1, service_us=250)
         before = clock.now_us

@@ -17,8 +17,15 @@ from repro.common.ids import SystemName
 from repro.common.metrics import Metrics
 from repro.naming.attributed import AttributedName, ObjectType
 from repro.naming.service import NamingService
-from repro.naming.shard import NamingShard, ShardedNamespace, ShardManager
-from repro.agents.shard_routing import direct_shard_caller
+from repro.naming.shard import (
+    _READS,
+    NAMING_SHARD_OPS,
+    NamingShard,
+    ShardedNamespace,
+    ShardManager,
+    canonical_key,
+)
+from repro.rpc.endpoint import direct_caller
 
 PATHS = [f"/d{d}/f{f}" for d in range(3) for f in range(4)]
 OWNERS = ["alice", "bob"]
@@ -33,7 +40,10 @@ def make_namespace(n_shards=3):
     }
     manager = ShardManager(shards, metrics=metrics)
     namespace = ShardedNamespace(
-        {sid: direct_shard_caller(shard) for sid, shard in shards.items()},
+        {
+            sid: direct_caller(shard, NAMING_SHARD_OPS)
+            for sid, shard in shards.items()
+        },
         manager.get_map,
         peer_of=manager.peer_id_of,
         metrics=metrics,
@@ -121,3 +131,40 @@ def test_whole_namespace_codec_is_flat_compatible(script):
                 restored.resolve_path(path)
             continue
         assert restored.resolve_path(path) == expected
+
+
+def outcome(call, *args):
+    try:
+        return "ok", call(*args)
+    except NamingError as exc:  # not-found or ambiguous alike
+        return "error", type(exc)
+
+
+@given(binding_scripts(), st.integers(min_value=2, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_replica_read_answers_as_the_primary_would(script, n_shards):
+    """After any mixed script, the peer's ``replica_read(op, *args)``
+    equals the primary's own answer for every op in the read table —
+    what a failed-over router relies on."""
+    namespace, shards = make_namespace(n_shards)
+    apply_script(namespace, script)
+    names = [AttributedName.file(p, owner=o) for p in PATHS for o in OWNERS]
+    queries = [AttributedName.file(p) for p in PATHS]
+    by_owner = [AttributedName.file(owner=o) for o in OWNERS]
+    for shard in shards.values():
+        owned = lambda name: shard.map.owner_of(canonical_key(name)) == shard.shard_id
+        probes = {
+            "resolve": [(q,) for q in queries + names if owned(q)],
+            "contains": [(n,) for n in names if owned(n)],
+            "match": [(q,) for q in queries + by_owner],
+            "list_paths": [("/",), ("/d0",), ("/nowhere",)],
+            "size": [()],
+            "names": [()],
+            "dump": [()],
+        }
+        assert set(probes) == set(_READS)
+        for op, calls in probes.items():
+            for args in calls:
+                assert outcome(shard.peer.replica_read, op, *args) == outcome(
+                    getattr(shard, op), *args
+                ), (shard.shard_id, op, args)

@@ -6,7 +6,13 @@ from repro.common.clock import SimClock
 from repro.common.errors import FileSizeError, RpcError, RpcTimeoutError
 from repro.common.metrics import Metrics
 from repro.rpc.bus import FaultProfile, MessageBus
-from repro.rpc.endpoint import RpcClient, RpcServer
+from repro.rpc.endpoint import (
+    RpcClient,
+    RpcServer,
+    direct_caller,
+    expose,
+    rpc_caller,
+)
 
 
 def build(profile=None, seed=0, **client_kwargs):
@@ -46,14 +52,36 @@ class TestDispatch:
             client.call("srv", "fail", None)
         assert metrics.get("rpc.retransmissions") == 0
 
-    def test_expose_object(self):
+    def test_expose_and_rpc_caller(self):
+        """``expose`` + ``rpc_caller``: positional and keyword arguments
+        travel as one ``(args, kwargs)`` payload; only tabled ops answer."""
+
         class Thing:
-            def ping(self, payload):
-                return ("pong", payload)
+            def ping(self, a, b=0):
+                return ("pong", a, b)
+
+            def hidden(self):
+                return "never"
 
         server, client, _, _ = build()
-        server.expose_object(Thing(), {"ping": "ping"})
-        assert client.call("srv", "ping", 1) == ("pong", 1)
+        expose(server, Thing(), ("ping",))
+        caller = rpc_caller(client, "srv")
+        assert caller("ping", 1, b=2) == ("pong", 1, 2)
+        assert client.call("srv", "ping", ((3,), {})) == ("pong", 3, 0)
+        with pytest.raises(RpcError, match="unknown op 'hidden'"):
+            caller("hidden")
+
+    def test_direct_caller_looks_the_method_up_at_call_time(self):
+        """A class-level replacement made after the caller was built is
+        what runs — the property the traced benchmark pass relies on."""
+
+        class Thing:
+            def ping(self):
+                return "old"
+
+        caller = direct_caller(Thing(), ("ping",))
+        Thing.ping = lambda self: "new"
+        assert caller("ping") == "new"
 
 
 class TestRetransmission:

@@ -1,17 +1,61 @@
 """Sector stores: the chunked fast store against the legacy oracle.
 
 :class:`SectorStore` replaced the original per-sector dict store on the
-disk's reference hot path (PR 8); :class:`LegacySectorStore` keeps the
-original implementation as a behavioural oracle.  The differential
-property test drives both with the same operation sequences — writes,
-torn-write prefixes, at-rest corruption, reads of written and of
-never-written space — and requires byte-identical results throughout.
+disk's reference hot path (PR 8); :class:`LegacySectorStore` — below,
+its only user — keeps the original implementation as a behavioural
+oracle.  The differential property test drives both with the same
+operation sequences — writes, torn-write prefixes, at-rest corruption,
+reads of written and of never-written space — and requires
+byte-identical results throughout.
 """
+
+from typing import Dict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simdisk.store import LegacySectorStore, SectorStore
+from repro.simdisk.store import SectorStore
+
+
+class LegacySectorStore:
+    """The original ``Dict[int, bytes]`` per-sector store.
+
+    Kept verbatim as the oracle for the differential property test —
+    not used by any production path.
+    """
+
+    __slots__ = ("sector_size", "_by_sector", "_zero")
+
+    def __init__(self, sector_size: int) -> None:
+        if sector_size <= 0:
+            raise ValueError("sector size must be positive")
+        self.sector_size = sector_size
+        self._by_sector: Dict[int, bytes] = {}
+        self._zero = bytes(sector_size)
+
+    def read_range(self, start: int, n_sectors: int) -> bytes:
+        zero = self._zero
+        return b"".join(
+            self._by_sector.get(sector, zero)
+            for sector in range(start, start + n_sectors)
+        )
+
+    def write_range(self, start: int, data: bytes, n_sectors: int) -> None:
+        size = self.sector_size
+        for index in range(max(0, n_sectors)):
+            offset = index * size
+            self._by_sector[start + index] = bytes(data[offset : offset + size])
+
+    def xor_byte(self, sector: int, byte_offset: int, mask: int) -> None:
+        current = bytearray(self._by_sector.get(sector, self._zero))
+        current[byte_offset] ^= mask
+        self._by_sector[sector] = bytes(current)
+
+    def chunk_count(self) -> int:
+        return len(self._by_sector)
+
+    def __repr__(self) -> str:
+        return f"LegacySectorStore({len(self._by_sector)} sectors)"
 
 SECTOR = 512
 #: Small chunk size so sequences routinely cross chunk boundaries.
