@@ -22,6 +22,7 @@ from repro.cluster.machine import Machine
 from repro.common.clock import SimClock
 from repro.common.metrics import Metrics
 from repro.common.trace import Tracer
+from repro.common.weak import weak_method
 from repro.disk_service.pipeline import DiskPipeline
 from repro.disk_service.scheduler import make_scheduler
 from repro.disk_service.server import DiskServer
@@ -112,6 +113,9 @@ class RhodosCluster:
         self.disk_servers: Dict[int, DiskServer] = {}
         self.pipelines: Dict[int, DiskPipeline] = {}
         self.file_servers: Dict[int, FileServer] = {}
+        # Arrays call back into the cluster; weakly, or every array
+        # would keep the cluster that owns it alive (common/weak.py).
+        notify_array_state = weak_method(self._on_array_state)
         for volume_id in range(self.config.n_disks):
             if self.config.raid_level is not None:
                 members = [
@@ -133,7 +137,7 @@ class RhodosCluster:
                 )
                 disk.on_state_change = (
                     lambda old, new, vid=volume_id:
-                    self._on_array_state(vid, old, new)
+                    notify_array_state(vid, old, new)
                 )
                 self.arrays[volume_id] = disk
             else:

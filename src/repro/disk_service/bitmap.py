@@ -6,16 +6,46 @@ fragment(s) are freed."  The bitmap is the *authoritative* record of
 free space; the 64x64 free-extent array is an index over it and is
 initialised and refreshed "by scanning the bitmap".
 
-Bit convention: 1 = free, 0 = allocated.
+Bit convention: 1 = free, 0 = allocated; fragment ``f`` is bit ``f & 7``
+of byte ``f >> 3``.  The ``bytearray`` is the stable-storage checkpoint
+format, so it stays the one representation; every scan over it runs
+inside a C-level primitive (a compiled byte-class ``re``, ``rstrip``,
+big-int arithmetic on the bytes an extent covers), never a Python loop
+over bytes or bits (DESIGN.md §13, "free-space path").
+
+Invariant: padding bits beyond ``n_fragments`` in the last byte are 0,
+so a scan for the end of a free run stops at the end of the disk
+without a bounds test.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+import re
+from typing import Iterator
 
 from repro.analysis import monitor as _monitor
 from repro.common.errors import BadAddressError
 from repro.disk_service.addresses import Extent
+
+#: Maximal stretches of all-free / all-allocated bytes; ``match(bits,
+#: pos).end()`` is the first byte at or after ``pos`` that is not one.
+_FULL_BYTES = re.compile(rb"\xff*")
+_EMPTY_BYTES = re.compile(rb"\x00*")
+
+
+def _trailing_ones(value: int) -> int:
+    """How many consecutive 1 bits ``value`` has from bit 0 up."""
+    return (~value & (value + 1)).bit_length() - 1
+
+
+def _trailing_zeros(value: int) -> int:
+    """How many consecutive 0 bits a non-zero ``value`` has from bit 0 up."""
+    return (value & -value).bit_length() - 1
+
+
+def _leading_ones(byte: int) -> int:
+    """How many consecutive 1 bits ``byte`` has from bit 7 down."""
+    return 8 - (byte ^ 0xFF).bit_length()
 
 
 class FragmentBitmap:
@@ -25,13 +55,10 @@ class FragmentBitmap:
         if n_fragments <= 0:
             raise ValueError("bitmap must cover at least one fragment")
         self.n_fragments = n_fragments
-        self._bits = bytearray(
-            (0xFF if all_free else 0x00) for _ in range(-(-n_fragments // 8))
+        self._bits = bytearray(b"\xff" if all_free else b"\x00") * (
+            -(-n_fragments // 8)
         )
-        # Mask off padding bits beyond n_fragments so free counts are exact.
-        excess = 8 * len(self._bits) - n_fragments
-        if excess and all_free:
-            self._bits[-1] &= 0xFF >> excess
+        self._clear_padding()
         self._free_count = n_fragments if all_free else 0
 
     # -------------------------------------------------------- queries
@@ -46,7 +73,7 @@ class FragmentBitmap:
         _monitor.active().read(
             self, extent.start, extent.end, site="bitmap.is_free_run"
         )
-        return all(self.is_free(fragment) for fragment in extent.fragments())
+        return self._extent_bits(extent) == (1 << extent.length) - 1
 
     def is_allocated_run(self, extent: Extent) -> bool:
         """True if every fragment of ``extent`` is allocated."""
@@ -54,7 +81,7 @@ class FragmentBitmap:
         _monitor.active().read(
             self, extent.start, extent.end, site="bitmap.is_allocated_run"
         )
-        return not any(self.is_free(fragment) for fragment in extent.fragments())
+        return self._extent_bits(extent) == 0
 
     @property
     def free_count(self) -> int:
@@ -63,46 +90,38 @@ class FragmentBitmap:
     def run_length_at(self, start: int) -> int:
         """Length of the free run beginning exactly at ``start`` (0 if allocated).
 
-        Scans byte-at-a-time over all-free bytes so long runs on big
-        disks are measured in O(bytes), not O(bits).
+        Host cost is a few integer operations plus one C-level scan over
+        the run's all-free bytes — nothing proportional to the run's
+        length executes in Python.
         """
         self._check(start)
-        n = self.n_fragments
         bits = self._bits
-        fragment = start
-        # Leading bits up to the next byte boundary.
-        while fragment < n and fragment & 7:
-            if not bits[fragment >> 3] & (1 << (fragment & 7)):
-                return fragment - start
-            fragment += 1
-        if fragment == start and fragment < n and not (
-            bits[fragment >> 3] & (1 << (fragment & 7))
-        ):
-            return 0
-        # Whole free bytes.
-        while fragment + 8 <= n and bits[fragment >> 3] == 0xFF:
-            fragment += 8
-        # Trailing bits.
-        while fragment < n and bits[fragment >> 3] & (1 << (fragment & 7)):
-            fragment += 1
-        return fragment - start
+        index, shift = start >> 3, start & 7
+        ones = _trailing_ones(bits[index] >> shift)
+        if ones < 8 - shift:
+            return ones
+        # The run reaches the byte boundary: skip the all-free bytes,
+        # then count the free bits the first other byte starts with.
+        index = _FULL_BYTES.match(bits, index + 1).end()
+        tail = _trailing_ones(bits[index]) if index < len(bits) else 0
+        return (index << 3) + tail - start
 
     def run_containing(self, fragment: int) -> Extent | None:
         """The maximal free run containing ``fragment``, or None."""
         if not self.is_free(fragment):
             return None
         bits = self._bits
-        start = fragment
-        # Walk left to the run's beginning, skipping all-free bytes.
-        while start > 0:
-            prev = start - 1
-            if prev & 7 == 7 and bits[prev >> 3] == 0xFF:
-                start = prev - 7
-                continue
-            if bits[prev >> 3] & (1 << (prev & 7)):
-                start = prev
-                continue
-            break
+        index, shift = fragment >> 3, fragment & 7
+        # Bits 0..shift of the byte, moved up so ``fragment`` is bit 7.
+        ones = _leading_ones((bits[index] << (7 - shift)) & 0xFF)
+        if ones <= shift:
+            start = fragment - ones + 1
+        else:
+            # Free down to the byte boundary: drop the all-free bytes
+            # before it, then count the free bits the last other byte
+            # ends with.
+            index = len(bits[:index].rstrip(b"\xff"))
+            start = (index << 3) - (_leading_ones(bits[index - 1]) if index else 0)
         return Extent(start, self.run_length_at(start))
 
     def free_runs(self) -> Iterator[Extent]:
@@ -110,81 +129,57 @@ class FragmentBitmap:
 
         This is the paper's "initialization and subsequent updation of
         this array is carried out by scanning the bitmap".  The scan
-        works a byte at a time, skipping all-free and all-allocated
-        bytes without touching individual bits, so full-disk scans of
-        large volumes stay cheap.
+        visits runs, not bytes: each step is one C-level skip over the
+        allocated bytes before a run and one over the free bytes inside
+        it, so a full-disk scan costs Python time per *run* only.
         """
         _monitor.active().read_all(self, site="bitmap.free_runs")
         n = self.n_fragments
-        bits = self._bits
-        start = None
-        for byte_index, byte in enumerate(bits):
-            base = byte_index << 3
-            if base >= n:
-                break
-            whole_byte = base + 8 <= n
-            if whole_byte and byte == 0xFF:
-                if start is None:
-                    start = base
-                continue
-            if whole_byte and byte == 0x00:
-                if start is not None:
-                    yield Extent(start, base - start)
-                    start = None
-                continue
-            limit = min(8, n - base)
-            for bit in range(limit):
-                if byte & (1 << bit):
-                    if start is None:
-                        start = base + bit
-                elif start is not None:
-                    yield Extent(start, base + bit - start)
-                    start = None
-        if start is not None:
-            yield Extent(start, n - start)
-
-    def find_free_run(self, min_length: int, *, from_fragment: int = 0) -> Extent | None:
-        """First maximal free run of at least ``min_length`` fragments."""
-        run_start = None
-        fragment = max(0, from_fragment)
-        while fragment < self.n_fragments:
-            if self.is_free(fragment):
-                if run_start is None:
-                    run_start = fragment
-                if fragment - run_start + 1 >= min_length:
-                    # Extend to the maximal run for the caller's benefit.
-                    length = fragment - run_start + 1 + self.run_length_at(fragment + 1) \
-                        if fragment + 1 < self.n_fragments else fragment - run_start + 1
-                    return Extent(run_start, length)
-            else:
-                run_start = None
-            fragment += 1
-        return None
+        position = 0
+        while position < n:
+            start = self._next_free(position)
+            if start == n:
+                return
+            length = self.run_length_at(start)
+            yield Extent(start, length)
+            # The fragment ending the run is allocated (or is the end).
+            position = start + length + 1
 
     # ------------------------------------------------------- updates
 
     def mark_allocated(self, extent: Extent) -> None:
-        """Clear the bits of ``extent``; every fragment must be free."""
+        """Clear the bits of ``extent``; every fragment must be free.
+
+        All-or-nothing: a rejected call leaves the bitmap untouched.
+        """
         self._check(extent.end - 1)
         _monitor.active().write(
             self, extent.start, extent.end, site="bitmap.mark_allocated"
         )
-        for fragment in extent.fragments():
-            if not self.is_free(fragment):
-                raise BadAddressError(f"fragment {fragment} already allocated")
-            self._bits[fragment >> 3] &= ~(1 << (fragment & 7)) & 0xFF
+        window = self._extent_bits(extent)
+        if window != (1 << extent.length) - 1:
+            raise BadAddressError(
+                f"fragment {extent.start + _trailing_ones(window)} "
+                f"already allocated"
+            )
+        self._flip_extent(extent)
         self._free_count -= extent.length
 
     def mark_free(self, extent: Extent) -> None:
-        """Set the bits of ``extent``; every fragment must be allocated."""
+        """Set the bits of ``extent``; every fragment must be allocated.
+
+        All-or-nothing: a rejected call leaves the bitmap untouched.
+        """
         self._check(extent.end - 1)
         _monitor.active().write(
             self, extent.start, extent.end, site="bitmap.mark_free"
         )
-        for fragment in extent.fragments():
-            if self.is_free(fragment):
-                raise BadAddressError(f"fragment {fragment} already free")
-            self._bits[fragment >> 3] |= 1 << (fragment & 7)
+        window = self._extent_bits(extent)
+        if window:
+            raise BadAddressError(
+                f"fragment {extent.start + _trailing_zeros(window)} already free"
+            )
+        self._flip_extent(extent)
         self._free_count += extent.length
 
     # -------------------------------------------------- persistence
@@ -196,15 +191,11 @@ class FragmentBitmap:
 
     @classmethod
     def from_bytes(cls, data: bytes, n_fragments: int) -> "FragmentBitmap":
-        bitmap = cls(n_fragments, all_free=False)
         expected = -(-n_fragments // 8)
         if len(data) != expected:
             raise ValueError(f"bitmap blob is {len(data)} bytes, expected {expected}")
-        # repro-lint: allow[shared-state-discipline] factory filling its own fresh instance
-        bitmap._bits = bytearray(data)
-        bitmap._free_count = sum(
-            1 for fragment in range(n_fragments) if bitmap.is_free(fragment)
-        )
+        bitmap = cls(n_fragments, all_free=False)
+        bitmap._load(data)
         return bitmap
 
     # ------------------------------------------------------ internal
@@ -214,6 +205,48 @@ class FragmentBitmap:
             raise BadAddressError(
                 f"fragment {fragment} outside disk of {self.n_fragments} fragments"
             )
+
+    def _clear_padding(self) -> None:
+        """Zero the bits of the last byte that lie beyond ``n_fragments``."""
+        self._bits[-1] &= 0xFF >> (-self.n_fragments & 7)
+
+    def _load(self, data: bytes) -> None:
+        """Adopt a checkpoint blob of the right length (``from_bytes``)."""
+        self._bits[:] = data
+        # A blob is outside input: it may carry set padding bits, which
+        # are neither free space nor allowed by the scans' invariant.
+        self._clear_padding()
+        self._free_count = int.from_bytes(self._bits, "little").bit_count()
+
+    def _extent_bits(self, extent: Extent) -> int:
+        """``extent``'s bits as an int: bit ``i`` is fragment ``start + i``."""
+        covering = self._bits[extent.start >> 3 : (extent.end + 7) >> 3]
+        return (int.from_bytes(covering, "little") >> (extent.start & 7)) & (
+            (1 << extent.length) - 1
+        )
+
+    def _flip_extent(self, extent: Extent) -> None:
+        """Invert every bit of ``extent`` in one update.
+
+        The callers have just checked the extent is all free or all
+        allocated, so inverting it *is* marking it the other way.
+        """
+        first, end = extent.start >> 3, (extent.end + 7) >> 3
+        mask = ((1 << extent.length) - 1) << (extent.start & 7)
+        covering = int.from_bytes(self._bits[first:end], "little") ^ mask
+        self._bits[first:end] = covering.to_bytes(end - first, "little")
+
+    def _next_free(self, position: int) -> int:
+        """First free fragment at or after ``position``; ``n_fragments`` if none."""
+        bits = self._bits
+        index, shift = position >> 3, position & 7
+        rest = bits[index] >> shift
+        if rest:
+            return position + _trailing_zeros(rest)
+        index = _EMPTY_BYTES.match(bits, index + 1).end()
+        if index == len(bits):
+            return self.n_fragments
+        return (index << 3) + _trailing_zeros(bits[index])
 
     def __repr__(self) -> str:
         return f"FragmentBitmap({self._free_count}/{self.n_fragments} free)"

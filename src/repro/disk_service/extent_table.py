@@ -104,24 +104,22 @@ class FreeExtentTable:
         _monitor.active().read_all(self, site="extent_table.take_run")
         first_row = self._row_index(n_fragments)
         for row in range(first_row, self.rows):
-            if not self._rows[row]:
+            entries = self._rows[row]
+            if not entries:
                 continue
             if row == self.rows - 1 and n_fragments >= self.rows:
-                # Oversize request: entries here are ">= rows" long; find
-                # one actually long enough.
-                candidates = [
-                    start
-                    for start in self._rows[row]
-                    if bitmap.run_length_at(start) >= n_fragments
-                ]
-                if not candidates:
-                    continue
-                start = max(candidates) if prefer_high else candidates[0]
-                self.remove_run(start)
-                return Extent(start, bitmap.run_length_at(start))
-            start = (
-                max(self._rows[row]) if prefer_high else self._rows[row][0]
-            )
+                # Oversize request: entries here are ">= rows" long; take
+                # the first (prefer_high: highest-addressed) one that is
+                # actually long enough, measuring each at most once.
+                for start in (
+                    sorted(entries, reverse=True) if prefer_high else entries
+                ):
+                    true_length = bitmap.run_length_at(start)
+                    if true_length >= n_fragments:
+                        self.remove_run(start)
+                        return Extent(start, true_length)
+                continue
+            start = max(entries) if prefer_high else entries[0]
             self.remove_run(start)
             true_length = bitmap.run_length_at(start)
             if true_length < n_fragments:
@@ -139,9 +137,12 @@ class FreeExtentTable:
         for row in range(self.rows - 1, -1, -1):
             if not self._rows[row]:
                 continue
-            best_start = max(self._rows[row], key=bitmap.run_length_at)
+            lengths = {
+                start: bitmap.run_length_at(start) for start in self._rows[row]
+            }
+            best_start = max(lengths, key=lengths.__getitem__)
             self.remove_run(best_start)
-            true_length = bitmap.run_length_at(best_start)
+            true_length = lengths[best_start]
             if true_length == 0:
                 continue
             return Extent(best_start, true_length)

@@ -26,6 +26,7 @@ tears the one merged reference and fails every rider's completion.
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional, Tuple
 
 from repro.analysis import monitor as _monitor
@@ -82,7 +83,10 @@ class DiskPipeline:
         scheduler: service-order policy (FCFS when omitted).
 
     Attaching a pipeline registers it on the server, enabling
-    ``server.submit_get`` / ``server.submit_put``.
+    ``server.submit_get`` / ``server.submit_put`` — and it is the server
+    that owns the pipeline from then on: ``DiskPipeline(server, loop)``
+    needs no one to keep the result, and the way back to the server is
+    weak.
     """
 
     def __init__(
@@ -91,7 +95,7 @@ class DiskPipeline:
         loop: EventLoop,
         scheduler: Optional[DiskScheduler] = None,
     ) -> None:
-        self.server = server
+        self._server = weakref.ref(server)
         self.loop = loop
         self.scheduler = scheduler or FcfsScheduler()
         self.queue = RequestQueue()
@@ -121,6 +125,11 @@ class DiskPipeline:
         self._last_batch_task = 0
         self._finish_tasks: List[int] = []
         server.pipeline = self
+
+    @property
+    def server(self) -> DiskServer:
+        """The disk server whose operations this pipeline queues."""
+        return self._server()
 
     # ----------------------------------------------------- submission
 

@@ -184,7 +184,8 @@ class DiskServer:
         #: Shadow pages (STABLE_ONLY) are deliberately excluded: their
         #: stable copy is *supposed* to diverge from main.
         self._mirrored: Set[Tuple[int, int]] = set()
-        self._mirrored_fragments: Set[int] = set()
+        #: fragment -> the mirrored extent covering it.
+        self._mirrored_fragments: Dict[int, Tuple[int, int]] = {}
         #: Fragments whose recorded checksum predates the last crash.
         #: A post-crash mismatch on one of these cannot be arbitrated
         #: locally (rot vs. an in-flux write the crash tore), so unless
@@ -593,7 +594,7 @@ class DiskServer:
         self._bitmap_dirty = False
         self._checksums = {}
         self._mirrored = set()
-        self._mirrored_fragments = set()
+        self._mirrored_fragments = {}
         self._unreconciled = set()
         try:
             checksums, mirrored = _decode_protection(
@@ -873,7 +874,7 @@ class DiskServer:
                     del self._checksums[fragment]
                     self.metrics.add(f"{self._prefix}.checksums_reconciled")
                     continue
-                covering = self._mirrored_extent_covering(fragment)
+                covering = self._mirrored_fragments.get(fragment)
                 stable_bytes = (
                     None
                     if covering is None
@@ -893,19 +894,6 @@ class DiskServer:
                 f"(recorded 0x{expected:08x}, computed 0x{actual:08x})"
             )
         return buffer
-
-    def _mirrored_extent_covering(
-        self, fragment: int
-    ) -> Optional[Tuple[int, int]]:
-        """The mirrored extent holding ``fragment``, if one does.
-
-        Mirrored extents never overlap (marking retires overlaps
-        first), so at most one covers the fragment.
-        """
-        for start, length in self._mirrored:
-            if start <= fragment < start + length:
-                return (start, length)
-        return None
 
     def _stable_fragment_bytes(
         self, fragment: int, covering: Tuple[int, int]
@@ -946,8 +934,14 @@ class DiskServer:
             self, extent.start, extent.end, name="protection",
             site="server.mark_mirrored",
         )
-        self._mirrored.add((extent.start, extent.length))
-        self._mirrored_fragments.update(range(extent.start, extent.end))
+        # Mirrored extents never overlap: whatever this one overlaps
+        # retires first, so each fragment has at most one covering extent.
+        self._retire_mirrored(extent)
+        covering = (extent.start, extent.length)
+        self._mirrored.add(covering)
+        self._mirrored_fragments.update(
+            dict.fromkeys(range(extent.start, extent.end), covering)
+        )
 
     def _unmark_mirrored(self, extent: Extent) -> None:
         """Retire every mirrored extent the write overlaps.
@@ -960,19 +954,19 @@ class DiskServer:
             self, extent.start, extent.end, name="protection",
             site="server.unmark_mirrored",
         )
-        if not self._mirrored_fragments.intersection(
-            range(extent.start, extent.end)
-        ):
-            return
-        for start, length in [
-            (start, length)
-            for start, length in self._mirrored
-            if start < extent.end and extent.start < start + length
-        ]:
+        self._retire_mirrored(extent)
+
+    def _retire_mirrored(self, extent: Extent) -> None:
+        """Drop the mirrored extents covering any fragment of ``extent``."""
+        covering = self._mirrored_fragments
+        for start, length in {
+            covering[fragment]
+            for fragment in range(extent.start, extent.end)
+            if fragment in covering
+        }:
             self._mirrored.discard((start, length))
-            self._mirrored_fragments.difference_update(
-                range(start, start + length)
-            )
+            for fragment in range(start, start + length):
+                del covering[fragment]
 
     def _check_extent(self, extent: Extent) -> None:
         if extent.end > self.n_fragments:

@@ -115,15 +115,18 @@ def contiguous_runs(
     one ``get_block`` invocation thanks to the count field.  Holes
     (None descriptors) are yielded as ``(block_index, n_blocks, -1)``.
     """
+    mapped = len(descriptors)
     index = first_block
     while index <= last_block:
-        desc = descriptors[index] if index < len(descriptors) else None
+        desc = descriptors[index] if index < mapped else None
         if desc is None:
             start = index
-            while index <= last_block and (
-                index >= len(descriptors) or descriptors[index] is None
-            ):
+            limit = min(last_block + 1, mapped)
+            while index < limit and descriptors[index] is None:
                 index += 1
+            if index >= mapped:
+                # Everything past the end of the map is one hole.
+                index = last_block + 1
             yield start, index - start, -1
             continue
         run = min(desc.count, last_block - index + 1)

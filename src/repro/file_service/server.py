@@ -42,6 +42,7 @@ from repro.common.ids import SystemName, monotonic_id_factory
 from repro.common.metrics import Metrics
 from repro.common.trace import NULL_TRACER, Tracer
 from repro.common.units import BLOCK_SIZE, FRAGMENTS_PER_BLOCK
+from repro.common.weak import weak_method
 from repro.disk_service.addresses import Extent
 from repro.disk_service.server import DiskServer, Stability
 from repro.file_service.attributes import FileAttributes, LockingLevel, ServiceType
@@ -140,7 +141,7 @@ class FileServer:
                 f"{self.name}.block_pool",
                 metrics,
                 data_cache_blocks,
-                writeback=self._write_block_to_disk,
+                writeback=weak_method(self._write_block_to_disk),
             )
             if data_cache_blocks > 0
             else None
@@ -654,28 +655,34 @@ class FileServer:
         if state.block_map is not None:
             return state.block_map
         full: List[Optional[BlockDescriptor]] = list(state.fit.direct)
-        for slot, address in enumerate(state.fit.single_indirect):
+        # Each slot covers a fixed span, so an absent one is a run of
+        # holes that keeps later slots aligned — but only if something
+        # mapped follows it.  Every reader treats an index past the end
+        # as a hole, so trailing holes are never materialised: the map of
+        # a file under half a megabyte is its direct descriptors, not
+        # those plus ~11 k (or ~3.7 M) empty slots.
+        holes = 0
+        for address in state.fit.single_indirect:
             if address is None:
-                full.extend([None] * DESCRIPTORS_PER_INDIRECT)
-            else:
-                blob = self.disk.get(Extent.for_block_run(address, 1))
-                full.extend(decode_indirect_block(blob))
-                self.metrics.add(f"{self.name}.indirect_loads")
-        # Double-indirect regions: each outer slot covers a fixed span,
-        # so absent slots pad with holes to keep later slots aligned.
+                holes += DESCRIPTORS_PER_INDIRECT
+                continue
+            blob = self.disk.get(Extent.for_block_run(address, 1))
+            full.extend([None] * holes)
+            holes = 0
+            full.extend(decode_indirect_block(blob))
+            self.metrics.add(f"{self.name}.indirect_loads")
         per_outer = DESCRIPTORS_PER_INDIRECT * DESCRIPTORS_PER_INDIRECT
-        used = [a for a in state.fit.double_indirect if a is not None]
-        if used:
-            for address in state.fit.double_indirect:
-                if address is None:
-                    full.extend([None] * per_outer)
-                else:
-                    region = self._load_double_indirect(address)
-                    region += [None] * (per_outer - len(region))
-                    full.extend(region)
-            # Trim the all-hole tail: keeps maps of barely-double files small.
-            while full and full[-1] is None:
-                full.pop()
+        for address in state.fit.double_indirect:
+            if address is None:
+                holes += per_outer
+                continue
+            region = self._load_double_indirect(address)
+            full.extend([None] * holes)
+            holes = 0
+            region += [None] * (per_outer - len(region))
+            full.extend(region)
+        while full and full[-1] is None:
+            full.pop()
         state.block_map = full
         return full
 

@@ -51,6 +51,7 @@ data here, so this module imports neither ``rpc`` nor ``agents``.
 from __future__ import annotations
 
 import hashlib
+import weakref
 import zlib
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -287,8 +288,7 @@ class NamingShard:
         #: on a private registry so mirrored writes don't double the
         #: shared ``naming.*`` counters.
         self.replica = NamingService()
-        #: Successor shard this primary mirrors its writes to.
-        self.peer: Optional["NamingShard"] = None
+        self._peer: Optional["weakref.ref[NamingShard]"] = None
         self.map: ShardMap = ShardMap(0, (shard_id,))
         self.crashed = False
         #: slot -> destination shard for slots migrating *out* (writes
@@ -310,6 +310,19 @@ class NamingShard:
         #: the peer resync restored the binding).
         self._done: Dict[int, Any] = {}
         self._ops = metrics.counter(f"naming_shard.{shard_id}.ops")
+
+    @property
+    def peer(self) -> Optional["NamingShard"]:
+        """Successor shard this primary mirrors its writes to.
+
+        Held weakly: peers form a ring, and the shard table that built
+        the ring is what owns every shard on it.
+        """
+        return self._peer() if self._peer is not None else None
+
+    @peer.setter
+    def peer(self, shard: Optional["NamingShard"]) -> None:
+        self._peer = weakref.ref(shard) if shard is not None else None
 
     # --------------------------------------------------------- guards
 

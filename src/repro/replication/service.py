@@ -48,6 +48,7 @@ from repro.common.errors import (
 from repro.common.frames import FrameFork
 from repro.common.ids import SystemName
 from repro.common.metrics import Metrics
+from repro.common.weak import weak_method
 from repro.file_service.attributes import FileAttributes
 from repro.file_service.server import FileServer
 from repro.naming.attributed import AttributedName
@@ -137,7 +138,7 @@ class ReplicationService:
         #: tracked so the space is reclaimed by a later sweep instead of
         #: leaking forever once the name is unbound.
         self._orphans: List[SystemName] = []
-        self.health.on_recovery(self._on_component_recovered)
+        self.health.on_recovery(weak_method(self._on_component_recovered))
 
     # -------------------------------------------------------- create
 

@@ -35,7 +35,8 @@ class RpcServer:
     """
 
     def __init__(self, bus: MessageBus, address: str) -> None:
-        self.bus = bus
+        # The bus owns its endpoints (it holds the dispatcher); the
+        # server keeps no reference back.
         self.address = address
         self._ops: Dict[str, Callable[[Any], Any]] = {}
         bus.register(address, self._dispatch)

@@ -40,6 +40,7 @@ from repro.common.errors import (
 from repro.common.frames import _FRAMES, ceil_us
 from repro.common.metrics import Metrics
 from repro.common.trace import NULL_TRACER, Tracer
+from repro.common.weak import weak_method
 from repro.simdisk.faults import FaultInjector
 from repro.simdisk.geometry import DiskGeometry
 from repro.simdisk.store import SectorStore
@@ -97,6 +98,7 @@ class SimDisk:
         "_c_busy_us",
         "_h_service_us",
         "_g_utilization",
+        "__weakref__",
     )
 
     def __init__(
@@ -155,7 +157,10 @@ class SimDisk:
         self._p_readahead = 0
         self._p_readahead_busy = 0
         self._p_service: list = []
-        metrics.register_flush(self._flush_accounting)
+        # Held weakly: the registry must not keep every disk that ever
+        # charged it alive (DESIGN.md §13); __del__ drains what a
+        # dropped disk still had pending.
+        metrics.register_flush(weak_method(self._flush_accounting))
         # Pre-bound instrument handles: the name f-strings below are the
         # only ones this disk ever formats — every reference afterwards
         # is a handle update with a cached string hash.
@@ -530,6 +535,9 @@ class SimDisk:
         hit = (ceil_us(elapsed), int(elapsed), cylinder, angular)
         memo[key] = hit
         return hit
+
+    def __del__(self) -> None:
+        self._flush_accounting()
 
     def _flush_accounting(self) -> None:
         """Drain the deferred per-reference accounting into the registry.

@@ -1,5 +1,8 @@
 """The assembled cluster: wiring, shared clock, cache toggles, RPC mode."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cluster.config import ClusterConfig
@@ -185,3 +188,60 @@ class TestRpcMode:
         descriptor = agent.open(AttributedName.file("/lossy"))
         assert agent.read(descriptor, len(payload)) == payload
         assert cluster.metrics.get("rpc.retransmissions") > 0
+
+
+class TestLifetime:
+    """A dropped cluster is freed by reference counting, not by the cycle
+    collector: ownership runs top-down and every way back (flush hooks,
+    listeners, write-back, peer links) is weak.  A campaign that builds
+    clusters in a loop otherwise carries each one's sector store until
+    the collector's next full pass."""
+
+    CONFIGS = {
+        "default": dict(),
+        "pipelined_over_the_bus": dict(
+            n_disks=2, n_machines=2, fault_profile=FaultProfile.reliable()
+        ),
+        "sharded": dict(n_disks=2, n_shards=4, fault_profile=FaultProfile.reliable()),
+        "replicated_raid5": dict(
+            n_disks=3, raid_level="raid5", raid_members=4, replication_degree=2
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_dropped_cluster_leaves_no_cyclic_garbage(self, name):
+        gc.collect()
+        gc.disable()
+        try:
+            cluster = RhodosCluster(
+                ClusterConfig(geometry=DiskGeometry.small(), **self.CONFIGS[name])
+            )
+            agent = cluster.machine.file_agent
+            descriptor = agent.create(AttributedName.file("/doomed"))
+            agent.write(descriptor, b"x" * 20_000)
+            agent.close(descriptor)
+            cluster.flush_all()
+            parts = [cluster, cluster.metrics, cluster.naming, cluster.shards[0]]
+            parts += cluster.disks + list(cluster.disk_servers.values())
+            parts += list(cluster.pipelines.values())
+            parts += list(cluster.file_servers.values())
+            watched = [weakref.ref(part) for part in parts]
+            del cluster, agent, parts
+            assert [ref() for ref in watched if ref() is not None] == []
+        finally:
+            gc.enable()
+
+    def test_dropped_disk_loses_no_accounting(self):
+        """The registry holds a disk's flush hook weakly; what the disk
+        had charged but not yet drained is drained as it goes."""
+        from repro.common.clock import SimClock
+        from repro.common.metrics import Metrics
+        from repro.simdisk.disk import SimDisk
+
+        metrics = Metrics()
+        disk = SimDisk("t", DiskGeometry.small(), SimClock(), metrics)
+        disk.write_sectors(0, bytes(512))
+        disk.read_sectors(0, 1)
+        del disk
+        assert metrics.get("disk.t.references") == 2
+        assert len(metrics.histogram_samples("disk.t.service_us")) == 2

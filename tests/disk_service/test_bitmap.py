@@ -50,6 +50,24 @@ class TestBasics:
         with pytest.raises(BadAddressError):
             bitmap.is_free(16)
 
+    def test_rejected_allocate_changes_nothing(self):
+        bitmap = FragmentBitmap(16)
+        bitmap.mark_allocated(Extent(2, 1))
+        before = bitmap.to_bytes()
+        with pytest.raises(BadAddressError, match="fragment 2 already allocated"):
+            bitmap.mark_allocated(Extent(0, 4))
+        assert bitmap.to_bytes() == before
+        assert bitmap.free_count == 15
+
+    def test_rejected_free_changes_nothing(self):
+        bitmap = FragmentBitmap(16, all_free=False)
+        bitmap.mark_free(Extent(2, 1))
+        before = bitmap.to_bytes()
+        with pytest.raises(BadAddressError, match="fragment 2 already free"):
+            bitmap.mark_free(Extent(0, 4))
+        assert bitmap.to_bytes() == before
+        assert bitmap.free_count == 1
+
 
 class TestRuns:
     @pytest.fixture
@@ -80,11 +98,6 @@ class TestRuns:
     def test_free_runs_empty_disk(self):
         assert list(FragmentBitmap(8, all_free=False).free_runs()) == []
 
-    def test_find_free_run(self, holey):
-        assert holey.find_free_run(4) == Extent(5, 7)
-        assert holey.find_free_run(3) == Extent(0, 3)
-        assert holey.find_free_run(8) is None
-
     def test_is_free_run(self, holey):
         assert holey.is_free_run(Extent(5, 7))
         assert not holey.is_free_run(Extent(2, 3))
@@ -105,3 +118,12 @@ class TestPersistence:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             FragmentBitmap.from_bytes(b"\xff", 40)
+
+    def test_set_padding_bits_are_not_free_space(self):
+        # 13 fragments: bits 5..7 of the second byte are padding.
+        restored = FragmentBitmap.from_bytes(b"\x0f\xf8", 13)
+        assert restored.free_count == 6
+        assert list(restored.free_runs()) == [Extent(0, 4), Extent(11, 2)]
+        assert restored.run_length_at(11) == 2
+        assert restored.run_containing(12) == Extent(11, 2)
+        assert restored.to_bytes() == b"\x0f\x18"

@@ -172,6 +172,12 @@ class TestContiguousRuns:
         runs = list(contiguous_runs(descs, 0, 2))
         assert runs == [(0, 1, 100), (1, 2, -1)]
 
+    def test_hole_running_past_map_end_is_one_hole(self):
+        descs = [BlockDescriptor(100, 1), None, None]
+        assert list(contiguous_runs(descs, 0, 9)) == [(0, 1, 100), (1, 9, -1)]
+        assert list(contiguous_runs(descs, 1, 2)) == [(1, 2, -1)]
+        assert list(contiguous_runs(descs, 5, 1_000_000)) == [(5, 999_996, -1)]
+
 
 class TestIndirectCodec:
     def test_round_trip(self):

@@ -9,7 +9,7 @@ from repro.common.metrics import Metrics
 from repro.common.units import BLOCK_SIZE
 from repro.file_service.attributes import LockingLevel, ServiceType
 from repro.file_service.cache import WritePolicy
-from repro.file_service.fit import DIRECT_COVERAGE_BYTES
+from repro.file_service.fit import DESCRIPTORS_PER_INDIRECT, DIRECT_COVERAGE_BYTES
 from tests.conftest import build_file_server
 
 
@@ -189,6 +189,27 @@ class TestLargeFiles:
         server.flush()
         server.recover()
         assert server.read(name, 0, size) == data
+
+    def test_island_beyond_an_empty_indirect_slot_survives_cache_drop(self, server):
+        """An absent indirect slot still pads the map when a mapped one
+        follows it; only trailing holes go unmaterialised."""
+        name = server.create()
+        island = DIRECT_COVERAGE_BYTES + (2 * DESCRIPTORS_PER_INDIRECT + 5) * BLOCK_SIZE
+        server.write(name, island, b"island")
+        server.flush()
+        server.recover()
+        assert server.read(name, island, 6) == b"island"
+        assert server.read(name, DIRECT_COVERAGE_BYTES, 8) == bytes(8)
+        assert server.read(name, island - BLOCK_SIZE, 8) == bytes(8)
+
+    def test_small_file_map_is_its_mapped_blocks(self, server):
+        name = server.create()
+        server.write(name, 0, pattern(3 * BLOCK_SIZE))
+        server.open(name)
+        server.close(name)  # the flush on close walks the full map
+        full = server._full_map(name.fit_address, server._load_state(name))
+        assert 3 <= len(full) < 16  # not 64 direct + ~11 k empty indirect slots
+        assert None not in full
 
     def test_multi_megabyte_file(self, server):
         name = server.create()
