@@ -145,6 +145,16 @@ class FragmentBitmap:
             # The fragment ending the run is allocated (or is the end).
             position = start + length + 1
 
+    def allocated_runs(self) -> Iterator[Extent]:
+        """Maximal allocated runs in address order (what :meth:`free_runs` skips)."""
+        position = 0
+        for run in self.free_runs():
+            if run.start > position:
+                yield Extent(position, run.start - position)
+            position = run.end
+        if position < self.n_fragments:
+            yield Extent(position, self.n_fragments - position)
+
     # ------------------------------------------------------- updates
 
     def mark_allocated(self, extent: Extent) -> None:

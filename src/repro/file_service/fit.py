@@ -16,19 +16,32 @@ access to at least half a megabyte of file's data".  Eight
 single-indirect and two double-indirect block references remove the
 practical file-size limit (each indirect block is a data-block-sized
 array of descriptors).
+
+This module is the one home of that layout — the **block-map tree**.
+Past the direct descriptors the logical map is cut into *leaves* of
+:data:`DESCRIPTORS_PER_INDIRECT` descriptors: leaf ``l`` covers blocks
+``DIRECT_DESCRIPTORS + l * DESCRIPTORS_PER_INDIRECT ...``, so block-index
+to leaf is one ``divmod``.  Leaves 0-7 hang off ``single_indirect``;
+leaf ``8 + 1365 * o + i`` hangs off entry ``i`` of the pointer block
+``double_indirect[o]`` names (:func:`pointer_block_of`,
+:func:`leaves_under`).  :func:`walk_tree` is the only code that follows
+those references, :func:`logical_map` the only code that lays leaves
+out flat, :func:`populated_leaves` its inverse; the file server, fsck
+and backup all go through them.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.common.errors import FileSizeError
 from repro.common.units import BLOCK_SIZE, FRAGMENT_SIZE, FRAGMENTS_PER_BLOCK
 from repro.file_service.attributes import FileAttributes, LockingLevel, ServiceType
 
-_MAGIC = b"RFIT"
+#: First bytes of every FIT fragment (what a volume scan looks for).
+FIT_MAGIC = b"RFIT"
 _HEADER = struct.Struct("<4sHHQQQQQIBBHII")
 _DESC = struct.Struct("<IH")  # address (fragment number of block start), count
 
@@ -161,7 +174,7 @@ class FileIndexTable:
         attrs = self.attributes
         parts = [
             _HEADER.pack(
-                _MAGIC,
+                FIT_MAGIC,
                 1,  # version
                 0,  # flags
                 attrs.generation,
@@ -213,7 +226,7 @@ class FileIndexTable:
             open_count_total,
             _n_blocks,
         ) = _HEADER.unpack_from(blob)
-        if magic != _MAGIC:
+        if magic != FIT_MAGIC:
             raise FileSizeError("not a file index table (bad magic)")
         attrs = FileAttributes(
             file_size=file_size,
@@ -263,9 +276,19 @@ class FileIndexTable:
             address is not None for address in self.double_indirect
         )
 
-    def refresh_direct_counts(self) -> None:
-        """Recompute the contiguity counts of the direct descriptors."""
-        self.direct = recompute_counts(self.direct)
+    def plausible_on(self, n_fragments: int) -> bool:
+        """Could this be a live FIT of a disk of ``n_fragments`` fragments?
+
+        Weeds out data blocks that merely contain FIT-like bytes.
+        """
+        attrs = self.attributes
+        if attrs.generation <= 0 or attrs.file_size > n_fragments * FRAGMENT_SIZE:
+            return False
+        addresses = [desc.address for desc in self.direct if desc is not None]
+        addresses += self.single_indirect + self.double_indirect
+        return all(
+            address is None or address < n_fragments for address in addresses
+        )
 
 
 def encode_indirect_block(
@@ -300,3 +323,108 @@ def decode_indirect_block(blob: bytes) -> List[Optional[BlockDescriptor]]:
             None if address == NULL_ADDRESS else BlockDescriptor(address, max(count, 1))
         )
     return descriptors
+
+
+# ------------------------------------------------------ block-map tree
+
+
+class TreeBlock(NamedTuple):
+    """One indirect block of a file's block-map tree, as walked.
+
+    Attributes:
+        leaf: the leaf's number; None for a double-indirect pointer block.
+        address: fragment number where the 8 KB block starts.
+        descriptors: its decoded descriptor array (for a pointer block,
+            one descriptor per leaf it names); None if the walker's
+            ``read`` returned None for it.
+    """
+
+    leaf: Optional[int]
+    address: int
+    descriptors: Optional[List[Optional[BlockDescriptor]]]
+
+
+def pointer_block_of(leaf: int) -> Optional[int]:
+    """The ``double_indirect`` slot whose pointer block names ``leaf``.
+
+    None for leaves 0-7, which the FIT names itself (``single_indirect``).
+    """
+    if leaf < SINGLE_INDIRECT_SLOTS:
+        return None
+    outer = (leaf - SINGLE_INDIRECT_SLOTS) // DESCRIPTORS_PER_INDIRECT
+    if outer >= DOUBLE_INDIRECT_SLOTS:
+        raise FileSizeError("file exceeds even the double-indirect range")
+    return outer
+
+
+def leaves_under(outer: int) -> range:
+    """The leaves ``double_indirect[outer]``'s pointer block names, entry by entry."""
+    first = SINGLE_INDIRECT_SLOTS + outer * DESCRIPTORS_PER_INDIRECT
+    return range(first, first + DESCRIPTORS_PER_INDIRECT)
+
+
+def walk_tree(
+    fit: FileIndexTable, read: Callable[[int], Optional[bytes]]
+) -> Iterator[TreeBlock]:
+    """Walk every indirect block ``fit`` references, leaves in ascending order.
+
+    ``read(address)`` fetches one 8 KB tree block; it is called exactly
+    once per block, a pointer block before the leaves it names (which
+    follow it in the iteration).  It may return None for a block the
+    caller will not trust (free in the bitmap, unreadable): that block
+    is still yielded, with ``descriptors`` None, and nothing below it is
+    visited.
+    """
+
+    def block(leaf: Optional[int], address: int) -> TreeBlock:
+        blob = read(address)
+        return TreeBlock(
+            leaf, address, None if blob is None else decode_indirect_block(blob)
+        )
+
+    for leaf, address in enumerate(fit.single_indirect):
+        if address is not None:
+            yield block(leaf, address)
+    for outer, address in enumerate(fit.double_indirect):
+        if address is None:
+            continue
+        pointers = block(None, address)
+        yield pointers
+        for leaf, pointer in zip(leaves_under(outer), pointers.descriptors or ()):
+            if pointer is not None:
+                yield block(leaf, pointer.address)
+
+
+def logical_map(
+    fit: FileIndexTable, blocks: Iterable[TreeBlock]
+) -> List[Optional[BlockDescriptor]]:
+    """Fold walked tree blocks into the flat map, index = block-index.
+
+    An absent, unread or empty leaf is a run of holes that keeps later
+    leaves aligned — but only if something mapped follows it.  Every
+    reader treats an index past the end as a hole, so the map stops at
+    the last mapped block: trailing holes are never materialised.
+    """
+    full: List[Optional[BlockDescriptor]] = list(fit.direct)
+    for block in blocks:
+        if block.leaf is None or not any(
+            desc is not None for desc in block.descriptors or ()
+        ):
+            continue
+        start = DIRECT_DESCRIPTORS + block.leaf * DESCRIPTORS_PER_INDIRECT
+        full.extend([None] * (start - len(full)))
+        full.extend(block.descriptors)
+    while full and full[-1] is None:
+        full.pop()
+    return full
+
+
+def populated_leaves(
+    block_map: List[Optional[BlockDescriptor]],
+) -> Iterator[Tuple[int, List[Optional[BlockDescriptor]]]]:
+    """``(leaf, its descriptors)`` for each leaf of a flat map that maps a block."""
+    starts = range(DIRECT_DESCRIPTORS, len(block_map), DESCRIPTORS_PER_INDIRECT)
+    for leaf, start in enumerate(starts):
+        descriptors = block_map[start : start + DESCRIPTORS_PER_INDIRECT]
+        if any(desc is not None for desc in descriptors):
+            yield leaf, descriptors

@@ -26,7 +26,8 @@ lives in the file agent (section 3).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.clock import SimClock
 from repro.common.frames import active_frame
@@ -48,16 +49,18 @@ from repro.disk_service.server import DiskServer, Stability
 from repro.file_service.attributes import FileAttributes, LockingLevel, ServiceType
 from repro.file_service.cache import BufferPool, WritePolicy
 from repro.file_service.fit import (
-    DESCRIPTORS_PER_INDIRECT,
     DIRECT_DESCRIPTORS,
     MAX_FILE_BLOCKS,
-    SINGLE_INDIRECT_SLOTS,
     BlockDescriptor,
     FileIndexTable,
     contiguous_runs,
-    decode_indirect_block,
     encode_indirect_block,
+    leaves_under,
+    logical_map,
+    pointer_block_of,
+    populated_leaves,
     recompute_counts,
+    walk_tree,
 )
 
 #: Default for how many blocks the extension policy tries to allocate
@@ -69,26 +72,20 @@ DEFAULT_GROWTH_BATCH_BLOCKS = 8
 class _OpenState:
     """Volatile bookkeeping for a file the server currently maps."""
 
-    __slots__ = (
-        "fit",
-        "fit_dirty",
-        "block_map",
-        "dirty_indirect",
-        "dirty_double",
-        "double_pointers",
-    )
+    __slots__ = ("fit", "fit_dirty", "block_map", "leaves", "tree_dirty")
 
     def __init__(self, fit: FileIndexTable) -> None:
         self.fit = fit
         self.fit_dirty = False
-        # Full logical block map (direct + loaded indirect), or None if
-        # only the direct area has been materialised.
+        # Full logical block map (direct + loaded tree), or None if only
+        # the direct area has been materialised.
         self.block_map: Optional[List[Optional[BlockDescriptor]]] = None
-        self.dirty_indirect: set[int] = set()  # single-indirect slot numbers
-        # Double-indirect dirt: (outer slot, inner index) pairs, plus the
-        # cached pointer tables (outer slot -> list of inner block addrs).
-        self.dirty_double: set[tuple[int, int]] = set()
-        self.double_pointers: Dict[int, List[Optional[int]]] = {}
+        # Leaf number -> address of the tree block holding it: filled by
+        # the load of the full map, extended as leaves are allocated.
+        self.leaves: Dict[int, int] = {}
+        # Set by every fold of the map back into the tree, which re-marks
+        # *every* populated leaf; implies ``fit_dirty``.
+        self.tree_dirty = False
 
 
 class FileServer:
@@ -133,8 +130,8 @@ class FileServer:
         #: operations so a span can report its disk-reference cost.
         self._refs_counter = f"disk.{disk_server.disk.disk_id}.references"
         self._next_generation = monotonic_id_factory()
-        self._files: Dict[int, _OpenState] = {}  # fit_address -> state
-        self._fit_lru: List[int] = []
+        #: fit_address -> state, oldest install first (the eviction order).
+        self._files: "OrderedDict[int, _OpenState]" = OrderedDict()
         self._fit_cache_entries = max(8, fit_cache_entries)
         self._data_cache: Optional[BufferPool] = (
             BufferPool(
@@ -222,7 +219,7 @@ class FileServer:
     def delete(self, name: SystemName) -> None:
         """Delete a file, freeing its data, indirect blocks and FIT."""
         state = self._load_state(name)
-        block_map = self._full_map(name.fit_address, state)
+        block_map = self._full_map(state)
         freed = 0
         for _, n_blocks, address in contiguous_runs(
             block_map, 0, len(block_map) - 1
@@ -234,19 +231,19 @@ class FileServer:
                 for index in range(n_blocks):
                     self._data_cache.invalidate(address + index * FRAGMENTS_PER_BLOCK)
             freed += n_blocks
-        for slot_addr in state.fit.single_indirect:
-            if slot_addr is not None:
-                self.disk.free(Extent.for_block_run(slot_addr, 1))
-        for slot_addr in state.fit.double_indirect:
-            if slot_addr is not None:
-                self._free_double_indirect(slot_addr)
+        # Tree blocks and the FIT were put to both copies, so each is
+        # freed *and* its stable copy released; leaves before the pointer
+        # blocks that name them, the FIT last.
+        tree = [state.leaves[leaf] for leaf in sorted(state.leaves)]
+        tree += [a for a in state.fit.double_indirect if a is not None]
+        for address in tree:
+            self._discard(Extent.for_block_run(address, 1))
         fit_extent = Extent(name.fit_address, 1)
         # Tombstone the fragment so a stale system name cannot resurrect
         # the old FIT from residual disk bytes.
         self.disk.put(fit_extent, bytes(fit_extent.byte_size))
-        self.disk.free(fit_extent)
-        self.disk.release_stable(fit_extent)
-        self._evict_state(name.fit_address)
+        self._discard(fit_extent)
+        self._files.pop(name.fit_address, None)
         self.metrics.add(f"{self.name}.deletes")
         self.metrics.add(f"{self.name}.blocks_freed", freed)
 
@@ -286,7 +283,7 @@ class FileServer:
             return b""
         first_block = offset // BLOCK_SIZE
         last_block = (end - 1) // BLOCK_SIZE
-        block_map = self._map_through(name.fit_address, state, last_block)
+        block_map = self._map_through(state, last_block)
         pieces: List[bytes] = []
         for block_index, n_blocks, address in contiguous_runs(
             block_map, first_block, last_block
@@ -341,9 +338,9 @@ class FileServer:
                 f"write would exceed the maximum mapped file size "
                 f"({MAX_FILE_BLOCKS} blocks)"
             )
-        block_map = self._map_through(name.fit_address, state, last_block)
+        block_map = self._map_through(state, last_block)
         structural_change = self._allocate_missing(
-            name.fit_address, state, block_map, first_block, last_block
+            state, block_map, first_block, last_block
         )
         through = (
             self.write_policy is WritePolicy.WRITE_THROUGH
@@ -430,7 +427,7 @@ class FileServer:
     ) -> Optional[BlockDescriptor]:
         """Descriptor of one logical block (None for a hole)."""
         state = self._load_state(name)
-        block_map = self._map_through(name.fit_address, state, block_index)
+        block_map = self._map_through(state, block_index)
         if block_index >= len(block_map):
             return None
         return block_map[block_index]
@@ -448,10 +445,10 @@ class FileServer:
         FIT written through to original + stable storage.
         """
         state = self._load_state(name)
-        block_map = self._map_through(name.fit_address, state, block_index)
+        block_map = self._map_through(state, block_index)
         old = block_map[block_index]
         block_map[block_index] = BlockDescriptor(new_address, 1)
-        self._writeback_map(name.fit_address, state, block_map)
+        self._writeback_map(state, block_map)
         if self._data_cache is not None and old is not None:
             self._data_cache.invalidate(old.address)
         self._store_fit(name.fit_address, state)
@@ -483,7 +480,7 @@ class FileServer:
         if self._data_cache is not None:
             self._flush_data_blocks()
         for fit_address, state in list(self._files.items()):
-            if state.fit_dirty or state.dirty_indirect:
+            if state.fit_dirty:
                 self._store_fit(fit_address, state)
         self.disk.flush()
         self.metrics.add(f"{self.name}.flushes")
@@ -530,44 +527,33 @@ class FileServer:
         :meth:`recover` runs after the disk is repaired.
         """
         self.disk.disk.crash()
-        self._files.clear()
-        self._fit_lru.clear()
-        if self._data_cache is not None:
-            self._data_cache.invalidate_all()
+        self._drop_volatile()
         self.metrics.add(f"{self.name}.crashes")
 
     def recover(self) -> None:
         """Drop volatile state after a crash; reload from the disk service."""
-        self._files.clear()
-        self._fit_lru.clear()
-        if self._data_cache is not None:
-            self._data_cache.invalidate_all()
+        self._drop_volatile()
         self.disk.recover()
         self.metrics.add(f"{self.name}.recoveries")
+
+    def _drop_volatile(self) -> None:
+        self._files.clear()
+        if self._data_cache is not None:
+            self._data_cache.invalidate_all()
 
     # ====================================================== internal
 
     # ---- state / FIT management
 
     def _install_state(self, fit_address: int, state: _OpenState) -> None:
-        self._files[fit_address] = state
-        if fit_address in self._fit_lru:
-            self._fit_lru.remove(fit_address)
-        self._fit_lru.append(fit_address)
-        while len(self._fit_lru) > self._fit_cache_entries:
-            victim = self._fit_lru[0]
-            victim_state = self._files.get(victim)
-            if victim_state is not None and (
-                victim_state.fit_dirty or victim_state.dirty_indirect
-            ):
+        files = self._files
+        files[fit_address] = state
+        files.move_to_end(fit_address)
+        while len(files) > self._fit_cache_entries:
+            victim, victim_state = next(iter(files.items()))
+            if victim_state.fit_dirty:
                 self._store_fit(victim, victim_state)
-            self._fit_lru.pop(0)
-            self._files.pop(victim, None)
-
-    def _evict_state(self, fit_address: int) -> None:
-        self._files.pop(fit_address, None)
-        if fit_address in self._fit_lru:
-            self._fit_lru.remove(fit_address)
+            del files[victim]
 
     def _load_state(self, name: SystemName) -> _OpenState:
         if name.volume_id != self.volume_id:
@@ -615,8 +601,16 @@ class FileServer:
         return fit
 
     def _store_fit(self, fit_address: int, state: _OpenState) -> None:
-        """FIT and dirty indirect blocks to original + stable storage."""
-        self._flush_indirect(fit_address, state)
+        """Dirty tree blocks, then the FIT, to original + stable storage."""
+        if state.tree_dirty and state.block_map is not None:
+            for address, descriptors in self._tree_writes(state):
+                self.disk.put(
+                    Extent.for_block_run(address, 1),
+                    encode_indirect_block(descriptors),
+                    stability=Stability.BOTH,
+                )
+                self.metrics.add(f"{self.name}.indirect_stores")
+        state.tree_dirty = False
         self.disk.put(
             Extent(fit_address, 1),
             state.fit.encode(),
@@ -628,215 +622,102 @@ class FileServer:
     def _flush_file(self, fit_address: int, state: _OpenState) -> None:
         if self._data_cache is not None:
             addresses = {
-                desc.address
-                for desc in self._full_map(fit_address, state)
-                if desc is not None
+                desc.address for desc in self._full_map(state) if desc is not None
             }
             self._data_cache.flush_matching(lambda key: key in addresses)
-        if state.fit_dirty or state.dirty_indirect:
+        if state.fit_dirty:
             self._store_fit(fit_address, state)
 
-    # ---- block map (direct + indirect)
+    def _discard(self, extent: Extent) -> None:
+        """Free an extent that was put with ``Stability.BOTH``."""
+        self.disk.free(extent)
+        self.disk.release_stable(extent)
+
+    # ---- block map (direct descriptors + block-map tree, see fit.py)
 
     def _map_through(
-        self, fit_address: int, state: _OpenState, last_block: int
+        self, state: _OpenState, last_block: int
     ) -> List[Optional[BlockDescriptor]]:
         """The logical block map, materialised through ``last_block``."""
         if last_block < DIRECT_DESCRIPTORS and state.block_map is None:
             return state.fit.direct
-        full = self._full_map(fit_address, state)
+        full = self._full_map(state)
         while len(full) <= last_block:
             full.append(None)
         return full
 
-    def _full_map(
-        self, fit_address: int, state: _OpenState
-    ) -> List[Optional[BlockDescriptor]]:
-        if state.block_map is not None:
-            return state.block_map
-        full: List[Optional[BlockDescriptor]] = list(state.fit.direct)
-        # Each slot covers a fixed span, so an absent one is a run of
-        # holes that keeps later slots aligned — but only if something
-        # mapped follows it.  Every reader treats an index past the end
-        # as a hole, so trailing holes are never materialised: the map of
-        # a file under half a megabyte is its direct descriptors, not
-        # those plus ~11 k (or ~3.7 M) empty slots.
-        holes = 0
-        for address in state.fit.single_indirect:
-            if address is None:
-                holes += DESCRIPTORS_PER_INDIRECT
-                continue
-            blob = self.disk.get(Extent.for_block_run(address, 1))
-            full.extend([None] * holes)
-            holes = 0
-            full.extend(decode_indirect_block(blob))
-            self.metrics.add(f"{self.name}.indirect_loads")
-        per_outer = DESCRIPTORS_PER_INDIRECT * DESCRIPTORS_PER_INDIRECT
-        for address in state.fit.double_indirect:
-            if address is None:
-                holes += per_outer
-                continue
-            region = self._load_double_indirect(address)
-            full.extend([None] * holes)
-            holes = 0
-            region += [None] * (per_outer - len(region))
-            full.extend(region)
-        while full and full[-1] is None:
-            full.pop()
-        state.block_map = full
-        return full
+    def _full_map(self, state: _OpenState) -> List[Optional[BlockDescriptor]]:
+        """The whole logical map; the first call walks the tree from disk."""
+        if state.block_map is None:
+            blocks = []
+            for block in walk_tree(state.fit, self._read_tree_block):
+                blocks.append(block)
+                if block.leaf is not None:
+                    state.leaves[block.leaf] = block.address
+                    self.metrics.add(f"{self.name}.indirect_loads")
+            state.block_map = logical_map(state.fit, blocks)
+        return state.block_map
 
-    def _load_double_indirect(
-        self, address: int
-    ) -> List[Optional[BlockDescriptor]]:
-        blob = self.disk.get(Extent.for_block_run(address, 1))
-        pointers = decode_indirect_block(blob)
-        out: List[Optional[BlockDescriptor]] = []
-        for pointer in pointers:
-            if pointer is None:
-                out.extend([None] * DESCRIPTORS_PER_INDIRECT)
-            else:
-                inner = self.disk.get(Extent.for_block_run(pointer.address, 1))
-                out.extend(decode_indirect_block(inner))
-                self.metrics.add(f"{self.name}.indirect_loads")
-        return out
-
-    def _free_double_indirect(self, address: int) -> None:
-        blob = self.disk.get(Extent.for_block_run(address, 1))
-        for pointer in decode_indirect_block(blob):
-            if pointer is not None:
-                self.disk.free(Extent.for_block_run(pointer.address, 1))
-        self.disk.free(Extent.for_block_run(address, 1))
+    def _read_tree_block(self, address: int) -> bytes:
+        return self.disk.get(Extent.for_block_run(address, 1))
 
     def _writeback_map(
-        self,
-        fit_address: int,
-        state: _OpenState,
-        block_map: List[Optional[BlockDescriptor]],
+        self, state: _OpenState, block_map: List[Optional[BlockDescriptor]]
     ) -> None:
-        """Recompute counts and fold the map back into FIT + indirect blocks."""
+        """Recompute counts and fold the map back into FIT + tree."""
         block_map = recompute_counts(block_map)
         state.block_map = block_map if len(block_map) > DIRECT_DESCRIPTORS else None
-        state.fit.direct = list(block_map[:DIRECT_DESCRIPTORS]) + [None] * max(
-            0, DIRECT_DESCRIPTORS - len(block_map)
+        state.fit.direct = block_map[:DIRECT_DESCRIPTORS] + [None] * (
+            DIRECT_DESCRIPTORS - len(block_map)
         )
-        state.fit.direct = state.fit.direct[:DIRECT_DESCRIPTORS]
         state.fit_dirty = True
-        overflow = block_map[DIRECT_DESCRIPTORS:]
-        if not any(desc is not None for desc in overflow):
-            return
-        for slot in range(SINGLE_INDIRECT_SLOTS):
-            lo = slot * DESCRIPTORS_PER_INDIRECT
-            hi = lo + DESCRIPTORS_PER_INDIRECT
-            chunk = overflow[lo:hi]
-            if not any(desc is not None for desc in chunk):
-                continue
-            if state.fit.single_indirect[slot] is None:
-                indirect_extent = self.disk.allocate_block(1)
-                state.fit.single_indirect[slot] = indirect_extent.start
-            state.dirty_indirect.add(slot)
-        beyond = overflow[SINGLE_INDIRECT_SLOTS * DESCRIPTORS_PER_INDIRECT :]
-        if not any(desc is not None for desc in beyond):
-            return
-        # Double-indirect growth: mark each touched (outer, inner) chunk.
-        per_outer = DESCRIPTORS_PER_INDIRECT * DESCRIPTORS_PER_INDIRECT
-        for rel, desc in enumerate(beyond):
-            if desc is None:
-                continue
-            outer = rel // per_outer
-            inner = (rel % per_outer) // DESCRIPTORS_PER_INDIRECT
-            if outer >= len(state.fit.double_indirect):
-                raise FileSizeError(
-                    "file exceeds even the double-indirect range"
-                )
-            if state.fit.double_indirect[outer] is None:
-                pointer_block = self.disk.allocate_block(1)
-                state.fit.double_indirect[outer] = pointer_block.start
-                state.double_pointers[outer] = (
-                    [None] * DESCRIPTORS_PER_INDIRECT
-                )
-            state.dirty_double.add((outer, inner))
+        # Whatever a populated leaf needs *in the FIT* is allocated now —
+        # its own block (leaves 0-7) or its pointer block — because the
+        # caller stores the FIT next; a leaf below a pointer block gets
+        # its block when first flushed (_tree_writes).
+        fit = state.fit
+        for leaf, _ in populated_leaves(block_map):
+            state.tree_dirty = True
+            outer = pointer_block_of(leaf)
+            if outer is None:
+                if leaf not in state.leaves:
+                    address = self.disk.allocate_block(1).start
+                    state.leaves[leaf] = fit.single_indirect[leaf] = address
+            elif fit.double_indirect[outer] is None:
+                fit.double_indirect[outer] = self.disk.allocate_block(1).start
 
-    def _flush_indirect(self, fit_address: int, state: _OpenState) -> None:
-        if (
-            not state.dirty_indirect and not state.dirty_double
-        ) or state.block_map is None:
-            state.dirty_indirect.clear()
-            state.dirty_double.clear()
-            return
-        self._flush_double_indirect(state)
-        for slot in sorted(state.dirty_indirect):
-            address = state.fit.single_indirect[slot]
-            if address is None:
-                continue
-            lo = DIRECT_DESCRIPTORS + slot * DESCRIPTORS_PER_INDIRECT
-            hi = lo + DESCRIPTORS_PER_INDIRECT
-            chunk = state.block_map[lo:hi]
-            chunk += [None] * (DESCRIPTORS_PER_INDIRECT - len(chunk))
-            self.disk.put(
-                Extent.for_block_run(address, 1),
-                encode_indirect_block(chunk),
-                stability=Stability.BOTH,
-            )
-            self.metrics.add(f"{self.name}.indirect_stores")
-        state.dirty_indirect.clear()
+    def _tree_writes(
+        self, state: _OpenState
+    ) -> Iterator[Tuple[int, List[Optional[BlockDescriptor]]]]:
+        """``(address, descriptors)`` of every tree block to store, in order.
 
-    def _flush_double_indirect(self, state: _OpenState) -> None:
-        """Write dirty double-indirect chunks + their pointer blocks."""
-        if not state.dirty_double:
-            return
-        base = DIRECT_DESCRIPTORS + SINGLE_INDIRECT_SLOTS * DESCRIPTORS_PER_INDIRECT
-        per_outer = DESCRIPTORS_PER_INDIRECT * DESCRIPTORS_PER_INDIRECT
-        dirty_pointer_blocks: set[int] = set()
-        for outer, inner in sorted(state.dirty_double):
-            pointers = self._double_pointers(state, outer)
-            if pointers[inner] is None:
-                inner_block = self.disk.allocate_block(1)
-                pointers[inner] = inner_block.start
-                dirty_pointer_blocks.add(outer)
-            lo = base + outer * per_outer + inner * DESCRIPTORS_PER_INDIRECT
-            hi = lo + DESCRIPTORS_PER_INDIRECT
-            chunk = list(state.block_map[lo:hi])
-            chunk += [None] * (DESCRIPTORS_PER_INDIRECT - len(chunk))
-            self.disk.put(
-                Extent.for_block_run(pointers[inner], 1),
-                encode_indirect_block(chunk),
-                stability=Stability.BOTH,
-            )
-            self.metrics.add(f"{self.name}.indirect_stores")
-        for outer in sorted(dirty_pointer_blocks):
-            address = state.fit.double_indirect[outer]
-            pointer_descs = [
-                None if addr is None else BlockDescriptor(addr, 1)
-                for addr in state.double_pointers[outer]
+        Children go before parents — leaves under pointer blocks, the
+        pointer blocks that gained a leaf, the leaves the FIT itself
+        names; the caller stores the FIT last — so a crash never leaves
+        a stored block naming one that was never written.
+        """
+        leaves = state.leaves
+        named_by_fit, grown = [], set()
+        for leaf, descriptors in populated_leaves(state.block_map):
+            outer = pointer_block_of(leaf)
+            if outer is None:
+                named_by_fit.append((leaves[leaf], descriptors))
+                continue
+            if leaf not in leaves:
+                leaves[leaf] = self.disk.allocate_block(1).start
+                grown.add(outer)
+            yield leaves[leaf], descriptors
+        for outer in sorted(grown):
+            yield state.fit.double_indirect[outer], [
+                None if address is None else BlockDescriptor(address, 1)
+                for address in map(leaves.get, leaves_under(outer))
             ]
-            self.disk.put(
-                Extent.for_block_run(address, 1),
-                encode_indirect_block(pointer_descs),
-                stability=Stability.BOTH,
-            )
-            self.metrics.add(f"{self.name}.indirect_stores")
-        state.dirty_double.clear()
-
-    def _double_pointers(
-        self, state: _OpenState, outer: int
-    ) -> List[Optional[int]]:
-        pointers = state.double_pointers.get(outer)
-        if pointers is None:
-            address = state.fit.double_indirect[outer]
-            blob = self.disk.get(Extent.for_block_run(address, 1))
-            pointers = [
-                None if desc is None else desc.address
-                for desc in decode_indirect_block(blob)
-            ]
-            state.double_pointers[outer] = pointers
-        return pointers
+        yield from named_by_fit
 
     # ---- allocation
 
     def _allocate_missing(
         self,
-        fit_address: int,
         state: _OpenState,
         block_map: List[Optional[BlockDescriptor]],
         first_block: int,
@@ -858,10 +739,16 @@ class FileServer:
             return False
         while len(block_map) <= last_block:
             block_map.append(None)
-        runs = self._group_consecutive(missing)
-        for run_start, run_len in runs:
-            self._allocate_run(block_map, run_start, run_len)
-        self._writeback_map(fit_address, state, block_map)
+        # A reservation maps its surplus blocks past the run.  While the
+        # tree has not been loaded (``block_map`` is the direct area of a
+        # file that has one) the surplus stops at the end of that area:
+        # beyond it lie blocks the tree may already map.
+        limit = MAX_FILE_BLOCKS
+        if state.block_map is None and state.fit.uses_indirection():
+            limit = DIRECT_DESCRIPTORS
+        for run_start, run_len in self._group_consecutive(missing):
+            self._allocate_run(block_map, run_start, run_len, limit)
+        self._writeback_map(state, block_map)
         return True
 
     def _allocate_run(
@@ -869,6 +756,7 @@ class FileServer:
         block_map: List[Optional[BlockDescriptor]],
         run_start: int,
         run_len: int,
+        limit: int,
     ) -> None:
         allocated: List[Extent] = []
         # Try to continue contiguously after the preceding mapped block,
@@ -927,8 +815,9 @@ class FileServer:
                     index += 1
                     continue
                 # Surplus from the reservation: map it into the directly
-                # following unmapped slots (preallocation), free the rest.
-                if index < MAX_FILE_BLOCKS and (
+                # following unmapped slots below ``limit`` (preallocation),
+                # free the rest.
+                if index < limit and (
                     index >= len(block_map) or block_map[index] is None
                 ):
                     while len(block_map) <= index:

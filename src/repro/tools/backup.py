@@ -30,9 +30,7 @@ from repro.common.errors import FileServiceError
 from repro.common.ids import SystemName
 from repro.file_service.attributes import LockingLevel, ServiceType
 from repro.file_service.server import FileServer
-from repro.verify.fsck import _plausible_fit
-from repro.disk_service.addresses import Extent
-from repro.file_service.fit import FileIndexTable
+from repro.verify.fsck import scan_fits
 
 _MAGIC = b"RBAK"
 _VERSION = 1
@@ -49,30 +47,15 @@ class BackupEntry:
     content: bytes
 
 
-def _discover_files(server: FileServer) -> List[Tuple[int, FileIndexTable]]:
-    """Rediscover every FIT on the volume by scanning (fsck-style)."""
-    disk = server.disk
-    found = []
-    for fragment in range(disk.n_fragments):
-        if disk.bitmap.is_free(fragment):
-            continue
-        blob = disk.get(Extent(fragment, 1))
-        if blob[:4] != b"RFIT":
-            continue
-        try:
-            fit = FileIndexTable.decode(blob)
-        except Exception:  # noqa: BLE001 - skip corrupt candidates
-            continue
-        if _plausible_fit(fit, disk.n_fragments):
-            found.append((fragment, fit))
-    return found
-
-
 def dump_volume(server: FileServer) -> bytes:
-    """Serialise every file of a volume into one archive blob."""
+    """Serialise every file of a volume into one archive blob.
+
+    The files are the FITs fsck's scan rediscovers on the disk; an
+    unreadable fragment aborts the dump (:class:`MediaError`) rather
+    than silently leaving a file out of the archive.
+    """
     entries: List[bytes] = []
-    files = _discover_files(server)
-    for fit_address, fit in files:
+    for fit_address, fit in scan_fits(server.disk).items():
         attrs = fit.attributes
         name = SystemName(server.volume_id, fit_address, attrs.generation)
         content = server.read(name, 0, attrs.file_size)

@@ -3,8 +3,9 @@
 The checker works the way a real fsck must: it takes nothing on faith
 from the in-memory file server.  It scans every allocated fragment for
 file index tables (the FIT magic plus structural sanity checks), walks
-each FIT's direct and indirect block maps, and reconciles the result
-against the allocation bitmap:
+each FIT's block-map tree (through the one walker in
+:mod:`repro.file_service.fit`, reading blocks itself), and reconciles the
+result against the allocation bitmap:
 
 * **cross-linked blocks** — two files claiming the same disk block;
 * **lost blocks** — referenced by a FIT but free in the bitmap;
@@ -34,11 +35,13 @@ from repro.common.units import BLOCK_SIZE, FRAGMENTS_PER_BLOCK
 from repro.disk_service.server import DiskServer
 from repro.disk_service.addresses import Extent
 from repro.file_service.fit import (
-    DIRECT_DESCRIPTORS,
-    BlockDescriptor,
+    FIT_MAGIC,
     FileIndexTable,
-    decode_indirect_block,
+    TreeBlock,
+    logical_map,
+    pointer_block_of,
     recompute_counts,
+    walk_tree,
 )
 from repro.file_service.server import FileServer
 from repro.replication.service import ReplicationService
@@ -69,20 +72,57 @@ class FsckReport:
         )
 
 
-def _plausible_fit(fit: FileIndexTable, n_fragments: int) -> bool:
-    """Weed out data blocks that merely contain FIT-like bytes."""
-    attrs = fit.attributes
-    if attrs.generation <= 0:
-        return False
-    if attrs.file_size > n_fragments * 2048:
-        return False
-    for desc in fit.direct:
-        if desc is not None and desc.address >= n_fragments:
-            return False
-    for address in fit.single_indirect + fit.double_indirect:
-        if address is not None and address >= n_fragments:
-            return False
-    return True
+def scan_fits(
+    disk: DiskServer, warnings: Optional[List[str]] = None
+) -> Dict[int, FileIndexTable]:
+    """Rediscover every FIT of a volume: fragment number -> decoded FIT.
+
+    Trusts nothing volatile: every allocated fragment is read and kept
+    if it carries the FIT magic, decodes, and is plausible for this
+    disk.  Fragments that could not be judged are described in
+    ``warnings``; a caller that passes no list (a backup must not
+    silently skip a file) gets an unreadable fragment's
+    :class:`MediaError` raised instead.
+    """
+    fits: Dict[int, FileIndexTable] = {}
+    for run in disk.bitmap.allocated_runs():
+        for fragment in range(run.start, run.end):
+            try:
+                blob = disk.get(Extent(fragment, 1))
+            except MediaError as exc:
+                # An unreadable or rotten fragment cannot hold a live FIT
+                # candidate; the media pass (or the scrubber) names it.
+                if warnings is None:
+                    raise
+                warnings.append(f"fragment {fragment}: unreadable ({exc})")
+                continue
+            if not blob.startswith(FIT_MAGIC):
+                continue
+            try:
+                fit = FileIndexTable.decode(blob)
+            except (FileSizeError, ValueError, struct.error):
+                # The concrete decode taxonomy: structural corruption
+                # (FileSizeError), malformed field values (ValueError), or
+                # a truncated layout (struct.error).  Anything else is a
+                # checker bug and must surface, not be swallowed.
+                if warnings is not None:
+                    warnings.append(
+                        f"fragment {fragment}: FIT magic but undecodable "
+                        f"(torn write?)"
+                    )
+                continue
+            if fit.plausible_on(disk.n_fragments):
+                fits[fragment] = fit
+    return fits
+
+
+def _kind(block: TreeBlock) -> str:
+    """What the report calls a tree block."""
+    if block.leaf is None:
+        return "double-indirect pointer block"
+    if pointer_block_of(block.leaf) is None:
+        return "indirect block"
+    return "inner indirect block"
 
 
 def fsck_volume(server: FileServer, *, verify_media: bool = False) -> FsckReport:
@@ -94,124 +134,42 @@ def fsck_volume(server: FileServer, *, verify_media: bool = False) -> FsckReport
     """
     disk = server.disk
     report = FsckReport(volume_id=server.volume_id)
-    n_fragments = disk.n_fragments
     bitmap = disk.bitmap
 
     # Pass 1: find the FITs by scanning allocated fragments.
-    fits: Dict[int, FileIndexTable] = {}
-    for fragment in range(n_fragments):
-        if bitmap.is_free(fragment):
-            continue
-        try:
-            blob = disk.get(Extent(fragment, 1))
-        except MediaError as exc:
-            # An unreadable or rotten fragment cannot hold a live FIT
-            # candidate; the media pass (or the scrubber) names it.
-            report.warnings.append(f"fragment {fragment}: unreadable ({exc})")
-            continue
-        if blob[:4] != b"RFIT":
-            continue
-        try:
-            fit = FileIndexTable.decode(blob)
-        except (FileSizeError, ValueError, struct.error):
-            # The concrete decode taxonomy: structural corruption
-            # (FileSizeError), malformed field values (ValueError), or
-            # a truncated layout (struct.error).  Anything else is a
-            # checker bug and must surface, not be swallowed.
-            report.warnings.append(
-                f"fragment {fragment}: FIT magic but undecodable (torn write?)"
-            )
-            continue
-        if _plausible_fit(fit, n_fragments):
-            fits[fragment] = fit
+    fits = scan_fits(disk, report.warnings)
     report.files_found = len(fits)
 
-    # Pass 2: walk each FIT's block map.
+    # Pass 2: walk each FIT's block-map tree.
     owner_of: Dict[int, int] = {}  # block start fragment -> owning FIT
     referenced: Set[int] = set(fits)  # fragments accounted for
-    for fit_address, fit in fits.items():
-        from repro.file_service.fit import DESCRIPTORS_PER_INDIRECT
+    untrusted: Dict[int, str] = {}  # tree block address -> why it was not read
 
-        block_map: List[BlockDescriptor | None] = list(fit.direct)
-        for slot, address in enumerate(fit.single_indirect):
-            if address is None:
-                block_map.extend([None] * DESCRIPTORS_PER_INDIRECT)
-                continue
-            referenced.update(range(address, address + FRAGMENTS_PER_BLOCK))
-            if bitmap.is_free(address):
+    def read(address: int) -> Optional[bytes]:
+        if bitmap.is_free(address):
+            untrusted[address] = "is free"
+            return None
+        try:
+            return disk.get(Extent.for_block_run(address, 1))
+        except MediaError as exc:
+            untrusted[address] = f"unreadable ({exc})"
+            return None
+
+    for fit_address, fit in fits.items():
+        blocks = list(walk_tree(fit, read))
+        for block in blocks:
+            referenced.update(
+                range(block.address, block.address + FRAGMENTS_PER_BLOCK)
+            )
+            if block.descriptors is None:
                 report.errors.append(
-                    f"FIT {fit_address}: indirect block {address} is free"
+                    f"FIT {fit_address}: {_kind(block)} {block.address} "
+                    f"{untrusted[block.address]}"
                 )
-                block_map.extend([None] * DESCRIPTORS_PER_INDIRECT)
-                continue
-            try:
-                block_map.extend(
-                    decode_indirect_block(
-                        disk.get(Extent.for_block_run(address, 1))
-                    )
-                )
-            except MediaError as exc:
-                report.errors.append(
-                    f"FIT {fit_address}: indirect block {address} "
-                    f"unreadable ({exc})"
-                )
-                block_map.extend([None] * DESCRIPTORS_PER_INDIRECT)
-        for address in fit.double_indirect:
-            if address is None:
-                block_map.extend(
-                    [None] * (DESCRIPTORS_PER_INDIRECT * DESCRIPTORS_PER_INDIRECT)
-                )
-                continue
-            referenced.update(range(address, address + FRAGMENTS_PER_BLOCK))
-            if bitmap.is_free(address):
-                report.errors.append(
-                    f"FIT {fit_address}: double-indirect pointer block "
-                    f"{address} is free"
-                )
-                continue
-            try:
-                pointers = decode_indirect_block(
-                    disk.get(Extent.for_block_run(address, 1))
-                )
-            except MediaError as exc:
-                report.errors.append(
-                    f"FIT {fit_address}: double-indirect pointer block "
-                    f"{address} unreadable ({exc})"
-                )
-                continue
-            for pointer in pointers:
-                if pointer is None:
-                    block_map.extend([None] * DESCRIPTORS_PER_INDIRECT)
-                    continue
-                referenced.update(
-                    range(pointer.address, pointer.address + FRAGMENTS_PER_BLOCK)
-                )
-                if bitmap.is_free(pointer.address):
-                    report.errors.append(
-                        f"FIT {fit_address}: inner indirect block "
-                        f"{pointer.address} is free"
-                    )
-                    block_map.extend([None] * DESCRIPTORS_PER_INDIRECT)
-                    continue
-                try:
-                    block_map.extend(
-                        decode_indirect_block(
-                            disk.get(Extent.for_block_run(pointer.address, 1))
-                        )
-                    )
-                except MediaError as exc:
-                    report.errors.append(
-                        f"FIT {fit_address}: inner indirect block "
-                        f"{pointer.address} unreadable ({exc})"
-                    )
-                    block_map.extend([None] * DESCRIPTORS_PER_INDIRECT)
-        while block_map and block_map[-1] is None:
-            block_map.pop()
-        mapped = 0
+        block_map = logical_map(fit, blocks)
         for index, desc in enumerate(block_map):
             if desc is None:
                 continue
-            mapped += 1
             report.blocks_referenced += 1
             block_fragments = range(
                 desc.address, desc.address + FRAGMENTS_PER_BLOCK
@@ -237,22 +195,20 @@ def fsck_volume(server: FileServer, *, verify_media: bool = False) -> FsckReport
                     f"FIT {fit_address}: block {index} count {stored.count} "
                     f"should be {fresh.count} (stale contiguity count)"
                 )
-        # Size within the mapped area (holes allowed; beyond-map is not).
+        # Size within the mapped area (holes allowed; beyond-map is not);
+        # the map ends at its last mapped block.
         size = fit.attributes.file_size
-        highest = -1
-        for index, desc in enumerate(block_map):
-            if desc is not None:
-                highest = index
-        if size > (highest + 1) * BLOCK_SIZE:
+        if size > len(block_map) * BLOCK_SIZE:
             report.errors.append(
                 f"FIT {fit_address}: recorded size {size} exceeds the "
-                f"mapped area ({(highest + 1) * BLOCK_SIZE} bytes)"
+                f"mapped area ({len(block_map) * BLOCK_SIZE} bytes)"
             )
 
     # Pass 3: orphaned space (allocated, but referenced by nothing).
-    for fragment in range(n_fragments):
-        if not bitmap.is_free(fragment) and fragment not in referenced:
-            report.orphaned_fragments += 1
+    n_fragments = disk.n_fragments
+    report.orphaned_fragments = (n_fragments - bitmap.free_count) - sum(
+        1 for f in referenced if f < n_fragments and not bitmap.is_free(f)
+    )
     if report.orphaned_fragments:
         report.warnings.append(
             f"{report.orphaned_fragments} allocated fragments are referenced "

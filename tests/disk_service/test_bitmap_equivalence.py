@@ -322,6 +322,16 @@ def assert_same_observables(bitmap, oracle, probes):
     assert restored.free_count == oracle.free_count
 
 
+def assert_allocated_runs_enumerate_the_allocated_bits(bitmap, oracle):
+    """``allocated_runs`` (PR 15) has no oracle twin: per-bit enumeration
+    is the reference, and the runs must be maximal (a free gap between)."""
+    allocated = list(bitmap.allocated_runs())
+    assert [f for run in allocated for f in range(run.start, run.end)] == [
+        f for f in range(oracle.n_fragments) if not oracle.is_free(f)
+    ]
+    assert all(a.end < b.start for a, b in zip(allocated, allocated[1:]))
+
+
 def assert_same_index(bitmap, oracle):
     """The extent array refilled from either bitmap is the same array."""
     table, reference = FreeExtentTable(), FreeExtentTable()
@@ -348,6 +358,7 @@ class TestAgainstReference:
         oracle = _ReferenceBitmap.from_bytes(blob, n)
         assert_same_observables(bitmap, oracle, [])
         assert_same_index(bitmap, oracle)
+        assert_allocated_runs_enumerate_the_allocated_bits(bitmap, oracle)
         for op, start, length, probes in steps:
             if op == "flip":
                 op, target = flip_extent(oracle, start, length)
@@ -363,6 +374,7 @@ class TestAgainstReference:
                 assert oracle.free_count == before[1]
             assert_same_observables(bitmap, oracle, probes)
             assert_same_index(bitmap, oracle)
+        assert_allocated_runs_enumerate_the_allocated_bits(bitmap, oracle)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_whole_disk_updates(self, n):

@@ -207,7 +207,7 @@ class TestLargeFiles:
         server.write(name, 0, pattern(3 * BLOCK_SIZE))
         server.open(name)
         server.close(name)  # the flush on close walks the full map
-        full = server._full_map(name.fit_address, server._load_state(name))
+        full = server._full_map(server._load_state(name))
         assert 3 <= len(full) < 16  # not 64 direct + ~11 k empty indirect slots
         assert None not in full
 

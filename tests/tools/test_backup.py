@@ -3,9 +3,10 @@
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.errors import FileServiceError
+from repro.common.errors import FileServiceError, MediaError
 from repro.common.metrics import Metrics
 from repro.common.units import BLOCK_SIZE
+from repro.disk_service.addresses import Extent
 from repro.file_service.attributes import LockingLevel, ServiceType
 from repro.tools.backup import dump_volume, restore_volume
 from tests.conftest import build_file_server
@@ -100,6 +101,31 @@ class TestCatastrophe:
         mapping = restore_volume(target, archive)
         restored = mapping[(name.fit_address, name.generation)]
         assert target.read(restored, 0, 13) == b"the only copy"
+
+
+class TestScanProblems:
+    def test_unreadable_fragment_aborts_the_dump(self):
+        """A backup that skipped what it could not read would silently
+        lose a file; the scan's MediaError surfaces instead."""
+        source, _ = build_pair()
+        name = source.create()
+        source.write(name, 0, b"precious")
+        source.flush()
+        fit_sector = Extent(name.fit_address, 1).first_sector
+        source.disk.disk.faults.schedule_media_error(fit_sector)
+        source.recover()  # drop caches so the scan hits the platter
+        with pytest.raises(MediaError):
+            dump_volume(source)
+
+    def test_undecodable_fit_candidate_is_skipped(self):
+        source, target = build_pair()
+        name = source.create()
+        source.write(name, 0, b"real file")
+        torn = source.disk.allocate(1)
+        source.disk.put(torn, b"RFIT" + b"\xee" * (torn.byte_size - 4))
+        source.flush()
+        mapping = restore_volume(target, dump_volume(source))
+        assert list(mapping) == [(name.fit_address, name.generation)]
 
 
 class TestValidation:

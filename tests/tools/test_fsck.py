@@ -1,12 +1,15 @@
 """The volume checker: clean volumes pass, every corruption is found."""
 
+import tracemalloc
+
 import pytest
 
 from repro.common.clock import SimClock
+from repro.common.errors import MediaError
 from repro.common.metrics import Metrics
 from repro.common.units import BLOCK_SIZE
 from repro.disk_service.addresses import Extent
-from repro.verify.fsck import fsck_volume, verify_checksums
+from repro.verify.fsck import fsck_volume, scan_fits, verify_checksums
 from tests.conftest import build_file_server
 
 
@@ -190,6 +193,114 @@ class TestMediaVerification:
         server.disk.put(extent, payload)
         report = fsck_volume(server)
         assert any("undecodable" in warning for warning in report.warnings)
+
+
+class TestTreeBlockErrors:
+    """A tree block that is free or unreadable is an error naming its
+    role and address; whatever hangs below it goes unchecked."""
+
+    BOUNDARY = 64 + 8 * 1365  # first double-indirect block
+
+    def big_file(self, server):
+        name = server.create()
+        server.write(name, 0, b"\x44" * (70 * BLOCK_SIZE))
+        server.write(name, self.BOUNDARY * BLOCK_SIZE, b"deep")
+        server.flush()
+        fit = server.load_fit(name)
+        from repro.file_service.fit import decode_indirect_block
+
+        pointer_block = fit.double_indirect[0]
+        pointers = decode_indirect_block(
+            server.disk.get(Extent.for_block_run(pointer_block, 1))
+        )
+        return name, fit.single_indirect[0], pointer_block, pointers[0].address
+
+    @pytest.mark.parametrize(
+        "which, role",
+        [
+            (1, "indirect block"),
+            (2, "double-indirect pointer block"),
+            (3, "inner indirect block"),
+        ],
+    )
+    def test_freed_tree_block_is_reported_by_role(self, server, which, role):
+        found = self.big_file(server)
+        name, address = found[0], found[which]
+        server.disk.free(Extent.for_block_run(address, 1))
+        report = fsck_volume(server)
+        assert report.errors[0] == (
+            f"FIT {name.fit_address}: {role} {address} is free"
+        )
+        # The data blocks only that tree block named are now orphans.
+        assert report.orphaned_fragments > 0
+
+    def test_unreadable_tree_block_is_reported(self, server):
+        name, leaf, _, _ = self.big_file(server)
+        sector = Extent.for_block_run(leaf, 1).first_sector
+        server.disk.disk.faults.schedule_media_error(sector)
+        server.recover()  # drop the track cache so the walk hits the platter
+        report = fsck_volume(server)
+        assert any(
+            error.startswith(
+                f"FIT {name.fit_address}: indirect block {leaf} unreadable ("
+            )
+            for error in report.errors
+        )
+
+
+class TestScanFits:
+    """Pass 1 on its own: the one FIT scan fsck and backup share."""
+
+    def test_finds_exactly_the_live_fits(self, server):
+        names = make_files(server, count=3)
+        server.delete(names[1])
+        server.flush()
+        fits = scan_fits(server.disk)
+        assert sorted(fits) == sorted(n.fit_address for n in (names[0], names[2]))
+        for name in (names[0], names[2]):
+            assert fits[name.fit_address].attributes.generation == name.generation
+
+    def test_problems_go_to_the_warning_list_when_one_is_given(self, server):
+        [name] = make_files(server, count=1, blocks=12)
+        torn = server.disk.allocate(1)
+        server.disk.put(torn, b"RFIT" + b"\xee" * (torn.byte_size - 4))
+        server.flush()
+        # A data block on a later track than the FIT's (reads are per track).
+        data = server.block_descriptor(name, 10).address
+        server.disk.disk.faults.schedule_media_error(Extent(data, 1).first_sector)
+        server.recover()  # drop the track cache so the scan hits the platter
+        warnings = []
+        assert sorted(scan_fits(server.disk, warnings)) == [name.fit_address]
+        assert any(f"fragment {data}: unreadable" in w for w in warnings)
+        assert warnings[-1] == (
+            f"fragment {torn.start}: FIT magic but undecodable (torn write?)"
+        )
+        assert all("unreadable" in warning for warning in warnings[:-1])
+
+    def test_unreadable_fragment_is_loud_without_a_warning_list(self, server):
+        [name] = make_files(server, count=1, blocks=12)
+        data = server.block_descriptor(name, 10).address
+        server.disk.disk.faults.schedule_media_error(Extent(data, 1).first_sector)
+        server.recover()
+        with pytest.raises(MediaError):
+            scan_fits(server.disk)
+
+
+class TestFootprint:
+    def test_small_files_cost_nothing_proportional_to_the_maximum_file(
+        self, server
+    ):
+        """PR 15: the checker used to pad every absent double-indirect
+        slot with 1365**2 Nones — 42.8 MiB peak for five 20 KB files."""
+        make_files(server, count=5, blocks=3)  # 24 KB each, 1 GB volume
+        tracemalloc.start()
+        try:
+            report = fsck_volume(server)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.clean and report.files_found == 5
+        assert peak < 4 * 1024 * 1024, f"fsck peak {peak / 2**20:.1f} MiB"
 
 
 class TestDoubleIndirect:
