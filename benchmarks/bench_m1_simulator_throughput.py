@@ -5,7 +5,8 @@ time, M1 measures the *simulator itself*: how many disk references per
 host-second the hot path sustains.  Million-reference campaigns (the
 chaos sweep, the scheduling grids) are bounded by this number, so PR 8
 tracks it the same way the repo tracks every other claim — as a
-benchmark with an asserted floor.
+benchmark, with the defeated-lane equality asserted and the host-time
+ratio on the record.
 
 Three loads:
 
@@ -18,9 +19,14 @@ Three loads:
   span kwargs built even while tracing is disabled, unconditional
   media scans, property-recomputed geometry sizes, and the old
   per-sector-validating timing walk).  Both lanes execute the identical operation sequence,
-  so their simulated counters agree exactly; only the host cost
-  differs.  The PR's acceptance floor — the new lane is **>= 5x**
-  faster — is asserted here.
+  so their simulated counters agree exactly — which is what this
+  benchmark asserts — and only the host cost differs.  The host-time
+  ratio is reported as the ``wall_speedup_pct`` gauge, not asserted.
+  PR 8 measured >= 5x and asserted that as a single-shot floor; the
+  floor read 4.4-4.8x on the reference box at PR 16 (parent commit and
+  change alike) and had flaked in PRs 12-14, inside CI's *determinism*
+  step.  Host-time claims are judged where a ratio can be trusted — by
+  alternating pairs of runs (``perf/``, EXPERIMENTS.md M2).
 * **overlapped** — the 4-disk pipelined request grid (submit, drain,
   settle), the shape the scheduling experiments stress.
 * **chaos-shaped** — small writes through an armed fault injector with
@@ -29,7 +35,7 @@ Three loads:
 
 Wall-clock results are recorded as gauges whose final name segment
 starts with ``wall_`` — ``python -m repro.tools.bench --strip-wall``
-removes exactly those, which is how the committed ``BENCH_pr10.json``
+removes exactly those, which is how the committed ``BENCH_pr16.json``
 and the CI determinism diff stay byte-identical across machines.
 Everything else in this file is simulated time and fully deterministic.
 """
@@ -409,9 +415,10 @@ def test_m1_sequential_throughput(benchmark):
             ("speedup", "", "", f"{speedup:.1f}x"),
         ],
     )
-    # PR 8's acceptance floor.  Measured headroom is well above 5x, so
-    # a noisy CI host does not flap this assertion.
-    assert speedup >= 5.0, f"fast path is only {speedup:.1f}x the legacy lane"
+    # The defeated-lane contract: both lanes simulated exactly the same
+    # campaign.  The speedup above is a gauge (see the module docstring).
+    assert new["references"] == legacy["references"] == SEQUENTIAL_REFERENCES
+    assert new["sim_busy_us"] == legacy["sim_busy_us"]
 
 
 def test_m1_overlapped_throughput(benchmark):

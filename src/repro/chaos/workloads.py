@@ -47,6 +47,44 @@ from repro.transactions.agent import TransactionAgentHost
 from repro.transactions.coordinator import TransactionCoordinator
 
 
+class AuditedDiskServer(DiskServer):
+    """A disk server that remembers every scratch extent it handed out.
+
+    The tentative-extent leak check needs the whole history: an extent
+    the run freed in memory before the crash is exactly the kind a
+    stale bitmap checkpoint would leak.  An adopted extent leaves the
+    history, along with any earlier grant of the same fragments — it is
+    a block of a file from then on, and leaks (or not) as file space
+    does.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.scratch_history: List[Extent] = []
+
+    def allocate(self, n_fragments, *, contiguous=True, scratch=False):
+        got = super().allocate(
+            n_fragments, contiguous=contiguous, scratch=scratch
+        )
+        if scratch and contiguous:
+            self.scratch_history.append(got)
+        return got
+
+    def allocate_block(self, n_blocks=1, *, scratch=False):
+        got = super().allocate_block(n_blocks, scratch=scratch)
+        if scratch:
+            self.scratch_history.append(got)
+        return got
+
+    def adopt(self, extent):
+        super().adopt(extent)
+        self.scratch_history = [
+            held
+            for held in self.scratch_history
+            if held.end <= extent.start or extent.end <= held.start
+        ]
+
+
 class ChaosVolume:
     """One volume's full stack: data disk, stable mirrors, servers."""
 
@@ -66,7 +104,9 @@ class ChaosVolume:
             f"chaos{volume_id}.stable_b", geometry, clock, metrics
         )
         self.stable = StableStore(self.stable_a, self.stable_b)
-        self.disk_server = DiskServer(self.disk, self.stable, clock, metrics)
+        self.disk_server = AuditedDiskServer(
+            self.disk, self.stable, clock, metrics
+        )
         self.file_server = FileServer(
             volume_id, self.disk_server, clock, metrics
         )
@@ -120,7 +160,11 @@ class ChaosWorkload:
     def check(self) -> List[str]:
         violations: List[str] = []
         for volume in self.volumes:
-            violations.extend(check_volume(volume.file_server))
+            violations.extend(
+                check_volume(
+                    volume.file_server, volume.disk_server.scratch_history
+                )
+            )
         violations.extend(self.check_content())
         return violations
 
@@ -332,13 +376,17 @@ class _TransactionalWorkload(ChaosWorkload):
     #: (label, volume_id) pairs of the files the script commits to.
     FILES: List[Tuple[str, int]] = []
     BLOCKS = 2
+    TECHNIQUE = "auto"
+    LEVEL = LockingLevel.PAGE
 
     def build(self) -> None:
         for _, volume_id in self.FILES:
             if not any(v.volume_id == volume_id for v in self.volumes):
                 self.add_volume(volume_id)
         self.naming = NamingService(self.metrics)
-        self.coordinator = TransactionCoordinator(self.clock, self.metrics)
+        self.coordinator = TransactionCoordinator(
+            self.clock, self.metrics, technique=self.TECHNIQUE
+        )
         for volume in self.volumes:
             self.coordinator.register_volume(volume.file_server)
         self.host = TransactionAgentHost(
@@ -357,6 +405,10 @@ class _TransactionalWorkload(ChaosWorkload):
     def _new(self, label: str) -> bytes:
         return label.lower().encode("ascii")[:1] * (self.BLOCKS * BLOCK_SIZE)
 
+    def _overwrite(self, tid: int, descriptor: int, label: str) -> None:
+        """The measured transaction's writes to one file: OLD -> NEW."""
+        self.host.tpwrite(tid, descriptor, self._new(label), 0)
+
     def run(self) -> None:
         # Seed transaction: create every file, write OLD, commit.
         tid = self.host.tbegin()
@@ -366,7 +418,7 @@ class _TransactionalWorkload(ChaosWorkload):
                 tid,
                 AttributedName.file(f"/{label}"),
                 volume_id=volume_id,
-                locking_level=LockingLevel.PAGE,
+                locking_level=self.LEVEL,
             )
             self.names[label] = self.host.system_name_of(tid, descriptor)
             self.host.twrite(tid, descriptor, self._old(label))
@@ -385,7 +437,7 @@ class _TransactionalWorkload(ChaosWorkload):
             descriptor = self.host.topen(
                 tid, AttributedName.file(f"/{label}")
             )
-            self.host.tpwrite(tid, descriptor, self._new(label), 0)
+            self._overwrite(tid, descriptor, label)
         new = tuple(self._new(label) for label, _ in self.FILES)
         self.admissible = [old, new]
         self.host.tend(tid)
@@ -429,18 +481,61 @@ class _TransactionalWorkload(ChaosWorkload):
 
 
 class TransactionCommitWorkload(_TransactionalWorkload):
-    """Single-volume commit: intentions list + flag flip + redo."""
+    """Single-volume commit: one intentions-list write + WAL redo."""
 
     name = "txn-commit"
     FILES = [("f", 0)]
 
 
+class ShadowCommitWorkload(TransactionCommitWorkload):
+    """The same script committed by the shadow-page technique.
+
+    The overwrite swaps both block descriptors to the tentative
+    extents, so every crash point between *adopt*, the bitmap
+    checkpoint, the FIT store and the old blocks' frees is visited.
+    """
+
+    name = "txn-shadow"
+    TECHNIQUE = "shadow"
+
+
+class RecordCommitWorkload(TransactionCommitWorkload):
+    """A RECORD-level file: three record items over two blocks.
+
+    Two of the records land in block 0 and one in block 1; the applies
+    stay dirty in the block pool and the cleanup flush writes each
+    block once, so the sweep crashes inside the coalesced apply.
+    """
+
+    name = "txn-records"
+    FILES = [("r", 0)]
+    LEVEL = LockingLevel.RECORD
+    #: (offset, length) of the measured transaction's record writes.
+    PATCHES = ((100, 300), (4000, 64), (BLOCK_SIZE + 17, 500))
+
+    def _new(self, label: str) -> bytes:
+        content = bytearray(self._old(label))
+        for offset, length in self.PATCHES:
+            content[offset : offset + length] = (
+                label.lower().encode("ascii")[:1] * length
+            )
+        return bytes(content)
+
+    def _overwrite(self, tid: int, descriptor: int, label: str) -> None:
+        new = self._new(label)
+        for offset, length in self.PATCHES:
+            self.host.tpwrite(
+                tid, descriptor, new[offset : offset + length], offset
+            )
+
+
 class TwoVolumeCommitWorkload(_TransactionalWorkload):
     """One transaction spanning two volumes: the decision-record 2PC.
 
-    A crash between the per-volume flag flips must still yield a joint
-    all-old or all-new outcome — this is what the ``txndecision:``
-    record on the coordinator volume guarantees.
+    A crash between the per-volume list writes, or between them and
+    the decision, must still yield a joint all-old or all-new outcome —
+    this is what the ``txndecision:`` record on the coordinator volume
+    guarantees.
     """
 
     name = "two-volume"
@@ -677,6 +772,8 @@ WORKLOADS: Dict[str, Type[ChaosWorkload]] = {
         RaidRebuildWorkload,
         ScrubRepairWorkload,
         TransactionCommitWorkload,
+        RecordCommitWorkload,
+        ShadowCommitWorkload,
         TwoVolumeCommitWorkload,
     )
 }

@@ -21,7 +21,7 @@ without a bounds test.
 from __future__ import annotations
 
 import re
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.analysis import monitor as _monitor
 from repro.common.errors import BadAddressError
@@ -46,6 +46,18 @@ def _trailing_zeros(value: int) -> int:
 def _leading_ones(byte: int) -> int:
     """How many consecutive 1 bits ``byte`` has from bit 7 down."""
     return 8 - (byte ^ 0xFF).bit_length()
+
+
+def _flip(bits: bytearray, extent: Extent) -> None:
+    """Invert every bit of ``extent`` in ``bits``, in one update.
+
+    The callers know the extent is all free or all allocated, so
+    inverting it *is* marking it the other way.
+    """
+    first, end = extent.start >> 3, (extent.end + 7) >> 3
+    mask = ((1 << extent.length) - 1) << (extent.start & 7)
+    covering = int.from_bytes(bits[first:end], "little") ^ mask
+    bits[first:end] = covering.to_bytes(end - first, "little")
 
 
 class FragmentBitmap:
@@ -172,7 +184,7 @@ class FragmentBitmap:
                 f"fragment {extent.start + _trailing_ones(window)} "
                 f"already allocated"
             )
-        self._flip_extent(extent)
+        _flip(self._bits, extent)
         self._free_count -= extent.length
 
     def mark_free(self, extent: Extent) -> None:
@@ -189,15 +201,25 @@ class FragmentBitmap:
             raise BadAddressError(
                 f"fragment {extent.start + _trailing_zeros(window)} already free"
             )
-        self._flip_extent(extent)
+        _flip(self._bits, extent)
         self._free_count += extent.length
 
     # -------------------------------------------------- persistence
 
-    def to_bytes(self) -> bytes:
-        """Serialise for storage on stable storage."""
+    def to_bytes(self, *, as_free: Sequence[Extent] = ()) -> bytes:
+        """Serialise for storage on stable storage.
+
+        The extents in ``as_free`` — allocated here — are written out as
+        free space: the disk server's scratch extents, which a
+        checkpoint must not contain.
+        """
         _monitor.active().read_all(self, site="bitmap.to_bytes")
-        return bytes(self._bits)
+        if not as_free:
+            return bytes(self._bits)
+        image = bytearray(self._bits)
+        for extent in as_free:
+            _flip(image, extent)
+        return bytes(image)
 
     @classmethod
     def from_bytes(cls, data: bytes, n_fragments: int) -> "FragmentBitmap":
@@ -234,17 +256,6 @@ class FragmentBitmap:
         return (int.from_bytes(covering, "little") >> (extent.start & 7)) & (
             (1 << extent.length) - 1
         )
-
-    def _flip_extent(self, extent: Extent) -> None:
-        """Invert every bit of ``extent`` in one update.
-
-        The callers have just checked the extent is all free or all
-        allocated, so inverting it *is* marking it the other way.
-        """
-        first, end = extent.start >> 3, (extent.end + 7) >> 3
-        mask = ((1 << extent.length) - 1) << (extent.start & 7)
-        covering = int.from_bytes(self._bits[first:end], "little") ^ mask
-        self._bits[first:end] = covering.to_bytes(end - first, "little")
 
     def _next_free(self, position: int) -> int:
         """First free fragment at or after ``position``; ``n_fragments`` if none."""

@@ -199,6 +199,14 @@ class DiskServer:
         # considers free, or recovery would hand those fragments out
         # again (the crash sweep proves this ordering).
         self._bitmap_dirty = False
+        #: start -> length of every extent handed out with
+        #: ``scratch=True`` and neither freed nor adopted since: the
+        #: tentative data items of transactions in flight.  They are
+        #: allocated in the live bitmap and free in every checkpoint of
+        #: it, so neither taking nor returning one makes the checkpoint
+        #: stale; the intentions list that names them is their only
+        #: durable record (see :meth:`reclaim_scratch`).
+        self._scratch: Dict[int, int] = {}
         self._prefix = f"disk_server.{disk.disk_id}"
         # Pre-bound instrument handles for the two service entry points
         # every request passes through; colder sites (recoveries,
@@ -239,17 +247,21 @@ class DiskServer:
         returns a list of extents covering the request, gathered
         largest-run-first.
 
-        ``scratch=True`` places the extent at the high end of free
-        space — used for tentative data items and shadow pages so
+        ``scratch=True`` is for tentative data items and shadow pages
+        (contiguous requests only; a gathered one ignores it).
+        The extent is placed at the high end of free space, so
         short-lived allocations do not punch holes into the low region
-        where files grow contiguously.
+        where files grow contiguously, and it stays out of the durable
+        bitmap: a crash returns it to free space unless a surviving
+        intentions list has recovery :meth:`reclaim_scratch` it.  The
+        holder ends that state with :meth:`free` or :meth:`adopt`.
         """
         if n_fragments < 1:
             raise BadAddressError("must allocate at least one fragment")
         self._serial()
         self.metrics.add(f"{self._prefix}.allocations")
         if contiguous:
-            return self._allocate_contiguous(n_fragments, prefer_high=scratch)
+            return self._allocate_contiguous(n_fragments, scratch=scratch)
         return self._allocate_gather(n_fragments)
 
     def allocate_block(self, n_blocks: int = 1, *, scratch: bool = False) -> Extent:
@@ -258,7 +270,7 @@ class DiskServer:
             raise BadAddressError("must allocate at least one block")
         self._serial()
         return self._allocate_contiguous(
-            n_blocks * FRAGMENTS_PER_BLOCK, prefer_high=scratch
+            n_blocks * FRAGMENTS_PER_BLOCK, scratch=scratch
         )
 
     def try_allocate_at(self, start: int, n_fragments: int) -> Optional[Extent]:
@@ -273,20 +285,48 @@ class DiskServer:
             return None
         self._serial()
         extent = Extent(start, n_fragments)
-        if not self.bitmap.is_free_run(extent):
+        if not self._claim(extent):
             return None
-        # The range sits inside some maximal free run; re-index its pieces.
-        run = self.bitmap.run_containing(start)
-        assert run is not None
-        self.extent_table.remove_run(run.start)
-        self.bitmap.mark_allocated(extent)
-        if run.start < extent.start:
-            self.extent_table.insert_run(run.start, extent.start - run.start)
-        if run.end > extent.end:
-            self.extent_table.insert_run(extent.end, run.end - extent.end)
         self._bitmap_dirty = True
         self.metrics.add(f"{self._prefix}.allocations")
         return extent
+
+    def adopt(self, extent: Extent) -> None:
+        """Turn a scratch extent into an ordinary allocation.
+
+        The shadow-page commit step on the free-space side: the
+        tentative item's extent is about to become a block of the file,
+        so it joins the durable bitmap — which is stale from here until
+        its next checkpoint, and the FIT that references the extent is
+        a stable-bound put, so bitmap-before-structure holds.
+        Idempotent (crash redo adopts again).
+        """
+        self._serial()
+        if not self.bitmap.is_allocated_run(extent):
+            raise BadAddressError(f"cannot adopt {extent}: not allocated")
+        self._forget_scratch(extent)
+        self._bitmap_dirty = True
+
+    def reclaim_scratch(self, extent: Extent) -> None:
+        """Recovery: re-claim a scratch extent a surviving list names.
+
+        The loaded checkpoint calls the extent free (no checkpoint ever
+        contains scratch space), yet it holds an after-image recovery
+        is about to read, so it is taken out of free space again before
+        anything allocates.  An extent the checkpoint already holds was
+        adopted before the crash and stays an ordinary allocation.
+        """
+        self._serial()
+        if self._claim(extent):
+            self._note_scratch(extent)
+
+    def scratch_extents(self) -> List[Tuple[int, int]]:
+        """(start, length) of every outstanding scratch extent, sorted."""
+        self._serial()
+        _monitor.active().read_all(
+            self, name="scratch", site="server.scratch_extents"
+        )
+        return sorted(self._scratch.items())
 
     def free(self, extent: Extent) -> None:
         """Free an extent (paper: free-block), coalescing with neighbours.
@@ -298,7 +338,8 @@ class DiskServer:
         """
         self._serial()
         self.bitmap.mark_free(extent)
-        self._bitmap_dirty = True
+        if not self._forget_scratch(extent):
+            self._bitmap_dirty = True
         self.metrics.add(f"{self._prefix}.frees")
         # Freed fragments carry no protection: their recorded checksums
         # describe content that no longer exists, and verifying a later
@@ -542,11 +583,28 @@ class DiskServer:
     # ----------------------------------------------------- recovery
 
     def checkpoint_free_space(self) -> None:
-        """Save the bitmap to stable storage (vital structural information)."""
+        """Save the bitmap to stable storage (vital structural information).
+
+        Outstanding scratch extents are saved as free space.
+        """
         self._serial()
         self._bitmap_dirty = False
         self.metrics.gauge(f"{self._prefix}.free_fragments", self.bitmap.free_count)
-        self.stable.put("bitmap", self.bitmap.to_bytes())
+        _monitor.active().read_all(
+            self, name="scratch", site="server.checkpoint_free_space"
+        )
+        self.stable.put(
+            "bitmap",
+            self.bitmap.to_bytes(
+                as_free=[Extent(*item) for item in self._scratch.items()]
+            ),
+        )
+
+    def settle_free_space(self) -> None:
+        """Checkpoint the bitmap only if its stable copy is stale."""
+        self._serial()
+        if self._bitmap_dirty:
+            self.checkpoint_free_space()
 
     def checkpoint_protection(self) -> None:
         """Save the checksum map + mirrored set to stable storage.
@@ -570,9 +628,11 @@ class DiskServer:
         """Rebuild volatile state after a crash.
 
         Reloads the bitmap from stable storage (falling back to a full
-        free disk if no checkpoint exists), refills the free-extent
-        array by scanning it, invalidates the track cache, and reloads
-        the protection checkpoint.  Reloaded checksums are marked
+        free disk if no checkpoint exists) — which returns every scratch
+        extent to free space; the transaction service re-claims the
+        ones its surviving intentions lists name — refills the
+        free-extent array by scanning it, invalidates the track cache,
+        and reloads the protection checkpoint.  Reloaded checksums are marked
         *unreconciled*: the first read of each fragment arbitrates a
         mismatch (stale entry for an in-flux write vs. rot — see
         :meth:`_verify_extent`).  Mirrored entries whose stable record
@@ -592,6 +652,10 @@ class DiskServer:
             self._cache.invalidate()
         self._pending_stable.clear()
         self._bitmap_dirty = False
+        _monitor.active().write_all(
+            self, name="scratch", site="server.recover"
+        )
+        self._scratch = {}
         self._checksums = {}
         self._mirrored = set()
         self._mirrored_fragments = {}
@@ -717,29 +781,30 @@ class DiskServer:
     # ------------------------------------------------------ internal
 
     def _allocate_contiguous(
-        self, n_fragments: int, *, prefer_high: bool = False
+        self, n_fragments: int, *, scratch: bool = False
     ) -> Extent:
         run = self.extent_table.take_run(
-            n_fragments, self.bitmap, prefer_high=prefer_high
+            n_fragments, self.bitmap, prefer_high=scratch
         )
         if run is None:
             self.extent_table.refill(self.bitmap)
             self.metrics.add(f"{self._prefix}.table_refills")
             run = self.extent_table.take_run(
-                n_fragments, self.bitmap, prefer_high=prefer_high
+                n_fragments, self.bitmap, prefer_high=scratch
             )
         if run is None:
             raise DiskFullError(
                 f"no contiguous run of {n_fragments} fragments "
                 f"({self.bitmap.free_count} free in total)"
             )
-        if prefer_high:
+        if scratch:
             extent = Extent(run.end - n_fragments, n_fragments)
             self.bitmap.mark_allocated(extent)
             if run.length > n_fragments:
                 self.extent_table.insert_run(
                     run.start, run.length - n_fragments
                 )
+            self._note_scratch(extent)
         else:
             extent = run.take(n_fragments)
             self.bitmap.mark_allocated(extent)
@@ -747,7 +812,7 @@ class DiskServer:
                 self.extent_table.insert_run(
                     extent.end, run.length - n_fragments
                 )
-        self._bitmap_dirty = True
+            self._bitmap_dirty = True
         return extent
 
     def _allocate_gather(self, n_fragments: int) -> List[Extent]:
@@ -783,6 +848,45 @@ class DiskServer:
             pieces.append(piece)
             remaining -= piece.length
         return pieces
+
+    def _claim(self, extent: Extent) -> bool:
+        """Allocate exactly ``extent`` if all of it is free."""
+        if not self.bitmap.is_free_run(extent):
+            return False
+        # The range sits inside some maximal free run; re-index its pieces.
+        run = self.bitmap.run_containing(extent.start)
+        assert run is not None
+        self.extent_table.remove_run(run.start)
+        self.bitmap.mark_allocated(extent)
+        if run.start < extent.start:
+            self.extent_table.insert_run(run.start, extent.start - run.start)
+        if run.end > extent.end:
+            self.extent_table.insert_run(extent.end, run.end - extent.end)
+        return True
+
+    def _note_scratch(self, extent: Extent) -> None:
+        _monitor.active().write(
+            self, extent.start, extent.end, name="scratch",
+            site="server.note_scratch",
+        )
+        self._scratch[extent.start] = extent.length
+
+    def _forget_scratch(self, extent: Extent) -> bool:
+        """Stop tracking ``extent``; False if it was not scratch.
+
+        A scratch extent is returned or adopted whole, as handed out.
+        """
+        if extent.start not in self._scratch:
+            return False
+        _monitor.active().write(
+            self, extent.start, extent.end, name="scratch",
+            site="server.forget_scratch",
+        )
+        length = self._scratch.pop(extent.start)
+        assert length == extent.length, (
+            f"scratch extent ({extent.start}, {length}) given up as {extent}"
+        )
+        return True
 
     def _note_queue_wait(self, queued_since: Optional[int]) -> None:
         """Record the queue span of a pipelined request.

@@ -27,7 +27,7 @@ lives in the file agent (section 3).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.common.clock import SimClock
 from repro.common.frames import active_frame
@@ -300,30 +300,38 @@ class FileServer:
 
     # ======================================================== write
 
-    def write(self, name: SystemName, offset: int, data: bytes) -> int:
+    def write(
+        self, name: SystemName, offset: int, data: bytes, *, delayed: bool = False
+    ) -> int:
         """Write ``data`` at ``offset``, extending the file as needed.
 
         New blocks are allocated contiguously with the file's existing
         last block when possible, so contiguity counts stay large.
         Modified blocks follow the server's write policy: delayed
         (cached dirty) for basic files, write-through for transaction
-        files.  Returns the number of bytes written.
+        files.  ``delayed=True`` keeps the blocks dirty whatever the
+        policy says: the transaction service applies a committed
+        intentions list this way — the list is its redo log — and calls
+        :meth:`flush_file` before dropping it.  Returns the number of
+        bytes written.
         """
         tracer = self.tracer
         with tracer.span(
             "file_service", "write", volume=self.volume_id, offset=offset
         ) as span, self.metrics.timer(f"{self.name}.write_us", self.clock):
             if not tracer.enabled:
-                return self._do_write(name, offset, data)
+                return self._do_write(name, offset, data, delayed)
             refs_before = self.metrics.get(self._refs_counter)
-            written = self._do_write(name, offset, data)
+            written = self._do_write(name, offset, data, delayed)
             span.annotate(
                 "disk_references",
                 self.metrics.get(self._refs_counter) - refs_before,
             )
             return written
 
-    def _do_write(self, name: SystemName, offset: int, data: bytes) -> int:
+    def _do_write(
+        self, name: SystemName, offset: int, data: bytes, delayed: bool
+    ) -> int:
         if offset < 0:
             raise FileSizeError(f"bad write offset {offset}")
         if not data:
@@ -342,7 +350,7 @@ class FileServer:
         structural_change = self._allocate_missing(
             state, block_map, first_block, last_block
         )
-        through = (
+        through = not delayed and (
             self.write_policy is WritePolicy.WRITE_THROUGH
             or attrs.service_type is ServiceType.TRANSACTION
         )
@@ -474,6 +482,32 @@ class FileServer:
             )
 
     # ====================================================== flushing
+
+    def flush_file(
+        self, name: SystemName, spans: Iterable[Tuple[int, int]]
+    ) -> None:
+        """Write back the delayed blocks under ``spans``, then the FIT if dirty.
+
+        ``spans`` are the (offset, length) byte ranges the caller wrote:
+        the cost follows them, not the size of the file.
+        """
+        state = self._load_state(name)
+        if self._data_cache is not None:
+            addresses = set()
+            for offset, length in spans:
+                if length < 1:
+                    continue
+                first = offset // BLOCK_SIZE
+                last = (offset + length - 1) // BLOCK_SIZE
+                block_map = self._map_through(state, last)
+                addresses.update(
+                    desc.address
+                    for desc in block_map[first : last + 1]
+                    if desc is not None
+                )
+            self._data_cache.flush_matching(addresses.__contains__)
+        if state.fit_dirty:
+            self._store_fit(name.fit_address, state)
 
     def flush(self) -> None:
         """Write back all delayed data, FITs, and the disk server state."""

@@ -34,12 +34,14 @@ SCOPE: FrozenSet[str] = frozenset(
 #: by attribute name.  DESIGN.md §12 documents each owner.
 OWNED_ATTRS: FrozenSet[str] = frozenset(
     {
-        # DiskServer's protection record and deferred stable writes
+        # DiskServer's protection record, deferred stable writes and
+        # outstanding scratch extents
         "_checksums",
         "_mirrored",
         "_mirrored_fragments",
         "_unreconciled",
         "_pending_stable",
+        "_scratch",
         # StableStore's key directory
         "_directory",
         # TrackCache's track -> sectors map

@@ -16,8 +16,8 @@ simulated disks:
   out-of-date or corrupt copy from the good one, restoring the
   invariant that both mirrors agree.
 
-Records are addressed by a string key (e.g. ``"fit:1024"`` or
-``"intent:tx42:3"``), which is what the higher layers naturally have.
+Records are addressed by a string key (e.g. ``"ext:1024:1"`` or
+``"intentions:42"``), which is what the higher layers naturally have.
 """
 
 from __future__ import annotations

@@ -18,14 +18,15 @@ LT, renewable while uncontended up to N times, then broken and its
 holder aborted.  Recovery uses an intentions list whose tentative
 changes are made permanent by write-ahead logging when the file's data
 blocks are contiguous (preserving contiguity) and by the shadow-page
-technique when they are not; an intention flag on stable storage makes
-commit atomic across crashes.
+technique when they are not; the list and its intention flag reach
+stable storage in one careful write, which makes commit atomic across
+crashes.
 """
 
 from repro.transactions.locks import DataItem, LockMode, locks_compatible
 from repro.transactions.lock_manager import AcquireResult, LockManager, TimeoutPolicy
 from repro.transactions.transaction import Transaction, TransactionPhase, TransactionStatus
-from repro.transactions.intentions import IntentionRecord, IntentionFlag, Technique
+from repro.transactions.intentions import IntentionList, IntentionRecord, Technique
 from repro.transactions.coordinator import TransactionCoordinator
 from repro.transactions.agent import TransactionAgent, TransactionAgentHost
 
@@ -39,8 +40,8 @@ __all__ = [
     "Transaction",
     "TransactionPhase",
     "TransactionStatus",
+    "IntentionList",
     "IntentionRecord",
-    "IntentionFlag",
     "Technique",
     "TransactionCoordinator",
     "TransactionAgent",

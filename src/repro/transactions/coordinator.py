@@ -1,35 +1,51 @@
 """The transaction coordinator: commit, abort, crash recovery.
 
 This is the file-server side of the transaction service: it owns one
-lock manager and one intention store per volume, runs the two-phase
-commit discipline of sections 6.6–6.7 against the disk and file
-services, and replays or discards intentions after a crash.
+lock manager and one intention store per volume, runs the commit
+discipline of sections 6.6–6.7 against the disk and file services, and
+replays or discards intentions lists after a crash.
 
 Commit of a transaction with tentative items:
 
 1. **Prepare** — every tentative item's after-image is written to a
-   freshly allocated disk extent (the durable *tentative data item*),
-   and an intention record naming both descriptors goes to stable
-   storage, tagged with the technique that will make it permanent:
-   **WAL** when the file's data blocks are contiguous (in-place update
-   preserves the contiguity the allocator worked for) or **shadow
-   page** when they are not (descriptor swap, cheaper commit I/O, but
-   it "destroys the contiguity of data blocks").  Record-level items
-   always use WAL ("there is no justification to tie up a complete
-   block or fragment").
-2. **Commit point** — the intention flag flips to ``commit`` on stable
-   storage.  A crash before this point aborts the transaction; after
-   it, recovery redoes the intentions (both techniques are idempotent).
+   freshly allocated *scratch* extent (the durable tentative data
+   item).  Scratch extents are free space as far as every bitmap
+   checkpoint is concerned, so a crash from here to the commit point
+   costs nothing to undo.  Each item is tagged with the technique that
+   will make it permanent: **WAL** when the file's data blocks are
+   contiguous (in-place update preserves the contiguity the allocator
+   worked for) or **shadow page** when they are not (descriptor swap,
+   cheaper commit I/O, but it "destroys the contiguity of data
+   blocks").  Record-level items always use WAL ("there is no
+   justification to tie up a complete block or fragment").
+2. **Commit point** — one careful write per involved volume puts the
+   whole intentions list *and* its flag on stable storage
+   (:mod:`repro.transactions.intentions`).  On a single volume the list
+   is written with status ``commit`` and that write is the commit
+   point; across volumes the lists are ``tentative`` and the
+   ``txndecision:`` record written after them is.  A crash before the
+   commit point aborts the transaction; after it, recovery redoes the
+   lists (both techniques are idempotent).
 3. **Apply** — WAL records are written in place through the file
-   service; shadow records swap the block descriptor in the FIT to the
-   tentative extent and free the old block.
-4. **Cleanup** — records and flag are removed, WAL extents freed,
-   locks released (the unlock phase of 2PL ends here).
+   service and stay dirty in its block pool; shadow records have the
+   disk server *adopt* the scratch extent, swap the block descriptor
+   in the FIT to it and free the block the swap retired.
+4. **Cleanup** — the blocks the records cover are written back (each
+   dirty block once) and then their files' FITs, the bitmap is
+   checkpointed only if an apply left it stale, each list is removed
+   with one delete, the WAL scratch extents are freed, and the locks
+   released (the unlock phase of 2PL ends here).  Nothing else on the
+   server is written back: a ``tend`` pays for its own transaction
+   only, whatever the size of the files or the volume.
+
+Recovery of a volume loads the last bitmap checkpoint, re-claims the
+scratch extents its surviving lists name (free space is the checkpoint
+plus that delta), then redoes the committed lists and discards the rest.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Literal, Optional, Tuple
+from typing import Dict, List, Literal, Optional, Sequence, Tuple
 
 from repro.common.clock import SimClock
 from repro.common.errors import (
@@ -46,7 +62,7 @@ from repro.disk_service.addresses import Extent
 from repro.file_service.attributes import LockingLevel
 from repro.file_service.server import FileServer
 from repro.transactions.intentions import (
-    IntentionFlag,
+    IntentionList,
     IntentionRecord,
     IntentionStore,
     Technique,
@@ -199,48 +215,53 @@ class TransactionCoordinator:
             self._commit_child(transaction)
             return
         transaction.phase = TransactionPhase.UNLOCKING
-        items = transaction.all_tentative_items()
-        records: List[IntentionRecord] = []
-        involved: set[int] = set()
-        for entry in items:
-            record = self._prepare_item(transaction, entry)
-            records.append(record)
-            involved.add(record.name.volume_id)
-        for _, name in transaction.deleted_files:
-            involved.add(name.volume_id)
-        if records:
-            # Free-space checkpoints so recovery's bitmap knows about the
-            # tentative extents allocated above.
-            for volume_id in involved:
-                self._binding(volume_id).file_server.disk.checkpoint_free_space()
-            if len(involved) > 1:
-                # Multi-volume commit point: one decision record on the
-                # coordinator volume (lowest id) *before* any per-volume
-                # flag flips.  A crash between the flips is then still
-                # atomic: recovery on a flag-less volume finds the
-                # decision and redoes instead of presuming abort.
-                self._binding(min(involved)).intents.set_decision(
-                    transaction.tid, sorted(involved)
+        records = [
+            self._prepare_item(transaction, entry)
+            for entry in transaction.all_tentative_items()
+        ]
+        deletes = [name for _, name in transaction.deleted_files]
+        volumes = self._volumes_of(records, deletes)
+        # A single volume's list is written with status 'commit' and is
+        # itself the commit point.  Across volumes every list goes out
+        # 'tentative' and the decision record on the coordinator volume
+        # (lowest id), written after them, is: a crash between the list
+        # writes aborts everywhere, one after the decision redoes
+        # everywhere, and no list is rewritten to say so.
+        status = (
+            TransactionStatus.COMMITTED
+            if len(volumes) == 1
+            else TransactionStatus.TENTATIVE
+        )
+        for volume_id in volumes:
+            self._binding(volume_id).intents.write(
+                IntentionList(
+                    tid=transaction.tid,
+                    status=status,
+                    records=tuple(
+                        r for r in records if r.name.volume_id == volume_id
+                    ),
+                    deletes=tuple(
+                        n for n in deletes if n.volume_id == volume_id
+                    ),
                 )
-            # The commit point: flags flip to 'commit' on stable storage.
-            for volume_id in involved:
-                IntentionFlag(
-                    self._binding(volume_id).file_server.disk.stable,
-                    transaction.tid,
-                ).set(TransactionStatus.COMMITTED)
+            )
+        if len(volumes) > 1:
+            self._binding(volumes[0]).intents.set_decision(
+                transaction.tid, volumes
+            )
         transaction.status = TransactionStatus.COMMITTED
         for record in records:
             self._apply(record)
         self._apply_sizes(transaction)
-        for _, name in transaction.deleted_files:
+        for name in deletes:
             self._binding(name.volume_id).file_server.delete(name)
-        self._cleanup_committed(transaction.tid, records, involved)
-        if records and len(involved) > 1:
-            # Only after every volume's records and flags are gone: a
-            # stale decision is harmless (nothing left to redo), but
-            # removing it early would let a crash turn a redo into a
-            # presumed abort on a volume that still holds records.
-            self._binding(min(involved)).intents.remove_decision(transaction.tid)
+        self._cleanup_committed(transaction.tid, records, deletes)
+        if len(volumes) > 1:
+            # Only after every volume's list is gone: a stale decision
+            # is harmless (nothing left to redo), but removing it early
+            # would let a crash turn a redo into a presumed abort on a
+            # volume that still holds its list.
+            self._binding(volumes[0]).intents.remove_decision(transaction.tid)
         self._release_locks(transaction)
         self.forget(transaction)
         self.metrics.add("transactions.committed")
@@ -342,10 +363,10 @@ class TransactionCoordinator:
     def recover_volume(self, volume_id: int) -> Tuple[int, int]:
         """Crash recovery for one volume; returns (redone, discarded).
 
-        Transactions whose intention flag says ``commit`` are redone
-        (their after-images are on disk, the operations idempotent);
-        anything else — tentative flags, orphan records — is discarded
-        and its tentative extents freed.  The whole pass is one traced
+        Lists whose flag says ``commit`` — or ``tentative`` with a
+        multi-volume decision on record — are redone (their after-images
+        are on disk, the operations idempotent); any other list is
+        discarded and its scratch extents freed.  The whole pass is one traced
         span and one ``transactions.recovery_us`` timing observation:
         recovery time is the half of the availability story that crash
         injection alone does not measure.
@@ -360,49 +381,67 @@ class TransactionCoordinator:
 
     def _recover_volume(self, volume_id: int) -> Tuple[int, int]:
         binding = self._binding(volume_id)
+        disk = binding.file_server.disk
         # Stable storage first: its recovery drops records that never
         # completed their first careful write (both copies dead), which
         # the file/disk recovery below must not trip over when it reads
         # the bitmap checkpoint.
-        binding.file_server.disk.stable.recover()
+        disk.stable.recover()
         binding.file_server.recover()
+        lists = [
+            binding.intents.read(tid) for tid in binding.intents.transactions()
+        ]
+        # No checkpoint contains a scratch extent, so the loaded bitmap
+        # calls every surviving after-image free space.  Re-claim them
+        # all before anything below allocates.
+        for intentions in lists:
+            for record in intentions.records:
+                disk.reclaim_scratch(record.extent)
         redone = 0
         discarded = 0
-        flagged = set(binding.intents.flagged_transactions())
-        with_records = set(binding.intents.transactions_with_intentions())
-        for tid in sorted(flagged | with_records):
-            flag = IntentionFlag(binding.file_server.disk.stable, tid)
-            status = flag.get()
-            records = binding.intents.get_intentions(tid)
-            committed = status is TransactionStatus.COMMITTED
-            if not committed and status is None:
-                # No flag on this volume — but a multi-volume commit may
-                # have crashed between its flag flips.  The decision
-                # record on the coordinator volume is authoritative.
-                decision = self._find_decision(tid)
+        for intentions in lists:
+            committed = intentions.status is TransactionStatus.COMMITTED
+            if not committed:
+                # A tentative list belongs to a multi-volume commit; the
+                # decision record on its coordinator volume says whether
+                # the commit point was reached.
+                decision = self._find_decision(intentions.tid)
                 committed = decision is not None and volume_id in decision
-            if committed and self.unsafe_skip_redo:
-                # Deliberately broken path (see __init__): drop the redo
-                # information without replaying it.  The crash sweep
-                # must flag the partial state this leaves behind.
-                binding.intents.remove_intentions(tid)
-                flag.clear()
+            if committed and not self.unsafe_skip_redo:
+                self._redo(binding, intentions)
                 redone += 1
-            elif committed:
-                for record in records:
-                    self._apply(record)
-                self._cleanup_committed(tid, records, {volume_id})
+                continue
+            # Discard — or, with the deliberately broken path enabled
+            # (see __init__), drop committed redo information without
+            # replaying it: the crash sweep must flag the partial state
+            # that leaves behind.
+            binding.intents.remove(intentions.tid)
+            for record in intentions.records:
+                self._safe_free(volume_id, record.extent)
+            if committed:
                 redone += 1
             else:
-                for record in records:
-                    self._safe_free(volume_id, record.extent)
-                binding.intents.remove_intentions(tid)
-                flag.clear()
                 discarded += 1
         self._collect_stale_decisions()
-        binding.file_server.disk.checkpoint_free_space()
+        disk.checkpoint_free_space()
         self.metrics.add("transactions.recoveries")
         return redone, discarded
+
+    def _redo(self, binding: _VolumeBinding, intentions: IntentionList) -> None:
+        """Carry a committed list out again, from wherever the crash left it."""
+        server = binding.file_server
+        # Deletes run after every apply, so a listed file that is already
+        # gone had its records applied before the crash.
+        gone = {name for name in intentions.deletes if not server.exists(name)}
+        for record in intentions.records:
+            if record.name not in gone:
+                self._apply(record)
+        for name in intentions.deletes:
+            if name not in gone:
+                server.delete(name)
+        self._cleanup_committed(
+            intentions.tid, intentions.records, intentions.deletes
+        )
 
     def _find_decision(self, tid: int) -> Optional[List[int]]:
         """The commit decision for ``tid``, wherever it was recorded."""
@@ -415,19 +454,15 @@ class TransactionCoordinator:
     def _collect_stale_decisions(self) -> None:
         """Drop decision records whose transactions are fully cleaned up.
 
-        A decision may only disappear once no registered volume holds
-        records or a flag for the transaction; until then it must stay,
-        because it is what turns a flag-less recovery into a redo.
+        A decision may only disappear once no registered volume holds a
+        list for the transaction; until then it must stay, because it
+        is what turns a tentative list's recovery into a redo.
         """
         for other in self._volumes.values():
             for tid in other.intents.decided_transactions():
                 try:
                     live = any(
-                        candidate.intents.get_intentions(tid)
-                        or IntentionFlag(
-                            candidate.file_server.disk.stable, tid
-                        ).get()
-                        is not None
+                        candidate.intents.read(tid) is not None
                         for candidate in self._volumes.values()
                     )
                 except DiskError:
@@ -448,7 +483,7 @@ class TransactionCoordinator:
     def _prepare_item(
         self, transaction: Transaction, entry: TentativeItem
     ) -> IntentionRecord:
-        """Durable tentative data item + intention record for one entry."""
+        """Durable tentative data item for one entry, and the record naming it."""
         name = entry.item.name
         binding = self._binding(name.volume_id)
         level = entry.item.level
@@ -479,11 +514,12 @@ class TransactionCoordinator:
             # Page buffers are always full blocks, so this only happens
             # for file-level items whose data already equals the size.
             padded = entry.data + bytes(extent.byte_size - len(entry.data))
-        binding.file_server.disk.put(extent, padded[: extent.byte_size])
+        # Recorded before the put so an abort after a failed write still
+        # returns the extent.
         entry.extent = extent
         entry.volume_id = name.volume_id
+        binding.file_server.disk.put(extent, padded[: extent.byte_size])
         record = IntentionRecord(
-            tid=transaction.tid,
             sequence=entry.sequence,
             name=name,
             level=level,
@@ -493,7 +529,6 @@ class TransactionCoordinator:
             technique=technique,
             block_index=block_index,
         )
-        binding.intents.set_intention(record)
         self.metrics.add("transactions.intentions_written")
         return record
 
@@ -541,22 +576,29 @@ class TransactionCoordinator:
     def _apply(self, record: IntentionRecord) -> None:
         """Make one intention permanent (idempotent for crash redo)."""
         binding = self._binding(record.name.volume_id)
-        data = binding.file_server.disk.get(record.extent)[: record.length]
+        server = binding.file_server
+        data = server.disk.get(record.extent)[: record.length]
         if record.technique is Technique.WAL:
-            binding.file_server.write(record.name, record.lo, data)
+            # The after-image is durable and listed, so the in-place
+            # copy may sit dirty in the block pool until cleanup flushes
+            # the file: two records in one block then cost one put.
+            server.write(record.name, record.lo, data, delayed=True)
             self.metrics.add("transactions.wal_applies")
         else:
-            old = binding.file_server.replace_block_descriptor(
+            # The scratch extent becomes a block of the file: from here
+            # on it is an allocation like any other, checkpointed before
+            # the FIT that references it is stored.
+            server.disk.adopt(record.extent)
+            old = server.replace_block_descriptor(
                 record.name, record.block_index, record.extent.start
             )
             if record.length > 0:
-                binding.file_server.set_file_size_at_least(
+                server.set_file_size_at_least(
                     record.name, record.lo + record.length
                 )
             if old is not None and old != record.extent.start:
                 self._safe_free(
-                    record.name.volume_id,
-                    Extent.for_block_run(old, 1),
+                    record.name.volume_id, Extent.for_block_run(old, 1)
                 )
             self.metrics.add("transactions.shadow_applies")
 
@@ -567,23 +609,45 @@ class TransactionCoordinator:
             )
 
     def _cleanup_committed(
-        self, tid: int, records: List[IntentionRecord], involved: set[int]
+        self,
+        tid: int,
+        records: Sequence[IntentionRecord],
+        deletes: Sequence[SystemName],
     ) -> None:
-        # WAL discipline: the applied effects (including FIT attribute
-        # updates sitting dirty in the server cache) must be durable
-        # BEFORE the redo information is discarded — flush first, then
-        # drop records and flags.  A crash inside the flush re-runs the
-        # idempotent redo; a crash after it needs nothing.
-        for volume_id in involved:
-            self._binding(volume_id).file_server.flush()
+        # WAL discipline: the applied effects (dirty blocks in the pool,
+        # FIT attribute updates in the FIT cache) must be durable BEFORE
+        # the redo information is discarded — flush what the records
+        # cover, settle the bitmap, then drop the lists.  A crash inside
+        # the flush re-runs the idempotent redo; a crash after it needs
+        # nothing.  Only this transaction's blocks are written back;
+        # other clients' delayed writes wait for their own flush.
+        spans: Dict[SystemName, List[Tuple[int, int]]] = {}
+        for record in records:
+            spans.setdefault(record.name, []).append((record.lo, record.length))
+        for name in deletes:
+            spans.pop(name, None)
+        for name, covered in spans.items():
+            self._binding(name.volume_id).file_server.flush_file(name, covered)
+        for volume_id in self._volumes_of(records, deletes):
+            binding = self._binding(volume_id)
+            binding.file_server.disk.settle_free_space()
+            binding.intents.remove(tid)
+        # The lists are gone first: a crash from here on finds nothing
+        # to redo, and the scratch extents are free in every checkpoint.
         for record in records:
             if record.technique is Technique.WAL:
                 self._safe_free(record.name.volume_id, record.extent)
             self.metrics.add("transactions.intentions_removed")
-        for volume_id in involved:
-            binding = self._binding(volume_id)
-            binding.intents.remove_intentions(tid)
-            IntentionFlag(binding.file_server.disk.stable, tid).clear()
+
+    @staticmethod
+    def _volumes_of(
+        records: Sequence[IntentionRecord], deletes: Sequence[SystemName]
+    ) -> List[int]:
+        """The volumes a commit involves, ascending."""
+        return sorted(
+            {record.name.volume_id for record in records}
+            | {name.volume_id for name in deletes}
+        )
 
     def _release_locks(self, transaction: Transaction) -> None:
         for binding in self._volumes.values():

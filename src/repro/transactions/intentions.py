@@ -1,4 +1,4 @@
-"""The intentions list: records, flags, and their stable-storage codec.
+"""The intentions list: one stable record per transaction and volume.
 
 Paper section 6.6–6.7: recovery uses the *intentions list* approach
 (chosen over file versions for its lower disk cost).  Each record in
@@ -9,10 +9,28 @@ a file server to take a decision on how the changes in the intentions
 list will be made permanent, i.e., by shadow page technique or wal
 approach".
 
-The after-image bytes themselves live in the tentative item's disk
-extent; the records (metadata only) and the flag live in stable
-storage, written *before* the flag flips to commit — that flip is the
-commit point, and replaying records after a crash is idempotent.
+Those are the only two things commit puts on stable storage, and here
+they share one record: an :class:`IntentionList` — every entry of the
+transaction on one volume plus its status — stored under
+``intentions:<tid>`` in that volume's stable store with a single
+careful write.  The after-image bytes themselves live in the tentative
+items' scratch extents on the volume's main disk, written before the
+list that names them.
+
+* A **single-volume** transaction writes its list with status
+  ``commit``: that one write is the commit point.  A crash that tears
+  the first mirror copy leaves no decodable record — the transaction
+  never committed and its scratch extents, which no bitmap checkpoint
+  ever contained, are simply free.  Once the first copy has landed,
+  stable-storage recovery completes the second and the list is redone.
+* A **multi-volume** transaction writes one list per volume with status
+  ``tentative`` and then a ``txndecision:<tid>`` record on the
+  coordinator volume; the decision is the commit point and the lists
+  are never rewritten.  A recovering volume that finds a tentative list
+  asks every registered volume for the decision before presuming abort.
+
+Replaying a list after a crash is idempotent; removing it (one delete)
+ends the transaction's redo obligation.
 """
 
 from __future__ import annotations
@@ -20,7 +38,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.common.errors import DiskError
 from repro.common.ids import SystemName
@@ -28,6 +46,14 @@ from repro.disk_service.addresses import Extent
 from repro.file_service.attributes import LockingLevel
 from repro.simdisk.stable import StableStore
 from repro.transactions.transaction import TransactionStatus
+
+#: Stable-storage key prefixes of the transaction service.
+LIST_PREFIX = "intentions:"
+DECISION_PREFIX = "txndecision:"
+
+
+def _name_to_json(name: SystemName) -> List[int]:
+    return [name.volume_id, name.fit_address, name.generation]
 
 
 class Technique(enum.Enum):
@@ -42,7 +68,6 @@ class IntentionRecord:
     """One entry of a transaction's intentions list.
 
     Attributes:
-        tid: owning transaction descriptor.
         sequence: application order within the transaction.
         name: the file the change applies to.
         level: locking granularity the item was locked at.
@@ -56,7 +81,6 @@ class IntentionRecord:
             swap to ``extent.start``.
     """
 
-    tid: int
     sequence: int
     name: SystemName
     level: LockingLevel
@@ -66,112 +90,100 @@ class IntentionRecord:
     technique: Technique
     block_index: int = -1
 
-    # ------------------------------------------------------- codec
-
-    def to_bytes(self) -> bytes:
-        return json.dumps(
-            {
-                "tid": self.tid,
-                "seq": self.sequence,
-                "volume": self.name.volume_id,
-                "fit": self.name.fit_address,
-                "generation": self.name.generation,
-                "level": self.level.name,
-                "lo": self.lo,
-                "length": self.length,
-                "extent_start": self.extent.start,
-                "extent_length": self.extent.length,
-                "technique": self.technique.value,
-                "block_index": self.block_index,
-            },
-            sort_keys=True,
-        ).encode("utf-8")
+    def to_json(self) -> dict:
+        return {
+            "seq": self.sequence,
+            "file": _name_to_json(self.name),
+            "level": self.level.name,
+            "lo": self.lo,
+            "length": self.length,
+            "extent": [self.extent.start, self.extent.length],
+            "technique": self.technique.value,
+            "block_index": self.block_index,
+        }
 
     @classmethod
-    def from_bytes(cls, blob: bytes) -> "IntentionRecord":
-        raw = json.loads(blob.decode("utf-8"))
+    def from_json(cls, raw: dict) -> "IntentionRecord":
         return cls(
-            tid=raw["tid"],
             sequence=raw["seq"],
-            name=SystemName(raw["volume"], raw["fit"], raw["generation"]),
+            name=SystemName(*raw["file"]),
             level=LockingLevel[raw["level"]],
             lo=raw["lo"],
             length=raw["length"],
-            extent=Extent(raw["extent_start"], raw["extent_length"]),
+            extent=Extent(*raw["extent"]),
             technique=Technique(raw["technique"]),
             block_index=raw["block_index"],
         )
 
 
-class IntentionFlag:
-    """The per-transaction status flag on one volume's stable storage."""
+@dataclass(frozen=True, slots=True)
+class IntentionList:
+    """Everything one transaction intends on one volume, and its flag.
 
-    def __init__(self, stable: StableStore, tid: int) -> None:
-        self.stable = stable
-        self.key = f"txnflag:{tid}"
+    Attributes:
+        tid: the transaction descriptor.
+        status: the intention flag.  ``COMMITTED`` — this record is the
+            commit point; ``TENTATIVE`` — the multi-volume decision
+            record is (absent one, the transaction aborted).
+        records: the tentative items, in application order.
+        deletes: files the transaction ``tdelete``d on this volume,
+            removed after the records are applied — named here so redo
+            completes a half-done commit instead of resurrecting them.
+    """
 
-    def set(self, status: TransactionStatus) -> None:
-        self.stable.put(self.key, status.value.encode("ascii"))
+    tid: int
+    status: TransactionStatus
+    records: Tuple[IntentionRecord, ...]
+    deletes: Tuple[SystemName, ...] = ()
 
-    def get(self) -> Optional[TransactionStatus]:
-        try:
-            return TransactionStatus(self.stable.get(self.key).decode("ascii"))
-        except KeyError:
-            return None
+    def to_bytes(self) -> bytes:
+        return json.dumps(
+            {
+                "tid": self.tid,
+                "status": self.status.value,
+                "records": [record.to_json() for record in self.records],
+                "deletes": [_name_to_json(name) for name in self.deletes],
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        ).encode("utf-8")
 
-    def clear(self) -> None:
-        self.stable.delete(self.key)
+    @classmethod
+    def from_bytes(cls, blob: bytes) -> "IntentionList":
+        raw = json.loads(blob.decode("utf-8"))
+        return cls(
+            tid=raw["tid"],
+            status=TransactionStatus(raw["status"]),
+            records=tuple(
+                IntentionRecord.from_json(record) for record in raw["records"]
+            ),
+            deletes=tuple(SystemName(*name) for name in raw["deletes"]),
+        )
 
 
 class IntentionStore:
-    """Intention records of one volume, persisted in its stable store.
-
-    Implements the paper's get-intention / set-intention /
-    remove-intention operations.
-    """
+    """The intentions lists of one volume, persisted in its stable store."""
 
     def __init__(self, stable: StableStore) -> None:
         self.stable = stable
 
-    @staticmethod
-    def _key(tid: int, sequence: int) -> str:
-        return f"intent:{tid}:{sequence}"
+    def write(self, intentions: IntentionList) -> None:
+        """One careful write: the whole list and its flag."""
+        self.stable.put(f"{LIST_PREFIX}{intentions.tid}", intentions.to_bytes())
 
-    def set_intention(self, record: IntentionRecord) -> None:
-        self.stable.put(self._key(record.tid, record.sequence), record.to_bytes())
+    def read(self, tid: int) -> Optional[IntentionList]:
+        try:
+            blob = self.stable.get(f"{LIST_PREFIX}{tid}")
+        except KeyError:
+            return None
+        return IntentionList.from_bytes(blob)
 
-    def get_intentions(self, tid: int) -> List[IntentionRecord]:
-        """All durable records of one transaction, in sequence order."""
-        prefix = f"intent:{tid}:"
-        records = []
-        for key in self.stable.keys():
-            if key.startswith(prefix):
-                records.append(IntentionRecord.from_bytes(self.stable.get(key)))
-        records.sort(key=lambda record: record.sequence)
-        return records
+    def remove(self, tid: int) -> None:
+        self.stable.delete(f"{LIST_PREFIX}{tid}")
 
-    def remove_intentions(self, tid: int) -> int:
-        prefix = f"intent:{tid}:"
-        removed = 0
-        for key in list(self.stable.keys()):
-            if key.startswith(prefix):
-                self.stable.delete(key)
-                removed += 1
-        return removed
-
-    def transactions_with_intentions(self) -> List[int]:
-        tids = set()
-        for key in self.stable.keys():
-            if key.startswith("intent:"):
-                tids.add(int(key.split(":")[1]))
-        return sorted(tids)
-
-    def flagged_transactions(self) -> List[int]:
-        tids = set()
-        for key in self.stable.keys():
-            if key.startswith("txnflag:"):
-                tids.add(int(key.split(":")[1]))
-        return sorted(tids)
+    def transactions(self) -> List[int]:
+        """Transactions with a list on this volume, ascending."""
+        return self._tids(LIST_PREFIX)
 
     # ------------------------------------------- multi-volume commit
 
@@ -179,15 +191,15 @@ class IntentionStore:
         """Record the commit decision of a multi-volume transaction.
 
         Written on the coordinator volume (the lowest involved volume
-        id) *before* the per-volume intention flags flip.  A crash
-        between the flag flips then leaves the decision as the single
-        source of truth: a recovering volume that finds records but no
-        flag consults every registered volume for the decision before
-        presuming abort — which is what makes a two-volume commit
-        all-or-nothing across volumes, not just within one.
+        id) *after* every involved volume's tentative list is durable.
+        It is the single source of truth from then on: a recovering
+        volume that finds a tentative list consults every registered
+        volume for the decision before presuming abort — which is what
+        makes a two-volume commit all-or-nothing across volumes, not
+        just within one.
         """
         payload = json.dumps({"tid": tid, "volumes": sorted(volumes)})
-        self.stable.put(f"txndecision:{tid}", payload.encode("utf-8"))
+        self.stable.put(f"{DECISION_PREFIX}{tid}", payload.encode("utf-8"))
 
     def get_decision(self, tid: int) -> Optional[List[int]]:
         """Volumes of a committed multi-volume transaction, or None.
@@ -196,17 +208,20 @@ class IntentionStore:
         unreadable) reads as None: the transaction is presumed aborted.
         """
         try:
-            blob = self.stable.get(f"txndecision:{tid}")
+            blob = self.stable.get(f"{DECISION_PREFIX}{tid}")
         except (KeyError, DiskError):
             return None
         return json.loads(blob.decode("utf-8"))["volumes"]
 
     def remove_decision(self, tid: int) -> None:
-        self.stable.delete(f"txndecision:{tid}")
+        self.stable.delete(f"{DECISION_PREFIX}{tid}")
 
     def decided_transactions(self) -> List[int]:
+        return self._tids(DECISION_PREFIX)
+
+    def _tids(self, prefix: str) -> List[int]:
         return sorted(
-            int(key.split(":")[1])
+            int(key[len(prefix):])
             for key in self.stable.keys()
-            if key.startswith("txndecision:")
+            if key.startswith(prefix)
         )

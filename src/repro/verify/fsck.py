@@ -57,6 +57,8 @@ class FsckReport:
     errors: List[str] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
     orphaned_fragments: int = 0
+    #: Every fragment some FIT accounts for (FITs, tree blocks, data).
+    referenced: Set[int] = field(default_factory=set, repr=False)
 
     @property
     def clean(self) -> bool:
@@ -142,7 +144,8 @@ def fsck_volume(server: FileServer, *, verify_media: bool = False) -> FsckReport
 
     # Pass 2: walk each FIT's block-map tree.
     owner_of: Dict[int, int] = {}  # block start fragment -> owning FIT
-    referenced: Set[int] = set(fits)  # fragments accounted for
+    referenced = report.referenced
+    referenced.update(fits)
     untrusted: Dict[int, str] = {}  # tree block address -> why it was not read
 
     def read(address: int) -> Optional[bytes]:

@@ -115,6 +115,17 @@ class TestPersistence:
         assert restored.free_count == bitmap.free_count
         assert list(restored.free_runs()) == list(bitmap.free_runs())
 
+    def test_extents_can_be_written_out_as_free(self):
+        bitmap = FragmentBitmap(40)
+        bitmap.mark_allocated(Extent(2, 3))
+        for extent in (Extent(7, 9), Extent(30, 10)):  # byte-crossing, tail
+            bitmap.mark_allocated(extent)
+        live = bitmap.to_bytes()
+        image = bitmap.to_bytes(as_free=[Extent(7, 9), Extent(30, 10)])
+        assert bitmap.to_bytes() == live  # the live bitmap is untouched
+        restored = FragmentBitmap.from_bytes(image, 40)
+        assert list(restored.allocated_runs()) == [Extent(2, 3)]
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             FragmentBitmap.from_bytes(b"\xff", 40)

@@ -202,6 +202,63 @@ class TestRecovery:
         assert server.pending_stable_writes == 0
 
 
+class TestScratchExtents:
+    """Tentative space is a delta on the checkpoint, never part of it."""
+
+    @staticmethod
+    def bitmap_puts(server):
+        return server.metrics.get("disk.0.stable_a.writes")
+
+    def test_taking_and_returning_scratch_leaves_the_checkpoint_fresh(self, server):
+        server.flush()
+        writes = self.bitmap_puts(server)
+        extent = server.allocate(3, scratch=True)
+        block = server.allocate_block(1, scratch=True)
+        assert server.scratch_extents() == sorted(
+            [(extent.start, 3), (block.start, 4)]
+        )
+        server.free(extent)
+        server.free(block)
+        server.settle_free_space()
+        assert self.bitmap_puts(server) == writes
+        assert server.scratch_extents() == []
+        assert server.free_fragments == server.n_fragments
+
+    def test_a_checkpoint_saves_scratch_as_free_space(self, server):
+        kept = server.allocate(4)
+        scratch = server.allocate(4, scratch=True)
+        server.checkpoint_free_space()
+        assert server.bitmap.is_allocated_run(scratch)
+        server.recover()
+        assert server.bitmap.is_allocated_run(kept)
+        assert server.bitmap.is_free_run(scratch)
+        assert server.scratch_extents() == []
+        server.extent_table.check_against(server.bitmap)
+
+    def test_reclaim_takes_a_listed_extent_out_of_free_space_again(self, server):
+        scratch = server.allocate(4, scratch=True)
+        server.checkpoint_free_space()
+        server.recover()
+        server.reclaim_scratch(scratch)
+        assert server.bitmap.is_allocated_run(scratch)
+        assert server.scratch_extents() == [(scratch.start, 4)]
+        server.extent_table.check_against(server.bitmap)
+        server.reclaim_scratch(scratch)  # already held: nothing changes
+        assert server.scratch_extents() == [(scratch.start, 4)]
+
+    def test_adopt_makes_the_extent_durable_before_the_next_stable_put(self, server):
+        scratch = server.allocate_block(1, scratch=True)
+        server.adopt(scratch)
+        assert server.scratch_extents() == []
+        fit = server.allocate(1)
+        server.put(fit, payload(fit), stability=Stability.BOTH)
+        server.recover()
+        assert server.bitmap.is_allocated_run(scratch)
+        server.adopt(scratch)  # a redo adopts again
+        with pytest.raises(BadAddressError):
+            server.adopt(Extent(fit.end, 1))  # free space
+
+
 class TestChecksums:
     """PR 6: every put seals a per-fragment CRC; every get verifies it."""
 

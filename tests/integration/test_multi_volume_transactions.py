@@ -81,7 +81,7 @@ class TestMultiVolumeCommit:
             leftovers = [
                 key
                 for key in stable.keys()
-                if key.startswith(("intent:", "txnflag:"))
+                if key.startswith("intentions:")
             ]
             assert leftovers == []
 

@@ -11,7 +11,12 @@ from repro.naming.attributed import AttributedName
 from repro.naming.service import NamingService
 from repro.transactions.agent import TransactionAgentHost
 from repro.transactions.coordinator import TransactionCoordinator
-from repro.transactions.intentions import IntentionRecord, Technique
+from repro.transactions.intentions import (
+    IntentionList,
+    IntentionRecord,
+    Technique,
+)
+from repro.transactions.transaction import TransactionStatus
 from tests.conftest import build_file_server
 
 NAME = AttributedName.file("/f")
@@ -111,7 +116,6 @@ class TestIntentionRecords:
         from repro.disk_service.addresses import Extent
 
         record = IntentionRecord(
-            tid=9,
             sequence=2,
             name=SystemName(1, 55, 3),
             level=LockingLevel.PAGE,
@@ -121,7 +125,13 @@ class TestIntentionRecords:
             technique=Technique.SHADOW,
             block_index=1,
         )
-        assert IntentionRecord.from_bytes(record.to_bytes()) == record
+        intentions = IntentionList(
+            tid=9,
+            status=TransactionStatus.TENTATIVE,
+            records=(record,),
+            deletes=(SystemName(1, 90, 4),),
+        )
+        assert IntentionList.from_bytes(intentions.to_bytes()) == intentions
 
     def test_committed_transaction_leaves_no_intentions(self):
         host, server, naming, coordinator, _ = build()
@@ -131,8 +141,7 @@ class TestIntentionRecords:
         host.tpwrite(tid, descriptor, b"z", 0)
         host.tend(tid)
         stable = server.disk.stable
-        assert not [key for key in stable.keys() if key.startswith("intent:")]
-        assert not [key for key in stable.keys() if key.startswith("txnflag:")]
+        assert not [key for key in stable.keys() if key.startswith("intentions:")]
 
     def test_abort_frees_tentative_space(self):
         host, server, naming, coordinator, _ = build()
