@@ -62,11 +62,9 @@ class AuditedDiskServer(DiskServer):
         super().__init__(*args, **kwargs)
         self.scratch_history: List[Extent] = []
 
-    def allocate(self, n_fragments, *, contiguous=True, scratch=False):
-        got = super().allocate(
-            n_fragments, contiguous=contiguous, scratch=scratch
-        )
-        if scratch and contiguous:
+    def allocate(self, n_fragments, *, scratch=False):
+        got = super().allocate(n_fragments, scratch=scratch)
+        if scratch:
             self.scratch_history.append(got)
         return got
 

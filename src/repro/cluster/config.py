@@ -16,7 +16,6 @@ from repro.naming.shard import DEFAULT_SLOTS
 from repro.rpc.bus import FaultProfile
 from repro.rpc.retry import BackoffPolicy, BreakerPolicy
 from repro.simdisk.geometry import DiskGeometry
-from repro.simdisk.timing import DiskTimingModel
 from repro.transactions.lock_manager import TimeoutPolicy
 
 
@@ -29,7 +28,6 @@ class ClusterConfig:
             agents).
         n_disks: volumes; one disk server and one file server each.
         geometry: disk geometry for every data disk.
-        timing: disk service-time model.
         client_cache_blocks: per-machine file-agent cache capacity
             (0 = no client cache — the Amoeba Bullet configuration).
         server_cache_blocks: per-volume file-server block pool (0 = off).
@@ -74,7 +72,6 @@ class ClusterConfig:
     n_machines: int = 1
     n_disks: int = 1
     geometry: DiskGeometry = field(default_factory=DiskGeometry.medium)
-    timing: DiskTimingModel = field(default_factory=DiskTimingModel)
     client_cache_blocks: int = 128
     server_cache_blocks: int = 256
     disk_cache_tracks: int = 128

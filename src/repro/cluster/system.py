@@ -124,7 +124,6 @@ class RhodosCluster:
                         self.config.geometry,
                         self.clock,
                         self.metrics,
-                        timing=self.config.timing,
                         tracer=self.tracer,
                     )
                     for index in range(self.config.raid_members)
@@ -146,7 +145,6 @@ class RhodosCluster:
                     self.config.geometry,
                     self.clock,
                     self.metrics,
-                    timing=self.config.timing,
                     tracer=self.tracer,
                 )
             stable = StableStore(
@@ -155,14 +153,12 @@ class RhodosCluster:
                     DiskGeometry.small(),
                     self.clock,
                     self.metrics,
-                    timing=self.config.timing,
                 ),
                 SimDisk(
                     f"{volume_id}.stable_b",
                     DiskGeometry.small(),
                     self.clock,
                     self.metrics,
-                    timing=self.config.timing,
                 ),
             )
             disk_server = DiskServer(

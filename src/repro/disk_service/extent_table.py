@@ -131,23 +131,6 @@ class FreeExtentTable:
             return Extent(start, true_length)
         return None
 
-    def take_largest(self, bitmap: FragmentBitmap) -> Optional[Extent]:
-        """Pop the largest indexed run (used by non-contiguous gathering)."""
-        _monitor.active().read_all(self, site="extent_table.take_largest")
-        for row in range(self.rows - 1, -1, -1):
-            if not self._rows[row]:
-                continue
-            lengths = {
-                start: bitmap.run_length_at(start) for start in self._rows[row]
-            }
-            best_start = max(lengths, key=lengths.__getitem__)
-            self.remove_run(best_start)
-            true_length = lengths[best_start]
-            if true_length == 0:
-                continue
-            return Extent(best_start, true_length)
-        return None
-
     def has_run(self, n_fragments: int) -> bool:
         """The paper's quick availability check: any indexed run adequate?"""
         _monitor.active().read_all(self, site="extent_table.has_run")

@@ -236,19 +236,16 @@ class DiskServer:
         self,
         n_fragments: int,
         *,
-        contiguous: bool = True,
         scratch: bool = False,
-    ):
-        """Allocate ``n_fragments`` fragments.
+    ) -> Extent:
+        """Allocate one contiguous run of ``n_fragments`` fragments.
 
-        With ``contiguous=True`` (the RHODOS preference) returns a
-        single :class:`Extent`, raising :class:`DiskFullError` if no
-        contiguous run of that size exists.  With ``contiguous=False``
-        returns a list of extents covering the request, gathered
-        largest-run-first.
+        Raises :class:`DiskFullError` if no contiguous run of that size
+        exists — the paper's disk service only ever hands out
+        contiguous runs; a caller that can live with less asks again
+        for a shorter one.
 
-        ``scratch=True`` is for tentative data items and shadow pages
-        (contiguous requests only; a gathered one ignores it).
+        ``scratch=True`` is for tentative data items and shadow pages.
         The extent is placed at the high end of free space, so
         short-lived allocations do not punch holes into the low region
         where files grow contiguously, and it stays out of the durable
@@ -260,9 +257,7 @@ class DiskServer:
             raise BadAddressError("must allocate at least one fragment")
         self._serial()
         self.metrics.add(f"{self._prefix}.allocations")
-        if contiguous:
-            return self._allocate_contiguous(n_fragments, scratch=scratch)
-        return self._allocate_gather(n_fragments)
+        return self._allocate_contiguous(n_fragments, scratch=scratch)
 
     def allocate_block(self, n_blocks: int = 1, *, scratch: bool = False) -> Extent:
         """Allocate ``n_blocks`` contiguous 8 KB blocks (paper: allocate-block)."""
@@ -814,40 +809,6 @@ class DiskServer:
                 )
             self._bitmap_dirty = True
         return extent
-
-    def _allocate_gather(self, n_fragments: int) -> List[Extent]:
-        if self.bitmap.free_count < n_fragments:
-            raise DiskFullError(
-                f"{n_fragments} fragments requested, only "
-                f"{self.bitmap.free_count} free"
-            )
-        pieces: List[Extent] = []
-        remaining = n_fragments
-        refilled = False
-        while remaining > 0:
-            run = self.extent_table.take_largest(self.bitmap)
-            if run is None:
-                if refilled:
-                    # Bitmap said there was space; the table must find it
-                    # after a refill unless the bitmap lied (impossible).
-                    for piece in pieces:
-                        self.free(piece)
-                    raise DiskFullError(
-                        f"free space fragmented beyond recovery for "
-                        f"{n_fragments} fragments"
-                    )
-                self.extent_table.refill(self.bitmap)
-                self.metrics.add(f"{self._prefix}.table_refills")
-                refilled = True
-                continue
-            piece = run.take(min(run.length, remaining))
-            self.bitmap.mark_allocated(piece)
-            self._bitmap_dirty = True
-            if run.length > piece.length:
-                self.extent_table.insert_run(piece.end, run.length - piece.length)
-            pieces.append(piece)
-            remaining -= piece.length
-        return pieces
 
     def _claim(self, extent: Extent) -> bool:
         """Allocate exactly ``extent`` if all of it is free."""

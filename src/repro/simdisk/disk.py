@@ -47,6 +47,9 @@ from repro.simdisk.store import SectorStore
 from repro.simdisk.timeline import DiskTimeline
 from repro.simdisk.timing import DiskTimingModel
 
+#: The model is frozen, so every disk built without one shares this.
+_DEFAULT_TIMING = DiskTimingModel()
+
 
 class SimDisk:
     """A sector-addressed simulated disk drive.
@@ -117,7 +120,7 @@ class SimDisk:
         self.clock = clock
         self.metrics = metrics
         self.tracer = tracer or NULL_TRACER
-        self.timing = timing or DiskTimingModel()
+        self.timing = timing or _DEFAULT_TIMING
         self.faults = faults or FaultInjector()
         self.timeline = timeline or DiskTimeline(clock)
         self._sectors = SectorStore(geometry.sector_size)

@@ -1,86 +1,59 @@
-"""RAID tier under the disk service: striped volumes with parity.
+"""RAID tier under the disk service: one logical disk over N members.
 
-The paper's disk service promises "any set of contiguous fragments in
-one disk reference" and backs vital structures with mirrored stable
-storage — but a whole-disk loss still takes the volume down with it.
-A :class:`StripedVolume` closes that gap: it presents one logical disk
-over N member :class:`~repro.simdisk.disk.SimDisk` drives with a
-pluggable layout —
-
-* **raid0** — chunk-interleaved striping, no redundancy (the
-  bandwidth/latency comparator of the Linux RAID study);
-* **raid1** — every member carries the full image; reads pick one
-  mirror (one reference), writes fan out to all of them;
-* **raid5** — rotating parity: each stripe row of ``n-1`` data chunks
-  carries one parity chunk (XOR of the row), the parity member
-  rotating row by row so parity traffic spreads across the array.
+A :class:`StripedVolume` presents N :class:`~repro.simdisk.disk.SimDisk`
+drives as one disk — **raid0** (chunk-interleaved striping), **raid1**
+(every member a full mirror) or **raid5** (rotating parity) — and does
+two jobs: address translation and redundancy.  DESIGN.md §14 describes
+the layer; this docstring keeps what the code does not show.
 
 **Single-reference contract.**  The stripe unit (``chunk_sectors``) is
-the largest run a member serves in one reference, and a logical
-request decomposes into *at most one* contiguous physical span per
-member: consecutive chunks of one member are physically adjacent in
-every layout, so a RAID-5 span simply over-reads the parity chunks it
-straddles rather than splitting the reference.  Member references
-overlap through the deferred-time frame machinery
-(:class:`~repro.common.frames.FrameFork`): inside a pipeline's service
+the largest run a member serves in one reference, and a logical request
+decomposes into *at most one* contiguous physical span per member:
+consecutive chunks of one member are physically adjacent in every
+layout, so a raid5 span over-reads the parity chunks it straddles
+rather than splitting the reference.  Member references overlap through
+:class:`~repro.common.frames.FrameFork`: inside a pipeline's service
 frame the spans replay from the fork point and join at the slowest
-member, while blocking callers get the classic sequential semantics.
-
-**Degraded mode.**  On a member :class:`DiskCrashedError` — or a media
-error a repair rewrite cannot heal — the array marks the member failed
-and keeps serving: raid1 falls back to a surviving mirror, raid5
-reconstructs the missing span as the XOR of every surviving member's
-same span (parity rotation makes that identity hold for data and
-parity chunks alike).  Degraded writes keep the parity invariant for
-the *surviving* state, so an acked write is always reconstructable —
-zero acked-write loss while redundancy lasts.
-
-**Membership is on disk.**  The leading chunks of every member form a
-metadata area: a superblock (layout parameters, a monotonically
-increasing *epoch*, the failed/rebuilding membership bitmaps) and a
-write-intent journal.  Every membership transition bumps the epoch and
-rewrites the superblocks of the surviving members, so a machine
-restart (:meth:`StripedVolume.recover`) re-learns from the platters
-which members are stale — a mirror that missed degraded writes can
-never be silently trusted again.  The state machine is OPTIMAL →
-DEGRADED → REBUILDING → (OPTIMAL | FAILED); transitions fire the
-``on_state_change`` listener the cluster routes into the
-:class:`~repro.recovery.health.HealthRegistry`.
+member; blocking callers get the classic sequential semantics.
 
 **The degraded write hole is journalled shut.**  With a stale data
 column in a row, that column's bytes exist only as the parity identity
 over the survivors, so a crash *between* the member writes of a row
 update would silently change what the column reconstructs to — losing
 data acked long before the in-flight write.  Before any such update
-the array journals the reconstructed old value on an in-sync member
-(payload first, then a single-sector header that commits the record);
-:meth:`StripedVolume.recover` replays armed records by recomputing the
-parity so the stale column reconstructs to its journalled value again.
-In OPTIMAL mode no journal is needed: a full resync recomputes
-redundancy from data, and only un-acked torn rows can differ.
+the array journals the reconstructed old value on the lowest in-sync
+member (payload first, then a single-sector header that commits the
+record); :meth:`StripedVolume.recover` replays armed records by
+recomputing the parity so the stale column reconstructs to its
+journalled value again.  Replay is idempotent: after a completed update
+the recomputation reproduces the parity already on disk.
 
-**Rebuild.**  Replacing a failed member (fresh platter via
-:meth:`~repro.simdisk.disk.SimDisk.replace_platter`) starts a
-background rebuild: :class:`RaidRebuilder` walks the member's physical
-chunks, reconstructing each from the survivors, gated on an idle
-predicate exactly like the PR 6 scrubber.  Writes that land below the
-rebuild watermark are written through to the target so the rebuilt
-region stays fresh; chunks above the watermark are reconstructed from
-the survivors' *current* content when the cursor reaches them.
+**OPTIMAL needs no journal.**  With every member in sync a full resync
+recomputes redundancy from data, and only rows torn by an un-acked
+in-flight write can differ — those carry no content promise.
 
-Every physical write funnels through one of the registered write
-sites (``_member_write`` / ``_parity_write`` / ``_superblock_write`` /
+**Membership is on disk.**  Every transition (OPTIMAL → DEGRADED →
+REBUILDING → OPTIMAL | FAILED) bumps an epoch and rewrites the
+survivors' superblocks, so a restart re-learns from the platters which
+members are stale: a mirror that missed degraded writes can never be
+silently trusted again.
+
+Every physical write goes through one of five registered write sites
+(``_member_write`` / ``_parity_write`` / ``_superblock_write`` /
 ``_journal_write`` / ``RaidRebuilder._write_target``), so the chaos
-sweep's crash-point numbering covers parity updates, journal arming,
-and rebuild traffic like any other platter mutation.
+sweep's crash-point numbering covers parity updates, journal arming and
+rebuild traffic like any other platter mutation.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import struct
 import zlib
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar,
+)
 
 from repro.analysis import monitor as _monitor
 from repro.common.errors import (
@@ -93,6 +66,8 @@ from repro.common.frames import FrameFork
 from repro.common.metrics import Metrics
 from repro.simdisk.disk import SimDisk
 from repro.simdisk.geometry import DiskGeometry
+
+_T = TypeVar("_T")
 
 
 class ArrayFailedError(DiskCrashedError):
@@ -107,8 +82,8 @@ class ArrayFailedError(DiskCrashedError):
 class _RetryOp(DiskError):
     """Internal signal: membership changed mid-operation, replay it.
 
-    Raised after a member failure discovered inside a fan-out has been
-    recorded (epoch bumped, superblocks rewritten); the operation
+    Raised after a member failure discovered inside an operation has
+    been recorded (epoch bumped, superblocks rewritten); the operation
     re-plans against the new membership.  Never escapes the array.
     """
 
@@ -125,12 +100,38 @@ class ArrayState(enum.Enum):
 #: Accepted layout names -> on-disk level codes.
 LEVELS: Dict[str, int] = {"raid0": 0, "raid1": 1, "raid5": 5}
 
+# ------------------------------------------------ sealed-sector codec
+#
+# Both on-disk records (superblock, journal header) are one sector:
+# a struct body that starts ``magic, version``, its CRC-32, zero fill.
+
+_VERSION = 1
+_CRC = struct.Struct("<I")
 _SB_MAGIC = b"RHODRAID"
-_SB_VERSION = 1
 #: magic, version, level, n_members, chunk_sectors, member_index,
 #: epoch, failed_bits, rebuilding_bits, reserved
 _SB_BODY = struct.Struct("<8sHBBIIQIIQ")
-_SB_CRC = struct.Struct("<I")
+_JR_MAGIC = b"RHODRJNL"
+#: magic, version, stale_member, pad, row, lo, n_sectors, epoch,
+#: payload_crc
+_JR_BODY = struct.Struct("<8sHBBIIIQI")
+
+
+def _seal(body: bytes, sector_size: int) -> bytes:
+    blob = body + _CRC.pack(zlib.crc32(body))
+    return blob + bytes(sector_size - len(blob))
+
+
+def _unseal(raw: bytes, layout: struct.Struct, magic: bytes) -> Optional[tuple]:
+    """The fields after ``magic, version``; None if torn, blank or foreign."""
+    size = layout.size
+    if len(raw) < size + _CRC.size:
+        return None
+    body = raw[:size]
+    if zlib.crc32(body) != _CRC.unpack_from(raw, size)[0]:
+        return None
+    fields = layout.unpack(body)
+    return fields[2:] if fields[:2] == (magic, _VERSION) else None
 
 
 def _pack_superblock(
@@ -144,11 +145,10 @@ def _pack_superblock(
     sector_size: int,
 ) -> bytes:
     body = _SB_BODY.pack(
-        _SB_MAGIC, _SB_VERSION, level, n_members, chunk_sectors,
+        _SB_MAGIC, _VERSION, level, n_members, chunk_sectors,
         member_index, epoch, failed_bits, rebuilding_bits, 0,
     )
-    blob = body + _SB_CRC.pack(zlib.crc32(body))
-    return blob + bytes(sector_size - len(blob))
+    return _seal(body, sector_size)
 
 
 def _parse_superblock(
@@ -161,29 +161,12 @@ def _parse_superblock(
     by a crash all parse as None — the member is then *stale* and must
     be rebuilt before it is trusted.
     """
-    size = _SB_BODY.size
-    if len(raw) < size + _SB_CRC.size:
-        return None
-    body, (crc,) = raw[:size], _SB_CRC.unpack_from(raw, size)
-    if zlib.crc32(body) != crc:
-        return None
-    magic, version, sb_level, sb_n, sb_chunk, sb_index, epoch, failed, rebuilding, _ = (
-        _SB_BODY.unpack(body)
-    )
-    if magic != _SB_MAGIC or version != _SB_VERSION:
-        return None
-    if (sb_level, sb_n, sb_chunk, sb_index) != (
+    fields = _unseal(raw, _SB_BODY, _SB_MAGIC)
+    if fields is None or fields[:4] != (
         level, n_members, chunk_sectors, member_index
     ):
         return None
-    return epoch, failed, rebuilding
-
-
-_JR_MAGIC = b"RHODRJNL"
-#: magic, version, stale_member, pad, row, lo, n_sectors, epoch,
-#: payload_crc
-_JR_BODY = struct.Struct("<8sHBBIIIQI")
-_JR_CRC = struct.Struct("<I")
+    return fields[4:7]
 
 
 def _pack_journal(
@@ -196,11 +179,10 @@ def _pack_journal(
     sector_size: int,
 ) -> bytes:
     body = _JR_BODY.pack(
-        _JR_MAGIC, _SB_VERSION, stale, 0, row, lo, n_sectors, epoch,
+        _JR_MAGIC, _VERSION, stale, 0, row, lo, n_sectors, epoch,
         zlib.crc32(payload),
     )
-    blob = body + _JR_CRC.pack(zlib.crc32(body))
-    return blob + bytes(sector_size - len(blob))
+    return _seal(body, sector_size)
 
 
 def _parse_journal(raw: bytes) -> Optional[Tuple[int, int, int, int, int]]:
@@ -209,25 +191,28 @@ def _parse_journal(raw: bytes) -> Optional[Tuple[int, int, int, int, int]]:
     A cleared slot (zeros), a torn header, or a foreign sector all
     parse as None — the journal is then simply inactive.
     """
-    size = _JR_BODY.size
-    if len(raw) < size + _JR_CRC.size:
+    fields = _unseal(raw, _JR_BODY, _JR_MAGIC)
+    if fields is None:
         return None
-    body, (crc,) = raw[:size], _JR_CRC.unpack_from(raw, size)
-    if zlib.crc32(body) != crc:
-        return None
-    magic, version, stale, _, row, lo, n_sectors, _, payload_crc = (
-        _JR_BODY.unpack(body)
-    )
-    if magic != _JR_MAGIC or version != _SB_VERSION:
-        return None
+    stale, _, row, lo, n_sectors, _, payload_crc = fields
     return stale, row, lo, n_sectors, payload_crc
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
-    """XOR two equal-length byte strings (the parity identity)."""
     return (
         int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
     ).to_bytes(len(a), "little")
+
+
+def _xor_all(pieces: Iterable[bytes]) -> bytes:
+    """XOR of equal-length byte strings — the parity identity.
+
+    Folded pairwise, which is what the hand-written folds this replaced
+    cost; accumulating in one integer is cheaper and is left to a
+    change that measures it (``repl_raid``'s set-up sits on the meter's
+    0.3 s re-timing line — ROADMAP item 2).
+    """
+    return functools.reduce(_xor, pieces)
 
 
 def _overlay(base: bytes, offset: int, piece: bytes) -> bytes:
@@ -304,15 +289,13 @@ class StripedVolume:
         if self.member_chunks <= self._meta_chunks:
             raise ValueError("chunk size leaves no data chunks per member")
         self._data_start = self._meta_chunks * chunk_sectors
-        data_members = {0: self._n, 1: 1, 5: self._n - 1}[self.level]
-        self.data_members = data_members
+        self.data_members = {0: self._n, 1: 1, 5: self._n - 1}[self.level]
         data_sectors = (
-            data_members
+            self.data_members
             * (self.member_chunks - self._meta_chunks)
             * chunk_sectors
         )
-        per_cylinder = base.sectors_per_cylinder
-        cylinders = data_sectors // per_cylinder
+        cylinders = data_sectors // base.sectors_per_cylinder
         if cylinders < 1:
             raise ValueError("array too small for one logical cylinder")
         #: The logical geometry the disk service sees; capacity is the
@@ -460,8 +443,13 @@ class StripedVolume:
 
         Consecutive chunks of one member are physically adjacent in
         every layout, so the per-member union of these segments is one
-        contiguous span — the single-reference contract.
+        contiguous span — the single-reference contract.  A raid1 run
+        is one segment on the first in-sync mirror (the read placement;
+        writes go to every mirror).
         """
+        if self.level == 1:
+            mirror = min(i for i in range(self._n) if i not in self._failed)
+            return [(mirror, self._data_start + start, n_sectors, start)]
         chunk_sectors = self.chunk_sectors
         out: List[Tuple[int, int, int, int]] = []
         sector, end = start, start + n_sectors
@@ -475,43 +463,200 @@ class StripedVolume:
             sector += length
         return out
 
-    # --------------------------------------------------- fan-out core
+    # ------------------------------------------- the redundancy engine
+    #
+    # Five primitives, each written once: what a member's span must
+    # hold (_reconstruct), the overlapped member fan-out with its read
+    # (_read_spans) and write (_write_members) forms, who takes a write
+    # (_write_reach), and the replay loop every entry point runs in
+    # (_serving).  The levels differ only in the policy around them.
 
-    def _fanout(self, calls: List[Tuple[int, Callable[[], object]]]) -> Dict:
+    def _reconstruct(
+        self, member: int, physical: int, n_sectors: int, *,
+        in_passing: bool = False,
+    ) -> bytes:
+        """What ``member``'s span must hold, given the other members.
+
+        raid5: the XOR of every other member's same span — the parity
+        identity holds for data and parity chunks alike — and only
+        while all of them are in sync.  raid1: the copy of the first
+        in-sync mirror that serves it.  Peers are read one at a time in
+        ascending order; a crashed peer's error escapes to the caller,
+        whose policy it is.  Raises :class:`MediaError` when the
+        redundancy to do it is not there (always, for raid0).
+        """
+        peers = [
+            i for i in range(self._n) if i != member and i not in self._failed
+        ]
+        if self.level == 5 and len(peers) == self._n - 1:
+            return _xor_all(
+                self._reader(peer, in_passing)(physical, n_sectors)
+                for peer in peers
+            )
+        error: Optional[MediaError] = None
+        if self.level == 1:
+            for peer in peers:
+                try:
+                    return self._reader(peer, in_passing)(physical, n_sectors)
+                except MediaError as exc:
+                    error = exc
+        raise error or MediaError(
+            f"{self.array_id}: no redundancy left for member {member} "
+            f"at sector {physical}"
+        )
+
+    def _reader(self, index: int, in_passing: bool) -> Callable[[int, int], bytes]:
+        """A member's read entry point: a reference, or track readahead."""
+        drive = self._members[index]
+        return drive.read_in_passing if in_passing else drive.read_sectors
+
+    def _fanout(
+        self, calls: List[Tuple[int, Callable[[], object]]], *,
+        replay: bool = True,
+    ) -> Dict[int, object]:
         """Run member operations as overlapping fork branches.
 
-        Returns ``{member_index: ("ok", value) | ("crashed", exc) |
-        ("media", exc)}``.  Inside a service frame the branches replay
-        from the fork point and the join charges the slowest member;
-        in blocking mode they run sequentially, as blocking callers
-        always did.
+        Returns ``{member_index: value | MediaError}``.  Inside a
+        service frame the branches replay from the fork point and the
+        join charges the slowest member; in blocking mode they run
+        sequentially, as blocking callers always did.  Members that
+        crashed are retired once every branch has run.
         """
         fork = FrameFork(self.clock)
-        outcomes: Dict[int, Tuple[str, object]] = {}
+        results: Dict[int, object] = {}
+        crashed: List[int] = []
         for index, thunk in calls:
             with fork.branch():
                 try:
-                    outcomes[index] = ("ok", thunk())
-                except DiskCrashedError as exc:
-                    outcomes[index] = ("crashed", exc)
+                    results[index] = thunk()
+                except DiskCrashedError:
+                    crashed.append(index)
                 except MediaError as exc:
-                    outcomes[index] = ("media", exc)
+                    results[index] = exc
         fork.join()
-        return outcomes
+        if crashed:
+            self._retire(crashed, replay=replay)
+        return results
 
-    def _crashed_members(self, outcomes: Dict) -> List[int]:
-        return sorted(
-            index for index, (kind, _) in outcomes.items() if kind == "crashed"
-        )
+    def _read_spans(
+        self, spans: Dict[int, Tuple[int, int]], *, in_passing: bool = False
+    ) -> Dict[int, bytes]:
+        """One read per member span ``{member: (lo, hi)}``, overlapped.
 
-    def _handle_crashes(self, outcomes: Dict) -> None:
-        """Record fan-out crashes; replay the operation if still serving."""
-        crashed = self._crashed_members(outcomes)
-        if not crashed:
-            return
-        self._note_member_failures(crashed)
+        A media error is settled from redundancy before returning; a
+        crashed member is retired and the operation replayed.
+        """
+        calls = []
+        for index in sorted(spans):
+            lo, hi = spans[index]
+            reader = self._reader(index, in_passing)
+            calls.append((index, (lambda r=reader, l=lo, n=hi - lo: r(l, n))))
+        buffers: Dict[int, bytes] = {}
+        for index, value in sorted(self._fanout(calls).items()):
+            if isinstance(value, MediaError):
+                value = self._settle_media(
+                    index, *spans[index], value, in_passing
+                )
+            buffers[index] = value  # type: ignore[assignment]
+        return buffers
+
+    def _settle_media(
+        self, index: int, lo: int, hi: int, error: MediaError,
+        in_passing: bool,
+    ) -> bytes:
+        """A span its member could not read, recovered from redundancy.
+
+        A reference read also rewrites the span (a rewrite heals a
+        latent error) and reads it back; if the platter still will not
+        serve it the member is *unrepairably* failing and is retired.
+        An in-passing read is no disk reference by contract (it runs
+        inside track readahead): it reconstructs through the peers' own
+        in-passing reads, repairs nothing and changes no membership.
+        """
+        try:
+            content = self._reconstruct(
+                index, lo, hi - lo, in_passing=in_passing
+            )
+        except MediaError:
+            raise error
+        except DiskCrashedError:
+            if in_passing:
+                raise error
+            # A peer died unnoticed.  Record that first; the replay
+            # then serves the range degraded, or surfaces its media
+            # error if the dead peer was the redundancy it needed.
+            self._retire(self._dead_members())
+        if in_passing:
+            return content
+        try:
+            self._member_write(index, lo, content)
+            self._members[index].read_sectors(lo, hi - lo)
+        except (DiskCrashedError, MediaError):
+            self._retire([index])
+        self.metrics.add(f"{self._prefix}.media_repairs")
+        return content
+
+    def _write_reach(self, member: int, physical: int, n_sectors: int) -> int:
+        """Leading sectors of a write at ``physical`` that ``member`` takes.
+
+        All of it if the member is in sync, none if it is failed; the
+        rebuild target takes what lies below the watermark — the
+        rebuilt prefix must stay fresh, the rest is the rebuilder's job.
+        """
+        if member not in self._failed:
+            return n_sectors
+        if member != self._rebuilding:
+            return 0
+        limit = self._rebuild_watermark * self.chunk_sectors
+        return max(0, min(n_sectors, limit - physical))
+
+    def _write_members(
+        self, writes: List[Tuple[int, int, bytes, bool]], *, replay: bool
+    ) -> None:
+        """The write fan-out: ``(member, physical, payload, is_parity)``.
+
+        Issued in the order given, through the registered write sites,
+        to every member that takes the write (clipped to its reach).
+        A member write never raises a media error — the platter checks
+        media on reads only — so crashes are the one failure to handle:
+        with ``replay`` the operation re-plans (raid5, whose parity
+        must match the new membership), without it a crash only costs
+        redundancy (raid1: while the array still serves, an in-sync
+        mirror took the full copy) or everything (raid0).
+        """
+        size = self._sector_size
+        calls = []
+        for member, physical, payload, is_parity in writes:
+            reach = self._write_reach(member, physical, len(payload) // size)
+            if reach:
+                write = self._parity_write if is_parity else self._member_write
+                calls.append((
+                    member,
+                    (lambda w=write, m=member, lo=physical,
+                     p=payload[: reach * size]: w(m, lo, p)),
+                ))
+        self._fanout(calls, replay=replay)
+
+    def _serving(self, attempt: Callable[[], _T]) -> _T:
+        """Run ``attempt``, replaying it while membership changes.
+
+        Each replay follows a recorded member failure, so the member
+        count bounds the loop.
+        """
+        for _ in range(self._n + 1):
+            self._raise_if_failed()
+            try:
+                return attempt()
+            except _RetryOp:
+                continue
+        raise ArrayFailedError(f"{self.array_id}: no serving membership")
+
+    def _retire(self, indices: Sequence[int], *, replay: bool = True) -> None:
+        """Record member failures; replay the operation if still serving."""
+        self._note_member_failures(indices)
         self._raise_if_failed()
-        raise _RetryOp(f"{self.array_id}: membership changed, replaying")
+        if replay:
+            raise _RetryOp(f"{self.array_id}: membership changed, replaying")
 
     def _raise_if_failed(self) -> None:
         if self._state is ArrayState.FAILED:
@@ -520,10 +665,21 @@ class StripedVolume:
                 f"(failed members {self.failed_members})"
             )
 
+    def _dead_members(self) -> List[int]:
+        """Members that are down but not yet recorded as failed."""
+        return [
+            i for i in range(self._n)
+            if self._members[i].crashed and i not in self._failed
+        ]
+
+    def _stale_member(self) -> Optional[int]:
+        """The single member reads must avoid, if any."""
+        return min(self._failed) if self._failed else None
+
     # ------------------------------------------------- write funnels
     #
     # Every physical write the array issues goes through exactly one
-    # of these three methods (plus RaidRebuilder._write_target); they
+    # of these four methods (plus RaidRebuilder._write_target); they
     # are the reviewed crash-point sites the chaos sweep numbers.
 
     def _member_write(self, index: int, physical_sector: int, data: bytes) -> None:
@@ -547,18 +703,6 @@ class StripedVolume:
         self._members[index].write_sectors(physical_sector, data)
 
     # ------------------------------------------- write-intent journal
-    #
-    # The degraded write hole: with a stale data column in a row, the
-    # column's content exists only as parity XOR data, so a crash
-    # between a row update's member writes changes what the column
-    # reconstructs to — losing bytes that were acked long before the
-    # in-flight write.  Before such an update the array journals the
-    # reconstructed old value (payload, then a single-sector header
-    # that commits the record) on the lowest in-sync member; recovery
-    # replays armed records by recomputing the parity so the stale
-    # column reconstructs to its journalled value again.  Replay is
-    # idempotent: after a completed update the recomputation reproduces
-    # the parity already on disk.
 
     def _journal_arm(
         self,
@@ -589,13 +733,12 @@ class StripedVolume:
             if index in self._failed or member.crashed:
                 continue
             try:
-                raw = member.read_sectors(1, 1)
+                parsed = _parse_journal(member.read_sectors(1, 1))
             except (DiskCrashedError, MediaError):
                 continue
-            parsed = _parse_journal(raw)
             if parsed is None:
                 continue
-            stale, row, lo, n_sectors, payload_crc = parsed
+            stale, row, lo, n_sectors, _ = parsed
             replayed = False
             if (
                 stale in self._failed
@@ -605,9 +748,7 @@ class StripedVolume:
                 and 0 < n_sectors
                 and lo + n_sectors <= self.chunk_sectors
             ):
-                replayed = self._replay_record(
-                    index, stale, row, lo, n_sectors, payload_crc
-                )
+                replayed = self._replay_record(index, *parsed)
             try:
                 self._journal_clear(index)
             except DiskCrashedError:
@@ -624,23 +765,22 @@ class StripedVolume:
         n_sectors: int,
         payload_crc: int,
     ) -> bool:
+        """Recompute the row's parity so ``stale`` reconstructs to the
+        journalled value again."""
         parity_member = self.parity_member(row)
         span_lo = (self._meta_chunks + row) * self.chunk_sectors + lo
         try:
             payload = self._members[member].read_sectors(2, n_sectors)
-        except (DiskCrashedError, MediaError):
-            return False
-        if zlib.crc32(payload) != payload_crc:
-            return False
-        acc: Optional[bytes] = None
-        try:
-            for other in range(self._n):
-                if other in (parity_member, stale):
-                    continue
-                column = self._members[other].read_sectors(span_lo, n_sectors)
-                acc = column if acc is None else _xor(acc, column)
-            assert acc is not None
-            self._parity_write(parity_member, span_lo, _xor(acc, payload))
+            if zlib.crc32(payload) != payload_crc:
+                return False
+            columns = [
+                self._members[other].read_sectors(span_lo, n_sectors)
+                for other in range(self._n)
+                if other not in (parity_member, stale)
+            ]
+            self._parity_write(
+                parity_member, span_lo, _xor_all(columns + [payload])
+            )
         except (DiskCrashedError, MediaError):
             return False
         return True
@@ -655,9 +795,7 @@ class StripedVolume:
         superblock parses as stale on recovery, which is the safe
         direction.
         """
-        failed_bits = 0
-        for index in self._failed:
-            failed_bits |= 1 << index
+        failed_bits = sum(1 << index for index in self._failed)
         rebuilding_bits = (
             1 << self._rebuilding if self._rebuilding is not None else 0
         )
@@ -765,13 +903,8 @@ class StripedVolume:
         self._refresh_state()
 
     def _refresh_state(self) -> None:
-        if self.level == 0:
-            serving = not self._failed
-        elif self.level == 1:
-            serving = len(self._failed) < self._n
-        else:
-            serving = len(self._failed) <= 1
-        if not serving:
+        tolerated = {0: 0, 1: self._n - 1, 5: 1}[self.level]
+        if len(self._failed) > tolerated:
             new = ArrayState.FAILED
         elif self._rebuilding is not None:
             new = ArrayState.REBUILDING
@@ -821,18 +954,18 @@ class StripedVolume:
             parsed = None
             if not member.crashed:
                 try:
-                    raw = member.read_sectors(0, 1)
                     parsed = _parse_superblock(
-                        raw, level=self.level, n_members=self._n,
-                        chunk_sectors=self.chunk_sectors, member_index=index,
+                        member.read_sectors(0, 1), level=self.level,
+                        n_members=self._n, chunk_sectors=self.chunk_sectors,
+                        member_index=index,
                     )
                 except (DiskCrashedError, MediaError):
-                    parsed = None
+                    pass
             per_member.append(parsed)
-        best: Optional[Tuple[int, int, int]] = None
-        for parsed in per_member:
-            if parsed is not None and (best is None or parsed[0] > best[0]):
-                best = parsed
+        best = max(
+            (parsed for parsed in per_member if parsed is not None),
+            key=lambda parsed: parsed[0], default=None,
+        )
         self._rebuilding = None
         self._rebuild_watermark = 0
         if best is None:
@@ -842,24 +975,18 @@ class StripedVolume:
             }
             self._epoch = 1
         else:
-            _, failed_bits, rebuilding_bits = best
+            epoch, failed_bits, rebuilding_bits = best
             stale = failed_bits | rebuilding_bits
-            failed = {i for i in range(self._n) if stale >> i & 1}
-            for index, parsed in enumerate(per_member):
-                if parsed is None:
-                    failed.add(index)
-            self._failed = failed
-            self._epoch = best[0] + 1
+            self._failed = {
+                i for i, parsed in enumerate(per_member)
+                if parsed is None or stale >> i & 1
+            }
+            self._epoch = epoch + 1
         self._refresh_state()
         if self._state is not ArrayState.FAILED:
             self._replay_journal()
-        if (
-            resync
-            and self.level != 0
-            and not self._failed
-            and self._state is not ArrayState.FAILED
-        ):
-            self._resync()
+            if resync and self.level != 0 and not self._failed:
+                self._resync()
         survivors = [i for i in range(self._n) if i not in self._failed]
         self._write_superblocks(survivors)
         self._refresh_state()
@@ -875,33 +1002,25 @@ class StripedVolume:
         chunk_sectors = self.chunk_sectors
         for row in range(self.member_chunks - self._meta_chunks):
             physical = (self._meta_chunks + row) * chunk_sectors
-            if self.level == 1:
-                reference = self._members[0].read_sectors(
+            if self.level == 5:
+                redundant = [self.parity_member(row)]
+                expected = self._reconstruct(
+                    redundant[0], physical, chunk_sectors
+                )
+                write = self._parity_write
+            else:
+                redundant = list(range(1, self._n))
+                expected = self._members[0].read_sectors(
                     physical, chunk_sectors
                 )
-                for index in range(1, self._n):
-                    if self._members[index].read_sectors(
-                        physical, chunk_sectors
-                    ) != reference:
-                        self._member_write(index, physical, reference)
-                        self.metrics.add(f"{self._prefix}.resync_repairs")
-                continue
-            parity_member = self.parity_member(row)
-            expected: Optional[bytes] = None
-            for index in range(self._n):
-                if index == parity_member:
-                    continue
-                chunk = self._members[index].read_sectors(
+                write = self._member_write
+            for index in redundant:
+                stored = self._members[index].read_sectors(
                     physical, chunk_sectors
                 )
-                expected = chunk if expected is None else _xor(expected, chunk)
-            assert expected is not None
-            stored = self._members[parity_member].read_sectors(
-                physical, chunk_sectors
-            )
-            if stored != expected:
-                self._parity_write(parity_member, physical, expected)
-                self.metrics.add(f"{self._prefix}.resync_repairs")
+                if stored != expected:
+                    write(index, physical, expected)
+                    self.metrics.add(f"{self._prefix}.resync_repairs")
 
     # -------------------------------------------------------- reads
 
@@ -911,37 +1030,23 @@ class StripedVolume:
         if mon.enabled:
             mon.chain(self)
         self._check_request(start, n_sectors)
-        for _ in range(self._n + 1):
-            self._raise_if_failed()
-            try:
-                data = self._read_attempt(start, n_sectors, in_passing=False)
-            except _RetryOp:
-                continue
-            self._c_reads.add()
-            if self._failed:
-                self._c_degraded_reads.add()
-            self._head_cylinder = self.geometry.cylinder_of(
-                start + n_sectors - 1
-            )
-            return data
-        raise ArrayFailedError(f"{self.array_id}: no serving membership")
+        data = self._serving(lambda: self._read_attempt(start, n_sectors))
+        self._c_reads.add()
+        if self._failed:
+            self._c_degraded_reads.add()
+        self._head_cylinder = self.geometry.cylinder_of(start + n_sectors - 1)
+        return data
 
     def read_in_passing(self, start: int, n_sectors: int) -> bytes:
         """Track readahead across the members (no disk references)."""
         self._check_request(start, n_sectors)
-        for _ in range(self._n + 1):
-            self._raise_if_failed()
-            try:
-                return self._read_attempt(start, n_sectors, in_passing=True)
-            except _RetryOp:
-                continue
-        raise ArrayFailedError(f"{self.array_id}: no serving membership")
+        return self._serving(
+            lambda: self._read_attempt(start, n_sectors, in_passing=True)
+        )
 
     def _read_attempt(
-        self, start: int, n_sectors: int, *, in_passing: bool
+        self, start: int, n_sectors: int, *, in_passing: bool = False
     ) -> bytes:
-        if self.level == 1:
-            return self._read_raid1(start, n_sectors, in_passing=in_passing)
         segments = self._segments(start, n_sectors)
         stale = self._stale_member()
         size = self._sector_size
@@ -956,173 +1061,29 @@ class StripedVolume:
                 else (min(held[0], lo), max(held[1], hi))
             )
 
-        stale_segments = []
-        for member, physical, length, logical in segments:
-            if member == stale:
-                if self.level == 0:
-                    raise ArrayFailedError(
-                        f"{self.array_id}: raid0 member {member} lost"
-                    )
-                stale_segments.append((member, physical, length, logical))
-                for other in range(self._n):
-                    if other != stale and other not in self._failed:
-                        widen(other, physical, physical + length)
-            else:
+        for member, physical, length, _ in segments:
+            if member != stale:
                 widen(member, physical, physical + length)
-        calls = []
-        for index in sorted(spans):
-            lo, hi = spans[index]
-            member = self._members[index]
-            reader = member.read_in_passing if in_passing else member.read_sectors
-            calls.append(
-                (index, (lambda r=reader, l=lo, n=hi - lo: r(l, n)))
-            )
-        outcomes = self._fanout(calls)
-        self._handle_crashes(outcomes)
-        buffers = self._settle_media(outcomes, spans, in_passing=in_passing)
+                continue
+            for other in range(self._n):
+                if other not in self._failed:
+                    widen(other, physical, physical + length)
+        buffers = self._read_spans(spans, in_passing=in_passing)
         out = bytearray(n_sectors * size)
         for member, physical, length, logical in segments:
+            pieces = [
+                buffers[index][
+                    (physical - spans[index][0]) * size :
+                    (physical - spans[index][0] + length) * size
+                ]
+                for index in ([member] if member != stale else sorted(spans))
+            ]
             if member == stale:
-                continue
-            lo, _ = spans[member]
-            offset = (physical - lo) * size
+                self._c_reconstructed.add()
             out[(logical - start) * size : (logical - start + length) * size] = (
-                buffers[member][offset : offset + length * size]
+                _xor_all(pieces) if member == stale else pieces[0]
             )
-        for member, physical, length, logical in stale_segments:
-            piece: Optional[bytes] = None
-            for other in sorted(spans):
-                lo, _ = spans[other]
-                offset = (physical - lo) * size
-                slice_ = buffers[other][offset : offset + length * size]
-                piece = slice_ if piece is None else _xor(piece, slice_)
-            assert piece is not None
-            out[(logical - start) * size : (logical - start + length) * size] = piece
-            self._c_reconstructed.add()
         return bytes(out)
-
-    def _read_raid1(
-        self, start: int, n_sectors: int, *, in_passing: bool
-    ) -> bytes:
-        physical = self._data_start + start
-        last_media: Optional[MediaError] = None
-        for index in range(self._n):
-            if index in self._failed:
-                continue
-            member = self._members[index]
-            reader = member.read_in_passing if in_passing else member.read_sectors
-            try:
-                return reader(physical, n_sectors)
-            except DiskCrashedError:
-                self._note_member_failures([index])
-                self._raise_if_failed()
-                raise _RetryOp(f"{self.array_id}: mirror {index} lost")
-            except MediaError as exc:
-                last_media = exc
-                if in_passing:
-                    continue
-                healed = self._repair_mirror_media(index, physical, n_sectors)
-                if healed is not None:
-                    return healed
-        assert last_media is not None
-        raise last_media
-
-    def _repair_mirror_media(
-        self, index: int, physical: int, n_sectors: int
-    ) -> Optional[bytes]:
-        """Rewrite a mirror's failing range from a surviving mirror.
-
-        Returns the content on success; marks the member failed (and
-        returns None, letting the caller fall through to the next
-        mirror) when the rewrite does not take — the *unrepairable*
-        media case.
-        """
-        for other in range(self._n):
-            if other == index or other in self._failed:
-                continue
-            try:
-                content = self._members[other].read_sectors(physical, n_sectors)
-            except (DiskCrashedError, MediaError):
-                continue
-            try:
-                self._member_write(index, physical, content)
-                self._members[index].read_sectors(physical, n_sectors)
-            except DiskCrashedError:
-                self._note_member_failures([index])
-                return content
-            except MediaError:
-                self._note_member_failures([index])
-                return content
-            self.metrics.add(f"{self._prefix}.media_repairs")
-            return content
-        return None
-
-    def _settle_media(
-        self, outcomes: Dict, spans: Dict[int, Tuple[int, int]], *,
-        in_passing: bool,
-    ) -> Dict[int, bytes]:
-        """Resolve media errors from a read fan-out, repairing in place.
-
-        A failing span is reconstructed from the surviving members and
-        rewritten (a rewrite heals latent errors); if the platter still
-        will not serve it, the member is *unrepairably* failing and is
-        retired from the array.
-        """
-        buffers: Dict[int, bytes] = {}
-        media = []
-        for index in sorted(outcomes):
-            kind, value = outcomes[index]
-            if kind == "ok":
-                buffers[index] = value  # type: ignore[assignment]
-            elif kind == "media":
-                media.append((index, value))
-        for index, error in media:
-            lo, hi = spans[index]
-            if self.level == 0:
-                raise error  # type: ignore[misc]
-            content = self._reconstruct_span(index, lo, hi - lo)
-            if content is None:
-                raise error  # type: ignore[misc]
-            try:
-                self._member_write(index, lo, content)
-                self._members[index].read_sectors(lo, hi - lo)
-                self.metrics.add(f"{self._prefix}.media_repairs")
-            except (DiskCrashedError, MediaError):
-                self._note_member_failures([index])
-                self._raise_if_failed()
-                raise _RetryOp(
-                    f"{self.array_id}: member {index} unrepairable"
-                )
-            buffers[index] = content
-        return buffers
-
-    def _reconstruct_span(
-        self, index: int, physical: int, n_sectors: int
-    ) -> Optional[bytes]:
-        """A member's physical span, rebuilt from the survivors.
-
-        raid5: XOR of every other in-sync member's same span (valid for
-        data and parity chunks alike).  Returns None when redundancy is
-        already spent.
-        """
-        if self.level != 5:
-            return None
-        others = [
-            i for i in range(self._n) if i != index and i not in self._failed
-        ]
-        if len(others) != self._n - 1:
-            return None
-        piece: Optional[bytes] = None
-        for other in others:
-            chunk = self._members[other].read_sectors(physical, n_sectors)
-            piece = chunk if piece is None else _xor(piece, chunk)
-        return piece
-
-    def _stale_member(self) -> Optional[int]:
-        """The single member reads must avoid, if any (raid5/raid0)."""
-        if not self._failed:
-            return None
-        return min(self._failed)
 
     # -------------------------------------------------------- writes
 
@@ -1139,29 +1100,19 @@ class StripedVolume:
             )
         n_sectors = n_bytes // size
         self._check_request(start, n_sectors)
-        for _ in range(self._n + 1):
-            self._raise_if_failed()
-            try:
-                if self.level == 0:
-                    self._write_raid0(start, data, n_sectors)
-                elif self.level == 1:
-                    self._write_raid1(start, data, n_sectors)
-                else:
-                    self._write_raid5(start, data, n_sectors)
-            except _RetryOp:
-                continue
-            self._c_writes.add()
-            if self._failed:
-                self._c_degraded_writes.add()
-            self._head_cylinder = self.geometry.cylinder_of(
-                start + n_sectors - 1
-            )
-            return
-        raise ArrayFailedError(f"{self.array_id}: no serving membership")
+        if self.level == 0:
+            write = self._write_raid0
+        elif self.level == 1:
+            write = self._write_raid1
+        else:
+            write = self._write_raid5
+        self._serving(lambda: write(start, data, n_sectors))
+        self._c_writes.add()
+        if self._failed:
+            self._c_degraded_writes.add()
+        self._head_cylinder = self.geometry.cylinder_of(start + n_sectors - 1)
 
     def _write_raid0(self, start: int, data: bytes, n_sectors: int) -> None:
-        if self._failed:
-            raise ArrayFailedError(f"{self.array_id}: raid0 member lost")
         size = self._sector_size
         pieces: Dict[int, List[bytes]] = {}
         first: Dict[int, int] = {}
@@ -1170,169 +1121,63 @@ class StripedVolume:
             pieces.setdefault(member, []).append(
                 data[(logical - start) * size : (logical - start + length) * size]
             )
-        calls = [
-            (
-                index,
-                (
-                    lambda i=index, lo=first[index],
-                    payload=b"".join(pieces[index]): self._member_write(
-                        i, lo, payload
-                    )
-                ),
-            )
-            for index in sorted(pieces)
-        ]
-        outcomes = self._fanout(calls)
-        if self._crashed_members(outcomes):
-            self._note_member_failures(self._crashed_members(outcomes))
-            self._raise_if_failed()
-        for index in sorted(outcomes):
-            kind, value = outcomes[index]
-            if kind == "media":
-                raise value  # type: ignore[misc]
-
-    def _raid1_write_targets(self, physical: int, n_sectors: int) -> List[
-        Tuple[int, int, int]
-    ]:
-        """``(member, phys, n)`` per mirror, clipping the rebuild target
-        to its watermark (the rebuilt prefix must stay fresh; the rest
-        is the rebuilder's job)."""
-        targets = []
-        for index in range(self._n):
-            if index in self._failed and index != self._rebuilding:
-                continue
-            if index == self._rebuilding:
-                limit = self._rebuild_watermark * self.chunk_sectors
-                if physical >= limit:
-                    continue
-                targets.append((index, physical, min(n_sectors, limit - physical)))
-            else:
-                targets.append((index, physical, n_sectors))
-        return targets
+        self._write_members(
+            [
+                (member, first[member], b"".join(pieces[member]), False)
+                for member in sorted(pieces)
+            ],
+            replay=False,
+        )
 
     def _write_raid1(self, start: int, data: bytes, n_sectors: int) -> None:
         physical = self._data_start + start
-        size = self._sector_size
-        targets = self._raid1_write_targets(physical, n_sectors)
-        calls = [
-            (
-                index,
-                (
-                    lambda i=index, lo=lo, payload=data[: n * size]:
-                    self._member_write(i, lo, payload)
-                ),
-            )
-            for index, lo, n in targets
-        ]
-        outcomes = self._fanout(calls)
-        crashed = self._crashed_members(outcomes)
-        full_copies = sum(
-            1
-            for index, lo, n in targets
-            if outcomes[index][0] == "ok"
-            and n == n_sectors
-            and index != self._rebuilding
+        self._write_members(
+            [(member, physical, data, False) for member in range(self._n)],
+            replay=False,
         )
-        if crashed:
-            self._note_member_failures(crashed)
-            self._raise_if_failed()
-            if full_copies == 0:
-                raise _RetryOp(f"{self.array_id}: no mirror took the write")
 
     def _write_raid5(self, start: int, data: bytes, n_sectors: int) -> None:
-        chunk_sectors = self.chunk_sectors
-        d = self._n - 1
-        size = self._sector_size
-        row_sectors = d * chunk_sectors
         rows: Dict[int, List[Tuple[int, int, int, int]]] = {}
-        segment_sector, end = start, start + n_sectors
-        while segment_sector < end:
-            chunk, offset = divmod(segment_sector, chunk_sectors)
-            length = min(chunk_sectors - offset, end - segment_sector)
-            row, k = divmod(chunk, d)
-            rows.setdefault(row, []).append(
-                (k, offset, length, segment_sector)
-            )
-            segment_sector += length
+        for segment in self._segments(start, n_sectors):
+            row = segment[1] // self.chunk_sectors - self._meta_chunks
+            rows.setdefault(row, []).append(segment)
+        row_sectors = (self._n - 1) * self.chunk_sectors
         full = [
-            row for row, segs in rows.items()
-            if sum(length for _, _, length, _ in segs) == row_sectors
+            row for row, segments in rows.items()
+            if sum(length for _, _, length, _ in segments) == row_sectors
         ]
-        full.sort()
-        runs: List[Tuple[int, int]] = []
-        for row in full:
-            if runs and runs[-1][1] + 1 == row:
-                runs[-1] = (runs[-1][0], row)
-            else:
-                runs.append((row, row))
-        for first_row, last_row in runs:
-            self._write_full_rows(first_row, last_row, start, data)
-        for row in sorted(rows):
+        if full:
+            # One run: only a write's first and last row can be partial.
+            self._write_full_rows(full[0], full[-1], start, data)
+        for row, segments in rows.items():
             if row not in full:
-                self._write_partial_row(row, rows[row], start, data)
+                self._write_partial_row(row, segments, start, data)
 
-    def _row_buffers(
+    def _write_full_rows(
         self, first_row: int, last_row: int, start: int, data: bytes
-    ) -> Dict[int, bytes]:
-        """Per-member span payloads (data + rotated parity) for a run
-        of fully covered stripe rows."""
+    ) -> None:
+        """One span per member (data + rotated parity) for a run of
+        fully covered stripe rows — no reads, parity from the new data."""
         chunk_bytes = self._chunk_bytes
         d = self._n - 1
-        parts: Dict[int, List[bytes]] = {i: [] for i in range(self._n)}
+        parts: List[List[bytes]] = [[] for _ in range(self._n)]
         for row in range(first_row, last_row + 1):
             base = (row * d * self.chunk_sectors - start) * self._sector_size
             chunks = [
                 data[base + k * chunk_bytes : base + (k + 1) * chunk_bytes]
                 for k in range(d)
             ]
-            parity = chunks[0]
-            for chunk in chunks[1:]:
-                parity = _xor(parity, chunk)
-            parity_member = self.parity_member(row)
-            for index in range(self._n):
-                if index == parity_member:
-                    parts[index].append(parity)
-                else:
-                    k = index if index < parity_member else index - 1
-                    parts[index].append(chunks[k])
-        return {index: b"".join(parts[index]) for index in parts}
-
-    def _write_full_rows(
-        self, first_row: int, last_row: int, start: int, data: bytes
-    ) -> None:
-        chunk_sectors = self.chunk_sectors
-        meta = self._meta_chunks
-        buffers = self._row_buffers(first_row, last_row, start, data)
-        physical = (meta + first_row) * chunk_sectors
-        calls = []
-        for index in range(self._n):
-            if index in self._failed and index != self._rebuilding:
-                continue
-            payload = buffers[index]
-            if index == self._rebuilding:
-                # Write through only the rebuilt prefix of the target.
-                if meta + first_row >= self._rebuild_watermark:
-                    continue
-                keep = min(
-                    last_row - first_row + 1,
-                    self._rebuild_watermark - (meta + first_row),
-                )
-                payload = payload[: keep * self._chunk_bytes]
-            calls.append(
-                (
-                    index,
-                    (
-                        lambda i=index, lo=physical, p=payload:
-                        self._member_write(i, lo, p)
-                    ),
-                )
-            )
-        outcomes = self._fanout(calls)
-        self._handle_crashes(outcomes)
-        for index in sorted(outcomes):
-            kind, value = outcomes[index]
-            if kind == "media":
-                raise value  # type: ignore[misc]
+            chunks.insert(self.parity_member(row), _xor_all(chunks))
+            for index, chunk in enumerate(chunks):
+                parts[index].append(chunk)
+        physical = (self._meta_chunks + first_row) * self.chunk_sectors
+        self._write_members(
+            [
+                (index, physical, b"".join(parts[index]), False)
+                for index in range(self._n)
+            ],
+            replay=True,
+        )
 
     def _write_partial_row(
         self,
@@ -1352,24 +1197,21 @@ class StripedVolume:
         so a crash between the row's writes cannot strand the stale
         column's acked bytes (the degraded write hole).
         """
-        chunk_sectors = self.chunk_sectors
         size = self._sector_size
         parity_member = self.parity_member(row)
-        physical = (self._meta_chunks + row) * chunk_sectors
+        physical = (self._meta_chunks + row) * self.chunk_sectors
         stale = self._stale_member()
-        lo = min(offset for _, offset, _, _ in segments)
-        hi = max(offset + length for _, offset, length, _ in segments)
-        span_lo, span_n = physical + lo, hi - lo
-        covered: Dict[int, Tuple[int, bytes]] = {}
-        for k, offset, length, logical in segments:
-            member = k if k < parity_member else k + 1
-            piece = data[
-                (logical - start) * size : (logical - start + length) * size
-            ]
-            covered[member] = (offset, piece)
+        span_lo = min(at for _, at, _, _ in segments)
+        span_n = max(at + length for _, at, length, _ in segments) - span_lo
+        covered: Dict[int, Tuple[int, bytes]] = {
+            member: (
+                at,
+                data[(logical - start) * size : (logical - start + length) * size],
+            )
+            for member, at, length, logical in segments
+        }
         write_through = (
-            self._rebuilding is not None
-            and self._meta_chunks + row < self._rebuild_watermark
+            stale is not None and self._write_reach(stale, span_lo, span_n) > 0
         )
         # --- read phase -------------------------------------------
         # A stale *data* column makes any parity update hazardous (the
@@ -1377,82 +1219,44 @@ class StripedVolume:
         # its old value is recovered up front whether or not the write
         # covers it, and journalled before the writes go out.
         stale_data = stale is not None and stale != parity_member
-        need_all_columns = stale_data or (
-            stale == parity_member and write_through
-        )
-        reads: Dict[int, Tuple[int, int]] = {}
-        if need_all_columns:
-            for index in range(self._n):
-                if index == stale:
-                    continue
-                reads[index] = (span_lo, span_n)
+        recompute = stale_data or (stale == parity_member and write_through)
+        if recompute:
+            readers = [i for i in range(self._n) if i != stale]
         elif stale == parity_member:
-            pass  # exact-slice writes only; no parity to maintain
+            readers = []  # exact-slice writes only; no parity to maintain
         else:
-            for member in covered:
-                if member in self._failed:
-                    continue
-                reads[member] = (span_lo, span_n)
-            reads[parity_member] = (span_lo, span_n)
-        calls = [
-            (
-                index,
-                (
-                    lambda m=self._members[index], lo_=reads[index][0],
-                    n_=reads[index][1]: m.read_sectors(lo_, n_)
-                ),
-            )
-            for index in sorted(reads)
-        ]
-        outcomes = self._fanout(calls)
-        self._handle_crashes(outcomes)
-        old = self._settle_media(
-            outcomes,
-            {index: (span_lo, span_lo + span_n) for index in reads},
-            in_passing=False,
+            readers = [*covered, parity_member]
+        old = self._read_spans(
+            {index: (span_lo, span_lo + span_n) for index in readers}
         )
         # --- compute phase ----------------------------------------
-        posts: Dict[int, bytes] = {}
-        for member, (offset, piece) in sorted(covered.items()):
-            if member in old:
-                posts[member] = _overlay(
-                    old[member], (offset - lo) * size, piece
-                )
+        posts: Dict[int, bytes] = {
+            member: _overlay(old[member], (at - span_lo) * size, piece)
+            for member, (at, piece) in covered.items()
+            if member in old
+        }
         stale_old: Optional[bytes] = None
         parity_new: Optional[bytes] = None
-        if need_all_columns:
-            if stale_data:
-                assert stale is not None
-                # Stale column's old value via the parity identity,
-                # then overlay the new slice if the write covers it.
-                recovered = old[parity_member]
-                for j in range(self._n):
-                    if j not in (parity_member, stale):
-                        recovered = _xor(recovered, old[j])
-                stale_old = recovered
-                if stale in covered:
-                    offset, piece = covered[stale]
-                    recovered = _overlay(
-                        recovered, (offset - lo) * size, piece
-                    )
-                posts[stale] = recovered
+        if stale_data:
+            assert stale is not None
+            # Stale column's old value via the parity identity, then
+            # overlay the new slice if the write covers it.
+            stale_old = posts[stale] = _xor_all(old.values())
+            if stale in covered:
+                at, piece = covered[stale]
+                posts[stale] = _overlay(stale_old, (at - span_lo) * size, piece)
+        if recompute:
             # Fresh parity over the union range from post-write state.
-            acc: Optional[bytes] = None
-            for index in range(self._n):
-                if index == parity_member:
-                    continue
-                column = posts.get(index, old.get(index))
-                if column is None:
-                    continue
-                acc = column if acc is None else _xor(acc, column)
-            parity_new = acc
-        elif stale != parity_member:
-            delta: Optional[bytes] = None
-            for member in sorted(posts):
-                change = _xor(old[member], posts[member])
-                delta = change if delta is None else _xor(delta, change)
-            assert delta is not None
-            parity_new = _xor(old[parity_member], delta)
+            parity_new = _xor_all(
+                posts[i] if i in posts else old[i]
+                for i in range(self._n) if i != parity_member
+            )
+        elif readers:
+            # Old parity with every covered column's change folded in.
+            parity_new = _xor_all(
+                [old[parity_member], *posts.values()]
+                + [old[member] for member in posts]
+            )
         # --- journal phase ----------------------------------------
         journal_member: Optional[int] = None
         if stale_data:
@@ -1462,62 +1266,30 @@ class StripedVolume:
             )
             try:
                 self._journal_arm(
-                    journal_member, stale, row, lo, span_n, stale_old
+                    journal_member, stale, row, span_lo - physical, span_n,
+                    stale_old,
                 )
             except DiskCrashedError:
-                self._note_member_failures([journal_member])
-                self._raise_if_failed()
-                raise _RetryOp(
-                    f"{self.array_id}: journal member {journal_member} lost"
-                )
+                self._retire([journal_member])
         # --- write phase ------------------------------------------
-        write_calls = []
+        # A column that was read is rewritten over the whole union
+        # range; one that was not (or is stale) takes its exact slice.
+        writes: List[Tuple[int, int, bytes, bool]] = []
         for member in sorted(covered):
-            if member in self._failed and not (
-                member == self._rebuilding and write_through
-            ):
-                continue
             if member in posts and member != stale:
-                payload, at = posts[member], span_lo
+                writes.append((member, span_lo, posts[member], False))
             else:
-                offset, piece = covered[member]
-                payload, at = piece, physical + offset
-            write_calls.append(
-                (
-                    member,
-                    (
-                        lambda i=member, lo_=at, p=payload:
-                        self._member_write(i, lo_, p)
-                    ),
-                )
-            )
-        if parity_new is not None and (
-            parity_member not in self._failed
-            or (parity_member == self._rebuilding and write_through)
-        ):
-            write_calls.append(
-                (
-                    parity_member,
-                    (
-                        lambda i=parity_member, lo_=span_lo, p=parity_new:
-                        self._parity_write(i, lo_, p)
-                    ),
-                )
-            )
-        outcomes = self._fanout(write_calls)
-        self._handle_crashes(outcomes)
-        for index in sorted(outcomes):
-            kind, value = outcomes[index]
-            if kind == "media":
-                raise value  # type: ignore[misc]
+                writes.append((member, *covered[member], False))
+        if parity_new is not None:
+            writes.append((parity_member, span_lo, parity_new, True))
+        self._write_members(writes, replay=True)
         if journal_member is not None:
             try:
                 self._journal_clear(journal_member)
             except DiskCrashedError:
                 # The row update itself landed; losing the journal
                 # member now only costs redundancy, never the write.
-                self._note_member_failures([journal_member])
-                self._raise_if_failed()
+                self._retire([journal_member], replay=False)
 
     # ------------------------------------------------------ internal
 
@@ -1540,11 +1312,13 @@ class RaidRebuilder:
 
     Walks the target's physical data chunks (the metadata area is
     rewritten by the membership machinery), reconstructing each from
-    the surviving members — a mirror copy for raid1, the XOR of every
-    survivor for raid5 — and advancing the array's write-through
-    watermark as it goes.  :meth:`step` yields to foreground traffic
-    when the ``idle_gate`` reports the pipeline busy, exactly like the
-    PR 6 scrubber; :meth:`run_cycle` forces completion.
+    the surviving members and advancing the array's write-through
+    watermark as it goes: writes below it are written through to the
+    target, chunks above it are reconstructed from the survivors'
+    *current* content when the cursor reaches them.  :meth:`step`
+    yields to foreground traffic when the ``idle_gate`` reports the
+    pipeline busy, exactly like the PR 6 scrubber; :meth:`run_cycle`
+    forces completion.
 
     Args:
         array: the owning array; must currently be REBUILDING.
@@ -1618,39 +1392,17 @@ class RaidRebuilder:
 
     def _rebuild_chunk(self, physical_chunk: int) -> bool:
         array = self.array
-        chunk_sectors = array.chunk_sectors
-        physical = physical_chunk * chunk_sectors
-        content: Optional[bytes] = None
+        physical = physical_chunk * array.chunk_sectors
         try:
-            if array.level == 1:
-                for index in range(array._n):
-                    if index == self.target or index in array._failed:
-                        continue
-                    content = array._members[index].read_sectors(
-                        physical, chunk_sectors
-                    )
-                    break
-            else:
-                for index in range(array._n):
-                    if index == self.target or index in array._failed:
-                        continue
-                    piece = array._members[index].read_sectors(
-                        physical, chunk_sectors
-                    )
-                    content = piece if content is None else _xor(content, piece)
+            content = array._reconstruct(
+                self.target, physical, array.chunk_sectors
+            )
         except DiskCrashedError:
-            crashed = [
-                i for i in range(array._n)
-                if array._members[i].crashed and i not in array._failed
-            ]
-            array._note_member_failures(crashed)
+            array._note_member_failures(array._dead_members())
             return False
         except MediaError:
             # Redundancy is already spent on the target; an unreadable
             # survivor chunk means this stripe cannot be reconstructed.
-            array._note_member_failures([self.target])
-            return False
-        if content is None:
             array._note_member_failures([self.target])
             return False
         try:

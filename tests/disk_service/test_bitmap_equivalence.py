@@ -345,7 +345,6 @@ def assert_same_index(bitmap, oracle):
         assert table.take_run(
             n_fragments, bitmap, prefer_high=True
         ) == reference.take_run(n_fragments, oracle, prefer_high=True)
-    assert table.take_largest(bitmap) == reference.take_largest(oracle)
     assert table._rows == reference._rows
 
 

@@ -47,9 +47,7 @@ def op_sequences(draw):
     ops = []
     for _ in range(n_ops):
         kind = draw(
-            st.sampled_from(
-                ["alloc", "alloc", "alloc_scatter", "alloc_at", "free", "free"]
-            )
+            st.sampled_from(["alloc", "alloc", "alloc_at", "free", "free"])
         )
         size = draw(st.integers(min_value=1, max_value=48))
         start = draw(st.integers(min_value=0, max_value=255))
@@ -90,20 +88,6 @@ class TestFreeSpaceFuzz:
                 assert not span & allocated, "allocation overlaps live data"
                 allocated |= span
                 live.append(extent)
-            elif kind == "alloc_scatter":
-                try:
-                    pieces = server.allocate(size, contiguous=False)
-                except DiskFullError:
-                    assert n - len(allocated) < size
-                    continue
-                total = 0
-                for piece in pieces:
-                    span = set(range(piece.start, piece.end))
-                    assert not span & allocated
-                    allocated |= span
-                    live.append(piece)
-                    total += piece.length
-                assert total == size
             elif kind == "alloc_at":
                 extent = server.try_allocate_at(start, size)
                 range_free = start + size <= n and not (
@@ -137,11 +121,8 @@ class TestFreeSpaceFuzz:
         live: list[Extent] = []
         for kind, size, start, victim, scratch in ops:
             try:
-                if kind in ("alloc", "alloc_scatter"):
-                    result = server.allocate(
-                        size, contiguous=(kind == "alloc"), scratch=scratch
-                    )
-                    live.extend([result] if isinstance(result, Extent) else result)
+                if kind == "alloc":
+                    live.append(server.allocate(size, scratch=scratch))
                 elif kind == "alloc_at":
                     extent = server.try_allocate_at(start, size)
                     if extent is not None:

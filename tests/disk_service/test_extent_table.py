@@ -105,13 +105,6 @@ class TestAllocationPolicy:
         assert table.has_run(1)
         assert not table.has_run(11)
 
-    def test_take_largest(self, table, bitmap):
-        bitmap.mark_allocated(Extent(0, 1024))
-        for start, length in [(0, 4), (100, 32), (300, 9)]:
-            bitmap.mark_free(Extent(start, length))
-            table.insert_run(start, length)
-        assert table.take_largest(bitmap) == Extent(100, 32)
-
 
 class TestRefill:
     def test_refill_scans_bitmap(self, table, bitmap):

@@ -71,19 +71,6 @@ class TestAllocation:
         with pytest.raises(DiskFullError):
             server.allocate(2)
 
-    def test_gather_allocation_spans_fragmented_space(self):
-        server = build_disk_server(SimClock(), Metrics())
-        server.allocate(server.n_fragments)
-        for fragment in range(0, 40, 2):
-            server.free(Extent(fragment, 1))
-        pieces = server.allocate(10, contiguous=False)
-        assert sum(piece.length for piece in pieces) == 10
-
-    def test_gather_insufficient_space(self, server):
-        server.allocate(server.n_fragments - 2)
-        with pytest.raises(DiskFullError):
-            server.allocate(5, contiguous=False)
-
     def test_try_allocate_at(self, server):
         first = server.allocate(4)
         extension = server.try_allocate_at(first.end, 4)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.clock import SimClock
-from repro.common.errors import BadAddressError
+from repro.common.errors import BadAddressError, MediaError
 from repro.common.metrics import Metrics
 from repro.simdisk.disk import SimDisk
 from repro.simdisk.geometry import DiskGeometry
@@ -343,3 +343,143 @@ class TestRebuildLifecycle:
         raid0, _, _ = make_array(level="raid0")
         with pytest.raises(ValueError):
             raid0.replace_member(0)
+
+
+def filled_array(level, members):
+    """An array holding a known pattern, and where logical sector 0 lives."""
+    array, drives, metrics = make_array(level=level, members=members)
+    total = array.geometry.total_sectors
+    data = bytes((7 * i + i // SECTOR) % 256 for i in range(total * SECTOR))
+    array.write_sectors(0, data)
+    holder, chunk = array.chunk_to_member(0)
+    return array, drives, metrics, data, holder, chunk * array.chunk_sectors
+
+
+def member_refs(metrics, drives):
+    """(references, writes) summed over the member drives."""
+    return (
+        sum(metrics.get(f"disk.{d.disk_id}.references") for d in drives),
+        sum(metrics.get(f"disk.{d.disk_id}.writes") for d in drives),
+    )
+
+
+REDUNDANT = [("raid1", 2), ("raid5", 4)]
+
+
+class TestMediaRepair:
+    """A media error under a reference read is healed from redundancy;
+    a sector that a rewrite cannot heal retires its member."""
+
+    @pytest.mark.parametrize("level,members", REDUNDANT)
+    def test_latent_error_is_healed_in_place(self, level, members):
+        array, drives, metrics, data, holder, physical = filled_array(
+            level, members
+        )
+        drives[holder].faults.schedule_media_error(physical)
+        epoch = array.epoch
+        refs, writes = member_refs(metrics, drives)
+        assert array.read_sectors(0, 2) == data[: 2 * SECTOR]
+        after = member_refs(metrics, drives)
+        # One reference per peer, the rewrite, and the verifying read.
+        peers = 1 if level == "raid1" else members - 1
+        assert (after[0] - refs, after[1] - writes) == (peers + 2, 1)
+        assert metrics.get("raid.t.media_repairs") == 1
+        assert array.state is ArrayState.OPTIMAL
+        assert (array.epoch, array.failed_members) == (epoch, ())
+        # The member serves the range itself again: one reference, its own.
+        own = metrics.get(f"disk.m{holder}.reads")
+        assert array.read_sectors(0, 2) == data[: 2 * SECTOR]
+        assert metrics.get(f"disk.m{holder}.reads") == own + 1
+        assert member_refs(metrics, drives) == (after[0] + 1, after[1])
+
+    @pytest.mark.parametrize("level,members", REDUNDANT)
+    def test_unrepairable_sector_retires_the_member(self, level, members):
+        array, drives, metrics, data, holder, physical = filled_array(
+            level, members
+        )
+        drives[holder].faults.mark_bad(physical)  # a rewrite does not heal it
+        epoch = array.epoch
+        changes = []
+        array.on_state_change = lambda old, new: changes.append((old, new))
+        assert array.read_sectors(0, 2) == data[: 2 * SECTOR]
+        assert array.state is ArrayState.DEGRADED
+        assert changes == [(ArrayState.OPTIMAL, ArrayState.DEGRADED)]
+        assert array.failed_members == (holder,)
+        assert array.epoch == epoch + 1
+        assert metrics.get("raid.t.media_repairs") == 0
+        for index, drive in enumerate(drives):
+            if index == holder:
+                assert drive.crashed
+                continue
+            parsed = _parse_superblock(
+                drive.read_sectors(0, 1), level=array.level,
+                n_members=members, chunk_sectors=array.chunk_sectors,
+                member_index=index,
+            )
+            assert parsed == (array.epoch, 1 << holder, 0)
+        total = array.geometry.total_sectors
+        assert array.read_sectors(0, total) == data
+
+    def test_raid0_has_nothing_to_repair_from(self):
+        array, drives, metrics, _, holder, physical = filled_array("raid0", 2)
+        drives[holder].faults.schedule_media_error(physical)
+        writes = member_refs(metrics, drives)[1]
+        with pytest.raises(MediaError):
+            array.read_sectors(0, 2)
+        assert array.state is ArrayState.OPTIMAL
+        assert member_refs(metrics, drives)[1] == writes
+
+    @pytest.mark.parametrize("level,members", REDUNDANT + [("raid0", 2)])
+    @pytest.mark.parametrize("fault", ["schedule_media_error", "mark_bad"])
+    def test_in_passing_read_never_references(self, level, members, fault):
+        """Track readahead is free of disk references by contract: over
+        a failing sector it reconstructs through the peers' own
+        in-passing reads or re-raises — no repair, no retirement."""
+        array, drives, metrics, data, holder, physical = filled_array(
+            level, members
+        )
+        getattr(drives[holder].faults, fault)(physical)
+        before = member_refs(metrics, drives), array.epoch
+        if level == "raid0":
+            with pytest.raises(MediaError):
+                array.read_in_passing(0, 2)
+        else:
+            assert array.read_in_passing(0, 2) == data[: 2 * SECTOR]
+        assert (member_refs(metrics, drives), array.epoch) == before
+        assert array.state is ArrayState.OPTIMAL
+        assert array.failed_members == ()
+        assert metrics.get("raid.t.media_repairs") == 0
+
+    def test_in_passing_read_reraises_when_a_peer_fails_too(self):
+        array, drives, metrics, _, holder, physical = filled_array("raid5", 4)
+        drives[holder].faults.schedule_media_error(physical)
+        drives[(holder - 1) % 4].faults.schedule_media_error(physical + 1)
+        before = member_refs(metrics, drives), array.epoch
+        with pytest.raises(MediaError):
+            array.read_in_passing(0, 2)
+        assert (member_refs(metrics, drives), array.epoch) == before
+        assert array.state is ArrayState.OPTIMAL
+
+    @pytest.mark.parametrize("level,members", REDUNDANT)
+    def test_dead_survivor_is_noted_before_the_error_surfaces(
+        self, level, members
+    ):
+        """The peer a repair needs is down and the array has not noticed:
+        the loss is recorded (degraded, epoch, listener) and the range's
+        media error surfaces — never "volume down" from a serving array."""
+        array, drives, _, data, holder, physical = filled_array(level, members)
+        drives[holder].faults.schedule_media_error(physical)
+        dead = (holder + 1) % members
+        drives[dead].crash()
+        epoch = array.epoch
+        changes = []
+        array.on_state_change = lambda old, new: changes.append((old, new))
+        with pytest.raises(MediaError):
+            array.read_sectors(0, 2)
+        assert array.state is ArrayState.DEGRADED
+        assert array.failed_members == (dead,)
+        assert array.epoch == epoch + 1
+        assert changes == [(ArrayState.OPTIMAL, ArrayState.DEGRADED)]
+        # Ranges the latent error does not touch are still served.
+        lo = array.chunk_sectors * (1 if level == "raid1" else members - 1)
+        assert array.read_sectors(lo, 2) == data[lo * SECTOR : (lo + 2) * SECTOR]
