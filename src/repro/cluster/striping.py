@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.common.errors import FileServiceError, FileSizeError
-from repro.common.ids import SystemName
+from repro.common.ids import SystemName, decode_system_names, encode_system_names
 from repro.common.units import BLOCK_SIZE
 from repro.file_service.server import FileServer
 from repro.naming.attributed import AttributedName
@@ -25,21 +25,6 @@ from repro.naming.service import NamingService
 #: Default stripe unit: eight blocks, so each stripe is one contiguous
 #: run a single disk reference can fetch.
 DEFAULT_STRIPE_BYTES = 8 * BLOCK_SIZE
-
-
-def _encode_segments(segments: List[SystemName]) -> str:
-    return ",".join(
-        f"{segment.volume_id}:{segment.fit_address}:{segment.generation}"
-        for segment in segments
-    )
-
-
-def _decode_segments(encoded: str) -> List[SystemName]:
-    segments = []
-    for part in encoded.split(","):
-        volume, fit, generation = part.split(":")
-        segments.append(SystemName(int(volume), int(fit), int(generation)))
-    return segments
 
 
 class StripedFile:
@@ -77,7 +62,7 @@ class StripedFile:
             raise FileServiceError("no volumes to stripe over")
         segments = [servers[volume].create() for volume in volume_ids]
         bound = name.with_attributes(
-            stripe=str(stripe_bytes), segments=_encode_segments(segments)
+            stripe=str(stripe_bytes), segments=encode_system_names(segments)
         )
         naming.bind(bound, segments[0])
         return cls(servers, segments, stripe_bytes)
@@ -95,7 +80,7 @@ class StripedFile:
             stripe = bound.get("stripe")
             if encoded is None or stripe is None:
                 continue
-            return cls(servers, _decode_segments(encoded), int(stripe))
+            return cls(servers, decode_system_names(encoded), int(stripe))
         raise FileServiceError(f"{name} is not a striped file")
 
     # ------------------------------------------------------------ io

@@ -280,9 +280,7 @@ class RhodosCluster:
         for file_server in self.file_servers.values():
             self.coordinator.register_volume(file_server)
 
-        self.directories = DirectoryService(
-            self.naming, self.router, self.metrics, root_volume=0
-        )
+        self.directories = DirectoryService(self.naming, self.router, self.metrics)
 
         self.replication = ReplicationService(
             self.naming,

@@ -15,7 +15,7 @@ above it, which is how RHODOS implements I/O redirection (section 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, List
 
 #: Object descriptors below this value designate devices; at or above
 #: it they designate files (basic or transactional).  The paper picks
@@ -47,6 +47,23 @@ class SystemName:
 
     def __str__(self) -> str:
         return f"sys:{self.volume_id}:{self.fit_address}:{self.generation}"
+
+
+def encode_system_names(names: List[SystemName]) -> str:
+    """A list of system names as one attribute value (``v:fit:gen,...``) —
+    how replica sets and stripe segments ride in an attributed name."""
+    return ",".join(
+        f"{name.volume_id}:{name.fit_address}:{name.generation}" for name in names
+    )
+
+
+def decode_system_names(encoded: str) -> List[SystemName]:
+    """Inverse of :func:`encode_system_names`."""
+    names = []
+    for part in encoded.split(","):
+        volume, fit, generation = part.split(":")
+        names.append(SystemName(int(volume), int(fit), int(generation)))
+    return names
 
 
 # Object and transaction descriptors are plain ints at runtime; the

@@ -170,6 +170,38 @@ def all_rules() -> List[Rule]:
     return [REGISTRY[rule_id] for rule_id in sorted(REGISTRY)]
 
 
+# -------------------------------------------------- function walking
+
+
+def functions(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
+    """Yield ``(qualname, def-node)`` for every function, nested included."""
+
+    def visit(node: ast.AST, prefix: str) -> Iterator[Tuple[str, ast.AST]]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = f"{prefix}{child.name}"
+                yield qualname, child
+                yield from visit(child, f"{qualname}.")
+            elif isinstance(child, ast.ClassDef):
+                yield from visit(child, f"{prefix}{child.name}.")
+            else:
+                yield from visit(child, prefix)
+
+    yield from visit(tree, "")
+
+
+def own_nodes(func: ast.AST) -> Iterator[ast.AST]:
+    """Every node of a function body, minus nested function/class bodies."""
+    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            stack.extend(ast.iter_child_nodes(node))
+
+
 # ------------------------------------------------------------- parsing
 
 

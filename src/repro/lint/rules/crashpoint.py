@@ -25,7 +25,14 @@ from __future__ import annotations
 import ast
 from typing import FrozenSet, Iterator, List, Tuple
 
-from repro.lint.framework import Finding, ParsedModule, Rule, register
+from repro.lint.framework import (
+    Finding,
+    ParsedModule,
+    Rule,
+    functions,
+    own_nodes,
+    register,
+)
 
 #: Packages whose write paths the sweep depends on.
 SCOPE: FrozenSet[str] = frozenset({"simdisk", "disk_service"})
@@ -107,8 +114,8 @@ class CrashPointRule(Rule):
         return super().applies(module) and module.package in SCOPE
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
-        for qualname, node in _functions(module.tree):
-            body_nodes = list(_own_nodes(node))
+        for qualname, node in functions(module.tree):
+            body_nodes = list(own_nodes(node))
             calls_hook = any(
                 isinstance(child, ast.Call)
                 and isinstance(child.func, ast.Attribute)
@@ -134,35 +141,6 @@ class CrashPointRule(Rule):
                         "registered write site",
                         self.hint,
                     )
-
-
-def _functions(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
-    """Yield ``(qualname, def-node)`` for every function, nested included."""
-
-    def visit(node: ast.AST, prefix: str) -> Iterator[Tuple[str, ast.AST]]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = f"{prefix}{child.name}"
-                yield qualname, child
-                yield from visit(child, f"{qualname}.")
-            elif isinstance(child, ast.ClassDef):
-                yield from visit(child, f"{prefix}{child.name}.")
-            else:
-                yield from visit(child, prefix)
-
-    yield from visit(tree, "")
-
-
-def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
-    """Every node of a function body, minus nested function/class bodies."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            stack.extend(ast.iter_child_nodes(node))
 
 
 def _raw_mutation(node: ast.AST) -> ast.AST | None:

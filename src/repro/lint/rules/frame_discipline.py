@@ -25,7 +25,14 @@ from __future__ import annotations
 import ast
 from typing import FrozenSet, Iterator, List
 
-from repro.lint.framework import Finding, ParsedModule, Rule, register
+from repro.lint.framework import (
+    Finding,
+    ParsedModule,
+    Rule,
+    functions,
+    own_nodes,
+    register,
+)
 
 #: Modules reviewed as legitimate direct movers of a frame cursor.
 ALLOWED_CURSOR_MODULES: FrozenSet[str] = frozenset(
@@ -60,8 +67,8 @@ class FrameDisciplineRule(Rule):
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
         cursor_allowed = module.module in ALLOWED_CURSOR_MODULES
-        for qualname, func in _functions(module.tree):
-            own = list(_own_nodes(func))
+        for qualname, func in functions(module.tree):
+            own = list(own_nodes(func))
             forks = [
                 node for node in own
                 if isinstance(node, ast.Call)
@@ -124,32 +131,3 @@ def _with_scoped_calls(nodes: List[ast.AST]) -> set:
                 if isinstance(item.context_expr, ast.Call):
                     scoped.add(item.context_expr)
     return scoped
-
-
-def _functions(tree: ast.Module) -> Iterator[tuple]:
-    """Yield ``(qualname, def-node)`` for every function, nested included."""
-
-    def visit(node: ast.AST, prefix: str) -> Iterator[tuple]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = f"{prefix}{child.name}"
-                yield qualname, child
-                yield from visit(child, f"{qualname}.")
-            elif isinstance(child, ast.ClassDef):
-                yield from visit(child, f"{prefix}{child.name}.")
-            else:
-                yield from visit(child, prefix)
-
-    yield from visit(tree, "")
-
-
-def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
-    """Every node of a function body, minus nested function/class bodies."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            stack.extend(ast.iter_child_nodes(node))

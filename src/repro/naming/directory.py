@@ -10,13 +10,21 @@ for free, and the directory tree survives anything a file survives.
 A directory file holds a serialised entry table: name -> (system name,
 kind).  The root directory's system name is bootstrapped through the
 flat naming service under a reserved attributed name.
+
+The tree algorithm is written once, in :class:`DirectoryTree`, over a
+*file store* of four calls — ``create(volume_id, **kwargs)``,
+``read(name)``, ``write(name, blob)``, ``delete(name)``.  The store
+decides what a write *means*: :class:`DirectoryService` writes at once
+through the router; a transaction's view
+(:mod:`repro.naming.tdirectory`) writes tentatively, so the same
+mutations become atomic as a group.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.errors import (
     FileServiceError,
@@ -35,6 +43,9 @@ ROOT_BINDING = AttributedName.file(directory="root", path="/")
 _KIND_FILE = "file"
 _KIND_DIR = "dir"
 _MAX_DIRECTORY_BYTES = 1 << 20
+#: The volume hosting the root directory (and, by default, every
+#: directory and file created through the tree).
+_ROOT_VOLUME = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,78 +89,59 @@ def _decode_entries(blob: bytes) -> Dict[str, DirectoryEntry]:
     return entries
 
 
-class DirectoryService:
-    """Hierarchical paths over the basic file service.
+def _padded(blob: bytes, current_size: int) -> bytes:
+    """A directory file never shrinks: a shorter table is space-padded
+    to the file's current size, so stale tail bytes cannot follow it."""
+    return blob + b" " * max(0, current_size - len(blob))
+
+
+class DirectoryTree:
+    """Hierarchical paths over a file store — the one tree algorithm.
+
+    Every mutation walks to the parent once, checks before it writes,
+    and orders its writes so that a crash between two of them leaves an
+    entry present twice or a file unreferenced — never an entry naming
+    nothing, never a reachable file lost.
 
     Args:
-        naming: the flat naming service (holds the root bootstrap).
-        router: any :class:`~repro.agents.routing.FileServiceRouter`-
-            shaped object carrying file operations by volume.
+        files: the file store (``create`` / ``read`` / ``write`` /
+            ``delete``, see the module docstring).
+        root: system name of the root directory file.
+        root_volume: volume for new directories and files by default.
         metrics: counter registry.
-        root_volume: volume that hosts the root directory (and, by
-            default, newly created directories and files).
     """
 
     def __init__(
-        self,
-        naming: NamingService,
-        router,
-        metrics: Metrics,
-        *,
-        root_volume: int = 0,
+        self, files, root: SystemName, root_volume: int, metrics: Metrics
     ) -> None:
-        self.naming = naming
-        self.router = router
-        self.metrics = metrics
+        self.files = files
+        self.root = root
         self.root_volume = root_volume
-        if ROOT_BINDING in naming:
-            self.root = naming.resolve_file(ROOT_BINDING)
-        else:
-            self.root = router.create(root_volume)
-            self._write_entries(self.root, {})
-            naming.bind(ROOT_BINDING, self.root)
+        self.metrics = metrics
 
     # ------------------------------------------------------- lookup
 
     def resolve(self, path: str) -> SystemName:
         """Walk the tree; raises :class:`NameNotFoundError` if absent."""
-        parts = self._split(path)
-        current = self.root
-        for index, part in enumerate(parts):
-            entries = self._read_entries(current)
-            entry = entries.get(part)
-            if entry is None:
-                raise NameNotFoundError(
-                    f"no entry {part!r} in /{'/'.join(parts[:index])}"
-                )
-            if index < len(parts) - 1 and not entry.is_directory:
-                raise NamingError(f"/{'/'.join(parts[: index + 1])} is not a directory")
-            current = entry.target
+        target = self._entry(path).target
         self.metrics.add("directory.resolutions")
-        return current
+        return target
 
     def list_directory(self, path: str) -> List[DirectoryEntry]:
         """Entries of a directory, sorted by name."""
-        target = self.resolve(path)
-        self._require_directory(path)
-        return sorted(self._read_entries(target).values(), key=lambda e: e.name)
+        entry = self._entry(path)
+        if not entry.is_directory:
+            raise NamingError(f"{path} is not a directory")
+        return sorted(self._read_entries(entry.target).values(), key=lambda e: e.name)
 
     def exists(self, path: str) -> bool:
-        try:
-            self.resolve(path)
-            return True
-        except (NameNotFoundError, NamingError):
-            return False
+        return self._find(path) is not None
 
     def is_directory(self, path: str) -> bool:
-        parts = self._split(path)
-        if not parts:
-            return True
-        parent_entries = self._read_entries(self.resolve(self._parent(path)))
-        entry = parent_entries.get(parts[-1])
+        entry = self._find(path)
         return entry is not None and entry.is_directory
 
-    def walk(self, path: str = "/"):
+    def walk(self, path: str = "/") -> Iterator[Tuple[str, List[DirectoryEntry]]]:
         """Yield (directory_path, entries) depth-first, like os.walk."""
         entries = self.list_directory(path)
         yield path.rstrip("/") or "/", entries
@@ -162,74 +154,81 @@ class DirectoryService:
 
     def mkdir(self, path: str, *, volume_id: int | None = None) -> SystemName:
         """Create an empty directory; parent must exist."""
-        parent, leaf = self._parent_and_leaf(path)
-        directory = self.router.create(
-            volume_id if volume_id is not None else self.root_volume
-        )
-        self._write_entries(directory, {})
-        self._add_entry(parent, DirectoryEntry(leaf, directory, _KIND_DIR))
+        parent, entries, leaf = self._vacancy(path)
+        directory = self.files.create(self._volume(volume_id))
+        self.files.write(directory, _encode_entries({}))
+        self._put(parent, entries, DirectoryEntry(leaf, directory, _KIND_DIR))
         self.metrics.add("directory.mkdirs")
         return directory
 
+    def create_file(
+        self, path: str, *, volume_id: int | None = None, **create_kwargs
+    ) -> SystemName:
+        """Create a file and link it at ``path``."""
+        parent, entries, leaf = self._vacancy(path)
+        target = self.files.create(self._volume(volume_id), **create_kwargs)
+        self._put(parent, entries, DirectoryEntry(leaf, target, _KIND_FILE))
+        self.metrics.add("directory.creates")
+        return target
+
+    def link(self, path: str, target: SystemName) -> None:
+        """Link an existing file under a (new) path — hard-link style."""
+        parent, entries, leaf = self._vacancy(path)
+        self._put(parent, entries, DirectoryEntry(leaf, target, _KIND_FILE))
+        self.metrics.add("directory.links")
+
+    def unlink(self, path: str, *, delete_file: bool = True) -> SystemName:
+        """Remove a file entry; optionally delete the file itself."""
+        parent, entries, leaf = self._locate(path)
+        entry = entries.pop(leaf, None)
+        if entry is None:
+            raise NameNotFoundError(f"{path}: no such file")
+        if entry.is_directory:
+            raise NamingError(f"{path} is a directory; use rmdir")
+        self._write_entries(parent, entries)
+        if delete_file:
+            self.files.delete(entry.target)
+        self.metrics.add("directory.unlinks")
+        return entry.target
+
     def rmdir(self, path: str) -> None:
         """Remove an empty directory."""
-        parent, leaf = self._parent_and_leaf(path)
-        entries = self._read_entries(self.resolve(parent))
-        entry = entries.get(leaf)
+        parent, entries, leaf = self._locate(path)
+        entry = entries.pop(leaf, None)
         if entry is None:
             raise NameNotFoundError(f"{path}: no such directory")
         if not entry.is_directory:
             raise NamingError(f"{path} is a file, not a directory")
         if self._read_entries(entry.target):
             raise NamingError(f"{path} is not empty")
-        self._remove_entry(parent, leaf)
-        self.router.delete(entry.target)
+        self._write_entries(parent, entries)
+        self.files.delete(entry.target)
         self.metrics.add("directory.rmdirs")
 
-    def create_file(self, path: str, *, volume_id: int | None = None, **create_kwargs) -> SystemName:
-        """Create a file and link it at ``path``."""
-        parent, leaf = self._parent_and_leaf(path)
-        target = self.router.create(
-            volume_id if volume_id is not None else self.root_volume,
-            **create_kwargs,
-        )
-        self._add_entry(parent, DirectoryEntry(leaf, target, _KIND_FILE))
-        self.metrics.add("directory.creates")
-        return target
-
-    def link(self, path: str, target: SystemName) -> None:
-        """Link an existing file under a (new) path — hard-link style."""
-        parent, leaf = self._parent_and_leaf(path)
-        self._add_entry(parent, DirectoryEntry(leaf, target, _KIND_FILE))
-        self.metrics.add("directory.links")
-
-    def unlink(self, path: str, *, delete_file: bool = True) -> SystemName:
-        """Remove a file entry; optionally delete the file itself."""
-        parent, leaf = self._parent_and_leaf(path)
-        entries = self._read_entries(self.resolve(parent))
-        entry = entries.get(leaf)
-        if entry is None:
-            raise NameNotFoundError(f"{path}: no such file")
-        if entry.is_directory:
-            raise NamingError(f"{path} is a directory; use rmdir")
-        self._remove_entry(parent, leaf)
-        if delete_file:
-            self.router.delete(entry.target)
-        self.metrics.add("directory.unlinks")
-        return entry.target
-
     def rename(self, old_path: str, new_path: str) -> None:
-        """Move an entry (file or directory) to a new path."""
-        old_parent, old_leaf = self._parent_and_leaf(old_path)
-        new_parent, new_leaf = self._parent_and_leaf(new_path)
-        entries = self._read_entries(self.resolve(old_parent))
-        entry = entries.get(old_leaf)
+        """Move an entry (file or directory) to a new path.
+
+        The new parent is written before the old one (one write when
+        they are the same file): a crash in between leaves the entry
+        under both names, never under neither.
+        """
+        old_parent, old_entries, old_leaf = self._locate(old_path)
+        entry = old_entries.get(old_leaf)
         if entry is None:
             raise NameNotFoundError(f"{old_path}: no such entry")
-        self._add_entry(
-            new_parent, DirectoryEntry(new_leaf, entry.target, entry.kind)
-        )
-        self._remove_entry(old_parent, old_leaf)
+        old_parts = self._split(old_path)
+        if entry.is_directory and self._split(new_path)[: len(old_parts)] == old_parts:
+            raise NamingError(f"cannot move {old_path} into itself ({new_path})")
+        new_parent, new_entries, new_leaf = self._locate(new_path)
+        if new_parent == old_parent:
+            new_entries = old_entries
+        if new_leaf in new_entries:
+            raise NameExistsError(f"{new_path} already exists")
+        new_entries[new_leaf] = DirectoryEntry(new_leaf, entry.target, entry.kind)
+        if new_parent != old_parent:
+            self._write_entries(new_parent, new_entries)
+        del old_entries[old_leaf]
+        self._write_entries(old_parent, old_entries)
         self.metrics.add("directory.renames")
 
     # ------------------------------------------------------ internal
@@ -242,25 +241,72 @@ class DirectoryService:
                 raise NamingError("relative path components are not supported")
         return parts
 
-    def _parent(self, path: str) -> str:
-        parts = self._split(path)
-        return "/" + "/".join(parts[:-1])
+    def _volume(self, volume_id: Optional[int]) -> int:
+        return volume_id if volume_id is not None else self.root_volume
 
-    def _parent_and_leaf(self, path: str) -> Tuple[str, str]:
+    def _locate(
+        self, path: str
+    ) -> Tuple[SystemName, Dict[str, DirectoryEntry], str]:
+        """The one walk: ``(parent, the parent's entries, leaf)``.
+
+        Verifies every step, the parent included, is a directory; a
+        path of depth *d* costs *d* directory reads.
+        """
         parts = self._split(path)
         if not parts:
             raise NamingError("the root directory itself cannot be a target")
-        return "/" + "/".join(parts[:-1]), parts[-1]
+        directory = self.root
+        entries = self._read_entries(directory)
+        for index, part in enumerate(parts[:-1]):
+            entry = entries.get(part)
+            if entry is None:
+                raise NameNotFoundError(
+                    f"no entry {part!r} in /{'/'.join(parts[:index])}"
+                )
+            if not entry.is_directory:
+                raise NamingError(f"/{'/'.join(parts[: index + 1])} is not a directory")
+            directory = entry.target
+            entries = self._read_entries(directory)
+        return directory, entries, parts[-1]
 
-    def _require_directory(self, path: str) -> None:
-        if self._split(path) and not self.is_directory(path):
-            raise NamingError(f"{path} is not a directory")
+    def _vacancy(
+        self, path: str
+    ) -> Tuple[SystemName, Dict[str, DirectoryEntry], str]:
+        """:meth:`_locate` for a path that must not exist yet."""
+        parent, entries, leaf = self._locate(path)
+        if leaf in entries:
+            raise NameExistsError(f"{path} already exists")
+        return parent, entries, leaf
+
+    def _put(
+        self,
+        parent: SystemName,
+        entries: Dict[str, DirectoryEntry],
+        entry: DirectoryEntry,
+    ) -> None:
+        entries[entry.name] = entry
+        self._write_entries(parent, entries)
+
+    def _entry(self, path: str) -> DirectoryEntry:
+        """The entry at ``path`` (the root is its own, nameless, entry)."""
+        if not self._split(path):
+            return DirectoryEntry("", self.root, _KIND_DIR)
+        _, entries, leaf = self._locate(path)
+        entry = entries.get(leaf)
+        if entry is None:
+            raise NameNotFoundError(f"{path}: no such entry")
+        return entry
+
+    def _find(self, path: str) -> Optional[DirectoryEntry]:
+        try:
+            return self._entry(path)
+        except (NameNotFoundError, NamingError):
+            return None
 
     def _read_entries(self, directory: SystemName) -> Dict[str, DirectoryEntry]:
-        blob = self.router.read(directory, 0, _MAX_DIRECTORY_BYTES)
         try:
-            return _decode_entries(blob)
-        except (ValueError, KeyError) as exc:
+            return _decode_entries(self.files.read(directory))
+        except (ValueError, KeyError, TypeError) as exc:
             raise FileServiceError(
                 f"directory file {directory} is corrupt: {exc}"
             ) from exc
@@ -268,24 +314,48 @@ class DirectoryService:
     def _write_entries(
         self, directory: SystemName, entries: Dict[str, DirectoryEntry]
     ) -> None:
-        blob = _encode_entries(entries)
-        current_size = self.router.get_attribute(directory).file_size
-        self.router.write(directory, 0, blob + b" " * max(0, current_size - len(blob)))
+        self.files.write(directory, _encode_entries(entries))
 
-    def _add_entry(self, parent_path: str, entry: DirectoryEntry) -> None:
-        if not self.is_directory(parent_path):
-            raise NamingError(f"{parent_path} is not a directory")
-        parent = self.resolve(parent_path)
-        entries = self._read_entries(parent)
-        if entry.name in entries:
-            raise NameExistsError(
-                f"{parent_path.rstrip('/')}/{entry.name} already exists"
-            )
-        entries[entry.name] = entry
-        self._write_entries(parent, entries)
 
-    def _remove_entry(self, parent_path: str, leaf: str) -> None:
-        parent = self.resolve(parent_path)
-        entries = self._read_entries(parent)
-        entries.pop(leaf, None)
-        self._write_entries(parent, entries)
+class _RouterFiles:
+    """The plain file store: every write takes effect at once."""
+
+    def __init__(self, router) -> None:
+        self.router = router
+
+    def create(self, volume_id: int, **kwargs) -> SystemName:
+        return self.router.create(volume_id, **kwargs)
+
+    def read(self, name: SystemName) -> bytes:
+        return self.router.read(name, 0, _MAX_DIRECTORY_BYTES)
+
+    def write(self, name: SystemName, blob: bytes) -> None:
+        current_size = self.router.get_attribute(name).file_size
+        self.router.write(name, 0, _padded(blob, current_size))
+
+    def delete(self, name: SystemName) -> None:
+        self.router.delete(name)
+
+
+class DirectoryService(DirectoryTree):
+    """The directory tree over the basic file service, plus the root
+    bootstrap through the flat naming service.
+
+    Args:
+        naming: the flat naming service (holds the root bootstrap).
+        router: any :class:`~repro.agents.routing.FileServiceRouter`-
+            shaped object carrying file operations by volume.
+        metrics: counter registry.
+    """
+
+    def __init__(self, naming: NamingService, router, metrics: Metrics) -> None:
+        self.naming = naming
+        self.router = router
+        files = _RouterFiles(router)
+        if ROOT_BINDING in naming:
+            root = naming.resolve_file(ROOT_BINDING)
+        else:
+            root = files.create(_ROOT_VOLUME)
+            files.write(root, _encode_entries({}))
+            naming.bind(ROOT_BINDING, root)
+        super().__init__(files, root, _ROOT_VOLUME, metrics)

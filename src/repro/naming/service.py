@@ -130,12 +130,14 @@ class NamingService:
         return self.resolve_file(AttributedName.file(path=self._norm_path(path)))
 
     def unbind_path(self, path: str) -> Target:
-        # Exact-match removal requires the full binding; the path
-        # posting of the inverted index yields it directly.
-        normalised = self._norm_path(path)
-        bucket = self._index.get((ObjectType.FILE, "path", normalised))
+        return self.unbind(self.path_name(path))
+
+    def path_name(self, path: str) -> AttributedName:
+        """The first binding carrying ``path`` — exact-match removal
+        needs the full name, and the path posting yields it directly."""
+        bucket = self._index.get((ObjectType.FILE, "path", self._norm_path(path)))
         if bucket:
-            return self.unbind(next(iter(bucket)))
+            return next(iter(bucket))
         raise NameNotFoundError(f"no binding for path {path!r}")
 
     def list_directory(self, prefix: str) -> List[str]:

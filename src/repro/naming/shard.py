@@ -352,14 +352,20 @@ class NamingShard:
         name: AttributedName,
         target: Optional[Target],
         token: Optional[int],
+        *,
+        by_path: bool = False,
     ) -> Optional[Target]:
         """The one keyed-write body: reply cache, owner check, apply,
         mirror, write-through.  ``target`` None means unbind; the
-        recorded answer is what the op returns (the unbound target)."""
+        recorded answer is what the op returns (the unbound target).
+        ``by_path`` marks ``name`` as a bare path query: the posting
+        yields the exact binding, so mirror and staging see that name."""
         self._enter()
         if token is not None and token in self._done:
             return self._done[token]
         slot = self._check_owner(canonical_key(name))
+        if by_path:
+            name = self.service.path_name(name.get("path"))
         apply = getattr(self.service, op)
         answer = apply(name) if op == "unbind" else apply(name, target)
         self._mirror(name, target)
@@ -395,24 +401,8 @@ class NamingShard:
         return _READS["contains"](self.service, name)
 
     def unbind_path(self, path: str, token: Optional[int] = None) -> Target:
-        self._enter()
-        if token is not None and token in self._done:
-            return self._done[token]
-        self._check_owner("p:" + NamingService._norm_path(path))
-        target = self.service.unbind_path(path)
-        # The exact unbound name is needed for mirroring; unbind_path
-        # already removed it, so replay the removal on the mirrors by
-        # path as well.
-        if self.peer is not None and not self.peer.crashed:
-            try:
-                self.peer.replica.unbind_path(path)
-            except NameNotFoundError:
-                pass
-        for destination in self._migrating_out.values():
-            destination._incoming_unbind_path(path)
-        if token is not None:
-            self._done[token] = target
-        return target
+        query = AttributedName.file(path=NamingService._norm_path(path))
+        return self._write("unbind", query, None, token, by_path=True)
 
     # ---------------------------------------------------- fan-out ops
 
@@ -499,17 +489,6 @@ class NamingShard:
         if destination is None or destination.crashed:
             return
         destination._incoming[name] = target
-
-    def _incoming_unbind_path(self, path: str) -> None:
-        if self.crashed:
-            return
-        normalised = NamingService._norm_path(path)
-        for name in list(self._incoming):
-            if (
-                name.object_type is ObjectType.FILE
-                and name.get("path") == normalised
-            ):
-                self._incoming[name] = None
 
     # ----------------------------------------------------- lifecycle
 

@@ -7,34 +7,27 @@ Directory maintenance is the canonical piece of system programming:
 a rename touches two directory files, and a crash between the two
 updates would corrupt the namespace (an entry lost, or present twice).
 
-This module runs directory mutations through the transaction service,
-so multi-entry updates are atomic: either both parents reflect the
-rename or neither does, across any crash.  Reads inside an operation
-see the operation's own tentative state; directory files are locked
-(page-level) for the duration, serialising concurrent mutators of the
-same directory.
+This module binds the one tree algorithm
+(:class:`~repro.naming.directory.DirectoryTree`) to a file store whose
+writes are tentative inside a transaction, so multi-entry updates are
+atomic: either both parents reflect the rename or neither does, across
+any crash.  Reads inside an operation see the operation's own tentative
+state; directory files are locked (page-level) for the duration,
+serialising concurrent mutators of the same directory.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Protocol, Tuple
+from typing import Dict, Iterator, Optional, Protocol
 
-from repro.common.errors import (
-    NameExistsError,
-    NameNotFoundError,
-    NamingError,
-)
 from repro.common.ids import SystemName
 from repro.file_service.attributes import FileAttributes, LockingLevel
 from repro.naming.directory import (
-    DirectoryEntry,
     DirectoryService,
-    _decode_entries,
-    _encode_entries,
-    _KIND_DIR,
-    _KIND_FILE,
+    DirectoryTree,
     _MAX_DIRECTORY_BYTES,
+    _padded,
 )
 
 
@@ -82,196 +75,65 @@ class TransactionHost(Protocol):
     def tget_attribute(self, tid: int, descriptor: int) -> FileAttributes: ...
 
 
-class _TxnView:
-    """Directory operations bound to one open transaction."""
+class _TxnFiles:
+    """The transactional file store: every write is tentative until the
+    transaction ends; directory files are page-locked from the first
+    read (``for_update``), serialising mutators of one directory."""
 
-    def __init__(
-        self,
-        service: "TransactionalDirectory",
-        tid: int,
-    ) -> None:
-        self._service = service
-        self._host = service.host
+    def __init__(self, host: TransactionHost, tid: int) -> None:
+        self.host = host
         self.tid = tid
         self._descriptors: Dict[SystemName, int] = {}
 
-    # ------------------------------------------------------- plumbing
-
-    def _descriptor(self, directory: SystemName) -> int:
-        descriptor = self._descriptors.get(directory)
+    def descriptor(self, name: SystemName, **open_kwargs: object) -> int:
+        descriptor = self._descriptors.get(name)
         if descriptor is None:
-            descriptor = self._host.topen_system(
-                self.tid, directory, locking_level=LockingLevel.PAGE
-            )
-            self._descriptors[directory] = descriptor
+            descriptor = self.host.topen_system(self.tid, name, **open_kwargs)
+            self._descriptors[name] = descriptor
         return descriptor
 
-    def _read_entries(self, directory: SystemName) -> Dict[str, DirectoryEntry]:
-        descriptor = self._descriptor(directory)
-        blob = self._host.tpread(
-            self.tid, descriptor, _MAX_DIRECTORY_BYTES, 0, for_update=True
-        )
-        return _decode_entries(blob)
+    def _directory(self, name: SystemName) -> int:
+        return self.descriptor(name, locking_level=LockingLevel.PAGE)
 
-    def _write_entries(
-        self, directory: SystemName, entries: Dict[str, DirectoryEntry]
-    ) -> None:
-        descriptor = self._descriptor(directory)
-        blob = _encode_entries(entries)
-        current = self._host.tget_attribute(self.tid, descriptor).file_size
-        self._host.tpwrite(
-            self.tid,
-            descriptor,
-            blob + b" " * max(0, current - len(blob)),
-            0,
+    def create(self, volume_id: int, **kwargs: object) -> SystemName:
+        descriptor = self.host.tcreate_system(self.tid, volume_id=volume_id, **kwargs)
+        name = self.host.system_name_of(self.tid, descriptor)
+        self._descriptors[name] = descriptor
+        return name
+
+    def read(self, name: SystemName) -> bytes:
+        return self.host.tpread(
+            self.tid, self._directory(name), _MAX_DIRECTORY_BYTES, 0, for_update=True
         )
 
-    def resolve(self, path: str) -> SystemName:
-        """Walk the tree inside the transaction (sees tentative state)."""
-        parts = DirectoryService._split(path)
-        current = self._service.directories.root
-        for index, part in enumerate(parts):
-            entry = self._read_entries(current).get(part)
-            if entry is None:
-                raise NameNotFoundError(
-                    f"no entry {part!r} in /{'/'.join(parts[:index])}"
-                )
-            if index < len(parts) - 1 and not entry.is_directory:
-                raise NamingError(
-                    f"/{'/'.join(parts[: index + 1])} is not a directory"
-                )
-            current = entry.target
-        return current
+    def write(self, name: SystemName, blob: bytes) -> None:
+        descriptor = self._directory(name)
+        current_size = self.host.tget_attribute(self.tid, descriptor).file_size
+        self.host.tpwrite(self.tid, descriptor, _padded(blob, current_size), 0)
 
-    def _parent_and_leaf(self, path: str) -> Tuple[SystemName, str]:
-        parts = DirectoryService._split(path)
-        if not parts:
-            raise NamingError("the root directory itself cannot be a target")
-        # Walk to the parent, verifying every step (including the parent
-        # itself) is a directory.
-        current = self._service.directories.root
-        for index, part in enumerate(parts[:-1]):
-            entry = self._read_entries(current).get(part)
-            if entry is None:
-                raise NameNotFoundError(
-                    f"no entry {part!r} in /{'/'.join(parts[:index])}"
-                )
-            if not entry.is_directory:
-                raise NamingError(
-                    f"/{'/'.join(parts[: index + 1])} is not a directory"
-                )
-            current = entry.target
-        return current, parts[-1]
+    def delete(self, name: SystemName) -> None:
+        self.host.tdelete_system(self.tid, name)
 
-    # ------------------------------------------------------- mutators
 
-    def mkdir(self, path: str, *, volume_id: int | None = None) -> SystemName:
-        parent, leaf = self._parent_and_leaf(path)
-        entries = self._read_entries(parent)
-        if leaf in entries:
-            raise NameExistsError(f"{path} already exists")
-        descriptor = self._host.tcreate_system(
-            self.tid,
-            volume_id=(
-                volume_id
-                if volume_id is not None
-                else self._service.directories.root_volume
-            ),
+class _TxnView(DirectoryTree):
+    """The directory tree bound to one open transaction: reads see the
+    transaction's own tentative state, and however many directory files
+    its mutations touch, they commit or vanish together."""
+
+    def __init__(self, service: "TransactionalDirectory", tid: int) -> None:
+        self.tid = tid
+        directories = service.directories
+        super().__init__(
+            _TxnFiles(service.host, tid),
+            directories.root,
+            directories.root_volume,
+            directories.metrics,
         )
-        directory = self._host.system_name_of(self.tid, descriptor)
-        self._host.tpwrite(self.tid, descriptor, _encode_entries({}), 0)
-        self._descriptors[directory] = descriptor
-        entries[leaf] = DirectoryEntry(leaf, directory, _KIND_DIR)
-        self._write_entries(parent, entries)
-        return directory
-
-    def create_file(self, path: str, *, volume_id: int | None = None) -> SystemName:
-        parent, leaf = self._parent_and_leaf(path)
-        entries = self._read_entries(parent)
-        if leaf in entries:
-            raise NameExistsError(f"{path} already exists")
-        descriptor = self._host.tcreate_system(
-            self.tid,
-            volume_id=(
-                volume_id
-                if volume_id is not None
-                else self._service.directories.root_volume
-            ),
-        )
-        target = self._host.system_name_of(self.tid, descriptor)
-        self._descriptors[target] = descriptor
-        entries[leaf] = DirectoryEntry(leaf, target, _KIND_FILE)
-        self._write_entries(parent, entries)
-        return target
 
     def write_file(self, path: str, offset: int, data: bytes) -> int:
         """Write file content inside the same transaction."""
-        target = self.resolve(path)
-        descriptor = self._descriptors.get(target)
-        if descriptor is None:
-            descriptor = self._host.topen_system(self.tid, target)
-            self._descriptors[target] = descriptor
-        return self._host.tpwrite(self.tid, descriptor, data, offset)
-
-    def unlink(self, path: str) -> SystemName:
-        parent, leaf = self._parent_and_leaf(path)
-        entries = self._read_entries(parent)
-        entry = entries.get(leaf)
-        if entry is None:
-            raise NameNotFoundError(f"{path}: no such file")
-        if entry.is_directory:
-            raise NamingError(f"{path} is a directory; use rmdir")
-        del entries[leaf]
-        self._write_entries(parent, entries)
-        self._host.tdelete_system(self.tid, entry.target)
-        return entry.target
-
-    def rmdir(self, path: str) -> None:
-        parent, leaf = self._parent_and_leaf(path)
-        entries = self._read_entries(parent)
-        entry = entries.get(leaf)
-        if entry is None:
-            raise NameNotFoundError(f"{path}: no such directory")
-        if not entry.is_directory:
-            raise NamingError(f"{path} is a file, not a directory")
-        if self._read_entries(entry.target):
-            raise NamingError(f"{path} is not empty")
-        del entries[leaf]
-        self._write_entries(parent, entries)
-        self._host.tdelete_system(self.tid, entry.target)
-
-    def rename(self, old_path: str, new_path: str) -> None:
-        """The multi-directory mutation this module exists for."""
-        old_parent, old_leaf = self._parent_and_leaf(old_path)
-        new_parent, new_leaf = self._parent_and_leaf(new_path)
-        old_entries = self._read_entries(old_parent)
-        entry = old_entries.get(old_leaf)
-        if entry is None:
-            raise NameNotFoundError(f"{old_path}: no such entry")
-        if old_parent == new_parent:
-            if new_leaf in old_entries:
-                raise NameExistsError(f"{new_path} already exists")
-            del old_entries[old_leaf]
-            old_entries[new_leaf] = DirectoryEntry(
-                new_leaf, entry.target, entry.kind
-            )
-            self._write_entries(old_parent, old_entries)
-            return
-        new_entries = self._read_entries(new_parent)
-        if new_leaf in new_entries:
-            raise NameExistsError(f"{new_path} already exists")
-        del old_entries[old_leaf]
-        new_entries[new_leaf] = DirectoryEntry(new_leaf, entry.target, entry.kind)
-        # Two directory files change; the enclosing transaction makes
-        # the pair atomic across any crash.
-        self._write_entries(old_parent, old_entries)
-        self._write_entries(new_parent, new_entries)
-
-    def list_directory(self, path: str) -> List[DirectoryEntry]:
-        return sorted(
-            self._read_entries(self.resolve(path)).values(),
-            key=lambda entry: entry.name,
-        )
+        descriptor = self.files.descriptor(self.resolve(path))
+        return self.files.host.tpwrite(self.tid, descriptor, data, offset)
 
 
 class TransactionalDirectory:

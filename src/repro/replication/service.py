@@ -46,7 +46,7 @@ from repro.common.errors import (
     ReplicationError,
 )
 from repro.common.frames import FrameFork
-from repro.common.ids import SystemName
+from repro.common.ids import SystemName, decode_system_names, encode_system_names
 from repro.common.metrics import Metrics
 from repro.common.weak import weak_method
 from repro.file_service.attributes import FileAttributes
@@ -57,20 +57,6 @@ from repro.recovery.health import HealthRegistry
 
 #: Exceptions a single replica operation may fail with.
 _REPLICA_ERRORS = (DiskError, DiskCrashedError, FileServiceError)
-
-
-def _encode_replicas(names: List[SystemName]) -> str:
-    return ",".join(
-        f"{name.volume_id}:{name.fit_address}:{name.generation}" for name in names
-    )
-
-
-def _decode_replicas(encoded: str) -> List[SystemName]:
-    replicas = []
-    for part in encoded.split(","):
-        volume, fit, generation = part.split(":")
-        replicas.append(SystemName(int(volume), int(fit), int(generation)))
-    return replicas
 
 
 def volume_component(volume_id: int) -> str:
@@ -153,7 +139,7 @@ class ReplicationService:
                 f"degree {degree} exceeds the {len(volumes)} available volumes"
             )
         replicas = [self.servers[volume].create() for volume in volumes[:degree]]
-        bound = name.with_attributes(replicas=_encode_replicas(replicas))
+        bound = name.with_attributes(replicas=encode_system_names(replicas))
         self.naming.bind(bound, replicas[0])
         replica_set = ReplicaSet(name=bound, replicas=replicas)
         self._sets[name] = replica_set
@@ -170,7 +156,7 @@ class ReplicationService:
             encoded = bound.get("replicas")
             if encoded is None:
                 continue
-            replica_set = ReplicaSet(name=bound, replicas=_decode_replicas(encoded))
+            replica_set = ReplicaSet(name=bound, replicas=decode_system_names(encoded))
             self._sets[name] = replica_set
             self._sets[bound] = replica_set
             return replica_set
@@ -452,7 +438,7 @@ class ReplicationService:
                 continue
         # Refresh the replica list recorded in the naming service.
         refreshed = replica_set.name.with_attributes(
-            replicas=_encode_replicas(replica_set.replicas)
+            replicas=encode_system_names(replica_set.replicas)
         )
         self.naming.unbind(replica_set.name)
         self.naming.bind(refreshed, replica_set.replicas[0])

@@ -149,11 +149,30 @@ class TransactionAgent:
             volume_id = (
                 int(hinted) if hinted is not None else self.coordinator.volume_ids()[0]
             )
+        return self._create(transaction, name, volume_id, locking_level)
+
+    def tcreate_system(self, tid: int, *, volume_id: int) -> int:
+        """Create an unnamed file transactionally (system services).
+
+        The file gets no attributed-name binding; the caller records
+        its system name wherever it keeps references (e.g. a parent
+        directory's entry table).  Undone if the transaction aborts.
+        """
+        return self._create(self._live(tid), None, volume_id, LockingLevel.DEFAULT)
+
+    def _create(
+        self,
+        transaction: Transaction,
+        name: Optional[AttributedName],
+        volume_id: int,
+        locking_level: LockingLevel,
+    ) -> int:
         server = self.coordinator.file_server(volume_id)
         system_name = server.create(
             service_type=ServiceType.TRANSACTION, locking_level=locking_level
         )
-        self.naming.bind(name, system_name)
+        if name is not None:
+            self.naming.bind(name, system_name)
         transaction.created_files.append((name, system_name))
         level = self._effective_level(server.get_attribute(system_name))
         # Lock out everyone else until commit: a whole-range exclusive
@@ -163,9 +182,8 @@ class TransactionAgent:
             DataItem(system_name, level, 0, FILE_RANGE_END),
             LockMode.IW,
         )
-        descriptor = self._open_descriptor(transaction, system_name, server, level)
         self.metrics.add(f"{self._prefix}.tcreates")
-        return descriptor
+        return self._open_descriptor(transaction, system_name, level)
 
     def topen(
         self,
@@ -181,19 +199,7 @@ class TransactionAgent:
         transactions may lock the same file at different granularities.
         """
         transaction = self._live(tid)
-        system_name = self.naming.resolve_file(name)
-        server = self.coordinator.file_server(system_name.volume_id)
-        attrs = server.open(system_name)
-        if attrs.service_type is not ServiceType.TRANSACTION:
-            server.set_service_type(system_name, ServiceType.TRANSACTION)
-        level = (
-            locking_level
-            if locking_level is not None
-            else self._effective_level(attrs)
-        )
-        descriptor = self._open_descriptor(transaction, system_name, server, level)
-        self.metrics.add(f"{self._prefix}.topens")
-        return descriptor
+        return self._open(transaction, self.naming.resolve_file(name), locking_level)
 
     def topen_system(
         self,
@@ -208,7 +214,14 @@ class TransactionAgent:
         system names that have no attributed-name binding; this is
         their entry into transactional I/O.
         """
-        transaction = self._live(tid)
+        return self._open(self._live(tid), system_name, locking_level)
+
+    def _open(
+        self,
+        transaction: Transaction,
+        system_name: SystemName,
+        locking_level: Optional[LockingLevel],
+    ) -> int:
         server = self.coordinator.file_server(system_name.volume_id)
         attrs = server.open(system_name)
         if attrs.service_type is not ServiceType.TRANSACTION:
@@ -218,43 +231,33 @@ class TransactionAgent:
             if locking_level is not None
             else self._effective_level(attrs)
         )
-        descriptor = self._open_descriptor(transaction, system_name, server, level)
         self.metrics.add(f"{self._prefix}.topens")
-        return descriptor
+        return self._open_descriptor(transaction, system_name, level)
 
-    def tcreate_system(self, tid: int, *, volume_id: int) -> int:
-        """Create an unnamed file transactionally (system services).
-
-        The file gets no attributed-name binding; the caller records
-        its system name wherever it keeps references (e.g. a parent
-        directory's entry table).  Undone if the transaction aborts.
-        """
+    def tdelete(self, tid: int, name: AttributedName) -> None:
+        """Delete a file transactionally: effective only at commit."""
         transaction = self._live(tid)
-        server = self.coordinator.file_server(volume_id)
-        system_name = server.create(service_type=ServiceType.TRANSACTION)
-        transaction.created_files.append((None, system_name))
+        self._delete(transaction, name, self.naming.resolve_file(name))
+        self.naming.unbind(name)
+
+    def tdelete_system(self, tid: int, system_name: SystemName) -> None:
+        """Transactionally delete a file by system name (at commit)."""
+        self._delete(self._live(tid), None, system_name)
+
+    def _delete(
+        self,
+        transaction: Transaction,
+        name: Optional[AttributedName],
+        system_name: SystemName,
+    ) -> None:
+        server = self.coordinator.file_server(system_name.volume_id)
         level = self._effective_level(server.get_attribute(system_name))
         self._acquire(
             transaction,
             DataItem(system_name, level, 0, FILE_RANGE_END),
             LockMode.IW,
         )
-        descriptor = self._open_descriptor(transaction, system_name, server, level)
-        self.metrics.add(f"{self._prefix}.tcreates")
-        return descriptor
-
-    def tdelete_system(self, tid: int, system_name: SystemName) -> None:
-        """Transactionally delete a file by system name (at commit)."""
-        transaction = self._live(tid)
-        server = self.coordinator.file_server(system_name.volume_id)
-        attrs = server.get_attribute(system_name)
-        level = self._effective_level(attrs)
-        self._acquire(
-            transaction,
-            DataItem(system_name, level, 0, FILE_RANGE_END),
-            LockMode.IW,
-        )
-        transaction.deleted_files.append((None, system_name))
+        transaction.deleted_files.append((name, system_name))
         self.metrics.add(f"{self._prefix}.tdeletes")
 
     def system_name_of(self, tid: int, descriptor: int) -> SystemName:
@@ -268,22 +271,6 @@ class TransactionAgent:
         if transaction.open_files.pop(descriptor, None) is None:
             raise BadDescriptorError(f"descriptor {descriptor} not open in txn {tid}")
         self.metrics.add(f"{self._prefix}.tcloses")
-
-    def tdelete(self, tid: int, name: AttributedName) -> None:
-        """Delete a file transactionally: effective only at commit."""
-        transaction = self._live(tid)
-        system_name = self.naming.resolve_file(name)
-        server = self.coordinator.file_server(system_name.volume_id)
-        attrs = server.get_attribute(system_name)
-        level = self._effective_level(attrs)
-        self._acquire(
-            transaction,
-            DataItem(system_name, level, 0, FILE_RANGE_END),
-            LockMode.IW,
-        )
-        transaction.deleted_files.append((name, system_name))
-        self.naming.unbind(name)
-        self.metrics.add(f"{self._prefix}.tdeletes")
 
     # ========================================================== read
 
@@ -393,11 +380,7 @@ class TransactionAgent:
         return open_file
 
     def _open_descriptor(
-        self,
-        transaction: Transaction,
-        system_name: SystemName,
-        server,
-        level: LockingLevel,
+        self, transaction: Transaction, system_name: SystemName, level: LockingLevel
     ) -> int:
         descriptor = self._next_descriptor
         self._next_descriptor += 1

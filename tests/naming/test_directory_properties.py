@@ -1,4 +1,7 @@
-"""Property test: the directory service against a dict-tree oracle."""
+"""Property test: the directory tree against a dict-tree oracle — one
+model script over both file stores (plain and transactional)."""
+
+import copy
 
 from hypothesis import given, settings, strategies as st
 
@@ -77,11 +80,11 @@ class _Oracle:
         old_parent, old_leaf = self._walk(old)
         if old_leaf not in old_parent:
             raise KeyError(old)
+        if isinstance(old_parent[old_leaf], dict) and (new + "/").startswith(old + "/"):
+            raise KeyError(new)  # a directory cannot move into itself
         new_parent, new_leaf = self._walk(new)
         if new_leaf in new_parent:
             raise FileExistsError(new)
-        # Moving a directory under itself is undefined; the oracle and
-        # the service both simply move the reference.
         new_parent[new_leaf] = old_parent.pop(old_leaf)
 
     def listing(self, path):
@@ -92,59 +95,106 @@ class _Oracle:
         return sorted(node)
 
 
+_TREE_ERRORS = (NameExistsError, NameNotFoundError, NamingError)
+_ORACLE_ERRORS = (KeyError, FileExistsError)
+
+
+def _apply(tree, oracle, kind, path, other):
+    """One scripted operation against a tree (plain service or
+    transaction view — same methods) and the oracle; they must agree on
+    whether it is an error, and on what a listing shows."""
+    tree_op, oracle_op = {
+        "mkdir": (tree.mkdir, oracle.mkdir),
+        "create": (tree.create_file, oracle.create),
+        "unlink": (tree.unlink, oracle.unlink),
+        "rmdir": (tree.rmdir, oracle.rmdir),
+        "rename": (tree.rename, oracle.rename),
+        "list": (tree.list_directory, oracle.listing),
+    }[kind]
+    args = (path, other) if kind == "rename" else (path,)
+    tree_result = oracle_result = None
+    try:
+        tree_result = tree_op(*args)
+    except _TREE_ERRORS:
+        tree_error = True
+    else:
+        tree_error = False
+    try:
+        oracle_result = oracle_op(*args)
+    except _ORACLE_ERRORS:
+        oracle_error = True
+    else:
+        oracle_error = False
+    assert tree_error == oracle_error, (
+        f"{kind} {path} {other}: tree_error={tree_error}, "
+        f"oracle_error={oracle_error}"
+    )
+    if kind == "list" and not tree_error:
+        assert [e.name for e in tree_result] == oracle_result
+
+
+def _assert_same_tree(directories, oracle):
+    """Final structural agreement, read through the plain service."""
+
+    def compare(path, node):
+        listing = [e.name for e in directories.list_directory(path)]
+        assert listing == sorted(node)
+        for name, child in node.items():
+            if isinstance(child, dict):
+                compare(f"{path.rstrip('/')}/{name}", child)
+
+    compare("/", oracle.root)
+
+
+class _Rollback(Exception):
+    """Raised inside ``transaction()`` to end the batch in ``tabort``."""
+
+
+def _cluster():
+    return RhodosCluster(ClusterConfig(geometry=DiskGeometry.small()))
+
+
 class TestDirectoryOracle:
     @given(directory_ops())
     @settings(max_examples=25, deadline=None)
     def test_matches_dict_tree_oracle(self, ops):
-        cluster = RhodosCluster(ClusterConfig(geometry=DiskGeometry.small()))
-        service = cluster.directories
+        """The plain store: every write takes effect at once."""
+        cluster = _cluster()
         oracle = _Oracle()
-        for kind, path, other in ops:
-            if kind == "rename" and (other == path or other.startswith(path + "/")):
-                continue  # moving into itself: skip (undefined either way)
-            service_error = oracle_error = False
-            try:
-                if kind == "mkdir":
-                    service.mkdir(path)
-                elif kind == "create":
-                    service.create_file(path)
-                elif kind == "unlink":
-                    service.unlink(path)
-                elif kind == "rmdir":
-                    service.rmdir(path)
-                elif kind == "rename":
-                    service.rename(path, other)
-                else:
-                    listing = [e.name for e in service.list_directory(path)]
-            except (NameExistsError, NameNotFoundError, NamingError):
-                service_error = True
-            try:
-                if kind == "mkdir":
-                    oracle.mkdir(path)
-                elif kind == "create":
-                    oracle.create(path)
-                elif kind == "unlink":
-                    oracle.unlink(path)
-                elif kind == "rmdir":
-                    oracle.rmdir(path)
-                elif kind == "rename":
-                    oracle.rename(path, other)
-                else:
-                    expected = oracle.listing(path)
-            except (KeyError, FileExistsError):
-                oracle_error = True
-            assert service_error == oracle_error, (
-                f"{kind} {path} {other}: service_error={service_error}, "
-                f"oracle_error={oracle_error}"
-            )
-            if kind == "list" and not service_error:
-                assert listing == expected
-        # Final structural agreement.
-        def compare(path, node):
-            listing = [e.name for e in cluster.directories.list_directory(path)]
-            assert listing == sorted(node)
-            for name, child in node.items():
-                if isinstance(child, dict):
-                    compare(f"{path.rstrip('/')}/{name}", child)
+        for op in ops:
+            _apply(cluster.directories, oracle, *op)
+        _assert_same_tree(cluster.directories, oracle)
 
-        compare("/", oracle.root)
+    @given(directory_ops())
+    @settings(max_examples=15, deadline=None)
+    def test_one_transaction_per_operation_matches_oracle(self, ops):
+        """The transactional store, each operation its own transaction."""
+        cluster = _cluster()
+        tdir = cluster.transactional_directories()
+        oracle = _Oracle()
+        for op in ops:
+            with tdir.transaction() as view:
+                _apply(view, oracle, *op)
+            _assert_same_tree(cluster.directories, oracle)
+
+    @given(directory_ops(), st.integers(min_value=1, max_value=6))
+    @settings(max_examples=15, deadline=None)
+    def test_batches_commit_or_roll_back_with_the_model(self, ops, batch):
+        """Several operations per transaction.  A rejected operation
+        wrote nothing (the tree checks before it writes), so the batch
+        carries on; even batches commit, odd ones end in ``tabort`` and
+        the model rolls back with them."""
+        cluster = _cluster()
+        tdir = cluster.transactional_directories()
+        oracle = _Oracle()
+        for number, start in enumerate(range(0, len(ops), batch)):
+            before = copy.deepcopy(oracle.root)
+            try:
+                with tdir.transaction() as view:
+                    for op in ops[start : start + batch]:
+                        _apply(view, oracle, *op)
+                    if number % 2:
+                        raise _Rollback
+            except _Rollback:
+                oracle.root = before
+            _assert_same_tree(cluster.directories, oracle)

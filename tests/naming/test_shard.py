@@ -202,6 +202,24 @@ class TestIdempotentDelivery:
         with pytest.raises(NameNotFoundError):
             owner.unbind(name, 3)  # a *new* unbind still fails
 
+    def test_retransmitted_unbind_path_returns_the_recorded_target(self):
+        _, manager, shards, _, metrics = make_namespace()
+        owner = shards[manager.map.owner_of("p:/dup")]
+        owner.bind(AttributedName.file("/dup", owner="a"), sys_name(1), 1)
+        ops_before = metrics.get(f"naming_shard.{owner.shard_id}.ops")
+        assert owner.unbind_path("/dup", 2) == sys_name(1)
+        assert owner.unbind_path("/dup", 2) == sys_name(1)  # retransmission
+        # each delivery is charged exactly once
+        assert metrics.get(f"naming_shard.{owner.shard_id}.ops") == ops_before + 2
+        with pytest.raises(NameNotFoundError):
+            owner.unbind_path("/dup", 3)  # a *new* unbind still fails
+
+    def test_unbind_path_checks_ownership_before_the_lookup(self):
+        _, manager, shards, _, _ = make_namespace()
+        stranger = shards[(manager.map.owner_of("p:/nowhere") + 1) % len(shards)]
+        with pytest.raises(WrongShardError):
+            stranger.unbind_path("/nowhere", 9)
+
     def test_untokened_calls_keep_flat_semantics(self):
         _, manager, shards, _, _ = make_namespace()
         name = AttributedName.file("/dup")
@@ -315,6 +333,26 @@ class TestRebalancing:
             if index == 3:
                 continue
             assert namespace.resolve_path(f"/f{index}") == sys_name(index)
+
+    def test_unbind_path_mid_migration_drops_one_binding_not_every_sharer(self):
+        """Two bindings share a path; one ``unbind_path`` between the
+        stream and the cutover must remove the same single name on the
+        source, its mirror and the destination's staging."""
+        namespace, manager, shards, _, _ = make_namespace(n_shards=2)
+        namespace.bind_path("/x", sys_name(1), owner="a")
+        namespace.bind_path("/x", sys_name(2), owner="b")
+        slot = slot_of("p:/x", manager.map.n_slots)
+        source_id = manager.map.owner_of_slot(slot)
+        manager.begin_rebalance(1 - source_id, slots=(slot,))
+        while not manager.rebalance_done:
+            manager.step_rebalance()
+        assert namespace.unbind_path("/x") == sys_name(1)
+        manager.complete_rebalance()
+        assert namespace.resolve_path("/x") == sys_name(2)
+        assert len(namespace) == 1
+        # the replica copy lost the same name, so a failover agrees
+        shards[1 - source_id].crash()
+        assert namespace.resolve_path("/x") == sys_name(2)
 
     def test_reads_never_miss_mid_migration(self):
         namespace, manager, shards, clock, metrics = make_namespace(n_shards=2)
