@@ -45,6 +45,7 @@ from repro.simdisk.stable import StableStore
 from repro.simkernel.loop import EventLoop
 from repro.transactions.agent import TransactionAgentHost
 from repro.transactions.coordinator import TransactionCoordinator
+from repro.transactions.intentions import INLINE_LIMIT
 
 
 class AuditedDiskServer(DiskServer):
@@ -498,18 +499,25 @@ class ShadowCommitWorkload(TransactionCommitWorkload):
 
 
 class RecordCommitWorkload(TransactionCommitWorkload):
-    """A RECORD-level file: three record items over two blocks.
+    """A RECORD-level file: four record items over two blocks.
 
-    Two of the records land in block 0 and one in block 1; the applies
+    Two of the records land in block 0 and two in block 1; the applies
     stay dirty in the block pool and the cleanup flush writes each
-    block once, so the sweep crashes inside the coalesced apply.
+    block once, so the sweep crashes inside the coalesced apply.  Three
+    after-images ride in the intentions list and the last is too large
+    to, so the list the sweep tears and redoes holds both carriers.
     """
 
     name = "txn-records"
     FILES = [("r", 0)]
     LEVEL = LockingLevel.RECORD
     #: (offset, length) of the measured transaction's record writes.
-    PATCHES = ((100, 300), (4000, 64), (BLOCK_SIZE + 17, 500))
+    PATCHES = (
+        (100, 300),
+        (4000, 64),
+        (BLOCK_SIZE + 17, 500),
+        (BLOCK_SIZE + 1000, INLINE_LIMIT + 500),
+    )
 
     def _new(self, label: str) -> bytes:
         content = bytearray(self._old(label))

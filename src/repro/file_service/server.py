@@ -72,11 +72,18 @@ DEFAULT_GROWTH_BATCH_BLOCKS = 8
 class _OpenState:
     """Volatile bookkeeping for a file the server currently maps."""
 
-    __slots__ = ("fit", "fit_dirty", "block_map", "leaves", "tree_dirty")
+    __slots__ = (
+        "fit", "fit_dirty", "structure_dirty", "block_map", "leaves", "tree_dirty"
+    )
 
     def __init__(self, fit: FileIndexTable) -> None:
         self.fit = fit
+        # The cached FIT differs from the stored one: attributes moved
+        # (timestamps, open counts) or the structure did.
         self.fit_dirty = False
+        # What differs is structure — size, block map, tree, service type
+        # or locking level: what a commit must make durable (flush_file).
+        self.structure_dirty = False
         # Full logical block map (direct + loaded tree), or None if only
         # the direct area has been materialised.
         self.block_map: Optional[List[Optional[BlockDescriptor]]] = None
@@ -84,8 +91,11 @@ class _OpenState:
         # the load of the full map, extended as leaves are allocated.
         self.leaves: Dict[int, int] = {}
         # Set by every fold of the map back into the tree, which re-marks
-        # *every* populated leaf; implies ``fit_dirty``.
+        # *every* populated leaf; implies ``structure_dirty``.
         self.tree_dirty = False
+
+    def structure_moved(self) -> None:
+        self.fit_dirty = self.structure_dirty = True
 
 
 class FileServer:
@@ -373,7 +383,7 @@ class FileServer:
             cursor += chunk
         if end > attrs.file_size:
             attrs.file_size = end
-            state.fit_dirty = True
+            state.structure_moved()
         attrs.last_write_us = self.clock.now_us
         state.fit_dirty = True
         if structural_change:
@@ -395,13 +405,13 @@ class FileServer:
         """Switch the semantics a file is used under (basic <-> transaction)."""
         state = self._load_state(name)
         state.fit.attributes.service_type = service_type
-        state.fit_dirty = True
+        state.structure_moved()
         self._store_fit(name.fit_address, state)
 
     def set_locking_level(self, name: SystemName, level: LockingLevel) -> None:
         state = self._load_state(name)
         state.fit.attributes.locking_level = level
-        state.fit_dirty = True
+        state.structure_moved()
         self._store_fit(name.fit_address, state)
 
     def set_file_size_at_least(self, name: SystemName, size: int) -> None:
@@ -414,7 +424,7 @@ class FileServer:
         state = self._load_state(name)
         if state.fit.attributes.file_size < size:
             state.fit.attributes.file_size = size
-            state.fit_dirty = True
+            state.structure_moved()
             self._store_fit(name.fit_address, state)
 
     def exists(self, name: SystemName) -> bool:
@@ -484,12 +494,21 @@ class FileServer:
     # ====================================================== flushing
 
     def flush_file(
-        self, name: SystemName, spans: Iterable[Tuple[int, int]]
+        self,
+        name: SystemName,
+        spans: Iterable[Tuple[int, int]],
+        *,
+        attributes: bool,
     ) -> None:
-        """Write back the delayed blocks under ``spans``, then the FIT if dirty.
+        """Write back the delayed blocks under ``spans``, then the FIT if
+        its structure moved — or, with ``attributes``, if anything did.
 
         ``spans`` are the (offset, length) byte ranges the caller wrote:
-        the cost follows them, not the size of the file.
+        the cost follows them, not the size of the file.  This is a
+        commit's flush: contents, size and map are durable when it
+        returns; without ``attributes`` a FIT that differs only in
+        timestamps or open counts waits for the next close, flush or
+        eviction.
         """
         state = self._load_state(name)
         if self._data_cache is not None:
@@ -506,7 +525,7 @@ class FileServer:
                     if desc is not None
                 )
             self._data_cache.flush_matching(addresses.__contains__)
-        if state.fit_dirty:
+        if state.structure_dirty or (attributes and state.fit_dirty):
             self._store_fit(name.fit_address, state)
 
     def flush(self) -> None:
@@ -650,7 +669,7 @@ class FileServer:
             state.fit.encode(),
             stability=Stability.BOTH,
         )
-        state.fit_dirty = False
+        state.fit_dirty = state.structure_dirty = False
         self.metrics.add(f"{self.name}.fit_stores")
 
     def _flush_file(self, fit_address: int, state: _OpenState) -> None:
@@ -704,7 +723,7 @@ class FileServer:
         state.fit.direct = block_map[:DIRECT_DESCRIPTORS] + [None] * (
             DIRECT_DESCRIPTORS - len(block_map)
         )
-        state.fit_dirty = True
+        state.structure_moved()
         # Whatever a populated leaf needs *in the FIT* is allocated now —
         # its own block (leaves 0-7) or its pointer block — because the
         # caller stores the FIT next; a leaf below a pointer block gets

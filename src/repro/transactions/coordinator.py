@@ -54,6 +54,7 @@ from repro.common.errors import (
     InvalidTransactionStateError,
     TransactionError,
 )
+from repro.common.frames import frame_now
 from repro.common.ids import SystemName, monotonic_id_factory
 from repro.common.metrics import Metrics
 from repro.common.trace import NULL_TRACER, Tracer
@@ -62,6 +63,7 @@ from repro.disk_service.addresses import Extent
 from repro.file_service.attributes import LockingLevel
 from repro.file_service.server import FileServer
 from repro.transactions.intentions import (
+    INLINE_LIMIT,
     IntentionList,
     IntentionRecord,
     IntentionStore,
@@ -81,12 +83,15 @@ TechniqueChoice = Literal["auto", "wal", "shadow"]
 class _VolumeBinding:
     """Everything the coordinator needs about one volume."""
 
-    __slots__ = ("file_server", "locks", "intents")
+    __slots__ = ("file_server", "locks", "intents", "commit_ends")
 
     def __init__(self, file_server: FileServer, locks: LockManager) -> None:
         self.file_server = file_server
         self.locks = locks
         self.intents = IntentionStore(file_server.disk.stable)
+        #: Completion times of this volume's commits that lie in the
+        #: simulated future (see ``_note_in_flight``).
+        self.commit_ends: List[int] = []
 
 
 class TransactionCoordinator:
@@ -121,6 +126,7 @@ class TransactionCoordinator:
         self._volumes: Dict[int, _VolumeBinding] = {}
         self._next_tid = monotonic_id_factory()
         self._live: Dict[int, Transaction] = {}
+        self._most_in_flight = 0
         #: CHAOS-TEST-ONLY.  When True, recovery deliberately skips
         #: replaying committed intentions (and their cleanup ordering),
         #: leaving whatever partial state the crash produced.  Exists so
@@ -215,6 +221,7 @@ class TransactionCoordinator:
             self._commit_child(transaction)
             return
         transaction.phase = TransactionPhase.UNLOCKING
+        started_us = frame_now(self.clock)
         records = [
             self._prepare_item(transaction, entry)
             for entry in transaction.all_tentative_items()
@@ -264,7 +271,26 @@ class TransactionCoordinator:
             self._binding(volumes[0]).intents.remove_decision(transaction.tid)
         self._release_locks(transaction)
         self.forget(transaction)
+        self._note_in_flight(volumes, started_us)
         self.metrics.add("transactions.committed")
+
+    def _note_in_flight(self, volumes: Sequence[int], started_us: int) -> None:
+        """Gauge the most commits one volume had in flight at one instant.
+
+        With one blocking clock a commit ends at "now", so nothing
+        outlives it and the gauge reads 1; commits run inside overlapped
+        service frames end in the simulated future and can overlap.
+        """
+        ended_us = frame_now(self.clock)
+        for volume_id in volumes:
+            ends = self._binding(volume_id).commit_ends
+            ends[:] = [end for end in ends if end > self.clock.now_us]
+            in_flight = 1 + sum(1 for end in ends if end > started_us)
+            ends.append(ended_us)
+            self._most_in_flight = max(self._most_in_flight, in_flight)
+        self.metrics.gauge(
+            "transactions.commits_in_flight_max", self._most_in_flight
+        )
 
     def _commit_child(self, child: Transaction) -> None:
         """Merge a committing nested transaction into its parent."""
@@ -396,7 +422,8 @@ class TransactionCoordinator:
         # all before anything below allocates.
         for intentions in lists:
             for record in intentions.records:
-                disk.reclaim_scratch(record.extent)
+                if record.extent is not None:
+                    disk.reclaim_scratch(record.extent)
         redone = 0
         discarded = 0
         for intentions in lists:
@@ -417,7 +444,8 @@ class TransactionCoordinator:
             # that leaves behind.
             binding.intents.remove(intentions.tid)
             for record in intentions.records:
-                self._safe_free(volume_id, record.extent)
+                if record.extent is not None:
+                    self._safe_free(volume_id, record.extent)
             if committed:
                 redone += 1
             else:
@@ -486,51 +514,48 @@ class TransactionCoordinator:
         """Durable tentative data item for one entry, and the record naming it."""
         name = entry.item.name
         binding = self._binding(name.volume_id)
+        disk = binding.file_server.disk
         level = entry.item.level
         size = transaction.tentative_sizes.get(name)
+        lo = entry.item.lo
+        length = len(entry.data)
+        technique = Technique.WAL
+        block_index = -1
+        extent = None
         if level is LockingLevel.RECORD:
-            lo = entry.item.lo
-            length = len(entry.data)
-            extent = binding.file_server.disk.allocate(
-                fragments_for_bytes(length), scratch=True
-            )
-            technique = Technique.WAL
-            block_index = -1
+            if length > INLINE_LIMIT:
+                extent = disk.allocate(fragments_for_bytes(length), scratch=True)
         elif level is LockingLevel.PAGE:
-            lo = entry.item.lo
             block_index = lo // BLOCK_SIZE
             length = min(BLOCK_SIZE, (size if size is not None else lo + BLOCK_SIZE) - lo)
-            extent = binding.file_server.disk.allocate_block(1, scratch=True)
+            extent = disk.allocate_block(1, scratch=True)
             technique = self._choose_technique(binding, name, block_index)
         else:  # FILE level: the whole file, applied in place.
             lo = 0
-            length = len(entry.data)
-            n_blocks = max(1, -(-length // BLOCK_SIZE))
-            extent = self._allocate_blocks(binding, n_blocks)
-            technique = Technique.WAL
-            block_index = -1
-        padded = entry.data[:length] + bytes(extent.byte_size - min(length, len(entry.data)))
-        if len(entry.data) < length:
-            # Page buffers are always full blocks, so this only happens
-            # for file-level items whose data already equals the size.
-            padded = entry.data + bytes(extent.byte_size - len(entry.data))
-        # Recorded before the put so an abort after a failed write still
-        # returns the extent.
-        entry.extent = extent
-        entry.volume_id = name.volume_id
-        binding.file_server.disk.put(extent, padded[: extent.byte_size])
-        record = IntentionRecord(
+            extent = disk.allocate_block(
+                max(1, -(-length // BLOCK_SIZE)), scratch=True
+            )
+        if extent is not None:
+            # Recorded before the put so an abort after a failed write
+            # still returns the extent.
+            entry.extent = extent
+            entry.volume_id = name.volume_id
+            image = entry.data[:length]
+            disk.put(extent, image + bytes(extent.byte_size - len(image)))
+        self.metrics.add("transactions.intentions_written")
+        return IntentionRecord(
             sequence=entry.sequence,
             name=name,
             level=level,
             lo=lo,
             length=length,
-            extent=extent,
             technique=technique,
             block_index=block_index,
+            extent=extent,
+            # The record is the tentative data item: the list's careful
+            # write is what makes a small after-image durable.
+            data=entry.data if extent is None else None,
         )
-        self.metrics.add("transactions.intentions_written")
-        return record
 
     def _choose_technique(
         self, binding: _VolumeBinding, name: SystemName, block_index: int
@@ -563,21 +588,13 @@ class TransactionCoordinator:
             return Technique.WAL
         return Technique.SHADOW
 
-    def _allocate_blocks(self, binding: _VolumeBinding, n_blocks: int) -> Extent:
-        try:
-            return binding.file_server.disk.allocate_block(n_blocks, scratch=True)
-        except DiskError:
-            # Large file-level items may not fit contiguously; the
-            # after-image is scratch data, a gathered extent would do,
-            # but records carry one extent — fall back block-by-block
-            # is not possible, so surface the condition honestly.
-            raise
-
     def _apply(self, record: IntentionRecord) -> None:
         """Make one intention permanent (idempotent for crash redo)."""
         binding = self._binding(record.name.volume_id)
         server = binding.file_server
-        data = server.disk.get(record.extent)[: record.length]
+        data = record.data
+        if data is None:
+            data = server.disk.get(record.extent)[: record.length]
         if record.technique is Technique.WAL:
             # The after-image is durable and listed, so the in-place
             # copy may sit dirty in the block pool until cleanup flushes
@@ -626,8 +643,19 @@ class TransactionCoordinator:
             spans.setdefault(record.name, []).append((record.lo, record.length))
         for name in deletes:
             spans.pop(name, None)
+        # A record-level commit leaves a FIT that moved only in its
+        # timestamps to the next close or flush.  Page- and file-level
+        # commits still store it: E9 compares WAL with shadow by counting
+        # exactly that write (ROADMAP item 1(f)).
+        whole_pages = {
+            record.name
+            for record in records
+            if record.level is not LockingLevel.RECORD
+        }
         for name, covered in spans.items():
-            self._binding(name.volume_id).file_server.flush_file(name, covered)
+            self._binding(name.volume_id).file_server.flush_file(
+                name, covered, attributes=name in whole_pages
+            )
         for volume_id in self._volumes_of(records, deletes):
             binding = self._binding(volume_id)
             binding.file_server.disk.settle_free_space()
@@ -635,7 +663,7 @@ class TransactionCoordinator:
         # The lists are gone first: a crash from here on finds nothing
         # to redo, and the scratch extents are free in every checkpoint.
         for record in records:
-            if record.technique is Technique.WAL:
+            if record.technique is Technique.WAL and record.extent is not None:
                 self._safe_free(record.name.volume_id, record.extent)
             self.metrics.add("transactions.intentions_removed")
 

@@ -13,9 +13,11 @@ Those are the only two things commit puts on stable storage, and here
 they share one record: an :class:`IntentionList` — every entry of the
 transaction on one volume plus its status — stored under
 ``intentions:<tid>`` in that volume's stable store with a single
-careful write.  The after-image bytes themselves live in the tentative
-items' scratch extents on the volume's main disk, written before the
-list that names them.
+careful write.  A record-level after-image of at most
+:data:`INLINE_LIMIT` bytes rides in its record — the record *is* the
+tentative data item and the list's careful write makes it durable; any
+other after-image lives in a scratch extent on the volume's main disk,
+written before the list that names it.
 
 * A **single-volume** transaction writes its list with status
   ``commit``: that one write is the commit point.  A crash that tears
@@ -40,8 +42,9 @@ import json
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.common.errors import DiskError
+from repro.common.errors import DiskError, TransactionError
 from repro.common.ids import SystemName
+from repro.common.units import FRAGMENT_SIZE
 from repro.disk_service.addresses import Extent
 from repro.file_service.attributes import LockingLevel
 from repro.simdisk.stable import StableStore
@@ -50,6 +53,14 @@ from repro.transactions.transaction import TransactionStatus
 #: Stable-storage key prefixes of the transaction service.
 LIST_PREFIX = "intentions:"
 DECISION_PREFIX = "txndecision:"
+
+#: Largest record-level after-image carried in its intentions record
+#: instead of a scratch extent.  Inline always saves the extent's two
+#: data-disk references; an inline byte is written to both mirrors
+#: where an extent is whole fragments written once, so up to half a
+#: fragment inline also writes no more sectors (EXPERIMENTS.md M5,
+#: crossover table).
+INLINE_LIMIT = FRAGMENT_SIZE // 2
 
 
 def _name_to_json(name: SystemName) -> List[int]:
@@ -67,18 +78,22 @@ class Technique(enum.Enum):
 class IntentionRecord:
     """One entry of a transaction's intentions list.
 
+    The after-image has exactly one carrier: ``extent`` (a scratch
+    extent on the volume's main disk) or ``data`` (the bytes themselves,
+    in the list's own stable record).
+
     Attributes:
         sequence: application order within the transaction.
         name: the file the change applies to.
         level: locking granularity the item was locked at.
         lo: byte offset where the change begins.
-        length: number of bytes of after-image data (stored in
-            ``extent`` on the volume's main disk).
-        extent: disk space holding the after-image (the tentative data
-            item's descriptor).
+        length: number of bytes of after-image data.
         technique: WAL or SHADOW.
         block_index: for SHADOW, which logical block's descriptor to
             swap to ``extent.start``.
+        extent: disk space holding the after-image (the tentative data
+            item's descriptor), or None when it is inline.
+        data: the inline after-image, or None when an extent holds it.
     """
 
     sequence: int
@@ -86,33 +101,46 @@ class IntentionRecord:
     level: LockingLevel
     lo: int
     length: int
-    extent: Extent
     technique: Technique
     block_index: int = -1
+    extent: Optional[Extent] = None
+    data: Optional[bytes] = None
+
+    def __post_init__(self) -> None:
+        if (self.extent is None) == (self.data is None):
+            raise TransactionError(
+                f"intention record {self.sequence} needs exactly one of an "
+                f"extent and inline data"
+            )
 
     def to_json(self) -> dict:
-        return {
+        raw = {
             "seq": self.sequence,
             "file": _name_to_json(self.name),
             "level": self.level.name,
             "lo": self.lo,
             "length": self.length,
-            "extent": [self.extent.start, self.extent.length],
             "technique": self.technique.value,
             "block_index": self.block_index,
         }
+        if self.data is None:
+            raw["extent"] = [self.extent.start, self.extent.length]
+        else:
+            raw["inline"] = len(self.data)
+        return raw
 
     @classmethod
-    def from_json(cls, raw: dict) -> "IntentionRecord":
+    def from_json(cls, raw: dict, data: Optional[bytes]) -> "IntentionRecord":
         return cls(
             sequence=raw["seq"],
             name=SystemName(*raw["file"]),
             level=LockingLevel[raw["level"]],
             lo=raw["lo"],
             length=raw["length"],
-            extent=Extent(*raw["extent"]),
             technique=Technique(raw["technique"]),
             block_index=raw["block_index"],
+            extent=Extent(*raw["extent"]) if "extent" in raw else None,
+            data=data,
         )
 
 
@@ -137,7 +165,8 @@ class IntentionList:
     deletes: Tuple[SystemName, ...] = ()
 
     def to_bytes(self) -> bytes:
-        return json.dumps(
+        """One JSON line, then the inline after-images, raw, in record order."""
+        head = json.dumps(
             {
                 "tid": self.tid,
                 "status": self.status.value,
@@ -147,18 +176,34 @@ class IntentionList:
             sort_keys=True,
             separators=(",", ":"),
         ).encode("utf-8")
+        inline = [r.data for r in self.records if r.data is not None]
+        return head + b"\n" + b"".join(inline) if inline else head
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "IntentionList":
-        raw = json.loads(blob.decode("utf-8"))
-        return cls(
-            tid=raw["tid"],
-            status=TransactionStatus(raw["status"]),
-            records=tuple(
-                IntentionRecord.from_json(record) for record in raw["records"]
-            ),
-            deletes=tuple(SystemName(*name) for name in raw["deletes"]),
-        )
+        head, _, tail = blob.partition(b"\n")
+        try:
+            raw = json.loads(head.decode("utf-8"))
+            records = []
+            cursor = 0
+            for item in raw["records"]:
+                data = None
+                if "inline" in item:
+                    data = tail[cursor : cursor + item["inline"]]
+                    if len(data) != item["inline"]:
+                        raise ValueError("inline after-image cut short")
+                    cursor += len(data)
+                records.append(IntentionRecord.from_json(item, data))
+            if cursor != len(tail):
+                raise ValueError(f"{len(tail) - cursor} inline bytes unclaimed")
+            return cls(
+                tid=raw["tid"],
+                status=TransactionStatus(raw["status"]),
+                records=tuple(records),
+                deletes=tuple(SystemName(*name) for name in raw["deletes"]),
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise TransactionError(f"undecodable intentions list: {exc!r}") from exc
 
 
 class IntentionStore:

@@ -2,7 +2,8 @@
 
 All-or-nothing at every crash point: the intentions-list protocol on a
 single volume — committed by WAL, by the shadow-page technique, and as
-several record items coalesced into one put per block — and the
+several record items (inline and extent-carried) coalesced into one put
+per block — and the
 decision-record discipline across two volumes (a crash between the
 per-volume list writes and the decision must not split the outcome).
 The last class proves the harness has teeth: with the deliberately
@@ -17,6 +18,7 @@ from repro.chaos.workloads import (
     TransactionCommitWorkload,
     TwoVolumeCommitWorkload,
 )
+from repro.transactions.intentions import INLINE_LIMIT
 
 
 def _sync_labels(workload):
@@ -74,22 +76,31 @@ class TestSingleVolumeCommit:
         assert syncs[listed + 1 : listed + 3] == ["bitmap", "ext:0:1"]
 
     def test_records_sweep_visits_the_coalesced_apply(self):
-        """Three record items, two data blocks: the cleanup flush puts
-        each block once."""
+        """Four record items, two data blocks: the cleanup flush puts
+        each block once, and the list it follows holds both carriers."""
         workload = RecordCommitWorkload()
         workload.run()
-        assert len(workload.PATCHES) == 3
-        writes = [
-            entry
-            for entry in workload.monitor.trace
-            if entry.kind == "write" and entry.disk_id == "chaos0"
+        assert [length <= INLINE_LIMIT for _, length in workload.PATCHES] == [
+            True, True, True, False
         ]
-        # From the end: the measured commit's two in-place block puts
-        # follow its three after-image puts; the FIT goes last.
-        *_, first, second, third, block_0, block_1, fit = writes
-        assert [e.n_sectors for e in (first, second, third)] == [4, 4, 4]
-        assert [e.n_sectors for e in (block_0, block_1)] == [16, 16]
-        assert fit.n_sectors == 4
+        trace = workload.monitor.trace
+        listed = next(
+            position
+            for position, entry in enumerate(trace)
+            if entry.label == "intentions:2"
+        )
+        # The measured commit: the one after-image too large to ride in
+        # the list, the list on both mirrors, the two in-place block
+        # puts, the list's tombstone.  The FIT is the closing flush's.
+        commit = trace[listed - 3 : listed] + trace[listed + 1 : listed + 5]
+        assert [
+            (entry.disk_id.removeprefix("chaos0") or "data", entry.n_sectors)
+            for entry in commit
+        ] == [
+            ("data", 4), (".stable_a", 4), (".stable_b", 4),
+            ("data", 16), ("data", 16), (".stable_a", 1), (".stable_b", 1),
+        ]
+        assert trace[listed + 5].n_sectors == 4  # the FIT, at the flush
 
 
 class TestTwoVolumeCommit:

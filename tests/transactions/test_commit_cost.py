@@ -2,10 +2,13 @@
 
 The commit path puts exactly one intentions-list record per volume on
 stable storage, flushes only the files the transaction touched, and
-keeps tentative (scratch) extents out of every bitmap checkpoint.  The
-bystander, leak and volume-size tests fail on the per-item-record /
-whole-bitmap / whole-server-flush commit this replaced; the property
-test drives random transactions into a crash at a random physical write.
+keeps tentative (scratch) extents out of every bitmap checkpoint.  A
+small record-level after-image rides in the list and a FIT that moved
+only in its timestamps is not a record-level commit's to store: the
+write-sequence pins say exactly what is left.  The bystander, leak and
+volume-size tests fail on the per-item-record / whole-bitmap /
+whole-server-flush commit this replaced; the property test drives
+random transactions into a crash at a random physical write.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -15,8 +18,9 @@ from repro.chaos.trace import CrashPointMonitor
 from repro.chaos.workloads import ChaosVolume
 from repro.common.clock import SimClock
 from repro.common.errors import DiskCrashedError
+from repro.common.frames import service_frame
 from repro.common.metrics import Metrics
-from repro.common.units import BLOCK_SIZE
+from repro.common.units import BLOCK_SIZE, FRAGMENT_SIZE, SECTORS_PER_FRAGMENT
 from repro.disk_service.addresses import Extent
 from repro.file_service.attributes import LockingLevel
 from repro.file_service.fit import DIRECT_DESCRIPTORS
@@ -25,6 +29,7 @@ from repro.naming.service import NamingService
 from repro.simdisk.geometry import DiskGeometry
 from repro.transactions.agent import TransactionAgentHost
 from repro.transactions.coordinator import TransactionCoordinator
+from repro.transactions.intentions import INLINE_LIMIT
 from repro.verify.fsck import fsck_volume
 from tests.conftest import build_file_server
 
@@ -130,34 +135,188 @@ class TestTentativeExtentsNeverLeak:
         assert fsck_volume(server).orphaned_fragments == 0
 
 
-class TestCommitCostIsIndependentOfVolumeSize:
-    @staticmethod
-    def stable_sectors_of_a_two_record_commit(geometry):
-        host, server, _, _, metrics = build(geometry=geometry)
-        seed(host, MAIN, bytes(4 * BLOCK_SIZE), LockingLevel.RECORD)
+def commit_writes(geometry, level, writes, technique="auto"):
+    """(kind, disk, sectors) of every physical write of one ``tend``."""
+    host, server, naming, _, _ = build(geometry=geometry, technique=technique)
+    name = seed(host, MAIN, bytes(4 * BLOCK_SIZE), level)
+    server.flush()
+    tid = host.tbegin()
+    descriptor = host.topen(tid, MAIN)
+    for offset, data in writes:
+        host.tpwrite(tid, descriptor, data, offset)
+    stable = server.disk.stable
+    monitor = CrashPointMonitor().attach(
+        server.disk.disk, stable.mirror_a, stable.mirror_b
+    )
+    host.tend(tid)
+    synced = {
+        entry.start: entry.label.partition(":")[0]
+        for entry in monitor.trace
+        if entry.kind == "stable-sync"
+    }
+    sequence, listed = [], False
+    for entry in monitor.trace:
+        if entry.kind != "write":
+            continue
+        disk = entry.disk_id.partition(".")[2] or "data"
+        if disk != "data":
+            kind = synced[entry.start]
+            if kind == "intentions":
+                kind = "tombstone" if listed and entry.n_sectors == 1 else "list"
+                listed = listed or disk == "stable_b"
+        elif entry.start == name.fit_address * SECTORS_PER_FRAGMENT:
+            kind = "fit"
+        else:
+            kind = "block" if listed else "after-image"
+        sequence.append((kind, disk, entry.n_sectors))
+    return sequence
+
+
+TWO_RECORDS = [(40, b"\x01" * 8), (BLOCK_SIZE + 80, b"\x02" * 8)]
+
+
+class TestWhatACommitWrites:
+    """The whole write sequence, pinned on both geometries."""
+
+    GEOMETRIES = (DiskGeometry.small, DiskGeometry.medium)
+
+    def test_a_two_record_commit_is_its_list_and_its_blocks(self):
+        for geometry in self.GEOMETRIES:
+            assert commit_writes(geometry(), LockingLevel.RECORD, TWO_RECORDS) == [
+                ("list", "stable_a", 2),
+                ("list", "stable_b", 2),
+                ("block", "data", 16),
+                ("block", "data", 16),
+                ("tombstone", "stable_a", 1),
+                ("tombstone", "stable_b", 1),
+            ]
+
+    def test_a_record_above_the_bound_keeps_its_extent(self):
+        big = [(40, b"\x03" * (INLINE_LIMIT + 1))]
+        assert commit_writes(DiskGeometry.small(), LockingLevel.RECORD, big) == [
+            ("after-image", "data", SECTORS_PER_FRAGMENT),
+            ("list", "stable_a", 2),
+            ("list", "stable_b", 2),
+            ("block", "data", 16),
+            ("tombstone", "stable_a", 1),
+            ("tombstone", "stable_b", 1),
+        ]
+
+    def test_a_page_commit_is_unchanged_and_still_stores_the_fit(self):
+        # Only its timestamp moved, but E9 counts this write (ROADMAP 1(f)).
+        page = [(0, b"N" * BLOCK_SIZE)]
+        for geometry in self.GEOMETRIES:
+            assert commit_writes(geometry(), LockingLevel.PAGE, page) == [
+                ("after-image", "data", 16),
+                ("list", "stable_a", 2),
+                ("list", "stable_b", 2),
+                ("block", "data", 16),
+                ("fit", "data", 4),
+                ("ext", "stable_a", 5),
+                ("ext", "stable_b", 5),
+                ("tombstone", "stable_a", 1),
+                ("tombstone", "stable_b", 1),
+            ]
+
+    def test_a_structural_commit_stores_the_fit_before_the_list_is_removed(self):
+        small = DiskGeometry.small()
+        extension = commit_writes(
+            small, LockingLevel.RECORD, [(4 * BLOCK_SIZE, b"\x04" * 8)]
+        )
+        swap = commit_writes(
+            small, LockingLevel.PAGE, [(BLOCK_SIZE, b"S" * BLOCK_SIZE)], "shadow"
+        )
+        for sequence in (extension, swap):
+            kinds = [kind for kind, disk, _ in sequence if disk != "stable_b"]
+            assert "fit" in kinds
+            # ``ext`` is the FIT's stable copy.
+            assert kinds.index("list") < kinds.index("ext") < kinds.index("tombstone")
+
+
+class TestWhatTendMakesDurable:
+    """Contents, size and map — not timestamps (DESIGN.md section 3)."""
+
+    def committed(self, offset):
+        host, server, naming, coordinator, metrics = build()
+        name = seed(host, MAIN, b"O" * (2 * BLOCK_SIZE), LockingLevel.RECORD)
         server.flush()
-
-        def written():
-            return sum(
-                metrics.get(f"disk.0.stable_{mirror}.sectors_written")
-                for mirror in "ab"
-            )
-
-        before = written()
+        stored = server.get_attribute(name)
+        server.clock.advance_us(5_000)
         tid = host.tbegin()
         descriptor = host.topen(tid, MAIN)
-        host.tpwrite(tid, descriptor, b"\x01" * 8, 40)
-        host.tpwrite(tid, descriptor, b"\x02" * 8, BLOCK_SIZE + 80)
+        host.tpwrite(tid, descriptor, b"n" * 8, offset)
         host.tend(tid)
-        return written() - before
+        return server, coordinator, metrics, name, stored
 
+    def test_a_crash_after_tend_keeps_contents_and_may_lose_the_timestamp(self):
+        server, coordinator, _, name, stored = self.committed(40)
+        assert server.get_attribute(name).last_write_us > stored.last_write_us
+        server.crash()
+        restart(server, coordinator)
+        assert server.read(name, 39, 10) == b"O" + b"n" * 8 + b"O"
+        recovered = server.get_attribute(name)  # the FIT decodes
+        assert recovered.file_size == stored.file_size
+        assert recovered.last_write_us == stored.last_write_us
+        assert fsck_volume(server).clean
+
+    def test_a_crash_after_an_extending_tend_keeps_the_new_size(self):
+        server, coordinator, _, name, stored = self.committed(2 * BLOCK_SIZE)
+        server.crash()
+        restart(server, coordinator)
+        assert server.get_attribute(name).file_size == 2 * BLOCK_SIZE + 8
+        assert server.read(name, 2 * BLOCK_SIZE, 8) == b"n" * 8
+        assert fsck_volume(server).clean
+
+    def test_flush_and_close_still_store_a_fit_only_its_timestamps_dirtied(self):
+        for make_durable in (
+            lambda server, name: server.flush(),
+            lambda server, name: server.close(name),
+        ):
+            server, coordinator, metrics, name, stored = self.committed(40)
+            written = server.get_attribute(name).last_write_us
+            stores = metrics.get("file_server.0.fit_stores")
+            make_durable(server, name)
+            assert metrics.get("file_server.0.fit_stores") == stores + 1
+            server.crash()
+            restart(server, coordinator)
+            assert server.get_attribute(name).last_write_us == written
+
+
+class TestCommitsInFlight:
+    GAUGE = "transactions.commits_in_flight_max"
+
+    def test_blocking_commits_never_overlap(self):
+        host, server, _, _, metrics = build()
+        seed(host, MAIN, bytes(BLOCK_SIZE), LockingLevel.RECORD)
+        seed(host, VICTIM, bytes(BLOCK_SIZE), LockingLevel.RECORD)
+        assert metrics.get_gauge(self.GAUGE) == 1
+
+    def test_commits_in_overlapping_frames_are_counted_together(self):
+        host, server, _, _, metrics = build()
+        seed(host, MAIN, bytes(BLOCK_SIZE), LockingLevel.RECORD)
+        tids = []
+        for offset in (0, 64):
+            tid = host.tbegin()
+            host.tpwrite(tid, host.topen(tid, MAIN), b"x" * 8, offset)
+            tids.append(tid)
+        for tid in tids:
+            with service_frame(server.clock):
+                host.tend(tid)
+        assert metrics.get_gauge(self.GAUGE) == 2
+
+
+class TestCommitCostIsIndependentOfVolumeSize:
     def test_small_and_medium_volumes_write_the_same_stable_sectors(self):
-        small = self.stable_sectors_of_a_two_record_commit(DiskGeometry.small())
-        medium = self.stable_sectors_of_a_two_record_commit(DiskGeometry.medium())
-        assert small == medium
-        # The list (header + payload sector), the FIT (header + 2 KB) and
-        # the list's tombstone, each on both mirrors.
-        assert small == 2 * (2 + 5 + 1)
+        # The list (header + payload sector) and its tombstone, each on
+        # both mirrors — and nothing that scales with the volume.
+        for geometry in (DiskGeometry.small(), DiskGeometry.medium()):
+            assert sum(
+                sectors
+                for _, disk, sectors in commit_writes(
+                    geometry, LockingLevel.RECORD, TWO_RECORDS
+                )
+                if disk != "data"
+            ) == 2 * (2 + 1)
 
 
 class TestCommitCostIsIndependentOfFileSize:
@@ -193,10 +352,15 @@ def scripts(draw):
     level = draw(st.sampled_from(
         [LockingLevel.RECORD, LockingLevel.PAGE, LockingLevel.FILE]
     ))
+    # At RECORD level a write is one item: both sides of the inline bound
+    # and more than a fragment, so one list can hold both carriers.
+    lengths = st.sampled_from(
+        [1, INLINE_LIMIT, INLINE_LIMIT + 1, FRAGMENT_SIZE + 1]
+    ) | st.integers(1, BLOCK_SIZE + 100)
     writes = draw(st.lists(
         st.tuples(
             st.integers(0, len(OLD_MAIN) - 1),
-            st.integers(1, BLOCK_SIZE + 100),
+            lengths,
             st.integers(1, 255),
         ),
         min_size=1,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.errors import DiskCrashedError
+from repro.common.errors import DiskCrashedError, TransactionError
 from repro.common.metrics import Metrics
 from repro.common.units import BLOCK_SIZE
 from repro.file_service.attributes import LockingLevel
@@ -111,27 +111,74 @@ class TestTechniqueChoice:
 
 
 class TestIntentionRecords:
-    def test_codec_round_trip(self):
+    @staticmethod
+    def a_list():
         from repro.common.ids import SystemName
         from repro.disk_service.addresses import Extent
 
-        record = IntentionRecord(
-            sequence=2,
-            name=SystemName(1, 55, 3),
-            level=LockingLevel.PAGE,
-            lo=8192,
-            length=4096,
-            extent=Extent(700, 4),
-            technique=Technique.SHADOW,
-            block_index=1,
-        )
-        intentions = IntentionList(
+        common = dict(name=SystemName(1, 55, 3), technique=Technique.WAL)
+        return IntentionList(
             tid=9,
             status=TransactionStatus.TENTATIVE,
-            records=(record,),
+            records=(
+                IntentionRecord(
+                    sequence=1, level=LockingLevel.RECORD, lo=17, length=5,
+                    data=b"a\n\x00\xffb", **common,
+                ),
+                IntentionRecord(
+                    sequence=2, level=LockingLevel.PAGE, lo=8192, length=4096,
+                    extent=Extent(700, 4), block_index=1,
+                    name=SystemName(1, 55, 3), technique=Technique.SHADOW,
+                ),
+                IntentionRecord(
+                    sequence=3, level=LockingLevel.RECORD, lo=40, length=2,
+                    data=b"{}", **common,
+                ),
+            ),
             deletes=(SystemName(1, 90, 4),),
         )
+
+    def test_codec_round_trip(self):
+        intentions = self.a_list()
         assert IntentionList.from_bytes(intentions.to_bytes()) == intentions
+
+    def test_inline_bytes_are_framed_raw(self):
+        """Verbatim after the JSON line, in record order: a byte costs a byte."""
+        assert self.a_list().to_bytes().endswith(b"\na\n\x00\xffb{}")
+
+    def test_a_record_has_exactly_one_carrier(self):
+        from repro.disk_service.addresses import Extent
+
+        record = self.a_list().records[0]
+        fields = dict(
+            sequence=1, name=record.name, level=record.level, lo=0, length=1,
+            technique=Technique.WAL,
+        )
+        with pytest.raises(TransactionError):
+            IntentionRecord(**fields)
+        with pytest.raises(TransactionError):
+            IntentionRecord(**fields, extent=Extent(8, 1), data=b"x")
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda blob: b"not json",
+            lambda blob: b"\xff\xfe" + blob,
+            lambda blob: b"[1, 2]",
+            lambda blob: blob.replace(b'"inline":5,', b""),  # no carrier
+            lambda blob: blob.replace(  # both carriers
+                b'"inline":5,', b'"inline":5,"extent":[8,1],'
+            ),
+            lambda blob: blob.replace(b'"seq":3', b'"sequence":3'),
+            lambda blob: blob.replace(b'"level":"PAGE"', b'"level":"WORD"'),
+            lambda blob: blob[:-1],  # inline bytes cut short
+            lambda blob: blob + b"x",  # inline bytes nobody claims
+        ],
+    )
+    def test_a_blob_that_does_not_decode_raises_a_transaction_error(self, mangle):
+        blob = mangle(self.a_list().to_bytes())
+        with pytest.raises(TransactionError):
+            IntentionList.from_bytes(blob)
 
     def test_committed_transaction_leaves_no_intentions(self):
         host, server, naming, coordinator, _ = build()
