@@ -25,6 +25,10 @@ tier costs and buys:
   to all four, raid5 pays the full read-modify-write (old data + old
   parity in, new data + new parity out) — while full-row writes
   compute parity from the payload alone and never read a platter.
+  A caller who *waits* for the write pays less than the reference
+  count suggests: the array reference is one operation frame, so the
+  mirror's four writes cost one member write and the read-modify-write
+  costs its slower read plus its slower write.
 """
 
 from _helpers import pattern, print_table
@@ -250,7 +254,7 @@ def run_small_write_point(level):
     total = array.geometry.total_sectors
     snapshot = lambda name: _member_totals(metrics, member_ids, name)
     base = (snapshot("references"), snapshot("sectors_read"),
-            snapshot("sectors_written"))
+            snapshot("sectors_written"), snapshot("busy_us"))
     started_us = clock.now_us
     n_ops = 32
     for op_index in range(n_ops):
@@ -261,6 +265,7 @@ def run_small_write_point(level):
         "sectors_read_per_op": (snapshot("sectors_read") - base[1]) / n_ops,
         "sectors_written_per_op": (snapshot("sectors_written") - base[2]) / n_ops,
         "elapsed_us": clock.now_us - started_us,
+        "member_busy_us": snapshot("busy_us") - base[3],
     }
 
 
@@ -272,7 +277,7 @@ def run_full_row_point():
     row_sectors = array.chunk_sectors * 3
     snapshot = lambda name: _member_totals(metrics, member_ids, name)
     base = (snapshot("references"), snapshot("sectors_read"),
-            snapshot("sectors_written"))
+            snapshot("sectors_written"), snapshot("busy_us"))
     started_us = clock.now_us
     n_ops = 8
     for row in range(n_ops):
@@ -283,7 +288,20 @@ def run_full_row_point():
         "sectors_read_per_op": (snapshot("sectors_read") - base[1]) / n_ops,
         "sectors_written_per_op": (snapshot("sectors_written") - base[2]) / n_ops,
         "elapsed_us": clock.now_us - started_us,
+        "member_busy_us": snapshot("busy_us") - base[3],
     }
+
+
+def member_refs_waited(point):
+    """Elapsed time per write, in units of the point's mean member reference.
+
+    The sum of the references a write issues when they run back to
+    back; the slowest of each overlapped phase when they do not.
+    """
+    mean_reference_us = point["member_busy_us"] / (
+        point["references_per_op"] * point["ops"]
+    )
+    return point["elapsed_us"] / point["ops"] / mean_reference_us
 
 
 SMALL_WRITE_LEVELS = ("raid0", "raid1", "raid5")
@@ -362,13 +380,16 @@ def test_e19_raid(benchmark):
     )
     print_table(
         "E19  Small-write penalty (4 members, chunk 16, per logical write)",
-        ["workload", "member refs", "sectors read", "sectors written"],
+        ["workload", "member refs", "sectors read", "sectors written",
+         "elapsed ms per write (blocking)", "= member refs waited for"],
         [
             (
                 label,
                 f"{small[label]['references_per_op']:.1f}",
                 f"{small[label]['sectors_read_per_op']:.1f}",
                 f"{small[label]['sectors_written_per_op']:.1f}",
+                f"{small[label]['elapsed_us'] / small[label]['ops'] / 1000.0:.2f}",
+                f"{member_refs_waited(small[label]):.2f}",
             )
             for label in (*SMALL_WRITE_LEVELS, "raid5 full-row")
         ],
@@ -444,3 +465,11 @@ def test_e19_raid(benchmark):
     assert small["raid5"]["sectors_read_per_op"] == 2.0
     assert small["raid5 full-row"]["sectors_read_per_op"] == 0.0
     assert small["raid5 full-row"]["references_per_op"] == 4.0
+    # What the array costs a caller who waits (no pipeline frame): the
+    # members of one reference work concurrently, so a striped or a
+    # mirrored write waits for one member write and the parity
+    # read-modify-write for its slower read plus its slower write —
+    # not for the 1, 4 and 4 references above laid end to end.
+    assert member_refs_waited(small["raid0"]) < 2.0
+    assert member_refs_waited(small["raid1"]) < 2.0
+    assert member_refs_waited(small["raid5"]) < 3.0

@@ -35,7 +35,7 @@ Three loads:
 
 Wall-clock results are recorded as gauges whose final name segment
 starts with ``wall_`` — ``python -m repro.tools.bench --strip-wall``
-removes exactly those, which is how the committed ``BENCH_pr21.json``
+removes exactly those, which is how the committed ``BENCH_pr24.json``
 and the CI determinism diff stay byte-identical across machines.
 Everything else in this file is simulated time and fully deterministic.
 """

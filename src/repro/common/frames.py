@@ -14,16 +14,19 @@ On exit the cursor is the operation's completion time;
 the caller (a request pipeline or the cluster's concurrent driver)
 schedules the completion on the event loop, and the loop advances the
 clock event-to-event.  With no frame open, charging falls back to
-inline clock advancement — bit-identical to the historical blocking
-semantics, which is what keeps every sequential test and benchmark
-byte-stable.
+inline clock advancement: a blocking caller waits for each delay in
+turn.
 
 Frames nest (the innermost wins) and are keyed by clock instance, so
 independent simulated systems in one process never share a frame
 stack.  :class:`FrameFork` expresses fan-out *within* an operation —
 e.g. a replicated write updating all replicas in parallel: branches
 replay from the fork point and the join advances the cursor to the
-slowest branch.
+slowest branch.  A fork alone needs a frame to fork; a component whose
+fan-out is concurrent *by construction* — the members of a RAID array —
+runs the operation inside :func:`operation_frame`, which borrows the
+caller's frame or, for a blocking caller, opens one and pays its
+cursor to the clock on the way out.
 
 Everything here is deterministic: time is integer microseconds, state
 is explicit, and nothing consults wall clock, dict order, or object
@@ -100,6 +103,27 @@ def service_frame(clock: SimClock) -> Iterator[ServiceFrame]:
         stack.pop()
         if not stack:
             del _FRAMES[id(clock)]
+
+
+@contextlib.contextmanager
+def operation_frame(clock: SimClock) -> Iterator[None]:
+    """Run one blocking operation whose parts may overlap in time.
+
+    With a frame already open this does nothing: the operation's
+    charges and forks land on the caller's frame, as they always did.
+    With none it opens one, and on exit — normal or by exception — the
+    caller has waited for exactly what was charged: the clock advances
+    to the frame's cursor.  :class:`FrameFork` branches inside therefore
+    cost a blocking caller their slowest branch, not their sum.
+    """
+    if active_frame(clock) is not None:
+        yield
+        return
+    with service_frame(clock) as frame:
+        try:
+            yield
+        finally:
+            clock.advance_to(frame.cursor_us)
 
 
 def ceil_us(delta_us: float) -> int:
@@ -218,8 +242,10 @@ class FrameFork:
     """Fan one frame out into parallel branches, then join at the max.
 
     With no frame open every branch is a no-op passthrough (the
-    operations run sequentially, as blocking mode always did), so
-    callers fan out unconditionally::
+    operations run sequentially), so callers fan out unconditionally —
+    and a caller whose branches must overlap for blocking callers too
+    wraps the operation in :func:`operation_frame`; replication does
+    not, which is what keeps a blocking replicated write sequential::
 
         fork = FrameFork(clock)
         for replica in replicas:

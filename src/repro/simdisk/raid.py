@@ -12,9 +12,13 @@ decomposes into *at most one* contiguous physical span per member:
 consecutive chunks of one member are physically adjacent in every
 layout, so a raid5 span over-reads the parity chunks it straddles
 rather than splitting the reference.  Member references overlap through
-:class:`~repro.common.frames.FrameFork`: inside a pipeline's service
-frame the spans replay from the fork point and join at the slowest
-member; blocking callers get the classic sequential semantics.
+:class:`~repro.common.frames.FrameFork`: the spans replay from the fork
+point and join at the slowest member.  That holds whoever calls — an
+array reference is one :func:`~repro.common.frames.operation_frame`
+(opened in ``_serving``), so a blocking caller waits for the slowest
+member of each fan-out exactly as a pipeline's service frame is
+charged for it, and phases that depend on each other (reads, journal
+arm, member writes, journal clear) stay sequenced by the cursor.
 
 **The degraded write hole is journalled shut.**  With a stale data
 column in a row, that column's bytes exist only as the parity identity
@@ -62,7 +66,7 @@ from repro.common.errors import (
     DiskError,
     MediaError,
 )
-from repro.common.frames import FrameFork
+from repro.common.frames import FrameFork, operation_frame
 from repro.common.metrics import Metrics
 from repro.simdisk.disk import SimDisk
 from repro.simdisk.geometry import DiskGeometry
@@ -516,10 +520,10 @@ class StripedVolume:
     ) -> Dict[int, object]:
         """Run member operations as overlapping fork branches.
 
-        Returns ``{member_index: value | MediaError}``.  Inside a
-        service frame the branches replay from the fork point and the
-        join charges the slowest member; in blocking mode they run
-        sequentially, as blocking callers always did.  Members that
+        Returns ``{member_index: value | MediaError}``.  The branches
+        replay from the fork point and the join charges the slowest
+        member — on the caller's frame, or on the operation frame
+        ``_serving`` opened for a caller that has none.  Members that
         crashed are retired once every branch has run.
         """
         fork = FrameFork(self.clock)
@@ -641,15 +645,18 @@ class StripedVolume:
         """Run ``attempt``, replaying it while membership changes.
 
         Each replay follows a recorded member failure, so the member
-        count bounds the loop.
+        count bounds the loop.  The whole reference — replays included —
+        is one operation frame: a caller with no frame of its own waits
+        for the slowest member of each fan-out, not for their sum.
         """
-        for _ in range(self._n + 1):
-            self._raise_if_failed()
-            try:
-                return attempt()
-            except _RetryOp:
-                continue
-        raise ArrayFailedError(f"{self.array_id}: no serving membership")
+        with operation_frame(self.clock):
+            for _ in range(self._n + 1):
+                self._raise_if_failed()
+                try:
+                    return attempt()
+                except _RetryOp:
+                    continue
+            raise ArrayFailedError(f"{self.array_id}: no serving membership")
 
     def _retire(self, indices: Sequence[int], *, replay: bool = True) -> None:
         """Record member failures; replay the operation if still serving."""

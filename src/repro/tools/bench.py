@@ -249,7 +249,7 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     )
     parser.add_argument(
         "--out",
-        default="BENCH_pr21.json",
+        default="BENCH_pr24.json",
         help="output path (default: %(default)s)",
     )
     parser.add_argument(

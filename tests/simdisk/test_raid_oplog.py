@@ -3,16 +3,20 @@
 The RAID tier's refactor around one redundancy engine promised the same
 member operations in the same order at the same simulated time.
 ``golden_raid_oplog.txt`` is the log of :func:`run_script` for each
-level, recorded at the commit *before* that refactor: every member
-``read`` / ``write`` / ``read_in_passing`` as ``member op start n
-adler32(payload)|!Error done_us`` (Adler, because the CRC-32 of a sector
-sealed with its own CRC-32 — a superblock, a journal header — is one
-constant whatever the sector says; ``done_us`` is the member timeline's
-busy-until, the operation's completion time in blocking mode and inside
-a service frame alike), and after each step a ``=`` line naming it
-with the array's epoch, state, failed set, rebuild target and clock.
+level: every member ``read`` / ``write`` / ``read_in_passing`` as
+``member op start n adler32(payload)|!Error done_us`` (Adler, because
+the CRC-32 of a sector sealed with its own CRC-32 — a superblock, a
+journal header — is one constant whatever the sector says; ``done_us``
+is the member timeline's busy-until, the operation's completion time),
+and after each step a ``=`` line naming it with the array's epoch,
+state, failed set, rebuild target and clock.
 ``python -m tests.simdisk.test_raid_oplog`` prints the log of the
-checked-out code, which is how the golden file was produced.
+checked-out code, which is how the golden file was produced.  Everything
+but the last field of a line is as recorded at the commit *before* that
+refactor; the times are those of the current time model (an array
+reference is one operation frame, so its members overlap for a blocking
+caller too), and a change that moves only time must leave the log
+identical once that field is stripped.
 
 The script checks itself too: every read is compared with a shadow of
 the acked writes, so a log that matches is also a log of correct bytes.
