@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
-
 from repro.cluster.config import ClusterConfig
 from repro.cluster.system import RhodosCluster
 from repro.common.clock import SimClock
@@ -14,21 +12,7 @@ from repro.simdisk.disk import SimDisk
 from repro.simdisk.geometry import DiskGeometry
 from repro.simdisk.stable import StableStore
 from repro.simkernel.runner import InterleavedRunner
-
-
-def print_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Render one experiment table to stdout (captured by pytest -s)."""
-    rows = [[str(cell) for cell in row] for row in rows]
-    widths = [
-        max(len(headers[col]), *(len(row[col]) for row in rows)) if rows else len(headers[col])
-        for col in range(len(headers))
-    ]
-    line = "  ".join(header.ljust(width) for header, width in zip(headers, widths))
-    print(f"\n=== {title} ===")
-    print(line)
-    print("-" * len(line))
-    for row in rows:
-        print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)))
+from repro.tools.bench import print_table  # noqa: F401 - the benches import it from here
 
 
 def build_disk_server(

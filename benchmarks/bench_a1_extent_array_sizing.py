@@ -53,8 +53,8 @@ def run_all():
     return [(f"{rows}x{columns}", run_shape(rows, columns)) for rows, columns in SHAPES]
 
 
-def test_a1_extent_array_sizing(benchmark):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_a1_extent_array_sizing():
+    results = run_all()
     print_table(
         f"A1  Free-extent array shape, fragmented disk, {N_OPS} churn ops",
         ["shape", "allocations satisfied", "failures", "full bitmap rescans"],

@@ -54,8 +54,8 @@ def run_all():
     return [(n, run_point(n)) for n in N_SWEEP]
 
 
-def test_a2_lt_renewal(benchmark):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_a2_lt_renewal():
+    results = run_all()
     print_table(
         f"A2  Renewal budget N (LT = {LT_US // 1000} ms); long txn needs "
         f"~{THINK_ROUNDS * 2} ms",

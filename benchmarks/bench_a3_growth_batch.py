@@ -40,8 +40,8 @@ def run_all():
     return [(batch, run_batch(batch)) for batch in BATCHES]
 
 
-def test_a3_growth_batch(benchmark):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_a3_growth_batch():
+    results = run_all()
     print_table(
         f"A3  Two files, {N_APPENDS} interleaved one-block appends each",
         ["growth batch (blocks)", "contiguous runs (both files)", "cold-scan disk refs"],

@@ -77,8 +77,8 @@ def run_all():
     return price_stability_modes(), crash_sweep()
 
 
-def test_e10_stable_storage(benchmark):
-    prices, outcomes = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_e10_stable_storage():
+    prices, outcomes = run_all()
     print_table(
         "E10a  put-block stability modes: simulated cost per 8 KB put",
         ["mode", "sim ms / put"],

@@ -58,8 +58,8 @@ def run_all():
     return [(n, run_point(n)) for n in (1, 2, 4, 8)]
 
 
-def test_e11_multi_disk(benchmark):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_e11_multi_disk():
+    results = run_all()
     print_table(
         f"E11  Cold scan of a {FILE_BYTES // MIB} MB file striped over N disks",
         ["disks", "disk refs", "busiest-disk time (ms)", "parallel bandwidth (MB/s)"],

@@ -53,8 +53,8 @@ def run_all():
     return rows
 
 
-def test_e14_track_cache(benchmark):
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_e14_track_cache():
+    rows = run_all()
     print_table(
         f"E14  {N_REQUESTS} fragment reads: rest-of-track readahead on/off",
         [

@@ -82,10 +82,8 @@ def spread(addresses):
     return max(addresses) - min(addresses)
 
 
-def test_e15_dynamic_fit(benchmark):
-    (dyn_gaps, dyn_fits, dyn_ms), (st_gaps, st_fits, st_ms) = benchmark.pedantic(
-        run_all, rounds=1, iterations=1
-    )
+def test_e15_dynamic_fit():
+    (dyn_gaps, dyn_fits, dyn_ms), (st_gaps, st_fits, st_ms) = run_all()
     print_table(
         f"E15  {N_FILES} file creations: dynamic vs preallocated FITs",
         [

@@ -144,8 +144,8 @@ def run_closed_loop(n_clients: int, n_disks: int):
     return report
 
 
-def test_e16_scheduling(benchmark):
-    grid = benchmark.pedantic(run_grid, rounds=1, iterations=1)
+def test_e16_scheduling():
+    grid = run_grid()
 
     print_table(
         "E16  Pipeline throughput (ops/s) by policy, clients x disks",
@@ -203,11 +203,9 @@ def test_e16_scheduling(benchmark):
         )
 
 
-def test_e16_closed_loop_overlap(benchmark):
+def test_e16_closed_loop_overlap():
     serial = run_closed_loop(1, 4)
-    overlapped = benchmark.pedantic(
-        run_closed_loop, args=(4, 4), rounds=1, iterations=1
-    )
+    overlapped = run_closed_loop(4, 4)
     speedup = (
         overlapped.throughput_ops_per_s / serial.throughput_ops_per_s
     )

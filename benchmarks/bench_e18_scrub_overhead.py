@@ -148,8 +148,8 @@ def run_modes():
     return {mode: run_scrub_point(mode) for mode in MODES}
 
 
-def test_e18_scrub_overhead(benchmark):
-    results = benchmark.pedantic(run_modes, rounds=1, iterations=1)
+def test_e18_scrub_overhead():
+    results = run_modes()
 
     print_table(
         "E18  Foreground latency under three scrub disciplines",

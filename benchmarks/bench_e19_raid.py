@@ -316,18 +316,9 @@ def run_small_writes():
 # ------------------------------------------------- the experiment
 
 
-def test_e19_raid(benchmark):
-    def run_all():
-        return {
-            "layouts": run_layout_grid(),
-            "widths": run_width_grid(),
-            "modes": run_modes(),
-            "small_writes": run_small_writes(),
-        }
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    layouts, widths = results["layouts"], results["widths"]
-    modes, small = results["modes"], results["small_writes"]
+def test_e19_raid():
+    layouts, widths = run_layout_grid(), run_width_grid()
+    modes, small = run_modes(), run_small_writes()
 
     print_table(
         "E19  Contention throughput (ops/s) by layout and policy, 8 clients",

@@ -42,8 +42,8 @@ def sweep():
     return [(label, *cold_read_references(size)) for label, size in SIZES]
 
 
-def test_e1_two_disk_references(benchmark):
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_e1_two_disk_references():
+    rows = sweep()
     print_table(
         "E1  Cold whole-file read: disk references vs file size",
         ["file size", "disk references", "sim time (ms)"],

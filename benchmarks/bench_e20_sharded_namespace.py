@@ -97,12 +97,8 @@ def run_storm(n_shards):
     }
 
 
-def test_e20_sharded_namespace(benchmark):
-    points = benchmark.pedantic(
-        lambda: {count: run_storm(count) for count in SHARD_COUNTS},
-        rounds=1,
-        iterations=1,
-    )
+def test_e20_sharded_namespace():
+    points = {count: run_storm(count) for count in SHARD_COUNTS}
 
     print_table(
         "E20  Metadata storm: 1,200 clients x 3 ops, 3:1 resolve:write",

@@ -71,8 +71,8 @@ def run():
     return results
 
 
-def test_e2_contiguity_count(benchmark):
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_e2_contiguity_count():
+    results = run()
     print_table(
         f"E2  Cold read of a {N_BLOCKS}-block file: contiguity counts at work",
         ["layout", "count field of block 0", "disk references", "sim time (ms)"],

@@ -52,8 +52,8 @@ def run():
     }
 
 
-def test_e3_fragments_vs_blocks(benchmark):
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_e3_fragments_vs_blocks():
+    results = run()
     print_table(
         f"E3  {N_STRUCTURES} control structures of {STRUCTURE_BYTES} B: "
         "fragment vs block storage",

@@ -12,8 +12,6 @@ but the array answers requests without scanning, so bitmap-scan work
 
 import random
 
-import pytest
-
 from _helpers import build_disk_server, print_table
 from repro.common.errors import DiskFullError
 from repro.disk_service.addresses import Extent
@@ -104,8 +102,8 @@ def run_scan_baseline():
     }
 
 
-def test_e4_free_extent_array(benchmark):
-    table_result = benchmark.pedantic(run_with_extent_table, rounds=1, iterations=1)
+def test_e4_free_extent_array():
+    table_result = run_with_extent_table()
     scan_result = run_scan_baseline()
     print_table(
         f"E4  {N_OPS} alloc/free churn ops: 64x64 array vs bitmap scanning",

@@ -74,8 +74,8 @@ def run_all():
     return [(label, run_config(options)) for label, options in CONFIGS]
 
 
-def test_e5_cache_levels(benchmark):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_e5_cache_levels():
+    results = run_all()
     print_table(
         f"E5  {N_REQUESTS} locality reads: cache levels on/off",
         ["configuration", "disk refs", "file-server reads", "mean us/request"],

@@ -53,8 +53,8 @@ def run():
     }
 
 
-def test_e6_write_policies(benchmark):
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_e6_write_policies():
+    results = run()
     print_table(
         f"E6  {N_WRITES} small overwrites into {HOT_BLOCKS} hot blocks",
         ["policy", "disk writes during burst", "disk writes incl. flush", "mean us/write"],

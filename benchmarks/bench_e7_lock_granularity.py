@@ -65,8 +65,8 @@ def run_all():
     ]
 
 
-def test_e7_lock_granularity(benchmark):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_e7_lock_granularity():
+    results = run_all()
     print_table(
         f"E7  {N_CLIENTS} clients x {REPEATS} disjoint small transfers, per locking level",
         ["level", "commits", "lock waits", "aborts", "locks granted", "sim elapsed (ms)"],

@@ -34,9 +34,10 @@ Three loads:
   generates.
 
 Wall-clock results are recorded as gauges whose final name segment
-starts with ``wall_`` — ``python -m repro.tools.bench --strip-wall``
-removes exactly those, which is how the committed ``BENCH_pr24.json``
-and the CI determinism diff stay byte-identical across machines.
+starts with ``wall_``, and each table here has a host-time column —
+``python -m repro.tools.bench --strip-wall`` removes exactly those
+gauges and tables, which is how the committed ``BENCH_*.json`` and the
+CI determinism diff stay byte-identical across machines.
 Everything else in this file is simulated time and fully deterministic.
 """
 
@@ -53,6 +54,7 @@ from repro.common.errors import (
     DiskCrashedError,
     MediaError,
 )
+from repro.common.frames import Timeline
 from repro.common.metrics import Metrics
 from repro.common.trace import NULL_TRACER
 from repro.disk_service.addresses import Extent
@@ -63,7 +65,6 @@ from repro.simdisk.disk import SimDisk
 from repro.simdisk.faults import FaultInjector
 from repro.simdisk.geometry import DiskGeometry
 from repro.simdisk.stable import StableStore
-from repro.simdisk.timeline import DiskTimeline
 from repro.simdisk.timing import DiskTimingModel
 from repro.simkernel.loop import EventLoop
 
@@ -203,7 +204,7 @@ class _LegacyDisk:
         self.tracer = NULL_TRACER
         self.timing = DiskTimingModel()
         self.faults = FaultInjector()
-        self.timeline = DiskTimeline(clock)
+        self.timeline = Timeline(clock)
         self._legacy_geometry = _LegacyGeometry(geometry)
         self._by_sector: Dict[int, bytes] = {}
         self._head_cylinder = 0
@@ -398,8 +399,8 @@ def _rate(references: int, wall_us: int) -> str:
     return f"{references * 1_000_000 // wall_us:,}/s"
 
 
-def test_m1_sequential_throughput(benchmark):
-    results = benchmark.pedantic(run_sequential, rounds=1, iterations=1)
+def test_m1_sequential_throughput():
+    results = run_sequential()
     new, legacy = results["new"], results["legacy"]
     speedup = legacy["wall_us"] / new["wall_us"]
     print_table(
@@ -421,8 +422,8 @@ def test_m1_sequential_throughput(benchmark):
     assert new["sim_busy_us"] == legacy["sim_busy_us"]
 
 
-def test_m1_overlapped_throughput(benchmark):
-    result = benchmark.pedantic(run_overlapped, rounds=1, iterations=1)
+def test_m1_overlapped_throughput():
+    result = run_overlapped()
     print_table(
         f"M1  Overlapped load: {OVERLAPPED_OPS:,} ops over {OVERLAPPED_DISKS} disks",
         ["references", "host time (ms)", "refs/host-second"],
@@ -434,8 +435,8 @@ def test_m1_overlapped_throughput(benchmark):
     assert result["references"] > 0
 
 
-def test_m1_chaos_shaped_throughput(benchmark):
-    result = benchmark.pedantic(run_chaos_shaped, rounds=1, iterations=1)
+def test_m1_chaos_shaped_throughput():
+    result = run_chaos_shaped()
     print_table(
         f"M1  Chaos-shaped load: {CHAOS_WRITES:,} armed writes",
         ["references", "crashes survived", "host time (ms)", "refs/host-second"],

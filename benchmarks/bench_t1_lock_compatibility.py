@@ -7,8 +7,6 @@ conversion column reproduces the footnote "changed to Iwrite by the
 same transaction".
 """
 
-import pytest
-
 from _helpers import print_table
 from repro.common.clock import SimClock
 from repro.common.ids import SystemName
@@ -43,8 +41,8 @@ def regenerate():
     return rows
 
 
-def test_t1_lock_compatibility(benchmark):
-    rows = benchmark.pedantic(regenerate, rounds=1, iterations=1)
+def test_t1_lock_compatibility():
+    rows = regenerate()
     print_table(
         "T1  Table 1: lock compatibility (measured from the lock manager)",
         ["held \\ requested", "read-only", "Iread", "Iwrite", "IW by same txn"],

@@ -8,7 +8,7 @@ the one global clock inline, so N clients degenerated into one client
 doing N times the work.
 
 :class:`ConcurrentDriver` fixes the time model.  Each operation runs
-inside a deferred-time :func:`~repro.simdisk.timeline.service_frame`:
+inside a deferred-time :func:`~repro.common.frames.service_frame`:
 the data plane executes synchronously (all caches, bitmaps, and file
 state mutate immediately, in issue order), while the time plane accrues
 on the frame cursor as each touched disk charges its own timeline.  The
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.simdisk.timeline import service_frame
+from repro.common.frames import service_frame
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
     from repro.cluster.system import RhodosCluster

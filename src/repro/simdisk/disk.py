@@ -4,7 +4,7 @@ A :class:`SimDisk` is a sector store combined with the timing model and
 fault injector.  Every call to :meth:`read_sectors` or
 :meth:`write_sectors` is **one disk reference** — the quantity the
 paper's whole design minimises — and charges the modelled service time
-to the disk's own :class:`~repro.simdisk.timeline.DiskTimeline` while
+to the disk's own :class:`~repro.common.frames.Timeline` while
 tracking head position across requests.  With no service frame active
 the timeline waits inline (the classic blocking semantics); inside a
 frame the charge is deferred, which is what lets requests overlap
@@ -37,14 +37,13 @@ from repro.common.errors import (
 # costs one dict probe instead of a function call per reference.  The
 # simulation is single-threaded by construction (DESIGN.md §2), so the
 # probe sees exactly what active_frame would return.
-from repro.common.frames import _FRAMES, ceil_us
+from repro.common.frames import _FRAMES, Timeline, ceil_us
 from repro.common.metrics import Metrics
 from repro.common.trace import NULL_TRACER, Tracer
 from repro.common.weak import weak_method
 from repro.simdisk.faults import FaultInjector
 from repro.simdisk.geometry import DiskGeometry
 from repro.simdisk.store import SectorStore
-from repro.simdisk.timeline import DiskTimeline
 from repro.simdisk.timing import DiskTimingModel
 
 #: The model is frozen, so every disk built without one shares this.
@@ -113,7 +112,7 @@ class SimDisk:
         timing: Optional[DiskTimingModel] = None,
         faults: Optional[FaultInjector] = None,
         tracer: Optional[Tracer] = None,
-        timeline: Optional[DiskTimeline] = None,
+        timeline: Optional[Timeline] = None,
     ) -> None:
         self.disk_id = disk_id
         self.geometry = geometry
@@ -122,7 +121,7 @@ class SimDisk:
         self.tracer = tracer or NULL_TRACER
         self.timing = timing or _DEFAULT_TIMING
         self.faults = faults or FaultInjector()
-        self.timeline = timeline or DiskTimeline(clock)
+        self.timeline = timeline or Timeline(clock)
         self._sectors = SectorStore(geometry.sector_size)
         self._head_cylinder = 0
         self._head_angular = 0.0
@@ -213,7 +212,7 @@ class SimDisk:
         # Inlined in both reference paths: at campaign scale even the
         # one method call per reference that a shared helper would cost
         # is measurable.  _service_lookup documents the memo; the
-        # timeline update is DiskTimeline.charge_ceiled operation for
+        # timeline update is Timeline.charge_ceiled operation for
         # operation (that module keeps the readable original), and an
         # installed race monitor sees the same chain() on the same
         # timeline.
@@ -306,7 +305,7 @@ class SimDisk:
         # Inlined in both reference paths: at campaign scale even the
         # one method call per reference that a shared helper would cost
         # is measurable.  _service_lookup documents the memo; the
-        # timeline update is DiskTimeline.charge_ceiled operation for
+        # timeline update is Timeline.charge_ceiled operation for
         # operation (that module keeps the readable original), and an
         # installed race monitor sees the same chain() on the same
         # timeline.

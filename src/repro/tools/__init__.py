@@ -6,9 +6,10 @@
   blocks, cross-linked files, stale contiguity counts).
 * :mod:`repro.tools.backup` — whole-volume dump/restore, the answer to
   the catastrophes section 6.6's recovery explicitly excludes.
-* :mod:`repro.tools.report` — regenerates every experiment table from
-  the benchmark suite into one markdown report
-  (``python -m repro.tools.report``).
+* :mod:`repro.tools.bench` — the one runner of the benchmark suite;
+  writes the bench record (``python -m repro.tools.bench``).
+* :mod:`repro.tools.report` — renders EXPERIMENTS.md's tables from that
+  record (``python -m repro.tools.report``); it runs nothing.
 """
 
 from repro.tools.backup import dump_volume, restore_volume

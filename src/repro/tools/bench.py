@@ -1,12 +1,14 @@
-"""Machine-readable benchmark runner: ``python -m repro.tools.bench``.
+"""The benchmark runner: ``python -m repro.tools.bench``.
 
-The benchmark suite under ``benchmarks/`` regenerates the paper's
-artifacts as human-readable tables and shape assertions.  This runner
-executes the same ``bench_*.py`` files headlessly — no pytest, no
-pytest-benchmark — and emits one JSON document so the repo finally has
-a *machine-readable* perf trajectory: each PR can diff its
+The suite under ``benchmarks/`` regenerates the paper's artifacts as
+tables and shape assertions.  This is its one runner: it imports each
+``bench_*.py`` and calls every ``test_*`` function once — the simulated
+clock, not the host, is the time base, so repetition adds nothing — and
+emits one JSON document, the *record*: each PR can diff its
 ``BENCH_*.json`` against the previous one, counter by counter and
-quantile by quantile, the way the paper's own tables compare designs.
+quantile by quantile, the way the paper's own tables compare designs,
+and EXPERIMENTS.md's tables are rendered from it
+(:mod:`repro.tools.report`).
 
 Schema (``schema_version`` 1)::
 
@@ -20,7 +22,8 @@ Schema (``schema_version`` 1)::
           "counters": {"disk.0.references": 42, ...},
           "layers": {"disk": 42, "file_server": 7, ...},
           "histograms": {"disk.0.service_us": {"count": ..., "p50": ...}},
-          "gauges": {"disk_server.0.free_fragments": ...}
+          "gauges": {"disk_server.0.free_fragments": ...},
+          "tables": [{"title": "E1  ...", "headers": [...], "rows": [[...]]}]
         }, ...
       }
     }
@@ -29,8 +32,10 @@ Counters, histogram samples and gauges are aggregated across every
 :class:`~repro.common.metrics.Metrics` registry an experiment builds
 internally (collected through :meth:`Metrics.tracking`), then
 summarised deterministically — identical runs emit byte-identical
-JSON.  Experiment *assertions* still run: a failed paper claim shows
-up as ``status: "fail"`` instead of aborting the sweep.
+JSON.  ``tables`` holds every table the experiment printed through
+:func:`print_table`, in order, cells as printed.  Experiment
+*assertions* still run: a failed paper claim shows up as
+``status: "fail"`` instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.common.metrics import HISTOGRAM_PERCENTILES, Metrics, _nearest_rank
 
@@ -57,6 +62,9 @@ SMOKE_EXPERIMENTS = (
     "t1_lock_compatibility",
 )
 
+#: The committed record: ``--out``'s default and the report's input.
+RECORD = "BENCH_pr25.json"
+
 
 def repo_root() -> Path:
     """The repository root, located from this file (src/repro/tools/…)."""
@@ -67,26 +75,57 @@ def benchmarks_dir() -> Path:
     return repo_root() / "benchmarks"
 
 
-class _HeadlessBenchmark:
-    """Stand-in for the pytest-benchmark fixture.
+Table = Dict[str, object]
 
-    The suite only uses ``benchmark.pedantic(fn, rounds=1,
-    iterations=1)`` and direct calls; both simply invoke the function
-    once and hand back its result — the simulated clock, not the host
-    machine, is the time base, so repetition adds nothing.
+#: The tables :func:`print_table` is recording into (see
+#: :func:`recording_tables`), or None outside a run.
+_recorded: Optional[List[Table]] = None
+
+
+def format_table(
+    title: str, headers: Sequence[str], rows: Sequence[Sequence[str]]
+) -> str:
+    """The one text layout of an experiment table.
+
+    What the benchmarks print and what EXPERIMENTS.md's generated
+    blocks hold: a ``=== title ===`` line, the headers, a rule, and one
+    line per row, columns left-aligned to their widest cell.
     """
+    widths = [
+        max([len(header)] + [len(row[col]) for row in rows])
+        for col, header in enumerate(headers)
+    ]
+    line = "  ".join(header.ljust(width) for header, width in zip(headers, widths))
+    lines = [f"=== {title} ===", line, "-" * len(line)]
+    lines.extend(
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
+        for row in rows
+    )
+    return "\n".join(text.rstrip() for text in lines)
 
-    def pedantic(
-        self,
-        target: Callable,
-        args: tuple = (),
-        kwargs: Optional[dict] = None,
-        **_ignored: object,
-    ):
-        return target(*args, **(kwargs or {}))
 
-    def __call__(self, target: Callable, *args: object, **kwargs: object):
-        return target(*args, **kwargs)
+def print_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Print one experiment table and record it for the running experiment."""
+    cells = [[str(cell) for cell in row] for row in rows]
+    if _recorded is not None:
+        _recorded.append({"title": title, "headers": list(headers), "rows": cells})
+    print("\n" + format_table(title, headers, cells))
+
+
+@contextlib.contextmanager
+def recording_tables() -> Iterator[List[Table]]:
+    """Collect every table :func:`print_table` prints inside the block.
+
+    The tables' counterpart of :meth:`Metrics.tracking`; nesting
+    restores the outer collector on exit.
+    """
+    global _recorded
+    previous, collected = _recorded, []
+    _recorded = collected
+    try:
+        yield collected
+    finally:
+        _recorded = previous
 
 
 def discover(directory: Optional[Path] = None) -> Dict[str, Path]:
@@ -102,8 +141,7 @@ def _load_module(path: Path):
     """Import one bench file with the benchmarks dir importable.
 
     Bench files import ``_helpers`` as a top-level module, so the
-    benchmarks directory temporarily joins ``sys.path`` (mirroring what
-    ``benchmarks/conftest.py`` does for pytest runs).
+    benchmarks directory temporarily joins ``sys.path``.
     """
     directory = str(path.parent)
     spec = importlib.util.spec_from_file_location(f"repro_bench_{path.stem}", path)
@@ -157,7 +195,7 @@ def _aggregate(registries: List[Metrics]) -> Dict[str, object]:
 def run_experiment(path: Path, *, quiet: bool = True) -> Dict[str, object]:
     """Run every ``test_*`` function of one bench file; summarise."""
     status, failure = "pass", None
-    with Metrics.tracking() as registries:
+    with Metrics.tracking() as registries, recording_tables() as tables:
         sink = io.StringIO()
         try:
             with contextlib.redirect_stdout(sink if quiet else sys.stdout):
@@ -168,7 +206,7 @@ def run_experiment(path: Path, *, quiet: bool = True) -> Dict[str, object]:
                     if name.startswith("test_") and callable(getattr(module, name))
                 ]
                 for test in tests:
-                    test(_HeadlessBenchmark())
+                    test()
         except AssertionError as exc:
             status = "fail"
             failure = str(exc).splitlines()[0] if str(exc) else "assertion failed"
@@ -177,6 +215,7 @@ def run_experiment(path: Path, *, quiet: bool = True) -> Dict[str, object]:
             failure = f"{type(exc).__name__}: {exc}".splitlines()[0]
     result: Dict[str, object] = {"status": status, "failure": failure}
     result.update(_aggregate(registries))
+    result["tables"] = tables
     return result
 
 
@@ -207,24 +246,28 @@ def run_suite(
     }
 
 
-def strip_wall_gauges(document: Dict[str, object]) -> None:
-    """Drop host-time gauges in place.
+def strip_wall(document: Dict[str, object]) -> None:
+    """Drop host-time gauges and tables in place.
 
     The m1 meta-benchmark records its wall-clock measurements as gauges
-    whose final dotted segment starts with ``wall_`` (DESIGN.md §13).
-    Everything else in the document is simulated time and therefore
-    deterministic; with those gauges removed, two runs of the same tree
-    must byte-diff clean — which is exactly how CI checks determinism.
+    whose final dotted segment starts with ``wall_`` (DESIGN.md §13) and
+    prints them in tables with a host-time column (a header naming
+    ``host``).  Everything else in the document is simulated time and
+    therefore deterministic; with those removed, two runs of the same
+    tree must byte-diff clean — which is exactly how CI checks
+    determinism.
     """
     for outcome in document["experiments"].values():  # type: ignore[union-attr]
-        gauges = outcome.get("gauges")
-        if not gauges:
-            continue
         outcome["gauges"] = {
             name: value
-            for name, value in gauges.items()
+            for name, value in outcome["gauges"].items()
             if not name.rsplit(".", 1)[-1].startswith("wall_")
         }
+        outcome["tables"] = [
+            table
+            for table in outcome["tables"]
+            if not any("host" in header for header in table["headers"])
+        ]
 
 
 def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
@@ -249,7 +292,7 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     )
     parser.add_argument(
         "--out",
-        default="BENCH_pr24.json",
+        default=RECORD,
         help="output path (default: %(default)s)",
     )
     parser.add_argument(
@@ -257,7 +300,7 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
         action="store_true",
         help=(
             "drop wall-clock gauges (final name segment starting with "
-            "'wall_') so repeated runs byte-diff clean"
+            "'wall_') and host-time tables so repeated runs byte-diff clean"
         ),
     )
     parser.add_argument(
@@ -292,7 +335,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     if args.strip_wall:
-        strip_wall_gauges(document)
+        strip_wall(document)
     out_path = Path(args.out)
     out_path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     statuses = [
@@ -308,4 +351,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    # ``python -m`` runs this file as ``__main__``, but the benchmarks
+    # reach print_table through ``repro.tools.bench``: run that module's
+    # main so both sides share one table recorder.
+    from repro.tools.bench import main as _main
+
+    raise SystemExit(_main())

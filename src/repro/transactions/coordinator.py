@@ -54,7 +54,6 @@ from repro.common.errors import (
     InvalidTransactionStateError,
     TransactionError,
 )
-from repro.common.frames import frame_now
 from repro.common.ids import SystemName, monotonic_id_factory
 from repro.common.metrics import Metrics
 from repro.common.trace import NULL_TRACER, Tracer
@@ -83,15 +82,12 @@ TechniqueChoice = Literal["auto", "wal", "shadow"]
 class _VolumeBinding:
     """Everything the coordinator needs about one volume."""
 
-    __slots__ = ("file_server", "locks", "intents", "commit_ends")
+    __slots__ = ("file_server", "locks", "intents")
 
     def __init__(self, file_server: FileServer, locks: LockManager) -> None:
         self.file_server = file_server
         self.locks = locks
         self.intents = IntentionStore(file_server.disk.stable)
-        #: Completion times of this volume's commits that lie in the
-        #: simulated future (see ``_note_in_flight``).
-        self.commit_ends: List[int] = []
 
 
 class TransactionCoordinator:
@@ -126,7 +122,6 @@ class TransactionCoordinator:
         self._volumes: Dict[int, _VolumeBinding] = {}
         self._next_tid = monotonic_id_factory()
         self._live: Dict[int, Transaction] = {}
-        self._most_in_flight = 0
         #: CHAOS-TEST-ONLY.  When True, recovery deliberately skips
         #: replaying committed intentions (and their cleanup ordering),
         #: leaving whatever partial state the crash produced.  Exists so
@@ -221,7 +216,6 @@ class TransactionCoordinator:
             self._commit_child(transaction)
             return
         transaction.phase = TransactionPhase.UNLOCKING
-        started_us = frame_now(self.clock)
         records = [
             self._prepare_item(transaction, entry)
             for entry in transaction.all_tentative_items()
@@ -271,26 +265,7 @@ class TransactionCoordinator:
             self._binding(volumes[0]).intents.remove_decision(transaction.tid)
         self._release_locks(transaction)
         self.forget(transaction)
-        self._note_in_flight(volumes, started_us)
         self.metrics.add("transactions.committed")
-
-    def _note_in_flight(self, volumes: Sequence[int], started_us: int) -> None:
-        """Gauge the most commits one volume had in flight at one instant.
-
-        With one blocking clock a commit ends at "now", so nothing
-        outlives it and the gauge reads 1; commits run inside overlapped
-        service frames end in the simulated future and can overlap.
-        """
-        ended_us = frame_now(self.clock)
-        for volume_id in volumes:
-            ends = self._binding(volume_id).commit_ends
-            ends[:] = [end for end in ends if end > self.clock.now_us]
-            in_flight = 1 + sum(1 for end in ends if end > started_us)
-            ends.append(ended_us)
-            self._most_in_flight = max(self._most_in_flight, in_flight)
-        self.metrics.gauge(
-            "transactions.commits_in_flight_max", self._most_in_flight
-        )
 
     def _commit_child(self, child: Transaction) -> None:
         """Merge a committing nested transaction into its parent."""

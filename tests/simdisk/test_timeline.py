@@ -1,24 +1,24 @@
-"""DiskTimeline and the deferred-time frame machinery."""
+"""Timeline and the deferred-time frame machinery."""
 
 import pytest
 
 from repro.common.clock import SimClock
 from repro.common.frames import (
     FrameFork,
+    Timeline,
     active_frame,
     ceil_us,
     charge_elapsed,
     frame_now,
     service_frame,
 )
-from repro.simdisk.timeline import DiskTimeline
 
 
 class TestBlockingMode:
     def test_charge_advances_clock_like_inline_advance(self):
         """With no frame the timeline IS the old advance_us, bit-exact."""
         clock_a, clock_b = SimClock(), SimClock()
-        timeline = DiskTimeline(clock_a)
+        timeline = Timeline(clock_a)
         for elapsed in (100, 0.25, 7.999, 12345, 0.0001):
             timeline.charge(elapsed)
             clock_b.advance_us(elapsed)
@@ -26,13 +26,13 @@ class TestBlockingMode:
 
     def test_charge_returns_start_end(self):
         clock = SimClock()
-        timeline = DiskTimeline(clock)
+        timeline = Timeline(clock)
         assert timeline.charge(100) == (0, 100)
         assert timeline.charge(50) == (100, 150)
         assert clock.now_us == 150
 
     def test_busy_total_accumulates(self):
-        timeline = DiskTimeline(SimClock())
+        timeline = Timeline(SimClock())
         timeline.charge(100)
         timeline.charge(25.5)  # ceil -> 26
         assert timeline.busy_total_us == 126
@@ -46,7 +46,7 @@ class TestBlockingMode:
 class TestFrames:
     def test_frame_defers_clock_advancement(self):
         clock = SimClock()
-        timeline = DiskTimeline(clock)
+        timeline = Timeline(clock)
         with service_frame(clock) as frame:
             timeline.charge(300)
             assert clock.now_us == 0
@@ -56,7 +56,7 @@ class TestFrames:
 
     def test_frame_sequences_charges_on_one_disk(self):
         clock = SimClock()
-        timeline = DiskTimeline(clock)
+        timeline = Timeline(clock)
         with service_frame(clock) as frame:
             assert timeline.charge(100) == (0, 100)
             assert timeline.charge(100) == (100, 200)
@@ -65,7 +65,7 @@ class TestFrames:
     def test_two_disks_overlap_across_frames(self):
         """The whole point: concurrent ops on different disks cost max."""
         clock = SimClock()
-        disk_a, disk_b = DiskTimeline(clock), DiskTimeline(clock)
+        disk_a, disk_b = Timeline(clock), Timeline(clock)
         with service_frame(clock) as op1:
             disk_a.charge(500)
         with service_frame(clock) as op2:
@@ -75,7 +75,7 @@ class TestFrames:
 
     def test_same_disk_serializes_across_frames(self):
         clock = SimClock()
-        disk = DiskTimeline(clock)
+        disk = Timeline(clock)
         with service_frame(clock) as op1:
             disk.charge(500)
         with service_frame(clock) as op2:
@@ -116,7 +116,7 @@ class TestFrames:
 class TestFrameFork:
     def test_branches_join_at_slowest(self):
         clock = SimClock()
-        disk_a, disk_b = DiskTimeline(clock), DiskTimeline(clock)
+        disk_a, disk_b = Timeline(clock), Timeline(clock)
         with service_frame(clock) as frame:
             fork = FrameFork(clock)
             with fork.branch():
@@ -128,7 +128,7 @@ class TestFrameFork:
 
     def test_branches_on_one_disk_still_serialize(self):
         clock = SimClock()
-        disk = DiskTimeline(clock)
+        disk = Timeline(clock)
         with service_frame(clock) as frame:
             fork = FrameFork(clock)
             with fork.branch():
@@ -150,27 +150,27 @@ class TestFrameFork:
 class TestUtilization:
     def test_fully_busy_disk_reads_100(self):
         clock = SimClock()
-        timeline = DiskTimeline(clock)
+        timeline = Timeline(clock)
         timeline.charge(1000)
         assert timeline.utilization_percent() == 100
 
     def test_half_busy_disk_reads_50(self):
         clock = SimClock()
-        timeline = DiskTimeline(clock)
+        timeline = Timeline(clock)
         timeline.charge(500)
         clock.advance_us(500)
         assert timeline.utilization_percent() == 50
 
     def test_idle_disk_reads_0(self):
         clock = SimClock()
-        timeline = DiskTimeline(clock)
+        timeline = Timeline(clock)
         assert timeline.utilization_percent() == 0
         clock.advance_us(100)
         assert timeline.utilization_percent() == 0
 
     def test_deferred_reservations_do_not_exceed_100(self):
         clock = SimClock()
-        timeline = DiskTimeline(clock)
+        timeline = Timeline(clock)
         with service_frame(clock):
             timeline.charge(1000)
             timeline.charge(1000)

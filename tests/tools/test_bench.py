@@ -36,9 +36,8 @@ class TestRunExperiment:
     def test_assertion_failure_is_captured_not_raised(self, tmp_path):
         bad = tmp_path / "bench_x1_always_fails.py"
         bad.write_text(
-            "def test_claim(benchmark):\n"
-            "    assert benchmark.pedantic(lambda: 1, rounds=1) == 2, "
-            "'claim does not hold'\n"
+            "def test_claim():\n"
+            "    assert (lambda: 1)() == 2, 'claim does not hold'\n"
         )
         result = bench.run_experiment(bad)
         assert result["status"] == "fail"
@@ -47,7 +46,7 @@ class TestRunExperiment:
     def test_crash_is_captured_as_error(self, tmp_path):
         bad = tmp_path / "bench_x2_crashes.py"
         bad.write_text(
-            "def test_boom(benchmark):\n"
+            "def test_boom():\n"
             "    raise RuntimeError('kaboom')\n"
         )
         result = bench.run_experiment(bad)
@@ -67,28 +66,102 @@ class TestRunSuite:
         outcome = document["experiments"]["t1_lock_compatibility"]
         assert set(outcome) == {
             "status", "failure", "counters", "layers", "histograms", "gauges",
+            "tables",
         }
+
+
+class TestTables:
+    def test_every_printed_table_is_recorded_per_experiment(self, capsys):
+        document = bench.run_suite(
+            ["e14_track_cache", "t1_lock_compatibility"], quiet=False
+        )
+        printed = capsys.readouterr().out
+        recorded = {
+            experiment_id: outcome["tables"]
+            for experiment_id, outcome in document["experiments"].items()
+        }
+        assert [table["title"] for table in recorded["t1_lock_compatibility"]] == [
+            "T1  Table 1: lock compatibility (measured from the lock manager)"
+        ]
+        (readahead,) = recorded["e14_track_cache"]
+        assert readahead["headers"][0] == "pattern"
+        assert [row[0] for row in readahead["rows"]] == [
+            "sequential", "strided", "random",
+        ]
+        # The record holds exactly what was printed, cells as strings.
+        for tables in recorded.values():
+            for table in tables:
+                assert all(
+                    isinstance(cell, str) for row in table["rows"] for cell in row
+                )
+                layout = bench.format_table(
+                    table["title"], table["headers"], table["rows"]
+                )
+                assert layout in printed
+
+    def test_layout_aligns_columns_without_trailing_blanks(self):
+        assert bench.format_table("T", ["a", "bb"], [["long", "1"], ["x", "22"]]) == (
+            "=== T ===\n"
+            "a     bb\n"
+            "--------\n"
+            "long  1\n"
+            "x     22"
+        )
+
+    def test_print_table_outside_a_run_records_nothing(self, capsys):
+        with bench.recording_tables() as outer:
+            with bench.recording_tables() as inner:
+                bench.print_table("inner", ["h"], [[1]])
+            bench.print_table("outer", ["h"], [[2]])
+        bench.print_table("nobody", ["h"], [[3]])
+        assert [table["title"] for table in inner] == ["inner"]
+        assert [table["title"] for table in outer] == ["outer"]
+        assert inner[0]["rows"] == [["1"]]
+        assert "=== nobody ===" in capsys.readouterr().out
+
+
+def _table(title, *headers):
+    return {"title": title, "headers": list(headers), "rows": []}
+
+
+def _m1_like_document():
+    return {
+        "experiments": {
+            "m1": {
+                "gauges": {
+                    "bench.m1_sequential.wall_us_new": 371000,
+                    "bench.m1_sequential.wall_speedup_pct": 552,
+                    "disk.0.utilization": 37,
+                },
+                "tables": [
+                    _table("M1  seq", "lane", "host time (ms)"),
+                    _table("M1  rate", "refs/host-second"),
+                ],
+            },
+            "e1": {
+                "gauges": {},
+                "tables": [_table("E1  refs", "file size", "sim time (ms)")],
+            },
+        },
+    }
 
 
 class TestStripWall:
     def test_strips_only_wall_gauges(self):
-        document = {
-            "experiments": {
-                "m1": {
-                    "gauges": {
-                        "bench.m1_sequential.wall_us_new": 371000,
-                        "bench.m1_sequential.wall_speedup_pct": 552,
-                        "disk.0.utilization": 37,
-                    },
-                },
-                "e1": {"gauges": {}},
-            },
-        }
-        bench.strip_wall_gauges(document)
+        document = _m1_like_document()
+        bench.strip_wall(document)
         assert document["experiments"]["m1"]["gauges"] == {
             "disk.0.utilization": 37,
         }
         assert document["experiments"]["e1"]["gauges"] == {}
+
+    def test_strips_host_time_tables_and_nothing_else(self):
+        document = _m1_like_document()
+        bench.strip_wall(document)
+        assert document["experiments"]["m1"]["tables"] == []
+        assert document["experiments"]["e1"]["tables"] == [
+            _table("E1  refs", "file size", "sim time (ms)")
+        ]
 
 
 class TestCli:

@@ -18,7 +18,6 @@ from repro.chaos.trace import CrashPointMonitor
 from repro.chaos.workloads import ChaosVolume
 from repro.common.clock import SimClock
 from repro.common.errors import DiskCrashedError
-from repro.common.frames import service_frame
 from repro.common.metrics import Metrics
 from repro.common.units import BLOCK_SIZE, FRAGMENT_SIZE, SECTORS_PER_FRAGMENT
 from repro.disk_service.addresses import Extent
@@ -280,29 +279,6 @@ class TestWhatTendMakesDurable:
             server.crash()
             restart(server, coordinator)
             assert server.get_attribute(name).last_write_us == written
-
-
-class TestCommitsInFlight:
-    GAUGE = "transactions.commits_in_flight_max"
-
-    def test_blocking_commits_never_overlap(self):
-        host, server, _, _, metrics = build()
-        seed(host, MAIN, bytes(BLOCK_SIZE), LockingLevel.RECORD)
-        seed(host, VICTIM, bytes(BLOCK_SIZE), LockingLevel.RECORD)
-        assert metrics.get_gauge(self.GAUGE) == 1
-
-    def test_commits_in_overlapping_frames_are_counted_together(self):
-        host, server, _, _, metrics = build()
-        seed(host, MAIN, bytes(BLOCK_SIZE), LockingLevel.RECORD)
-        tids = []
-        for offset in (0, 64):
-            tid = host.tbegin()
-            host.tpwrite(tid, host.topen(tid, MAIN), b"x" * 8, offset)
-            tids.append(tid)
-        for tid in tids:
-            with service_frame(server.clock):
-                host.tend(tid)
-        assert metrics.get_gauge(self.GAUGE) == 2
 
 
 class TestCommitCostIsIndependentOfVolumeSize:
