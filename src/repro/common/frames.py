@@ -22,11 +22,14 @@ independent simulated systems in one process never share a frame
 stack.  :class:`FrameFork` expresses fan-out *within* an operation —
 e.g. a replicated write updating all replicas in parallel: branches
 replay from the fork point and the join advances the cursor to the
-slowest branch.  A fork alone needs a frame to fork; a component whose
-fan-out is concurrent *by construction* — the members of a RAID array —
-runs the operation inside :func:`operation_frame`, which borrows the
-caller's frame or, for a blocking caller, opens one and pays its
-cursor to the clock on the way out.
+slowest branch.  A fork alone needs a frame to fork, so a component
+whose fan-out is concurrent *by construction* runs the operation inside
+:func:`operation_frame`, which borrows the caller's frame or, for a
+blocking caller, opens one and pays its cursor to the clock on the way
+out.  It has two users and one rule — a fan-out over independent
+spindles costs its slowest branch, whoever calls: an array reference
+(the members of a RAID array) and a replicated write (the replicas'
+volumes).
 
 Everything here is deterministic: time is integer microseconds, state
 is explicit, and nothing consults wall clock, dict order, or object
@@ -242,16 +245,17 @@ class FrameFork:
     """Fan one frame out into parallel branches, then join at the max.
 
     With no frame open every branch is a no-op passthrough (the
-    operations run sequentially), so callers fan out unconditionally —
-    and a caller whose branches must overlap for blocking callers too
-    wraps the operation in :func:`operation_frame`; replication does
-    not, which is what keeps a blocking replicated write sequential::
+    operations run sequentially).  Both callers — an array reference
+    and a replicated write — wrap the fan-out in
+    :func:`operation_frame`, so their branches overlap for blocking
+    callers too::
 
-        fork = FrameFork(clock)
-        for replica in replicas:
-            with fork.branch():
-                replica.write(...)
-        fork.join()
+        with operation_frame(clock):
+            fork = FrameFork(clock)
+            for replica in replicas:
+                with fork.branch():
+                    replica.write(...)
+            fork.join()
 
     Branches replay from the fork-point cursor; ``join`` advances the
     cursor to the slowest branch.  Per-disk ``busy_until`` ordering

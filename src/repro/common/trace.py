@@ -10,9 +10,11 @@ time went.  A :class:`Tracer` records that path as a tree of
 Design constraints, in order:
 
 * **deterministic** — span ids are monotonically assigned, timestamps
-  come from the shared :class:`~repro.common.clock.SimClock`, and no
-  ambient randomness or wall clock is ever consulted, so two identical
-  runs produce identical traces;
+  come from the shared :class:`~repro.common.clock.SimClock` — inside a
+  deferred-time frame, from the frame's cursor, or every span of an
+  overlapped operation would read zero — and no ambient randomness or
+  wall clock is ever consulted, so two identical runs produce identical
+  traces;
 * **zero-cost when disabled** — every instrumentation point is a
   ``with tracer.span(...)`` block; a disabled tracer returns one
   shared no-op handle and touches nothing else, so the benchmark
@@ -35,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
 from repro.common.clock import SimClock
+from repro.common.frames import frame_now
 
 #: Default ring-buffer capacity (completed spans retained).
 DEFAULT_CAPACITY = 4096
@@ -190,7 +193,7 @@ class Tracer:
             trace_id=parent.trace_id if parent is not None else span_id,
             layer=layer,
             op=op,
-            start_us=self.clock.now_us,
+            start_us=frame_now(self.clock),
             annotations=dict(annotations),
         )
         self._open.append(span)
@@ -214,13 +217,14 @@ class Tracer:
 
     def _finish(self, span: Span) -> None:
         assert self.clock is not None
-        span.end_us = self.clock.now_us
+        now = frame_now(self.clock)
+        span.end_us = now
         # Close any abandoned children first (exception unwinding skips
         # their __exit__ only if the with-statement was subverted; the
         # stack discipline below keeps the tree consistent regardless).
         while self._open and self._open[-1] is not span:
             orphan = self._open.pop()
-            orphan.end_us = self.clock.now_us
+            orphan.end_us = now
             self._done.append(orphan)
         if self._open and self._open[-1] is span:
             self._open.pop()

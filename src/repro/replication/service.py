@@ -45,7 +45,7 @@ from repro.common.errors import (
     MediaError,
     ReplicationError,
 )
-from repro.common.frames import FrameFork
+from repro.common.frames import FrameFork, operation_frame
 from repro.common.ids import SystemName, decode_system_names, encode_system_names
 from repro.common.metrics import Metrics
 from repro.common.weak import weak_method
@@ -219,37 +219,40 @@ class ReplicationService:
         divergence, so here it is unavoidable; resync repairs it.  The
         write succeeds as long as one replica applies it.
 
-        Under a deferred-time frame the replica writes fork: each
-        branch replays from the fork point and the join charges the
-        slowest branch, so a write-all across N volumes costs the max
-        of the replica services, not the sum (the volumes' disks work
-        in parallel).  Blocking mode is unchanged — sequential, as the
-        replication benches established.
+        The replica writes fork inside one :func:`operation_frame`:
+        each branch replays from the fork point and the join charges
+        the slowest branch, so a write-all across N volumes costs the
+        max of the replica services, not the sum (the volumes' disks
+        work in parallel).  The rule is the RAID tier's: a blocking
+        caller waits for exactly that max, and a caller already inside
+        a frame (a pipeline, the concurrent driver) is charged it on
+        its own cursor.
         """
         replica_set = self.lookup(name)
         applied = 0
-        fork = FrameFork(self.clock)
-        for system_name in replica_set.replicas:
-            volume_id = system_name.volume_id
-            if volume_id in replica_set.stale:
-                continue
-            if self.health.is_down(volume_component(volume_id)):
-                replica_set.stale.add(volume_id)
-                self.metrics.add("replication.writes_skipped_down")
-                self.metrics.add("replication.failovers")
-                continue
-            server = self.servers[volume_id]
-            try:
-                with fork.branch():
-                    self._attempt(lambda: server.write(system_name, offset, data))
-            except _REPLICA_ERRORS as exc:
-                self._note_replica_error(volume_id, exc)
-                replica_set.stale.add(volume_id)
-                self.metrics.add("replication.failovers")
-                continue
-            self.health.note_ok(volume_component(volume_id))
-            applied += 1
-        fork.join()
+        with operation_frame(self.clock):
+            fork = FrameFork(self.clock)
+            for system_name in replica_set.replicas:
+                volume_id = system_name.volume_id
+                if volume_id in replica_set.stale:
+                    continue
+                if self.health.is_down(volume_component(volume_id)):
+                    replica_set.stale.add(volume_id)
+                    self.metrics.add("replication.writes_skipped_down")
+                    self.metrics.add("replication.failovers")
+                    continue
+                server = self.servers[volume_id]
+                try:
+                    with fork.branch():
+                        self._attempt(lambda: server.write(system_name, offset, data))
+                except _REPLICA_ERRORS as exc:
+                    self._note_replica_error(volume_id, exc)
+                    replica_set.stale.add(volume_id)
+                    self.metrics.add("replication.failovers")
+                    continue
+                self.health.note_ok(volume_component(volume_id))
+                applied += 1
+            fork.join()
         if applied == 0:
             raise ReplicationError(f"no live replica of {name} accepted the write")
         self.metrics.add("replication.writes")

@@ -164,6 +164,62 @@ class TestFullStackSpanChain:
         assert run() == run()
 
 
+class TestSpansInsideFrames:
+    """Inside a deferred-time frame the global clock stands still, so a
+    span must read the frame's cursor or every one of them is empty."""
+
+    def assert_well_formed(self, spans):
+        by_id = {span.span_id: span for span in spans}
+        for span in spans:
+            assert span.duration_us > 0, span
+            parent = by_id.get(span.parent_id)
+            if parent is not None:
+                assert parent.start_us <= span.start_us
+                assert span.end_us <= parent.end_us
+
+    def test_concurrent_reads_cover_their_service_time(self):
+        cluster = uncached_cluster(n_disks=2)
+        agent = cluster.machine.file_agent
+        descriptors = []
+        for index in range(6):
+            descriptor = agent.create(
+                AttributedName.file(f"/c{index}"), volume_id=index % 2
+            )
+            agent.write(descriptor, b"c" * 4096)
+            descriptors.append(descriptor)
+        cluster.tracer.reset()
+
+        cluster.run_concurrent(
+            lambda c, client, _: c.machine.file_agent.pread(
+                descriptors[client], 512, 0
+            ),
+            n_clients=6,
+            ops_per_client=1,
+        )
+
+        spans = cluster.tracer.spans()
+        assert len(cluster.tracer.roots()) == 6
+        self.assert_well_formed(spans)
+
+    def test_replicated_write_branches_start_together(self):
+        cluster = uncached_cluster(n_disks=2, replication_degree=2)
+        name = AttributedName.file("/replicated")
+        cluster.replication.create(name)
+        cluster.tracer.reset()
+        started = cluster.clock.now_us
+
+        cluster.replication.write(name, 0, b"r" * 4096)
+
+        spans = cluster.tracer.spans()
+        self.assert_well_formed(spans)
+        branches = cluster.tracer.roots()
+        assert [span.layer for span in branches] == ["file_service"] * 2
+        # One fan-out: both replica writes start at the fork point, and
+        # the blocking caller resumes when the slower one ends.
+        assert {span.start_us for span in branches} == {started}
+        assert cluster.clock.now_us == max(span.end_us for span in branches)
+
+
 class TestTransactionAndRpcSpans:
     def test_commit_produces_a_transactions_root_span(self):
         cluster = RhodosCluster(ClusterConfig(tracing=True))
