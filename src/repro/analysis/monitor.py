@@ -9,11 +9,12 @@ the other.  This module records what the design promises:
 
 * a **task** is one unit of design-level concurrency — the mainline (a
   chain of segments split at join points), one event-loop callback, one
-  pipeline service batch, one FrameFork branch;
+  pipeline service batch, one ``fan_out`` branch;
 * an **edge** ``src -> dst`` is one promised ordering: program order
   into a spawned task, pipeline submit → drain, scheduler dequeue
-  order, Completion resolve → callback delivery, a ``wait``/``join``
-  rejoining the mainline, a per-resource serialization chain;
+  order, Completion resolve → callback delivery, a ``wait`` or a
+  fan-out's exit rejoining the mainline, a per-resource serialization
+  chain;
 * an **access** is one read or write of a registered shared structure,
   interval-granular (fragment, sector, or request-sequence cells).
 
@@ -233,7 +234,7 @@ class AccessMonitor(NullMonitor):
 
         The running task's continuation becomes a *new* task ordered
         after both the old segment and every task in ``after`` — this is
-        how ``wait``, ``FrameFork.join``, ``run_until_idle`` and
+        how ``wait``, a ``fan_out``'s exit, ``run_until_idle`` and
         ``drain`` express "everything after this line sees those tasks'
         effects".
         """

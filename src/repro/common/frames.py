@@ -15,21 +15,18 @@ the caller (a request pipeline or the cluster's concurrent driver)
 schedules the completion on the event loop, and the loop advances the
 clock event-to-event.  With no frame open, charging falls back to
 inline clock advancement: a blocking caller waits for each delay in
-turn.
+turn.  A reference's charge has one implementation,
+:meth:`Timeline.charge_ceiled`, which the disk's reference paths call.
 
 Frames nest (the innermost wins) and are keyed by clock instance, so
 independent simulated systems in one process never share a frame
-stack.  :class:`FrameFork` expresses fan-out *within* an operation —
-e.g. a replicated write updating all replicas in parallel: branches
-replay from the fork point and the join advances the cursor to the
-slowest branch.  A fork alone needs a frame to fork, so a component
-whose fan-out is concurrent *by construction* runs the operation inside
-:func:`operation_frame`, which borrows the caller's frame or, for a
-blocking caller, opens one and pays its cursor to the clock on the way
-out.  It has two users and one rule — a fan-out over independent
-spindles costs its slowest branch, whoever calls: an array reference
-(the members of a RAID array) and a replicated write (the replicas'
-volumes).
+stack.  :func:`fan_out` expresses fan-out *within* an operation, under
+one rule — a fan-out over independent spindles costs its slowest
+branch, whoever calls.  Its branches replay from the fork point and
+its exit joins at the slowest branch, on the caller's frame or, for a
+blocking caller, on a frame it opens and pays to the clock on the way
+out.  It has two users: an array reference (the members of a RAID
+array) and a replicated write (the replicas' volumes).
 
 Everything here is deterministic: time is integer microseconds, state
 is explicit, and nothing consults wall clock, dict order, or object
@@ -59,22 +56,13 @@ class ServiceFrame:
     operation — untouched.
     """
 
-    __slots__ = ("clock", "cursor_us", "waited_us", "charged_us")
+    __slots__ = ("cursor_us",)
 
     def __init__(self, clock: SimClock) -> None:
-        self.clock = clock
         self.cursor_us = clock.now_us
-        #: Total time this operation's charges spent queued behind
-        #: other operations' reservations (start - cursor, summed).
-        self.waited_us = 0
-        #: Total service time charged through this frame.
-        self.charged_us = 0
 
     def __repr__(self) -> str:
-        return (
-            f"ServiceFrame(cursor_us={self.cursor_us}, "
-            f"waited_us={self.waited_us}, charged_us={self.charged_us})"
-        )
+        return f"ServiceFrame(cursor_us={self.cursor_us})"
 
 
 def active_frame(clock: SimClock) -> Optional[ServiceFrame]:
@@ -108,27 +96,6 @@ def service_frame(clock: SimClock) -> Iterator[ServiceFrame]:
             del _FRAMES[id(clock)]
 
 
-@contextlib.contextmanager
-def operation_frame(clock: SimClock) -> Iterator[None]:
-    """Run one blocking operation whose parts may overlap in time.
-
-    With a frame already open this does nothing: the operation's
-    charges and forks land on the caller's frame, as they always did.
-    With none it opens one, and on exit — normal or by exception — the
-    caller has waited for exactly what was charged: the clock advances
-    to the frame's cursor.  :class:`FrameFork` branches inside therefore
-    cost a blocking caller their slowest branch, not their sum.
-    """
-    if active_frame(clock) is not None:
-        yield
-        return
-    with service_frame(clock) as frame:
-        try:
-            yield
-        finally:
-            clock.advance_to(frame.cursor_us)
-
-
 def ceil_us(delta_us: float) -> int:
     """Round a delay up to whole microseconds.
 
@@ -150,9 +117,7 @@ def charge_elapsed(clock: SimClock, delta_us: float) -> None:
     if frame is None:
         clock.advance_us(delta_us)
         return
-    charged = ceil_us(delta_us)
-    frame.cursor_us += charged
-    frame.charged_us += charged
+    frame.cursor_us += ceil_us(delta_us)
 
 
 class Timeline:
@@ -171,17 +136,16 @@ class Timeline:
             ``max(now, busy_until_us)``.
         busy_total_us: cumulative service time ever charged — the
             numerator of the utilization gauge.
-        last_wait_us: queue wait of the most recent charge (how long it
-            sat behind earlier reservations).
     """
 
-    __slots__ = ("clock", "busy_until_us", "busy_total_us", "last_wait_us")
+    __slots__ = ("clock", "busy_until_us", "busy_total_us", "_frame_key")
 
     def __init__(self, clock: SimClock) -> None:
         self.clock = clock
         self.busy_until_us = 0
         self.busy_total_us = 0
-        self.last_wait_us = 0
+        # id() is stable: the timeline holds the clock for its lifetime.
+        self._frame_key = id(clock)
 
     def charge(self, elapsed_us: float) -> tuple[int, int]:
         """Charge one reference's service time; returns ``(start, end)``.
@@ -197,29 +161,33 @@ class Timeline:
     def charge_ceiled(self, busy: int) -> tuple[int, int]:
         """:meth:`charge` for a service time already in whole us.
 
-        The disk's service-time memo caches the ceiled integer next to
-        the raw float, so repeat references skip the rounding too.
+        Every disk reference lands here, so this is written for
+        constant per-reference cost (DESIGN.md §13): the frame stack is
+        probed by a cached key, the race monitor's enabled flag is read
+        off the module global, and the blocking branch moves the clock
+        field itself instead of paying a method call.
         """
         # Reservation order is a real synchronization point: the server
         # serves charges in the order they reserved the timeline.
-        # (Guarded so the no-monitor common case pays two attribute
-        # reads instead of a no-op method call.)
-        mon = _monitor.active()
+        mon = _monitor._active
         if mon.enabled:
             mon.chain(self)
-        frame = active_frame(self.clock)
-        now = frame.cursor_us if frame is not None else self.clock.now_us
-        start = max(now, self.busy_until_us)
-        end = start + busy
+        busy_until = self.busy_until_us
+        stack = _FRAMES.get(self._frame_key)
+        if stack:
+            frame = stack[-1]
+            now = frame.cursor_us
+            start = busy_until if busy_until > now else now
+            frame.cursor_us = end = start + busy
+        else:
+            clock = self.clock
+            now = clock._now_us
+            start = busy_until if busy_until > now else now
+            end = start + busy
+            if end > now:
+                clock._now_us = end
         self.busy_until_us = end
         self.busy_total_us += busy
-        self.last_wait_us = start - now
-        if frame is not None:
-            frame.cursor_us = end
-            frame.waited_us += start - now
-            frame.charged_us += busy
-        else:
-            self.clock.advance_to(end)
         return start, end
 
     def utilization_percent(self) -> int:
@@ -241,43 +209,24 @@ class Timeline:
         )
 
 
-class FrameFork:
-    """Fan one frame out into parallel branches, then join at the max.
+class Fork:
+    """The branches of one :func:`fan_out`; enter each with ``branch()``.
 
-    With no frame open every branch is a no-op passthrough (the
-    operations run sequentially).  Both callers — an array reference
-    and a replicated write — wrap the fan-out in
-    :func:`operation_frame`, so their branches overlap for blocking
-    callers too::
-
-        with operation_frame(clock):
-            fork = FrameFork(clock)
-            for replica in replicas:
-                with fork.branch():
-                    replica.write(...)
-            fork.join()
-
-    Branches replay from the fork-point cursor; ``join`` advances the
-    cursor to the slowest branch.  Per-disk ``busy_until`` ordering
-    still applies inside each branch, so two branches on one disk
-    serialize while branches on different disks overlap.
+    Branches replay from the fork-point cursor.  Per-timeline
+    ``busy_until`` ordering still applies inside each branch, so two
+    branches on one disk serialize while branches on different disks
+    overlap.
     """
 
     __slots__ = ("frame", "start_us", "end_us", "_branch_tasks")
 
-    def __init__(self, clock: SimClock) -> None:
-        self.frame = active_frame(clock)
-        self.start_us = self.frame.cursor_us if self.frame is not None else 0
-        self.end_us = self.start_us
+    def __init__(self, frame: ServiceFrame) -> None:
+        self.frame = frame
+        self.start_us = self.end_us = frame.cursor_us
         self._branch_tasks: List[int] = []
 
     @contextlib.contextmanager
     def branch(self) -> Iterator[None]:
-        if self.frame is None:
-            # Passthrough: blocking mode runs branches sequentially, so
-            # program order already covers them — no monitor task.
-            yield
-            return
         self.frame.cursor_us = self.start_us
         mon = _monitor.active()
         tid = mon.open_task("fork.branch") if mon.enabled else 0
@@ -289,12 +238,40 @@ class FrameFork:
                 self._branch_tasks.append(tid)
             self.end_us = max(self.end_us, self.frame.cursor_us)
 
-    def join(self) -> None:
-        if self.frame is not None:
-            self.frame.cursor_us = max(self.end_us, self.frame.cursor_us)
-            mon = _monitor.active()
-            if mon.enabled and self._branch_tasks:
-                # The joiner sees every branch's effects; branches stay
-                # mutually unordered (that is the fork's whole point).
-                mon.rejoin("fork.join", after=tuple(self._branch_tasks))
-                self._branch_tasks = []
+    def _join(self) -> None:
+        self.frame.cursor_us = max(self.end_us, self.frame.cursor_us)
+        mon = _monitor.active()
+        if mon.enabled and self._branch_tasks:
+            # The joiner sees every branch's effects; branches stay
+            # mutually unordered (that is the fork's whole point).
+            mon.rejoin("fork.join", after=tuple(self._branch_tasks))
+
+
+@contextlib.contextmanager
+def fan_out(clock: SimClock) -> Iterator[Fork]:
+    """Fan one operation out into overlapping branches::
+
+        with fan_out(clock) as fork:
+            for replica in replicas:
+                with fork.branch():
+                    replica.write(...)
+
+    Inside a caller's frame the fork borrows it; a blocking caller gets
+    a frame of its own.  A normal exit joins at the slowest branch, so
+    the fan-out costs the max of its branches, not their sum.  A
+    blocking caller's clock then advances to the frame's cursor — on
+    any exit, so an exception still leaves it at what was charged.
+    """
+    frame = active_frame(clock)
+    if frame is not None:
+        fork = Fork(frame)
+        yield fork
+        fork._join()
+        return
+    with service_frame(clock) as frame:
+        fork = Fork(frame)
+        try:
+            yield fork
+            fork._join()
+        finally:
+            clock.advance_to(frame.cursor_us)

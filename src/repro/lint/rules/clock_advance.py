@@ -15,6 +15,10 @@ modules whose *job* is moving global time (the frame/timeline
 substrate, the event loop, and the top-level workload drivers that own
 the clock between operations).  Adding a module to the allowlist is
 the act of reviewing it.
+
+Assigning the clock's field ``_now_us`` moves time without either
+call, so it is banned too, everywhere but :data:`NOW_WRITERS`: the
+clock itself and the timeline's blocking charge.
 """
 
 from __future__ import annotations
@@ -48,6 +52,17 @@ ALLOWED_MODULES: FrozenSet[str] = frozenset(
     }
 )
 
+#: Modules reviewed as writers of the clock's ``_now_us`` field.
+NOW_WRITERS: FrozenSet[str] = frozenset(
+    {
+        # the clock's own constructor and advance methods
+        "repro.common.clock",
+        # Timeline.charge_ceiled's blocking branch, the per-reference
+        # hot path (DESIGN.md §13)
+        "repro.common.frames",
+    }
+)
+
 
 @register
 class ClockAdvanceRule(Rule):
@@ -58,17 +73,17 @@ class ClockAdvanceRule(Rule):
         "model the delay by charging it (Timeline.charge or "
         "repro.common.frames.charge_elapsed) so concurrent operations "
         "overlap; only reviewed timeline/driver modules — see "
-        "repro.lint.rules.clock_advance.ALLOWED_MODULES — may move the "
-        "global clock"
+        "repro.lint.rules.clock_advance.ALLOWED_MODULES and NOW_WRITERS "
+        "— may move the global clock"
     )
 
-    def applies(self, module: ParsedModule) -> bool:
-        return super().applies(module) and module.module not in ALLOWED_MODULES
-
     def check(self, module: ParsedModule) -> Iterator[Finding]:
+        may_advance = module.module in ALLOWED_MODULES
+        may_write_now = module.module in NOW_WRITERS
         for node in ast.walk(module.tree):
             if (
-                isinstance(node, ast.Call)
+                not may_advance
+                and isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr in ADVANCE_CALLS
             ):
@@ -76,5 +91,17 @@ class ClockAdvanceRule(Rule):
                     node, self.rule_id,
                     f"inline clock advancement via {node.func.attr}() "
                     "outside the timeline substrate",
+                    self.hint,
+                )
+            elif (
+                not may_write_now
+                and isinstance(node, ast.Attribute)
+                and node.attr == "_now_us"
+                and isinstance(node.ctx, ast.Store)
+            ):
+                yield module.finding(
+                    node, self.rule_id,
+                    "assigns the clock's _now_us outside the clock and "
+                    "the timeline substrate",
                     self.hint,
                 )

@@ -1,23 +1,22 @@
-"""Rule ``frame-discipline``: forks join, branches scope, charges review.
+"""Rule ``frame-discipline``: branches scope, charges review.
 
 Deferred-time service frames (DESIGN.md §10) are the substrate the
-overlap numbers stand on; three mechanical mistakes corrupt their
+overlap numbers stand on; two mechanical mistakes corrupt their
 accounting silently — every test stays green, the latency tables just
 stop meaning anything:
 
-1. **an unjoined fork** — a function fans out with
-   :class:`~repro.common.frames.FrameFork` but never calls ``join()``,
-   so the frame cursor stays at the *fork point* instead of the slowest
-   branch and the fan-out becomes free;
-2. **an unscoped branch** — ``fork.branch()`` called outside a ``with``
+1. **an unscoped branch** — ``fork.branch()`` called outside a ``with``
    statement never replays the cursor nor records the branch end (and
    never closes its happens-before task);
-3. **a cursor poke** — assigning ``frame.cursor_us`` directly teleports
+2. **a cursor poke** — assigning ``frame.cursor_us`` directly teleports
    a frame's clock without the max/replay bookkeeping ``charge_elapsed``
-   and ``FrameFork`` maintain, leaking time across frame boundaries.
+   and ``fan_out`` maintain, leaking time across frame boundaries.
    Service code *charges*; only :data:`ALLOWED_CURSOR_MODULES` — the
-   frame substrate (busy-until timeline included) and the disk that
-   inlines it — may move a cursor by hand.
+   frame substrate, busy-until timeline included — may move a cursor
+   by hand.
+
+A fork cannot go unjoined: :func:`~repro.common.frames.fan_out` is a
+context manager whose exit is the join.
 """
 
 from __future__ import annotations
@@ -37,14 +36,10 @@ from repro.lint.framework import (
 #: Modules reviewed as legitimate direct movers of a frame cursor.
 ALLOWED_CURSOR_MODULES: FrozenSet[str] = frozenset(
     {
-        # the frame substrate itself (charge_elapsed, FrameFork
-        # replay, and the busy-until Timeline whose reservations
-        # advance the frame they serve)
+        # the frame substrate itself (charge_elapsed, fan_out replay,
+        # and the busy-until Timeline whose reservations advance the
+        # frame they serve)
         "repro.common.frames",
-        # the disk's reference paths inline Timeline.charge_ceiled
-        # operation for operation (DESIGN.md §13) and therefore move
-        # the cursor exactly where the timeline would
-        "repro.simdisk.disk",
     }
 )
 
@@ -54,11 +49,10 @@ CURSOR_ATTRS: FrozenSet[str] = frozenset({"cursor_us"})
 
 @register
 class FrameDisciplineRule(Rule):
-    """Fork/branch/charge misuse in deferred-time service code."""
+    """Branch/charge misuse in deferred-time service code."""
 
     rule_id = "frame-discipline"
     hint = (
-        "join every FrameFork (the join charges the slowest branch), "
         "enter branch() with a with-statement, and move frame time by "
         "charging (charge_elapsed / Timeline.charge) — only the "
         "substrate modules in repro.lint.rules.frame_discipline."
@@ -69,25 +63,6 @@ class FrameDisciplineRule(Rule):
         cursor_allowed = module.module in ALLOWED_CURSOR_MODULES
         for qualname, func in functions(module.tree):
             own = list(own_nodes(func))
-            forks = [
-                node for node in own
-                if isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "FrameFork"
-            ]
-            joins = any(
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "join"
-                for node in own
-            )
-            for fork in forks:
-                if not joins:
-                    yield module.finding(
-                        fork, self.rule_id,
-                        f"{qualname} creates a FrameFork but never joins it",
-                        self.hint,
-                    )
             scoped = _with_scoped_calls(own)
             for node in own:
                 if (

@@ -45,7 +45,7 @@ from repro.common.errors import (
     MediaError,
     ReplicationError,
 )
-from repro.common.frames import FrameFork, operation_frame
+from repro.common.frames import fan_out
 from repro.common.ids import SystemName, decode_system_names, encode_system_names
 from repro.common.metrics import Metrics
 from repro.common.weak import weak_method
@@ -219,19 +219,18 @@ class ReplicationService:
         divergence, so here it is unavoidable; resync repairs it.  The
         write succeeds as long as one replica applies it.
 
-        The replica writes fork inside one :func:`operation_frame`:
-        each branch replays from the fork point and the join charges
-        the slowest branch, so a write-all across N volumes costs the
-        max of the replica services, not the sum (the volumes' disks
-        work in parallel).  The rule is the RAID tier's: a blocking
-        caller waits for exactly that max, and a caller already inside
-        a frame (a pipeline, the concurrent driver) is charged it on
-        its own cursor.
+        The replica writes are the branches of one :func:`fan_out`:
+        each replays from the fork point and the exit joins at the
+        slowest, so a write-all across N volumes costs the max of the
+        replica services, not the sum (the volumes' disks work in
+        parallel).  The rule is the RAID tier's: a blocking caller
+        waits for exactly that max, and a caller already inside a frame
+        (a pipeline, the concurrent driver) is charged it on its own
+        cursor.
         """
         replica_set = self.lookup(name)
         applied = 0
-        with operation_frame(self.clock):
-            fork = FrameFork(self.clock)
+        with fan_out(self.clock) as fork:
             for system_name in replica_set.replicas:
                 volume_id = system_name.volume_id
                 if volume_id in replica_set.stale:
@@ -252,7 +251,6 @@ class ReplicationService:
                     continue
                 self.health.note_ok(volume_component(volume_id))
                 applied += 1
-            fork.join()
         if applied == 0:
             raise ReplicationError(f"no live replica of {name} accepted the write")
         self.metrics.add("replication.writes")

@@ -4,8 +4,9 @@ A :class:`SimDisk` is a sector store combined with the timing model and
 fault injector.  Every call to :meth:`read_sectors` or
 :meth:`write_sectors` is **one disk reference** — the quantity the
 paper's whole design minimises — and charges the modelled service time
-to the disk's own :class:`~repro.common.frames.Timeline` while
-tracking head position across requests.  With no service frame active
+to the disk's own :class:`~repro.common.frames.Timeline` (the one
+implementation of a charge) while tracking head position across
+requests.  With no service frame active
 the timeline waits inline (the classic blocking semantics); inside a
 frame the charge is deferred, which is what lets requests overlap
 across disks.
@@ -13,6 +14,7 @@ across disks.
 The reference paths are the hottest code in the whole simulation —
 every chaos sweep, availability campaign and driver scales with them —
 so they are written for constant per-reference cost (DESIGN.md §13):
+service times come from a memo keyed by head position and request,
 metric names resolve once at construction into pre-bound handles,
 sectors live in a chunked :class:`~repro.simdisk.store.SectorStore`
 with O(1) contiguous slicing, spans are only constructed when the
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis import monitor as _monitor
 from repro.common.clock import SimClock
 from repro.common.errors import (
     BadAddressError,
@@ -32,12 +33,7 @@ from repro.common.errors import (
     DiskCrashedError,
     MediaError,
 )
-# _FRAMES is the frame machinery's own stack table; the reference hot
-# path reads it directly so a charge in blocking mode (no frame open)
-# costs one dict probe instead of a function call per reference.  The
-# simulation is single-threaded by construction (DESIGN.md §2), so the
-# probe sees exactly what active_frame would return.
-from repro.common.frames import _FRAMES, Timeline, ceil_us
+from repro.common.frames import Timeline, ceil_us
 from repro.common.metrics import Metrics
 from repro.common.trace import NULL_TRACER, Tracer
 from repro.common.weak import weak_method
@@ -81,7 +77,6 @@ class SimDisk:
         "_memo_get",
         "_store_read",
         "_store_write",
-        "_frame_key",
         "_p_reads",
         "_p_writes",
         "_p_sectors_read",
@@ -143,9 +138,6 @@ class SimDisk:
         self._memo_get = self._service_memo.get
         self._store_read = self._sectors.read_range
         self._store_write = self._sectors.write_range
-        # Frame-stack key for the inlined charge path (id is stable:
-        # the disk holds a reference to the clock for its lifetime).
-        self._frame_key = id(clock)
         # Deferred per-reference accounting (DESIGN.md §13): the hot
         # paths below accumulate into these plain attributes, and
         # _flush_accounting drains them into the registry before any
@@ -208,14 +200,8 @@ class SimDisk:
             self._check_range(start, n_sectors)
         if faults.bad_sectors or faults._media_errors:
             self._check_media(start, n_sectors)
-        # --- the charge sequence (DESIGN.md §13) -------------------
-        # Inlined in both reference paths: at campaign scale even the
-        # one method call per reference that a shared helper would cost
-        # is measurable.  _service_lookup documents the memo; the
-        # timeline update is Timeline.charge_ceiled operation for
-        # operation (that module keeps the readable original), and an
-        # installed race monitor sees the same chain() on the same
-        # timeline.
+        # The charge (DESIGN.md §13): _service_lookup documents the
+        # memo, and the timeline prices the reference.
         key = (self._head_cylinder, self._head_angular, start, n_sectors)
         hit = self._memo_get(key)
         if hit is None:
@@ -223,35 +209,8 @@ class SimDisk:
         busy, elapsed_int, cylinder, angular = hit
         self._head_cylinder = cylinder
         self._head_angular = angular
-        tl = self.timeline
-        mon = _monitor._active
-        if mon.enabled:
-            mon.chain(tl)
-        busy_until = tl.busy_until_us
-        stack = _FRAMES.get(self._frame_key)
-        if stack:
-            frame = stack[-1]
-            now = frame.cursor_us
-            start_us = busy_until if busy_until > now else now
-            end = start_us + busy
-            tl.busy_until_us = end
-            tl.busy_total_us += busy
-            tl.last_wait_us = wait = start_us - now
-            frame.cursor_us = end
-            frame.waited_us += wait
-            frame.charged_us += busy
-        else:
-            clock = self.clock
-            now = clock._now_us
-            start_us = busy_until if busy_until > now else now
-            end = start_us + busy
-            tl.busy_until_us = end
-            tl.busy_total_us += busy
-            tl.last_wait_us = start_us - now
-            if end > now:
-                clock._now_us = end
+        self.timeline.charge_ceiled(busy)
         self._p_service.append(elapsed_int)
-        # --- end of the charge sequence -----------------------------
         self._p_reads += 1
         self._p_sectors_read += n_sectors
         return self._store_read(start, n_sectors)
@@ -301,14 +260,8 @@ class SimDisk:
         # that actually reached the platter on a torn write).
         if faults._media_errors:
             faults.heal_range(start, written)
-        # --- the charge sequence (DESIGN.md §13) -------------------
-        # Inlined in both reference paths: at campaign scale even the
-        # one method call per reference that a shared helper would cost
-        # is measurable.  _service_lookup documents the memo; the
-        # timeline update is Timeline.charge_ceiled operation for
-        # operation (that module keeps the readable original), and an
-        # installed race monitor sees the same chain() on the same
-        # timeline.
+        # The charge (DESIGN.md §13): _service_lookup documents the
+        # memo, and the timeline prices the reference.
         key = (self._head_cylinder, self._head_angular, start, n_sectors)
         hit = self._memo_get(key)
         if hit is None:
@@ -316,35 +269,8 @@ class SimDisk:
         busy, elapsed_int, cylinder, angular = hit
         self._head_cylinder = cylinder
         self._head_angular = angular
-        tl = self.timeline
-        mon = _monitor._active
-        if mon.enabled:
-            mon.chain(tl)
-        busy_until = tl.busy_until_us
-        stack = _FRAMES.get(self._frame_key)
-        if stack:
-            frame = stack[-1]
-            now = frame.cursor_us
-            start_us = busy_until if busy_until > now else now
-            end = start_us + busy
-            tl.busy_until_us = end
-            tl.busy_total_us += busy
-            tl.last_wait_us = wait = start_us - now
-            frame.cursor_us = end
-            frame.waited_us += wait
-            frame.charged_us += busy
-        else:
-            clock = self.clock
-            now = clock._now_us
-            start_us = busy_until if busy_until > now else now
-            end = start_us + busy
-            tl.busy_until_us = end
-            tl.busy_total_us += busy
-            tl.last_wait_us = start_us - now
-            if end > now:
-                clock._now_us = end
+        self.timeline.charge_ceiled(busy)
         self._p_service.append(elapsed_int)
-        # --- end of the charge sequence -----------------------------
         self._p_writes += 1
         self._p_sectors_written += written
         if torn_at is not None:
@@ -478,10 +404,6 @@ class SimDisk:
         return self.faults.crashed
 
     # ------------------------------------------------------ internal
-
-    def _check_alive(self) -> None:
-        if self.faults.crashed:
-            raise DiskCrashedError(f"{self.disk_id}: disk is crashed")
 
     def _check_media(self, start: int, n_sectors: int) -> None:
         """Raise for the first bad or latently failing sector in range.

@@ -12,13 +12,13 @@ decomposes into *at most one* contiguous physical span per member:
 consecutive chunks of one member are physically adjacent in every
 layout, so a raid5 span over-reads the parity chunks it straddles
 rather than splitting the reference.  Member references overlap through
-:class:`~repro.common.frames.FrameFork`: the spans replay from the fork
-point and join at the slowest member.  That holds whoever calls — an
-array reference is one :func:`~repro.common.frames.operation_frame`
-(opened in ``_serving``), so a blocking caller waits for the slowest
-member of each fan-out exactly as a pipeline's service frame is
-charged for it, and phases that depend on each other (reads, journal
-arm, member writes, journal clear) stay sequenced by the cursor.
+:func:`~repro.common.frames.fan_out`: the spans replay from the fork
+point and join at the slowest member.  That holds whoever calls — a
+fan-out brings its own frame for a caller that has none — so a
+blocking caller waits for the slowest member of each fan-out exactly
+as a pipeline's service frame is charged for it, and phases that
+depend on each other (reads, journal arm, member writes, journal
+clear) stay sequenced, one fan-out after the other.
 
 **The degraded write hole is journalled shut.**  With a stale data
 column in a row, that column's bytes exist only as the parity identity
@@ -66,7 +66,7 @@ from repro.common.errors import (
     DiskError,
     MediaError,
 )
-from repro.common.frames import FrameFork, operation_frame
+from repro.common.frames import fan_out
 from repro.common.metrics import Metrics
 from repro.simdisk.disk import SimDisk
 from repro.simdisk.geometry import DiskGeometry
@@ -518,26 +518,24 @@ class StripedVolume:
         self, calls: List[Tuple[int, Callable[[], object]]], *,
         replay: bool = True,
     ) -> Dict[int, object]:
-        """Run member operations as overlapping fork branches.
+        """Run member operations as overlapping fan-out branches.
 
         Returns ``{member_index: value | MediaError}``.  The branches
-        replay from the fork point and the join charges the slowest
-        member — on the caller's frame, or on the operation frame
-        ``_serving`` opened for a caller that has none.  Members that
-        crashed are retired once every branch has run.
+        replay from the fork point and the fan-out costs the slowest
+        member, whoever calls.  Members that crashed are retired once
+        every branch has run.
         """
-        fork = FrameFork(self.clock)
         results: Dict[int, object] = {}
         crashed: List[int] = []
-        for index, thunk in calls:
-            with fork.branch():
-                try:
-                    results[index] = thunk()
-                except DiskCrashedError:
-                    crashed.append(index)
-                except MediaError as exc:
-                    results[index] = exc
-        fork.join()
+        with fan_out(self.clock) as fork:
+            for index, thunk in calls:
+                with fork.branch():
+                    try:
+                        results[index] = thunk()
+                    except DiskCrashedError:
+                        crashed.append(index)
+                    except MediaError as exc:
+                        results[index] = exc
         if crashed:
             self._retire(crashed, replay=replay)
         return results
@@ -645,18 +643,15 @@ class StripedVolume:
         """Run ``attempt``, replaying it while membership changes.
 
         Each replay follows a recorded member failure, so the member
-        count bounds the loop.  The whole reference — replays included —
-        is one operation frame: a caller with no frame of its own waits
-        for the slowest member of each fan-out, not for their sum.
+        count bounds the loop.
         """
-        with operation_frame(self.clock):
-            for _ in range(self._n + 1):
-                self._raise_if_failed()
-                try:
-                    return attempt()
-                except _RetryOp:
-                    continue
-            raise ArrayFailedError(f"{self.array_id}: no serving membership")
+        for _ in range(self._n + 1):
+            self._raise_if_failed()
+            try:
+                return attempt()
+            except _RetryOp:
+                continue
+        raise ArrayFailedError(f"{self.array_id}: no serving membership")
 
     def _retire(self, indices: Sequence[int], *, replay: bool = True) -> None:
         """Record member failures; replay the operation if still serving."""

@@ -10,3 +10,7 @@ def serve(clock: SimClock, service_us: int) -> None:
 
 def settle(clock: SimClock, when_us: int) -> None:
     clock.advance_to(when_us)  # lint-expect: clock-advance-discipline
+
+
+def settle_by_hand(clock: SimClock, when_us: int) -> None:
+    clock._now_us = when_us  # lint-expect: clock-advance-discipline

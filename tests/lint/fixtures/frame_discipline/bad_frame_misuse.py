@@ -1,18 +1,10 @@
 # lint-fixture-module: repro.replication.fake_frames
-"""Fixture: unjoined forks, unscoped branches, cursor pokes."""
-
-
-def fan_out_without_join(clock, replicas) -> None:
-    fork = FrameFork(clock)  # lint-expect: frame-discipline
-    for replica in replicas:
-        with fork.branch():
-            replica.write(b"x")
+"""Fixture: unscoped branches, cursor pokes."""
 
 
 def branch_without_with(fork, replica) -> None:
     fork.branch()  # lint-expect: frame-discipline
     replica.write(b"x")
-    fork.join()
 
 
 def teleport(frame) -> None:

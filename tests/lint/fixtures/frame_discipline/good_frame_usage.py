@@ -1,13 +1,12 @@
 # lint-fixture-module: repro.replication.fake_frames_ok
-"""Fixture: forks joined, branches scoped, no inline charging."""
+"""Fixture: branches scoped, no inline charging."""
 
 
-def fan_out(clock, replicas) -> None:
-    fork = FrameFork(clock)
-    for replica in replicas:
-        with fork.branch():
-            replica.write(b"x")
-    fork.join()
+def replicate(clock, replicas) -> None:
+    with fan_out(clock) as fork:
+        for replica in replicas:
+            with fork.branch():
+                replica.write(b"x")
 
 
 def serve(clock, timeline, n_sectors, think_us) -> None:

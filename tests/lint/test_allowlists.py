@@ -13,27 +13,35 @@ from __future__ import annotations
 import pytest
 
 from repro.lint.framework import REGISTRY, all_rules, lint_source, repo_root
-from repro.lint.rules.clock_advance import ALLOWED_MODULES
+from repro.lint.rules.clock_advance import ALLOWED_MODULES, NOW_WRITERS
 from repro.lint.rules.frame_discipline import ALLOWED_CURSOR_MODULES
 
-#: rule id -> (allowlist, message fragment of the finding it exempts)
+#: amnesty -> (rule id, allowlist, message fragment of the finding it exempts)
 AMNESTIES = {
-    "clock-advance-discipline": (ALLOWED_MODULES, "inline clock advancement"),
-    "frame-discipline": (ALLOWED_CURSOR_MODULES, "assigns a frame cursor directly"),
+    "clock-advance-discipline": (
+        "clock-advance-discipline", ALLOWED_MODULES, "inline clock advancement"
+    ),
+    "clock-now-writers": (
+        "clock-advance-discipline", NOW_WRITERS, "assigns the clock's _now_us"
+    ),
+    "frame-discipline": (
+        "frame-discipline", ALLOWED_CURSOR_MODULES,
+        "assigns a frame cursor directly",
+    ),
 }
 
 
 @pytest.mark.parametrize(
-    "rule_id, module",
+    "amnesty, module",
     [
-        (rule_id, module)
-        for rule_id, (allowlist, _) in AMNESTIES.items()
+        (amnesty, module)
+        for amnesty, (_, allowlist, _) in AMNESTIES.items()
         for module in sorted(allowlist)
     ],
 )
-def test_allowlisted_module_still_needs_its_amnesty(rule_id, module):
+def test_allowlisted_module_still_needs_its_amnesty(amnesty, module):
     all_rules()  # populate the registry
-    flagged = AMNESTIES[rule_id][1]
+    rule_id, _, flagged = AMNESTIES[amnesty]
     path = repo_root() / "src" / (module.replace(".", "/") + ".py")
     assert path.is_file(), f"{rule_id} allowlists {module}, which does not exist"
     # Lint the module's source under a name no allowlist knows.

@@ -1,7 +1,7 @@
 """One model of replicated-write time: a caller who waits pays what a frame is charged.
 
-A replicated write is one operation frame
-(``common/frames.py::operation_frame``), the rule an array reference
+A replicated write is one fan-out
+(``common/frames.py::fan_out``), the rule an array reference
 already follows (``tests/simdisk/test_raid_overlap.py``): the write-all
 fan-out runs on the replicas' volumes concurrently, whoever calls.  The
 differential check: for degree 2 and 3, over plain and raid5 volumes,

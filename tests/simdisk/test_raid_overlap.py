@@ -1,7 +1,7 @@
 """One model of array time: a caller who waits pays what a frame is charged.
 
-A :class:`~repro.simdisk.raid.StripedVolume` reference is one operation
-frame (``common/frames.py::operation_frame``), so the members of each
+Each member fan-out of a :class:`~repro.simdisk.raid.StripedVolume`
+reference is one ``common/frames.py::fan_out``, so the members of each
 fan-out work concurrently whoever calls.  The differential check: for
 every level and a scripted set of operations, the simulated time a
 blocking caller waits equals the cursor advance of the same operation

@@ -4,11 +4,11 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.common.frames import (
-    FrameFork,
     Timeline,
     active_frame,
     ceil_us,
     charge_elapsed,
+    fan_out,
     frame_now,
     service_frame,
 )
@@ -51,7 +51,6 @@ class TestFrames:
             timeline.charge(300)
             assert clock.now_us == 0
             assert frame.cursor_us == 300
-            assert frame.charged_us == 300
         assert clock.now_us == 0  # the caller schedules the completion
 
     def test_frame_sequences_charges_on_one_disk(self):
@@ -80,9 +79,7 @@ class TestFrames:
             disk.charge(500)
         with service_frame(clock) as op2:
             disk.charge(300)
-            assert disk.last_wait_us == 500
-        assert op2.cursor_us == 800
-        assert op2.waited_us == 500
+        assert op2.cursor_us == 800  # 500 queued behind op1, then 300
 
     def test_frames_nest_innermost_wins(self):
         clock = SimClock()
@@ -113,38 +110,53 @@ class TestFrames:
         assert clock.now_us == 34
 
 
-class TestFrameFork:
-    def test_branches_join_at_slowest(self):
+class TestFanOut:
+    def test_blocking_caller_waits_for_the_slowest_branch(self):
         clock = SimClock()
         disk_a, disk_b = Timeline(clock), Timeline(clock)
-        with service_frame(clock) as frame:
-            fork = FrameFork(clock)
+        with fan_out(clock) as fork:
+            assert active_frame(clock) is not None  # the fan-out's own
             with fork.branch():
                 disk_a.charge(500)
             with fork.branch():
                 disk_b.charge(300)
-            fork.join()
+            assert clock.now_us == 0
+        assert clock.now_us == 500  # max, not 800
+        assert active_frame(clock) is None
+
+    def test_inside_a_caller_frame_moves_only_the_cursor(self):
+        clock = SimClock()
+        disk_a, disk_b = Timeline(clock), Timeline(clock)
+        with service_frame(clock) as frame:
+            with fan_out(clock) as fork:
+                assert active_frame(clock) is frame  # borrowed, not opened
+                with fork.branch():
+                    disk_a.charge(500)
+                with fork.branch():
+                    disk_b.charge(300)
             assert frame.cursor_us == 500  # max, not 800
+        assert clock.now_us == 0  # the caller schedules the completion
 
     def test_branches_on_one_disk_still_serialize(self):
         clock = SimClock()
         disk = Timeline(clock)
-        with service_frame(clock) as frame:
-            fork = FrameFork(clock)
+        with fan_out(clock) as fork:
             with fork.branch():
                 disk.charge(500)
             with fork.branch():
                 disk.charge(300)  # queues behind the first branch
-            fork.join()
-            assert frame.cursor_us == 800
+        assert clock.now_us == 800
 
-    def test_no_frame_is_passthrough(self):
+    def test_exception_in_a_branch_closes_the_frame_at_what_was_charged(self):
         clock = SimClock()
-        fork = FrameFork(clock)
-        with fork.branch():
-            clock.advance_us(100)
-        fork.join()
-        assert clock.now_us == 100
+        disk = Timeline(clock)
+        with pytest.raises(RuntimeError):
+            with fan_out(clock) as fork:
+                with fork.branch():
+                    disk.charge(500)
+                    raise RuntimeError("replica failed")
+        assert active_frame(clock) is None
+        assert clock.now_us == 500
 
 
 class TestUtilization:
