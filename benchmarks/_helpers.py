@@ -11,7 +11,6 @@ from repro.file_service.server import FileServer
 from repro.simdisk.disk import SimDisk
 from repro.simdisk.geometry import DiskGeometry
 from repro.simdisk.stable import StableStore
-from repro.simkernel.runner import InterleavedRunner
 from repro.tools.bench import print_table  # noqa: F401 - the benches import it from here
 
 
@@ -49,27 +48,6 @@ def build_file_server(
 
 def build_cluster(**overrides) -> RhodosCluster:
     return RhodosCluster(ClusterConfig(**overrides))
-
-
-def make_txn_runner(cluster: RhodosCluster, *, think_time_us: int = 100) -> InterleavedRunner:
-    """A runner wired to the cluster's lock-timeout machinery."""
-    coordinator = cluster.coordinator
-    clock = cluster.clock
-
-    def on_stall(now):
-        next_expiry = coordinator.next_expiry_us()
-        if next_expiry is None:
-            return False
-        clock.advance_to(next_expiry)
-        coordinator.expire_locks(clock.now_us)
-        return True
-
-    return InterleavedRunner(
-        clock,
-        think_time_us=think_time_us,
-        on_stall=on_stall,
-        on_step=lambda now: coordinator.expire_locks(now),
-    )
 
 
 def pattern(n_bytes: int, seed: int = 1) -> bytes:

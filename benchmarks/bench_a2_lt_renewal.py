@@ -10,9 +10,10 @@ but would slow deadlock detection for genuinely wedged uncontended
 lock holders.
 """
 
-from _helpers import build_cluster, make_txn_runner, print_table
+from _helpers import build_cluster, print_table
 from repro.naming.attributed import AttributedName
 from repro.simdisk.geometry import DiskGeometry
+from repro.simkernel.runner import lock_timeout_runner
 from repro.transactions.lock_manager import TimeoutPolicy
 from repro.workloads.transactions import (
     long_transaction_script,
@@ -34,7 +35,9 @@ def run_point(max_renewals: int):
     )
     host = cluster.machine.transactions
     make_accounts_file(host, NAME, 16)
-    runner = make_txn_runner(cluster, think_time_us=2000)
+    runner = lock_timeout_runner(
+        cluster.clock, cluster.coordinator, think_time_us=2000
+    )
     runner.max_restarts = 8
     runner.add_client(
         long_transaction_script(host, NAME, 8, think_rounds=THINK_ROUNDS)

@@ -14,10 +14,11 @@ record -> page -> file; locks managed falls file < record; simulated
 completion time follows concurrency.
 """
 
-from _helpers import build_cluster, make_txn_runner, print_table
+from _helpers import build_cluster, print_table
 from repro.file_service.attributes import LockingLevel
 from repro.naming.attributed import AttributedName
 from repro.simdisk.geometry import DiskGeometry
+from repro.simkernel.runner import lock_timeout_runner
 from repro.transactions.lock_manager import TimeoutPolicy
 from repro.workloads.transactions import (
     make_accounts_file,
@@ -38,7 +39,7 @@ def run_level(level: LockingLevel):
     )
     host = cluster.machine.transactions
     make_accounts_file(host, NAME, N_ACCOUNTS, locking_level=level)
-    runner = make_txn_runner(cluster)
+    runner = lock_timeout_runner(cluster.clock, cluster.coordinator)
     start_us = cluster.clock.now_us
     for client in range(N_CLIENTS):
         # Same-page neighbours for page-locking conflicts, but disjoint

@@ -9,9 +9,10 @@ Paper claims to reproduce:
    ("computing a value for the timeout period is not a simple matter").
 """
 
-from _helpers import build_cluster, make_txn_runner, print_table
+from _helpers import build_cluster, print_table
 from repro.naming.attributed import AttributedName
 from repro.simdisk.geometry import DiskGeometry
+from repro.simkernel.runner import lock_timeout_runner
 from repro.transactions.lock_manager import TimeoutPolicy
 from repro.workloads.transactions import (
     make_accounts_file,
@@ -32,7 +33,7 @@ def run_point(n_clients: int, lt_us: int):
     )
     host = cluster.machine.transactions
     make_accounts_file(host, NAME, N_ACCOUNTS)
-    runner = make_txn_runner(cluster)
+    runner = lock_timeout_runner(cluster.clock, cluster.coordinator)
     for script in random_transfer_mix(
         host, NAME, N_ACCOUNTS, n_clients, hot_accounts=HOT, seed=13
     ):

@@ -13,10 +13,10 @@ Run:  python examples/bank_transactions.py
 from repro import (
     AttributedName,
     ClusterConfig,
-    InterleavedRunner,
     RhodosCluster,
     TimeoutPolicy,
 )
+from repro.simkernel.runner import lock_timeout_runner
 from repro.workloads.transactions import (
     deadlock_pair_scripts,
     make_accounts_file,
@@ -32,25 +32,6 @@ TRANSFERS_EACH = 5
 ACCOUNTS = AttributedName.file("/bank/accounts")
 
 
-def make_runner(cluster):
-    """Wire the interleaved runner to the lock-timeout machinery."""
-
-    def on_stall(now):
-        next_expiry = cluster.coordinator.next_expiry_us()
-        if next_expiry is None:
-            return False
-        cluster.clock.advance_to(next_expiry)
-        cluster.coordinator.expire_locks(cluster.clock.now_us)
-        return True
-
-    return InterleavedRunner(
-        cluster.clock,
-        think_time_us=150,
-        on_stall=on_stall,
-        on_step=lambda now: cluster.coordinator.expire_locks(now),
-    )
-
-
 def main() -> None:
     cluster = RhodosCluster(
         ClusterConfig(timeout_policy=TimeoutPolicy(lt_us=400_000, max_renewals=4))
@@ -63,7 +44,7 @@ def main() -> None:
 
     # Part 1: a genuine deadlock — two transfers locking the same pair
     # in opposite orders — broken by the timeout policy.
-    runner = make_runner(cluster)
+    runner = lock_timeout_runner(cluster.clock, cluster.coordinator, think_time_us=150)
     forward, backward = deadlock_pair_scripts(host, ACCOUNTS, 1, 2)
     runner.add_client(forward, repeats=2)
     runner.add_client(backward, repeats=2)
@@ -75,7 +56,7 @@ def main() -> None:
     )
 
     # Part 2: a contended mix over a small hot set.
-    runner = make_runner(cluster)
+    runner = lock_timeout_runner(cluster.clock, cluster.coordinator, think_time_us=150)
     for script in random_transfer_mix(
         host, ACCOUNTS, N_ACCOUNTS, N_CLIENTS, hot_accounts=10, seed=42
     ):

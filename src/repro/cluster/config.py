@@ -39,8 +39,6 @@ class ClusterConfig:
         extent_rows / extent_columns: free-extent array dimensions.
         timeout_policy: the LT/N deadlock policy.
         commit_technique: 'auto' (paper rule), 'wal', or 'shadow'.
-        cross_level_locking: relax the one-granularity-per-file
-            constraint (the paper's deferred extension, section 6.1).
         fault_profile: RPC fault injection; None = direct calls
             (no message bus between agents and servers).
         rpc_backoff: seeded exponential backoff between RPC
@@ -82,7 +80,6 @@ class ClusterConfig:
     extent_columns: int = 64
     timeout_policy: TimeoutPolicy = field(default_factory=TimeoutPolicy)
     commit_technique: Literal["auto", "wal", "shadow"] = "auto"
-    cross_level_locking: bool = False
     fault_profile: Optional[FaultProfile] = None
     rpc_backoff: Optional[BackoffPolicy] = None
     rpc_breaker: Optional[BreakerPolicy] = None

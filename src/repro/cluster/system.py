@@ -274,7 +274,6 @@ class RhodosCluster:
             self.metrics,
             policy=self.config.timeout_policy,
             technique=self.config.commit_technique,
-            cross_level=self.config.cross_level_locking,
             tracer=self.tracer,
         )
         for file_server in self.file_servers.values():

@@ -11,12 +11,16 @@ control-flow signals scripts can raise:
 * ``TransactionAbortedError`` — restart the whole script from scratch,
   which is how a timeout-aborted transaction (paper section 6.4)
   eventually completes.
+
+:func:`lock_timeout_runner` is the one place the lock-timeout stall
+rule is stated; it reaches the lock service only through two duck-typed
+calls, so this module still imports nothing of the transaction layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 from repro.common.clock import SimClock
 from repro.common.errors import TransactionAbortedError
@@ -242,3 +246,31 @@ class InterleavedRunner:
         client.gen = client.script()
         client.pending_thunk = None
         client.pending_wait = None
+
+
+def lock_timeout_runner(
+    clock: SimClock, timeouts: Any, *, think_time_us: int = 100
+) -> InterleavedRunner:
+    """A runner wired to a lock-timeout service (paper section 6.4).
+
+    ``timeouts`` is anything with ``next_expiry_us()`` and
+    ``expire_locks(now_us)`` — a transaction coordinator.  The LT/N
+    policy runs after every step; when every client is parked the clock
+    jumps to the next lock expiry and the policy runs there.  A stall
+    with no lock granted is a wedge.
+    """
+
+    def on_stall(_now_us: int) -> bool:
+        next_expiry = timeouts.next_expiry_us()
+        if next_expiry is None:
+            return False
+        clock.advance_to(next_expiry)
+        timeouts.expire_locks(clock.now_us)
+        return True
+
+    return InterleavedRunner(
+        clock,
+        think_time_us=think_time_us,
+        on_stall=on_stall,
+        on_step=timeouts.expire_locks,
+    )

@@ -28,7 +28,7 @@ from repro.transactions.lock_manager import AcquireResult, LockManager, TimeoutP
 from repro.transactions.transaction import Transaction, TransactionPhase, TransactionStatus
 from repro.transactions.intentions import IntentionList, IntentionRecord, Technique
 from repro.transactions.coordinator import TransactionCoordinator
-from repro.transactions.agent import TransactionAgent, TransactionAgentHost
+from repro.transactions.agent import TransactionAgentHost
 
 __all__ = [
     "DataItem",
@@ -44,6 +44,5 @@ __all__ = [
     "IntentionRecord",
     "Technique",
     "TransactionCoordinator",
-    "TransactionAgent",
     "TransactionAgentHost",
 ]

@@ -11,6 +11,14 @@ Operations (their own verbs, so there is "no ambiguity" with the basic
 service): tbegin, tcreate, topen, tdelete, tread, tpread, twrite,
 tpwrite, tget_attribute, tlseek, tclose, tend, tabort.
 
+Lifecycle: one :class:`TransactionAgentHost` per machine, and the agent
+it models exists exactly while its table holds a transaction.  A
+``tbegin`` that succeeds enters one; a transaction leaves when it ends
+(``tend`` / ``tabort``), when an operation finds it aborted behind its
+back, or when its parent ends, taking its descendants with it.  The
+``spawns`` / ``exits`` counters tick at the empty ↔ non-empty
+transitions.
+
 Blocking: when a lock must wait, operations raise
 :class:`~repro.simkernel.runner.LockWaitPending`, which the
 interleaved runner turns into parking + retry — the in-simulation
@@ -66,8 +74,13 @@ _HOT_FILE_OPENS = 8
 _FIRST_TXN_DESCRIPTOR = DEVICE_DESCRIPTOR_LIMIT + 500_000
 
 
-class TransactionAgent:
-    """Per-machine transaction interface (one incarnation; see the host).
+class TransactionAgentHost:
+    """Per-machine transaction interface and the agent's lifecycle.
+
+    "The presence of a transaction agent is event driven: it is invoked
+    only when there is a need to perform file operations involving
+    transactions" (section 7).  ``agent_exists`` and the spawn/exit
+    metrics let tests observe exactly that.
 
     Args:
         machine_id: this machine's id.
@@ -95,6 +108,10 @@ class TransactionAgent:
 
     # ===================================================== lifecycle
 
+    @property
+    def agent_exists(self) -> bool:
+        return bool(self._transactions)
+
     def tbegin(self, *, process_id: int = 0, parent: Optional[int] = None) -> int:
         """Start a transaction; returns its transaction descriptor.
 
@@ -102,9 +119,11 @@ class TransactionAgent:
         child shares the parent's locks and tentative view, and its own
         effects reach the disk only when the top-level ancestor commits.
         """
-        parent_transaction = None
-        if parent is not None:
-            parent_transaction = self._live(parent)
+        parent_transaction = None if parent is None else self._live(parent)
+        if not self._transactions:
+            # The first transaction brings a fresh agent into existence.
+            self._next_descriptor = _FIRST_TXN_DESCRIPTOR
+            self.metrics.add(f"{self._prefix}.spawns")
         transaction = self.coordinator.begin(
             self.machine_id, process_id, parent=parent_transaction
         )
@@ -116,8 +135,8 @@ class TransactionAgent:
         """Commit: tentative changes become permanent, locks released."""
         transaction = self._live(tid)
         self.coordinator.commit(transaction)
-        del self._transactions[tid]
         self.metrics.add(f"{self._prefix}.tends")
+        self._ended(transaction)
 
     def tabort(self, tid: int) -> None:
         """Abort: tentative changes discarded, locks released."""
@@ -126,11 +145,16 @@ class TransactionAgent:
             raise InvalidTransactionStateError(f"no transaction {tid}")
         self._unbind_created(transaction)
         self.coordinator.abort(transaction)
-        del self._transactions[tid]
         self.metrics.add(f"{self._prefix}.taborts")
+        self._ended(transaction)
 
-    def active_transactions(self) -> List[int]:
-        return sorted(self._transactions)
+    def _ended(self, transaction: Transaction) -> None:
+        """It and its descendants leave the table; the last one out exits."""
+        for tid, member in list(self._transactions.items()):
+            if member.is_ancestor_or_self(transaction):
+                del self._transactions[tid]
+        if not self._transactions:
+            self.metrics.add(f"{self._prefix}.exits")
 
     # ========================================================= files
 
@@ -360,7 +384,7 @@ class TransactionAgent:
             # Aborted behind our back (lock timeout): clean up and surface.
             self._unbind_created(transaction)
             self.coordinator.abort(transaction)
-            del self._transactions[tid]
+            self._ended(transaction)
             if transaction.abort_reason == "lock-timeout":
                 raise LockTimeoutError(
                     f"transaction {tid} was aborted by lock timeout"
@@ -609,130 +633,3 @@ class TransactionAgent:
             if transaction.status is not TransactionStatus.COMMITTED:
                 self.naming.rebind(attributed, system_name)
 
-
-class TransactionAgentHost:
-    """The dynamic lifecycle wrapper around the transaction agent.
-
-    "The presence of a transaction agent is event driven: it is invoked
-    only when there is a need to perform file operations involving
-    transactions" (section 7).  The host spawns an agent on the first
-    ``tbegin`` and destroys it when the machine's last transaction
-    completes or aborts; ``agent_exists`` and the spawn/exit metrics
-    let tests observe exactly that.
-    """
-
-    def __init__(
-        self,
-        machine_id: str,
-        naming: NamingService,
-        coordinator: TransactionCoordinator,
-        clock: SimClock,
-        metrics: Metrics,
-    ) -> None:
-        self.machine_id = machine_id
-        self.naming = naming
-        self.coordinator = coordinator
-        self.clock = clock
-        self.metrics = metrics
-        self._agent: Optional[TransactionAgent] = None
-
-    # ------------------------------------------------------ lifecycle
-
-    @property
-    def agent_exists(self) -> bool:
-        return self._agent is not None
-
-    def tbegin(self, *, process_id: int = 0, parent: Optional[int] = None) -> int:
-        if self._agent is None:
-            self._agent = TransactionAgent(
-                self.machine_id,
-                self.naming,
-                self.coordinator,
-                self.clock,
-                self.metrics,
-            )
-            self.metrics.add(f"transaction_agent.{self.machine_id}.spawns")
-        return self._agent.tbegin(process_id=process_id, parent=parent)
-
-    def _require(self) -> TransactionAgent:
-        if self._agent is None:
-            raise InvalidTransactionStateError(
-                f"no transaction agent on machine {self.machine_id!r} "
-                f"(no transaction has begun)"
-            )
-        return self._agent
-
-    def _maybe_exit(self) -> None:
-        if self._agent is not None and not self._agent.active_transactions():
-            self._agent = None
-            self.metrics.add(f"transaction_agent.{self.machine_id}.exits")
-
-    # ------------------------------------------------- delegated ops
-
-    def tend(self, tid: int) -> None:
-        try:
-            self._require().tend(tid)
-        finally:
-            self._maybe_exit()
-
-    def tabort(self, tid: int) -> None:
-        try:
-            self._require().tabort(tid)
-        finally:
-            self._maybe_exit()
-
-    def tcreate(self, tid: int, name: AttributedName, **kwargs) -> int:
-        return self._require().tcreate(tid, name, **kwargs)
-
-    def topen(self, tid: int, name: AttributedName, **kwargs) -> int:
-        return self._require().topen(tid, name, **kwargs)
-
-    def topen_system(self, tid: int, system_name, **kwargs) -> int:
-        return self._require().topen_system(tid, system_name, **kwargs)
-
-    def tcreate_system(self, tid: int, *, volume_id: int) -> int:
-        return self._require().tcreate_system(tid, volume_id=volume_id)
-
-    def tdelete_system(self, tid: int, system_name) -> None:
-        self._require().tdelete_system(tid, system_name)
-
-    def system_name_of(self, tid: int, descriptor: int):
-        return self._require().system_name_of(tid, descriptor)
-
-    def tclose(self, tid: int, descriptor: int) -> None:
-        self._require().tclose(tid, descriptor)
-
-    def tdelete(self, tid: int, name: AttributedName) -> None:
-        self._require().tdelete(tid, name)
-
-    def tread(self, tid: int, descriptor: int, n_bytes: int, **kwargs) -> bytes:
-        return self._wrap(lambda agent: agent.tread(tid, descriptor, n_bytes, **kwargs))
-
-    def tpread(
-        self, tid: int, descriptor: int, n_bytes: int, offset: int, **kwargs
-    ) -> bytes:
-        return self._wrap(
-            lambda agent: agent.tpread(tid, descriptor, n_bytes, offset, **kwargs)
-        )
-
-    def twrite(self, tid: int, descriptor: int, data: bytes) -> int:
-        return self._wrap(lambda agent: agent.twrite(tid, descriptor, data))
-
-    def tpwrite(self, tid: int, descriptor: int, data: bytes, offset: int) -> int:
-        return self._wrap(lambda agent: agent.tpwrite(tid, descriptor, data, offset))
-
-    def tlseek(self, tid: int, descriptor: int, offset: int, whence: int = os.SEEK_SET) -> int:
-        return self._require().tlseek(tid, descriptor, offset, whence)
-
-    def tget_attribute(self, tid: int, descriptor: int) -> FileAttributes:
-        return self._require().tget_attribute(tid, descriptor)
-
-    # ------------------------------------------------------ internal
-
-    def _wrap(self, fn):
-        """Run an op; if it surfaces an abort, let the agent wind down."""
-        try:
-            return fn(self._require())
-        except TransactionAbortedError:
-            self._maybe_exit()
-            raise

@@ -121,7 +121,6 @@ class TransactionCoordinator:
         self.cross_level = cross_level
         self._volumes: Dict[int, _VolumeBinding] = {}
         self._next_tid = monotonic_id_factory()
-        self._live: Dict[int, Transaction] = {}
         #: CHAOS-TEST-ONLY.  When True, recovery deliberately skips
         #: replaying committed intentions (and their cleanup ordering),
         #: leaving whatever partial state the crash produced.  Exists so
@@ -176,15 +175,8 @@ class TransactionCoordinator:
         if parent is not None:
             parent.children.append(transaction)
             self.metrics.add("transactions.nested_begun")
-        self._live[transaction.tid] = transaction
         self.metrics.add("transactions.begun")
         return transaction
-
-    def live_count(self) -> int:
-        return sum(1 for txn in self._live.values() if txn.is_live)
-
-    def forget(self, transaction: Transaction) -> None:
-        self._live.pop(transaction.tid, None)
 
     # -------------------------------------------------------- commit
 
@@ -264,7 +256,6 @@ class TransactionCoordinator:
             # volume that still holds its list.
             self._binding(volumes[0]).intents.remove_decision(transaction.tid)
         self._release_locks(transaction)
-        self.forget(transaction)
         self.metrics.add("transactions.committed")
 
     def _commit_child(self, child: Transaction) -> None:
@@ -291,7 +282,6 @@ class TransactionCoordinator:
         for binding in self._volumes.values():
             binding.locks.transfer_locks(child, parent)
         parent.children.remove(child)
-        self.forget(child)
         self.metrics.add("transactions.nested_committed")
 
     # --------------------------------------------------------- abort
@@ -334,7 +324,6 @@ class TransactionCoordinator:
             if binding.file_server.exists(name):
                 binding.file_server.delete(name)
         self._release_locks(transaction)
-        self.forget(transaction)
         self.metrics.add("transactions.aborted")
 
     # ------------------------------------------------------ timeouts

@@ -10,6 +10,11 @@ lock table".  Records waiting on the same data item form a FIFO queue
 so the first waiter acquires the lock as soon as the holder commits or
 aborts.
 
+One function, :meth:`LockManager._may_grant`, decides every grant: a
+request arriving (``acquire``) and a queued one after a release
+(``_promote``).  It reads Table 1 only through
+:func:`~repro.transactions.locks.locks_compatible`.
+
 Section 6.4 (deadlock): each granted lock is invulnerable for a
 period **LT**.  At each expiry, if another transaction is competing
 for the item the lock is broken and its holder aborted; if nobody is
@@ -21,7 +26,7 @@ deadlocked").
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.common.clock import SimClock
@@ -227,21 +232,16 @@ class LockManager:
             # hold locks on; the ancestor's lock protects the item until
             # the top-level commit, so no new record is needed.
             return AcquireResult.GRANTED
-        if self._grantable(
-            table, transaction, item, mode, conversion=existing is not None
-        ):
-            if existing is not None:
-                # Lock conversion (paper 6.3): upgrade in place.
-                existing.mode = mode
-                existing.granted_at_us = self.clock.now_us
-                existing.next_expiry_us = self.clock.now_us + self.policy.lt_us
-                existing.retry_count = 0
-                self.metrics.add(f"{self.name}.conversions")
+        # A new request queues behind every waiter already there; a
+        # conversion (paper 6.3: upgrade in place) jumps the queue.
+        ahead = [] if existing is not None else table.waiting_on(item)
+        if self._may_grant(table, transaction, item, mode, ahead):
+            if existing is None:
+                existing = self._new_record(transaction, item, mode, process_id)
+                table.add_granted(existing)
             else:
-                record = self._new_record(transaction, item, mode, process_id)
-                record.granted_at_us = self.clock.now_us
-                record.next_expiry_us = self.clock.now_us + self.policy.lt_us
-                table.add_granted(record)
+                self.metrics.add(f"{self.name}.conversions")
+            self._stamp(existing, mode)
             self.metrics.add(f"{self.name}.grants")
             return AcquireResult.GRANTED
         waiting = table.get_lock_record(transaction.tid, item)
@@ -366,60 +366,48 @@ class LockManager:
 
     # ------------------------------------------------------ internal
 
-    def _grantable(
+    def _may_grant(
         self,
         table: LockTable,
         transaction: Transaction,
         item: DataItem,
         mode: LockMode,
-        *,
-        conversion: bool = False,
+        ahead: List[LockRecord],
     ) -> bool:
-        others = [
+        """The grant rule, for a request arriving and for one queued.
+
+        Table 1 against every holder outside the requester's ancestry
+        (plus, under the cross-level relaxation, overlapping holders at
+        other granularities) — ``locks_compatible(IR, IR)`` is False,
+        so that is also the single-IR rule.  Then FIFO fairness against
+        ``ahead``, the waiters queued before the request: only a reader
+        may join readers past reader waiters (an IR/IW waiter ahead
+        blocks new ROs, the paper's anti-starvation rule generalised to
+        the queue).  A conversion has nobody ahead: making it wait behind
+        requests that cannot be granted while it holds its current lock
+        would deadlock it with them.
+        """
+        holders = [
             record
             for record in table.granted_on(item)
             if not transaction.is_ancestor_or_self(record.transaction)
         ]
-        # FIFO fairness: an earlier conflicting waiter of another
-        # transaction blocks us from jumping the queue — except for a
-        # *conversion*: the requester already holds the item, so making
-        # it wait behind queued requests would deadlock it with them
-        # (they cannot be granted while it holds its current lock).
-        earlier_waiters = (
-            []
-            if conversion
-            else [
-                record
-                for record in table.waiting_on(item)
-                if not transaction.is_ancestor_or_self(record.transaction)
-            ]
-        )
         if self.cross_level:
-            others = others + self._cross_level_holders(table, transaction, item)
-        if mode is LockMode.RO:
-            if any(record.mode is not LockMode.RO for record in others):
-                return False
-            # ...unless we are a reader joining readers with only reader
-            # waiters ahead (an IR/IW waiter ahead blocks new ROs — the
-            # paper's anti-starvation rule generalised to the queue).
-            if any(record.mode is not LockMode.RO for record in earlier_waiters):
-                return False
-            return True
-        if mode is LockMode.IR:
-            if any(not locks_compatible(record.mode, LockMode.IR) for record in others):
-                return False
-            if any(record.mode is LockMode.IR for record in others):
-                return False  # single-IR rule
-            if earlier_waiters:
-                return False
-            return True
-        # IW: "provided the data item is not locked by any transaction,
-        # or the data item is Iread locked by the same transaction."
-        if others:
-            return False
-        if earlier_waiters:
-            return False
-        return True
+            holders += self._cross_level_holders(table, transaction, item)
+        return all(
+            locks_compatible(record.mode, mode) for record in holders
+        ) and all(
+            mode is LockMode.RO and record.mode is LockMode.RO
+            for record in ahead
+            if not transaction.is_ancestor_or_self(record.transaction)
+        )
+
+    def _stamp(self, record: LockRecord, mode: LockMode) -> None:
+        """Grant ``mode`` on ``record`` now: its LT period starts afresh."""
+        record.mode = mode
+        record.granted_at_us = self.clock.now_us
+        record.next_expiry_us = self.clock.now_us + self.policy.lt_us
+        record.retry_count = 0
 
     def _cross_level_holders(
         self, home_table: LockTable, transaction: Transaction, item: DataItem
@@ -471,59 +459,21 @@ class LockManager:
                     table.remove(record)
                     changed = True
                     continue
-                if self._promotable(table, record):
+                held = table.get_lock_record(
+                    record.tid, record.item, granted_only=True
+                )
+                # Dead waiters ahead were dropped earlier in this pass.
+                ahead = []
+                if held is None:
+                    queue = table.waiting_on(record.item)
+                    ahead = queue[: queue.index(record)]
+                if self._may_grant(
+                    table, record.transaction, record.item, record.mode, ahead
+                ):
                     table.remove(record)
-                    existing = table.get_lock_record(
-                        record.tid, record.item, granted_only=True
-                    )
-                    if existing is not None:
-                        existing.mode = record.mode
-                        existing.granted_at_us = self.clock.now_us
-                        existing.next_expiry_us = (
-                            self.clock.now_us + self.policy.lt_us
-                        )
-                        existing.retry_count = 0
-                    else:
-                        record.granted_at_us = self.clock.now_us
-                        record.next_expiry_us = self.clock.now_us + self.policy.lt_us
-                        record.retry_count = 0
+                    if held is None:
+                        held = record
                         table.add_granted(record)
+                    self._stamp(held, record.mode)
                     self.metrics.add(f"{self.name}.promotions")
                     changed = True
-
-    def _promotable(self, table: LockTable, record: LockRecord) -> bool:
-        """Like _grantable, but 'earlier waiters' means earlier in queue."""
-        others = [
-            granted
-            for granted in table.granted_on(record.item)
-            if not record.transaction.is_ancestor_or_self(granted.transaction)
-        ]
-        if self.cross_level:
-            others = others + self._cross_level_holders(
-                table, record.transaction, record.item
-            )
-        conversion = (
-            table.get_lock_record(record.tid, record.item, granted_only=True)
-            is not None
-        )
-        if conversion:
-            ahead: List[LockRecord] = []
-        else:
-            queue = table.waiting_on(record.item)
-            ahead = [
-                waiter
-                for waiter in queue[: queue.index(record)]
-                if not record.transaction.is_ancestor_or_self(waiter.transaction)
-                and waiter.transaction.is_live
-            ]
-        if record.mode is LockMode.RO:
-            return (
-                all(other.mode is LockMode.RO for other in others)
-                and all(waiter.mode is LockMode.RO for waiter in ahead)
-            )
-        if record.mode is LockMode.IR:
-            return (
-                all(other.mode is LockMode.RO for other in others)
-                and not ahead
-            )
-        return not others and not ahead

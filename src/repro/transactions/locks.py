@@ -46,11 +46,10 @@ def locks_compatible(held: LockMode, requested: LockMode) -> bool:
     conversions, handled by the lock manager.
     """
     if held is LockMode.RO:
-        # RO shares with new ROs and with a single IR (the manager
-        # enforces the single-IR rule; compatibility-wise IR is ok).
+        # RO shares with new ROs and with an IR.
         return requested in (LockMode.RO, LockMode.IR)
-    # IR admits no new locks at all (including RO — the anti-starvation
-    # rule), IW admits nothing.
+    # IR admits no new locks at all: no RO (the anti-starvation rule)
+    # and no second IR (the single-IR rule).  IW admits nothing.
     return False
 
 

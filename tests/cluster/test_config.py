@@ -17,7 +17,6 @@ class TestDefaults:
         assert config.commit_technique == "auto"  # the paper's WAL/shadow rule
         assert config.write_policy is WritePolicy.DELAYED
         assert config.disk_readahead is True
-        assert config.cross_level_locking is False  # paper's constraint
         assert config.fault_profile is None  # direct calls by default
 
     def test_validation(self):
@@ -55,7 +54,6 @@ class TestComposition:
             geometry=DiskGeometry.small(),
             timeout_policy=TimeoutPolicy(lt_us=123_000, max_renewals=7),
             commit_technique="shadow",
-            cross_level_locking=True,
             fault_profile=FaultProfile(latency_us=250),
             replication_degree=2,
         )

@@ -6,7 +6,7 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.system import RhodosCluster
 from repro.naming.attributed import AttributedName
 from repro.simdisk.geometry import DiskGeometry
-from repro.simkernel.runner import InterleavedRunner
+from repro.simkernel.runner import LockWaitPending, lock_timeout_runner
 from repro.transactions.lock_manager import TimeoutPolicy
 from repro.workloads.transactions import (
     ACCOUNT_BYTES,
@@ -31,23 +31,6 @@ def build(n_machines=3):
     return cluster
 
 
-def make_runner(cluster):
-    def on_stall(now):
-        next_expiry = cluster.coordinator.next_expiry_us()
-        if next_expiry is None:
-            return False
-        cluster.clock.advance_to(next_expiry)
-        cluster.coordinator.expire_locks(cluster.clock.now_us)
-        return True
-
-    return InterleavedRunner(
-        cluster.clock,
-        think_time_us=100,
-        on_stall=on_stall,
-        on_step=lambda now: cluster.coordinator.expire_locks(now),
-    )
-
-
 class TestCrossMachineTransactions:
     def test_agents_on_different_machines_share_locks(self):
         """The lock tables live at the file server, so transactions from
@@ -60,8 +43,6 @@ class TestCrossMachineTransactions:
         host_a.tpwrite(t_a, d_a, b"A" * ACCOUNT_BYTES, 0)
         t_b = host_b.tbegin()
         d_b = host_b.topen(t_b, NAME)
-        from repro.simkernel.runner import LockWaitPending
-
         with pytest.raises(LockWaitPending):
             host_b.tpread(t_b, d_b, ACCOUNT_BYTES, 0)
         host_a.tend(t_a)
@@ -70,7 +51,7 @@ class TestCrossMachineTransactions:
 
     def test_interleaved_transfers_across_machines_conserve_money(self):
         cluster = build(n_machines=3)
-        runner = make_runner(cluster)
+        runner = lock_timeout_runner(cluster.clock, cluster.coordinator)
         for machine_index, machine in enumerate(cluster.machines):
             runner.add_client(
                 transfer_script(
@@ -96,7 +77,7 @@ class TestCrossMachineTransactions:
 
     def test_contended_hot_account_across_machines(self):
         cluster = build(n_machines=4)
-        runner = make_runner(cluster)
+        runner = lock_timeout_runner(cluster.clock, cluster.coordinator)
         for machine_index, machine in enumerate(cluster.machines):
             # Everyone debits account 0: total contention on one record.
             runner.add_client(

@@ -4,7 +4,11 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.common.errors import TransactionAbortedError
-from repro.simkernel.runner import InterleavedRunner, LockWaitPending
+from repro.simkernel.runner import (
+    InterleavedRunner,
+    LockWaitPending,
+    lock_timeout_runner,
+)
 
 
 def make_runner(**kwargs):
@@ -132,6 +136,55 @@ class TestLockWaits:
             )
 
         runner = make_runner()
+        runner.add_client(blocked)
+        with pytest.raises(RuntimeError, match="wedged"):
+            runner.run()
+
+
+class _OneExpiry:
+    """The duck type ``lock_timeout_runner`` drives: one lock, one expiry."""
+
+    def __init__(self, expiry_us):
+        self.expiry_us = expiry_us
+        self.calls = []
+
+    def next_expiry_us(self):
+        return self.expiry_us
+
+    def expire_locks(self, now_us):
+        self.calls.append(now_us)
+        if self.expiry_us is not None and now_us >= self.expiry_us:
+            self.expiry_us = None  # the holder is aborted, the waiter freed
+
+
+class TestLockTimeoutRunner:
+    def test_stall_jumps_to_the_expiry_and_runs_the_policy(self):
+        timeouts = _OneExpiry(5_000)
+
+        def blocked():
+            def op():
+                if timeouts.expiry_us is not None:
+                    raise LockWaitPending(
+                        "item", lambda: timeouts.expiry_us is None
+                    )
+
+            yield op
+
+        clock = SimClock()
+        runner = lock_timeout_runner(clock, timeouts, think_time_us=10)
+        runner.add_client(blocked)
+        runner.run()
+        # After the parked step, at the stall's jump, after the retry.
+        assert timeouts.calls == [10, 5_000, 5_010]
+        assert clock.now_us == 5_010
+
+    def test_stall_with_nothing_granted_is_a_wedge(self):
+        def blocked():
+            yield lambda: (_ for _ in ()).throw(
+                LockWaitPending("item", lambda: False)
+            )
+
+        runner = lock_timeout_runner(SimClock(), _OneExpiry(None))
         runner.add_client(blocked)
         with pytest.raises(RuntimeError, match="wedged"):
             runner.run()

@@ -8,6 +8,7 @@ from repro.common.clock import SimClock
 from repro.common.errors import (
     BadDescriptorError,
     InvalidTransactionStateError,
+    LockTimeoutError,
 )
 from repro.common.metrics import Metrics
 from repro.file_service.attributes import LockingLevel, ServiceType
@@ -16,14 +17,15 @@ from repro.naming.service import NamingService
 from repro.simkernel.runner import LockWaitPending
 from repro.transactions.agent import TransactionAgentHost
 from repro.transactions.coordinator import TransactionCoordinator
+from repro.transactions.lock_manager import TimeoutPolicy
 from tests.conftest import build_file_server
 
 
-def build():
+def build(policy=None):
     clock, metrics = SimClock(), Metrics()
     server = build_file_server(clock, metrics)
     naming = NamingService(metrics)
-    coordinator = TransactionCoordinator(clock, metrics)
+    coordinator = TransactionCoordinator(clock, metrics, policy=policy)
     coordinator.register_volume(server)
     host = TransactionAgentHost("m0", naming, coordinator, clock, metrics)
     return host, server, naming, coordinator, metrics
@@ -64,6 +66,39 @@ class TestDynamicLifecycle:
         host, *_ = build()
         with pytest.raises(InvalidTransactionStateError):
             host.topen(1, NAME)
+
+    def test_agent_exits_with_a_parent_that_takes_its_child(self):
+        """Aborting a parent cascades to its child; neither may keep
+        the agent alive."""
+        host, _, _, _, metrics = build()
+        parent = host.tbegin()
+        host.tbegin(parent=parent)
+        host.tabort(parent)
+        assert not host.agent_exists
+        assert metrics.get("transaction_agent.m0.exits") == 1
+
+    def test_failed_tbegin_spawns_nothing(self):
+        host, _, _, _, metrics = build()
+        with pytest.raises(InvalidTransactionStateError):
+            host.tbegin(parent=987654)
+        assert not host.agent_exists
+        assert metrics.get("transaction_agent.m0.spawns") == 0
+
+    def test_agent_exits_when_an_op_finds_its_last_transaction_aborted(self):
+        """A lock-timeout abort surfacing through any operation — here
+        topen, which runs no data-plane lock — ends the transaction."""
+        host, _, _, coordinator, metrics = build(
+            TimeoutPolicy(lt_us=1000, max_renewals=1)
+        )
+        tid = host.tbegin()
+        host.tcreate(tid, NAME)  # holds an IW lock on the new file
+        coordinator.clock.advance_us(1001)
+        assert coordinator.expire_locks(coordinator.clock.now_us)
+        with pytest.raises(LockTimeoutError):
+            host.topen(tid, NAME)
+        assert not host.agent_exists
+        assert metrics.get("transaction_agent.m0.spawns") == 1
+        assert metrics.get("transaction_agent.m0.exits") == 1
 
 
 class TestCreateCommitAbort:

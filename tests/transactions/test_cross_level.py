@@ -10,16 +10,17 @@ so transactions may safely mix granularities on one file.
 
 import pytest
 
-from repro.cluster.config import ClusterConfig
-from repro.cluster.system import RhodosCluster
 from repro.common.clock import SimClock
 from repro.common.ids import SystemName
 from repro.common.metrics import Metrics
 from repro.common.units import BLOCK_SIZE
 from repro.file_service.attributes import LockingLevel
 from repro.naming.attributed import AttributedName
+from repro.naming.service import NamingService
 from repro.simdisk.geometry import DiskGeometry
 from repro.simkernel.runner import LockWaitPending
+from repro.transactions.agent import TransactionAgentHost
+from repro.transactions.coordinator import TransactionCoordinator
 from repro.transactions.lock_manager import AcquireResult, LockManager
 from repro.transactions.locks import (
     LockMode,
@@ -28,6 +29,7 @@ from repro.transactions.locks import (
     record_item,
 )
 from repro.transactions.transaction import Transaction
+from tests.conftest import build_file_server
 
 NAME = SystemName(0, 10, 1)
 
@@ -105,15 +107,17 @@ class TestCrossLevelConflicts:
 
 class TestEndToEnd:
     @pytest.fixture
-    def cluster(self):
-        return RhodosCluster(
-            ClusterConfig(
-                geometry=DiskGeometry.small(), cross_level_locking=True
-            )
-        )
+    def stack(self):
+        clock, metrics = SimClock(), Metrics()
+        server = build_file_server(clock, metrics, geometry=DiskGeometry.small())
+        naming = NamingService(metrics)
+        coordinator = TransactionCoordinator(clock, metrics, cross_level=True)
+        coordinator.register_volume(server)
+        host = TransactionAgentHost("m0", naming, coordinator, clock, metrics)
+        return host, server, naming
 
-    def test_mixed_granularity_transactions_serialise(self, cluster):
-        host = cluster.machine.transactions
+    def test_mixed_granularity_transactions_serialise(self, stack):
+        host, _, _ = stack
         name = AttributedName.file("/mixed")
         tid = host.tbegin()
         descriptor = host.tcreate(tid, name, locking_level=LockingLevel.RECORD)
@@ -132,8 +136,8 @@ class TestEndToEnd:
         assert host.tpread(t_page, d_page, 1, 10) == b"R"
         host.tend(t_page)
 
-    def test_mixed_granularity_disjoint_bytes_run_concurrently(self, cluster):
-        host = cluster.machine.transactions
+    def test_mixed_granularity_disjoint_bytes_run_concurrently(self, stack):
+        host, server, naming = stack
         name = AttributedName.file("/mixed2")
         tid = host.tbegin()
         descriptor = host.tcreate(tid, name, locking_level=LockingLevel.RECORD)
@@ -149,7 +153,6 @@ class TestEndToEnd:
         host.tpwrite(t_page, d_page, b"B" * 4, BLOCK_SIZE)  # page 1: disjoint
         host.tend(t_record)
         host.tend(t_page)
-        server = cluster.file_servers[0]
-        system_name = cluster.naming.resolve_file(name)
+        system_name = naming.resolve_file(name)
         assert server.read(system_name, 10, 1) == b"A"
         assert server.read(system_name, BLOCK_SIZE, 4) == b"BBBB"

@@ -6,7 +6,7 @@ from repro.common.clock import SimClock
 from repro.common.metrics import Metrics
 from repro.naming.attributed import AttributedName
 from repro.naming.service import NamingService
-from repro.simkernel.runner import InterleavedRunner
+from repro.simkernel.runner import lock_timeout_runner
 from repro.transactions.agent import TransactionAgentHost
 from repro.transactions.coordinator import TransactionCoordinator
 from repro.transactions.lock_manager import TimeoutPolicy
@@ -35,23 +35,6 @@ def build(lt_us=500_000, max_renewals=3):
     return host, coordinator, clock, metrics
 
 
-def make_runner(host, coordinator, clock, think_time_us=100):
-    def on_stall(now):
-        next_expiry = coordinator.next_expiry_us()
-        if next_expiry is None:
-            return False
-        clock.advance_to(next_expiry)
-        coordinator.expire_locks(clock.now_us)
-        return True
-
-    return InterleavedRunner(
-        clock,
-        think_time_us=think_time_us,
-        on_stall=on_stall,
-        on_step=lambda now: coordinator.expire_locks(now),
-    )
-
-
 class TestDeadlockResolution:
     def test_opposed_transfers_deadlock_and_recover(self):
         """The canonical cycle: A->B and B->A interleaved.  Timeouts must
@@ -59,7 +42,7 @@ class TestDeadlockResolution:
         host, coordinator, clock, metrics = build()
         make_accounts_file(host, NAME, 10)
         s1, s2 = deadlock_pair_scripts(host, NAME, 1, 2)
-        runner = make_runner(host, coordinator, clock)
+        runner = lock_timeout_runner(clock, coordinator)
         runner.add_client(s1)
         runner.add_client(s2)
         report = runner.run()
@@ -72,7 +55,7 @@ class TestDeadlockResolution:
         """Disjoint transfers never contend: no aborts, no timeouts."""
         host, coordinator, clock, metrics = build()
         make_accounts_file(host, NAME, 10)
-        runner = make_runner(host, coordinator, clock)
+        runner = lock_timeout_runner(clock, coordinator)
         runner.add_client(transfer_script(host, NAME, 0, 1))
         runner.add_client(transfer_script(host, NAME, 2, 3))
         report = runner.run()
@@ -86,7 +69,7 @@ class TestDeadlockResolution:
         deadlocked."""
         host, coordinator, clock, metrics = build(lt_us=50_000, max_renewals=20)
         make_accounts_file(host, NAME, 4)
-        runner = make_runner(host, coordinator, clock, think_time_us=2000)
+        runner = lock_timeout_runner(clock, coordinator, think_time_us=2000)
         runner.add_client(long_transaction_script(host, NAME, 0, think_rounds=200))
         runner.add_client(transfer_script(host, NAME, 0, 1))
         report = runner.run()
@@ -100,7 +83,7 @@ class TestDeadlockResolution:
         penalized', taken to its logical end."""
         host, coordinator, clock, metrics = build(lt_us=50_000, max_renewals=2)
         make_accounts_file(host, NAME, 4)
-        runner = make_runner(host, coordinator, clock, think_time_us=2000)
+        runner = lock_timeout_runner(clock, coordinator, think_time_us=2000)
         runner.max_restarts = 5
         runner.add_client(long_transaction_script(host, NAME, 0, think_rounds=200))
         report = runner.run()
@@ -110,7 +93,7 @@ class TestDeadlockResolution:
     def test_uncontended_long_transaction_renews_up_to_n(self):
         host, coordinator, clock, metrics = build(lt_us=50_000, max_renewals=50)
         make_accounts_file(host, NAME, 4)
-        runner = make_runner(host, coordinator, clock, think_time_us=2000)
+        runner = lock_timeout_runner(clock, coordinator, think_time_us=2000)
         runner.add_client(long_transaction_script(host, NAME, 0, think_rounds=100))
         report = runner.run()
         assert report.total_commits == 1
@@ -121,7 +104,7 @@ class TestDeadlockResolution:
         """Money is conserved whatever the abort/retry history."""
         host, coordinator, clock, metrics = build(lt_us=300_000)
         make_accounts_file(host, NAME, 20)
-        runner = make_runner(host, coordinator, clock)
+        runner = lock_timeout_runner(clock, coordinator)
         for script in random_transfer_mix(host, NAME, 20, 6, hot_accounts=4, seed=7):
             runner.add_client(script, repeats=4)
         report = runner.run()
@@ -135,7 +118,7 @@ class TestDeadlockResolution:
             make_accounts_file(host, NAME, 10)
             start = clock.now_us
             s1, s2 = deadlock_pair_scripts(host, NAME, 1, 2)
-            runner = make_runner(host, coordinator, clock)
+            runner = lock_timeout_runner(clock, coordinator)
             runner.add_client(s1)
             runner.add_client(s2)
             runner.run()

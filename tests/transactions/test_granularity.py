@@ -7,7 +7,7 @@ from repro.common.metrics import Metrics
 from repro.file_service.attributes import LockingLevel
 from repro.naming.attributed import AttributedName
 from repro.naming.service import NamingService
-from repro.simkernel.runner import InterleavedRunner, LockWaitPending
+from repro.simkernel.runner import LockWaitPending, lock_timeout_runner
 from repro.transactions.agent import TransactionAgentHost
 from repro.transactions.coordinator import TransactionCoordinator
 from repro.transactions.lock_manager import TimeoutPolicy
@@ -35,20 +35,7 @@ def build(level):
 
 
 def run_mix(host, coordinator, clock, n_clients=4, repeats=3):
-    def on_stall(now):
-        next_expiry = coordinator.next_expiry_us()
-        if next_expiry is None:
-            return False
-        clock.advance_to(next_expiry)
-        coordinator.expire_locks(clock.now_us)
-        return True
-
-    runner = InterleavedRunner(
-        clock,
-        think_time_us=100,
-        on_stall=on_stall,
-        on_step=lambda now: coordinator.expire_locks(now),
-    )
+    runner = lock_timeout_runner(clock, coordinator)
     # Disjoint account pairs: truly concurrent workload.
     for client in range(n_clients):
         runner.add_client(

@@ -11,7 +11,12 @@ from repro.transactions.lock_manager import (
     LockManager,
     TimeoutPolicy,
 )
-from repro.transactions.locks import LockMode, file_item, record_item
+from repro.transactions.locks import (
+    LockMode,
+    file_item,
+    locks_compatible,
+    record_item,
+)
 from repro.transactions.transaction import (
     Transaction,
     TransactionPhase,
@@ -138,6 +143,31 @@ class TestTwoPhaseRule:
         manager.release_all(writer)
         assert manager.is_granted(r1, ITEM, LockMode.RO)
         assert manager.is_granted(r2, ITEM, LockMode.RO)
+
+
+@pytest.mark.parametrize("held", list(LockMode), ids=lambda mode: mode.name)
+@pytest.mark.parametrize("requested", list(LockMode), ids=lambda mode: mode.name)
+class TestTable1OnBothGrantPaths:
+    """One rule decides a request arriving and a queued one promoted."""
+
+    def test_arrival(self, held, requested):
+        manager, _ = build()
+        x, y = txn(1), txn(2)
+        manager.acquire(x, ITEM, held)
+        result = manager.acquire(y, ITEM, requested)
+        assert (result is AcquireResult.GRANTED) == locks_compatible(held, requested)
+
+    def test_promotion(self, held, requested):
+        manager, _ = build()
+        z, x, y = txn(1), txn(2), txn(3)
+        manager.acquire(z, ITEM, LockMode.IW)
+        assert manager.acquire(x, ITEM, held) is AcquireResult.WAITING
+        assert manager.acquire(y, ITEM, requested) is AcquireResult.WAITING
+        manager.release_all(z)
+        assert manager.is_granted(x, ITEM, held)
+        assert manager.is_granted(y, ITEM, requested) == locks_compatible(
+            held, requested
+        )
 
 
 class TestTimeouts:

@@ -14,7 +14,7 @@ from repro.common.metrics import Metrics
 from repro.file_service.attributes import LockingLevel
 from repro.naming.attributed import AttributedName
 from repro.naming.service import NamingService
-from repro.simkernel.runner import InterleavedRunner
+from repro.simkernel.runner import lock_timeout_runner
 from repro.transactions.agent import TransactionAgentHost
 from repro.transactions.coordinator import TransactionCoordinator
 from repro.transactions.lock_manager import TimeoutPolicy
@@ -58,20 +58,7 @@ def run_plan(plans, level):
     host = TransactionAgentHost("m0", naming, coordinator, clock, metrics)
     make_accounts_file(host, NAME, N_ACCOUNTS, locking_level=level)
 
-    def on_stall(now):
-        next_expiry = coordinator.next_expiry_us()
-        if next_expiry is None:
-            return False
-        clock.advance_to(next_expiry)
-        coordinator.expire_locks(clock.now_us)
-        return True
-
-    runner = InterleavedRunner(
-        clock,
-        think_time_us=50,
-        on_stall=on_stall,
-        on_step=lambda now: coordinator.expire_locks(now),
-    )
+    runner = lock_timeout_runner(clock, coordinator, think_time_us=50)
     for source, target, amount in plans:
         runner.add_client(transfer_script(host, NAME, source, target, amount))
     report = runner.run()
