@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.clock import SimClock
 from repro.common.errors import BadDescriptorError, FileSizeError
@@ -413,21 +413,51 @@ class FileAgent:
 
     def _writeback(self, key: _CacheKey) -> None:
         entry = self._cache.get(key)
-        if entry is None or not entry.is_dirty:
-            return
-        name, block_index = key
-        offset = block_index * BLOCK_SIZE + entry.dirty_lo
+        if entry is not None and entry.is_dirty:
+            self._write_run(key[0], [(key[1], entry)])
+
+    def _write_run(
+        self, name: SystemName, run: List[Tuple[int, _CacheEntry]]
+    ) -> None:
+        """Send the dirty bytes of adjacent blocks as one server write."""
+        first_index, first = run[0]
         self.router.write(
-            name, offset, bytes(entry.data[entry.dirty_lo : entry.dirty_hi])
+            name,
+            first_index * BLOCK_SIZE + first.dirty_lo,
+            b"".join(
+                bytes(entry.data[entry.dirty_lo : entry.dirty_hi])
+                for _, entry in run
+            ),
         )
-        self.metrics.add(f"{self._prefix}.cache.writebacks")
-        entry.dirty_lo = BLOCK_SIZE
-        entry.dirty_hi = 0
+        self.metrics.add(f"{self._prefix}.cache.writebacks", len(run))
+        for _, entry in run:
+            entry.dirty_lo = BLOCK_SIZE
+            entry.dirty_hi = 0
 
     def _flush_file(self, name: SystemName) -> None:
-        for key in list(self._cache):
-            if key[0] == name:
-                self._writeback(key)
+        """Write back one file's dirty blocks, one server write per run.
+
+        A run is blocks in index order whose every shared boundary is
+        dirty on both sides, so its bytes are one contiguous range and
+        the server allocates and maps it at once.
+        """
+        dirty = sorted(
+            (key[1], entry)
+            for key, entry in self._cache.items()
+            if key[0] == name and entry.is_dirty
+        )
+        run: List[Tuple[int, _CacheEntry]] = []
+        for block_index, entry in dirty:
+            if run and not (
+                run[-1][0] + 1 == block_index
+                and run[-1][1].dirty_hi == BLOCK_SIZE
+                and entry.dirty_lo == 0
+            ):
+                self._write_run(name, run)
+                run = []
+            run.append((block_index, entry))
+        if run:
+            self._write_run(name, run)
 
     def _drop_cached(self, name: SystemName) -> None:
         for key in list(self._cache):

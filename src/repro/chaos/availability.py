@@ -1403,7 +1403,7 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     )
     parser.add_argument(
         "--out",
-        default="AVAILABILITY_pr26.json",
+        default="AVAILABILITY_pr29.json",
         help="output path (default: %(default)s)",
     )
     parser.add_argument(

@@ -267,6 +267,66 @@ class AppendOverwriteWorkload(ChaosWorkload):
         self.in_flux.clear()
 
 
+class CreateCloseWorkload(ChaosWorkload):
+    """The close path: a completed ``close`` is the durability point.
+
+    Create; one multi-block write whose last block is fresh and
+    partial; close; a partial append into a fresh block; close; delete.
+    A close writes the file's dirty blocks back one put per contiguous
+    run, then stores the FIT if its structure moved since the last
+    store, so the sweep crashes inside a merged reference.
+
+    Content promise, from the first completed close on: the recovered
+    file is one of the admissible outcomes.  The append lands in the
+    block the first write reserved, so no FIT store precedes its data
+    and a crash before the second close returns recovers the first
+    close's bytes or the second's; during the delete, the second's or
+    no file.
+    """
+
+    name = "create-close"
+
+    def build(self) -> None:
+        self.volume = self.add_volume(0)
+        #: Admissible recovered contents (None: no file), or None while
+        #: nothing is promised yet.
+        self.admissible: Optional[List[Optional[bytes]]] = None
+
+    def run(self) -> None:
+        server = self.volume.file_server
+        self.file = server.create()
+        first = b"C" * (2 * BLOCK_SIZE + 300)
+        server.write(self.file, 0, first)
+        server.close(self.file)
+        second = first + b"c" * BLOCK_SIZE
+        self.admissible = [first, second]
+        server.write(self.file, len(first), second[len(first) :])
+        server.close(self.file)
+        self.admissible = [second, None]
+        server.delete(self.file)
+        self.admissible = [None]
+
+    def check_content(self) -> List[str]:
+        if self.admissible is None:
+            return []
+        server = self.volume.file_server
+        content = (
+            server.read(self.file, 0, 4 * BLOCK_SIZE)
+            if server.exists(self.file)
+            else None
+        )
+        if content in self.admissible:
+            return []
+
+        def show(option: Optional[bytes]) -> str:
+            return "no file" if option is None else _describe(option)
+
+        return [
+            f"closed file recovered as {show(content)}, admissible: "
+            + ", ".join(show(option) for option in self.admissible)
+        ]
+
+
 class QueuedWriteWorkload(AppendOverwriteWorkload):
     """The append-overwrite script served through the request pipeline.
 
@@ -773,6 +833,7 @@ WORKLOADS: Dict[str, Type[ChaosWorkload]] = {
     workload.name: workload
     for workload in (
         AppendOverwriteWorkload,
+        CreateCloseWorkload,
         QueuedWriteWorkload,
         RaidDegradedWriteWorkload,
         RaidRebuildWorkload,

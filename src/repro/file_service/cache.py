@@ -107,16 +107,6 @@ class BufferPool:
                 written += 1
         return written
 
-    def flush_matching(self, predicate: Callable[[Hashable], bool]) -> int:
-        """Write back dirty buffers whose key satisfies ``predicate``."""
-        written = 0
-        for key, data in list(self._buffers.items()):
-            if self._dirty.get(key) and predicate(key):
-                self._write_back(key, data)
-                self._dirty[key] = False
-                written += 1
-        return written
-
     def dirty_items(self) -> Iterator[Tuple[Hashable, bytes]]:
         for key, data in self._buffers.items():
             if self._dirty.get(key):

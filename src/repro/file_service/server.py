@@ -27,7 +27,7 @@ lives in the file agent (section 3).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.common.clock import SimClock
 from repro.common.frames import active_frame
@@ -223,7 +223,7 @@ class FileServer:
         if attrs.ref_count > 0:
             attrs.ref_count -= 1
             state.fit_dirty = True
-        self._flush_file(name.fit_address, state)
+        self.flush_file(name, [(0, attrs.file_size)], attributes=False)
         self.metrics.add(f"{self.name}.closes")
 
     def delete(self, name: SystemName) -> None:
@@ -357,13 +357,14 @@ class FileServer:
                 f"({MAX_FILE_BLOCKS} blocks)"
             )
         block_map = self._map_through(state, last_block)
-        structural_change = self._allocate_missing(
-            state, block_map, first_block, last_block
+        holes = set(
+            self._allocate_missing(state, block_map, first_block, last_block)
         )
         through = not delayed and (
             self.write_policy is WritePolicy.WRITE_THROUGH
             or attrs.service_type is ServiceType.TRANSACTION
         )
+        old_size = attrs.file_size
         cursor = offset
         remaining = memoryview(bytes(data))
         while cursor < end:
@@ -377,16 +378,16 @@ class FileServer:
                 within,
                 bytes(remaining[: chunk]),
                 through=through,
-                whole=(within == 0 and chunk == BLOCK_SIZE),
+                # A hole, or a block wholly past EOF, holds no file bytes:
+                # what the write leaves of it is zeros, not the disk's.
+                blank=block_index in holes or block_index * BLOCK_SIZE >= old_size,
             )
             remaining = remaining[chunk:]
             cursor += chunk
-        if end > attrs.file_size:
-            attrs.file_size = end
-            state.structure_moved()
+        self._grow(state, block_map, end, first_block)
         attrs.last_write_us = self.clock.now_us
         state.fit_dirty = True
-        if structural_change:
+        if holes:
             # Vital structural information reaches stable storage at once.
             self._store_fit(name.fit_address, state)
         self.metrics.add(f"{self.name}.writes")
@@ -423,8 +424,10 @@ class FileServer:
         """
         state = self._load_state(name)
         if state.fit.attributes.file_size < size:
-            state.fit.attributes.file_size = size
-            state.structure_moved()
+            # The commit just installed the block holding the last byte.
+            last_block = (size - 1) // BLOCK_SIZE
+            block_map = self._map_through(state, last_block)
+            self._grow(state, block_map, size, last_block)
             self._store_fit(name.fit_address, state)
 
     def exists(self, name: SystemName) -> bool:
@@ -488,7 +491,6 @@ class FileServer:
                 0,
                 data[index * BLOCK_SIZE : (index + 1) * BLOCK_SIZE],
                 through=through,
-                whole=True,
             )
 
     # ====================================================== flushing
@@ -503,12 +505,14 @@ class FileServer:
         """Write back the delayed blocks under ``spans``, then the FIT if
         its structure moved — or, with ``attributes``, if anything did.
 
-        ``spans`` are the (offset, length) byte ranges the caller wrote:
-        the cost follows them, not the size of the file.  This is a
-        commit's flush: contents, size and map are durable when it
-        returns; without ``attributes`` a FIT that differs only in
-        timestamps or open counts waits for the next close, flush or
-        eviction.
+        ``spans`` are the (offset, length) byte ranges to make durable:
+        the cost follows them, not the size of the file.  The dirty
+        blocks go back one ``put`` per run of adjacent disk blocks.  A
+        commit's cleanup passes the ranges it wrote, and a close the
+        whole file (``[(0, size)]``); both pass ``attributes=False``, so
+        contents, size and map are durable when this returns, and a FIT
+        that differs only in timestamps or open counts waits for the
+        next structural store, ``flush`` or FIT-cache eviction.
         """
         state = self._load_state(name)
         if self._data_cache is not None:
@@ -524,7 +528,7 @@ class FileServer:
                     for desc in block_map[first : last + 1]
                     if desc is not None
                 )
-            self._data_cache.flush_matching(addresses.__contains__)
+            self._write_back_runs(addresses)
         if state.structure_dirty or (attributes and state.fit_dirty):
             self._store_fit(name.fit_address, state)
 
@@ -570,6 +574,27 @@ class FileServer:
                 raise error
             self._data_cache.mark_clean(address)
             self.metrics.add(f"{self.name}.block_pool.writebacks")
+
+    def _write_back_runs(self, addresses: Set[int]) -> None:
+        """Write back the dirty blocks among ``addresses``, one disk
+        reference per run of adjacent blocks (paper section 4: "any set
+        of contiguous fragments/blocks" moves in one reference)."""
+        pool = self._data_cache
+        assert pool is not None
+        dirty = dict(item for item in pool.dirty_items() if item[0] in addresses)
+        for start, n_blocks in self._group_consecutive(
+            sorted(dirty), FRAGMENTS_PER_BLOCK
+        ):
+            run = range(
+                start, start + n_blocks * FRAGMENTS_PER_BLOCK, FRAGMENTS_PER_BLOCK
+            )
+            self.disk.put(
+                Extent.for_block_run(start, n_blocks),
+                b"".join(dirty[address] for address in run),
+            )
+            for address in run:
+                pool.mark_clean(address)
+            self.metrics.add(f"{self.name}.block_pool.writebacks", n_blocks)
 
     def crash(self) -> None:
         """Simulate the machine hosting this server crashing.
@@ -672,15 +697,6 @@ class FileServer:
         state.fit_dirty = state.structure_dirty = False
         self.metrics.add(f"{self.name}.fit_stores")
 
-    def _flush_file(self, fit_address: int, state: _OpenState) -> None:
-        if self._data_cache is not None:
-            addresses = {
-                desc.address for desc in self._full_map(state) if desc is not None
-            }
-            self._data_cache.flush_matching(lambda key: key in addresses)
-        if state.fit_dirty:
-            self._store_fit(fit_address, state)
-
     def _discard(self, extent: Extent) -> None:
         """Free an extent that was put with ``Stability.BOTH``."""
         self.disk.free(extent)
@@ -775,13 +791,14 @@ class FileServer:
         block_map: List[Optional[BlockDescriptor]],
         first_block: int,
         last_block: int,
-    ) -> bool:
+    ) -> List[int]:
         """Ensure every block in [first_block, last_block] is mapped.
 
-        Returns True if any allocation happened (structural change).
-        Allocation policy: extend contiguously with the highest mapped
-        predecessor when the adjacent fragments are free, else allocate
-        the whole missing range as one contiguous run, else gather.
+        Returns the indices that were holes (non-empty: a structural
+        change).  Allocation policy: extend contiguously with the
+        highest mapped predecessor when the adjacent fragments are free,
+        else allocate the whole missing range as one contiguous run,
+        else gather.
         """
         missing = [
             index
@@ -789,27 +806,30 @@ class FileServer:
             if index >= len(block_map) or block_map[index] is None
         ]
         if not missing:
-            return False
+            return missing
         while len(block_map) <= last_block:
             block_map.append(None)
-        # A reservation maps its surplus blocks past the run.  While the
-        # tree has not been loaded (``block_map`` is the direct area of a
+        # A reservation maps its surplus blocks past the run, into slots
+        # wholly past EOF: a hole below EOF reads as zeros, and mapping
+        # it would expose whatever the disk holds there.  While the tree
+        # has not been loaded (``block_map`` is the direct area of a
         # file that has one) the surplus stops at the end of that area:
         # beyond it lie blocks the tree may already map.
         limit = MAX_FILE_BLOCKS
         if state.block_map is None and state.fit.uses_indirection():
             limit = DIRECT_DESCRIPTORS
+        spare = range(-(-state.fit.attributes.file_size // BLOCK_SIZE), limit)
         for run_start, run_len in self._group_consecutive(missing):
-            self._allocate_run(block_map, run_start, run_len, limit)
+            self._allocate_run(block_map, run_start, run_len, spare)
         self._writeback_map(state, block_map)
-        return True
+        return missing
 
     def _allocate_run(
         self,
         block_map: List[Optional[BlockDescriptor]],
         run_start: int,
         run_len: int,
-        limit: int,
+        spare: range,
     ) -> None:
         allocated: List[Extent] = []
         # Try to continue contiguously after the preceding mapped block,
@@ -868,9 +888,9 @@ class FileServer:
                     index += 1
                     continue
                 # Surplus from the reservation: map it into the directly
-                # following unmapped slots below ``limit`` (preallocation),
-                # free the rest.
-                if index < limit and (
+                # following unmapped ``spare`` slots (preallocation), free
+                # the rest.
+                if index in spare and (
                     index >= len(block_map) or block_map[index] is None
                 ):
                     while len(block_map) <= index:
@@ -886,20 +906,47 @@ class FileServer:
                     break
 
     @staticmethod
-    def _group_consecutive(indices: List[int]) -> List[Tuple[int, int]]:
+    def _group_consecutive(
+        indices: List[int], step: int = 1
+    ) -> List[Tuple[int, int]]:
+        """``(first, length)`` of each run of ascending ``indices`` that
+        lie ``step`` apart."""
         runs: List[Tuple[int, int]] = []
-        start = indices[0]
-        length = 1
-        for prev, cur in zip(indices, indices[1:]):
-            if cur == prev + 1:
-                length += 1
+        for index in indices:
+            if runs and index == runs[-1][0] + runs[-1][1] * step:
+                runs[-1] = (runs[-1][0], runs[-1][1] + 1)
             else:
-                runs.append((start, length))
-                start, length = cur, 1
-        runs.append((start, length))
+                runs.append((index, 1))
         return runs
 
     # ---- data block I/O through the server cache
+
+    def _grow(
+        self,
+        state: _OpenState,
+        block_map: List[Optional[BlockDescriptor]],
+        end: int,
+        written_from: int,
+    ) -> None:
+        """Raise the file size to ``end``, if that is larger.
+
+        A mapped block that lay wholly past the old EOF and before block
+        ``written_from`` (a growth reservation the caller did not write)
+        still holds whatever the disk held there — a deleted file's
+        bytes.  It is zeroed on disk at once, before any FIT counting it
+        below EOF is stored: every mapped block below EOF was written,
+        which is what lets a partial write trust the old EOF, and no
+        commit's redo, which starts from the stored size, has to.
+        """
+        attrs = state.fit.attributes
+        if end <= attrs.file_size:
+            return
+        for index in range(-(-attrs.file_size // BLOCK_SIZE), written_from):
+            desc = block_map[index]
+            if desc is not None:
+                self._write_block(desc.address, 0, bytes(BLOCK_SIZE), through=True)
+        attrs.file_size = end
+        state.structure_moved()
 
     def _fetch_run(self, address: int, n_blocks: int) -> bytes:
         """Read a contiguous run of blocks, server cache first.
@@ -944,12 +991,14 @@ class FileServer:
         chunk: bytes,
         *,
         through: bool,
-        whole: bool,
+        blank: bool = False,
     ) -> None:
-        if whole:
+        """Put ``chunk`` at ``within`` of one block; a partial write merges
+        it into the block's current bytes — zeros if ``blank``, else read."""
+        if within == 0 and len(chunk) == BLOCK_SIZE:
             block = chunk
         else:
-            current = self._fetch_run(address, 1)
+            current = bytes(BLOCK_SIZE) if blank else self._fetch_run(address, 1)
             block = current[:within] + chunk + current[within + len(chunk) :]
         if self._data_cache is None or through:
             self._write_block_to_disk(address, block)

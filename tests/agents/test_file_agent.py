@@ -186,6 +186,53 @@ class TestClientCache:
         assert metrics.get("file_agent.m0.cache.hits") == 0
 
 
+class TestCloseWritesBackRuns:
+    """Close sends each run of adjacent dirty blocks as one server write;
+    a run goes on only across a block boundary dirty on both sides."""
+
+    def close_after(self, writes):
+        """Pwrite ``writes``, close, check the bytes; (server writes the
+        close issued, metrics)."""
+        agent, server, metrics = build_agent()
+        descriptor = agent.create(AttributedName.file("/a"))
+        expected = bytearray()
+        for offset, data in writes:
+            agent.pwrite(descriptor, data, offset)
+            expected.extend(bytes(max(0, offset + len(data) - len(expected))))
+            expected[offset : offset + len(data)] = data
+        name = agent.system_name(descriptor)
+        before = metrics.get("file_server.0.writes")
+        agent.close(descriptor)
+        issued = metrics.get("file_server.0.writes") - before
+        assert server.read(name, 0, len(expected) + 1) == bytes(expected)
+        return issued, metrics
+
+    def test_a_contiguous_range_is_one_write(self):
+        issued, metrics = self.close_after([(100, b"r" * (5 * BLOCK_SIZE))])
+        assert issued == 1
+        assert metrics.get("file_agent.m0.cache.writebacks") == 6
+
+    def test_a_gap_splits_the_run(self):
+        issued, _ = self.close_after(
+            [(0, b"a" * (2 * BLOCK_SIZE)), (3 * BLOCK_SIZE, b"b" * BLOCK_SIZE)]
+        )
+        assert issued == 2
+
+    def test_a_boundary_clean_on_one_side_splits_the_run(self):
+        issued, _ = self.close_after(
+            [(0, b"a" * 100), (BLOCK_SIZE, b"b" * (2 * BLOCK_SIZE))]
+        )
+        assert issued == 2
+
+    def test_flush_still_writes_back_block_by_block(self):
+        agent, _, metrics = build_agent()
+        descriptor = agent.create(AttributedName.file("/a"))
+        agent.write(descriptor, b"f" * (3 * BLOCK_SIZE))
+        before = metrics.get("file_server.0.writes")
+        agent.flush()
+        assert metrics.get("file_server.0.writes") - before == 3
+
+
 class TestAttributesAndDelete:
     def test_get_attribute_sees_delayed_size(self):
         agent, _, _ = build_agent()

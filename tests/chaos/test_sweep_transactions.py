@@ -76,8 +76,9 @@ class TestSingleVolumeCommit:
         assert syncs[listed + 1 : listed + 3] == ["bitmap", "ext:0:1"]
 
     def test_records_sweep_visits_the_coalesced_apply(self):
-        """Four record items, two data blocks: the cleanup flush puts
-        each block once, and the list it follows holds both carriers."""
+        """Four record items, two adjacent data blocks: the cleanup flush
+        puts both in one reference, and the list it follows holds both
+        carriers."""
         workload = RecordCommitWorkload()
         workload.run()
         assert [length <= INLINE_LIMIT for _, length in workload.PATCHES] == [
@@ -90,17 +91,17 @@ class TestSingleVolumeCommit:
             if entry.label == "intentions:2"
         )
         # The measured commit: the one after-image too large to ride in
-        # the list, the list on both mirrors, the two in-place block
-        # puts, the list's tombstone.  The FIT is the closing flush's.
-        commit = trace[listed - 3 : listed] + trace[listed + 1 : listed + 5]
+        # the list, the list on both mirrors, one put of both in-place
+        # blocks, the list's tombstone.  The FIT is the closing flush's.
+        commit = trace[listed - 3 : listed] + trace[listed + 1 : listed + 4]
         assert [
             (entry.disk_id.removeprefix("chaos0") or "data", entry.n_sectors)
             for entry in commit
         ] == [
             ("data", 4), (".stable_a", 4), (".stable_b", 4),
-            ("data", 16), ("data", 16), (".stable_a", 1), (".stable_b", 1),
+            ("data", 32), (".stable_a", 1), (".stable_b", 1),
         ]
-        assert trace[listed + 5].n_sectors == 4  # the FIT, at the flush
+        assert trace[listed + 4].n_sectors == 4  # the FIT, at the flush
 
 
 class TestTwoVolumeCommit:

@@ -90,14 +90,6 @@ class TestFlush:
         assert sorted(written) == [("a", b"1"), ("c", b"3")]
         assert pool.dirty_count() == 0
 
-    def test_flush_matching(self):
-        pool, written, _ = build()
-        pool.put(("f1", 0), b"1", dirty=True)
-        pool.put(("f2", 0), b"2", dirty=True)
-        assert pool.flush_matching(lambda key: key[0] == "f1") == 1
-        assert written == [(("f1", 0), b"1")]
-        assert pool.dirty_count() == 1
-
     def test_mark_clean(self):
         pool, written, _ = build()
         pool.put("a", b"1", dirty=True)

@@ -1,19 +1,24 @@
 """Golden disk-service call log of a scripted file-service workload.
 
-The block-map tree refactor (PR 15) promised the same disk-service
-calls in the same order.  ``golden_call_log.txt`` is the log of
-:func:`run_script` recorded at the commit *before* that refactor, marked
-up with the three differences the refactor was allowed to make:
+``golden_call_log.txt`` is the log of :func:`run_script` at the commit
+before a close wrote back runs, marked up against the log since (a
+line-level diff): lines starting ``- `` existed only before, lines
+starting ``+ `` exist only since.  What may differ is counted in
+:func:`test_golden_log_differs_from_its_parent_only_as_listed`:
 
-* lines starting ``- `` existed only before: the double-indirect pointer
-  block used to be ``get``-read a second time at the first flush after a
-  (re)load and again at delete;
-* lines starting ``+ `` exist only since: deleting a file now also
-  ``release_stable``-s every tree block it frees (the stable-copy leak).
+* a partial write into a block with no file bytes no longer
+  ``get``-reads it first;
+* a block a write carries EOF past unwritten is zeroed (a put of zeros);
+* a hole filled below EOF frees its reservation surplus instead of
+  mapping it over the holes after it, so later allocations land at
+  other addresses;
+* a close that moved only timestamps stores no FIT, and every FIT
+  stored later carries other timestamps (its payload CRC moves).
 
-Everything else must match line for line, arguments and payload CRCs
-included.  ``python -m tests.file_service.test_call_log`` prints the log
-of the checked-out code, which is how the golden file was produced.
+The log of the checked-out code must match the ``  `` and ``+ `` lines
+exactly, arguments and payload CRCs included.  ``python -m
+tests.file_service.test_call_log`` prints it, which is how the golden
+file was produced.
 """
 
 import zlib
@@ -21,7 +26,7 @@ from pathlib import Path
 
 from repro.common.clock import SimClock
 from repro.common.metrics import Metrics
-from repro.common.units import BLOCK_SIZE
+from repro.common.units import BLOCK_SIZE, FRAGMENTS_PER_BLOCK
 from repro.disk_service.addresses import Extent
 from repro.file_service.fit import (
     DESCRIPTORS_PER_INDIRECT,
@@ -166,20 +171,41 @@ def test_call_log_matches_the_golden_log():
 
 def test_golden_log_differs_from_its_parent_only_as_listed():
     marked = GOLDEN.read_text().splitlines()
-    gone = [line[2:] for line in marked if line.startswith("- ")]
-    added = [line[2:] for line in marked if line.startswith("+ ")]
     assert all(line[:2] in ("  ", "- ", "+ ") for line in marked)
-    # Only re-reads of one block (the pointer block) went away ...
-    assert gone and len(set(gone)) == 1 and gone[0].startswith("get(ext(")
-    pointer_block = gone[0]
-    assert any(line[2:] == pointer_block for line in marked if line[0] == " ")
-    # ... and only release_stable calls, each right after the matching
-    # free of a tree block, were added.
-    assert added and all(line.startswith("release_stable(") for line in added)
-    for index, line in enumerate(marked):
-        if line.startswith("+ "):
-            freed = line[2:].replace("release_stable", "free")
-            assert marked[index - 1] == "  " + freed
+    parent = [line[2:] for line in marked if line[0] in " -"]
+    now = [line[2:] for line in marked if line[0] in " +"]
+
+    def calls(log, op, where=lambda line: True):
+        return sum(1 for line in log if line.startswith(f"{op}(") and where(line))
+
+    def one_block(line):
+        return line.endswith(f",{FRAGMENTS_PER_BLOCK}))")
+
+    def both(line):
+        return line.endswith("stability=both)")
+
+    def zeros(line):
+        return f"<{BLOCK_SIZE}B crc {zlib.crc32(bytes(BLOCK_SIZE)):08x}>" in line
+
+    # The same allocations (at shifted addresses) and stable releases ...
+    for op in ("allocate", "allocate_block", "try_allocate_at", "release_stable"):
+        assert calls(now, op) == calls(parent, op)
+    # ... and one more free: the reservation surplus of the hole fill.
+    assert calls(now, "free") == calls(parent, "free") + 1
+    # Fourteen one-block reads of blocks with no file bytes are gone,
+    # and no other read.
+    assert calls(parent, "get", one_block) - calls(now, "get", one_block) == 14
+    assert calls(now, "get") - calls(now, "get", one_block) == calls(
+        parent, "get"
+    ) - calls(parent, "get", one_block)
+    # One store to both copies fewer: the close after in-place writes.
+    assert calls(now, "put", both) == calls(parent, "put", both) - 1
+    # The only data puts added put zeros: 21 blocks EOF jumped past.
+    assert calls(parent, "put", zeros) == 0
+    assert calls(now, "put", zeros) == 21
+    assert calls(now, "put", lambda line: not both(line)) == calls(
+        parent, "put", lambda line: not both(line)
+    ) + calls(now, "put", zeros)
 
 
 if __name__ == "__main__":

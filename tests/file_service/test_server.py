@@ -141,6 +141,77 @@ class TestReadWrite:
         assert server.get_attribute(name).file_size == 0
 
 
+class TestNoBytesOfADeletedFile:
+    """A block with no file bytes in it reads as zeros, whatever a
+    deleted file left on the disk there."""
+
+    def recycle(self, server, content):
+        old = server.create()
+        server.write(old, 0, content)
+        server.flush()
+        addresses = [
+            server.block_descriptor(old, index).address
+            for index in range(-(-len(content) // BLOCK_SIZE))
+        ]
+        server.delete(old)
+        return addresses
+
+    def test_a_partial_write_into_a_fresh_block_keeps_nothing_around_it(
+        self, server
+    ):
+        # Found by the block-model test (test_block_tree.py): the write
+        # read-modify-wrote the residue of the file deleted before it.
+        old = self.recycle(server, bytes(BLOCK_SIZE) + b"%")
+        name = server.create()
+        server.write(name, BLOCK_SIZE + 1, b"\0")
+        assert server.block_descriptor(name, 1).address == old[1]
+        assert server.read(name, BLOCK_SIZE, BLOCK_SIZE) == b"\0\0"
+
+    def test_a_write_past_a_reserved_block_zeroes_it(self, server):
+        old = self.recycle(server, b"%" * (8 * BLOCK_SIZE))
+        name = server.create()
+        server.write(name, 0, pattern(BLOCK_SIZE))
+        server.write(name, BLOCK_SIZE, pattern(BLOCK_SIZE, 2))
+        reserved = server.block_descriptor(name, 2)
+        assert reserved is not None and reserved.address in old
+        server.write(name, 4 * BLOCK_SIZE, b"x" * 10)
+        assert server.read(name, 2 * BLOCK_SIZE, BLOCK_SIZE) == bytes(BLOCK_SIZE)
+        server.flush()
+        server.recover()
+        assert server.read(name, 2 * BLOCK_SIZE, BLOCK_SIZE) == bytes(BLOCK_SIZE)
+
+    def test_a_shadow_swap_past_reserved_blocks_zeroes_them(self, server):
+        # A shadow-page commit extending the file: the swap installs the
+        # block holding the new last byte, then the size rises past the
+        # reserved blocks before it.
+        old = self.recycle(server, b"%" * (8 * BLOCK_SIZE))
+        name = server.create()
+        server.write(name, 0, pattern(2 * BLOCK_SIZE))  # reserves block 2
+        server.write(name, 2 * BLOCK_SIZE, pattern(BLOCK_SIZE))
+        server.write(name, 3 * BLOCK_SIZE, pattern(BLOCK_SIZE))  # reserves 4-6
+        assert server.block_descriptor(name, 5).address in old
+        shadow = server.disk.allocate_block(1)
+        server.write_block(shadow.start, pattern(BLOCK_SIZE, 2))
+        server.replace_block_descriptor(name, 6, shadow.start)
+        server.set_file_size_at_least(name, 7 * BLOCK_SIZE)
+        assert server.read(name, 4 * BLOCK_SIZE, 2 * BLOCK_SIZE) == bytes(
+            2 * BLOCK_SIZE
+        )
+        assert server.read(name, 6 * BLOCK_SIZE, BLOCK_SIZE) == pattern(
+            BLOCK_SIZE, 2
+        )
+
+    def test_filling_a_hole_reserves_no_other_hole_below_eof(self, server):
+        # Found by the block-model test: the reservation of a write into
+        # hole 1 mapped recycled blocks over hole 2.
+        self.recycle(server, b"%" * (8 * BLOCK_SIZE))
+        name = server.create()
+        server.write(name, 3 * BLOCK_SIZE, b"t")
+        server.write(name, BLOCK_SIZE, b"h")
+        assert server.block_descriptor(name, 2) is None
+        assert server.read(name, 2 * BLOCK_SIZE, BLOCK_SIZE) == bytes(BLOCK_SIZE)
+
+
 class TestPaperClaimTwoReferences:
     def test_cold_read_of_half_megabyte_costs_two_references(self):
         """E1: 'for files up to half a megabyte, the maximum number of

@@ -180,12 +180,12 @@ class TestWhatACommitWrites:
     GEOMETRIES = (DiskGeometry.small, DiskGeometry.medium)
 
     def test_a_two_record_commit_is_its_list_and_its_blocks(self):
+        # Blocks 0 and 1 are adjacent on disk: one put writes both.
         for geometry in self.GEOMETRIES:
             assert commit_writes(geometry(), LockingLevel.RECORD, TWO_RECORDS) == [
                 ("list", "stable_a", 2),
                 ("list", "stable_b", 2),
-                ("block", "data", 16),
-                ("block", "data", 16),
+                ("block", "data", 32),
                 ("tombstone", "stable_a", 1),
                 ("tombstone", "stable_b", 1),
             ]
@@ -266,19 +266,42 @@ class TestWhatTendMakesDurable:
         assert server.read(name, 2 * BLOCK_SIZE, 8) == b"n" * 8
         assert fsck_volume(server).clean
 
-    def test_flush_and_close_still_store_a_fit_only_its_timestamps_dirtied(self):
-        for make_durable in (
-            lambda server, name: server.flush(),
-            lambda server, name: server.close(name),
+    def test_an_extension_past_a_reserved_block_leaves_zeros_there(self):
+        # The reserved block held a deleted file's bytes; the commit's
+        # write carries EOF past it, and the cleanup flushes only the
+        # record's own block.
+        host, server, naming, coordinator, _ = build()
+        old = server.create()
+        server.write(old, 0, b"%" * (8 * BLOCK_SIZE))
+        server.flush()
+        server.delete(old)
+        name = seed(host, MAIN, b"O" * (2 * BLOCK_SIZE), LockingLevel.RECORD)
+        server.flush()
+        assert server.block_descriptor(name, 2) is not None  # reserved
+        tid = host.tbegin()
+        descriptor = host.topen(tid, MAIN)
+        host.tpwrite(tid, descriptor, b"n" * 8, 3 * BLOCK_SIZE + 40)
+        host.tend(tid)
+        server.crash()
+        restart(server, coordinator)
+        assert server.read(name, 2 * BLOCK_SIZE, BLOCK_SIZE) == bytes(BLOCK_SIZE)
+        assert server.read(name, 3 * BLOCK_SIZE + 40, 8) == b"n" * 8
+
+    def test_flush_stores_a_timestamp_only_fit_and_close_does_not(self):
+        for make_durable, fit_stores in (
+            (lambda server, name: server.flush(), 1),
+            (lambda server, name: server.close(name), 0),
         ):
             server, coordinator, metrics, name, stored = self.committed(40)
             written = server.get_attribute(name).last_write_us
             stores = metrics.get("file_server.0.fit_stores")
             make_durable(server, name)
-            assert metrics.get("file_server.0.fit_stores") == stores + 1
+            assert metrics.get("file_server.0.fit_stores") == stores + fit_stores
             server.crash()
             restart(server, coordinator)
-            assert server.get_attribute(name).last_write_us == written
+            assert server.get_attribute(name).last_write_us == (
+                written if fit_stores else stored.last_write_us
+            )
 
 
 class TestCommitCostIsIndependentOfVolumeSize:
