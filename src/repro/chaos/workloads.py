@@ -28,7 +28,7 @@ from repro.common.clock import SimClock
 from repro.common.errors import MediaError
 from repro.common.ids import SystemName
 from repro.common.metrics import Metrics
-from repro.common.units import BLOCK_SIZE
+from repro.common.units import BLOCK_SIZE, FRAGMENT_SIZE
 from repro.disk_service.addresses import Extent
 from repro.disk_service.pipeline import DiskPipeline
 from repro.disk_service.scheduler import CoalescingScheduler, ScanScheduler
@@ -42,6 +42,7 @@ from repro.simdisk.disk import SimDisk
 from repro.simdisk.geometry import DiskGeometry
 from repro.simdisk.raid import ArrayState, RaidRebuilder, StripedVolume
 from repro.simdisk.stable import StableStore
+from repro.simkernel.future import Completion, wait_all
 from repro.simkernel.loop import EventLoop
 from repro.transactions.agent import TransactionAgentHost
 from repro.transactions.coordinator import TransactionCoordinator
@@ -327,29 +328,111 @@ class CreateCloseWorkload(ChaosWorkload):
         ]
 
 
-class QueuedWriteWorkload(AppendOverwriteWorkload):
-    """The append-overwrite script served through the request pipeline.
+class QueuedWriteWorkload(ChaosWorkload):
+    """Disk-server level: waves of adjacent puts through the pipeline.
 
-    Same operations, same content promises — but every flush batches
-    its dirty blocks through a :class:`DiskPipeline` with SCAN +
-    adjacent-extent coalescing, so physical writes happen at
-    *queue-drain* time and adjacent blocks land in one merged disk
-    reference.  Sweeping this workload proves the recovery invariants
-    survive coalesced writes: a crash mid-batch tears one merged
-    reference and the recovery path must still honour every durable
-    promise the script made.
+    The script drives a :class:`DiskPipeline` with SCAN + adjacent-
+    extent coalescing.  First a ``Stability.BOTH`` put (served on
+    submission: mirrored puts never merge) and its ``release_stable``.
+    Then each wave submits adjacent ``Stability.ORIGINAL_ONLY`` puts
+    while a read keeps the drive busy, so the whole wave queues and is
+    served as one merged disk reference; the second wave overwrites
+    half of the first.  Last, ``drain()`` and ``DiskServer.flush()``.
+    Sweeping it proves recovery over coalesced references: a crash
+    mid-batch tears the one merged reference.
+
+    Content promise: every put whose completion resolved before the
+    crash reads back exactly after recovery; the fragments of the batch
+    in service at the crash are in flux.  A ``release_stable`` that
+    returned is durable: no directory rebuild resurrects the copy.
     """
 
     name = "queued-writes"
 
+    #: Each wave: (first fragment in the region, the fill bytes of its
+    #: adjacent puts of PIECE_FRAGMENTS each).
+    WAVES = ((0, b"ABCD"), (4, b"EFG"))
+    PIECE_FRAGMENTS = 2
+
     def build(self) -> None:
-        super().build()
+        self.volume = self.add_volume(0)
         self.loop = EventLoop(self.clock)
-        self.pipeline = DiskPipeline(
+        DiskPipeline(
             self.volume.disk_server,
             self.loop,
             CoalescingScheduler(ScanScheduler()),
         )
+        #: fragment -> fill byte of the last resolved put covering it.
+        self.acked: Dict[int, bytes] = {}
+        self.in_flux: set[int] = set()
+        self.released: Optional[Extent] = None
+
+    def run(self) -> None:
+        server = self.volume.disk_server
+        piece = self.PIECE_FRAGMENTS
+        mirrored = server.allocate(piece)
+        self._settle({mirrored: b"M"}, stability=Stability.BOTH)
+        server.release_stable(mirrored)
+        self.released = mirrored
+        region = server.allocate(10)
+        for first, fills in self.WAVES:
+            start = region.start + first
+            busy = server.submit_get(Extent(start, 1), use_cache=False)
+            pieces = range(start, start + len(fills) * piece, piece)
+            self._settle(
+                {
+                    Extent(at, piece): bytes([fill])
+                    for at, fill in zip(pieces, fills)
+                },
+                busy,
+            )
+        server.pipeline.drain()
+        server.flush()
+
+    def _settle(
+        self,
+        fills: Dict[Extent, bytes],
+        *waiting: Completion,
+        stability: Stability = Stability.ORIGINAL_ONLY,
+    ) -> None:
+        """Put each extent filled with its byte and wait for every
+        completion; the extents are in flux until then."""
+        server = self.volume.disk_server
+        completions = list(waiting) + [
+            server.submit_put(
+                extent, fill * extent.byte_size, stability=stability
+            )
+            for extent, fill in fills.items()
+        ]
+        self.in_flux = {f for extent in fills for f in extent.fragments()}
+        wait_all(self.loop, completions)
+        self.in_flux = set()
+        for extent, fill in fills.items():
+            self.acked.update(dict.fromkeys(extent.fragments(), fill))
+
+    def check_content(self) -> List[str]:
+        server = self.volume.disk_server
+        violations: List[str] = []
+        for fragment, fill in sorted(self.acked.items()):
+            if fragment in self.in_flux:
+                continue
+            content = server.get(Extent(fragment, 1), use_cache=False)
+            if content != fill * FRAGMENT_SIZE:
+                violations.append(
+                    f"fragment {fragment}: acked {fill!r} put diverged "
+                    f"(read {_describe(content)})"
+                )
+        if self.released is not None:
+            try:
+                server.get(self.released, source=Source.STABLE)
+            except KeyError:
+                pass
+            else:
+                violations.append(
+                    f"{self.released}: released stable copy resurrected "
+                    "by recovery"
+                )
+        return violations
 
 
 class ScrubRepairWorkload(ChaosWorkload):

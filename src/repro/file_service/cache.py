@@ -32,8 +32,9 @@ class WritePolicy(enum.Enum):
 class BufferPool:
     """A fixed-capacity LRU pool of equal-sized buffers.
 
-    Dirty buffers are written back through ``writeback(key, data)`` on
-    eviction and on :meth:`flush`.  The pool never loses data silently:
+    A dirty buffer is written back through ``writeback(key, data)`` when
+    it is evicted; the owner writes back the rest (:meth:`dirty_items`,
+    then :meth:`mark_clean`).  The pool never loses data silently:
     evicting a dirty buffer without a writeback callback is an error.
 
     Args:
@@ -41,7 +42,7 @@ class BufferPool:
         metrics: counter registry.
         capacity: maximum buffers held.
         writeback: callback invoked with (key, data) when a dirty buffer
-            must reach the layer below.
+            is evicted.
     """
 
     def __init__(
@@ -97,23 +98,10 @@ class BufferPool:
         self._buffers.clear()
         self._dirty.clear()
 
-    def flush(self) -> int:
-        """Write back every dirty buffer; returns how many were written."""
-        written = 0
-        for key, data in list(self._buffers.items()):
-            if self._dirty.get(key):
-                self._write_back(key, data)
-                self._dirty[key] = False
-                written += 1
-        return written
-
     def dirty_items(self) -> Iterator[Tuple[Hashable, bytes]]:
         for key, data in self._buffers.items():
             if self._dirty.get(key):
                 yield key, data
-
-    def dirty_count(self) -> int:
-        return sum(1 for flag in self._dirty.values() if flag)
 
     def __len__(self) -> int:
         return len(self._buffers)
@@ -124,13 +112,11 @@ class BufferPool:
         while len(self._buffers) > self.capacity:
             key, data = self._buffers.popitem(last=False)
             if self._dirty.pop(key, False):
-                self._write_back(key, data)
+                if self.writeback is None:
+                    raise RuntimeError(
+                        f"buffer pool {self.name}: dirty buffer {key!r} has "
+                        "no writeback"
+                    )
+                self.writeback(key, data)
+                self.metrics.add(f"{self.name}.writebacks")
             self.metrics.add(f"{self.name}.evictions")
-
-    def _write_back(self, key: Hashable, data: bytes) -> None:
-        if self.writeback is None:
-            raise RuntimeError(
-                f"buffer pool {self.name}: dirty buffer {key!r} has no writeback"
-            )
-        self.writeback(key, data)
-        self.metrics.add(f"{self.name}.writebacks")

@@ -30,7 +30,6 @@ from collections import OrderedDict
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.common.clock import SimClock
-from repro.common.frames import active_frame
 from repro.common.errors import (
     BadAddressError,
     DiskFullError,
@@ -535,7 +534,9 @@ class FileServer:
     def flush(self) -> None:
         """Write back all delayed data, FITs, and the disk server state."""
         if self._data_cache is not None:
-            self._flush_data_blocks()
+            self._write_back_runs(
+                {address for address, _ in self._data_cache.dirty_items()}
+            )
         for fit_address, state in list(self._files.items()):
             if state.fit_dirty:
                 self._store_fit(fit_address, state)
@@ -543,42 +544,13 @@ class FileServer:
         self.metrics.add(f"{self.name}.flushes")
         self.metrics.gauge(f"{self.name}.fits_cached", len(self._files))
 
-    def _flush_data_blocks(self) -> None:
-        """Write back every dirty data block, batched when possible.
-
-        With a request pipeline attached to the disk server, the dirty
-        blocks are all *submitted* before the queue drains, so an
-        adjacent-extent scheduler coalesces neighbouring blocks of the
-        same file into single disk references — "several contiguous
-        blocks ... freed or allocated simultaneously" (paper §4),
-        applied to delayed writeback.  Without a pipeline (or inside a
-        deferred-time frame, where running the event loop would tangle
-        the frame cursor) the buffer pool writes back inline as before.
-        """
-        assert self._data_cache is not None
-        pipeline = self.disk.pipeline
-        if pipeline is None or active_frame(self.clock) is not None:
-            self._data_cache.flush()
-            return
-        dirty = sorted(self._data_cache.dirty_items())
-        if not dirty:
-            return
-        submitted = [
-            (address, self.disk.submit_put(Extent.for_block_run(address, 1), data))
-            for address, data in dirty
-        ]
-        pipeline.drain()
-        for address, completion in submitted:
-            error = completion.exception()
-            if error is not None:
-                raise error
-            self._data_cache.mark_clean(address)
-            self.metrics.add(f"{self.name}.block_pool.writebacks")
-
     def _write_back_runs(self, addresses: Set[int]) -> None:
         """Write back the dirty blocks among ``addresses``, one disk
         reference per run of adjacent blocks (paper section 4: "any set
-        of contiguous fragments/blocks" moves in one reference)."""
+        of contiguous fragments/blocks" moves in one reference).
+
+        Flush, close and a commit's cleanup all reach disk here; only
+        pool eviction writes back block by block."""
         pool = self._data_cache
         assert pool is not None
         dirty = dict(item for item in pool.dirty_items() if item[0] in addresses)

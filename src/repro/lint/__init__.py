@@ -1,6 +1,6 @@
 """Static analysis for the reproduction's machine-checked invariants.
 
-``python -m repro.lint [--strict] [--json] [paths…]`` walks ``src/``
+``python -m repro.lint [--json] [paths…]`` walks ``src/``
 and ``tests/`` and enforces the invariants the paper's reliability
 argument (and the PR-1 chaos sweep) silently depend on:
 
@@ -16,8 +16,8 @@ rule id                   invariant
 ========================  ====================================================
 
 Suppress one finding with ``# repro-lint: allow[rule-id] <reason>``;
-grandfather many with the committed baseline (``--write-baseline``).
-See DESIGN.md §7 for the rule catalogue and policy.
+every other finding fails the run.  See DESIGN.md §7 for the rule
+catalogue and policy.
 """
 
 from repro.lint.framework import (
@@ -27,9 +27,7 @@ from repro.lint.framework import (
     all_rules,
     lint_paths,
     lint_source,
-    load_baseline,
     register,
-    save_baseline,
 )
 
 __all__ = [
@@ -39,7 +37,5 @@ __all__ = [
     "all_rules",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "register",
-    "save_baseline",
 ]

@@ -1,9 +1,8 @@
-"""Command line front end: ``python -m repro.lint [--strict] [paths…]``.
+"""Command line front end: ``python -m repro.lint [--json] [paths…]``.
 
-Exit status: 0 when the tree is clean (after suppressions and, unless
-``--strict``, the baseline), 1 when any actionable finding remains,
-2 on usage errors.  ``--json`` emits machine-readable findings for the
-tooling in CI; ``--write-baseline`` grandfathers the current findings.
+Exit status: 0 when the tree is clean (after suppressions), 1 when any
+finding remains, 2 on usage errors.  ``--json`` emits machine-readable
+findings for the tooling in CI.
 """
 
 from __future__ import annotations
@@ -14,14 +13,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint.framework import (
-    DEFAULT_BASELINE_NAME,
-    all_rules,
-    lint_paths,
-    load_baseline,
-    repo_root,
-    save_baseline,
-)
+from repro.lint.framework import all_rules, lint_paths, repo_root
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,25 +26,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src/ and tests/)",
     )
     parser.add_argument(
-        "--strict", action="store_true",
-        help="ignore the baseline: every finding fails the run (CI mode)",
-    )
-    parser.add_argument(
         "--json", action="store_true", dest="as_json",
         help="emit findings as a JSON array on stdout",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=None,
-        help=f"baseline file (default: <repo>/{DEFAULT_BASELINE_NAME})",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="grandfather the current findings into the baseline and exit 0",
-    )
-    parser.add_argument(
-        "--check-baseline", action="store_true",
-        help="fail (exit 1) when the baseline holds orphaned entries "
-        "nothing in the tree matches any more (CI keeps it shrinking)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -80,61 +55,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
     else:
         paths = [root / "src", root / "tests"]
-    baseline = args.baseline if args.baseline is not None else (
-        root / DEFAULT_BASELINE_NAME
-    )
-    result = lint_paths(
-        paths, root=root, baseline=baseline, strict=args.strict
-    )
-
-    if args.write_baseline:
-        save_baseline(baseline, result.findings + result.baselined)
-        print(
-            f"baseline: wrote {len(result.findings) + len(result.baselined)} "
-            f"finding(s) to {baseline}"
-        )
-        return 0
+    result = lint_paths(paths, root=root)
 
     if args.as_json:
         print(json.dumps([f.to_json() for f in result.findings], indent=2))
     else:
         for finding in result.findings:
             print(finding.render())
-        summary = (
+        print(
             f"repro.lint: {len(result.findings)} finding(s) in "
             f"{result.files} file(s)"
         )
-        if result.baselined:
-            summary += f", {len(result.baselined)} baselined"
-        if result.stale_baseline:
-            summary += (
-                f", {len(result.stale_baseline)} stale baseline entr"
-                f"{'y' if len(result.stale_baseline) == 1 else 'ies'} "
-                "(shrink the baseline)"
-            )
-        print(summary)
-
-    if args.check_baseline:
-        # A baseline entry is orphaned when no current finding matches
-        # it — the violation was fixed but the grandfather entry kept
-        # its amnesty slot.  Under --strict nothing is subtracted, so
-        # staleness is recomputed against the full finding set.
-        matched = {f.key() for f in result.findings + result.baselined}
-        orphaned = [
-            entry for entry in load_baseline(baseline) if entry not in matched
-        ]
-        for path, rule, message in orphaned:
-            print(
-                f"baseline: orphaned entry {path} [{rule}] {message}",
-                file=sys.stderr,
-            )
-        if orphaned:
-            print(
-                f"baseline: {len(orphaned)} orphaned entr"
-                f"{'y' if len(orphaned) == 1 else 'ies'}; regenerate with "
-                "--write-baseline",
-                file=sys.stderr,
-            )
-            return 1
-
     return 1 if result.findings else 0

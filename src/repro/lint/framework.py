@@ -1,9 +1,9 @@
-"""Core of the invariant linter: findings, rules, suppressions, baseline.
+"""Core of the invariant linter: findings, rules, suppressions.
 
 The reproduction's reliability argument rests on invariants the test
 suite cannot see — layer boundaries, simulation determinism, crash-point
 discipline — so this framework machine-checks them from the AST.  It is
-deliberately stdlib-only (:mod:`ast`, :mod:`json`, :mod:`re`): the
+deliberately stdlib-only (:mod:`ast`, :mod:`tokenize`, :mod:`re`): the
 linter must run in any environment the facility itself runs in.
 
 Vocabulary:
@@ -15,16 +15,15 @@ Vocabulary:
   ``# repro-lint: allow[rule-id] <reason>`` that silences one rule on
   its own line (or, for a standalone comment, on the next line).  The
   reason is mandatory: an unexplained suppression is itself a finding.
-* The **baseline** is a committed JSON file of grandfathered findings.
-  Default runs subtract it; ``--strict`` ignores it, so CI holds the
-  tree to zero.
+
+Every finding that is not suppressed fails the run: the tree is held
+to zero.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass, field
@@ -62,14 +61,6 @@ class Finding:
     rule: str
     message: str
     hint: str = ""
-
-    def key(self) -> Tuple[str, str, str]:
-        """Line-insensitive identity used for baseline matching.
-
-        Line numbers drift with unrelated edits, so the baseline keys a
-        finding by file, rule, and message instead.
-        """
-        return (self.path, self.rule, self.message)
 
     def render(self) -> str:
         text = f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"
@@ -360,41 +351,6 @@ def _excluded(path: Path, root: Path) -> bool:
     return any(part in rel for part in EXCLUDED_PATH_PARTS)
 
 
-# ------------------------------------------------------------ baseline
-
-
-DEFAULT_BASELINE_NAME = "lint_baseline.json"
-
-
-def load_baseline(path: Path) -> List[Tuple[str, str, str]]:
-    """Grandfathered finding keys from a baseline file (missing = empty)."""
-    if not path.is_file():
-        return []
-    data = json.loads(path.read_text(encoding="utf-8"))
-    return [
-        (entry["path"], entry["rule"], entry["message"])
-        for entry in data.get("findings", [])
-    ]
-
-
-def save_baseline(path: Path, findings: Iterable[Finding]) -> None:
-    """Write the grandfather file for the given findings (sorted, stable)."""
-    entries = sorted(
-        {finding.key() for finding in findings}
-    )
-    payload = {
-        "comment": (
-            "Grandfathered repro.lint findings. Default runs subtract these; "
-            "--strict ignores this file. Shrink it, never grow it."
-        ),
-        "version": 1,
-        "findings": [
-            {"path": p, "rule": r, "message": m} for (p, r, m) in entries
-        ],
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
 # ------------------------------------------------------------- running
 
 
@@ -402,9 +358,7 @@ def save_baseline(path: Path, findings: Iterable[Finding]) -> None:
 class LintResult:
     """Outcome of one lint run."""
 
-    findings: List[Finding]  # actionable (not suppressed, not baselined)
-    baselined: List[Finding]  # matched a baseline entry
-    stale_baseline: List[Tuple[str, str, str]]  # baseline entries nothing matched
+    findings: List[Finding]  # not suppressed
     files: int
 
     @property
@@ -429,37 +383,18 @@ def lint_paths(
     *,
     root: Optional[Path] = None,
     rules: Optional[Iterable[Rule]] = None,
-    baseline: Optional[Path] = None,
-    strict: bool = False,
     on_file: Optional[Callable[[Path], None]] = None,
 ) -> LintResult:
     """Lint every python file under ``paths``; the programmatic entry point."""
     root = root or repo_root()
     chosen = list(rules) if rules is not None else all_rules()
     known = set(rule.rule_id for rule in all_rules())
-    all_findings: List[Finding] = []
+    findings: List[Finding] = []
     files = 0
     for path in iter_python_files([Path(p) for p in paths], root):
         if on_file is not None:
             on_file(path)
         files += 1
         module = parse_module(path, root=root, known_rules=known)
-        all_findings.extend(_check_module(module, chosen))
-    grandfathered = (
-        [] if strict or baseline is None else load_baseline(baseline)
-    )
-    remaining = list(grandfathered)
-    actionable: List[Finding] = []
-    baselined: List[Finding] = []
-    for finding in all_findings:
-        if finding.key() in remaining:
-            remaining.remove(finding.key())
-            baselined.append(finding)
-        else:
-            actionable.append(finding)
-    return LintResult(
-        findings=actionable,
-        baselined=baselined,
-        stale_baseline=remaining,
-        files=files,
-    )
+        findings.extend(_check_module(module, chosen))
+    return LintResult(findings=findings, files=files)

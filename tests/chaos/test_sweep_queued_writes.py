@@ -1,20 +1,49 @@
 """Crash sweep over pipelined, coalesced writes.
 
-The queued-write workload runs the append-overwrite script with every
-flush routed through the request pipeline (SCAN + adjacent-extent
-coalescing), so physical writes happen at queue-drain time and
-adjacent dirty blocks land in one merged disk reference.  The sweep
-proves the PR's crash-safety claim: every crash point still fires, a
-crash mid-batch tears exactly one merged reference, and recovery
-honours every durable promise regardless.
+The queued-write workload drives a disk server's request pipeline
+(SCAN + adjacent-extent coalescing) with waves of adjacent puts, so
+each wave lands in one merged disk reference, plus a mirrored put and
+its ``release_stable``.  The sweep proves recovery over the merged
+schedule: every crash point still fires, a crash mid-batch tears
+exactly one merged reference, and every resolved put reads back.
 """
 
 from repro.chaos.scheduler import CrashScheduler
 from repro.chaos.workloads import QueuedWriteWorkload
 from repro.common.metrics import Metrics
-from repro.common.units import BLOCK_SIZE
+from repro.common.units import FRAGMENT_SIZE, SECTOR_SIZE
+from repro.disk_service.addresses import Extent
+from repro.disk_service.pipeline import DiskPipeline
+from repro.disk_service.scheduler import FcfsScheduler
 
-SECTORS_PER_BLOCK = BLOCK_SIZE // 512
+SECTORS_PER_PIECE = (
+    QueuedWriteWorkload.PIECE_FRAGMENTS * FRAGMENT_SIZE // SECTOR_SIZE
+)
+
+
+class _OnePutPerReference(QueuedWriteWorkload):
+    """The same script served first come first served: every put is its
+    own disk reference, as a blocking put is."""
+
+    def build(self) -> None:
+        super().build()
+        DiskPipeline(self.volume.disk_server, self.loop, FcfsScheduler())
+
+
+def data_writes(workload):
+    return [
+        (entry.start, entry.n_sectors)
+        for entry in workload.monitor.write_entries()
+        if entry.disk_id == "chaos0"
+    ]
+
+
+def disk_contents(workload):
+    server = workload.volume.disk_server
+    return {
+        fragment: server.get(Extent(fragment, 1), use_cache=False)
+        for fragment in sorted(workload.acked)
+    }
 
 
 class TestCountingRun:
@@ -33,37 +62,39 @@ class TestCountingRun:
         assert traces[0]
 
     def test_flushes_actually_coalesce(self):
-        """The sweep must exercise merged references, not degenerate to
-        the blocking path: at least one data-disk write spans multiple
-        blocks, and the pipeline counts the riders it merged."""
+        """Each wave of adjacent puts is one data-disk reference, and
+        the pipeline counts the riders it merged."""
         workload = QueuedWriteWorkload()
         workload.run()
-        merged = [
-            entry
-            for entry in workload.monitor.write_entries()
-            if entry.disk_id == "chaos0"
-            and entry.n_sectors > SECTORS_PER_BLOCK
+        waves = [
+            (start, n_sectors)
+            for start, n_sectors in data_writes(workload)
+            if n_sectors > SECTORS_PER_PIECE
         ]
-        assert merged, "no multi-block data-disk reference in the trace"
-        assert (
-            workload.metrics.get("disk_server.chaos0.coalesced_requests") > 0
-        )
+        assert [n for _, n in waves] == [
+            len(fills) * SECTORS_PER_PIECE for _, fills in workload.WAVES
+        ]
+        riders = sum(len(fills) - 1 for _, fills in workload.WAVES)
+        assert workload.metrics.get(
+            "disk_server.chaos0.coalesced_requests"
+        ) == riders
 
     def test_queued_writes_change_physical_schedule_not_content(self):
-        """Pipeline on or off, the script's durable promises are the
-        same — only the physical write schedule differs."""
+        """Coalesced or one put per reference, the script acks the same
+        bytes and the disk holds them; coalescing never costs more."""
         queued = QueuedWriteWorkload()
         queued.run()
-        from repro.chaos.workloads import AppendOverwriteWorkload
-
-        blocking = AppendOverwriteWorkload()
+        blocking = _OnePutPerReference()
         blocking.run()
-        assert queued.durable == blocking.durable
-        assert queued.in_flux == blocking.in_flux
-        # coalescing strictly reduces data-disk references
+        assert queued.acked == blocking.acked
+        assert disk_contents(queued) == disk_contents(blocking) == {
+            fragment: fill * FRAGMENT_SIZE
+            for fragment, fill in queued.acked.items()
+        }
         queued_refs = queued.metrics.get("disk.chaos0.references")
         blocking_refs = blocking.metrics.get("disk.chaos0.references")
-        assert queued_refs < blocking_refs
+        assert queued_refs <= blocking_refs
+        assert len(data_writes(queued)) < len(data_writes(blocking))
 
 
 class TestExhaustiveSweep:

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.common.clock import SimClock
 from repro.common.metrics import Metrics
+from repro.common.units import BLOCK_SIZE
 from repro.file_service.cache import BufferPool, WritePolicy
+from tests.conftest import build_file_server
 
 
 def build(capacity=3):
@@ -76,31 +79,45 @@ class TestEvictionAndDirt:
         pool, written, _ = build()
         pool.put("a", b"1", dirty=True)
         pool.put("a", b"2")  # update without dirty flag: stays dirty
-        assert pool.flush() == 1
-        assert written == [("a", b"2")]
+        assert list(pool.dirty_items()) == [("a", b"2")]
+        assert written == []
 
 
 class TestFlush:
+    """The pool writes back only on eviction; its owner's flush writes
+    back the rest."""
+
     def test_flush_writes_all_dirty(self):
+        server = build_file_server(SimClock(), Metrics())
+        name = server.create()
+        server.write(name, 0, b"d" * (3 * BLOCK_SIZE))
+        pool = server._data_cache
+        assert len(list(pool.dirty_items())) == 3
+        server.flush()
+        assert list(pool.dirty_items()) == []
+        server.recover()  # drop the pool: the bytes come from disk
+        assert server.read(name, 0, 3 * BLOCK_SIZE) == b"d" * (3 * BLOCK_SIZE)
+
+    def test_dirty_items_are_exactly_the_dirty_buffers(self):
         pool, written, _ = build()
         pool.put("a", b"1", dirty=True)
         pool.put("b", b"2")
         pool.put("c", b"3", dirty=True)
-        assert pool.flush() == 2
-        assert sorted(written) == [("a", b"1"), ("c", b"3")]
-        assert pool.dirty_count() == 0
+        assert sorted(pool.dirty_items()) == [("a", b"1"), ("c", b"3")]
+        assert written == []
 
     def test_mark_clean(self):
         pool, written, _ = build()
         pool.put("a", b"1", dirty=True)
         pool.mark_clean("a")
-        assert pool.flush() == 0
+        assert list(pool.dirty_items()) == []
+        assert pool.get("a") == b"1"
 
     def test_invalidate_discards_dirty_data(self):
         pool, written, _ = build()
         pool.put("a", b"1", dirty=True)
         pool.invalidate("a")
-        assert pool.flush() == 0
+        assert list(pool.dirty_items()) == []
         assert pool.get("a") is None
 
     def test_invalidate_all(self):
@@ -109,7 +126,7 @@ class TestFlush:
         pool.put("b", b"2", dirty=True)
         pool.invalidate_all()
         assert len(pool) == 0
-        assert pool.dirty_count() == 0
+        assert list(pool.dirty_items()) == []
 
 
 class TestWritePolicy:

@@ -1,19 +1,17 @@
 """Golden disk-service call log of a scripted file-service workload.
 
 ``golden_call_log.txt`` is the log of :func:`run_script` at the commit
-before a close wrote back runs, marked up against the log since (a
+before ``flush`` wrote back runs, marked up against the log since (a
 line-level diff): lines starting ``- `` existed only before, lines
 starting ``+ `` exist only since.  What may differ is counted in
 :func:`test_golden_log_differs_from_its_parent_only_as_listed`:
 
-* a partial write into a block with no file bytes no longer
-  ``get``-reads it first;
-* a block a write carries EOF past unwritten is zeroed (a put of zeros);
-* a hole filled below EOF frees its reservation surplus instead of
-  mapping it over the holes after it, so later allocations land at
-  other addresses;
-* a close that moved only timestamps stores no FIT, and every FIT
-  stored later carries other timestamps (its payload CRC moves).
+* a flush puts the block pool's dirty blocks back one put per run of
+  adjacent disk blocks, where it put each block on its own — the same
+  blocks, each covered as often;
+* those puts cost fewer disk references, so later writes happen at
+  other simulated times, and every FIT stored after the first flush
+  carries other timestamps (its payload CRC moves).
 
 The log of the checked-out code must match the ``  `` and ``+ `` lines
 exactly, arguments and payload CRCs included.  ``python -m
@@ -21,7 +19,9 @@ tests.file_service.test_call_log`` prints it, which is how the golden
 file was produced.
 """
 
+import re
 import zlib
+from collections import Counter
 from pathlib import Path
 
 from repro.common.clock import SimClock
@@ -47,6 +47,7 @@ RECORDED = (
 )
 LEAF = DESCRIPTORS_PER_INDIRECT
 FIRST_DOUBLE = DIRECT_DESCRIPTORS + SINGLE_INDIRECT_SLOTS * LEAF
+EXTENT = re.compile(r"put\(ext\((\d+),(\d+)\)")
 
 
 def _show(value) -> str:
@@ -178,34 +179,37 @@ def test_golden_log_differs_from_its_parent_only_as_listed():
     def calls(log, op, where=lambda line: True):
         return sum(1 for line in log if line.startswith(f"{op}(") and where(line))
 
-    def one_block(line):
-        return line.endswith(f",{FRAGMENTS_PER_BLOCK}))")
-
     def both(line):
         return line.endswith("stability=both)")
 
-    def zeros(line):
-        return f"<{BLOCK_SIZE}B crc {zlib.crc32(bytes(BLOCK_SIZE)):08x}>" in line
+    def data_blocks(log):
+        """How often each block address is covered by a data put."""
+        covered = Counter()
+        for line in log:
+            if line.startswith("put(") and not both(line):
+                start, length = map(int, EXTENT.match(line).groups())
+                covered.update(range(start, start + length, FRAGMENTS_PER_BLOCK))
+        return covered
 
-    # The same allocations (at shifted addresses) and stable releases ...
-    for op in ("allocate", "allocate_block", "try_allocate_at", "release_stable"):
-        assert calls(now, op) == calls(parent, op)
-    # ... and one more free: the reservation surplus of the hole fill.
-    assert calls(now, "free") == calls(parent, "free") + 1
-    # Fourteen one-block reads of blocks with no file bytes are gone,
-    # and no other read.
-    assert calls(parent, "get", one_block) - calls(now, "get", one_block) == 14
-    assert calls(now, "get") - calls(now, "get", one_block) == calls(
-        parent, "get"
-    ) - calls(parent, "get", one_block)
-    # One store to both copies fewer: the close after in-place writes.
-    assert calls(now, "put", both) == calls(parent, "put", both) - 1
-    # The only data puts added put zeros: 21 blocks EOF jumped past.
-    assert calls(parent, "put", zeros) == 0
-    assert calls(now, "put", zeros) == 21
-    assert calls(now, "put", lambda line: not both(line)) == calls(
-        parent, "put", lambda line: not both(line)
-    ) + calls(now, "put", zeros)
+    # The same allocations, frees, reads and stable releases, in order ...
+    for op in RECORDED:
+        if op != "put":
+            assert [line for line in now if line.startswith(f"{op}(")] == [
+                line for line in parent if line.startswith(f"{op}(")
+            ]
+    # ... the same number of stores to both copies ...
+    assert calls(now, "put", both) == calls(parent, "put", both)
+    # ... and the same blocks written back: 19 one-block data puts
+    # became 4 runs.
+    assert data_blocks(now) == data_blocks(parent)
+    data_puts = {
+        mark: [
+            line for line in marked
+            if line.startswith(f"{mark} put(") and not both(line)
+        ]
+        for mark in "-+"
+    }
+    assert len(data_puts["-"]) == 19 and len(data_puts["+"]) == 4
 
 
 if __name__ == "__main__":

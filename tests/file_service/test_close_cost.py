@@ -1,5 +1,6 @@
 """What a close costs: one put per contiguous run of dirty blocks, and
 a FIT store only when the file's structure moved since the last one.
+A flush writes the whole block pool back the same way, pipeline or not.
 
 A commit's cleanup goes through the same ``flush_file``: its one put
 per run is pinned in ``tests/transactions/test_commit_cost.py``
@@ -8,6 +9,7 @@ per run is pinned in ``tests/transactions/test_commit_cost.py``
 
 import pytest
 
+from repro.chaos.trace import CrashPointMonitor
 from repro.cluster.config import ClusterConfig
 from repro.cluster.system import RhodosCluster
 from repro.common.clock import SimClock
@@ -70,6 +72,61 @@ class TestOnePutPerRun:
                 Extent.for_block_run(addresses[2], 2),
             ]
         )
+
+
+def data_disk_writes(server):
+    """The trace of every write to ``server``'s data disk from now on."""
+    return CrashPointMonitor().attach(server.disk.disk).trace
+
+
+class TestFlushWritesBackRuns:
+    @pytest.fixture(params=["bare", "cluster"])
+    def any_server(self, request):
+        if request.param == "bare":
+            yield build_file_server(SimClock(), Metrics())
+            return
+        cluster = RhodosCluster(ClusterConfig())
+        assert cluster.disk_servers[0].pipeline is not None  # fcfs
+        yield cluster.file_servers[0]
+
+    def test_three_adjacent_dirty_blocks_and_one_apart_make_two_puts(
+        self, any_server
+    ):
+        server = any_server
+        name = server.create()
+        server.write(name, 0, b"a" * (3 * BLOCK_SIZE))  # reserves block 3
+        server.create()  # takes the fragments after block 3
+        server.write(name, 5 * BLOCK_SIZE, b"b" * BLOCK_SIZE)
+        first, apart = (
+            server.block_descriptor(name, index).address for index in (0, 5)
+        )
+        runs = [Extent.for_block_run(first, 3), Extent.for_block_run(apart, 1)]
+        blocks = {
+            Extent.for_block_run(run.start + index * FRAGMENTS_PER_BLOCK, 1)
+            .first_sector
+            for run in runs
+            for index in range(run.whole_blocks)
+        }
+        writes = data_disk_writes(server)
+        server.flush()
+        assert sorted(
+            (w.start, w.n_sectors) for w in writes if w.start in blocks
+        ) == sorted(
+            (run.first_sector, run.n_sectors) for run in runs
+        )
+        assert server.read(name, 0, 6 * BLOCK_SIZE) == (
+            b"a" * (3 * BLOCK_SIZE) + bytes(2 * BLOCK_SIZE) + b"b" * BLOCK_SIZE
+        )
+
+    def test_a_flush_fires_no_one_elses_event(self):
+        cluster = RhodosCluster(ClusterConfig())
+        server = cluster.file_servers[0]
+        name = server.create()
+        server.write(name, 0, b"e" * (2 * BLOCK_SIZE))
+        fired = []
+        cluster.loop.call_at(cluster.clock.now_us + 1, lambda: fired.append(1))
+        server.flush()
+        assert fired == []
 
 
 class TestCloseStoresTheFitOnlyWhenStructureMoved:

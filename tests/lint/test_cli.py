@@ -1,4 +1,4 @@
-"""CLI contract: exit codes, rendering, --json, --strict, baselines."""
+"""CLI contract: exit codes, rendering, --json."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ GOOD_FIXTURES = sorted(FIXTURES.rglob("good_*.py"))
     "path", BAD_FIXTURES, ids=[p.parent.name for p in BAD_FIXTURES]
 )
 def test_each_rule_violation_fixture_fails_with_location(path, capsys):
-    exit_code = main(["--strict", str(path)])
+    exit_code = main([str(path)])
     out = capsys.readouterr().out
     assert exit_code == 1
     # file:line plus the rule id, per the acceptance criteria
@@ -31,7 +31,7 @@ def test_each_rule_violation_fixture_fails_with_location(path, capsys):
     "path", GOOD_FIXTURES, ids=[p.parent.name for p in GOOD_FIXTURES]
 )
 def test_good_fixtures_exit_zero(path):
-    assert main(["--strict", str(path)]) == 0
+    assert main([str(path)]) == 0
 
 
 def _rule_of(path: Path) -> str:
@@ -51,7 +51,7 @@ def _rule_of(path: Path) -> str:
 
 def test_json_output_is_machine_readable(capsys):
     path = FIXTURES / "taxonomy" / "bad_raise.py"
-    exit_code = main(["--strict", "--json", str(path)])
+    exit_code = main(["--json", str(path)])
     findings = json.loads(capsys.readouterr().out)
     assert exit_code == 1
     assert {f["rule"] for f in findings} == {"error-taxonomy"}
@@ -63,7 +63,7 @@ def test_json_output_is_machine_readable(capsys):
 
 def test_default_walk_is_clean_in_strict_mode(capsys):
     # The acceptance criterion: the whole repo lints clean.
-    assert main(["--strict"]) == 0
+    assert main([]) == 0
     assert "0 finding(s)" in capsys.readouterr().out
 
 
@@ -83,17 +83,6 @@ def test_list_rules_names_all_seven(capsys):
         assert rule_id in out
 
 
-def test_write_baseline_then_default_run_passes(tmp_path, capsys):
-    bad = FIXTURES / "metrics" / "bad_metric_names.py"
-    baseline = tmp_path / "baseline.json"
-    assert main(["--baseline", str(baseline), "--write-baseline", str(bad)]) == 0
-    assert baseline.is_file()
-    # grandfathered: default mode passes, strict still fails
-    assert main(["--baseline", str(baseline), str(bad)]) == 0
-    assert main(["--baseline", str(baseline), "--strict", str(bad)]) == 1
-    capsys.readouterr()
-
-
 def test_list_rules_names_the_concurrency_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
@@ -102,36 +91,3 @@ def test_list_rules_names_the_concurrency_rules(capsys):
         "frame-discipline",
     ):
         assert rule_id in out
-
-
-def test_check_baseline_fails_on_orphaned_entries(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({
-        "findings": [{
-            "path": "src/repro/long_gone.py", "line": 1, "col": 0,
-            "rule": "layering", "message": "a finding nothing matches",
-            "hint": "",
-        }]
-    }))
-    clean = FIXTURES / "taxonomy" / "good_raise.py"
-    assert main(["--baseline", str(baseline), str(clean)]) == 0
-    assert main(
-        ["--check-baseline", "--baseline", str(baseline), str(clean)]
-    ) == 1
-    err = capsys.readouterr().err
-    assert "orphaned" in err and "long_gone" in err
-
-
-def test_check_baseline_passes_when_baseline_is_live(tmp_path, capsys):
-    bad = FIXTURES / "metrics" / "bad_metric_names.py"
-    baseline = tmp_path / "baseline.json"
-    assert main(["--baseline", str(baseline), "--write-baseline", str(bad)]) == 0
-    # every entry still matches a finding: the check passes in both modes
-    assert main(
-        ["--check-baseline", "--baseline", str(baseline), str(bad)]
-    ) == 0
-    assert main(
-        ["--check-baseline", "--strict", "--baseline", str(baseline), str(bad)]
-    ) == 1  # strict still fails on the findings themselves, not staleness
-    err = capsys.readouterr().err
-    assert "orphaned" not in err

@@ -1,10 +1,10 @@
-"""Framework mechanics: suppressions, baseline round-trip, module naming."""
+"""Framework mechanics: suppressions, module naming, parsing."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.lint import lint_paths, lint_source, load_baseline, save_baseline
+from repro.lint import lint_paths, lint_source
 from repro.lint.framework import (
     FRAMEWORK_RULE,
     module_name_for,
@@ -89,52 +89,6 @@ class TestModuleNaming:
         assert parsed.package == "simdisk"
 
 
-class TestBaseline:
-    def _violating_file(self, tmp_path: Path) -> Path:
-        path = tmp_path / "legacy.py"
-        path.write_text(
-            "# lint-fixture-module: repro.common.legacy\n" + BAD_RAISE
-        )
-        return path
-
-    def test_round_trip_grandfathers_findings(self, tmp_path):
-        path = self._violating_file(tmp_path)
-        first = lint_paths([path], root=repo_root())
-        assert len(first.findings) == 1
-
-        baseline = tmp_path / "baseline.json"
-        save_baseline(baseline, first.findings)
-        assert load_baseline(baseline) == [first.findings[0].key()]
-
-        second = lint_paths([path], root=repo_root(), baseline=baseline)
-        assert second.findings == []
-        assert len(second.baselined) == 1
-        assert second.stale_baseline == []
-
-    def test_strict_ignores_the_baseline(self, tmp_path):
-        path = self._violating_file(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        save_baseline(baseline, lint_paths([path], root=repo_root()).findings)
-        strict = lint_paths(
-            [path], root=repo_root(), baseline=baseline, strict=True
-        )
-        assert len(strict.findings) == 1
-
-    def test_fixed_finding_leaves_a_stale_entry(self, tmp_path):
-        path = self._violating_file(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        save_baseline(baseline, lint_paths([path], root=repo_root()).findings)
-        path.write_text(
-            "# lint-fixture-module: repro.common.legacy\nx = 1\n"
-        )
-        result = lint_paths([path], root=repo_root(), baseline=baseline)
-        assert result.findings == []
-        assert len(result.stale_baseline) == 1
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == []
-
-
 class TestParsing:
     def test_syntax_error_is_reported_not_raised(self, tmp_path):
         path = tmp_path / "broken.py"
@@ -145,6 +99,6 @@ class TestParsing:
 
     def test_directory_walk_skips_lint_fixtures(self):
         root = repo_root()
-        result = lint_paths([root / "tests" / "lint"], root=root, strict=True)
+        result = lint_paths([root / "tests" / "lint"], root=root)
         # the deliberately-bad fixtures are excluded from walks
         assert result.findings == []

@@ -1,4 +1,4 @@
-"""The repo must lint itself clean in --strict mode (tier-1 gate).
+"""The repo must lint itself clean: no finding at all (tier-1 gate).
 
 This is the test CI leans on: any layering back-edge, wall-clock read,
 ambient RNG, stray exception type, unregistered write site, or malformed
@@ -14,8 +14,8 @@ from repro.lint.framework import repo_root
 
 def test_src_and_tests_are_clean_in_strict_mode():
     root = repo_root()
-    result = lint_paths([root / "src", root / "tests"], root=root, strict=True)
+    result = lint_paths([root / "src", root / "tests"], root=root)
     rendered = "\n".join(finding.render() for finding in result.findings)
-    assert result.findings == [], f"repro.lint --strict findings:\n{rendered}"
+    assert result.findings == [], f"repro.lint findings:\n{rendered}"
     # sanity: the walk actually covered the tree
     assert result.files > 100
