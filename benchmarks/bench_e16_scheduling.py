@@ -135,7 +135,6 @@ def run_closed_loop(n_clients: int, n_disks: int):
         ClusterConfig(
             n_machines=n_clients,
             n_disks=n_disks,
-            disk_scheduler="scan+coalesce",
         )
     )
     report = cluster.run_concurrent(
@@ -210,7 +209,7 @@ def test_e16_closed_loop_overlap():
         overlapped.throughput_ops_per_s / serial.throughput_ops_per_s
     )
     print_table(
-        "E16  Closed-loop cluster driver on 4 disks (scan+coalesce)",
+        "E16  Closed-loop cluster driver on 4 disks",
         ["clients", "ops", "elapsed (ms)", "ops/s", "mean latency (ms)"],
         [
             (

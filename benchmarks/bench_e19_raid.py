@@ -205,7 +205,7 @@ def run_mode_point(mode):
             assert completion.result() == pattern(FRAGMENT_BYTES, seed=slot)
             verified += 1
         if rebuilder is not None and not rebuilder.done:
-            rebuilder.step(force=True)
+            rebuilder.step()
     elapsed_us = clock.now_us - started_us
     return {
         "state": array.state.name,

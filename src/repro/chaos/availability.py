@@ -261,9 +261,9 @@ class _Run:
     def workload(self) -> None:
         """Ops under the outage script, then run the script out.
 
-        Every step polls the schedule and grants background work (RAID
-        rebuilds) one idle slot before the think time and the op, so
-        repairs compete with foreground traffic.  Run-out fires what is
+        Every step polls the schedule and advances background work (RAID
+        rebuilds) one step before the think time and the op, so repairs
+        interleave with foreground traffic.  Run-out fires what is
         left and delivers parked messages, leaving a fully repaired
         system for :meth:`converge`.
         """
@@ -847,8 +847,8 @@ class _RaidRun(_Run):
     failed operation is attributable to the RAID tier, not bus luck).
     The schedule kills and replaces member drives between operations;
     the workload loop pumps :meth:`RhodosCluster.step_rebuilds` each
-    step so the background rebuild competes with foreground traffic for
-    idle slots.  Unlike the volume-crash scenarios there is no
+    step so the background rebuild interleaves with foreground
+    traffic.  Unlike the volume-crash scenarios there is no
     unavailability budget to spend: **every** operation must succeed,
     and at the end every acked byte must read back exactly from the
     server's durable state.
@@ -886,7 +886,6 @@ class _RaidRun(_Run):
         "raid.0.member_replacements",
         "raid.0.parity_writes",
         "raid.0.rebuild.chunks",
-        "raid.0.rebuild.steps_yielded",
         "raid.0.segments_reconstructed",
     )
     FILE_READ_WRONG = "read at {offset} returned wrong bytes"
@@ -923,12 +922,12 @@ class _RaidRun(_Run):
 
     def converge(self) -> None:
         cluster = self.cluster
-        # Grant the rebuild exclusive slots until the array is whole.
+        # Pump the rebuild alone until the array is whole.
         for _ in range(8 * self.scenario.steps):
             if not cluster.rebuilders:
                 break
             cluster.clock.advance_us(self.scenario.think_us)
-            cluster.step_rebuilds(force=True)
+            cluster.step_rebuilds()
         else:
             self.violations.append("rebuild never completed at run-out")
         if self.array.state is not ArrayState.OPTIMAL:
@@ -1307,7 +1306,7 @@ SCENARIOS: Dict[str, Scenario] = {
             inject="media",
         ),
         # One member dies at 300 ms; its blank replacement arrives
-        # 400 ms later and rebuilds in the idle slots between operations.
+        # 400 ms later and rebuilds one step between operations.
         Scenario(
             "raid_member_loss",
             _RaidRun,
@@ -1403,7 +1402,7 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     )
     parser.add_argument(
         "--out",
-        default="AVAILABILITY_pr29.json",
+        default="AVAILABILITY_pr31.json",
         help="output path (default: %(default)s)",
     )
     parser.add_argument(

@@ -877,7 +877,7 @@ class RaidRebuildWorkload(_RaidChaosWorkload):
         rebuilder = RaidRebuilder(self.array, chunks_per_step=3)
         fills = iter("EFGHIJKLMN")
         while not rebuilder.done:
-            rebuilder.step(force=True)
+            rebuilder.step()
             fill = next(fills)
             # Alternate below/above the advancing watermark.
             self._write(2, fill, 5)

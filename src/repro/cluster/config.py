@@ -1,9 +1,10 @@
 """Cluster configuration.
 
 One dataclass gathers every knob the experiments sweep: cache levels
-on/off (E5), readahead (E14), write policy (E6), the free-extent array
-shape (E4/A1), the timeout policy (E8/A2), the commit technique (E9),
-and the RPC fault profile (E12).
+on/off (E5), readahead (E14), write policy (E6), the timeout policy
+(E8/A2), the commit technique (E9), and the RPC fault profile (E12).
+``tests/cluster/test_knob_liveness.py`` keeps every field live: each
+one, flipped from its default, must move something a run records.
 """
 
 from __future__ import annotations
@@ -33,10 +34,7 @@ class ClusterConfig:
         server_cache_blocks: per-volume file-server block pool (0 = off).
         disk_cache_tracks: per-disk track cache (0 = off).
         disk_readahead: rest-of-track readahead on/off.
-        disk_scheduler: service-order policy of each disk's request
-            pipeline — ``fcfs``, ``scan``, or ``scan+coalesce`` (E16).
         write_policy: file-server policy for basic files.
-        extent_rows / extent_columns: free-extent array dimensions.
         timeout_policy: the LT/N deadlock policy.
         commit_technique: 'auto' (paper rule), 'wal', or 'shadow'.
         fault_profile: RPC fault injection; None = direct calls
@@ -57,7 +55,7 @@ class ClusterConfig:
         placement_policy: chunk→volume placement for creates without a
             volume hint — ``fixed`` (first volume, historical),
             ``round_robin``, or ``least_loaded`` (steered by the live
-            ``disk.N.queue_depth``/``utilization`` gauges).
+            ``disk.N.utilization`` gauges).
         raid_level: back each volume's data disk with a
             :class:`~repro.simdisk.raid.StripedVolume` of this layout
             (``raid0`` / ``raid1`` / ``raid5``) instead of a single
@@ -74,10 +72,7 @@ class ClusterConfig:
     server_cache_blocks: int = 256
     disk_cache_tracks: int = 128
     disk_readahead: bool = True
-    disk_scheduler: Literal["fcfs", "scan", "scan+coalesce"] = "fcfs"
     write_policy: WritePolicy = WritePolicy.DELAYED
-    extent_rows: int = 64
-    extent_columns: int = 64
     timeout_policy: TimeoutPolicy = field(default_factory=TimeoutPolicy)
     commit_technique: Literal["auto", "wal", "shadow"] = "auto"
     fault_profile: Optional[FaultProfile] = None

@@ -23,8 +23,6 @@ from repro.common.clock import SimClock
 from repro.common.metrics import Metrics
 from repro.common.trace import Tracer
 from repro.common.weak import weak_method
-from repro.disk_service.pipeline import DiskPipeline
-from repro.disk_service.scheduler import make_scheduler
 from repro.disk_service.server import DiskServer
 from repro.file_service.server import FileServer
 from repro.naming.directory import DirectoryService
@@ -111,7 +109,6 @@ class RhodosCluster:
         #: volume id -> in-flight background rebuild (see replace_member).
         self.rebuilders: Dict[int, RaidRebuilder] = {}
         self.disk_servers: Dict[int, DiskServer] = {}
-        self.pipelines: Dict[int, DiskPipeline] = {}
         self.file_servers: Dict[int, FileServer] = {}
         # Arrays call back into the cluster; weakly, or every array
         # would keep the cluster that owns it alive (common/weak.py).
@@ -168,8 +165,6 @@ class RhodosCluster:
                 self.metrics,
                 cache_tracks=self.config.disk_cache_tracks,
                 readahead=self.config.disk_readahead,
-                extent_rows=self.config.extent_rows,
-                extent_columns=self.config.extent_columns,
                 tracer=self.tracer,
             )
             file_server = FileServer(
@@ -183,13 +178,6 @@ class RhodosCluster:
             )
             self.disks.append(disk)
             self.disk_servers[volume_id] = disk_server
-            # Each disk drains its own queue on the one shared loop, so
-            # requests overlap across disks but serialize per drive.
-            self.pipelines[volume_id] = DiskPipeline(
-                disk_server,
-                self.loop,
-                make_scheduler(self.config.disk_scheduler),
-            )
             self.file_servers[volume_id] = file_server
 
         self.health = HealthRegistry(self.metrics)
@@ -523,22 +511,19 @@ class RhodosCluster:
     ) -> RaidRebuilder:
         """Swap a failed member and start its background rebuild.
 
-        The rebuilder is idle-gated on the volume's disk pipeline —
-        reconstruction only proceeds from slots where no foreground
-        request is queued, the same discipline the scrubber follows.
-        Pump it with :meth:`step_rebuilds` (or force completion via the
-        returned rebuilder's ``run_cycle``).
+        The rebuild advances only when :meth:`step_rebuilds` is called,
+        so the caller chooses its idle points (the returned rebuilder's
+        ``run_cycle`` runs it to completion).
         """
         array = self.arrays[volume_id]
         array.replace_member(member_index, blank=blank)
-        pipeline = self.pipelines[volume_id]
-        rebuilder = RaidRebuilder(array, idle_gate=lambda p=pipeline: p.busy)
+        rebuilder = RaidRebuilder(array)
         self.rebuilders[volume_id] = rebuilder
         self.metrics.add("cluster.member_replacements")
         return rebuilder
 
-    def step_rebuilds(self, *, force: bool = False) -> int:
-        """Grant every in-flight rebuild one idle slot; returns chunks built.
+    def step_rebuilds(self) -> int:
+        """Advance every in-flight rebuild one step; returns chunks built.
 
         Finished (or cancelled) rebuilders are retired from
         :attr:`rebuilders`; call from workload idle points, as the
@@ -547,7 +532,7 @@ class RhodosCluster:
         built = 0
         for volume_id in sorted(self.rebuilders):
             rebuilder = self.rebuilders[volume_id]
-            built += rebuilder.step(force=force)
+            built += rebuilder.step()
             if rebuilder.done:
                 del self.rebuilders[volume_id]
         return built

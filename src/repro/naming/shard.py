@@ -801,9 +801,8 @@ class PlacementPolicy:
 
     ``fixed`` reproduces the historical choice (first volume);
     ``round_robin`` cycles; ``least_loaded`` reads the live
-    ``disk.N.queue_depth`` and ``disk.N.utilization`` gauges the
-    pipelines and disks already publish — the clusterIO discipline of
-    steering new chunks at the coldest spindle.
+    ``disk.N.utilization`` gauge each disk publishes — the clusterIO
+    discipline of steering new chunks at the coldest spindle.
     """
 
     def __init__(
@@ -830,10 +829,9 @@ class PlacementPolicy:
             return volume_id
         return min(self.volume_ids, key=self._load)
 
-    def _load(self, volume_id: int) -> Tuple[int, int, int]:
-        queue = self.metrics.get_gauge(f"disk.{volume_id}.queue_depth") or 0
+    def _load(self, volume_id: int) -> Tuple[int, int]:
         utilization = self.metrics.get_gauge(f"disk.{volume_id}.utilization") or 0
-        return (queue, utilization, volume_id)  # volume id breaks ties
+        return (utilization, volume_id)  # volume id breaks ties
 
 
 class ShardedNamespace:

@@ -1310,31 +1310,26 @@ class StripedVolume:
 
 
 class RaidRebuilder:
-    """Background reconstruction of a replaced member, scrubber-style.
+    """Background reconstruction of a replaced member.
 
     Walks the target's physical data chunks (the metadata area is
     rewritten by the membership machinery), reconstructing each from
     the surviving members and advancing the array's write-through
     watermark as it goes: writes below it are written through to the
     target, chunks above it are reconstructed from the survivors'
-    *current* content when the cursor reaches them.  :meth:`step`
-    yields to foreground traffic when the ``idle_gate`` reports the
-    pipeline busy, exactly like the PR 6 scrubber; :meth:`run_cycle`
-    forces completion.
+    *current* content when the cursor reaches them.  It advances
+    exactly when :meth:`step` is called, so the caller chooses the
+    idle points; there is no foreground gate.  (A gate on the drives'
+    timelines was measured and declined: pumped from inside concurrent
+    operations, each operation's own charges read as "busy" and the
+    rebuild never ran.)  :meth:`run_cycle` runs it to completion.
 
     Args:
         array: the owning array; must currently be REBUILDING.
-        chunks_per_step: physical chunks reconstructed per granted step.
-        idle_gate: truthy return = foreground busy, skip this step.
+        chunks_per_step: physical chunks reconstructed per step.
     """
 
-    def __init__(
-        self,
-        array: StripedVolume,
-        *,
-        chunks_per_step: int = 32,
-        idle_gate: Optional[Callable[[], bool]] = None,
-    ) -> None:
+    def __init__(self, array: StripedVolume, *, chunks_per_step: int = 32) -> None:
         if array.rebuild_target is None:
             raise ValueError("array has no rebuild target")
         if chunks_per_step < 1:
@@ -1342,7 +1337,6 @@ class RaidRebuilder:
         self.array = array
         self.target = array.rebuild_target
         self.chunks_per_step = chunks_per_step
-        self.idle_gate = idle_gate
         self._cursor = array._meta_chunks  # data starts past metadata
         self._prefix = f"raid.{array.array_id}.rebuild"
 
@@ -1360,16 +1354,13 @@ class RaidRebuilder:
         total = self.array.member_chunks - meta
         return min(100, (self._cursor - meta) * 100 // total)
 
-    def step(self, *, force: bool = False) -> int:
-        """Rebuild up to ``chunks_per_step`` chunks; 0 if gated or done.
+    def step(self) -> int:
+        """Rebuild up to ``chunks_per_step`` chunks; 0 once done.
 
         A second failure mid-step cancels (raid5 → FAILED) and the
         rebuilder reports done; the array state is authoritative.
         """
         if self.done or self.array.state is not ArrayState.REBUILDING:
-            return 0
-        if not force and self.idle_gate is not None and self.idle_gate():
-            self.array.metrics.add(f"{self._prefix}.steps_yielded")
             return 0
         built = 0
         while built < self.chunks_per_step and not self.done:
@@ -1387,9 +1378,9 @@ class RaidRebuilder:
         return built
 
     def run_cycle(self) -> None:
-        """Force the rebuild to completion (ignoring the idle gate)."""
+        """Run the rebuild to completion."""
         while not self.done:
-            if self.step(force=True) == 0 and not self.done:
+            if self.step() == 0 and not self.done:
                 return  # array left REBUILDING (second failure)
 
     def _rebuild_chunk(self, physical_chunk: int) -> bool:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.config import ClusterConfig
+from repro.cluster.system import RhodosCluster
 from repro.file_service.cache import WritePolicy
 from repro.rpc.bus import FaultProfile
 from repro.simdisk.geometry import DiskGeometry
@@ -12,8 +13,8 @@ from repro.transactions.lock_manager import TimeoutPolicy
 class TestDefaults:
     def test_paper_shaped_defaults(self):
         config = ClusterConfig()
-        assert config.extent_rows == 64  # the paper's 64x64 array
-        assert config.extent_columns == 64
+        table = RhodosCluster(config).disk_servers[0].extent_table
+        assert (table.rows, table.columns) == (64, 64)  # the paper's array
         assert config.commit_technique == "auto"  # the paper's WAL/shadow rule
         assert config.write_policy is WritePolicy.DELAYED
         assert config.disk_readahead is True

@@ -154,12 +154,6 @@ class TestDeterminism:
 
         assert run() == run()
 
-    def test_scheduler_config_reaches_the_pipelines(self):
-        cluster = RhodosCluster(ClusterConfig(disk_scheduler="scan+coalesce"))
-        assert cluster.pipelines[0].scheduler.name == "scan+coalesce"
-        with pytest.raises(ValueError):
-            RhodosCluster(ClusterConfig(disk_scheduler="nope"))
-
 
 class TestPerClassLatencies:
     """PR 10 satellite: DriverReport separates metadata and data ops."""

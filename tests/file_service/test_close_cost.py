@@ -85,9 +85,7 @@ class TestFlushWritesBackRuns:
         if request.param == "bare":
             yield build_file_server(SimClock(), Metrics())
             return
-        cluster = RhodosCluster(ClusterConfig())
-        assert cluster.disk_servers[0].pipeline is not None  # fcfs
-        yield cluster.file_servers[0]
+        yield RhodosCluster(ClusterConfig()).file_servers[0]
 
     def test_three_adjacent_dirty_blocks_and_one_apart_make_two_puts(
         self, any_server

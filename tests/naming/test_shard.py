@@ -434,12 +434,12 @@ class TestPlacementPolicy:
 
     def test_least_loaded_reads_the_gauges(self):
         metrics = Metrics()
-        metrics.gauge("disk.0.queue_depth", 5)
-        metrics.gauge("disk.1.queue_depth", 1)
-        metrics.gauge("disk.2.queue_depth", 3)
+        metrics.gauge("disk.0.utilization", 5)
+        metrics.gauge("disk.1.utilization", 1)
+        metrics.gauge("disk.2.utilization", 3)
         policy = PlacementPolicy([0, 1, 2], "least_loaded", metrics)
         assert policy.place() == 1
-        metrics.gauge("disk.1.queue_depth", 9)
+        metrics.gauge("disk.1.utilization", 9)
         assert policy.place() == 2
 
     def test_least_loaded_ties_break_by_volume_id(self):

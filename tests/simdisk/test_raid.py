@@ -259,7 +259,7 @@ class TestRecoverFromSuperblocks:
         array.write_sectors(0, b"\x77" * (30 * SECTOR))
         array.fail_member(2)
         array.replace_member(2, blank=True)
-        RaidRebuilder(array, chunks_per_step=2).step(force=True)
+        RaidRebuilder(array, chunks_per_step=2).step()
         assert array.rebuild_target == 2
         array.crash()
         for drive in drives:
@@ -291,7 +291,7 @@ class TestRebuildLifecycle:
         rebuilder = RaidRebuilder(array, chunks_per_step=2)
         fill = 1
         while not rebuilder.done:
-            rebuilder.step(force=True)
+            rebuilder.step()
             # Interleave writes below and above the watermark so both
             # the write-through and the stale-column paths run.
             put(4, 2, fill)
@@ -307,7 +307,7 @@ class TestRebuildLifecycle:
         array.write_sectors(0, b"\x11" * (24 * SECTOR))
         array.fail_member(3)
         array.replace_member(3, blank=True)
-        RaidRebuilder(array, chunks_per_step=1).step(force=True)
+        RaidRebuilder(array, chunks_per_step=1).step()
         assert array.state is ArrayState.REBUILDING
         # The replacement drive dies too: back to DEGRADED — never
         # FAILED, three healthy members still hold everything.

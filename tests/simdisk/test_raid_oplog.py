@@ -188,8 +188,8 @@ def run_script(level: str) -> list[str]:
 
     array.replace_member(1)
     rebuilder = RaidRebuilder(array, chunks_per_step=3)
-    rebuilder.step(force=True)
-    rebuilder.step(force=True)
+    rebuilder.step()
+    rebuilder.step()
     done("replace_member(1), six chunks rebuilt")
     write(row + 2, 3)                   # below the watermark
     write(2 * row + 1, 2)
@@ -199,7 +199,7 @@ def run_script(level: str) -> list[str]:
     write(4 * row, 4 * row)             # full rows straddling it
     read(0, 5 * row)
     done("foreground traffic on both sides of the watermark")
-    rebuilder.step(force=True)
+    rebuilder.step()
     write(row + 2, 3)
     write(8 * row + 2, 3)
     rebuilder.run_cycle()

@@ -123,7 +123,7 @@ def start_rebuild_of_member_one(rig):
     rig.array.fail_member(1)
     rig.array.replace_member(1)
     rig.rebuilder = RaidRebuilder(rig.array, chunks_per_step=3)
-    rig.rebuilder.step(force=True)
+    rig.rebuilder.step()
     assert rig.array.state is ArrayState.REBUILDING
 
 
