@@ -14,19 +14,36 @@ from repro.simdisk.stable import StableStore
 from repro.tools.bench import print_table  # noqa: F401 - the benches import it from here
 
 
+def build_volume(
+    disk_id: str,
+    clock: SimClock,
+    metrics: Metrics,
+    geometry: DiskGeometry,
+    *,
+    disk=None,
+    **kwargs,
+) -> DiskServer:
+    """A standalone volume: a data disk (``disk``, or a fresh SimDisk of
+    ``geometry``), stable storage mirrored over ``<disk_id>.sa`` /
+    ``<disk_id>.sb``, and the DiskServer over both."""
+    if disk is None:
+        disk = SimDisk(disk_id, geometry, clock, metrics)
+    stable = StableStore(
+        SimDisk(f"{disk_id}.sa", DiskGeometry.small(), clock, metrics),
+        SimDisk(f"{disk_id}.sb", DiskGeometry.small(), clock, metrics),
+    )
+    return DiskServer(disk, stable, clock, metrics, **kwargs)
+
+
 def build_disk_server(
     *,
     geometry: DiskGeometry | None = None,
     disk_id: str = "0",
     **kwargs,
 ) -> DiskServer:
-    clock, metrics = SimClock(), Metrics()
-    disk = SimDisk(disk_id, geometry or DiskGeometry.small(), clock, metrics)
-    stable = StableStore(
-        SimDisk(f"{disk_id}.sa", DiskGeometry.small(), clock, metrics),
-        SimDisk(f"{disk_id}.sb", DiskGeometry.small(), clock, metrics),
+    return build_volume(
+        disk_id, SimClock(), Metrics(), geometry or DiskGeometry.small(), **kwargs
     )
-    return DiskServer(disk, stable, clock, metrics, **kwargs)
 
 
 def build_file_server(
@@ -36,14 +53,14 @@ def build_file_server(
     disk_kwargs: dict | None = None,
     **kwargs,
 ) -> FileServer:
-    clock, metrics = SimClock(), Metrics()
-    disk = SimDisk(str(volume_id), geometry or DiskGeometry.medium(), clock, metrics)
-    stable = StableStore(
-        SimDisk(f"{volume_id}.sa", DiskGeometry.small(), clock, metrics),
-        SimDisk(f"{volume_id}.sb", DiskGeometry.small(), clock, metrics),
+    server = build_volume(
+        str(volume_id),
+        SimClock(),
+        Metrics(),
+        geometry or DiskGeometry.medium(),
+        **(disk_kwargs or {}),
     )
-    server = DiskServer(disk, stable, clock, metrics, **(disk_kwargs or {}))
-    return FileServer(volume_id, server, clock, metrics, **kwargs)
+    return FileServer(volume_id, server, server.clock, server.metrics, **kwargs)
 
 
 def build_cluster(**overrides) -> RhodosCluster:

@@ -21,7 +21,7 @@ Two shapes are asserted:
   acceptance floor.
 """
 
-from _helpers import print_table
+from _helpers import build_volume, print_table
 from repro.cluster.config import ClusterConfig
 from repro.cluster.system import RhodosCluster
 from repro.common.clock import SimClock
@@ -30,26 +30,14 @@ from repro.common.units import BLOCK_SIZE
 from repro.disk_service.addresses import Extent
 from repro.disk_service.pipeline import DiskPipeline
 from repro.disk_service.scheduler import make_scheduler
-from repro.disk_service.server import DiskServer
 from repro.naming.attributed import AttributedName
-from repro.simdisk.disk import SimDisk
 from repro.simdisk.geometry import DiskGeometry
-from repro.simdisk.stable import StableStore
 from repro.simkernel.loop import EventLoop
 
 POLICIES = ("fcfs", "scan", "scan+coalesce")
 CLIENT_COUNTS = (1, 2, 4, 8)
 DISK_COUNTS = (1, 4)
 OPS_PER_CLIENT = 8
-
-
-def _build_volume(disk_id: str, clock, metrics) -> DiskServer:
-    disk = SimDisk(disk_id, DiskGeometry.small(), clock, metrics)
-    stable = StableStore(
-        SimDisk(f"{disk_id}.sa", DiskGeometry.small(), clock, metrics),
-        SimDisk(f"{disk_id}.sb", DiskGeometry.small(), clock, metrics),
-    )
-    return DiskServer(disk, stable, clock, metrics)
 
 
 def run_pipeline_point(policy: str, n_clients: int, n_disks: int):
@@ -65,7 +53,7 @@ def run_pipeline_point(policy: str, n_clients: int, n_disks: int):
     loop = EventLoop(clock)
     servers = []
     for volume in range(n_disks):
-        server = _build_volume(str(volume), clock, metrics)
+        server = build_volume(str(volume), clock, metrics, DiskGeometry.small())
         DiskPipeline(server, loop, make_scheduler(policy))
         servers.append((server, server.allocate(server.n_fragments // 2)))
     completions = []

@@ -25,7 +25,7 @@ discipline — same work, no priority/gating — costs strictly more
 foreground latency than the background discipline.
 """
 
-from _helpers import print_table
+from _helpers import build_volume, print_table
 from repro.common.clock import SimClock
 from repro.common.metrics import Metrics
 from repro.disk_service.addresses import Extent
@@ -33,9 +33,7 @@ from repro.disk_service.pipeline import DiskPipeline
 from repro.disk_service.scheduler import make_scheduler
 from repro.disk_service.scrub import Scrubber
 from repro.disk_service.server import DiskServer
-from repro.simdisk.disk import SimDisk
 from repro.simdisk.geometry import DiskGeometry
-from repro.simdisk.stable import StableStore
 from repro.simkernel.loop import EventLoop
 
 MODES = ("off", "background", "rude")
@@ -43,15 +41,6 @@ DATA_FRAGMENTS = 192
 ROUNDS = 12
 BATCH = 8
 SCRUB_STEP = 16  # fragments per scrub step; covers the region in ROUNDS steps
-
-
-def _build_volume(disk_id: str, clock, metrics) -> DiskServer:
-    disk = SimDisk(disk_id, DiskGeometry.small(), clock, metrics)
-    stable = StableStore(
-        SimDisk(f"{disk_id}.sa", DiskGeometry.small(), clock, metrics),
-        SimDisk(f"{disk_id}.sb", DiskGeometry.small(), clock, metrics),
-    )
-    return DiskServer(disk, stable, clock, metrics)
 
 
 def _populate(server: DiskServer) -> Extent:
@@ -81,7 +70,7 @@ def run_scrub_point(mode: str):
     """One discipline: ROUNDS foreground batches with scrub interleaved."""
     clock, metrics = SimClock(), Metrics()
     loop = EventLoop(clock)
-    server = _build_volume("0", clock, metrics)
+    server = build_volume("0", clock, metrics, DiskGeometry.small())
     region = _populate(server)
     pipeline = DiskPipeline(server, loop, make_scheduler("scan+coalesce"))
     scrubber = Scrubber(server, fragments_per_step=SCRUB_STEP)

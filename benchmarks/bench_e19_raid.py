@@ -31,17 +31,15 @@ tier costs and buys:
   costs its slower read plus its slower write.
 """
 
-from _helpers import pattern, print_table
+from _helpers import build_volume, pattern, print_table
 from repro.common.clock import SimClock
 from repro.common.metrics import Metrics
 from repro.disk_service.addresses import Extent
 from repro.disk_service.pipeline import DiskPipeline
 from repro.disk_service.scheduler import make_scheduler
-from repro.disk_service.server import DiskServer
 from repro.simdisk.disk import SimDisk
 from repro.simdisk.geometry import DiskGeometry
 from repro.simdisk.raid import RaidRebuilder, StripedVolume
-from repro.simdisk.stable import StableStore
 from repro.simkernel.loop import EventLoop
 
 #: (label, level, members, chunk_sectors) — the contention grid rows.
@@ -80,11 +78,7 @@ def _build_stack(level, members, chunk_sectors, policy, clock, metrics, loop):
             tag, drives, level=level, chunk_sectors=chunk_sectors, metrics=metrics
         )
         member_ids = [drive.disk_id for drive in drives]
-    stable = StableStore(
-        SimDisk(f"{tag}.sa", DiskGeometry.small(), clock, metrics),
-        SimDisk(f"{tag}.sb", DiskGeometry.small(), clock, metrics),
-    )
-    server = DiskServer(disk, stable, clock, metrics)
+    server = build_volume(tag, clock, metrics, DiskGeometry.small(), disk=disk)
     DiskPipeline(server, loop, make_scheduler(policy))
     return server, disk, member_ids
 

@@ -31,7 +31,7 @@ N_REQUESTS = 300
 REQUEST_BYTES = 2048
 
 CONFIGS = [
-    ("no caching at all", dict(client_cache_blocks=0, server_cache_blocks=0, disk_cache_tracks=0, disk_readahead=False)),
+    ("no caching at all", dict(client_cache_blocks=0, server_cache_blocks=0, disk_cache_tracks=0)),
     ("disk cache only", dict(client_cache_blocks=0, server_cache_blocks=0, disk_cache_tracks=96)),
     ("disk + file server", dict(client_cache_blocks=0, server_cache_blocks=48, disk_cache_tracks=96)),
     ("Bullet-style (no client)", dict(client_cache_blocks=0, server_cache_blocks=48, disk_cache_tracks=96)),

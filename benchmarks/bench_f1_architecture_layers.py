@@ -25,7 +25,7 @@ CONFIGS = [
     ("all levels", dict(client_cache_blocks=128, server_cache_blocks=256, disk_cache_tracks=64)),
     ("no client cache", dict(client_cache_blocks=0, server_cache_blocks=256, disk_cache_tracks=64)),
     ("disk cache only", dict(client_cache_blocks=0, server_cache_blocks=0, disk_cache_tracks=64)),
-    ("no caching", dict(client_cache_blocks=0, server_cache_blocks=0, disk_cache_tracks=0, disk_readahead=False)),
+    ("no caching", dict(client_cache_blocks=0, server_cache_blocks=0, disk_cache_tracks=0)),
 ]
 
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 import time
 from typing import Dict
 
-from _helpers import print_table
+from _helpers import build_volume, print_table
 from repro.common.clock import SimClock
 from repro.common.errors import (
     BadAddressError,
@@ -60,11 +60,9 @@ from repro.common.trace import NULL_TRACER
 from repro.disk_service.addresses import Extent
 from repro.disk_service.pipeline import DiskPipeline
 from repro.disk_service.scheduler import make_scheduler
-from repro.disk_service.server import DiskServer
 from repro.simdisk.disk import SimDisk
 from repro.simdisk.faults import FaultInjector
 from repro.simdisk.geometry import DiskGeometry
-from repro.simdisk.stable import StableStore
 from repro.simdisk.timing import DiskTimingModel
 from repro.simkernel.loop import EventLoop
 
@@ -338,12 +336,7 @@ def run_overlapped():
     loop = EventLoop(clock)
     servers = []
     for volume in range(OVERLAPPED_DISKS):
-        disk = SimDisk(str(volume), DiskGeometry.small(), clock, metrics)
-        stable = StableStore(
-            SimDisk(f"{volume}.sa", DiskGeometry.small(), clock, metrics),
-            SimDisk(f"{volume}.sb", DiskGeometry.small(), clock, metrics),
-        )
-        server = DiskServer(disk, stable, clock, metrics)
+        server = build_volume(str(volume), clock, metrics, DiskGeometry.small())
         DiskPipeline(server, loop, make_scheduler("scan+coalesce"))
         servers.append((server, server.allocate(server.n_fragments // 2)))
     payload = b"\x5a" * Extent(0, 1).byte_size

@@ -8,7 +8,7 @@ opened through the device agent by attributed name, read and written
 through object descriptors below 100 000, so redirection and
 ``process_twin`` inheritance work on them unchanged.
 
-The channel charges the shared clock a per-byte transfer cost,
+The channel charges the shared clock :data:`BYTE_TIME_US` per byte,
 modelling a serial line.
 """
 
@@ -23,26 +23,23 @@ from repro.common.frames import charge_elapsed
 from repro.common.metrics import Metrics
 from repro.naming.attributed import AttributedName
 
+#: Simulated cost of moving one byte across a port: a ~115200 baud
+#: serial line.
+BYTE_TIME_US = 8.7
+
 
 class _Channel:
     """The shared byte queue between two port endpoints."""
 
-    __slots__ = ("buffer", "capacity", "clock", "byte_time_us", "metrics", "name")
+    __slots__ = ("buffer", "capacity", "clock", "metrics", "name")
 
     def __init__(
-        self,
-        name: str,
-        clock: SimClock,
-        metrics: Metrics,
-        *,
-        capacity: int,
-        byte_time_us: float,
+        self, name: str, clock: SimClock, metrics: Metrics, *, capacity: int
     ) -> None:
         self.name = name
         self.clock = clock
         self.metrics = metrics
         self.capacity = capacity
-        self.byte_time_us = byte_time_us
         self.buffer: Deque[int] = deque()
 
     def send(self, data: bytes) -> int:
@@ -50,7 +47,7 @@ class _Channel:
         room = self.capacity - len(self.buffer)
         accepted = data[: max(0, room)]
         self.buffer.extend(accepted)
-        charge_elapsed(self.clock, self.byte_time_us * len(accepted))
+        charge_elapsed(self.clock, BYTE_TIME_US * len(accepted))
         self.metrics.add(f"port.{self.name}.bytes_sent", len(accepted))
         return len(accepted)
 
@@ -89,7 +86,6 @@ def connect_machines(
     metrics: Metrics,
     *,
     capacity: int = 64 * 1024,
-    byte_time_us: float = 8.7,  # ~115200 baud serial line
 ) -> Tuple[int, int]:
     """Create a full-duplex port pair between two machines.
 
@@ -97,12 +93,8 @@ def connect_machines(
     ``TTY{port=<name>}`` and opens both, returning the two object
     descriptors — machine A's and machine B's ends.
     """
-    a_to_b = _Channel(
-        f"{name}.a2b", clock, metrics, capacity=capacity, byte_time_us=byte_time_us
-    )
-    b_to_a = _Channel(
-        f"{name}.b2a", clock, metrics, capacity=capacity, byte_time_us=byte_time_us
-    )
+    a_to_b = _Channel(f"{name}.a2b", clock, metrics, capacity=capacity)
+    b_to_a = _Channel(f"{name}.b2a", clock, metrics, capacity=capacity)
     endpoint_a = PortEndpoint(
         f"{agent_a.machine_id}:port:{name}", outbound=a_to_b, inbound=b_to_a
     )

@@ -867,7 +867,6 @@ class _RaidRun(_Run):
         # the client path rather than a cached block.
         server_cache_blocks=0,
         disk_cache_tracks=0,
-        disk_readahead=False,
         **{f"raid_{key}": value for key, value in LAYOUT.items()},
     )
     STATS = ("reads", "writes", "reads_degraded", "writes_degraded")

@@ -1,7 +1,7 @@
 """Cluster configuration.
 
 One dataclass gathers every knob the experiments sweep: cache levels
-on/off (E5), readahead (E14), write policy (E6), the timeout policy
+on/off (E5), write policy (E6), the timeout policy
 (E8/A2), the commit technique (E9), and the RPC fault profile (E12).
 ``tests/cluster/test_knob_liveness.py`` keeps every field live: each
 one, flipped from its default, must move something a run records.
@@ -33,7 +33,6 @@ class ClusterConfig:
             (0 = no client cache — the Amoeba Bullet configuration).
         server_cache_blocks: per-volume file-server block pool (0 = off).
         disk_cache_tracks: per-disk track cache (0 = off).
-        disk_readahead: rest-of-track readahead on/off.
         write_policy: file-server policy for basic files.
         timeout_policy: the LT/N deadlock policy.
         commit_technique: 'auto' (paper rule), 'wal', or 'shadow'.
@@ -62,7 +61,6 @@ class ClusterConfig:
             drive; None (default) keeps the single-disk configuration.
         raid_members: member drives per array (each of ``geometry``).
         seed: RNG seed for every stochastic component.
-        tracing: record cross-layer request spans (zero-cost when off).
     """
 
     n_machines: int = 1
@@ -71,7 +69,6 @@ class ClusterConfig:
     client_cache_blocks: int = 128
     server_cache_blocks: int = 256
     disk_cache_tracks: int = 128
-    disk_readahead: bool = True
     write_policy: WritePolicy = WritePolicy.DELAYED
     timeout_policy: TimeoutPolicy = field(default_factory=TimeoutPolicy)
     commit_technique: Literal["auto", "wal", "shadow"] = "auto"
@@ -85,7 +82,6 @@ class ClusterConfig:
     raid_level: Optional[Literal["raid0", "raid1", "raid5"]] = None
     raid_members: int = 4
     seed: int = 0
-    tracing: bool = False
 
     def __post_init__(self) -> None:
         if self.n_machines < 1:
@@ -119,7 +115,6 @@ class ClusterConfig:
             "client_cache_blocks": 0,
             "server_cache_blocks": 0,
             "disk_cache_tracks": 0,
-            "disk_readahead": False,
         }
         merged.update(overrides)
         return cls(**merged)

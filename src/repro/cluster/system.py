@@ -98,7 +98,7 @@ class RhodosCluster:
         self.config = config or ClusterConfig()
         self.clock = SimClock()
         self.metrics = Metrics()
-        self.tracer = Tracer(self.clock, enabled=self.config.tracing)
+        self.tracer = Tracer(self.clock)
         self.loop = EventLoop(self.clock)
 
         #: Per-volume data "disk": a SimDisk, or a StripedVolume duck-
@@ -164,7 +164,6 @@ class RhodosCluster:
                 self.clock,
                 self.metrics,
                 cache_tracks=self.config.disk_cache_tracks,
-                readahead=self.config.disk_readahead,
                 tracer=self.tracer,
             )
             file_server = FileServer(

@@ -74,6 +74,31 @@ def _nearest_rank(ordered: List[int], percentile: int) -> int:
     return ordered[min(rank, len(ordered)) - 1]
 
 
+def summarize(samples: Iterable[int]) -> Dict[str, int]:
+    """Deterministic summary of histogram samples.
+
+    Returns ``{count, min, max, sum, p50, p95}``, all zero when there
+    are no samples.  Quantiles use the nearest-rank rule over the
+    sorted samples, so identical runs produce identical summaries.
+    """
+    ordered = sorted(samples)
+    if not ordered:
+        return dict.fromkeys(
+            ["count", "min", "max", "sum"]
+            + [f"p{percentile}" for percentile in HISTOGRAM_PERCENTILES],
+            0,
+        )
+    summary = {
+        "count": len(ordered),
+        "min": ordered[0],
+        "max": ordered[-1],
+        "sum": sum(ordered),
+    }
+    for percentile in HISTOGRAM_PERCENTILES:
+        summary[f"p{percentile}"] = _nearest_rank(ordered, percentile)
+    return summary
+
+
 class Counter:
     """Pre-bound handle to one counter: the name is resolved once.
 
@@ -311,12 +336,7 @@ class Metrics:
             self._histograms[name].append(frame_now(clock) - started)
 
     def histogram(self, name: str) -> Dict[str, int]:
-        """Deterministic summary of histogram ``name``.
-
-        Returns ``{count, min, max, sum, p50, p95}`` (all zero for an
-        empty or unknown histogram).  Quantiles use the nearest-rank
-        rule over the sorted samples, so identical runs produce
-        identical summaries.
+        """:func:`summarize` of histogram ``name`` (all zero if unknown).
 
         Summaries are cached per sample count: repeated calls without
         new samples reuse the computed summary instead of re-sorting
@@ -324,23 +344,11 @@ class Metrics:
         so an unchanged count proves the summary is still current).
         """
         self.flush()
-        samples = self._histograms.get(name)
-        if not samples:
-            return {"count": 0, "min": 0, "max": 0, "sum": 0, "p50": 0, "p95": 0}
+        samples = self._histograms.get(name, ())
         cached = self._summaries.get(name)
-        if cached is not None and cached[0] == len(samples):
-            return dict(cached[1])
-        ordered = sorted(samples)
-        summary = {
-            "count": len(ordered),
-            "min": ordered[0],
-            "max": ordered[-1],
-            "sum": sum(ordered),
-        }
-        for percentile in HISTOGRAM_PERCENTILES:
-            summary[f"p{percentile}"] = _nearest_rank(ordered, percentile)
-        self._summaries[name] = (len(ordered), summary)
-        return dict(summary)
+        if cached is None or cached[0] != len(samples):
+            cached = self._summaries[name] = (len(samples), summarize(samples))
+        return dict(cached[1])
 
     def histogram_names(self) -> List[str]:
         """Names of every histogram with at least one sample, sorted."""

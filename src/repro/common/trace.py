@@ -132,7 +132,8 @@ class Tracer:
         clock: the simulation clock timestamps come from; may be None
             only while the tracer stays disabled.
         capacity: completed spans retained (ring buffer).
-        enabled: start recording immediately.
+
+    A tracer starts disabled; :meth:`enable` / :meth:`disable` switch it.
     """
 
     __slots__ = ("clock", "capacity", "enabled", "_next_span_id", "_open", "_done")
@@ -142,16 +143,13 @@ class Tracer:
         clock: Optional[SimClock] = None,
         *,
         capacity: int = DEFAULT_CAPACITY,
-        enabled: bool = False,
     ) -> None:
-        if enabled and clock is None:
-            raise ValueError("an enabled tracer needs a clock")
         self.clock = clock
         self.capacity = max(1, capacity)
         #: Plain attribute, deliberately not a property: hot paths guard
         #: span construction on it (``if tracer.enabled:``) so disabled
         #: tracing costs one attribute read — no kwargs dict, no call.
-        self.enabled = enabled
+        self.enabled = False
         self._next_span_id = 0
         self._open: List[Span] = []
         self._done: Deque[Span] = deque(maxlen=self.capacity)

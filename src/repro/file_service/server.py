@@ -108,7 +108,6 @@ class FileServer:
         data_cache_blocks: capacity of the server's block pool; 0
             disables server-side data caching (for experiment E5).
         write_policy: DELAYED (basic-file default) or WRITE_THROUGH.
-        name: metric prefix; defaults to ``file_server.<volume_id>``.
         tracer: records one span per read/write/create; disabled by
             default.
     """
@@ -124,7 +123,6 @@ class FileServer:
         fit_cache_entries: int = 256,
         write_policy: WritePolicy = WritePolicy.DELAYED,
         growth_batch_blocks: int = DEFAULT_GROWTH_BATCH_BLOCKS,
-        name: Optional[str] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.volume_id = volume_id
@@ -134,7 +132,8 @@ class FileServer:
         self.metrics = metrics
         self.tracer = tracer or NULL_TRACER
         self.write_policy = write_policy
-        self.name = name or f"file_server.{volume_id}"
+        #: Metric prefix.
+        self.name = f"file_server.{volume_id}"
         #: The data disk's reference counter, re-read around traced
         #: operations so a span can report its disk-reference cost.
         self._refs_counter = f"disk.{disk_server.disk.disk_id}.references"

@@ -5,22 +5,20 @@ chaos sweep replays a workload and asserts its write trace matches the
 counting run, which one ``time.time()`` in a code path silently breaks.
 All time therefore flows through :class:`repro.common.clock.SimClock`;
 importing :mod:`time` or :mod:`datetime` inside ``repro.*`` is a
-finding.  Benchmark shims (``repro.benchmarks*``) are exempt: measuring
-the host is their whole job.
+finding.  Nothing is exempt: the benchmarks that measure the host live
+outside ``src/`` (``benchmarks/``, ``perf/``), where the rule does not
+reach.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set, Tuple
+from typing import Iterator, Set
 
 from repro.lint.framework import Finding, ParsedModule, Rule, register
 
 #: Modules whose import means wall-clock access.
 BANNED_MODULES: Set[str] = {"time", "datetime"}
-
-#: Module prefixes exempt from the ban (host-timing shims).
-EXEMPT_PREFIXES: Tuple[str, ...] = ("repro.benchmarks",)
 
 #: Call attributes flagged even if the import itself was suppressed,
 #: so the misuse site is named precisely.
@@ -39,11 +37,6 @@ class WallClockRule(Rule):
         "thread the shared SimClock (repro.common.clock) into this code; "
         "host time breaks replay determinism"
     )
-
-    def applies(self, module: ParsedModule) -> bool:
-        return super().applies(module) and not (
-            module.module or ""
-        ).startswith(EXEMPT_PREFIXES)
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
         clock_aliases: Set[str] = set()

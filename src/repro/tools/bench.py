@@ -49,7 +49,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
-from repro.common.metrics import HISTOGRAM_PERCENTILES, Metrics, _nearest_rank
+from repro.common.metrics import Metrics, summarize
 
 #: Experiments the ``--smoke`` subset runs: one per subsystem, all fast.
 SMOKE_EXPERIMENTS = (
@@ -172,18 +172,7 @@ def _aggregate(registries: List[Metrics]) -> Dict[str, object]:
     layers: Dict[str, int] = {}
     for name, value in counters.items():
         layers[name.split(".", 1)[0]] = layers.get(name.split(".", 1)[0], 0) + value
-    histograms: Dict[str, Dict[str, int]] = {}
-    for name, values in samples.items():
-        ordered = sorted(values)
-        summary = {
-            "count": len(ordered),
-            "min": ordered[0],
-            "max": ordered[-1],
-            "sum": sum(ordered),
-        }
-        for percentile in HISTOGRAM_PERCENTILES:
-            summary[f"p{percentile}"] = _nearest_rank(ordered, percentile)
-        histograms[name] = summary
+    histograms = {name: summarize(values) for name, values in samples.items()}
     return {
         "counters": dict(sorted(counters.items())),
         "layers": dict(sorted(layers.items())),

@@ -354,7 +354,7 @@ class TransactionAgentHost:
         elif whence == os.SEEK_CUR:
             new = open_file.position + offset
         elif whence == os.SEEK_END:
-            new = self._size(transaction, open_file) + offset
+            new = self._size(transaction, open_file.name) + offset
         else:
             raise FileSizeError(f"bad whence {whence}")
         if new < 0:
@@ -522,18 +522,21 @@ class TransactionAgentHost:
             )
         elif level is LockingLevel.PAGE:
             cursor = offset
-            view = memoryview(data)
             while cursor < end:
                 page = cursor // BLOCK_SIZE
-                within = cursor - page * BLOCK_SIZE
-                chunk = min(BLOCK_SIZE - within, end - cursor)
-                self._merge_page(
-                    transaction, server, name, page, within, bytes(view[:chunk])
+                stop = min((page + 1) * BLOCK_SIZE, end)
+                self._merge(
+                    transaction,
+                    name,
+                    page_item(name, page, BLOCK_SIZE),
+                    page * BLOCK_SIZE,
+                    BLOCK_SIZE,
+                    cursor,
+                    data[cursor - offset : stop - offset],
                 )
-                view = view[chunk:]
-                cursor += chunk
+                cursor = stop
         else:  # FILE level
-            self._merge_file(transaction, server, name, offset, data)
+            self._merge(transaction, name, file_item(name), 0, None, offset, data)
         current = transaction.tentative_sizes.get(name)
         if current is None:
             current = server.get_attribute(name).file_size
@@ -541,73 +544,53 @@ class TransactionAgentHost:
         self.metrics.add(f"{self._prefix}.twrites")
         return len(data)
 
-    def _merge_page(
+    def _merge(
         self,
         transaction: Transaction,
-        server,
         name: SystemName,
-        page: int,
-        within: int,
-        chunk: bytes,
-    ) -> None:
-        item = page_item(name, page, BLOCK_SIZE)
-        entry = transaction.tentative_map.get(item)
-        if entry is None:
-            base = server.read(name, page * BLOCK_SIZE, BLOCK_SIZE)
-            buffer = bytearray(BLOCK_SIZE)
-            buffer[: len(base)] = base
-            # A nested transaction's page starts from the ancestors' view.
-            composed = bytes(buffer)
-            for node in transaction.ancestry()[:-1]:
-                composed = node.overlay(name, page * BLOCK_SIZE, composed)
-            entry = TentativeItem(
-                item=item,
-                data=composed,
-                sequence=transaction.next_sequence(),
-            )
-            transaction.tentative_map[item] = entry
-        buffer = bytearray(entry.data)
-        buffer[within : within + len(chunk)] = chunk
-        entry.data = bytes(buffer)
-
-    def _merge_file(
-        self,
-        transaction: Transaction,
-        server,
-        name: SystemName,
+        item: DataItem,
+        start: int,
+        length: Optional[int],
         offset: int,
         data: bytes,
     ) -> None:
-        item = file_item(name)
+        """Splice ``data`` (at file ``offset``) into ``item``'s tentative
+        copy of the bytes ``[start, start + length)``.
+
+        A page spans ``[page * BLOCK_SIZE, +BLOCK_SIZE)``; a file passes
+        ``length=None`` and spans ``[0, size)``, its size taken on first
+        touch.  The first write to an item reads its span, zero-pads it,
+        and overlays the ancestors' tentative writes, so a nested
+        transaction starts from their view; a write past the span's end
+        grows the copy.
+        """
         entry = transaction.tentative_map.get(item)
         if entry is None:
-            size = max(
-                server.get_attribute(name).file_size,
-                self._tentative_size(transaction, name),
-            )
-            base = server.read(name, 0, size)
-            base = base + bytes(size - len(base))
-            composed = bytes(base)
+            if length is None:
+                length = self._size(transaction, name)
+            server = self.coordinator.file_server(name.volume_id)
+            base = server.read(name, start, length)
+            composed = base + bytes(length - len(base))
             for node in transaction.ancestry()[:-1]:
-                composed = node.overlay(name, 0, composed)
+                composed = node.overlay(name, start, composed)
             entry = TentativeItem(
                 item=item,
                 data=composed,
                 sequence=transaction.next_sequence(),
             )
             transaction.tentative_map[item] = entry
-        end = offset + len(data)
+        within = offset - start
         buffer = bytearray(entry.data)
-        if len(buffer) < end:
-            buffer.extend(bytes(end - len(buffer)))
-        buffer[offset:end] = data
+        if len(buffer) < within + len(data):
+            buffer.extend(bytes(within + len(data) - len(buffer)))
+        buffer[within : within + len(data)] = data
         entry.data = bytes(buffer)
 
-    def _size(self, transaction: Transaction, open_file: TxnOpenFile) -> int:
-        server = self.coordinator.file_server(open_file.name.volume_id)
+    def _size(self, transaction: Transaction, name: SystemName) -> int:
+        server = self.coordinator.file_server(name.volume_id)
         return max(
-            server.get_attribute(open_file.name).file_size,
-            self._tentative_size(transaction, open_file.name),
+            server.get_attribute(name).file_size,
+            self._tentative_size(transaction, name),
         )
 
     @staticmethod

@@ -13,11 +13,12 @@ from repro.transactions.lock_manager import TimeoutPolicy
 class TestDefaults:
     def test_paper_shaped_defaults(self):
         config = ClusterConfig()
-        table = RhodosCluster(config).disk_servers[0].extent_table
+        server = RhodosCluster(config).disk_servers[0]
+        table = server.extent_table
         assert (table.rows, table.columns) == (64, 64)  # the paper's array
+        assert server.cache.readahead is True  # the paper's track cache
         assert config.commit_technique == "auto"  # the paper's WAL/shadow rule
         assert config.write_policy is WritePolicy.DELAYED
-        assert config.disk_readahead is True
         assert config.fault_profile is None  # direct calls by default
 
     def test_validation(self):
@@ -44,7 +45,8 @@ class TestPresets:
         assert config.client_cache_blocks == 0
         assert config.server_cache_blocks == 0
         assert config.disk_cache_tracks == 0
-        assert config.disk_readahead is False
+        # No track cache, so nothing reads ahead.
+        assert RhodosCluster(config).disk_servers[0].cache is None
 
 
 class TestComposition:

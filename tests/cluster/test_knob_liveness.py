@@ -4,10 +4,10 @@ Each field is flipped from its default in a named context (a handful
 of overrides that give the knob something to act on) and a short
 canonical workload runs on both configurations.  The field is live if
 the two runs differ in at least one of: the simulated clock, a
-counter, a gauge, a histogram, the tracer's span count, or the raised
-exception.  A field neither registered in :data:`FLIPS` nor exempted
-in :data:`EXEMPT` fails the suite, so a knob that stops mattering, or
-a new one nobody exercises, is caught here.  DESIGN.md §6 lists the
+counter, a gauge, a histogram, or the raised exception.  A field
+neither registered in :data:`FLIPS` nor exempted in :data:`EXEMPT`
+fails the suite, so a knob that stops mattering, or a new one nobody
+exercises, is caught here.  DESIGN.md §6 lists the
 contexts and the exemptions with their reasons.
 """
 
@@ -51,7 +51,6 @@ FLIPS: Dict[str, Tuple[str, object]] = {
     "client_cache_blocks": ("default", 0),
     "server_cache_blocks": ("default", 0),
     "disk_cache_tracks": ("default", 0),
-    "disk_readahead": ("default", False),
     "write_policy": ("default", WritePolicy.WRITE_THROUGH),
     "timeout_policy": ("default", TimeoutPolicy(lt_us=1, max_renewals=1)),
     "commit_technique": ("default", "shadow"),
@@ -65,7 +64,6 @@ FLIPS: Dict[str, Tuple[str, object]] = {
     "raid_level": ("default", "raid5"),
     "raid_members": ("raid5 volume", 3),
     "seed": ("lossy bus", 1),
-    "tracing": ("default", True),
 }
 
 #: Field -> where the knob is live instead (none at present).
@@ -115,7 +113,6 @@ def observe(config: ClusterConfig) -> dict:
             name: metrics.histogram_samples(name)
             for name in metrics.histogram_names()
         },
-        "spans": len(cluster.tracer.spans()),
         "raised": raised,
     }
 

@@ -8,7 +8,9 @@ from repro.common.trace import NULL_SPAN, NULL_TRACER, Tracer
 
 def build(capacity=4096):
     clock = SimClock()
-    return Tracer(clock, capacity=capacity, enabled=True), clock
+    tracer = Tracer(clock, capacity=capacity)
+    tracer.enable()
+    return tracer, clock
 
 
 class TestDisabledPath:
@@ -33,8 +35,6 @@ class TestDisabledPath:
         assert tracer.roots() == []
 
     def test_enable_requires_clock(self):
-        with pytest.raises(ValueError):
-            Tracer(enabled=True)
         with pytest.raises(ValueError):
             Tracer().enable()
 

@@ -15,11 +15,9 @@ from repro.simkernel.loop import EventLoop
 from tests.conftest import build_disk_server
 
 
-def build(scheduler=None, *, tracer=None, disk_id="0"):
+def build(scheduler=None, *, disk_id="0"):
     clock, metrics = SimClock(), Metrics()
     server = build_disk_server(clock, metrics, disk_id=disk_id)
-    if tracer is not None:
-        server.tracer = tracer
     loop = EventLoop(clock)
     pipeline = DiskPipeline(server, loop, scheduler)
     return server, loop, pipeline
@@ -182,10 +180,9 @@ class TestTelemetry:
         assert metrics.get("disk_server.0.submissions") == 2
 
     def test_queue_span_covers_the_wait(self):
-        clock_probe = SimClock()
-        tracer = Tracer(clock_probe, enabled=True)
-        server, loop, _ = build(tracer=tracer)
-        tracer.clock = server.clock  # trace in the server's timebase
+        server, loop, _ = build()
+        server.tracer = tracer = Tracer(server.clock)
+        tracer.enable()
         extent_a = server.allocate(4)
         extent_b = server.allocate(4)
         first = server.submit_put(extent_a, payload(extent_a))

@@ -7,17 +7,17 @@ from repro.cluster.system import RhodosCluster
 from repro.naming.attributed import AttributedName
 
 
+def traced_cluster(config=None):
+    """A cluster whose tracer records from the end of construction."""
+    cluster = RhodosCluster(config)
+    cluster.tracer.enable()
+    return cluster
+
+
 def uncached_cluster(**overrides):
     """A tracing cluster with every cache level off, so a read must
     descend agent -> file service -> disk service -> physical disk."""
-    return RhodosCluster(ClusterConfig(
-        tracing=True,
-        disk_cache_tracks=0,
-        disk_readahead=False,
-        server_cache_blocks=0,
-        client_cache_blocks=0,
-        **overrides,
-    ))
+    return traced_cluster(ClusterConfig.uncached(**overrides))
 
 
 class TestFullStackSpanChain:
@@ -87,9 +87,7 @@ class TestFullStackSpanChain:
     def test_block_pool_annotation_reports_the_serving_cache_level(self):
         """With only the server cache on, a read the pool can answer is
         annotated block_pool_hits and never reaches the disk service."""
-        cluster = RhodosCluster(ClusterConfig(
-            tracing=True, client_cache_blocks=0,
-        ))
+        cluster = traced_cluster(ClusterConfig(client_cache_blocks=0))
         agent = cluster.machine.file_agent
         name = AttributedName.file("/pooled")
         descriptor = agent.create(name)
@@ -115,7 +113,7 @@ class TestFullStackSpanChain:
     def test_cache_hit_stops_chain_at_the_agent(self):
         """A warm agent-cache read never leaves the client machine, and
         the trace shows exactly that."""
-        cluster = RhodosCluster(ClusterConfig(tracing=True))
+        cluster = traced_cluster()
         agent = cluster.machine.file_agent
         name = AttributedName.file("/warm")
         descriptor = agent.create(name)
@@ -222,7 +220,7 @@ class TestSpansInsideFrames:
 
 class TestTransactionAndRpcSpans:
     def test_commit_produces_a_transactions_root_span(self):
-        cluster = RhodosCluster(ClusterConfig(tracing=True))
+        cluster = traced_cluster()
         host = cluster.machine.transactions
         tid = host.tbegin()
         descriptor = host.tcreate(tid, AttributedName.file("/txn"))
@@ -238,9 +236,9 @@ class TestTransactionAndRpcSpans:
     def test_rpc_transmit_spans_carry_outcome(self):
         from repro.rpc.bus import FaultProfile
 
-        cluster = RhodosCluster(ClusterConfig(
-            tracing=True, fault_profile=FaultProfile(), seed=7,
-        ))
+        cluster = traced_cluster(
+            ClusterConfig(fault_profile=FaultProfile(), seed=7)
+        )
         agent = cluster.machine.file_agent
         descriptor = agent.create(AttributedName.file("/remote"))
         agent.write(descriptor, b"over the wire")

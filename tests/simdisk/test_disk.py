@@ -154,7 +154,8 @@ class TestReadInPassingAccounting:
         from repro.common.trace import Tracer
 
         clock = SimClock()
-        tracer = Tracer(clock, enabled=True)
+        tracer = Tracer(clock)
+        tracer.enable()
         disk = SimDisk("t", DiskGeometry.small(), clock, Metrics(), tracer=tracer)
         disk.read_sectors(0, 1)
         disk.read_in_passing(1, 4)
