@@ -473,7 +473,7 @@ class ScrubRepairWorkload(ChaosWorkload):
             self.extents[label] = extent
             self.expected[label] = payload
             server.put(extent, payload, stability=Stability.BOTH)
-        server.flush()  # checkpoints bitmap, checksums, mirrored set
+        server.flush()  # checksums and mirrored set (the put wrote the bitmap)
         self.durable = set(self.expected)
         disk = self.volume.disk
         rotten = self.extents["A"]

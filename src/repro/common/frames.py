@@ -25,8 +25,9 @@ one rule — a fan-out over independent spindles costs its slowest
 branch, whoever calls.  Its branches replay from the fork point and
 its exit joins at the slowest branch, on the caller's frame or, for a
 blocking caller, on a frame it opens and pays to the clock on the way
-out.  It has two users: an array reference (the members of a RAID
-array) and a replicated write (the replicas' volumes).
+out.  It has three users: an array reference (the members of a RAID
+array), a replicated write (the replicas' volumes) and a cluster flush
+(the volumes' file servers).
 
 Everything here is deterministic: time is integer microseconds, state
 is explicit, and nothing consults wall clock, dict order, or object

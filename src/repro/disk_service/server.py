@@ -197,8 +197,10 @@ class DiskServer:
         # vital structures (FITs, indirect blocks) must never become
         # durable while referencing fragments the durable bitmap still
         # considers free, or recovery would hand those fragments out
-        # again (the crash sweep proves this ordering).
-        self._bitmap_dirty = False
+        # again (the crash sweep proves this ordering).  A new volume
+        # starts stale: its first flush or stable-bound put writes the
+        # bitmap (its format), and recover() clears the flag on load.
+        self._bitmap_dirty = True
         #: start -> length of every extent handed out with
         #: ``scratch=True`` and neither freed nor adopted since: the
         #: tentative data items of transactions in flight.  They are
@@ -563,15 +565,16 @@ class DiskServer:
         self.stable.delete(_stable_key(extent))
 
     def flush(self) -> None:
-        """Drain deferred stable writes and checkpoint free-space state.
+        """Drain deferred stable writes and settle free-space state.
 
         This is the paper's flush-block made whole-server: after it
         returns, everything the server promised to stable storage is
-        there, including the bitmap.
+        there, including the bitmap — written only if it is stale.
         """
         self._serial()
         self._drain_pending()
-        self.checkpoint_free_space()
+        self.settle_free_space()
+        self.metrics.gauge(f"{self._prefix}.free_fragments", self.bitmap.free_count)
         self.checkpoint_protection()
         self.metrics.add(f"{self._prefix}.flushes")
 

@@ -189,6 +189,58 @@ class TestRecovery:
         assert server.pending_stable_writes == 0
 
 
+def record_stable_keys(server):
+    """Every stable-storage key ``server`` puts from here on, in order."""
+    keys = []
+    put = server.stable.put
+
+    def recording(key, data):
+        keys.append(key)
+        put(key, data)
+
+    server.stable.put = recording
+    return keys
+
+
+class TestFlushSettlesFreeSpace:
+    """A flush writes the bitmap only when it is stale, and a new
+    volume starts stale (its first flush is its format)."""
+
+    def test_a_fresh_servers_first_flush_writes_the_bitmap(self, server):
+        keys = record_stable_keys(server)
+        server.flush()
+        assert keys.count("bitmap") == 1
+
+    def test_a_flush_with_no_toggle_since_the_checkpoint_writes_none(self, server):
+        server.allocate(4)
+        server.checkpoint_free_space()
+        keys = record_stable_keys(server)
+        server.flush()
+        assert "bitmap" not in keys
+
+    def test_an_allocate_then_a_flush_writes_exactly_one(self, server):
+        server.flush()
+        keys = record_stable_keys(server)
+        server.allocate(4)
+        server.flush()
+        server.flush()
+        assert keys.count("bitmap") == 1
+
+    def test_a_scratch_allocate_and_its_free_write_none(self, server):
+        server.flush()
+        keys = record_stable_keys(server)
+        server.free(server.allocate(4, scratch=True))
+        server.flush()
+        assert "bitmap" not in keys
+
+    def test_the_free_fragments_gauge_is_live_after_a_clean_flush(self, server):
+        gauge = "disk_server.0.free_fragments"
+        server.flush()
+        server.allocate(4, scratch=True)
+        server.flush()  # scratch space never makes the bitmap stale
+        assert server.metrics.get_gauge(gauge) == server.n_fragments - 4
+
+
 class TestScratchExtents:
     """Tentative space is a delta on the checkpoint, never part of it."""
 

@@ -1,16 +1,17 @@
 """Golden disk-service call log of a scripted file-service workload.
 
 ``golden_call_log.txt`` is the log of :func:`run_script` at the commit
-before ``flush`` wrote back runs, marked up against the log since (a
-line-level diff): lines starting ``- `` existed only before, lines
-starting ``+ `` exist only since.  What may differ is counted in
+before a disk server's flush wrote its bitmap only when stale, marked
+up against the log since (a line-level diff): lines starting ``- ``
+existed only before, lines starting ``+ `` exist only since.  What may
+differ is counted in
 :func:`test_golden_log_differs_from_its_parent_only_as_listed`:
 
-* a flush puts the block pool's dirty blocks back one put per run of
-  adjacent disk blocks, where it put each block on its own — the same
-  blocks, each covered as often;
-* those puts cost fewer disk references, so later writes happen at
-  other simulated times, and every FIT stored after the first flush
+* nothing the file server calls: the same calls with the same
+  arguments, in the same order;
+* a flush whose bitmap was already checkpointed (by the FIT store
+  before it) no longer rewrites it, so later writes happen at earlier
+  simulated times, and every FIT stored after the first such flush
   carries other timestamps (its payload CRC moves).
 
 The log of the checked-out code must match the ``  `` and ``+ `` lines
@@ -21,12 +22,11 @@ file was produced.
 
 import re
 import zlib
-from collections import Counter
 from pathlib import Path
 
 from repro.common.clock import SimClock
 from repro.common.metrics import Metrics
-from repro.common.units import BLOCK_SIZE, FRAGMENTS_PER_BLOCK
+from repro.common.units import BLOCK_SIZE
 from repro.disk_service.addresses import Extent
 from repro.file_service.fit import (
     DESCRIPTORS_PER_INDIRECT,
@@ -47,7 +47,8 @@ RECORDED = (
 )
 LEAF = DESCRIPTORS_PER_INDIRECT
 FIRST_DOUBLE = DIRECT_DESCRIPTORS + SINGLE_INDIRECT_SLOTS * LEAF
-EXTENT = re.compile(r"put\(ext\((\d+),(\d+)\)")
+CRC = re.compile(r"crc [0-9a-f]{8}")
+FIT_STORE = re.compile(r"put\(ext\(\d+,1\), <2048B crc [0-9a-f]{8}>, stability=both\)")
 
 
 def _show(value) -> str:
@@ -176,40 +177,17 @@ def test_golden_log_differs_from_its_parent_only_as_listed():
     parent = [line[2:] for line in marked if line[0] in " -"]
     now = [line[2:] for line in marked if line[0] in " +"]
 
-    def calls(log, op, where=lambda line: True):
-        return sum(1 for line in log if line.startswith(f"{op}(") and where(line))
+    def without_crc(line):
+        return CRC.sub("crc ?", line)
 
-    def both(line):
-        return line.endswith("stability=both)")
-
-    def data_blocks(log):
-        """How often each block address is covered by a data put."""
-        covered = Counter()
-        for line in log:
-            if line.startswith("put(") and not both(line):
-                start, length = map(int, EXTENT.match(line).groups())
-                covered.update(range(start, start + length, FRAGMENTS_PER_BLOCK))
-        return covered
-
-    # The same allocations, frees, reads and stable releases, in order ...
-    for op in RECORDED:
-        if op != "put":
-            assert [line for line in now if line.startswith(f"{op}(")] == [
-                line for line in parent if line.startswith(f"{op}(")
-            ]
-    # ... the same number of stores to both copies ...
-    assert calls(now, "put", both) == calls(parent, "put", both)
-    # ... and the same blocks written back: 19 one-block data puts
-    # became 4 runs.
-    assert data_blocks(now) == data_blocks(parent)
-    data_puts = {
-        mark: [
-            line for line in marked
-            if line.startswith(f"{mark} put(") and not both(line)
-        ]
-        for mark in "-+"
-    }
-    assert len(data_puts["-"]) == 19 and len(data_puts["+"]) == 4
+    # The same calls with the same arguments, in the same order ...
+    assert [without_crc(line) for line in now] == [
+        without_crc(line) for line in parent
+    ]
+    # ... and only FIT stores changed their payload: 27 of them.
+    changed = [line[2:] for line in marked if line[0] == "+"]
+    assert len(changed) == 27
+    assert all(FIT_STORE.fullmatch(line) for line in changed)
 
 
 if __name__ == "__main__":
