@@ -138,10 +138,6 @@ class Process:
         if transaction_descriptor in self._transaction_descriptors:
             self._transaction_descriptors.remove(transaction_descriptor)
 
-    @property
-    def live_transactions(self) -> List[int]:
-        return list(self._transaction_descriptors)
-
     # --------------------------------------------------------- twin
 
     def process_twin(self) -> "Process":

@@ -2,12 +2,16 @@
 
 The paper measures its facility under *contention*: many client
 machines issuing operations at once, each starting its next operation
-the moment the previous one completes (a closed loop).  The serialized
-pre-pipeline harness could not express that — every agent call advanced
-the one global clock inline, so N clients degenerated into one client
-doing N times the work.
+the moment the previous one completes (a closed loop).
 
-:class:`ConcurrentDriver` fixes the time model.  Each operation runs
+The repository has two multi-client drivers.  This one runs
+``RhodosCluster.run_concurrent`` (E16, E20 and three of the benchmark's
+workloads).  :class:`repro.simkernel.runner.InterleavedRunner`
+round-robins transaction scripts on the one blocking clock, where every
+charge advances global time, so its N clients are one client in time
+(E7, E8, A2 and the ``txn_bank`` workload).  ROADMAP item 3 merges them.
+
+:class:`ConcurrentDriver` is the overlapping one.  Each operation runs
 inside a deferred-time :func:`~repro.common.frames.service_frame`:
 the data plane executes synchronously (all caches, bitmaps, and file
 state mutate immediately, in issue order), while the time plane accrues

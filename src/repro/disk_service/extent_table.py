@@ -72,9 +72,6 @@ class FreeExtentTable:
         self._rows[row].remove(start)
         return True
 
-    def contains_run(self, start: int) -> bool:
-        return start in self._row_of
-
     # ---------------------------------------------------- allocation
 
     def take_run(

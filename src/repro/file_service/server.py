@@ -407,12 +407,6 @@ class FileServer:
         state.structure_moved()
         self._store_fit(name.fit_address, state)
 
-    def set_locking_level(self, name: SystemName, level: LockingLevel) -> None:
-        state = self._load_state(name)
-        state.fit.attributes.locking_level = level
-        state.structure_moved()
-        self._store_fit(name.fit_address, state)
-
     def set_file_size_at_least(self, name: SystemName, size: int) -> None:
         """Raise the recorded file size to ``size`` (transaction commits).
 

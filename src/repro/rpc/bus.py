@@ -100,19 +100,12 @@ class MessageBus:
             raise RpcError(f"address {address!r} already registered")
         self._endpoints[address] = handler
 
-    def unregister(self, address: str) -> None:
-        self._endpoints.pop(address, None)
-        self._down.discard(address)
-
     def set_down(self, address: str, down: bool = True) -> None:
         """Mark an endpoint crashed: its requests are silently lost."""
         if down:
             self._down.add(address)
         else:
             self._down.discard(address)
-
-    def is_registered(self, address: str) -> bool:
-        return address in self._endpoints
 
     # ------------------------------------------------------ transport
 

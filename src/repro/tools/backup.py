@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.common.errors import FileServiceError
@@ -35,16 +34,6 @@ from repro.verify.fsck import scan_fits
 _MAGIC = b"RBAK"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHI")  # magic, version, n_files
-
-
-@dataclass(frozen=True, slots=True)
-class BackupEntry:
-    """One archived file: its identity, attributes, and content."""
-
-    fit_address: int
-    generation: int
-    attributes: dict
-    content: bytes
 
 
 def dump_volume(server: FileServer) -> bytes:

@@ -111,10 +111,6 @@ class Transaction:
     def is_live(self) -> bool:
         return self.status is TransactionStatus.TENTATIVE
 
-    @property
-    def is_nested(self) -> bool:
-        return self.parent is not None
-
     def ancestry(self) -> List["Transaction"]:
         """Root-first chain of ancestors ending with this transaction."""
         chain: List[Transaction] = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.common.ids import SystemName
 from repro.file_service.server import FileServer
@@ -61,7 +61,3 @@ def populate_files(
         names.append(name)
     server.flush()
     return names
-
-
-def file_sizes(server: FileServer, names: List[SystemName]) -> Dict[SystemName, int]:
-    return {name: server.get_attribute(name).file_size for name in names}

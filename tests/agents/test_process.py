@@ -67,10 +67,13 @@ class TestRedirection:
         assert process.stdin_read(8) == b"scripted"
 
     def test_stderr_redirect_sets_100003(self, setup):
-        process, *_ = setup
+        process, _, file_agent, server = setup
         fd = process.create(AttributedName.file("/errors"))
         process.redirect_stderr(fd)
         assert process.env["stderr"] == REDIRECTED_STDERR == 100_003
+        assert process.stderr_write(b"failed") == 6
+        file_agent.flush()
+        assert server.read(file_agent.system_name(fd), 0, 6) == b"failed"
 
     def test_redirect_to_device_rejected(self, setup):
         process, *_ = setup

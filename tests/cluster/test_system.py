@@ -39,6 +39,20 @@ class TestAssembly:
         with pytest.raises(ValueError):
             ClusterConfig(n_disks=0)
 
+    def test_no_disk_server_has_a_request_pipeline(self):
+        # The cluster's traffic is blocking: only explicit submitters
+        # build a pipeline, each over a bare DiskServer of its own.
+        cluster = RhodosCluster(ClusterConfig(n_disks=2))
+        agent = cluster.machine.file_agent
+        descriptor = agent.create(AttributedName.file("/blocking"))
+        agent.write(descriptor, b"b" * 20_000)
+        agent.close(descriptor)
+        cluster.flush_all()
+        assert all(
+            server.pipeline is None for server in cluster.disk_servers.values()
+        )
+        assert cluster.metrics.histogram_samples("disk_service.queue_wait_us") == []
+
 
 class TestEndToEnd:
     def test_file_io_through_a_machine(self):
