@@ -21,16 +21,3 @@ process called a device agent which facilitates I/O on devices"
   children created with ``process_twin`` that inherit the parent's
   object descriptors but are forbidden while transactions are live.
 """
-
-from repro.agents.routing import FileServiceRouter
-from repro.agents.devices import DeviceAgent, SimTTY
-from repro.agents.file_agent import FileAgent
-from repro.agents.process import Process
-
-__all__ = [
-    "FileServiceRouter",
-    "DeviceAgent",
-    "SimTTY",
-    "FileAgent",
-    "Process",
-]

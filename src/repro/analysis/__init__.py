@@ -5,39 +5,3 @@ layer in the DAG (even ``common.frames`` instruments itself against it),
 so it may import nothing from ``repro``.  See DESIGN.md §12 for the
 detector model and the happens-before edge catalogue.
 """
-
-from repro.analysis.happens_before import (
-    HBGraph,
-    RaceEndpoint,
-    RaceFinding,
-    detect,
-    report,
-    validate,
-)
-from repro.analysis.monitor import (
-    ALL_CELLS_HI,
-    Access,
-    AccessMonitor,
-    NULL_MONITOR,
-    NullMonitor,
-    active,
-    install,
-    uninstall,
-)
-
-__all__ = [
-    "ALL_CELLS_HI",
-    "Access",
-    "AccessMonitor",
-    "HBGraph",
-    "NULL_MONITOR",
-    "NullMonitor",
-    "RaceEndpoint",
-    "RaceFinding",
-    "active",
-    "detect",
-    "install",
-    "report",
-    "uninstall",
-    "validate",
-]

@@ -12,28 +12,3 @@ Entry points: ``python -m repro.chaos.sweep --workload append-overwrite``
 crash/restart availability campaign: mixed workload over a replicated
 cluster while volumes fail and recover, SLO invariants asserted).
 """
-
-from repro.chaos.invariants import check_volume
-from repro.chaos.scheduler import CrashScheduler, PointResult, SweepReport
-from repro.chaos.trace import CrashPointMonitor, TraceEntry
-from repro.chaos.workloads import (
-    WORKLOADS,
-    AppendOverwriteWorkload,
-    ChaosWorkload,
-    TransactionCommitWorkload,
-    TwoVolumeCommitWorkload,
-)
-
-__all__ = [
-    "AppendOverwriteWorkload",
-    "ChaosWorkload",
-    "CrashPointMonitor",
-    "CrashScheduler",
-    "PointResult",
-    "SweepReport",
-    "TraceEntry",
-    "TransactionCommitWorkload",
-    "TwoVolumeCommitWorkload",
-    "WORKLOADS",
-    "check_volume",
-]

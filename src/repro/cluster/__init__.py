@@ -13,10 +13,3 @@ naming, replication, the transaction coordinator, and per-machine
 agent bundles — from one configuration object.  :class:`StripedFile`
 implements the cross-disk partitioning.
 """
-
-from repro.cluster.config import ClusterConfig
-from repro.cluster.machine import Machine
-from repro.cluster.system import RhodosCluster
-from repro.cluster.striping import StripedFile
-
-__all__ = ["ClusterConfig", "Machine", "RhodosCluster", "StripedFile"]

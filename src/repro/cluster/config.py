@@ -55,6 +55,8 @@ class ClusterConfig:
             volume hint — ``fixed`` (first volume, historical),
             ``round_robin``, or ``least_loaded`` (steered by the live
             ``disk.N.utilization`` gauges).
+        replication_degree: copies a replicated file keeps (at most
+            one per volume, so capped at ``n_disks``).
         raid_level: back each volume's data disk with a
             :class:`~repro.simdisk.raid.StripedVolume` of this layout
             (``raid0`` / ``raid1`` / ``raid5``) instead of a single
@@ -88,6 +90,13 @@ class ClusterConfig:
             raise ValueError("need at least one machine")
         if self.n_disks < 1:
             raise ValueError("need at least one disk")
+        for knob in (
+            "client_cache_blocks", "server_cache_blocks", "disk_cache_tracks"
+        ):
+            if getattr(self, knob) < 0:
+                raise ValueError(f"{knob} cannot be negative (0 = off)")
+        if self.replication_degree < 1:
+            raise ValueError("need a replication degree of at least one")
         if self.n_shards < 1:
             raise ValueError("need at least one naming shard")
         if self.n_shards > DEFAULT_SLOTS:

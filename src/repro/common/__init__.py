@@ -6,93 +6,3 @@ the exception hierarchy, identifier types (system names, object
 descriptors), the metrics registry used by benchmarks, and binary
 serialization helpers for on-disk structures.
 """
-
-from repro.common.clock import SimClock
-from repro.common.errors import (
-    RhodosError,
-    DiskError,
-    DiskFullError,
-    BadAddressError,
-    BadSectorError,
-    DiskCrashedError,
-    FileServiceError,
-    FileNotFoundError_,
-    FileExistsError_,
-    BadDescriptorError,
-    FileSizeError,
-    NamingError,
-    NameNotFoundError,
-    NameExistsError,
-    TransactionError,
-    TransactionAbortedError,
-    LockTimeoutError,
-    InvalidTransactionStateError,
-    SerializabilityError,
-    ReplicationError,
-    RpcError,
-    RpcTimeoutError,
-    ProcessError,
-)
-from repro.common.ids import (
-    SystemName,
-    ObjectDescriptor,
-    TransactionDescriptor,
-    DEVICE_DESCRIPTOR_LIMIT,
-    monotonic_id_factory,
-)
-from repro.common.metrics import Metrics
-from repro.common.units import (
-    SECTOR_SIZE,
-    FRAGMENT_SIZE,
-    BLOCK_SIZE,
-    SECTORS_PER_FRAGMENT,
-    FRAGMENTS_PER_BLOCK,
-    SECTORS_PER_BLOCK,
-    KIB,
-    MIB,
-    fragments_for_bytes,
-    blocks_for_bytes,
-)
-
-__all__ = [
-    "SimClock",
-    "RhodosError",
-    "DiskError",
-    "DiskFullError",
-    "BadAddressError",
-    "BadSectorError",
-    "DiskCrashedError",
-    "FileServiceError",
-    "FileNotFoundError_",
-    "FileExistsError_",
-    "BadDescriptorError",
-    "FileSizeError",
-    "NamingError",
-    "NameNotFoundError",
-    "NameExistsError",
-    "TransactionError",
-    "TransactionAbortedError",
-    "LockTimeoutError",
-    "InvalidTransactionStateError",
-    "SerializabilityError",
-    "ReplicationError",
-    "RpcError",
-    "RpcTimeoutError",
-    "ProcessError",
-    "SystemName",
-    "ObjectDescriptor",
-    "TransactionDescriptor",
-    "DEVICE_DESCRIPTOR_LIMIT",
-    "monotonic_id_factory",
-    "Metrics",
-    "SECTOR_SIZE",
-    "FRAGMENT_SIZE",
-    "BLOCK_SIZE",
-    "SECTORS_PER_FRAGMENT",
-    "FRAGMENTS_PER_BLOCK",
-    "SECTORS_PER_BLOCK",
-    "KIB",
-    "MIB",
-    "fragments_for_bytes",
-    "blocks_for_bytes",
-]

@@ -15,28 +15,3 @@ read from main or stable storage.
 Any operation on a set of contiguous fragments/blocks is one single
 disk reference.
 """
-
-from repro.disk_service.addresses import Extent
-from repro.disk_service.bitmap import FragmentBitmap
-from repro.disk_service.extent_table import FreeExtentTable
-from repro.disk_service.cache import TrackCache
-from repro.disk_service.scrub import Scrubber, ScrubFinding
-from repro.disk_service.server import (
-    DiskServer,
-    Source,
-    Stability,
-    SyncMode,
-)
-
-__all__ = [
-    "Extent",
-    "FragmentBitmap",
-    "FreeExtentTable",
-    "TrackCache",
-    "Scrubber",
-    "ScrubFinding",
-    "DiskServer",
-    "Source",
-    "Stability",
-    "SyncMode",
-]

@@ -18,28 +18,3 @@ pread, pwrite, get_attribute, lseek, close.  ``read``/``write`` vs
 the server itself is positional and therefore idempotent; see
 :mod:`repro.agents`.
 """
-
-from repro.file_service.attributes import FileAttributes, ServiceType, LockingLevel
-from repro.file_service.fit import (
-    BlockDescriptor,
-    FileIndexTable,
-    DIRECT_DESCRIPTORS,
-    DIRECT_COVERAGE_BYTES,
-    NULL_ADDRESS,
-)
-from repro.file_service.cache import BufferPool, WritePolicy
-from repro.file_service.server import FileServer
-
-__all__ = [
-    "FileAttributes",
-    "ServiceType",
-    "LockingLevel",
-    "BlockDescriptor",
-    "FileIndexTable",
-    "DIRECT_DESCRIPTORS",
-    "DIRECT_COVERAGE_BYTES",
-    "NULL_ADDRESS",
-    "BufferPool",
-    "WritePolicy",
-    "FileServer",
-]

@@ -44,7 +44,7 @@ class LockingLevel(enum.IntEnum):
 class FileAttributes:
     """Mutable attribute block of one file.
 
-    Times are simulated microseconds (see :class:`repro.common.SimClock`).
+    Times are simulated microseconds (see :class:`repro.common.clock.SimClock`).
     """
 
     file_size: int = 0

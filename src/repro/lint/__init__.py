@@ -19,23 +19,3 @@ Suppress one finding with ``# repro-lint: allow[rule-id] <reason>``;
 every other finding fails the run.  See DESIGN.md §7 for the rule
 catalogue and policy.
 """
-
-from repro.lint.framework import (
-    Finding,
-    LintResult,
-    Rule,
-    all_rules,
-    lint_paths,
-    lint_source,
-    register,
-)
-
-__all__ = [
-    "Finding",
-    "LintResult",
-    "Rule",
-    "all_rules",
-    "lint_paths",
-    "lint_source",
-    "register",
-]

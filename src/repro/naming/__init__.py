@@ -10,21 +10,3 @@ The service is a binding store with attribute-subset lookup plus a
 conventional hierarchical-path convenience layer (a path is just an
 attributed name whose ``path`` attribute is set).
 """
-
-from repro.naming.attributed import AttributedName, ObjectType
-from repro.naming.service import NamingService
-from repro.naming.directory import DirectoryEntry, DirectoryService
-
-# repro.naming.tdirectory.TransactionalDirectory is intentionally not
-# re-exported here: it depends on the transaction service, which sits
-# above naming in the layering (importing it here would be circular).
-# It is available from the top-level package: ``from repro import
-# TransactionalDirectory``.
-
-__all__ = [
-    "AttributedName",
-    "ObjectType",
-    "NamingService",
-    "DirectoryEntry",
-    "DirectoryService",
-]

@@ -23,13 +23,3 @@ Both are pure state machines over :mod:`repro.common` — the layers
 that act on them (``rpc``, ``replication``, ``cluster``, ``chaos``)
 import downward into this package, never the reverse.
 """
-
-from repro.recovery.health import HealthRegistry, HealthState
-from repro.recovery.schedule import FailureSchedule, Outage
-
-__all__ = [
-    "HealthRegistry",
-    "HealthState",
-    "FailureSchedule",
-    "Outage",
-]

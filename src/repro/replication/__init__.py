@@ -9,7 +9,3 @@ read-one / write-all** over the basic file service, with automatic
 failover when the volume holding a replica crashes and resynchronisation
 when it returns.
 """
-
-from repro.replication.service import ReplicaSet, ReplicationService
-
-__all__ = ["ReplicaSet", "ReplicationService"]

@@ -25,23 +25,3 @@ fails fast (:class:`~repro.common.errors.CircuitOpenError`) instead of
 hammering a dead server, feeding its open/close transitions to the
 failure detector.
 """
-
-from repro.rpc.bus import MessageBus, FaultProfile
-from repro.rpc.endpoint import RpcClient, RpcServer
-from repro.rpc.retry import (
-    BackoffPolicy,
-    BreakerPolicy,
-    BreakerListener,
-    CircuitBreaker,
-)
-
-__all__ = [
-    "MessageBus",
-    "FaultProfile",
-    "RpcClient",
-    "RpcServer",
-    "BackoffPolicy",
-    "BreakerPolicy",
-    "BreakerListener",
-    "CircuitBreaker",
-]

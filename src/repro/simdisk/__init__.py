@@ -14,27 +14,3 @@ Absolute times are calibration constants; the shapes the paper claims
 saved by FIT/data contiguity) fall out of the access pattern, which the
 model reproduces exactly.
 """
-
-from repro.simdisk.geometry import DiskGeometry
-from repro.simdisk.timing import DiskTimingModel
-from repro.simdisk.disk import SimDisk
-from repro.simdisk.stable import StableStore
-from repro.simdisk.faults import FaultInjector
-from repro.simdisk.raid import (
-    ArrayFailedError,
-    ArrayState,
-    RaidRebuilder,
-    StripedVolume,
-)
-
-__all__ = [
-    "DiskGeometry",
-    "DiskTimingModel",
-    "SimDisk",
-    "StableStore",
-    "FaultInjector",
-    "ArrayFailedError",
-    "ArrayState",
-    "RaidRebuilder",
-    "StripedVolume",
-]

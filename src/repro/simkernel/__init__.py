@@ -15,19 +15,3 @@ restarted from the beginning (the standard abort-and-retry discipline),
 which is what lets the timeout-based deadlock resolution of the paper
 make progress.
 """
-
-from repro.simkernel.loop import EventLoop
-from repro.simkernel.runner import (
-    ClientOutcome,
-    InterleavedRunner,
-    LockWaitPending,
-    RunReport,
-)
-
-__all__ = [
-    "EventLoop",
-    "InterleavedRunner",
-    "LockWaitPending",
-    "ClientOutcome",
-    "RunReport",
-]

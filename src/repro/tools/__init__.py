@@ -11,8 +11,3 @@
 * :mod:`repro.tools.report` — renders EXPERIMENTS.md's tables from that
   record (``python -m repro.tools.report``); it runs nothing.
 """
-
-from repro.tools.backup import dump_volume, restore_volume
-from repro.verify.fsck import FsckReport, fsck_volume
-
-__all__ = ["FsckReport", "fsck_volume", "dump_volume", "restore_volume"]

@@ -4,9 +4,9 @@ Runs real concurrent drivers — the overlapped request pipeline with a
 scrubber underneath, the cluster's closed-loop contention driver, a
 bounded crash-schedule sweep of the queued-writes workload — with an
 :class:`~repro.analysis.monitor.AccessMonitor` installed, then asks the
-detector (:func:`repro.analysis.detect`) whether any two design-level
-tasks touched the same shared structure, at least one writing, without
-a happens-before path between them.
+detector (:func:`repro.analysis.happens_before.detect`) whether any two
+design-level tasks touched the same shared structure, at least one
+writing, without a happens-before path between them.
 
 The ``plant`` scenario is the tool's own negative control: a rogue
 ``add_done_callback`` callback reaches into the disk server's
@@ -47,10 +47,12 @@ import json
 import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis import AccessMonitor, detect, install, report, uninstall
+from repro.analysis.happens_before import detect, report
+from repro.analysis.monitor import AccessMonitor, install, uninstall
 from repro.chaos.scheduler import CrashScheduler
 from repro.chaos.workloads import ChaosVolume, QueuedWriteWorkload
-from repro.cluster.system import ClusterConfig, RhodosCluster
+from repro.cluster.config import ClusterConfig
+from repro.cluster.system import RhodosCluster
 from repro.common.clock import SimClock
 from repro.common.metrics import Metrics
 from repro.disk_service.pipeline import DiskPipeline

@@ -22,27 +22,3 @@ technique when they are not; the list and its intention flag reach
 stable storage in one careful write, which makes commit atomic across
 crashes.
 """
-
-from repro.transactions.locks import DataItem, LockMode, locks_compatible
-from repro.transactions.lock_manager import AcquireResult, LockManager, TimeoutPolicy
-from repro.transactions.transaction import Transaction, TransactionPhase, TransactionStatus
-from repro.transactions.intentions import IntentionList, IntentionRecord, Technique
-from repro.transactions.coordinator import TransactionCoordinator
-from repro.transactions.agent import TransactionAgentHost
-
-__all__ = [
-    "DataItem",
-    "LockMode",
-    "locks_compatible",
-    "AcquireResult",
-    "LockManager",
-    "TimeoutPolicy",
-    "Transaction",
-    "TransactionPhase",
-    "TransactionStatus",
-    "IntentionList",
-    "IntentionRecord",
-    "Technique",
-    "TransactionCoordinator",
-    "TransactionAgentHost",
-]

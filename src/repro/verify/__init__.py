@@ -6,17 +6,3 @@ purpose: both ``repro.tools`` (the ``fsck`` CLI surface) and
 ``repro.chaos`` (post-crash admissibility invariants) consume it, and
 the layer DAG forbids ``chaos`` → ``tools``.
 """
-
-from repro.verify.fsck import (
-    FsckReport,
-    fsck_volume,
-    sweep_replication_orphans,
-    verify_checksums,
-)
-
-__all__ = [
-    "FsckReport",
-    "fsck_volume",
-    "sweep_replication_orphans",
-    "verify_checksums",
-]

@@ -5,23 +5,3 @@ benchmarks sweep: file-size distributions, sequential/random read-write
 mixes, transactional account transfers, deadlock-prone lock orders,
 and hot/cold locality.
 """
-
-from repro.workloads.files import FileSizeDistribution, populate_files
-from repro.workloads.access import AccessPattern, locality_reads
-from repro.workloads.transactions import (
-    transfer_script,
-    deadlock_pair_scripts,
-    long_transaction_script,
-    make_accounts_file,
-)
-
-__all__ = [
-    "FileSizeDistribution",
-    "populate_files",
-    "AccessPattern",
-    "locality_reads",
-    "transfer_script",
-    "deadlock_pair_scripts",
-    "long_transaction_script",
-    "make_accounts_file",
-]

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import AccessMonitor, HBGraph, detect, report, validate
+from repro.analysis.happens_before import HBGraph, detect, report, validate
+from repro.analysis.monitor import AccessMonitor
 
 
 def two_unordered_writers() -> AccessMonitor:

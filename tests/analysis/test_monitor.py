@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import (
+from repro.analysis.monitor import (
     ALL_CELLS_HI,
     AccessMonitor,
     NULL_MONITOR,

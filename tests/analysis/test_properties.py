@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import AccessMonitor, HBGraph, detect, validate
+from repro.analysis.happens_before import HBGraph, detect, validate
+from repro.analysis.monitor import AccessMonitor
 
 
 @st.composite

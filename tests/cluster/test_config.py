@@ -26,6 +26,14 @@ class TestDefaults:
             ClusterConfig(n_machines=0)
         with pytest.raises(ValueError):
             ClusterConfig(n_disks=-1)
+        for knob in (
+            "client_cache_blocks", "server_cache_blocks", "disk_cache_tracks"
+        ):
+            with pytest.raises(ValueError, match=knob):
+                ClusterConfig(**{knob: -1})
+            assert getattr(ClusterConfig(**{knob: 0}), knob) == 0  # 0 = off
+        with pytest.raises(ValueError, match="replication degree"):
+            ClusterConfig(replication_degree=0)
 
 
 class TestPresets:

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from repro.disk_service.addresses import SECTORS_PER_FRAGMENT, Extent
+from repro.common.units import SECTORS_PER_FRAGMENT
+from repro.disk_service.addresses import Extent
 from repro.disk_service.queue import DiskRequest, RequestQueue
 from repro.disk_service.scheduler import (
     CoalescingScheduler,

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.lint import lint_paths, lint_source
 from repro.lint.framework import (
     FRAMEWORK_RULE,
+    lint_paths,
+    lint_source,
     module_name_for,
     parse_module,
     repo_root,

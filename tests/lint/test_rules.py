@@ -14,8 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import lint_paths
-from repro.lint.framework import repo_root
+from repro.lint.framework import lint_paths, repo_root
 from repro.lint.rules.layering import LAYER_DEPS, validate_dag
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"

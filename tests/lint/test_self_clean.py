@@ -8,8 +8,14 @@ suite with the offending file:line in the assertion message.
 
 from __future__ import annotations
 
-from repro.lint import lint_paths
-from repro.lint.framework import iter_python_files, parse_module, repo_root
+import ast
+
+from repro.lint.framework import (
+    iter_python_files,
+    lint_paths,
+    parse_module,
+    repo_root,
+)
 
 #: Every inline suppression under ``src/``, as (file, rule id); DESIGN.md
 #: §7 names each one and why.
@@ -18,6 +24,11 @@ SRC_SUPPRESSIONS = {
     ("src/repro/tools/racecheck.py", "completion-callback-purity"),
     ("src/repro/transactions/agent.py", "error-taxonomy"),
 }
+
+#: The package ``__init__.py`` files that may hold more than a docstring:
+#: the ``repro`` facade, and the rules package whose imports register
+#: every rule.  DESIGN.md §5 states the rule.
+IMPORT_SURFACES = {"src/repro/__init__.py", "src/repro/lint/rules/__init__.py"}
 
 
 def test_src_and_tests_are_clean_in_strict_mode():
@@ -37,3 +48,19 @@ def test_src_carries_exactly_the_listed_suppressions():
         for rule_ids in module.suppressions.values():
             found |= {(module.rel, rule_id) for rule_id in rule_ids}
     assert found == SRC_SUPPRESSIONS
+
+
+def test_a_package_init_holds_only_its_docstring():
+    """A name has one import path: the module that defines it (or the
+    ``repro`` facade), never a package re-export."""
+    root = repo_root()
+    offenders = []
+    for path in sorted((root / "src" / "repro").rglob("__init__.py")):
+        rel = path.relative_to(root).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        statements = tree.body
+        if ast.get_docstring(tree) is not None:
+            statements = statements[1:]
+        if statements and rel not in IMPORT_SURFACES:
+            offenders.append(rel)
+    assert offenders == []

@@ -14,6 +14,11 @@ resolve:
 * a ``BENCH_pr*.json``, ``AVAILABILITY_pr*.json`` or
   ``RESULTS_pr*.json`` to a record in the repository.
 
+Inside the code, every ``repro.…`` target of a ``:class:``, ``:func:``,
+``:meth:``, ``:mod:``, ``:data:``, ``:attr:`` or ``:exc:`` role in ``src/``
+(docstrings and ``#:`` comments) must resolve the same way; a package
+``__init__.py`` re-exports nothing, so a target spelled through one fails.
+
 DESIGN.md states contracts, so each section of ``PINNED_SECTIONS`` carries
 a ``Pinned by:`` paragraph naming at least one test by ``path::Name``.
 EXPERIMENTS.md keeps no hand-written tables: its only fenced blocks are
@@ -53,6 +58,9 @@ MODULE_PATH_REF = re.compile(
     _NOT_AFTER + r"(?:repro/)?(?:" + "|".join(PACKAGES) + r")/[\w/]+\.py(?:::\w+)*"
 )
 DOTTED_REF = re.compile(_NOT_AFTER + r"repro(?:\.[A-Za-z_]\w*)+")
+ROLE_REF = re.compile(
+    r":(?:class|func|meth|mod|data|attr|exc):`~?(repro(?:\.\w+)+)`"
+)
 RECORD_REF = re.compile(r"\b(?:BENCH|AVAILABILITY|RESULTS)_pr\d+\.json\b")
 SECTION = re.compile(r"^## (\S+?)\.? ", re.MULTILINE)
 PINNED_BY = re.compile(r"^Pinned by:(.*?)(?:\n[ \t]*\n|\Z)", re.MULTILINE | re.DOTALL)
@@ -131,6 +139,12 @@ def check_references(text: str) -> list:
     return [finding for finding in findings if finding]
 
 
+def check_role_targets(text: str) -> list:
+    """One finding per ``repro.…`` role target in ``text`` that does not resolve."""
+    findings = (_resolve_dotted(match[1]) for match in ROLE_REF.finditer(text))
+    return [finding for finding in findings if finding]
+
+
 def sections(text: str) -> dict:
     """Section id (``3``, ``6b``, ``M4``…) -> its text, heading included."""
     starts = list(SECTION.finditer(text))
@@ -196,6 +210,17 @@ def check_m_sections(text: str) -> list:
 def test_every_reference_in_the_doc_resolves(name):
     text = (ROOT / name).read_text(encoding="utf-8")
     assert check_references(text) == []
+
+
+def test_every_role_target_in_src_resolves():
+    findings, targets = [], 0
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        targets += len(ROLE_REF.findall(text))
+        rel = path.relative_to(ROOT).as_posix()
+        findings += [f"{rel}: {finding}" for finding in check_role_targets(text)]
+    assert findings == []
+    assert targets > 100  # sanity: the pattern still matches the tree's roles
 
 
 def test_every_design_contract_section_is_pinned():
@@ -266,3 +291,13 @@ def test_all_four_faults_together_give_four_findings():
     for old, new in FAULTS.values():
         text = text.replace(old, new)
     assert len(_check_all(text)) == 4
+
+
+def test_one_unresolvable_role_target_gives_exactly_one_finding():
+    docstring = (
+        "Times run on :class:`~repro.common.clock.SimClock`; see "
+        ":mod:`repro.tools.report` and :func:`repro.common.clock.NoSuchName`."
+    )
+    assert check_role_targets(docstring) == [
+        "repro.common.clock.NoSuchName: repro.common.clock has no NoSuchName"
+    ]
