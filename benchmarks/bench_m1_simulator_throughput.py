@@ -13,7 +13,7 @@ Three loads:
 * **sequential** — one disk, alternating extent writes and reads
   sweeping the platter.  Run twice: once on today's :class:`SimDisk`
   (chunked :class:`~repro.simdisk.store.SectorStore`, pre-bound metric
-  handles, guarded spans) and once on an in-file *legacy lane* that
+  handles, no spans) and once on an in-file *legacy lane* that
   reproduces the pre-PR-8 hot path statement for statement
   (per-sector dict store, f-string metric names on every reference,
   span kwargs built even while tracing is disabled, unconditional
@@ -56,7 +56,6 @@ from repro.common.errors import (
 )
 from repro.common.frames import Timeline
 from repro.common.metrics import Metrics
-from repro.common.trace import NULL_TRACER
 from repro.disk_service.addresses import Extent
 from repro.disk_service.pipeline import DiskPipeline
 from repro.disk_service.scheduler import make_scheduler
@@ -176,6 +175,40 @@ def _legacy_service_time_us(
     return total, cylinder, angular
 
 
+class _NullSpan:
+    """The shared do-nothing span handle of the legacy disabled tracer."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        return None
+
+
+_NULL_SPAN = _NullSpan()
+
+
+class _DisabledTracer:
+    """The legacy lane's disabled tracer: a span call that returns a no-op.
+
+    The lane keeps the old cost of instrumentation that records
+    nothing: the kwargs dict is built, the call is made, and the shared
+    null handle is entered and exited.
+    """
+
+    __slots__ = ("enabled",)
+
+    def __init__(self) -> None:
+        self.enabled = False
+
+    def span(self, layer: str, op: str, **annotations: object) -> _NullSpan:
+        if not self.enabled:
+            return _NULL_SPAN
+        raise AssertionError("the legacy lane never traces")
+
+
 class _LegacyDisk:
     """The pre-PR-8 ``SimDisk`` hot path, kept as the baseline lane.
 
@@ -199,7 +232,7 @@ class _LegacyDisk:
         self.geometry = geometry
         self.clock = clock
         self.metrics = metrics
-        self.tracer = NULL_TRACER
+        self.tracer = _DisabledTracer()
         self.timing = DiskTimingModel()
         self.faults = FaultInjector()
         self.timeline = Timeline(clock)

@@ -25,7 +25,6 @@ from repro.common.clock import SimClock
 from repro.common.errors import BadDescriptorError, FileSizeError
 from repro.common.ids import DEVICE_DESCRIPTOR_LIMIT, SystemName
 from repro.common.metrics import Metrics
-from repro.common.trace import NULL_TRACER, Tracer
 from repro.common.units import BLOCK_SIZE
 from repro.file_service.attributes import FileAttributes, LockingLevel, ServiceType
 from repro.agents.routing import FileServiceRouter
@@ -82,8 +81,6 @@ class FileAgent:
         cache_blocks: client block-cache capacity; 0 disables client
             caching (the Amoeba-Bullet-server configuration of
             experiment E5).
-        tracer: roots one trace per client operation; disabled by
-            default.
     """
 
     def __init__(
@@ -96,7 +93,6 @@ class FileAgent:
         *,
         cache_blocks: int = 128,
         placement: Optional[Callable[[], int]] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.machine_id = machine_id
         self.naming = naming
@@ -104,7 +100,6 @@ class FileAgent:
         self.clock = clock
         self.metrics = metrics
         self.placement = placement
-        self.tracer = tracer or NULL_TRACER
         self.cache_blocks = cache_blocks
         self._prefix = f"file_agent.{machine_id}"
         self._open: Dict[int, _OpenFile] = {}
@@ -285,9 +280,7 @@ class FileAgent:
     # ---- read path
 
     def _read_at(self, state: _OpenFile, offset: int, n_bytes: int) -> bytes:
-        with self.tracer.span(
-            "file_agent", "read", machine=self.machine_id, offset=offset
-        ), self.metrics.timer(f"{self._prefix}.read_us", self.clock):
+        with self.metrics.timer(f"{self._prefix}.read_us", self.clock):
             return self._do_read_at(state, offset, n_bytes)
 
     def _do_read_at(self, state: _OpenFile, offset: int, n_bytes: int) -> bytes:
@@ -327,10 +320,8 @@ class FileAgent:
             self._cache.move_to_end(key)
             if entry.valid or (entry.dirty_lo <= lo and hi <= entry.dirty_hi):
                 self.metrics.add(f"{self._prefix}.cache.hits")
-                self.tracer.annotate_add("agent_cache_hits")
                 return bytes(entry.data[lo:hi])
         self.metrics.add(f"{self._prefix}.cache.misses")
-        self.tracer.annotate_add("agent_cache_misses")
         block_lo = block_index * BLOCK_SIZE
         fetched = self.router.read(state.name, block_lo, BLOCK_SIZE)
         if fetched:
@@ -348,9 +339,7 @@ class FileAgent:
     # ---- write path
 
     def _write_at(self, state: _OpenFile, offset: int, data: bytes) -> int:
-        with self.tracer.span(
-            "file_agent", "write", machine=self.machine_id, offset=offset
-        ), self.metrics.timer(f"{self._prefix}.write_us", self.clock):
+        with self.metrics.timer(f"{self._prefix}.write_us", self.clock):
             return self._do_write_at(state, offset, data)
 
     def _do_write_at(self, state: _OpenFile, offset: int, data: bytes) -> int:

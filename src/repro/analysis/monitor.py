@@ -22,9 +22,8 @@ Tasks are numbered in creation order and every edge points forward
 (``src < dst``), so the graph is acyclic *by construction* — the
 detector never needs a cycle check, and topological order is id order.
 
-Zero cost when disabled: the module-level :data:`NULL_MONITOR` (the
-same NULL-object pattern as :data:`repro.common.trace.NULL_TRACER`)
-swallows every call; :func:`install` swaps in a real
+Zero cost when disabled: the module-level :data:`NULL_MONITOR` (a
+NULL object) swallows every call; :func:`install` swaps in a real
 :class:`AccessMonitor` only for analysis runs (``repro.tools.racecheck``).
 Everything here is stdlib-only and deterministic: no wall clock, no
 ``id()`` in any output, structures interned in first-touch order.

@@ -22,7 +22,6 @@ from repro.cluster.machine import Machine
 from repro.common.clock import SimClock
 from repro.common.frames import fan_out
 from repro.common.metrics import Metrics
-from repro.common.trace import Tracer
 from repro.common.weak import weak_method
 from repro.disk_service.server import DiskServer
 from repro.file_service.server import FileServer
@@ -99,7 +98,6 @@ class RhodosCluster:
         self.config = config or ClusterConfig()
         self.clock = SimClock()
         self.metrics = Metrics()
-        self.tracer = Tracer(self.clock)
         self.loop = EventLoop(self.clock)
 
         #: Per-volume data "disk": a SimDisk, or a StripedVolume duck-
@@ -122,7 +120,6 @@ class RhodosCluster:
                         self.config.geometry,
                         self.clock,
                         self.metrics,
-                        tracer=self.tracer,
                     )
                     for index in range(self.config.raid_members)
                 ]
@@ -143,7 +140,6 @@ class RhodosCluster:
                     self.config.geometry,
                     self.clock,
                     self.metrics,
-                    tracer=self.tracer,
                 )
             stable = StableStore(
                 SimDisk(
@@ -165,7 +161,6 @@ class RhodosCluster:
                 self.clock,
                 self.metrics,
                 cache_tracks=self.config.disk_cache_tracks,
-                tracer=self.tracer,
             )
             file_server = FileServer(
                 volume_id,
@@ -174,7 +169,6 @@ class RhodosCluster:
                 self.metrics,
                 data_cache_blocks=self.config.server_cache_blocks,
                 write_policy=self.config.write_policy,
-                tracer=self.tracer,
             )
             self.disks.append(disk)
             self.disk_servers[volume_id] = disk_server
@@ -201,7 +195,6 @@ class RhodosCluster:
                 self.metrics,
                 self.config.fault_profile,
                 seed=self.config.seed,
-                tracer=self.tracer,
             )
             if self.config.rpc_breaker is not None:
                 self.breaker = CircuitBreaker(
@@ -209,7 +202,6 @@ class RhodosCluster:
                     self.clock,
                     self.metrics,
                     listener=_VolumeHealthFeed(self.health, self._components),
-                    tracer=self.tracer,
                 )
             self.file_client = self._rpc_client(self.config.seed)
             self.shard_client = self._rpc_client(self.config.seed + 1)
@@ -262,7 +254,6 @@ class RhodosCluster:
             self.metrics,
             policy=self.config.timeout_policy,
             technique=self.config.commit_technique,
-            tracer=self.tracer,
         )
         for file_server in self.file_servers.values():
             self.coordinator.register_volume(file_server)
@@ -289,7 +280,6 @@ class RhodosCluster:
                 self.clock,
                 self.metrics,
                 cache_blocks=self.config.client_cache_blocks,
-                tracer=self.tracer,
                 placement=self.naming.place_volume,
             )
             transaction_host = TransactionAgentHost(

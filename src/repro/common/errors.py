@@ -88,10 +88,6 @@ class FileNotFoundError_(FileServiceError):
     """
 
 
-class FileExistsError_(FileServiceError):
-    """Creation was requested for a name that already designates a file."""
-
-
 class BadDescriptorError(FileServiceError):
     """An object descriptor does not designate an open file or device."""
 

@@ -15,12 +15,11 @@ is never stale.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.analysis import monitor as _monitor
 from repro.common.errors import SectorAlignmentError
 from repro.common.metrics import Metrics
-from repro.common.trace import NULL_TRACER, Tracer
 from repro.simdisk.disk import SimDisk
 
 
@@ -35,8 +34,6 @@ class TrackCache:
             read (the paper's strategy); disable to measure its value
             (experiment E14).
         name: metric prefix, e.g. ``disk_cache.0``.
-        tracer: annotates the enclosing disk-service span with this
-            cache's hit/miss verdict; disabled by default.
     """
 
     def __init__(
@@ -47,11 +44,9 @@ class TrackCache:
         capacity_tracks: int = 128,
         readahead: bool = True,
         name: str = "disk_cache",
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.disk = disk
         self.metrics = metrics
-        self.tracer = tracer or NULL_TRACER
         self.capacity_tracks = max(1, capacity_tracks)
         self.readahead = readahead
         self.name = name
@@ -73,13 +68,9 @@ class TrackCache:
         _monitor.active().read(self, start, start + n_sectors, site="cache.read")
         if self._all_cached(start, n_sectors):
             self._c_hits.add()
-            if self.tracer.enabled:
-                self.tracer.annotate("track_cache", "hit")
             self._touch(start, n_sectors)
             return self._assemble(start, n_sectors)
         self._c_misses.add()
-        if self.tracer.enabled:
-            self.tracer.annotate("track_cache", "miss")
         data = self.disk.read_sectors(start, n_sectors)
         self._store(start, data)
         if self.readahead:

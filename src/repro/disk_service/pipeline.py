@@ -264,7 +264,6 @@ class DiskPipeline:
 
     def _execute(self, batch: List[DiskRequest]) -> List[Outcome]:
         """Serve a batch as one disk reference; outcomes align to batch."""
-        queued_since = min(request.enqueued_at_us for request in batch)
         try:
             if len(batch) == 1:
                 request = batch[0]
@@ -273,7 +272,6 @@ class DiskPipeline:
                         request.extent,
                         source=request.source,
                         use_cache=request.use_cache,
-                        queued_since=queued_since,
                     )
                 else:
                     value = self.server._do_put(
@@ -281,7 +279,6 @@ class DiskPipeline:
                         request.data or b"",
                         stability=request.stability,
                         sync=request.sync,
-                        queued_since=queued_since,
                     )
                 return [("ok", value)]
             ordered = sorted(batch, key=lambda request: request.extent.start)
@@ -293,7 +290,6 @@ class DiskPipeline:
                     merged,
                     source=Source.MAIN,
                     use_cache=batch[0].use_cache,
-                    queued_since=queued_since,
                 )
                 by_seq = {
                     request.seq: merged.slice_bytes(blob, request.extent)
@@ -306,7 +302,6 @@ class DiskPipeline:
                 payload,
                 stability=Stability.ORIGINAL_ONLY,
                 sync=SyncMode.AFTER_STABLE,
-                queued_since=queued_since,
             )
             return [("ok", None) for _ in batch]
         except Exception as error:  # noqa: BLE001 - delivered via completions

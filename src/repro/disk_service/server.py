@@ -42,7 +42,6 @@ from repro.common.errors import (
 )
 from repro.common.frames import frame_now
 from repro.common.metrics import Metrics
-from repro.common.trace import NULL_SPAN, NULL_TRACER, Tracer
 from repro.common.units import FRAGMENTS_PER_BLOCK
 from repro.disk_service.addresses import Extent
 from repro.disk_service.bitmap import FragmentBitmap
@@ -138,7 +137,6 @@ class DiskServer:
         readahead: enable rest-of-track readahead (paper's strategy).
         extent_rows / extent_columns: free-extent array dimensions
             (64x64 in the paper; configurable for ablation A1).
-        tracer: records one span per get/put; disabled by default.
     """
 
     def __init__(
@@ -152,13 +150,11 @@ class DiskServer:
         readahead: bool = True,
         extent_rows: int = 64,
         extent_columns: int = 64,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.disk = disk
         self.stable = stable
         self.clock = clock
         self.metrics = metrics
-        self.tracer = tracer or NULL_TRACER
         self.n_fragments = disk.geometry.capacity_bytes // Extent(0, 1).byte_size
         self.bitmap = FragmentBitmap(self.n_fragments)
         self.extent_table = FreeExtentTable(extent_rows, extent_columns)
@@ -170,7 +166,6 @@ class DiskServer:
                 capacity_tracks=cache_tracks,
                 readahead=readahead,
                 name=f"disk_cache.{disk.disk_id}",
-                tracer=self.tracer,
             )
             if cache_tracks > 0
             else None
@@ -436,47 +431,25 @@ class DiskServer:
         *,
         source: Source = Source.MAIN,
         use_cache: bool = True,
-        queued_since: Optional[int] = None,
     ) -> bytes:
-        tracer = self.tracer
-        span = tracer.span(
-            "disk_service",
-            "get",
-            disk=self.disk.disk_id,
-            fragment=extent.start,
-            n_fragments=extent.length,
-            source=source.value,
-        ) if tracer.enabled else NULL_SPAN
-        with span:
-            # Inlined metrics.timer: same exception-inclusive frame-time
-            # semantics, no contextmanager machinery on the hot path.
-            started = frame_now(self.clock)
-            try:
-                return self._get_body(
-                    extent, source, use_cache, queued_since
+        # Inlined metrics.timer: same exception-inclusive frame-time
+        # semantics, no contextmanager machinery on the hot path.
+        started = frame_now(self.clock)
+        try:
+            self._check_extent(extent)
+            self._c_gets.add()
+            if source is Source.STABLE:
+                self._drain_pending()
+                return self.stable.get(_stable_key(extent))
+            if self._cache is not None and use_cache:
+                data = self._cache.read(extent.first_sector, extent.n_sectors)
+            else:
+                data = self.disk.read_sectors(
+                    extent.first_sector, extent.n_sectors
                 )
-            finally:
-                self._h_get_us.observe(frame_now(self.clock) - started)
-
-    def _get_body(
-        self,
-        extent: Extent,
-        source: Source,
-        use_cache: bool,
-        queued_since: Optional[int],
-    ) -> bytes:
-        self._note_queue_wait(queued_since)
-        self._check_extent(extent)
-        self._c_gets.add()
-        if source is Source.STABLE:
-            self._drain_pending()
-            return self.stable.get(_stable_key(extent))
-        if self._cache is not None and use_cache:
-            data = self._cache.read(extent.first_sector, extent.n_sectors)
-        else:
-            self.tracer.annotate("track_cache", "bypassed")
-            data = self.disk.read_sectors(extent.first_sector, extent.n_sectors)
-        return self._verify_extent(extent, data)
+            return self._verify_extent(extent, data)
+        finally:
+            self._h_get_us.observe(frame_now(self.clock) - started)
 
     def _do_put(
         self,
@@ -485,69 +458,47 @@ class DiskServer:
         *,
         stability: Stability = Stability.ORIGINAL_ONLY,
         sync: SyncMode = SyncMode.AFTER_STABLE,
-        queued_since: Optional[int] = None,
     ) -> None:
-        tracer = self.tracer
-        span = tracer.span(
-            "disk_service",
-            "put",
-            disk=self.disk.disk_id,
-            fragment=extent.start,
-            n_fragments=extent.length,
-            stability=stability.value,
-        ) if tracer.enabled else NULL_SPAN
-        with span:
-            started = frame_now(self.clock)
-            try:
-                self._put_body(extent, data, stability, sync, queued_since)
-            finally:
-                self._h_put_us.observe(frame_now(self.clock) - started)
-
-    def _put_body(
-        self,
-        extent: Extent,
-        data: bytes,
-        stability: Stability,
-        sync: SyncMode,
-        queued_since: Optional[int],
-    ) -> None:
-        self._note_queue_wait(queued_since)
-        self._check_extent(extent)
-        if len(data) != extent.byte_size:
-            raise BadAddressError(
-                f"payload is {len(data)} bytes but extent {extent} holds "
-                f"{extent.byte_size}"
-            )
-        self._c_puts.add()
-        if stability is not Stability.ORIGINAL_ONLY and self._bitmap_dirty:
-            # Bitmap first, then the structure referencing the newly
-            # allocated fragments.  A crash in between leaks orphans
-            # (an fsck warning), never lost blocks (an fsck error).
-            self.checkpoint_free_space()
-        if stability in (Stability.ORIGINAL_ONLY, Stability.BOTH):
-            if self._cache is not None:
-                self._cache.write_through(extent.first_sector, data)
-            else:
-                self.disk.write_sectors(extent.first_sector, data)
-            self._record_checksums(extent, data)
-        # Any overwrite ends the extent's mirrored status until its
-        # stable copy is (re)confirmed equal to main below; a
-        # STABLE_ONLY put (shadow page) ends it outright.
-        self._unmark_mirrored(extent)
-        if stability in (Stability.STABLE_ONLY, Stability.BOTH):
-            key = _stable_key(extent)
-            mirror = stability is Stability.BOTH
-            if sync is SyncMode.AFTER_STABLE:
-                self.stable.put(key, data)
-                if mirror:
-                    self._mark_mirrored(extent)
-            else:
-                _monitor.active().key_write(
-                    self, key, name="pending_stable",
-                    site="server.defer_stable",
+        started = frame_now(self.clock)
+        try:
+            self._check_extent(extent)
+            if len(data) != extent.byte_size:
+                raise BadAddressError(
+                    f"payload is {len(data)} bytes but extent {extent} holds "
+                    f"{extent.byte_size}"
                 )
-                self._pending_stable.append((key, data, mirror))
-                self.metrics.add(f"{self._prefix}.deferred_stable_puts")
+            self._c_puts.add()
+            if stability is not Stability.ORIGINAL_ONLY and self._bitmap_dirty:
+                # Bitmap first, then the structure referencing the newly
+                # allocated fragments.  A crash in between leaks orphans
+                # (an fsck warning), never lost blocks (an fsck error).
+                self.checkpoint_free_space()
+            if stability in (Stability.ORIGINAL_ONLY, Stability.BOTH):
+                if self._cache is not None:
+                    self._cache.write_through(extent.first_sector, data)
+                else:
+                    self.disk.write_sectors(extent.first_sector, data)
+                self._record_checksums(extent, data)
+            # Any overwrite ends the extent's mirrored status until its
+            # stable copy is (re)confirmed equal to main below; a
+            # STABLE_ONLY put (shadow page) ends it outright.
+            self._unmark_mirrored(extent)
+            if stability in (Stability.STABLE_ONLY, Stability.BOTH):
+                key = _stable_key(extent)
+                mirror = stability is Stability.BOTH
+                if sync is SyncMode.AFTER_STABLE:
+                    self.stable.put(key, data)
+                    if mirror:
+                        self._mark_mirrored(extent)
+                else:
+                    _monitor.active().key_write(
+                        self, key, name="pending_stable",
+                        site="server.defer_stable",
+                    )
+                    self._pending_stable.append((key, data, mirror))
+                    self.metrics.add(f"{self._prefix}.deferred_stable_puts")
+        finally:
+            self._h_put_us.observe(frame_now(self.clock) - started)
 
     def release_stable(self, extent: Extent) -> None:
         """Drop the stable-storage copy of an extent (e.g. committed shadow)."""
@@ -851,19 +802,6 @@ class DiskServer:
             f"scratch extent ({extent.start}, {length}) given up as {extent}"
         )
         return True
-
-    def _note_queue_wait(self, queued_since: Optional[int]) -> None:
-        """Record the queue span of a pipelined request.
-
-        The pipeline passes the batch's earliest enqueue time; the span
-        is retro-dated to it so the trace tree reads disk_service →
-        queue → simdisk and the queue span's duration *is* the wait.
-        Direct (non-pipelined) calls pass None and trace nothing.
-        """
-        if queued_since is None or not self.tracer.enabled:
-            return
-        with self.tracer.span("queue", "wait", disk=self.disk.disk_id) as handle:
-            handle.span.start_us = min(queued_since, handle.span.start_us)
 
     def _drain_pending(self) -> None:
         _monitor.active().write_all(

@@ -40,7 +40,6 @@ from repro.common.errors import (
 )
 from repro.common.ids import SystemName, monotonic_id_factory
 from repro.common.metrics import Metrics
-from repro.common.trace import NULL_TRACER, Tracer
 from repro.common.units import BLOCK_SIZE, FRAGMENTS_PER_BLOCK
 from repro.common.weak import weak_method
 from repro.disk_service.addresses import Extent
@@ -108,8 +107,6 @@ class FileServer:
         data_cache_blocks: capacity of the server's block pool; 0
             disables server-side data caching (for experiment E5).
         write_policy: DELAYED (basic-file default) or WRITE_THROUGH.
-        tracer: records one span per read/write/create; disabled by
-            default.
     """
 
     def __init__(
@@ -123,20 +120,15 @@ class FileServer:
         fit_cache_entries: int = 256,
         write_policy: WritePolicy = WritePolicy.DELAYED,
         growth_batch_blocks: int = DEFAULT_GROWTH_BATCH_BLOCKS,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.volume_id = volume_id
         self.growth_batch_blocks = max(1, growth_batch_blocks)
         self.disk = disk_server
         self.clock = clock
         self.metrics = metrics
-        self.tracer = tracer or NULL_TRACER
         self.write_policy = write_policy
         #: Metric prefix.
         self.name = f"file_server.{volume_id}"
-        #: The data disk's reference counter, re-read around traced
-        #: operations so a span can report its disk-reference cost.
-        self._refs_counter = f"disk.{disk_server.disk.disk_id}.references"
         self._next_generation = monotonic_id_factory()
         #: fit_address -> state, oldest install first (the eviction order).
         self._files: "OrderedDict[int, _OpenState]" = OrderedDict()
@@ -169,9 +161,7 @@ class FileServer:
         retrieve the first data block").  The FIT is written to both
         its original location and stable storage.
         """
-        with self.tracer.span(
-            "file_service", "create", volume=self.volume_id
-        ), self.metrics.timer(f"{self.name}.create_us", self.clock):
+        with self.metrics.timer(f"{self.name}.create_us", self.clock):
             return self._do_create(
                 service_type=service_type, locking_level=locking_level
             )
@@ -263,21 +253,8 @@ class FileServer:
         Short reads happen at end of file; reads inside holes return
         zero bytes ('\\x00'), matching sparse-file convention.
         """
-        tracer = self.tracer
-        with tracer.span(
-            "file_service", "read", volume=self.volume_id, offset=offset
-        ) as span, self.metrics.timer(f"{self.name}.read_us", self.clock):
-            if not tracer.enabled:
-                return self._do_read(name, offset, n_bytes)
-            # The reference delta is trace-only colour; the counter
-            # reads that compute it are skipped when nobody records it.
-            refs_before = self.metrics.get(self._refs_counter)
-            data = self._do_read(name, offset, n_bytes)
-            span.annotate(
-                "disk_references",
-                self.metrics.get(self._refs_counter) - refs_before,
-            )
-            return data
+        with self.metrics.timer(f"{self.name}.read_us", self.clock):
+            return self._do_read(name, offset, n_bytes)
 
     def _do_read(self, name: SystemName, offset: int, n_bytes: int) -> bytes:
         if offset < 0 or n_bytes < 0:
@@ -323,19 +300,8 @@ class FileServer:
         :meth:`flush_file` before dropping it.  Returns the number of
         bytes written.
         """
-        tracer = self.tracer
-        with tracer.span(
-            "file_service", "write", volume=self.volume_id, offset=offset
-        ) as span, self.metrics.timer(f"{self.name}.write_us", self.clock):
-            if not tracer.enabled:
-                return self._do_write(name, offset, data, delayed)
-            refs_before = self.metrics.get(self._refs_counter)
-            written = self._do_write(name, offset, data, delayed)
-            span.annotate(
-                "disk_references",
-                self.metrics.get(self._refs_counter) - refs_before,
-            )
-            return written
+        with self.metrics.timer(f"{self.name}.write_us", self.clock):
+            return self._do_write(name, offset, data, delayed)
 
     def _do_write(
         self, name: SystemName, offset: int, data: bytes, delayed: bool
@@ -928,11 +894,9 @@ class FileServer:
             block_addr = address + index * FRAGMENTS_PER_BLOCK
             cached = self._data_cache.get(block_addr)
             if cached is not None:
-                self.tracer.annotate_add("block_pool_hits")
                 pieces.append(cached)
                 index += 1
                 continue
-            self.tracer.annotate_add("block_pool_misses")
             # Find the extent of the uncached sub-run.
             miss_len = 1
             while index + miss_len < n_blocks and not self._data_cache.contains(

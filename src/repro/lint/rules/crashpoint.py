@@ -76,9 +76,8 @@ REGISTERED_WRITE_SITES: FrozenSet[Tuple[str, str]] = frozenset(
         ("repro.disk_service.cache", "TrackCache.write_through"),
         # put-block's direct path when the cache is disabled (the body
         # behind both the blocking wrapper and the queued pipeline, so
-        # crash points keep firing at queue-drain time; _do_put is the
-        # span/timer shell around it)
-        ("repro.disk_service.server", "DiskServer._put_body"),
+        # crash points keep firing at queue-drain time)
+        ("repro.disk_service.server", "DiskServer._do_put"),
         # the scrubber's repair write: mirrored extent rewritten from
         # its stable copy (DESIGN.md §11; the scrub-repair sweep
         # workload crashes inside it)

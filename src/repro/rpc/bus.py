@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.common.clock import SimClock
 from repro.common.frames import charge_elapsed
 from repro.common.errors import RpcError
 from repro.common.metrics import Metrics
-from repro.common.trace import NULL_TRACER, Tracer
 
 #: A handler takes (op, payload) and returns the reply payload.
 Handler = Callable[[str, Any], Any]
@@ -79,11 +78,9 @@ class MessageBus:
         profile: FaultProfile | None = None,
         *,
         seed: int = 0,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.clock = clock
         self.metrics = metrics
-        self.tracer = tracer or NULL_TRACER
         self.profile = profile or FaultProfile.reliable()
         #: Surfaced in timeout messages so a failing run names the exact
         #: fault schedule that reproduces it.
@@ -122,19 +119,15 @@ class MessageBus:
         handler = self._endpoints.get(dst)
         if handler is None:
             raise RpcError(f"no endpoint at {dst!r}")
-        with self.tracer.span(
-            "rpc", "transmit", dst=dst, rpc_op=op
-        ) as span, self.metrics.timer("rpc.transmit_us", self.clock):
+        with self.metrics.timer("rpc.transmit_us", self.clock):
             charge_elapsed(self.clock, self.profile.latency_us)
             self.metrics.add("rpc.messages")
             if dst in self._down or self._chance(self.profile.request_loss):
                 self.metrics.add("rpc.requests_lost")
-                span.annotate("outcome", "request_lost")
                 return False, None
             if self._chance(self.profile.reorder):
                 self._delayed.append((dst, op, payload))
                 self.metrics.add("rpc.requests_delayed")
-                span.annotate("outcome", "delayed")
                 return False, None
             reply = handler(op, payload)
             self.metrics.add("rpc.executions")
@@ -146,9 +139,7 @@ class MessageBus:
             charge_elapsed(self.clock, self.profile.latency_us)
             if dst in self._down or self._chance(self.profile.reply_loss):
                 self.metrics.add("rpc.replies_lost")
-                span.annotate("outcome", "reply_lost")
                 return False, None
-            span.annotate("outcome", "ok")
             return True, reply
 
     def drain_delayed(self) -> int:

@@ -32,7 +32,6 @@ from typing import Dict, Optional, Protocol
 
 from repro.common.clock import SimClock
 from repro.common.metrics import Metrics
-from repro.common.trace import NULL_TRACER, Tracer
 
 #: Circuit states (module constants, not an Enum, so breaker state can
 #: be compared cheaply in the transmit hot path).
@@ -122,13 +121,11 @@ class CircuitBreaker:
         metrics: Metrics,
         *,
         listener: Optional[BreakerListener] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.policy = policy
         self.clock = clock
         self.metrics = metrics
         self.listener = listener
-        self.tracer = tracer or NULL_TRACER
         self._circuits: Dict[str, _Circuit] = {}
 
     # ------------------------------------------------------- queries
@@ -156,8 +153,6 @@ class CircuitBreaker:
                 return False
             circuit.state = HALF_OPEN
             self.metrics.add("rpc.breaker_probes")
-            with self.tracer.span("rpc", "breaker_probe", dst=destination):
-                pass
             return True
         # HALF_OPEN with the probe outcome still unrecorded: single-
         # threaded callers never reach this, but fail safe anyway.
@@ -173,8 +168,6 @@ class CircuitBreaker:
         circuit.consecutive_failures = 0
         if was_broken:
             self.metrics.add("rpc.breaker_closes")
-            with self.tracer.span("rpc", "breaker_close", dst=destination):
-                pass
             if self.listener is not None:
                 self.listener.on_breaker_close(destination)
 
@@ -200,8 +193,6 @@ class CircuitBreaker:
         self.metrics.add("rpc.breaker_opens")
         if reopened:
             self.metrics.add("rpc.breaker_reopens")
-        with self.tracer.span("rpc", "breaker_open", dst=destination):
-            pass
         if self.listener is not None:
             self.listener.on_breaker_open(destination)
 

@@ -17,9 +17,8 @@ so they are written for constant per-reference cost (DESIGN.md §13):
 service times come from a memo keyed by head position and request,
 metric names resolve once at construction into pre-bound handles,
 sectors live in a chunked :class:`~repro.simdisk.store.SectorStore`
-with O(1) contiguous slicing, spans are only constructed when the
-tracer is actually enabled, and a fault-free disk skips the per-sector
-media scans entirely.
+with O(1) contiguous slicing, and a fault-free disk skips the
+per-sector media scans entirely.
 """
 
 from __future__ import annotations
@@ -35,15 +34,15 @@ from repro.common.errors import (
 )
 from repro.common.frames import Timeline, ceil_us
 from repro.common.metrics import Metrics
-from repro.common.trace import NULL_TRACER, Tracer
 from repro.common.weak import weak_method
 from repro.simdisk.faults import FaultInjector
 from repro.simdisk.geometry import DiskGeometry
 from repro.simdisk.store import SectorStore
 from repro.simdisk.timing import DiskTimingModel
 
-#: The model is frozen, so every disk built without one shares this.
-_DEFAULT_TIMING = DiskTimingModel()
+#: The service-time model of every disk (a 1990s 5400 rpm drive); it is
+#: frozen, so all disks share it.
+_TIMING = DiskTimingModel()
 
 
 class SimDisk:
@@ -54,9 +53,7 @@ class SimDisk:
         geometry: physical layout.
         clock: shared simulated clock, advanced by each reference.
         metrics: shared counter registry.
-        timing: service-time model (defaults are a 1990s 5400 rpm drive).
         faults: fault injector; a fresh, quiescent one by default.
-        tracer: records one span per disk reference; disabled by default.
     """
 
     __slots__ = (
@@ -64,8 +61,6 @@ class SimDisk:
         "geometry",
         "clock",
         "metrics",
-        "tracer",
-        "timing",
         "faults",
         "timeline",
         "_sectors",
@@ -104,19 +99,14 @@ class SimDisk:
         geometry: DiskGeometry,
         clock: SimClock,
         metrics: Metrics,
-        timing: Optional[DiskTimingModel] = None,
         faults: Optional[FaultInjector] = None,
-        tracer: Optional[Tracer] = None,
-        timeline: Optional[Timeline] = None,
     ) -> None:
         self.disk_id = disk_id
         self.geometry = geometry
         self.clock = clock
         self.metrics = metrics
-        self.tracer = tracer or NULL_TRACER
-        self.timing = timing or _DEFAULT_TIMING
         self.faults = faults or FaultInjector()
-        self.timeline = timeline or Timeline(clock)
+        self.timeline = Timeline(clock)
         self._sectors = SectorStore(geometry.sector_size)
         self._head_cylinder = 0
         self._head_angular = 0.0
@@ -182,16 +172,6 @@ class SimDisk:
 
     def read_sectors(self, start: int, n_sectors: int) -> bytes:
         """Read ``n_sectors`` contiguous sectors in one disk reference."""
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span(
-                "simdisk", "read",
-                disk=self.disk_id, sector=start, n_sectors=n_sectors,
-            ):
-                return self._read_sectors(start, n_sectors)
-        return self._read_sectors(start, n_sectors)
-
-    def _read_sectors(self, start: int, n_sectors: int) -> bytes:
         faults = self.faults
         if faults.crashed:
             raise DiskCrashedError(f"{self.disk_id}: disk is crashed")
@@ -222,16 +202,6 @@ class SimDisk:
         prefix of the sectors reaches the platter (a *torn write*) and
         :class:`DiskCrashedError` is raised.
         """
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span(
-                "simdisk", "write", disk=self.disk_id, sector=start
-            ):
-                self._write_sectors(start, data)
-                return
-        self._write_sectors(start, data)
-
-    def _write_sectors(self, start: int, data: bytes) -> None:
         faults = self.faults
         if faults.crashed:
             raise DiskCrashedError(f"{self.disk_id}: disk is crashed")
@@ -292,23 +262,13 @@ class SimDisk:
         use this for sectors on the track(s) the preceding read already
         positioned the head on.
         """
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span(
-                "simdisk", "read_in_passing",
-                disk=self.disk_id, sector=start, n_sectors=n_sectors,
-            ):
-                return self._read_in_passing(start, n_sectors)
-        return self._read_in_passing(start, n_sectors)
-
-    def _read_in_passing(self, start: int, n_sectors: int) -> bytes:
         faults = self.faults
         if faults.crashed:
             raise DiskCrashedError(f"{self.disk_id}: disk is crashed")
         self._check_range(start, n_sectors)
         if faults.bad_sectors or faults._media_errors:
             self._check_media(start, n_sectors)
-        elapsed = self.timing.slot_time_us(self.geometry) * n_sectors
+        elapsed = _TIMING.slot_time_us(self.geometry) * n_sectors
         self.timeline.charge(elapsed)
         self._head_angular = (
             self._head_angular + n_sectors
@@ -450,7 +410,7 @@ class SimDisk:
         cold, warm, or was cleared on overflow.
         """
         cylinder_now, angular_now, start, n_sectors = key
-        elapsed, cylinder, angular = self.timing.service_time_us(
+        elapsed, cylinder, angular = _TIMING.service_time_us(
             self.geometry, cylinder_now, angular_now, start, n_sectors
         )
         memo = self._service_memo

@@ -56,7 +56,6 @@ from repro.common.errors import (
 )
 from repro.common.ids import SystemName, monotonic_id_factory
 from repro.common.metrics import Metrics
-from repro.common.trace import NULL_TRACER, Tracer
 from repro.common.units import BLOCK_SIZE, FRAGMENTS_PER_BLOCK, fragments_for_bytes
 from repro.disk_service.addresses import Extent
 from repro.file_service.attributes import LockingLevel
@@ -111,11 +110,9 @@ class TransactionCoordinator:
         policy: Optional[TimeoutPolicy] = None,
         technique: TechniqueChoice = "auto",
         cross_level: bool = False,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.clock = clock
         self.metrics = metrics
-        self.tracer = tracer or NULL_TRACER
         self.policy = policy or TimeoutPolicy()
         self.technique: TechniqueChoice = technique
         self.cross_level = cross_level
@@ -188,9 +185,7 @@ class TransactionCoordinator:
         and locks merge into the parent, whose own (eventual) top-level
         commit makes everything durable at once.
         """
-        with self.tracer.span(
-            "transactions", "commit", tid=transaction.tid
-        ), self.metrics.timer("transactions.commit_us", self.clock):
+        with self.metrics.timer("transactions.commit_us", self.clock):
             self._do_commit(transaction)
 
     def _do_commit(self, transaction: Transaction) -> None:
@@ -292,9 +287,7 @@ class TransactionCoordinator:
         Aborting a parent cascades to its live nested children; aborting
         a child discards only the child's own work.
         """
-        with self.tracer.span(
-            "transactions", "abort", tid=transaction.tid, reason=reason
-        ), self.metrics.timer("transactions.abort_us", self.clock):
+        with self.metrics.timer("transactions.abort_us", self.clock):
             self._do_abort(transaction, reason=reason)
 
     def _do_abort(self, transaction: Transaction, *, reason: str) -> None:
@@ -356,18 +349,13 @@ class TransactionCoordinator:
         Lists whose flag says ``commit`` — or ``tentative`` with a
         multi-volume decision on record — are redone (their after-images
         are on disk, the operations idempotent); any other list is
-        discarded and its scratch extents freed.  The whole pass is one traced
-        span and one ``transactions.recovery_us`` timing observation:
+        discarded and its scratch extents freed.  The whole pass is one
+        ``transactions.recovery_us`` timing observation:
         recovery time is the half of the availability story that crash
         injection alone does not measure.
         """
-        with self.tracer.span(
-            "transactions", "recover_volume", volume=volume_id
-        ) as span, self.metrics.timer("transactions.recovery_us", self.clock):
-            redone, discarded = self._recover_volume(volume_id)
-            span.annotate("redone", redone)
-            span.annotate("discarded", discarded)
-        return redone, discarded
+        with self.metrics.timer("transactions.recovery_us", self.clock):
+            return self._recover_volume(volume_id)
 
     def _recover_volume(self, volume_id: int) -> Tuple[int, int]:
         binding = self._binding(volume_id)

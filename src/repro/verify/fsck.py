@@ -28,7 +28,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.common.errors import FileSizeError, MediaError
 from repro.common.units import BLOCK_SIZE, FRAGMENTS_PER_BLOCK
@@ -44,7 +44,6 @@ from repro.file_service.fit import (
     walk_tree,
 )
 from repro.file_service.server import FileServer
-from repro.replication.service import ReplicationService
 
 
 @dataclass
@@ -255,20 +254,3 @@ def verify_checksums(disk: DiskServer) -> List[str]:
                 f"0x{expected:08x}, computed 0x{actual:08x} — latent rot)"
             )
     return findings
-
-
-def sweep_replication_orphans(
-    replication: ReplicationService, *, volume_id: Optional[int] = None
-) -> Tuple[int, int]:
-    """Reclaim replicas leaked by failed replicated deletes.
-
-    A replicated delete unbinds the name even when a replica's volume
-    is unreachable; the unreachable replica is recorded by the
-    replication service instead of being silently leaked.  The service
-    sweeps these automatically when the volume's recovery event fires;
-    this is the administrative entry point for the same sweep (an fsck
-    run over volumes that never emitted a recovery event).  Returns
-    ``(swept, still_orphaned)``.
-    """
-    swept = replication.sweep_orphans(volume_id)
-    return swept, len(replication.orphans())

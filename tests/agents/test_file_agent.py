@@ -110,8 +110,11 @@ class TestClientCache:
         agent.write(descriptor, b"x" * BLOCK_SIZE)
         agent.pread(descriptor, 100, 0)
         hits_before = metrics.get("file_agent.m0.cache.hits")
+        server_reads = metrics.get("file_server.0.reads")
         agent.pread(descriptor, 100, 0)
         assert metrics.get("file_agent.m0.cache.hits") == hits_before + 1
+        # A hit never leaves the client machine.
+        assert metrics.get("file_server.0.reads") == server_reads
 
     def test_delayed_write_reaches_server_on_close(self):
         agent, server, _ = build_agent()

@@ -7,7 +7,6 @@ import pytest
 from repro.common.clock import SimClock
 from repro.common.errors import DiskCrashedError
 from repro.common.metrics import Metrics
-from repro.common.trace import Tracer
 from repro.disk_service.pipeline import DiskPipeline
 from repro.disk_service.scheduler import CoalescingScheduler, FcfsScheduler
 from repro.simkernel.future import wait, wait_all
@@ -178,20 +177,6 @@ class TestTelemetry:
         assert waits[0] == 0  # went straight into service
         assert waits[1] > 0  # queued behind the first
         assert metrics.get("disk_server.0.submissions") == 2
-
-    def test_queue_span_covers_the_wait(self):
-        server, loop, _ = build()
-        server.tracer = tracer = Tracer(server.clock)
-        tracer.enable()
-        extent_a = server.allocate(4)
-        extent_b = server.allocate(4)
-        first = server.submit_put(extent_a, payload(extent_a))
-        second = server.submit_put(extent_b, payload(extent_b))
-        wait_all(loop, [first, second])
-        queue_spans = [s for s in tracer.spans() if s.layer == "queue"]
-        assert len(queue_spans) == 2
-        assert queue_spans[1].start_us == 0  # retro-dated to enqueue time
-        assert queue_spans[1].end_us > queue_spans[1].start_us
 
 
 class TestDeterminism:

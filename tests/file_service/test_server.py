@@ -243,6 +243,20 @@ class TestPaperClaimTwoReferences:
         assert metrics.get("disk.0.references") - before == 2
 
 
+class TestBlockPool:
+    def test_a_pool_served_read_costs_no_reference(self):
+        clock, metrics = SimClock(), Metrics()
+        server = build_file_server(clock, metrics)
+        name = server.create()
+        server.write(name, 0, pattern(512))
+        server.flush()  # clean, and still in the block pool
+        hits = metrics.get("file_server.0.block_pool.hits")
+        before = metrics.get("disk.0.references")
+        assert server.read(name, 0, 256) == pattern(256)
+        assert metrics.get("disk.0.references") == before
+        assert metrics.get("file_server.0.block_pool.hits") > hits
+
+
 class TestLargeFiles:
     def test_indirect_growth_and_readback(self, server):
         name = server.create()

@@ -9,7 +9,6 @@ from repro.naming.attributed import AttributedName
 from repro.naming.service import NamingService
 from repro.recovery.health import HealthRegistry, HealthState
 from repro.replication.service import ReplicationService, volume_component
-from repro.verify.fsck import sweep_replication_orphans
 from tests.conftest import build_file_server
 
 NAME = AttributedName.file("/replicated/data")
@@ -170,15 +169,16 @@ class TestOrphans:
         assert service.sweep_orphans() == 0
         assert len(service.orphans()) == 1
 
-    def test_fsck_sweeps_replication_orphans(self):
+    def test_a_manual_sweep_reclaims_orphans(self):
+        """A volume back without a recovery event is swept on demand."""
         service, servers, _, _, _ = build()
         service.create(NAME)
         servers[0].crash()
         service.delete(NAME)
         servers[0].disk.disk.repair()
         servers[0].recover()
-        swept, still_orphaned = sweep_replication_orphans(service)
-        assert (swept, still_orphaned) == (1, 0)
+        assert service.sweep_orphans() == 1
+        assert service.orphans() == []
 
 
 class TestAutoRepair:

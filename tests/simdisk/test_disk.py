@@ -150,17 +150,6 @@ class TestReadInPassingAccounting:
         disk.read_in_passing(1, 32)
         assert metrics.get_gauge("disk.t.utilization") != before
 
-    def test_emits_a_span_when_traced(self):
-        from repro.common.trace import Tracer
-
-        clock = SimClock()
-        tracer = Tracer(clock)
-        tracer.enable()
-        disk = SimDisk("t", DiskGeometry.small(), clock, Metrics(), tracer=tracer)
-        disk.read_sectors(0, 1)
-        disk.read_in_passing(1, 4)
-        assert [s.op for s in tracer.spans()] == ["read", "read_in_passing"]
-
 
 class TestDeferredAccountingEquivalence:
     """The registry must read as if every update were applied inline."""
