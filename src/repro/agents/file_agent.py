@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.clock import SimClock
 from repro.common.errors import BadDescriptorError, FileSizeError
@@ -105,6 +105,9 @@ class FileAgent:
         self._open: Dict[int, _OpenFile] = {}
         self._next_descriptor = _FIRST_FILE_DESCRIPTOR
         self._cache: "OrderedDict[_CacheKey, _CacheEntry]" = OrderedDict()
+        #: file -> indices of its blocks in ``_cache``: a close or a
+        #: delete visits that file's blocks, not the whole cache.
+        self._cached_blocks: Dict[SystemName, Set[int]] = {}
 
     # ===================================================== lifecycle
 
@@ -244,7 +247,7 @@ class FileAgent:
         dropped = 0
         for key in list(self._cache):
             if key[0].volume_id == volume_id:
-                del self._cache[key]
+                self._uncache(key)
                 dropped += 1
         if dropped:
             self.metrics.add(f"{self._prefix}.cache.invalidations", dropped)
@@ -391,10 +394,11 @@ class FileAgent:
         if entry is None:
             entry = _CacheEntry()
             self._cache[key] = entry
+            self._cached_blocks.setdefault(key[0], set()).add(key[1])
             while len(self._cache) > self.cache_blocks:
                 victim_key = next(iter(self._cache))
                 self._writeback(victim_key)
-                self._cache.pop(victim_key, None)
+                self._uncache(victim_key)
                 self.metrics.add(f"{self._prefix}.cache.evictions")
         else:
             self._cache.move_to_end(key)
@@ -430,10 +434,11 @@ class FileAgent:
         dirty on both sides, so its bytes are one contiguous range and
         the server allocates and maps it at once.
         """
+        cache = self._cache
         dirty = sorted(
-            (key[1], entry)
-            for key, entry in self._cache.items()
-            if key[0] == name and entry.is_dirty
+            (block_index, entry)
+            for block_index in self._cached_blocks.get(name, ())
+            if (entry := cache[(name, block_index)]).is_dirty
         )
         run: List[Tuple[int, _CacheEntry]] = []
         for block_index, entry in dirty:
@@ -449,6 +454,13 @@ class FileAgent:
             self._write_run(name, run)
 
     def _drop_cached(self, name: SystemName) -> None:
-        for key in list(self._cache):
-            if key[0] == name:
-                del self._cache[key]
+        for block_index in self._cached_blocks.pop(name, ()):
+            del self._cache[(name, block_index)]
+
+    def _uncache(self, key: _CacheKey) -> None:
+        if self._cache.pop(key, None) is None:
+            return
+        blocks = self._cached_blocks[key[0]]
+        blocks.discard(key[1])
+        if not blocks:
+            del self._cached_blocks[key[0]]

@@ -20,12 +20,12 @@ Content promises are tracked as the script runs:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Optional, Set, Tuple, Type
 
 from repro.chaos.invariants import check_volume
 from repro.chaos.trace import CrashPointMonitor
 from repro.common.clock import SimClock
-from repro.common.errors import MediaError
+from repro.common.errors import DiskCrashedError, DiskError, MediaError
 from repro.common.ids import SystemName
 from repro.common.metrics import Metrics
 from repro.common.units import BLOCK_SIZE, FRAGMENT_SIZE
@@ -138,8 +138,9 @@ class ChaosWorkload:
         self.monitor = CrashPointMonitor()
         self.volumes: List[ChaosVolume] = []
         #: Set True before :meth:`recover` to exercise the deliberately
-        #: broken recovery path (coordinator.unsafe_skip_redo) that the
-        #: sweep must detect.  Base workloads ignore it.
+        #: broken recovery path (coordinator.unsafe_skip_redo, or
+        #: RecordLog.unsafe_ignore_epochs) that the sweep must detect.
+        #: Base workloads ignore it.
         self.break_recovery = False
         self.build()
 
@@ -510,6 +511,95 @@ class ScrubRepairWorkload(ChaosWorkload):
             if server.get(extent, source=Source.STABLE) != payload:
                 violations.append(f"extent {label!r}: stable copy diverged")
         return violations
+
+
+class RecordLogWorkload(ChaosWorkload):
+    """Disk-server level: free space through its record log, past a rebase.
+
+    After the format (the first base), each round allocates a few
+    ordinary extents, frees the oldest, takes a scratch extent and
+    adopts or returns it, and settles free space: one tail append.  The
+    tail fills up and one settle rebases (the whole bitmap as a new
+    base); the last rounds append to the new epoch's tail.  So the
+    sweep crashes inside the format, inside appends (torn tails),
+    inside the rebase (a torn base), and after it while the previous
+    epoch's tail is still on disk.
+
+    Content promise: the recovered allocated fragments are exactly the
+    durable ones before the interrupted settle or exactly those after
+    it, with all scratch space free.  With ``--break-recovery`` the log
+    applies its tail whatever the epoch, and the stale tail does not
+    fit the new base.
+    """
+
+    name = "record-log"
+
+    #: Fragments of each ordinary allocation in a round.
+    SIZES = (1, 3, 6, 2, 9)
+    #: Rounds after the format: the eighteenth finds the tail full.
+    ROUNDS = 20
+
+    def build(self) -> None:
+        self.volume = self.add_volume(0)
+        self.live: List[Extent] = []
+        #: Allocated fragments on stable storage, and the admissible
+        #: recovered sets at this instant.
+        self.durable: Set[int] = set()
+        self.admissible: List[Set[int]] = [self.durable]
+        self.recovery_error: Optional[DiskError] = None
+
+    def run(self) -> None:
+        server = self.volume.disk_server
+        self._settle()
+        for round_ in range(self.ROUNDS):
+            self.live.extend(server.allocate(size) for size in self.SIZES)
+            server.free(self.live.pop(0))
+            scratch = server.allocate(2, scratch=True)
+            if round_ % 3:
+                server.free(scratch)
+            else:
+                server.adopt(scratch)
+                self.live.append(scratch)
+            self._settle()
+
+    def _settle(self) -> None:
+        after = {f for extent in self.live for f in extent.fragments()}
+        self.admissible = [self.durable, after]
+        self.volume.disk_server.settle_free_space()
+        self.durable = after
+        self.admissible = [after]
+
+    def recover(self) -> None:
+        self.volume.disk_server.free_space_log.unsafe_ignore_epochs = (
+            self.break_recovery
+        )
+        try:
+            super().recover()
+        except DiskCrashedError:
+            raise
+        except DiskError as exc:
+            self.recovery_error = exc
+
+    def check(self) -> List[str]:
+        if self.recovery_error is not None:
+            return [f"recovery failed: {self.recovery_error}"]
+        # No file owns this script's extents, so the scratch audit
+        # (handed out as scratch, allocated, in no file) cannot tell a
+        # leak from a durable allocation; the content check compares the
+        # whole allocated set instead.
+        return check_volume(self.volume.file_server, []) + self.check_content()
+
+    def check_content(self) -> List[str]:
+        bitmap = self.volume.disk_server.bitmap
+        recovered = {
+            f for run in bitmap.allocated_runs() for f in run.fragments()
+        }
+        if recovered in self.admissible:
+            return []
+        return [
+            f"recovered {len(recovered)} allocated fragments, admissible: "
+            + " or ".join(str(len(option)) for option in self.admissible)
+        ]
 
 
 class _TransactionalWorkload(ChaosWorkload):
@@ -920,6 +1010,7 @@ WORKLOADS: Dict[str, Type[ChaosWorkload]] = {
         QueuedWriteWorkload,
         RaidDegradedWriteWorkload,
         RaidRebuildWorkload,
+        RecordLogWorkload,
         ScrubRepairWorkload,
         TransactionCommitWorkload,
         RecordCommitWorkload,

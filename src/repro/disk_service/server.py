@@ -14,6 +14,11 @@ stable-storage semantics of ``get``/``put``:
 Any operation on a contiguous extent is one single disk reference —
 the property the paper's whole design is organised around.
 
+Free space reaches stable storage through a record log (DESIGN.md §3):
+the bitmap is its base, and settling free space — before any
+stable-bound put, and at ``flush`` — appends only the ordinary
+allocations and frees made since the last settle to its tail.
+
 Media-failure defence (DESIGN.md §11): every put records a per-fragment
 CRC-32 and every main-storage get verifies it, raising
 :class:`~repro.common.errors.ChecksumError` instead of ever returning
@@ -48,6 +53,7 @@ from repro.disk_service.bitmap import FragmentBitmap
 from repro.disk_service.cache import TrackCache
 from repro.disk_service.extent_table import FreeExtentTable
 from repro.simdisk.disk import SimDisk
+from repro.simdisk.record_log import RecordLog
 from repro.simdisk.stable import StableStore
 
 
@@ -83,6 +89,11 @@ _FRAGMENT_BYTES = Extent(0, 1).byte_size
 #: Stable-storage record holding the protection checkpoint.
 PROTECTION_KEY = "protection"
 _PROTECTION_MAGIC = b"RPRT"
+
+#: Name of the free-space record log: its base is the bitmap.
+FREE_SPACE_LOG = "bitmap"
+# one free-space change in a tail delta: allocated ? | start I | length I
+_SPACE_CHANGE = struct.Struct("<?II")
 
 
 def _encode_protection(
@@ -187,15 +198,18 @@ class DiskServer:
         #: the fragment is mirrored the stale entry is dropped, not
         #: raised — redundancy covers that window (DESIGN.md §11).
         self._unreconciled: Set[int] = set()
-        # True when the in-memory bitmap has diverged from its stable-
-        # storage checkpoint.  Any stable-bound put checkpoints first:
-        # vital structures (FITs, indirect blocks) must never become
-        # durable while referencing fragments the durable bitmap still
-        # considers free, or recovery would hand those fragments out
-        # again (the crash sweep proves this ordering).  A new volume
-        # starts stale: its first flush or stable-bound put writes the
-        # bitmap (its format), and recover() clears the flag on load.
-        self._bitmap_dirty = True
+        #: Free space on stable storage: the bitmap as a base plus a
+        #: tail of the changes since.  Any stable-bound put settles it
+        #: first: vital structures (FITs, indirect blocks) must never
+        #: become durable while referencing fragments the durable free
+        #: space still considers free, or recovery would hand those
+        #: fragments out again (the crash sweep proves this ordering).
+        #: A new volume has no base: its first flush or stable-bound put
+        #: writes the bitmap (its format).
+        self.free_space_log = RecordLog(stable, FREE_SPACE_LOG)
+        #: The ordinary allocations and frees made since free space was
+        #: last settled, oldest first: (allocated, start, length).
+        self._space_delta: List[Tuple[bool, int, int]] = []
         #: start -> length of every extent handed out with
         #: ``scratch=True`` and neither freed nor adopted since: the
         #: tentative data items of transactions in flight.  They are
@@ -279,7 +293,7 @@ class DiskServer:
         extent = Extent(start, n_fragments)
         if not self._claim(extent):
             return None
-        self._bitmap_dirty = True
+        self._note_space_change(True, extent)
         self.metrics.add(f"{self._prefix}.allocations")
         return extent
 
@@ -288,16 +302,19 @@ class DiskServer:
 
         The shadow-page commit step on the free-space side: the
         tentative item's extent is about to become a block of the file,
-        so it joins the durable bitmap — which is stale from here until
-        its next checkpoint, and the FIT that references the extent is
-        a stable-bound put, so bitmap-before-structure holds.
-        Idempotent (crash redo adopts again).
+        so it joins the durable free space at the next settle — and the
+        FIT that references the extent is a stable-bound put, so
+        free-space-before-structure holds.
+        Idempotent (crash redo adopts again): an extent that is not
+        scratch is already an ordinary allocation — recorded since the
+        last settle, or durable, as when :meth:`reclaim_scratch` found
+        it allocated — so adopting it records nothing.
         """
         self._serial()
         if not self.bitmap.is_allocated_run(extent):
             raise BadAddressError(f"cannot adopt {extent}: not allocated")
-        self._forget_scratch(extent)
-        self._bitmap_dirty = True
+        if self._forget_scratch(extent):
+            self._note_space_change(True, extent)
 
     def reclaim_scratch(self, extent: Extent) -> None:
         """Recovery: re-claim a scratch extent a surviving list names.
@@ -331,7 +348,7 @@ class DiskServer:
         self._serial()
         self.bitmap.mark_free(extent)
         if not self._forget_scratch(extent):
-            self._bitmap_dirty = True
+            self._note_space_change(False, extent)
         self.metrics.add(f"{self._prefix}.frees")
         # Freed fragments carry no protection: their recorded checksums
         # describe content that no longer exists, and verifying a later
@@ -468,11 +485,15 @@ class DiskServer:
                     f"{extent.byte_size}"
                 )
             self._c_puts.add()
-            if stability is not Stability.ORIGINAL_ONLY and self._bitmap_dirty:
-                # Bitmap first, then the structure referencing the newly
-                # allocated fragments.  A crash in between leaks orphans
-                # (an fsck warning), never lost blocks (an fsck error).
-                self.checkpoint_free_space()
+            if (
+                stability is not Stability.ORIGINAL_ONLY
+                and self._free_space_unsettled
+            ):
+                # Free space first, then the structure referencing the
+                # newly allocated fragments.  A crash in between leaks
+                # orphans (an fsck warning), never lost blocks (an fsck
+                # error).
+                self.settle_free_space()
             if stability in (Stability.ORIGINAL_ONLY, Stability.BOTH):
                 if self._cache is not None:
                     self._cache.write_through(extent.first_sector, data)
@@ -520,7 +541,7 @@ class DiskServer:
 
         This is the paper's flush-block made whole-server: after it
         returns, everything the server promised to stable storage is
-        there, including the bitmap — written only if it is stale.
+        there, including free space — written only if it changed.
         """
         self._serial()
         self._drain_pending()
@@ -531,28 +552,53 @@ class DiskServer:
 
     # ----------------------------------------------------- recovery
 
-    def checkpoint_free_space(self) -> None:
-        """Save the bitmap to stable storage (vital structural information).
+    @property
+    def _free_space_unsettled(self) -> bool:
+        """Whether the durable free space lags the live allocations:
+        changes since the last settle, or a new volume with no base."""
+        return bool(self._space_delta) or not self.free_space_log.has_base
 
+    def checkpoint_free_space(self) -> None:
+        """Write the whole bitmap as the free-space log's new base.
+
+        A rebase: the tail on stable storage goes stale with it.
         Outstanding scratch extents are saved as free space.
         """
         self._serial()
-        self._bitmap_dirty = False
+        _monitor.active().write_all(
+            self, name="space_delta", site="server.checkpoint_free_space"
+        )
+        self._space_delta = []
         self.metrics.gauge(f"{self._prefix}.free_fragments", self.bitmap.free_count)
         _monitor.active().read_all(
             self, name="scratch", site="server.checkpoint_free_space"
         )
-        self.stable.put(
-            "bitmap",
+        self.free_space_log.checkpoint(
             self.bitmap.to_bytes(
                 as_free=[Extent(*item) for item in self._scratch.items()]
-            ),
+            )
         )
 
     def settle_free_space(self) -> None:
-        """Checkpoint the bitmap only if its stable copy is stale."""
+        """Make the durable free space the live ordinary allocations.
+
+        Appends the changes since the last settle to the log's tail;
+        the whole bitmap is written only as a base — a new volume's
+        first, or a rebase when the tail is full.  No change, no write.
+        """
         self._serial()
-        if self._bitmap_dirty:
+        if not self._free_space_unsettled:
+            return
+        _monitor.active().write_all(
+            self, name="space_delta", site="server.settle_free_space"
+        )
+        delta = b"".join(_SPACE_CHANGE.pack(*change) for change in self._space_delta)
+        if self.free_space_log.has_base and self.free_space_log.append(delta):
+            self._space_delta = []
+            self.metrics.gauge(
+                f"{self._prefix}.free_fragments", self.bitmap.free_count
+            )
+        else:
             self.checkpoint_free_space()
 
     def checkpoint_protection(self) -> None:
@@ -576,10 +622,12 @@ class DiskServer:
     def recover(self) -> None:
         """Rebuild volatile state after a crash.
 
-        Reloads the bitmap from stable storage (falling back to a full
-        free disk if no checkpoint exists) — which returns every scratch
-        extent to free space; the transaction service re-claims the
-        ones its surviving intentions lists name — refills the
+        Reloads the bitmap from the free-space log — its base, then the
+        changes in its tail (a full free disk if the volume was never
+        formatted; a tail that does not fit its base raises
+        :class:`~repro.common.errors.DiskError`) — which returns every
+        scratch extent to free space; the transaction service re-claims
+        the ones its surviving intentions lists name — refills the
         free-extent array by scanning it, invalidates the track cache,
         and reloads the protection checkpoint.  Reloaded checksums are marked
         *unreconciled*: the first read of each fragment arbitrates a
@@ -592,15 +640,21 @@ class DiskServer:
             self, name="protection", site="server.recover"
         )
         try:
-            blob = self.stable.get("bitmap")
-            self.bitmap = FragmentBitmap.from_bytes(blob, self.n_fragments)
-        except KeyError:
+            base, deltas = self.free_space_log.load()
+        except KeyError:  # never formatted
             self.bitmap = FragmentBitmap(self.n_fragments)
+        else:
+            self.bitmap = FragmentBitmap.from_bytes(base, self.n_fragments)
+            for delta in deltas:
+                self._apply_space_delta(delta)
         self.extent_table.refill(self.bitmap)
         if self._cache is not None:
             self._cache.invalidate()
         self._pending_stable.clear()
-        self._bitmap_dirty = False
+        _monitor.active().write_all(
+            self, name="space_delta", site="server.recover"
+        )
+        self._space_delta = []
         _monitor.active().write_all(
             self, name="scratch", site="server.recover"
         )
@@ -761,7 +815,7 @@ class DiskServer:
                 self.extent_table.insert_run(
                     extent.end, run.length - n_fragments
                 )
-            self._bitmap_dirty = True
+            self._note_space_change(True, extent)
         return extent
 
     def _claim(self, extent: Extent) -> bool:
@@ -778,6 +832,27 @@ class DiskServer:
         if run.end > extent.end:
             self.extent_table.insert_run(extent.end, run.end - extent.end)
         return True
+
+    def _note_space_change(self, allocated: bool, extent: Extent) -> None:
+        _monitor.active().write(
+            self, extent.start, extent.end, name="space_delta",
+            site="server.note_space_change",
+        )
+        self._space_delta.append((allocated, extent.start, extent.length))
+
+    def _apply_space_delta(self, delta: bytes) -> None:
+        """Recovery: replay one tail delta onto the loaded base."""
+        try:
+            for allocated, start, length in _SPACE_CHANGE.iter_unpack(delta):
+                if allocated:
+                    self.bitmap.mark_allocated(Extent(start, length))
+                else:
+                    self.bitmap.mark_free(Extent(start, length))
+        except (BadAddressError, struct.error) as exc:
+            raise DiskError(
+                f"{self._prefix}: a free-space tail delta does not apply "
+                f"to its base ({exc})"
+            ) from exc
 
     def _note_scratch(self, extent: Extent) -> None:
         _monitor.active().write(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, Iterator, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, Optional, Tuple
 
 from repro.common.metrics import Metrics
 
@@ -102,6 +102,10 @@ class BufferPool:
         for key, data in self._buffers.items():
             if self._dirty.get(key):
                 yield key, data
+
+    def dirty_among(self, keys: Iterable[Hashable]) -> Dict[Hashable, bytes]:
+        """The dirty buffers among ``keys`` (no LRU or metric effect)."""
+        return {key: self._buffers[key] for key in keys if self._dirty.get(key)}
 
     def __len__(self) -> int:
         return len(self._buffers)

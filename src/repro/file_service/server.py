@@ -512,7 +512,7 @@ class FileServer:
         pool eviction writes back block by block."""
         pool = self._data_cache
         assert pool is not None
-        dirty = dict(item for item in pool.dirty_items() if item[0] in addresses)
+        dirty = pool.dirty_among(addresses)
         for start, n_blocks in self._group_consecutive(
             sorted(dirty), FRAGMENTS_PER_BLOCK
         ):

@@ -34,14 +34,15 @@ SCOPE: FrozenSet[str] = frozenset(
 #: by attribute name.  DESIGN.md §12 documents each owner.
 OWNED_ATTRS: FrozenSet[str] = frozenset(
     {
-        # DiskServer's protection record, deferred stable writes and
-        # outstanding scratch extents
+        # DiskServer's protection record, deferred stable writes,
+        # outstanding scratch extents and unsettled free-space changes
         "_checksums",
         "_mirrored",
         "_mirrored_fragments",
         "_unreconciled",
         "_pending_stable",
         "_scratch",
+        "_space_delta",
         # StableStore's key directory
         "_directory",
         # TrackCache's track -> sectors map

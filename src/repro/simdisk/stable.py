@@ -77,10 +77,13 @@ class StableStore:
         _monitor.active().key_write(self, key, name="directory", site="stable.put")
         slot = self._slot_for(key, len(payload))
         version = self._versions.get(key, 0) + 1
+        # Claimed before the first copy: a torn write can leave this
+        # version's header on a mirror, and the key's next put must
+        # outrank it when the directory is rebuilt from the headers.
+        self._versions[key] = version
         record = self._encode(key, payload, version)
         self.mirror_a.write_sectors(slot[0], record)
         self.mirror_b.write_sectors(slot[0], record)
-        self._versions[key] = version
         # Only now that both copies landed is the pre-relocation slot
         # safe to reuse; freeing it earlier would let a crash during
         # the move destroy the sole durable copy of the record.
@@ -189,9 +192,9 @@ class StableStore:
                     continue
             # Both copies dead and no pre-move slot to fall back to:
             # the record was being created when the crash hit; it
-            # never existed durably.
+            # never existed durably.  Its version counter survives, as
+            # it does a delete (see put).
             del self._directory[key]
-            self._versions.pop(key, None)
             repaired += 1
         return repaired
 

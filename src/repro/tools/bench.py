@@ -63,7 +63,7 @@ SMOKE_EXPERIMENTS = (
 )
 
 #: The committed record: ``--out``'s default and the report's input.
-RECORD = "BENCH_pr34.json"
+RECORD = "BENCH_pr39.json"
 
 
 def repo_root() -> Path:

@@ -9,8 +9,8 @@ Commit of a transaction with tentative items:
 
 1. **Prepare** — every tentative item's after-image is written to a
    freshly allocated *scratch* extent (the durable tentative data
-   item).  Scratch extents are free space as far as every bitmap
-   checkpoint is concerned, so a crash from here to the commit point
+   item).  Scratch extents are free space as far as every free-space
+   record is concerned, so a crash from here to the commit point
    costs nothing to undo.  Each item is tagged with the technique that
    will make it permanent: **WAL** when the file's data blocks are
    contiguous (in-place update preserves the contiguity the allocator
@@ -31,16 +31,17 @@ Commit of a transaction with tentative items:
    disk server *adopt* the scratch extent, swap the block descriptor
    in the FIT to it and free the block the swap retired.
 4. **Cleanup** — the blocks the records cover are written back (each
-   dirty block once) and then their files' FITs, the bitmap is
-   checkpointed only if an apply left it stale, each list is removed
+   dirty block once) and then their files' FITs, free space is settled
+   only if an apply changed it, each list is removed
    with one delete, the WAL scratch extents are freed, and the locks
    released (the unlock phase of 2PL ends here).  Nothing else on the
    server is written back: a ``tend`` pays for its own transaction
    only, whatever the size of the files or the volume.
 
-Recovery of a volume loads the last bitmap checkpoint, re-claims the
-scratch extents its surviving lists name (free space is the checkpoint
-plus that delta), then redoes the committed lists and discards the rest.
+Recovery of a volume loads the durable free space (the free-space
+log's base and tail), re-claims the scratch extents its surviving lists
+name, then redoes the committed lists, discards the rest, and writes the
+result as the log's new base.
 """
 
 from __future__ import annotations
@@ -363,14 +364,14 @@ class TransactionCoordinator:
         # Stable storage first: its recovery drops records that never
         # completed their first careful write (both copies dead), which
         # the file/disk recovery below must not trip over when it reads
-        # the bitmap checkpoint.
+        # the free-space log.
         disk.stable.recover()
         binding.file_server.recover()
         lists = [
             binding.intents.read(tid) for tid in binding.intents.transactions()
         ]
-        # No checkpoint contains a scratch extent, so the loaded bitmap
-        # calls every surviving after-image free space.  Re-claim them
+        # No free-space record contains a scratch extent, so the loaded
+        # bitmap calls every surviving after-image free space.  Re-claim them
         # all before anything below allocates.
         for intentions in lists:
             for record in intentions.records:
@@ -403,6 +404,7 @@ class TransactionCoordinator:
             else:
                 discarded += 1
         self._collect_stale_decisions()
+        # A rebase: the whole recovered bitmap as the log's new base.
         disk.checkpoint_free_space()
         self.metrics.add("transactions.recoveries")
         return redone, discarded
@@ -613,7 +615,7 @@ class TransactionCoordinator:
             binding.file_server.disk.settle_free_space()
             binding.intents.remove(tid)
         # The lists are gone first: a crash from here on finds nothing
-        # to redo, and the scratch extents are free in every checkpoint.
+        # to redo, and the scratch extents are free in every record.
         for record in records:
             if record.technique is Technique.WAL and record.extent is not None:
                 self._safe_free(record.name.volume_id, record.extent)

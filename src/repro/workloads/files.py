@@ -31,14 +31,22 @@ class FileSizeDistribution:
         return max(self.min_bytes, min(self.max_bytes, size))
 
 
+# Byte i of every payload pattern before its seed's offset is added.
+_PATTERN_STEPS = bytes(index * 40503 % 256 for index in range(256))
+# Slice [k : k + 256] is the table that adds k to a byte, modulo 256.
+_ADD_TABLES = bytes(range(256)) * 2
+
+
 def deterministic_payload(seed: int, n_bytes: int) -> bytes:
-    """Reproducible pseudo-random file content (cheap, no RNG object)."""
+    """Reproducible pseudo-random file content (cheap, no RNG object).
+
+    Byte i of the repeating 256-byte pattern is
+    ``(seed * 2654435761 + i * 40503) % 256``.
+    """
     if n_bytes == 0:
         return b""
-    unit = (seed % 251 + 1).to_bytes(1, "little")
-    pattern = bytes(
-        (seed * 2654435761 + index * 40503) % 256 for index in range(256)
-    )
+    offset = seed * 2654435761 % 256
+    pattern = _PATTERN_STEPS.translate(_ADD_TABLES[offset : offset + 256])
     reps = -(-n_bytes // len(pattern))
     return (pattern * reps)[:n_bytes]
 

@@ -16,7 +16,7 @@ from repro.chaos.availability import (
 )
 
 GOLDEN = json.loads(
-    (Path(__file__).resolve().parents[2] / "AVAILABILITY_pr34.json").read_text()
+    (Path(__file__).resolve().parents[2] / "AVAILABILITY_pr39.json").read_text()
 )["scenarios"]
 
 

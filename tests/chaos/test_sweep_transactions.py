@@ -6,10 +6,14 @@ several record items (inline and extent-carried) coalesced into one put
 per block — and the
 decision-record discipline across two volumes (a crash between the
 per-volume list writes and the decision must not split the outcome).
-The last class proves the harness has teeth: with the deliberately
-broken recovery path enabled, the sweep reports violations instead of
-passing vacuously.
+The broken-recovery class proves the harness has teeth: with the
+deliberately broken recovery path enabled, the sweep reports violations
+instead of passing vacuously.  The last class crashes a shadow commit's
+recovery again at each write it performs: recovery redoes an adopt that
+the durable free space already holds, which must record nothing.
 """
+
+import pytest
 
 from repro.chaos.scheduler import CrashScheduler
 from repro.chaos.workloads import (
@@ -18,6 +22,7 @@ from repro.chaos.workloads import (
     TransactionCommitWorkload,
     TwoVolumeCommitWorkload,
 )
+from repro.common.errors import DiskCrashedError
 from repro.transactions.intentions import INLINE_LIMIT
 
 
@@ -67,13 +72,13 @@ class TestSingleVolumeCommit:
 
     def test_shadow_sweep_visits_the_adopt_path(self):
         """Every page of the overwrite is committed by descriptor swap,
-        and each swap checkpoints the bitmap (the adopted extent) before
-        the FIT that references it."""
+        and each swap writes free space (the adopted extent, a tail
+        record) before the FIT that references it."""
         workload = ShadowCommitWorkload()
         syncs = _sync_labels(workload)
         assert workload.metrics.get("transactions.shadow_applies") >= 2
         listed = syncs.index("intentions:2")
-        assert syncs[listed + 1 : listed + 3] == ["bitmap", "ext:0:1"]
+        assert syncs[listed + 1 : listed + 3] == ["bitmap.tail", "ext:0:1"]
 
     def test_records_sweep_visits_the_coalesced_apply(self):
         """Four record items, two adjacent data blocks: the cleanup flush
@@ -136,3 +141,72 @@ class TestBrokenRecoveryIsDetected:
         """The same teeth on the shadow and coalesced-record sweeps."""
         _assert_broken_recovery_is_caught(ShadowCommitWorkload)
         _assert_broken_recovery_is_caught(RecordCommitWorkload)
+
+
+def _shadow_crashed(point):
+    """A fresh ``txn-shadow`` workload crashed during write ``point``."""
+    workload = ShadowCommitWorkload()
+    workload.monitor.arm(point)
+    with pytest.raises(DiskCrashedError):
+        workload.run()
+    return workload
+
+
+def _list_removal_points():
+    """Crash points that write an intentions list's one-sector tombstone."""
+    workload = ShadowCommitWorkload()
+    workload.run()
+    list_slots = {
+        entry.start
+        for entry in workload.monitor.trace
+        if entry.kind == "stable-sync" and entry.label.startswith("intentions:")
+    }
+    return [
+        entry.index
+        for entry in workload.monitor.write_entries()
+        if ".stable_" in entry.disk_id
+        and entry.start in list_slots
+        and entry.n_sectors == 1
+    ]
+
+
+class TestShadowRecoveryCrashedAgain:
+    def test_the_removal_points_are_both_lists_on_both_mirrors(self):
+        assert _list_removal_points() == [24, 25, 42, 43]
+
+    def test_a_crash_at_the_second_removal_redoes_the_commit(self):
+        """Cleanup settled the adopted extents before the crash, so
+        recovery's redo adopts extents the durable free space holds;
+        its writes end with the rebase (the base, on both mirrors)."""
+        workload = _shadow_crashed(42)
+        before = workload.monitor.writes_seen
+        workload.recover()
+        assert workload.check() == []
+        written = workload.monitor.write_entries()[before:]
+        assert len(written) == 10
+        assert [(e.disk_id, e.start) for e in written[-2:]] == [
+            ("chaos0.stable_a", 0), ("chaos0.stable_b", 0),
+        ]
+
+    def test_every_crashed_recovery_recovers_again_to_old_or_new(self):
+        """Each first-order point's recovery, crashed at each write it
+        performs, then recovered again: all-or-nothing and a clean fsck
+        at every one of the 430 second-order points."""
+        points = CrashScheduler(ShadowCommitWorkload).count_crash_points()
+        second_order = 0
+        failures = []
+        for point in range(1, points + 1):
+            workload = _shadow_crashed(point)
+            before = workload.monitor.writes_seen
+            workload.recover()
+            for second in range(1, workload.monitor.writes_seen - before + 1):
+                second_order += 1
+                workload = _shadow_crashed(point)
+                workload.monitor.arm(workload.monitor.writes_seen + second)
+                with pytest.raises(DiskCrashedError):
+                    workload.recover()
+                workload.recover()
+                if workload.check():
+                    failures.append((point, second, workload.check()))
+        assert second_order == 430
+        assert failures == []

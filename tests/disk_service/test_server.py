@@ -202,42 +202,76 @@ def record_stable_keys(server):
     return keys
 
 
-class TestFlushSettlesFreeSpace:
-    """A flush writes the bitmap only when it is stale, and a new
-    volume starts stale (its first flush is its format)."""
+#: The free-space log's two records: the base (the whole bitmap) and
+#: the tail (the changes since).
+FREE_SPACE_KEYS = ("bitmap", "bitmap.tail")
 
-    def test_a_fresh_servers_first_flush_writes_the_bitmap(self, server):
+
+def free_space_records(keys):
+    return [key for key in keys if key in FREE_SPACE_KEYS]
+
+
+class TestFlushSettlesFreeSpace:
+    """Free space is written only when it changed: a tail record of the
+    changes, or the whole bitmap as a base — a new volume's first flush
+    (its format), or a rebase when the tail is full."""
+
+    def test_a_fresh_servers_first_flush_writes_the_base(self, server):
         keys = record_stable_keys(server)
         server.flush()
-        assert keys.count("bitmap") == 1
+        assert free_space_records(keys) == ["bitmap"]
 
     def test_a_flush_with_no_toggle_since_the_checkpoint_writes_none(self, server):
         server.allocate(4)
         server.checkpoint_free_space()
         keys = record_stable_keys(server)
         server.flush()
-        assert "bitmap" not in keys
+        assert free_space_records(keys) == []
 
-    def test_an_allocate_then_a_flush_writes_exactly_one(self, server):
+    def test_a_clean_flush_writes_no_free_space(self, server):
+        server.flush()
+        extent = server.allocate(1)
+        server.put(extent, payload(extent), stability=Stability.BOTH)
+        keys = record_stable_keys(server)
+        server.flush()
+        assert free_space_records(keys) == []
+
+    def test_an_allocate_then_a_flush_writes_exactly_one_tail(self, server):
         server.flush()
         keys = record_stable_keys(server)
         server.allocate(4)
         server.flush()
         server.flush()
-        assert keys.count("bitmap") == 1
+        assert free_space_records(keys) == ["bitmap.tail"]
+
+    def test_an_allocate_then_a_stable_put_writes_one_small_tail(self, server):
+        server.flush()
+        extent = server.allocate(1)
+        keys = record_stable_keys(server)
+        written = {
+            mirror: server.metrics.get(f"disk.0.stable_{mirror}.sectors_written")
+            for mirror in "ab"
+        }
+        server.put(extent, payload(extent), stability=Stability.BOTH)
+        assert keys == ["bitmap.tail", f"ext:{extent.start}:1"]
+        for mirror in "ab":
+            sectors = server.metrics.get(f"disk.0.stable_{mirror}.sectors_written")
+            # the FIT-like record is a header sector plus its payload
+            tail = sectors - written[mirror] - (1 + extent.n_sectors)
+            assert 0 < tail <= 3
 
     def test_a_scratch_allocate_and_its_free_write_none(self, server):
         server.flush()
         keys = record_stable_keys(server)
         server.free(server.allocate(4, scratch=True))
         server.flush()
-        assert "bitmap" not in keys
+        assert free_space_records(keys) == []
 
     def test_the_free_fragments_gauge_is_live_after_a_clean_flush(self, server):
         gauge = "disk_server.0.free_fragments"
         server.flush()
         server.allocate(4, scratch=True)
-        server.flush()  # scratch space never makes the bitmap stale
+        server.flush()  # scratch space never makes free space stale
         assert server.metrics.get_gauge(gauge) == server.n_fragments - 4
 
 

@@ -1,18 +1,18 @@
 """Golden disk-service call log of a scripted file-service workload.
 
 ``golden_call_log.txt`` is the log of :func:`run_script` at the commit
-before a disk server's flush wrote its bitmap only when stale, marked
-up against the log since (a line-level diff): lines starting ``- ``
-existed only before, lines starting ``+ `` exist only since.  What may
-differ is counted in
+before free space went to stable storage as a base plus a tail of
+changes, marked up against the log since (a line-level diff): lines
+starting ``- `` existed only before, lines starting ``+ `` exist only
+since.  What may differ is counted in
 :func:`test_golden_log_differs_from_its_parent_only_as_listed`:
 
 * nothing the file server calls: the same calls with the same
   arguments, in the same order;
-* a flush whose bitmap was already checkpointed (by the FIT store
-  before it) no longer rewrites it, so later writes happen at earlier
-  simulated times, and every FIT stored after the first such flush
-  carries other timestamps (its payload CRC moves).
+* a stable-bound put after an allocate or a free appends a small tail
+  record instead of rewriting the whole bitmap, so later writes happen
+  at earlier simulated times, and every FIT stored after the first
+  such put carries other timestamps (its payload CRC moves).
 
 The log of the checked-out code must match the ``  `` and ``+ `` lines
 exactly, arguments and payload CRCs included.  ``python -m
@@ -184,9 +184,9 @@ def test_golden_log_differs_from_its_parent_only_as_listed():
     assert [without_crc(line) for line in now] == [
         without_crc(line) for line in parent
     ]
-    # ... and only FIT stores changed their payload: 27 of them.
+    # ... and only FIT stores changed their payload: 32 of them.
     changed = [line[2:] for line in marked if line[0] == "+"]
-    assert len(changed) == 27
+    assert len(changed) == 32
     assert all(FIT_STORE.fullmatch(line) for line in changed)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chaos.trace import CrashPointMonitor
 from repro.common.clock import SimClock
 from repro.common.errors import DiskCrashedError, DiskError
 from repro.common.metrics import Metrics
@@ -149,3 +150,26 @@ class TestDirectoryRebuild:
         store.put("k", b"y")  # smaller: may move slots
         store.rebuild_directory()
         assert store.get("k") == b"y"
+
+    @pytest.mark.parametrize("rebuilt", [True, False])
+    def test_a_key_whose_first_write_tore_survives_its_next_rebuild(self, rebuilt):
+        """A torn first copy leaves a header with no record behind it;
+        recovery drops the key, and the key's next put must outrank that
+        header when the directory is rebuilt from the mirrors again —
+        whether the first recovery rebuilt the directory or kept it."""
+        store, mirror_a, mirror_b = build_store()
+        monitor = CrashPointMonitor().attach(mirror_a, mirror_b)
+        monitor.arm(1)
+        with pytest.raises(DiskCrashedError):
+            store.put("k", b"x" * 2000)
+        assert 0 < monitor.torn_sectors(1, 5) < 5  # the header landed
+        for mirror in (mirror_a, mirror_b):
+            mirror.repair()
+        if rebuilt:
+            store.rebuild_directory()
+        store.recover()
+        assert "k" not in store
+        store.put("k", b"y" * 2000)
+        store.rebuild_directory()
+        store.recover()
+        assert store.get("k") == b"y" * 2000

@@ -466,4 +466,7 @@ class TestRandomTransactionsCrashAtomically:
             server.delete(victim)
         server.flush()
         assert disk.free_fragments == baseline[0] - orphaned
-        assert set(disk.stable.keys()) == baseline[1]
+        # The free-space log's tail, written by the seed, stays.
+        assert set(disk.stable.keys()) == baseline[1] | {
+            disk.free_space_log.tail_key
+        }

@@ -37,6 +37,11 @@ class TestFileSizes:
         assert deterministic_payload(3, 100) != deterministic_payload(4, 100)
         assert len(deterministic_payload(1, 777)) == 777
         assert deterministic_payload(1, 0) == b""
+        for seed in (0, 1, 11, 255, 256, -7, 2**40 + 3):
+            pattern = bytes(
+                (seed * 2654435761 + index * 40503) % 256 for index in range(256)
+            )
+            assert deterministic_payload(seed, 600) == (pattern * 3)[:600]
 
     def test_populate_files(self):
         server = build_file_server(SimClock(), Metrics())
