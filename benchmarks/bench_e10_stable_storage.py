@@ -7,8 +7,9 @@ original-only / stable-only / both placement with the call returning
 before or after the stable save.
 
 Part (a) prices the stability modes.  Part (b) crashes the data disk at
-every write position inside a commit and checks recovery is atomic at
-all of them — the recoverability claim, exhaustively.
+every write position inside a commit and the checkpoint (a flush) that
+writes its blocks home, and checks recovery is atomic at all of them —
+the recoverability claim, exhaustively.
 """
 
 from _helpers import build_cluster, build_disk_server, print_table
@@ -58,6 +59,7 @@ def crash_sweep():
         crashed = False
         try:
             host.tend(tid)
+            cluster.file_servers[0].flush()
         except DiskCrashedError:
             crashed = True
         cluster.disks[0].repair()
@@ -85,8 +87,8 @@ def test_e10_stable_storage():
         [(label, f"{ms:.2f}") for label, ms in prices],
     )
     print_table(
-        "E10b  Crash at every k-th disk write inside a commit",
-        ["crash point", "crashed mid-commit", "state after recovery"],
+        "E10b  Crash at every k-th disk write inside a commit and its checkpoint",
+        ["crash point", "crashed", "state after recovery"],
         outcomes,
     )
     by_label = dict(prices)

@@ -11,8 +11,9 @@ and shadow when they are not.
 Thirty single-page update transactions hit a 16-block contiguous file
 under each forced technique and under the paper's auto rule.  Expected
 shape: WAL keeps the file one contiguous run (fast subsequent scans) at
-the cost of an in-place copy per commit; shadow saves the copy but
-shatters the layout; auto behaves like WAL on a contiguous file.
+the cost of the in-place copies, which the closing flush writes home once
+per block; shadow saves the copies but shatters the layout; auto behaves
+like WAL on a contiguous file.
 """
 
 import random
@@ -41,6 +42,7 @@ def run_technique(technique: str):
     host.tend(tid)
     system_name = cluster.naming.resolve_file(NAME)
     runs_before = contiguity_runs(server, system_name)
+    server.flush()  # the seed's blocks go home outside the window
     rng = random.Random(3)
     before = cluster.metrics.snapshot()
     for index in range(N_TRANSACTIONS):
@@ -51,10 +53,12 @@ def run_technique(technique: str):
             tid, descriptor, bytes([index % 256]) * BLOCK_SIZE, block * BLOCK_SIZE
         )
         host.tend(tid)
+    # The window ends after the flush: its checkpoint writes the blocks
+    # the commits left in the block pool, so they are charged here.
+    server.flush()
     diff = cluster.metrics.diff(before)
     runs_after = contiguity_runs(server, system_name)
     # The payoff of contiguity: a cold scan of the whole file.
-    server.flush()
     server.recover()
     scan_before = cluster.metrics.get("disk.0.references")
     server.read(system_name, 0, N_BLOCKS * BLOCK_SIZE)
@@ -113,9 +117,10 @@ def test_e9_wal_vs_shadow():
     # Shadow destroys it: many runs, scans pay per run.
     assert shadow["runs_after"] > 4
     assert shadow["scan_refs"] > 4
-    # Shadow's commit-phase I/O is lighter (no in-place copy), in
-    # physical writes and in the sectors they move.
-    assert shadow["commit_writes"] < wal["commit_writes"]
+    # Shadow's I/O is lighter (no in-place copy) in the sectors it
+    # moves.  Not in physical writes: a WAL commit defers its copy to
+    # the flush, which writes each block once, while every swap stores
+    # the FIT (ROADMAP item 2(d)).
     assert shadow["commit_sectors"] < wal["commit_sectors"]
     # The paper's auto rule keeps a contiguous file on the WAL path.
     assert auto["shadow_applies"] == 0

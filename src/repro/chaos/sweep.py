@@ -48,7 +48,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--break-recovery",
         action="store_true",
         help="enable the deliberately broken recovery path "
-        "(coordinator.unsafe_skip_redo; for record-log, "
+        "(coordinator.unsafe_skip_redo; for txn-pending, "
+        "coordinator.unsafe_tid_order; for record-log, "
         "RecordLog.unsafe_ignore_epochs) to demonstrate detection",
     )
     args = parser.parse_args(argv)

@@ -138,8 +138,9 @@ class ChaosWorkload:
         self.monitor = CrashPointMonitor()
         self.volumes: List[ChaosVolume] = []
         #: Set True before :meth:`recover` to exercise the deliberately
-        #: broken recovery path (coordinator.unsafe_skip_redo, or
-        #: RecordLog.unsafe_ignore_epochs) that the sweep must detect.
+        #: broken recovery path (coordinator.unsafe_skip_redo or
+        #: unsafe_tid_order, or RecordLog.unsafe_ignore_epochs) that the
+        #: sweep must detect.
         #: Base workloads ignore it.
         self.break_recovery = False
         self.build()
@@ -610,6 +611,9 @@ class _TransactionalWorkload(ChaosWorkload):
     BLOCKS = 2
     TECHNIQUE = "auto"
     LEVEL = LockingLevel.PAGE
+    #: The coordinator's deliberately broken recovery path that
+    #: ``--break-recovery`` enables.
+    BREAK = "unsafe_skip_redo"
 
     def build(self) -> None:
         for _, volume_id in self.FILES:
@@ -642,7 +646,23 @@ class _TransactionalWorkload(ChaosWorkload):
         self.host.tpwrite(tid, descriptor, self._new(label), 0)
 
     def run(self) -> None:
-        # Seed transaction: create every file, write OLD, commit.
+        self._seed()
+        # The measured transaction: overwrite everything with NEW.
+        tid = self.host.tbegin()
+        for label, _ in self.FILES:
+            descriptor = self.host.topen(
+                tid, AttributedName.file(f"/{label}")
+            )
+            self._overwrite(tid, descriptor, label)
+        new = tuple(self._new(label) for label, _ in self.FILES)
+        self.admissible = [self.admissible[0], new]
+        self.host.tend(tid)
+        self.admissible = [new]
+        for volume in self.volumes:
+            volume.file_server.flush()
+
+    def _seed(self) -> None:
+        """Create every file, write OLD, commit."""
         tid = self.host.tbegin()
         descriptors = {}
         for label, volume_id in self.FILES:
@@ -663,22 +683,8 @@ class _TransactionalWorkload(ChaosWorkload):
         self.host.tend(tid)
         self.admissible = [old]
 
-        # The measured transaction: overwrite everything with NEW.
-        tid = self.host.tbegin()
-        for label, _ in self.FILES:
-            descriptor = self.host.topen(
-                tid, AttributedName.file(f"/{label}")
-            )
-            self._overwrite(tid, descriptor, label)
-        new = tuple(self._new(label) for label, _ in self.FILES)
-        self.admissible = [old, new]
-        self.host.tend(tid)
-        self.admissible = [new]
-        for volume in self.volumes:
-            volume.file_server.flush()
-
     def recover(self) -> None:
-        self.coordinator.unsafe_skip_redo = self.break_recovery
+        setattr(self.coordinator, self.BREAK, self.break_recovery)
         for volume in self.volumes:
             volume.repair()
             volume.stable.rebuild_directory()
@@ -735,8 +741,9 @@ class RecordCommitWorkload(TransactionCommitWorkload):
     """A RECORD-level file: four record items over two blocks.
 
     Two of the records land in block 0 and two in block 1; the applies
-    stay dirty in the block pool and the cleanup flush writes each
-    block once, so the sweep crashes inside the coalesced apply.  Three
+    stay dirty in the block pool and the closing flush writes both
+    blocks in one put, so the sweep crashes inside the coalesced
+    write-back.  Three
     after-images ride in the intentions list and the last is too large
     to, so the list the sweep tears and redoes holds both carriers.
     """
@@ -766,6 +773,49 @@ class RecordCommitWorkload(TransactionCommitWorkload):
             self.host.tpwrite(
                 tid, descriptor, new[offset : offset + length], offset
             )
+
+
+class PendingCommitWorkload(_TransactionalWorkload):
+    """Record commits left pending: redo runs in commit order.
+
+    Two pairs of RECORD-level transactions update the same record in
+    block 0, each pair begun in one order and committed in the other,
+    with a flush (a checkpoint) between the pairs: the watermark retires
+    the first pair's lists, and the second pair's are still pending when
+    the script ends.  Recovery must redo the pending lists in commit
+    (lsn) order; with ``--break-recovery`` it redoes them in tid order,
+    and the earlier-begun, later-committed value loses.
+    """
+
+    name = "txn-pending"
+    FILES = [("r", 0)]
+    BLOCKS = 1
+    LEVEL = LockingLevel.RECORD
+    BREAK = "unsafe_tid_order"
+    #: (offset, length) of the record every transaction rewrites.
+    RECORD = (100, 64)
+
+    def run(self) -> None:
+        self._seed()
+        (content,) = self.admissible[0]
+        fills = iter("abcd")
+        for pair in range(2):
+            if pair:
+                self.volumes[0].file_server.flush()
+            early, late = self.host.tbegin(), self.host.tbegin()
+            for tid in (late, early):
+                content = self._commit(tid, content, next(fills))
+
+    def _commit(self, tid: int, content: bytes, fill: str) -> bytes:
+        offset, length = self.RECORD
+        descriptor = self.host.topen(tid, AttributedName.file("/r"))
+        self.host.tpwrite(tid, descriptor, fill.encode("ascii") * length, offset)
+        after = bytearray(content)
+        after[offset : offset + length] = fill.encode("ascii") * length
+        self.admissible = [(content,), (bytes(after),)]
+        self.host.tend(tid)
+        self.admissible = [(bytes(after),)]
+        return bytes(after)
 
 
 class TwoVolumeCommitWorkload(_TransactionalWorkload):
@@ -1015,6 +1065,7 @@ WORKLOADS: Dict[str, Type[ChaosWorkload]] = {
         TransactionCommitWorkload,
         RecordCommitWorkload,
         ShadowCommitWorkload,
+        PendingCommitWorkload,
         TwoVolumeCommitWorkload,
     )
 }

@@ -27,7 +27,7 @@ lives in the file agent (section 3).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.common.clock import SimClock
 from repro.common.errors import (
@@ -67,6 +67,10 @@ from repro.file_service.fit import (
 DEFAULT_GROWTH_BATCH_BLOCKS = 8
 
 
+def _ignore(*_args: object) -> None:
+    return None
+
+
 class _OpenState:
     """Volatile bookkeeping for a file the server currently maps."""
 
@@ -80,7 +84,7 @@ class _OpenState:
         # (timestamps, open counts) or the structure did.
         self.fit_dirty = False
         # What differs is structure — size, block map, tree, service type
-        # or locking level: what a commit must make durable (flush_file).
+        # or locking level: what a close must make durable (flush_file).
         self.structure_dirty = False
         # Full logical block map (direct + loaded tree), or None if only
         # the direct area has been materialised.
@@ -143,6 +147,13 @@ class FileServer:
             if data_cache_blocks > 0
             else None
         )
+        #: Hooks of the transaction service, which this layer never
+        #: imports: ``before_change(name)`` runs before a basic write or
+        #: a delete changes a file, ``after_flush()`` after every full
+        #: :meth:`flush`, ``after_crash()`` after :meth:`crash`.
+        self.before_change: Callable[[SystemName], None] = _ignore
+        self.after_flush: Callable[[], None] = _ignore
+        self.after_crash: Callable[[], None] = _ignore
 
     # ======================================================== create
 
@@ -211,11 +222,12 @@ class FileServer:
         if attrs.ref_count > 0:
             attrs.ref_count -= 1
             state.fit_dirty = True
-        self.flush_file(name, [(0, attrs.file_size)], attributes=False)
+        self.flush_file(name)
         self.metrics.add(f"{self.name}.closes")
 
     def delete(self, name: SystemName) -> None:
         """Delete a file, freeing its data, indirect blocks and FIT."""
+        self.before_change(name)
         state = self._load_state(name)
         block_map = self._full_map(state)
         freed = 0
@@ -296,10 +308,12 @@ class FileServer:
         (cached dirty) for basic files, write-through for transaction
         files.  ``delayed=True`` keeps the blocks dirty whatever the
         policy says: the transaction service applies a committed
-        intentions list this way — the list is its redo log — and calls
-        :meth:`flush_file` before dropping it.  Returns the number of
-        bytes written.
+        intentions list this way — the list is its redo log until a
+        checkpoint — and it is the one write that skips the
+        ``before_change`` hook.  Returns the number of bytes written.
         """
+        if not delayed:
+            self.before_change(name)
         with self.metrics.timer(f"{self.name}.write_us", self.clock):
             return self._do_write(name, offset, data, delayed)
 
@@ -453,41 +467,25 @@ class FileServer:
 
     # ====================================================== flushing
 
-    def flush_file(
-        self,
-        name: SystemName,
-        spans: Iterable[Tuple[int, int]],
-        *,
-        attributes: bool,
-    ) -> None:
-        """Write back the delayed blocks under ``spans``, then the FIT if
-        its structure moved — or, with ``attributes``, if anything did.
+    def flush_file(self, name: SystemName) -> None:
+        """Write back the file's delayed blocks, then its FIT if its
+        structure moved.
 
-        ``spans`` are the (offset, length) byte ranges to make durable:
-        the cost follows them, not the size of the file.  The dirty
-        blocks go back one ``put`` per run of adjacent disk blocks.  A
-        commit's cleanup passes the ranges it wrote, and a close the
-        whole file (``[(0, size)]``); both pass ``attributes=False``, so
-        contents, size and map are durable when this returns, and a FIT
+        The dirty blocks go back one ``put`` per run of adjacent disk
+        blocks.  A close and a transaction checkpoint call this:
+        contents, size and map are durable when it returns, and a FIT
         that differs only in timestamps or open counts waits for the
         next structural store, ``flush`` or FIT-cache eviction.
         """
         state = self._load_state(name)
-        if self._data_cache is not None:
-            addresses = set()
-            for offset, length in spans:
-                if length < 1:
-                    continue
-                first = offset // BLOCK_SIZE
-                last = (offset + length - 1) // BLOCK_SIZE
-                block_map = self._map_through(state, last)
-                addresses.update(
-                    desc.address
-                    for desc in block_map[first : last + 1]
-                    if desc is not None
-                )
-            self._write_back_runs(addresses)
-        if state.structure_dirty or (attributes and state.fit_dirty):
+        size = state.fit.attributes.file_size
+        if self._data_cache is not None and size > 0:
+            last = (size - 1) // BLOCK_SIZE
+            block_map = self._map_through(state, last)
+            self._write_back_runs(
+                {desc.address for desc in block_map[: last + 1] if desc is not None}
+            )
+        if state.structure_dirty:
             self._store_fit(name.fit_address, state)
 
     def flush(self) -> None:
@@ -502,13 +500,14 @@ class FileServer:
         self.disk.flush()
         self.metrics.add(f"{self.name}.flushes")
         self.metrics.gauge(f"{self.name}.fits_cached", len(self._files))
+        self.after_flush()
 
     def _write_back_runs(self, addresses: Set[int]) -> None:
         """Write back the dirty blocks among ``addresses``, one disk
         reference per run of adjacent blocks (paper section 4: "any set
         of contiguous fragments/blocks" moves in one reference).
 
-        Flush, close and a commit's cleanup all reach disk here; only
+        Flush, close and a transaction checkpoint all reach disk here; only
         pool eviction writes back block by block."""
         pool = self._data_cache
         assert pool is not None
@@ -537,6 +536,7 @@ class FileServer:
         """
         self.disk.disk.crash()
         self._drop_volatile()
+        self.after_crash()
         self.metrics.add(f"{self.name}.crashes")
 
     def recover(self) -> None:

@@ -151,6 +151,22 @@ class StableStore:
             raise errors[0]
         self._free.setdefault(slot[1], []).append(slot[0])
 
+    def forget(self, key: str) -> None:
+        """Drop ``key`` from the directory and reuse its slot, writing nothing.
+
+        Only for a record that something durable already supersedes
+        (the transaction service's retired-through watermark over its
+        intentions lists): the bytes stay on both mirrors, so a
+        directory rebuild finds the record again and the owner must
+        forget it again.
+        """
+        _monitor.active().key_write(
+            self, key, name="directory", site="stable.forget"
+        )
+        slot = self._directory.pop(key, None)
+        if slot is not None:
+            self._free.setdefault(slot[1], []).append(slot[0])
+
     def __contains__(self, key: str) -> bool:
         _monitor.active().key_read(
             self, key, name="directory", site="stable.contains"

@@ -63,7 +63,7 @@ SMOKE_EXPERIMENTS = (
 )
 
 #: The committed record: ``--out``'s default and the report's input.
-RECORD = "BENCH_pr39.json"
+RECORD = "BENCH_pr40.json"
 
 
 def repo_root() -> Path:

@@ -26,27 +26,47 @@ Commit of a transaction with tentative items:
    ``txndecision:`` record written after them is.  A crash before the
    commit point aborts the transaction; after it, recovery redoes the
    lists (both techniques are idempotent).
-3. **Apply** — WAL records are written in place through the file
-   service and stay dirty in its block pool; shadow records have the
-   disk server *adopt* the scratch extent, swap the block descriptor
-   in the FIT to it and free the block the swap retired.
-4. **Cleanup** — the blocks the records cover are written back (each
-   dirty block once) and then their files' FITs, free space is settled
-   only if an apply changed it, each list is removed
-   with one delete, the WAL scratch extents are freed, and the locks
-   released (the unlock phase of 2PL ends here).  Nothing else on the
-   server is written back: a ``tend`` pays for its own transaction
-   only, whatever the size of the files or the volume.
+3. **Apply, and return** — WAL records are written in place through
+   the file service and stay dirty in its block pool; shadow records
+   have the disk server *adopt* the scratch extent, swap the block
+   descriptor in the FIT to it and free the block the swap retired.
+   A swap or a delete stores its new structure at once, so the space
+   it freed is settled before ``tend`` returns (a crash must not find
+   the structure gone and the space still allocated).  Then the locks
+   are released (the unlock phase of 2PL ends here) and ``tend``
+   returns.  Nothing else is forced: the list is the commit's redo
+   log, *pending* on its volume under its commit sequence (lsn) until a
+   checkpoint retires it.
+4. **Checkpoint** — once the dirty blocks, FITs and free space the
+   pending lists applied are durable, one careful write of the
+   volume's watermark retires every pending list at once; then their
+   WAL scratch extents are freed and their stable slots forgotten
+   without tombstones.  It runs after every full
+   :meth:`FileServer.flush` (a cluster's ``flush_all``), and as a
+   *targeted* checkpoint — flush the pending lists' files, settle free
+   space, retire — for the barrier and the bound below and at the end
+   of recovery.  A volume with nothing pending writes nothing.
+
+Redo replays a volume's pending lists in commit order and is sound for
+in-place writes only, so a file some pending list covers is
+checkpointed before anything else changes it: a basic ``write`` or a
+``delete`` (the file service's ``before_change`` hook), and a commit
+that deletes it or swaps one of its block descriptors.  At most
+:data:`MAX_PENDING_LISTS` lists are pending per volume; the commit that
+reaches the bound checkpoints.  A crashed server (its block pool lost)
+retires nothing until recovery has redone its lists.
 
 Recovery of a volume loads the durable free space (the free-space
-log's base and tail), re-claims the scratch extents its surviving lists
-name, then redoes the committed lists, discards the rest, and writes the
-result as the log's new base.
+log's base and tail) and the watermark, forgets the lists at or below
+it without reading them, re-claims the scratch extents the others name,
+redoes the committed ones in lsn order, discards the rest, checkpoints,
+and writes the free space as the log's new base.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Literal, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, Literal, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.clock import SimClock
 from repro.common.errors import (
@@ -58,6 +78,7 @@ from repro.common.errors import (
 from repro.common.ids import SystemName, monotonic_id_factory
 from repro.common.metrics import Metrics
 from repro.common.units import BLOCK_SIZE, FRAGMENTS_PER_BLOCK, fragments_for_bytes
+from repro.common.weak import weak_method
 from repro.disk_service.addresses import Extent
 from repro.file_service.attributes import LockingLevel
 from repro.file_service.server import FileServer
@@ -78,16 +99,47 @@ from repro.transactions.transaction import (
 
 TechniqueChoice = Literal["auto", "wal", "shadow"]
 
+#: Most intentions lists a volume keeps pending: the commit that reaches
+#: it checkpoints the volume.  It bounds the stable storage the lists
+#: hold and the redo a recovery faces; a ``txn_bank`` unit (256
+#: transfers, then a flush) stays at half of it.
+MAX_PENDING_LISTS = 512
+
+
+class _Pending(NamedTuple):
+    """A committed list not yet retired by a checkpoint."""
+
+    lsn: int
+    tid: int
+    #: Extents to free once the list is retired: the WAL after-images
+    #: (a shadow extent became a block of its file).
+    scratch: Tuple[Extent, ...]
+    #: Part of a multi-volume commit, whose decision record outlives it.
+    shared: bool
+
 
 class _VolumeBinding:
     """Everything the coordinator needs about one volume."""
 
-    __slots__ = ("file_server", "locks", "intents")
+    __slots__ = (
+        "file_server", "locks", "intents", "pending", "pending_files",
+        "next_lsn", "crashed",
+    )
 
     def __init__(self, file_server: FileServer, locks: LockManager) -> None:
         self.file_server = file_server
         self.locks = locks
         self.intents = IntentionStore(file_server.disk.stable)
+        #: Committed lists awaiting the next checkpoint, in lsn order.
+        self.pending: List[_Pending] = []
+        #: The files those lists cover, in first-commit order (a dict
+        #: for that order; the values are unused).
+        self.pending_files: Dict[SystemName, None] = {}
+        self.next_lsn = 1
+        #: The server lost its block pool, and with it what the pending
+        #: lists applied: nothing may retire them before recovery redoes
+        #: them.
+        self.crashed = False
 
 
 class TransactionCoordinator:
@@ -120,11 +172,14 @@ class TransactionCoordinator:
         self._volumes: Dict[int, _VolumeBinding] = {}
         self._next_tid = monotonic_id_factory()
         #: CHAOS-TEST-ONLY.  When True, recovery deliberately skips
-        #: replaying committed intentions (and their cleanup ordering),
+        #: replaying committed intentions, and retires them anyway,
         #: leaving whatever partial state the crash produced.  Exists so
         #: the crash sweep can prove it *detects* a broken recovery
         #: path; never set this outside tests.
         self.unsafe_skip_redo = False
+        #: CHAOS-TEST-ONLY, like ``unsafe_skip_redo``: recovery redoes
+        #: the pending lists in tid order instead of commit order.
+        self.unsafe_tid_order = False
 
     # ------------------------------------------------------- wiring
 
@@ -139,6 +194,14 @@ class TransactionCoordinator:
             cross_level=self.cross_level,
         )
         self._volumes[file_server.volume_id] = _VolumeBinding(file_server, locks)
+        # The file service never imports this one: it calls back.
+        file_server.before_change = weak_method(self._barrier)
+        file_server.after_flush = partial(
+            weak_method(self._retire), file_server.volume_id
+        )
+        file_server.after_crash = partial(
+            weak_method(self._note_crash), file_server.volume_id
+        )
 
     def lock_manager(self, volume_id: int) -> LockManager:
         return self._binding(volume_id).locks
@@ -210,6 +273,10 @@ class TransactionCoordinator:
         ]
         deletes = [name for _, name in transaction.deleted_files]
         volumes = self._volumes_of(records, deletes)
+        for name in deletes + [
+            r.name for r in records if r.technique is Technique.SHADOW
+        ]:
+            self._barrier(name)
         # A single volume's list is written with status 'commit' and is
         # itself the commit point.  Across volumes every list goes out
         # 'tentative' and the decision record on the coordinator volume
@@ -221,19 +288,18 @@ class TransactionCoordinator:
             if len(volumes) == 1
             else TransactionStatus.TENTATIVE
         )
+        lists = {}
         for volume_id in volumes:
-            self._binding(volume_id).intents.write(
-                IntentionList(
-                    tid=transaction.tid,
-                    status=status,
-                    records=tuple(
-                        r for r in records if r.name.volume_id == volume_id
-                    ),
-                    deletes=tuple(
-                        n for n in deletes if n.volume_id == volume_id
-                    ),
-                )
-            )
+            binding = self._binding(volume_id)
+            lsn = binding.next_lsn
+            binding.next_lsn += 1
+            lists[volume_id] = (lsn, IntentionList(
+                tid=transaction.tid,
+                status=status,
+                records=tuple(r for r in records if r.name.volume_id == volume_id),
+                deletes=tuple(n for n in deletes if n.volume_id == volume_id),
+            ))
+            binding.intents.write(*lists[volume_id])
         if len(volumes) > 1:
             self._binding(volumes[0]).intents.set_decision(
                 transaction.tid, volumes
@@ -244,15 +310,23 @@ class TransactionCoordinator:
         self._apply_sizes(transaction)
         for name in deletes:
             self._binding(name.volume_id).file_server.delete(name)
-        self._cleanup_committed(transaction.tid, records, deletes)
-        if len(volumes) > 1:
-            # Only after every volume's list is gone: a stale decision
-            # is harmless (nothing left to redo), but removing it early
-            # would let a crash turn a redo into a presumed abort on a
-            # volume that still holds its list.
-            self._binding(volumes[0]).intents.remove_decision(transaction.tid)
+        # A delete's FIT tombstone and a swap's FIT are durable already;
+        # the space they freed must be too, or a crash before the
+        # checkpoint leaks it (redo finds the structure moved, frees
+        # nothing).
+        for volume_id in sorted(
+            {name.volume_id for name in deletes}
+            | {r.name.volume_id for r in records if r.technique is Technique.SHADOW}
+        ):
+            self._binding(volume_id).file_server.disk.settle_free_space()
+        for volume_id, (lsn, intentions) in lists.items():
+            self._pend(self._binding(volume_id), lsn, intentions, redone=True)
         self._release_locks(transaction)
         self.metrics.add("transactions.committed")
+        for volume_id in volumes:
+            binding = self._binding(volume_id)
+            if len(binding.pending) >= MAX_PENDING_LISTS:
+                self._checkpoint(binding)
 
     def _commit_child(self, child: Transaction) -> None:
         """Merge a committing nested transaction into its parent."""
@@ -347,10 +421,12 @@ class TransactionCoordinator:
     def recover_volume(self, volume_id: int) -> Tuple[int, int]:
         """Crash recovery for one volume; returns (redone, discarded).
 
-        Lists whose flag says ``commit`` — or ``tentative`` with a
-        multi-volume decision on record — are redone (their after-images
-        are on disk, the operations idempotent); any other list is
-        discarded and its scratch extents freed.  The whole pass is one
+        Lists at or below the volume's watermark were retired and are
+        forgotten unread.  Of the rest, those whose flag says ``commit``
+        — or ``tentative`` with a multi-volume decision on record — are
+        redone in commit order (their after-images are on disk, the
+        operations idempotent); any other list is discarded.  A
+        checkpoint then retires them all.  The whole pass is one
         ``transactions.recovery_us`` timing observation:
         recovery time is the half of the availability story that crash
         injection alone does not measure.
@@ -367,19 +443,33 @@ class TransactionCoordinator:
         # the free-space log.
         disk.stable.recover()
         binding.file_server.recover()
-        lists = [
-            binding.intents.read(tid) for tid in binding.intents.transactions()
-        ]
+        binding.pending = []
+        binding.pending_files.clear()
+        binding.crashed = False
+        watermark = binding.intents.retired_through()
+        lists = []
+        for lsn, tid in binding.intents.lists():
+            if lsn <= watermark:
+                # Retired: its effects are durable and its extents may
+                # belong to anyone by now.
+                binding.intents.forget(lsn, tid)
+            else:
+                lists.append((lsn, binding.intents.read(lsn, tid)))
+        if self.unsafe_tid_order:
+            lists.sort(key=lambda listed: listed[1].tid)
+        binding.next_lsn = max(
+            [binding.next_lsn, watermark + 1] + [lsn + 1 for lsn, _ in lists]
+        )
         # No free-space record contains a scratch extent, so the loaded
         # bitmap calls every surviving after-image free space.  Re-claim them
         # all before anything below allocates.
-        for intentions in lists:
+        for _, intentions in lists:
             for record in intentions.records:
                 if record.extent is not None:
                     disk.reclaim_scratch(record.extent)
         redone = 0
         discarded = 0
-        for intentions in lists:
+        for lsn, intentions in lists:
             committed = intentions.status is TransactionStatus.COMMITTED
             if not committed:
                 # A tentative list belongs to a multi-volume commit; the
@@ -387,22 +477,18 @@ class TransactionCoordinator:
                 # the commit point was reached.
                 decision = self._find_decision(intentions.tid)
                 committed = decision is not None and volume_id in decision
-            if committed and not self.unsafe_skip_redo:
+            # With the deliberately broken path enabled (see __init__),
+            # committed redo information is dropped without replay: the
+            # crash sweep must flag the partial state that leaves.
+            replay = committed and not self.unsafe_skip_redo
+            if replay:
                 self._redo(binding, intentions)
-                redone += 1
-                continue
-            # Discard — or, with the deliberately broken path enabled
-            # (see __init__), drop committed redo information without
-            # replaying it: the crash sweep must flag the partial state
-            # that leaves behind.
-            binding.intents.remove(intentions.tid)
-            for record in intentions.records:
-                if record.extent is not None:
-                    self._safe_free(volume_id, record.extent)
             if committed:
                 redone += 1
             else:
                 discarded += 1
+            self._pend(binding, lsn, intentions, redone=replay)
+        self._checkpoint(binding)
         self._collect_stale_decisions()
         # A rebase: the whole recovered bitmap as the log's new base.
         disk.checkpoint_free_space()
@@ -421,9 +507,98 @@ class TransactionCoordinator:
         for name in intentions.deletes:
             if name not in gone:
                 server.delete(name)
-        self._cleanup_committed(
-            intentions.tid, intentions.records, intentions.deletes
+
+    # ---------------------------------------------------- checkpoint
+
+    def _pend(
+        self,
+        binding: _VolumeBinding,
+        lsn: int,
+        intentions: IntentionList,
+        *,
+        redone: bool,
+    ) -> None:
+        """Hold an applied (or discarded) list until the next checkpoint.
+
+        Retiring it frees the scratch extents nothing adopted: a WAL
+        after-image's always, a shadow extent's unless ``redone`` applied
+        it.
+        """
+        binding.pending.append(_Pending(
+            lsn=lsn,
+            tid=intentions.tid,
+            scratch=tuple(
+                record.extent
+                for record in intentions.records
+                if record.extent is not None
+                and (record.technique is Technique.WAL or not redone)
+            ),
+            shared=intentions.status is TransactionStatus.TENTATIVE,
+        ))
+        binding.pending_files.update(
+            dict.fromkeys(record.name for record in intentions.records)
         )
+
+    def _barrier(self, name: SystemName) -> None:
+        """Checkpoint ``name``'s volume if a pending list covers the file.
+
+        Redo replays a volume's lists in commit order, which is sound
+        while every change to their files goes through a list.  A basic
+        write, a delete or a descriptor swap does not (a redo would write
+        the listed bytes over newer ones, or into released space), so
+        those lists are retired first.
+        """
+        binding = self._volumes.get(name.volume_id)
+        if binding is not None and name in binding.pending_files:
+            self._checkpoint(binding)
+
+    def _checkpoint(self, binding: _VolumeBinding) -> None:
+        """Make what the pending lists applied durable, then retire them.
+
+        The files they cover are flushed (dirty blocks, then a FIT whose
+        structure moved) and free space is settled: the part of a full
+        :meth:`FileServer.flush` the lists need, and nothing else.  A
+        full flush here would also store every timestamp-dirty FIT and
+        the protection map: E9's 30 shadow commits, each behind a
+        barrier, would write 89 times and 716 sectors instead of 60 and
+        600, more than WAL's 708.
+        """
+        if not binding.pending:
+            return
+        server = binding.file_server
+        for name in binding.pending_files:
+            if server.exists(name):  # not deleted since
+                server.flush_file(name)
+        server.disk.settle_free_space()
+        self._retire(server.volume_id)
+
+    def _retire(self, volume_id: int) -> None:
+        """Retire every pending list of a volume whose effects are durable.
+
+        Runs after every full flush of the volume's server (and ends a
+        targeted checkpoint), which made durable what the lists applied:
+        dirty blocks, FITs, free space.
+        One careful write of the watermark retires them all; only then
+        are their WAL scratch extents freed and their stable slots
+        forgotten (no tombstones: the watermark supersedes them).
+        """
+        binding = self._binding(volume_id)
+        if binding.crashed or not binding.pending:
+            return
+        retired = binding.pending
+        binding.intents.retire_through(retired[-1].lsn)
+        binding.pending = []
+        binding.pending_files.clear()
+        for entry in retired:
+            binding.intents.forget(entry.lsn, entry.tid)
+            for extent in entry.scratch:
+                self._safe_free(volume_id, extent)
+        self.metrics.add("transactions.lists_retired", len(retired))
+        if any(entry.shared for entry in retired):
+            self._collect_stale_decisions()
+
+    def _note_crash(self, volume_id: int) -> None:
+        self._binding(volume_id).crashed = True
 
     def _find_decision(self, tid: int) -> Optional[List[int]]:
         """The commit decision for ``tid``, wherever it was recorded."""
@@ -437,14 +612,15 @@ class TransactionCoordinator:
         """Drop decision records whose transactions are fully cleaned up.
 
         A decision may only disappear once no registered volume holds a
-        list for the transaction; until then it must stay, because it
-        is what turns a tentative list's recovery into a redo.
+        list for the transaction above its durable watermark; until then
+        it must stay, because it is what turns a tentative list's
+        recovery into a redo.
         """
         for other in self._volumes.values():
             for tid in other.intents.decided_transactions():
                 try:
                     live = any(
-                        candidate.intents.read(tid) is not None
+                        candidate.intents.holds(tid)
                         for candidate in self._volumes.values()
                     )
                 except DiskError:
@@ -546,13 +722,13 @@ class TransactionCoordinator:
         """Make one intention permanent (idempotent for crash redo)."""
         binding = self._binding(record.name.volume_id)
         server = binding.file_server
-        data = record.data
-        if data is None:
-            data = server.disk.get(record.extent)[: record.length]
         if record.technique is Technique.WAL:
+            data = record.data
+            if data is None:
+                data = server.disk.get(record.extent)[: record.length]
             # The after-image is durable and listed, so the in-place
-            # copy may sit dirty in the block pool until cleanup flushes
-            # the file: two records in one block then cost one put.
+            # copy may sit dirty in the block pool until a checkpoint
+            # writes it back: every commit to the block costs one put.
             server.write(record.name, record.lo, data, delayed=True)
             self.metrics.add("transactions.wal_applies")
         else:
@@ -578,48 +754,6 @@ class TransactionCoordinator:
             self._binding(name.volume_id).file_server.set_file_size_at_least(
                 name, size
             )
-
-    def _cleanup_committed(
-        self,
-        tid: int,
-        records: Sequence[IntentionRecord],
-        deletes: Sequence[SystemName],
-    ) -> None:
-        # WAL discipline: the applied effects (dirty blocks in the pool,
-        # FIT attribute updates in the FIT cache) must be durable BEFORE
-        # the redo information is discarded — flush what the records
-        # cover, settle the bitmap, then drop the lists.  A crash inside
-        # the flush re-runs the idempotent redo; a crash after it needs
-        # nothing.  Only this transaction's blocks are written back;
-        # other clients' delayed writes wait for their own flush.
-        spans: Dict[SystemName, List[Tuple[int, int]]] = {}
-        for record in records:
-            spans.setdefault(record.name, []).append((record.lo, record.length))
-        for name in deletes:
-            spans.pop(name, None)
-        # A record-level commit leaves a FIT that moved only in its
-        # timestamps to the next close or flush.  Page- and file-level
-        # commits still store it: E9 compares WAL with shadow by counting
-        # exactly that write (ROADMAP item 1(f)).
-        whole_pages = {
-            record.name
-            for record in records
-            if record.level is not LockingLevel.RECORD
-        }
-        for name, covered in spans.items():
-            self._binding(name.volume_id).file_server.flush_file(
-                name, covered, attributes=name in whole_pages
-            )
-        for volume_id in self._volumes_of(records, deletes):
-            binding = self._binding(volume_id)
-            binding.file_server.disk.settle_free_space()
-            binding.intents.remove(tid)
-        # The lists are gone first: a crash from here on finds nothing
-        # to redo, and the scratch extents are free in every record.
-        for record in records:
-            if record.technique is Technique.WAL and record.extent is not None:
-                self._safe_free(record.name.volume_id, record.extent)
-            self.metrics.add("transactions.intentions_removed")
 
     @staticmethod
     def _volumes_of(

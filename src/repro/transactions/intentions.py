@@ -12,12 +12,15 @@ approach".
 Those are the only two things commit puts on stable storage, and here
 they share one record: an :class:`IntentionList` — every entry of the
 transaction on one volume plus its status — stored under
-``intentions:<tid>`` in that volume's stable store with a single
-careful write.  A record-level after-image of at most
-:data:`INLINE_LIMIT` bytes rides in its record — the record *is* the
-tentative data item and the list's careful write makes it durable; any
-other after-image lives in a scratch extent on the volume's main disk,
-written before the list that names it.
+``intentions:<lsn>:<tid>`` in that volume's stable store with a single
+careful write.  The **lsn** is the volume's commit sequence: lists are
+numbered in the order their commits reached the commit point, which is
+the order recovery redoes them (tids are handed out at ``tbegin``, and
+interleaved clients commit out of that order).  A record-level
+after-image of at most :data:`INLINE_LIMIT` bytes rides in its record —
+the record *is* the tentative data item and the list's careful write
+makes it durable; any other after-image lives in a scratch extent on
+the volume's main disk, written before the list that names it.
 
 * A **single-volume** transaction writes its list with status
   ``commit``: that one write is the commit point.  A crash that tears
@@ -31,14 +34,20 @@ written before the list that names it.
   are never rewritten.  A recovering volume that finds a tentative list
   asks every registered volume for the decision before presuming abort.
 
-Replaying a list after a crash is idempotent; removing it (one delete)
-ends the transaction's redo obligation.
+A list is the redo log of its commit until a checkpoint retires it:
+one careful write of the volume's **watermark** (key
+:data:`WATERMARK_KEY`, "retired through lsn L") retires every list at
+or below L at once, and their slots are forgotten without a tombstone
+(:meth:`~repro.simdisk.stable.StableStore.forget`).  The lsn in the key
+lets recovery drop a retired list it finds again without reading it.
+Replaying a list after a crash is idempotent.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import struct
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -53,6 +62,9 @@ from repro.transactions.transaction import TransactionStatus
 #: Stable-storage key prefixes of the transaction service.
 LIST_PREFIX = "intentions:"
 DECISION_PREFIX = "txndecision:"
+#: Stable-storage key of a volume's retired-through watermark.
+WATERMARK_KEY = "intentions.retired"
+_LSN = struct.Struct("<Q")
 
 #: Largest record-level after-image carried in its intentions record
 #: instead of a scratch extent.  Inline always saves the extent's two
@@ -212,23 +224,43 @@ class IntentionStore:
     def __init__(self, stable: StableStore) -> None:
         self.stable = stable
 
-    def write(self, intentions: IntentionList) -> None:
+    def write(self, lsn: int, intentions: IntentionList) -> None:
         """One careful write: the whole list and its flag."""
-        self.stable.put(f"{LIST_PREFIX}{intentions.tid}", intentions.to_bytes())
+        self.stable.put(_list_key(lsn, intentions.tid), intentions.to_bytes())
 
-    def read(self, tid: int) -> Optional[IntentionList]:
+    def read(self, lsn: int, tid: int) -> IntentionList:
+        return IntentionList.from_bytes(self.stable.get(_list_key(lsn, tid)))
+
+    def lists(self) -> List[Tuple[int, int]]:
+        """(lsn, tid) of every list in the directory, in commit order."""
+        found = []
+        for key in self.stable.keys():
+            if key.startswith(LIST_PREFIX):
+                lsn, _, tid = key[len(LIST_PREFIX):].partition(":")
+                found.append((int(lsn), int(tid)))
+        return sorted(found)
+
+    def forget(self, lsn: int, tid: int) -> None:
+        """Drop a list the durable watermark has retired; writes nothing."""
+        self.stable.forget(_list_key(lsn, tid))
+
+    def retire_through(self, lsn: int) -> None:
+        """One careful write: every list at or below ``lsn`` is retired."""
+        self.stable.put(WATERMARK_KEY, _LSN.pack(lsn))
+
+    def retired_through(self) -> int:
+        """The durable watermark; 0 before the volume's first checkpoint."""
         try:
-            blob = self.stable.get(f"{LIST_PREFIX}{tid}")
+            return _LSN.unpack(self.stable.get(WATERMARK_KEY))[0]
         except KeyError:
-            return None
-        return IntentionList.from_bytes(blob)
+            return 0
 
-    def remove(self, tid: int) -> None:
-        self.stable.delete(f"{LIST_PREFIX}{tid}")
-
-    def transactions(self) -> List[int]:
-        """Transactions with a list on this volume, ascending."""
-        return self._tids(LIST_PREFIX)
+    def holds(self, tid: int) -> bool:
+        """Whether a list of ``tid`` above the watermark is on this volume."""
+        watermark = self.retired_through()
+        return any(
+            lsn > watermark and listed == tid for lsn, listed in self.lists()
+        )
 
     # ------------------------------------------- multi-volume commit
 
@@ -262,11 +294,12 @@ class IntentionStore:
         self.stable.delete(f"{DECISION_PREFIX}{tid}")
 
     def decided_transactions(self) -> List[int]:
-        return self._tids(DECISION_PREFIX)
-
-    def _tids(self, prefix: str) -> List[int]:
         return sorted(
-            int(key[len(prefix):])
+            int(key[len(DECISION_PREFIX):])
             for key in self.stable.keys()
-            if key.startswith(prefix)
+            if key.startswith(DECISION_PREFIX)
         )
+
+
+def _list_key(lsn: int, tid: int) -> str:
+    return f"{LIST_PREFIX}{lsn}:{tid}"

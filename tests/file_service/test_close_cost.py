@@ -2,8 +2,8 @@
 a FIT store only when the file's structure moved since the last one.
 A flush writes the whole block pool back the same way, pipeline or not.
 
-A commit's cleanup goes through the same ``flush_file``: its one put
-per run is pinned in ``tests/transactions/test_commit_cost.py``
+A transaction checkpoint goes through the same ``flush_file``: its one
+put per run is pinned in ``tests/transactions/test_commit_cost.py``
 (``TestWhatACommitWrites``).
 """
 

@@ -1,20 +1,23 @@
 """What a commit writes, what it leaves alone, and what survives a crash.
 
 The commit path puts exactly one intentions-list record per volume on
-stable storage, flushes only the files the transaction touched, and
-keeps tentative (scratch) extents out of every bitmap checkpoint.  A
-small record-level after-image rides in the list and a FIT that moved
-only in its timestamps is not a record-level commit's to store: the
-write-sequence pins say exactly what is left.  The bystander, leak and
-volume-size tests fail on the per-item-record / whole-bitmap /
-whole-server-flush commit this replaced; the property test drives
-random transactions into a crash at a random physical write.
+stable storage and forces nothing else: the blocks it applied stay in
+the block pool until the next checkpoint (a flush), which writes each
+once and retires every pending list with one watermark record.
+Tentative (scratch) extents stay out of every bitmap checkpoint.  A
+small record-level after-image rides in the list: the write-sequence
+pins say exactly what is left.  The bystander, leak and volume-size
+tests fail on the per-item-record / whole-bitmap / whole-server-flush
+commit this replaced; the property test drives random transactions
+into a crash at a random physical write.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.chaos.invariants import check_volume
 from repro.chaos.trace import CrashPointMonitor
+from repro.cluster.config import ClusterConfig
+from repro.cluster.system import RhodosCluster
 from repro.chaos.workloads import ChaosVolume
 from repro.common.clock import SimClock
 from repro.common.errors import DiskCrashedError
@@ -28,7 +31,7 @@ from repro.naming.service import NamingService
 from repro.simdisk.geometry import DiskGeometry
 from repro.transactions.agent import TransactionAgentHost
 from repro.transactions.coordinator import TransactionCoordinator
-from repro.transactions.intentions import INLINE_LIMIT
+from repro.transactions.intentions import INLINE_LIMIT, WATERMARK_KEY
 from repro.verify.fsck import fsck_volume
 from tests.conftest import build_file_server
 
@@ -116,6 +119,7 @@ class TestTentativeExtentsNeverLeak:
     def test_a_crash_before_the_commit_point_frees_the_after_images(self):
         host, server, naming, coordinator, _ = build()
         seed(host, MAIN, b"O" * BLOCK_SIZE, LockingLevel.PAGE)
+        server.flush()  # retires the seed's list: nothing left to redo
         free_before = server.disk.free_fragments
         tid = host.tbegin()
         descriptor = host.topen(tid, MAIN)
@@ -135,7 +139,8 @@ class TestTentativeExtentsNeverLeak:
 
 
 def commit_writes(geometry, level, writes, technique="auto"):
-    """(kind, disk, sectors) of every physical write of one ``tend``."""
+    """(kind, disk, sectors) of every physical write of one ``tend``, and
+    of the checkpoint (a flush of the server) after it."""
     host, server, naming, _, _ = build(geometry=geometry, technique=technique)
     name = seed(host, MAIN, bytes(4 * BLOCK_SIZE), level)
     server.flush()
@@ -148,30 +153,40 @@ def commit_writes(geometry, level, writes, technique="auto"):
         server.disk.disk, stable.mirror_a, stable.mirror_b
     )
     host.tend(tid)
+    committed = monitor.writes_seen
+    server.flush()
     synced = {
         entry.start: entry.label.partition(":")[0]
         for entry in monitor.trace
         if entry.kind == "stable-sync"
     }
-    sequence, listed = [], False
-    for entry in monitor.trace:
-        if entry.kind != "write":
-            continue
+    named = {"intentions": "list", WATERMARK_KEY: "watermark"}
+    sequence = []
+    for entry in monitor.write_entries():
         disk = entry.disk_id.partition(".")[2] or "data"
         if disk != "data":
-            kind = synced[entry.start]
-            if kind == "intentions":
-                kind = "tombstone" if listed and entry.n_sectors == 1 else "list"
-                listed = listed or disk == "stable_b"
+            kind = named.get(synced[entry.start], synced[entry.start])
         elif entry.start == name.fit_address * SECTORS_PER_FRAGMENT:
             kind = "fit"
         else:
-            kind = "block" if listed else "after-image"
+            kind = "block" if entry.index > committed else "after-image"
         sequence.append((kind, disk, entry.n_sectors))
-    return sequence
+    return sequence[:committed], sequence[committed:]
 
 
 TWO_RECORDS = [(40, b"\x01" * 8), (BLOCK_SIZE + 80, b"\x02" * 8)]
+
+#: What every checkpoint after a commit writes besides the blocks: the
+#: FIT (its timestamps moved), the protection map, the watermark.
+CHECKPOINT_TAIL = [
+    ("fit", "data", 4),
+    ("ext", "stable_a", 5),
+    ("ext", "stable_b", 5),
+    ("protection", "stable_a", 2),
+    ("protection", "stable_b", 2),
+    ("watermark", "stable_a", 2),
+    ("watermark", "stable_b", 2),
+]
 
 
 class TestWhatACommitWrites:
@@ -179,45 +194,40 @@ class TestWhatACommitWrites:
 
     GEOMETRIES = (DiskGeometry.small, DiskGeometry.medium)
 
-    def test_a_two_record_commit_is_its_list_and_its_blocks(self):
-        # Blocks 0 and 1 are adjacent on disk: one put writes both.
+    def test_a_two_record_commit_is_its_list_and_nothing_else(self):
+        # Blocks 0 and 1 are adjacent on disk: the checkpoint's one put
+        # writes both.
         for geometry in self.GEOMETRIES:
-            assert commit_writes(geometry(), LockingLevel.RECORD, TWO_RECORDS) == [
-                ("list", "stable_a", 2),
-                ("list", "stable_b", 2),
-                ("block", "data", 32),
-                ("tombstone", "stable_a", 1),
-                ("tombstone", "stable_b", 1),
-            ]
+            tend, checkpoint = commit_writes(
+                geometry(), LockingLevel.RECORD, TWO_RECORDS
+            )
+            assert tend == [("list", "stable_a", 2), ("list", "stable_b", 2)]
+            assert checkpoint == [("block", "data", 32)] + CHECKPOINT_TAIL
 
     def test_a_record_above_the_bound_keeps_its_extent(self):
         big = [(40, b"\x03" * (INLINE_LIMIT + 1))]
-        assert commit_writes(DiskGeometry.small(), LockingLevel.RECORD, big) == [
+        tend, checkpoint = commit_writes(
+            DiskGeometry.small(), LockingLevel.RECORD, big
+        )
+        assert tend == [
             ("after-image", "data", SECTORS_PER_FRAGMENT),
             ("list", "stable_a", 2),
             ("list", "stable_b", 2),
-            ("block", "data", 16),
-            ("tombstone", "stable_a", 1),
-            ("tombstone", "stable_b", 1),
         ]
+        assert checkpoint == [("block", "data", 16)] + CHECKPOINT_TAIL
 
-    def test_a_page_commit_is_unchanged_and_still_stores_the_fit(self):
-        # Only its timestamp moved, but E9 counts this write (ROADMAP 1(f)).
+    def test_a_page_commit_is_its_after_image_and_its_list(self):
         page = [(0, b"N" * BLOCK_SIZE)]
         for geometry in self.GEOMETRIES:
-            assert commit_writes(geometry(), LockingLevel.PAGE, page) == [
+            tend, checkpoint = commit_writes(geometry(), LockingLevel.PAGE, page)
+            assert tend == [
                 ("after-image", "data", 16),
                 ("list", "stable_a", 2),
                 ("list", "stable_b", 2),
-                ("block", "data", 16),
-                ("fit", "data", 4),
-                ("ext", "stable_a", 5),
-                ("ext", "stable_b", 5),
-                ("tombstone", "stable_a", 1),
-                ("tombstone", "stable_b", 1),
             ]
+            assert checkpoint == [("block", "data", 16)] + CHECKPOINT_TAIL
 
-    def test_a_structural_commit_stores_the_fit_before_the_list_is_removed(self):
+    def test_a_structural_commit_stores_the_fit_before_the_list_is_retired(self):
         small = DiskGeometry.small()
         extension = commit_writes(
             small, LockingLevel.RECORD, [(4 * BLOCK_SIZE, b"\x04" * 8)]
@@ -225,15 +235,59 @@ class TestWhatACommitWrites:
         swap = commit_writes(
             small, LockingLevel.PAGE, [(BLOCK_SIZE, b"S" * BLOCK_SIZE)], "shadow"
         )
-        for sequence in (extension, swap):
-            kinds = [kind for kind, disk, _ in sequence if disk != "stable_b"]
+        for tend, checkpoint in (extension, swap):
+            kinds = [kind for kind, disk, _ in tend + checkpoint if disk != "stable_b"]
             assert "fit" in kinds
             # ``ext`` is the FIT's stable copy.
-            assert kinds.index("list") < kinds.index("ext") < kinds.index("tombstone")
+            assert kinds.index("list") < kinds.index("ext") < kinds.index("watermark")
+        # A swap stores its FIT in the tend; a size is a checkpoint's.
+        assert "ext" in [kind for kind, _, _ in swap[0]]
+        assert "ext" not in [kind for kind, _, _ in extension[0]]
+
+    def test_n_record_commits_to_one_block_cost_one_write_back(self):
+        cluster = RhodosCluster(ClusterConfig(geometry=DiskGeometry.small()))
+        host, server = cluster.machine.transactions, cluster.file_servers[0]
+        name = seed(host, MAIN, bytes(2 * BLOCK_SIZE), LockingLevel.RECORD)
+        cluster.flush_all()
+        stable = server.disk.stable
+        monitor = CrashPointMonitor().attach(
+            server.disk.disk, stable.mirror_a, stable.mirror_b
+        )
+        for index in range(5):
+            tid = host.tbegin()
+            descriptor = host.topen(tid, MAIN)
+            host.tpwrite(tid, descriptor, bytes([index + 1]) * 8, 16 * index)
+            host.tend(tid)
+        committed = monitor.writes_seen
+        assert committed == 5 * 2  # each tend: its list, on both mirrors
+        cluster.flush_all()
+        checkpoint = monitor.write_entries()[committed:]
+        block = server.block_descriptor(name, 0).address * SECTORS_PER_FRAGMENT
+        assert [
+            entry.n_sectors for entry in checkpoint
+            if entry.start == block and entry.disk_id == server.disk.disk.disk_id
+        ] == [16]
+        synced = [e.label for e in monitor.trace if e.kind == "stable-sync"]
+        assert synced[5:].count(WATERMARK_KEY) == 1
+        # No tombstone: every stable write of the checkpoint is a whole
+        # record (a tombstone is one sector).
+        assert all(
+            entry.n_sectors > 1
+            for entry in checkpoint
+            if ".stable_" in entry.disk_id
+        )
+        assert cluster.metrics.get("transactions.lists_retired") == 1 + 5
+        assert not [k for k in stable.keys() if k.startswith("intentions:")]
+        assert server.read(name, 0, 80) == b"".join(
+            bytes([index + 1]) * 8 + bytes(8) for index in range(5)
+        )
 
 
 class TestWhatTendMakesDurable:
-    """Contents, size and map — not timestamps (DESIGN.md section 3)."""
+    """Contents, size and map — not timestamps (DESIGN.md section 3).
+
+    A crash before the next checkpoint leaves the list pending, and its
+    redo stamps the FIT with the recovery's own time."""
 
     def committed(self, offset):
         host, server, naming, coordinator, metrics = build()
@@ -249,13 +303,14 @@ class TestWhatTendMakesDurable:
 
     def test_a_crash_after_tend_keeps_contents_and_may_lose_the_timestamp(self):
         server, coordinator, _, name, stored = self.committed(40)
-        assert server.get_attribute(name).last_write_us > stored.last_write_us
+        written = server.get_attribute(name).last_write_us
+        assert written > stored.last_write_us
         server.crash()
         restart(server, coordinator)
         assert server.read(name, 39, 10) == b"O" + b"n" * 8 + b"O"
         recovered = server.get_attribute(name)  # the FIT decodes
         assert recovered.file_size == stored.file_size
-        assert recovered.last_write_us == stored.last_write_us
+        assert recovered.last_write_us > written  # the redo's
         assert fsck_volume(server).clean
 
     def test_a_crash_after_an_extending_tend_keeps_the_new_size(self):
@@ -268,8 +323,8 @@ class TestWhatTendMakesDurable:
 
     def test_an_extension_past_a_reserved_block_leaves_zeros_there(self):
         # The reserved block held a deleted file's bytes; the commit's
-        # write carries EOF past it, and the cleanup flushes only the
-        # record's own block.
+        # write carries EOF past it, and only the record's own block is
+        # written back.
         host, server, naming, coordinator, _ = build()
         old = server.create()
         server.write(old, 0, b"%" * (8 * BLOCK_SIZE))
@@ -299,32 +354,32 @@ class TestWhatTendMakesDurable:
             assert metrics.get("file_server.0.fit_stores") == stores + fit_stores
             server.crash()
             restart(server, coordinator)
-            assert server.get_attribute(name).last_write_us == (
-                written if fit_stores else stored.last_write_us
-            )
+            # A flush is the checkpoint; after a close the list is
+            # pending, and the redo stamps its own time.
+            recovered = server.get_attribute(name).last_write_us
+            assert recovered == written if fit_stores else recovered > written
 
 
 class TestCommitCostIsIndependentOfVolumeSize:
     def test_small_and_medium_volumes_write_the_same_stable_sectors(self):
-        # The list (header + payload sector) and its tombstone, each on
-        # both mirrors — and nothing that scales with the volume.
-        for geometry in (DiskGeometry.small(), DiskGeometry.medium()):
-            assert sum(
-                sectors
-                for _, disk, sectors in commit_writes(
-                    geometry, LockingLevel.RECORD, TWO_RECORDS
-                )
-                if disk != "data"
-            ) == 2 * (2 + 1)
+        # The list (header + payload sector) on both mirrors, and a
+        # checkpoint after it: nothing that scales with the volume.
+        small, medium = (
+            commit_writes(geometry, LockingLevel.RECORD, TWO_RECORDS)
+            for geometry in (DiskGeometry.small(), DiskGeometry.medium())
+        )
+        assert small == medium
+        tend, _ = small
+        assert sum(sectors for _, disk, sectors in tend if disk != "data") == 2 * 2
 
 
 class TestCommitCostIsIndependentOfFileSize:
-    def test_a_tree_mapped_file_has_only_the_covered_blocks_written_back(self):
+    def test_a_tree_mapped_file_has_no_write_back_in_its_commit(self):
         host, server, naming, coordinator, metrics = build()
         blocks = DIRECT_DESCRIPTORS + 36
         name = seed(host, MAIN, b"O" * (blocks * BLOCK_SIZE), LockingLevel.RECORD)
         server.flush()
-        # A delayed write elsewhere in the file is not this commit's to flush.
+        # A delayed write elsewhere in the file: the checkpoint's to write.
         server.write(name, 50 * BLOCK_SIZE, b"later", delayed=True)
         writebacks = metrics.get("file_server.0.block_pool.writebacks")
         direct = 3 * BLOCK_SIZE + 40
@@ -334,7 +389,7 @@ class TestCommitCostIsIndependentOfFileSize:
         host.tpwrite(tid, descriptor, b"n" * 8, direct)
         host.tpwrite(tid, descriptor, b"n" * 8, through_the_tree)
         host.tend(tid)
-        assert metrics.get("file_server.0.block_pool.writebacks") == writebacks + 2
+        assert metrics.get("file_server.0.block_pool.writebacks") == writebacks
         restart(server, coordinator)
         assert server.read(name, direct - 1, 10) == b"O" + b"n" * 8 + b"O"
         assert server.read(name, through_the_tree - 1, 10) == b"O" + b"n" * 8 + b"O"
@@ -466,7 +521,8 @@ class TestRandomTransactionsCrashAtomically:
             server.delete(victim)
         server.flush()
         assert disk.free_fragments == baseline[0] - orphaned
-        # The free-space log's tail, written by the seed, stays.
+        # The free-space log's tail, written by the seed, stays, and so
+        # does the watermark the seeds' checkpoint wrote.
         assert set(disk.stable.keys()) == baseline[1] | {
-            disk.free_space_log.tail_key
+            disk.free_space_log.tail_key, WATERMARK_KEY
         }

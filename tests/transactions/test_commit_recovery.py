@@ -188,6 +188,9 @@ class TestIntentionRecords:
         host.tpwrite(tid, descriptor, b"z", 0)
         host.tend(tid)
         stable = server.disk.stable
+        # The list is the commit's redo log until the next checkpoint.
+        assert [key for key in stable.keys() if key.startswith("intentions:")]
+        server.flush()
         assert not [key for key in stable.keys() if key.startswith("intentions:")]
 
     def test_abort_frees_tentative_space(self):
