@@ -22,6 +22,7 @@ Records are addressed by a string key (e.g. ``"ext:1024:1"`` or
 
 from __future__ import annotations
 
+import heapq
 import struct
 import zlib
 from typing import Dict, Iterator, Optional, Tuple
@@ -46,9 +47,15 @@ _MAX_KEY = SECTOR_SIZE - _HEADER.size
 class StableStore:
     """A careful-replicated record store over two mirror disks.
 
-    Both mirrors must have identical geometry.  Slots are allocated
-    sequentially; freeing writes a tombstone so a directory rebuild
-    after a crash sees the deletion.
+    Both mirrors must have identical geometry.  A record takes the
+    lowest free slot of the size it needs, whatever order slots were
+    freed in, and a new slot past the last one only when none is free.
+    :meth:`delete` writes a tombstone so a directory rebuild after a
+    crash sees the deletion; :meth:`forget` writes nothing, for a record
+    something durable already supersedes.  A relocated record keeps its
+    old slot until both new copies land, and a rebuild keeps a key's
+    two newest copies the same way, so :meth:`recover` can fall back to
+    the older one when the newer tore.
     """
 
     def __init__(self, mirror_a: SimDisk, mirror_b: SimDisk) -> None:
@@ -59,7 +66,9 @@ class StableStore:
         self._directory: Dict[str, Tuple[int, int]] = {}  # key -> (start, n_sectors)
         self._versions: Dict[str, int] = {}
         self._next_sector = 0
-        self._free: Dict[int, list[int]] = {}  # n_sectors -> [start, ...]
+        #: n_sectors -> min-heap of free slot starts: a put takes the
+        #: lowest free slot of its size, whatever order slots were freed in.
+        self._free: Dict[int, list[int]] = {}
         #: Keys mid-relocation: the pre-move slot, kept allocated (and
         #: durable) until the record completes both copies at its new
         #: home — recovery falls back to it if the move never lands.
@@ -89,7 +98,7 @@ class StableStore:
         # the move destroy the sole durable copy of the record.
         old_slot = self._relocating.pop(key, None)
         if old_slot is not None:
-            self._free.setdefault(old_slot[1], []).append(old_slot[0])
+            self._release(old_slot)
         # Tell a chaos monitor (if one is attached to the mirrors) that
         # a careful write completed both copies: the trace marks these
         # sync boundaries between the numbered physical crash points.
@@ -149,7 +158,7 @@ class StableStore:
             # so the caller must not be told it succeeded.
             self._directory[key] = slot
             raise errors[0]
-        self._free.setdefault(slot[1], []).append(slot[0])
+        self._release(slot)
 
     def forget(self, key: str) -> None:
         """Drop ``key`` from the directory and reuse its slot, writing nothing.
@@ -165,7 +174,7 @@ class StableStore:
         )
         slot = self._directory.pop(key, None)
         if slot is not None:
-            self._free.setdefault(slot[1], []).append(slot[0])
+            self._release(slot)
 
     def __contains__(self, key: str) -> bool:
         _monitor.active().key_read(
@@ -194,7 +203,7 @@ class StableStore:
                 if old_slot is not None:
                     # The move reached at least one mirror durably;
                     # the pre-move slot is finally safe to reuse.
-                    self._free.setdefault(old_slot[1], []).append(old_slot[0])
+                    self._release(old_slot)
                 repaired += healed
                 continue
             if old_slot is not None:
@@ -203,7 +212,7 @@ class StableStore:
                     # The relocated copy never became durable: fall
                     # back to the intact pre-move record.
                     self._directory[key] = old_slot
-                    self._free.setdefault(n_sectors, []).append(start)
+                    self._release((start, n_sectors))
                     repaired += 1
                     continue
             # Both copies dead and no pre-move slot to fall back to:
@@ -219,8 +228,9 @@ class StableStore:
 
         Returns None when both copies are dead, 0 when the copies
         already agree, 1 when one copy was rewritten from the other.
-        Syncs the in-memory version counter to the surviving copy so
-        the next write stays version-monotonic.
+        Raises the in-memory version counter to the surviving copy's so
+        the next write stays version-monotonic, and never lowers it: a
+        relocation that tore left its newer version's header behind.
         """
         copy_a = self._try_read(self.mirror_a, start, n_sectors)
         copy_b = self._try_read(self.mirror_b, start, n_sectors)
@@ -229,16 +239,17 @@ class StableStore:
         if not ok_a and not ok_b:
             return None
         if ok_a and ok_b and copy_a[1] == copy_b[1]:
-            self._versions[key] = copy_a[1]
-            return 0
-        if ok_a and (not ok_b or copy_a[1] > copy_b[1]):
-            source, target, good = self.mirror_a, self.mirror_b, copy_a
+            good, healed = copy_a, 0
         else:
-            source, target, good = self.mirror_b, self.mirror_a, copy_b
-        record = source.read_sectors(start, n_sectors)
-        target.write_sectors(start, record)
-        self._versions[key] = good[1]
-        return 1
+            if ok_a and (not ok_b or copy_a[1] > copy_b[1]):
+                source, target, good = self.mirror_a, self.mirror_b, copy_a
+            else:
+                source, target, good = self.mirror_b, self.mirror_a, copy_b
+            record = source.read_sectors(start, n_sectors)
+            target.write_sectors(start, record)
+            healed = 1
+        self._versions[key] = max(self._versions.get(key, 0), good[1])
+        return healed
 
     def verify_mirrors(self) -> list[str]:
         """Check the careful-write invariant: both mirrors agree.
@@ -272,7 +283,12 @@ class StableStore:
         """Rebuild the in-memory directory by scanning mirror headers.
 
         Used when the machine holding the in-memory state crashed; the
-        mirrors themselves are the authority.  Returns records found.
+        mirrors themselves are the authority.  A key's newest live copy
+        becomes its entry and the next newest its relocation fallback,
+        so :meth:`recover` falls back to an intact older copy when the
+        newest one tore mid-move, or frees the older one when it did
+        not.  Older copies, and every copy a newer tombstone deletes,
+        are free again.  Returns the keys found.
         """
         _monitor.active().write_all(
             self, name="directory", site="stable.rebuild_directory"
@@ -281,30 +297,39 @@ class StableStore:
         self._versions.clear()
         self._free.clear()
         self._relocating.clear()
+        copies: Dict[str, list[Tuple[int, Tuple[int, int]]]] = {}
+        deleted: Dict[str, int] = {}  # key -> newest tombstone version
         sector = 0
-        found = 0
         while sector < self._next_sector:
             entry = self._scan_slot(sector)
             if entry is None:
                 sector += 1
                 continue
             key, version, n_sectors, is_tombstone = entry
-            current = self._versions.get(key)
             if not is_tombstone:
-                if current is None or version > current:
-                    self._directory[key] = (sector, n_sectors)
-                    self._versions[key] = version
-                    found += 1
+                copies.setdefault(key, []).append((version, (sector, n_sectors)))
             else:
-                # Remember the deletion's version so a slot elsewhere
-                # holding a stale (older) copy of the key cannot win,
-                # and a later re-put stays version-monotonic.
-                if key and (current is None or version > current):
-                    self._directory.pop(key, None)
-                    self._versions[key] = version
-                self._free.setdefault(1, []).append(sector)
+                if key:
+                    deleted[key] = max(version, deleted.get(key, 0))
+                self._release((sector, 1))
             sector += n_sectors
-        return found
+        # Remember a deletion's version so an older live copy cannot
+        # win, and a later re-put stays version-monotonic.
+        self._versions.update(deleted)
+        for key, found in copies.items():
+            # Newest first; a tie keeps scan order (the lower sector).
+            found.sort(key=lambda copy: copy[0], reverse=True)
+            tombstone = deleted.get(key, 0)
+            live = [slot for version, slot in found if version > tombstone]
+            deleted_copies = [slot for version, slot in found if version <= tombstone]
+            for slot in live[2:] + deleted_copies:
+                self._release(slot)
+            if live:
+                self._directory[key] = live[0]
+                self._versions[key] = found[0][0]
+            if len(live) > 1:
+                self._relocating[key] = live[1]
+        return len(self._directory)
 
     # ------------------------------------------------------ internal
 
@@ -319,7 +344,7 @@ class StableStore:
             self._relocating[key] = existing
         free_list = self._free.get(needed)
         if free_list:
-            start = free_list.pop()
+            start = heapq.heappop(free_list)
         else:
             start = self._next_sector
             total = self.mirror_a.geometry.total_sectors
@@ -329,6 +354,10 @@ class StableStore:
         slot = (start, needed)
         self._directory[key] = slot
         return slot
+
+    def _release(self, slot: Tuple[int, int]) -> None:
+        """Return ``slot`` (start, n_sectors) to its size's free heap."""
+        heapq.heappush(self._free.setdefault(slot[1], []), slot[0])
 
     @staticmethod
     def _encode(key: str, payload: bytes, version: int) -> bytes:

@@ -127,6 +127,29 @@ class TestSingleVolumeCommit:
         assert syncs.count("intentions.retired") == 1
         assert syncs.index("intentions.retired") < syncs.index("intentions:4:5")
 
+    def test_pending_sweep_writes_the_second_pair_over_retired_lists(self):
+        """The checkpoint forgets the first lists' slots and the second
+        pair's lists take them, so the sweep tears a pending list over a
+        retired list's bytes."""
+        workload = PendingCommitWorkload()
+        workload.run()
+        syncs = [
+            (entry.label, entry.start)
+            for entry in workload.monitor.trace
+            if entry.kind == "stable-sync"
+        ]
+        checkpoint = [label for label, _ in syncs].index("intentions.retired")
+        forgotten = {
+            start for label, start in syncs[:checkpoint]
+            if label.startswith("intentions:")
+        }
+        second = [
+            start for label, start in syncs[checkpoint:]
+            if label.startswith("intentions:")
+        ]
+        assert len(second) == 2
+        assert set(second) <= forgotten
+
     def test_pending_commits_are_all_or_nothing(self):
         _assert_sweeps_clean(PendingCommitWorkload)
 

@@ -151,6 +151,69 @@ class TestDirectoryRebuild:
         store.rebuild_directory()
         assert store.get("k") == b"y"
 
+    @pytest.mark.parametrize("rebuilt", [False, True])
+    def test_a_relocation_that_tore_falls_back_to_the_old_copy(self, rebuilt):
+        """The move's header lands on mirror A, its payload tears and
+        mirror B is never written: the old copy, intact on both
+        mirrors, is the record — whether recovery kept the in-memory
+        directory or rebuilt it from the headers."""
+        store, mirror_a, mirror_b = build_store()
+        store.put("k", b"oldoldold")
+        monitor = CrashPointMonitor().attach(mirror_a, mirror_b)
+        monitor.arm(1)
+        with pytest.raises(DiskCrashedError):
+            store.put("k", b"n" * 2000)  # relocates to a 5-sector slot
+        assert 0 < monitor.torn_sectors(1, 5) < 5
+        for mirror in (mirror_a, mirror_b):
+            mirror.repair()
+        if rebuilt:
+            assert store.rebuild_directory() == 1
+        store.recover()
+        assert store.get("k") == b"oldoldold"
+        assert store._free == {5: [2]}  # the torn slot, free again
+
+    def test_a_put_after_a_fallback_outranks_the_torn_header(self):
+        """The torn move's header stays in the slot recovery freed; the
+        key's next put must carry a higher version, or a rebuild takes
+        the torn copy (equal version, lower sector) for the record."""
+        store, mirror_a, mirror_b = build_store()
+        store.put("pad", b"p" * 2000)  # 5 sectors at 0
+        store.put("k", b"oldoldold")  # 2 sectors at 5
+        store.delete("pad")
+        monitor = CrashPointMonitor().attach(mirror_a, mirror_b)
+        monitor.arm(1)
+        with pytest.raises(DiskCrashedError):
+            store.put("k", b"n" * 2000)  # moves to the free slot at 0
+        for mirror in (mirror_a, mirror_b):
+            mirror.repair()
+        store.recover()
+        store.put("k", b"newer")  # in place at 5
+        store.rebuild_directory()
+        assert store._directory["k"] == (5, 2)
+        store.recover()
+        assert store.get("k") == b"newer"
+
+    def test_a_rebuild_frees_a_superseded_copy_and_counts_keys(self):
+        store, _, _ = build_store()
+        store.put("k", b"x" * 9)  # 2 sectors at 0
+        store.put("k", b"y" * 2000)  # moves to 5 sectors at 2
+        store.put("j", b"")  # 1 sector
+        assert store._free == {2: [0]}
+        assert store.rebuild_directory() == 2
+        store.recover()
+        assert store._free == {2: [0]}
+        assert store.get("k") == b"y" * 2000
+
+    def test_a_tombstone_frees_every_older_copy_of_its_key(self):
+        store, _, _ = build_store()
+        store.put("k", b"x" * 9)  # 2 sectors at 0
+        store.put("k", b"y" * 2000)  # moves to 5 sectors at 2
+        store.delete("k")  # tombstones 2
+        assert store.rebuild_directory() == 0
+        store.recover()
+        assert "k" not in store
+        assert store._free[2] == [0]
+
     @pytest.mark.parametrize("rebuilt", [True, False])
     def test_a_key_whose_first_write_tore_survives_its_next_rebuild(self, rebuilt):
         """A torn first copy leaves a header with no record behind it;
@@ -173,3 +236,47 @@ class TestDirectoryRebuild:
         store.rebuild_directory()
         store.recover()
         assert store.get("k") == b"y" * 2000
+
+
+class TestPlacement:
+    """A put takes the lowest free slot of its size, whatever order the
+    slots were freed in."""
+
+    def store_with(self, n):
+        store, _, _ = build_store()
+        for index in range(n):
+            store.put(f"k{index}", b"v" * 9)  # 2 sectors each
+        return store
+
+    def refill(self, store, n):
+        for index in range(n):
+            store.put(f"new{index}", b"w" * 9)
+        return [store._directory[f"new{index}"][0] for index in range(n)]
+
+    @pytest.mark.parametrize("order", [(1, 2, 3), (3, 2, 1), (2, 3, 1)])
+    def test_forgotten_slots_are_reused_lowest_first(self, order):
+        store = self.store_with(5)
+        for index in order:
+            store.forget(f"k{index}")
+        assert self.refill(store, 3) == [2, 4, 6]
+
+    def test_deleted_slots_are_reused_lowest_first(self):
+        store = self.store_with(5)
+        for index in (1, 3):
+            store.delete(f"k{index}")
+        assert self.refill(store, 2) == [2, 6]
+
+    def test_a_completed_relocation_frees_its_old_slot_in_order(self):
+        store = self.store_with(3)
+        store.forget("k2")  # slot 4
+        store.put("k0", b"x" * 2000)  # moves off slot 0
+        store.forget("k1")  # slot 2
+        assert self.refill(store, 3) == [0, 2, 4]
+
+    def test_slots_freed_by_a_rebuild_are_reused_lowest_first(self):
+        store = self.store_with(5)
+        for index in (3, 1, 2):
+            store.put(f"k{index}", b"x" * 2000)  # moves off its slot
+        store.rebuild_directory()
+        store.recover()
+        assert self.refill(store, 3) == [2, 4, 6]

@@ -283,6 +283,41 @@ class TestWhatACommitWrites:
         )
 
 
+class TestListsAfterACheckpointLandAhead:
+    """A checkpoint forgets the slots of the lists it retires, and the
+    next lists take them lowest first.  The first goes back to the
+    lowest slot; each one after it lands just past the one before, a
+    few sectors of rotation away, not a turn behind the head."""
+
+    def test_each_commit_writes_past_the_last_and_waits_no_rotation(self):
+        host, server, _, _, metrics = build()
+        seed(host, MAIN, bytes(BLOCK_SIZE), LockingLevel.RECORD)
+
+        def commit(index):
+            tid = host.tbegin()
+            descriptor = host.topen(tid, MAIN)
+            host.tpwrite(tid, descriptor, bytes([index + 1]) * 8, 16 * index)
+            start = server.clock.now_us
+            host.tend(tid)
+            return server.clock.now_us - start
+
+        for index in range(8):
+            commit(index)
+        server.flush()
+        assert metrics.get("transactions.lists_retired") >= 8
+        stable = server.disk.stable
+        monitor = CrashPointMonitor().attach(stable.mirror_a, stable.mirror_b)
+        costs = [commit(index) for index in range(9)]
+        starts = [
+            entry.start
+            for entry in monitor.trace
+            if entry.kind == "stable-sync" and entry.label.startswith("intentions:")
+        ]
+        assert max(costs[1:]) < 5_000
+        assert len(starts) == 9
+        assert all(later > earlier for earlier, later in zip(starts, starts[1:]))
+
+
 class TestWhatTendMakesDurable:
     """Contents, size and map — not timestamps (DESIGN.md section 3).
 
