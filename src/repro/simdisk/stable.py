@@ -40,8 +40,34 @@ from repro.simdisk.disk import SimDisk
 _MAGIC = b"RSTB"
 _TOMBSTONE = b"RDEL"
 # header: magic 4s | version Q | payload_len I | crc I | key_len H
+# (a tombstone's payload_len is the size of the slot it covers, less
+# the header sector, so a record and a tombstone size their slots alike)
 _HEADER = struct.Struct("<4sQIIH")
 _MAX_KEY = SECTOR_SIZE - _HEADER.size
+
+
+def _sectors_for(payload_len: int) -> int:
+    """Sectors of a slot holding ``payload_len`` bytes after its header."""
+    return 1 + -(-payload_len // SECTOR_SIZE)
+
+
+def _head(magic: bytes, key: str, version: int, payload_len: int, crc: int) -> bytes:
+    """A slot's first sector: the header, then the key, zero-padded."""
+    key_bytes = key.encode("utf-8")
+    if len(key_bytes) > _MAX_KEY:
+        raise ValueError(f"stable-storage key too long: {key!r}")
+    head = _HEADER.pack(magic, version, payload_len, crc, len(key_bytes)) + key_bytes
+    return head + bytes(SECTOR_SIZE - len(head))
+
+
+def _parse_head(head: bytes) -> Optional[Tuple[bytes, str, int, int, int]]:
+    """``(magic, key, version, payload_len, crc)`` of a slot's first
+    sector, or None when it holds no record or tombstone header."""
+    magic, version, payload_len, crc, key_len = _HEADER.unpack_from(head)
+    if magic not in (_MAGIC, _TOMBSTONE) or key_len > _MAX_KEY:
+        return None
+    key = head[_HEADER.size : _HEADER.size + key_len].decode("utf-8", "replace")
+    return magic, key, version, payload_len, crc
 
 
 class StableStore:
@@ -50,12 +76,18 @@ class StableStore:
     Both mirrors must have identical geometry.  A record takes the
     lowest free slot of the size it needs, whatever order slots were
     freed in, and a new slot past the last one only when none is free.
-    :meth:`delete` writes a tombstone so a directory rebuild after a
-    crash sees the deletion; :meth:`forget` writes nothing, for a record
-    something durable already supersedes.  A relocated record keeps its
-    old slot until both new copies land, and a rebuild keeps a key's
-    two newest copies the same way, so :meth:`recover` can fall back to
-    the older one when the newer tore.
+    :meth:`delete` writes a tombstone covering the whole slot, so a
+    directory rebuild after a crash sees the deletion and frees the
+    slot; :meth:`forget` writes nothing, for a record something durable
+    already supersedes.
+
+    One rule governs a key's copies.  Its directory slot holds the
+    newest; every superseded copy whose slot is still allocated waits in
+    a newest-first list behind it.  A put that relocates the key adds
+    the old slot to that list and frees the whole list once both new
+    copies land; a rebuild puts there every live copy newer than the
+    key's tombstone; :meth:`recover` keeps the first copy that heals and
+    frees every other slot.
     """
 
     def __init__(self, mirror_a: SimDisk, mirror_b: SimDisk) -> None:
@@ -69,10 +101,10 @@ class StableStore:
         #: n_sectors -> min-heap of free slot starts: a put takes the
         #: lowest free slot of its size, whatever order slots were freed in.
         self._free: Dict[int, list[int]] = {}
-        #: Keys mid-relocation: the pre-move slot, kept allocated (and
-        #: durable) until the record completes both copies at its new
-        #: home — recovery falls back to it if the move never lands.
-        self._relocating: Dict[str, Tuple[int, int]] = {}
+        #: key -> its superseded slots, newest first, kept allocated (and
+        #: durable) until a newer copy lands on both mirrors — recovery
+        #: falls back to them if it never does.
+        self._older: Dict[str, list[Tuple[int, int]]] = {}
 
     # ------------------------------------------------------------ api
 
@@ -90,15 +122,14 @@ class StableStore:
         # version's header on a mirror, and the key's next put must
         # outrank it when the directory is rebuilt from the headers.
         self._versions[key] = version
-        record = self._encode(key, payload, version)
+        record = _head(_MAGIC, key, version, len(payload), zlib.crc32(payload))
+        record += payload + bytes(-len(payload) % SECTOR_SIZE)
         self.mirror_a.write_sectors(slot[0], record)
         self.mirror_b.write_sectors(slot[0], record)
-        # Only now that both copies landed is the pre-relocation slot
-        # safe to reuse; freeing it earlier would let a crash during
+        # Only now that both copies landed are the superseded slots
+        # safe to reuse; freeing one earlier would let a crash during
         # the move destroy the sole durable copy of the record.
-        old_slot = self._relocating.pop(key, None)
-        if old_slot is not None:
-            self._release(old_slot)
+        self._release(*self._older.pop(key, ()))
         # Tell a chaos monitor (if one is attached to the mirrors) that
         # a careful write completed both copies: the trace marks these
         # sync boundaries between the numbered physical crash points.
@@ -144,7 +175,7 @@ class StableStore:
             return
         version = self._versions.get(key, 0) + 1
         self._versions[key] = version
-        tomb = self._encode_tombstone(key, version)
+        tomb = _head(_TOMBSTONE, key, version, (slot[1] - 1) * SECTOR_SIZE, 0)
         errors: list[Exception] = []
         for mirror in (self.mirror_a, self.mirror_b):
             try:
@@ -158,7 +189,8 @@ class StableStore:
             # so the caller must not be told it succeeded.
             self._directory[key] = slot
             raise errors[0]
-        self._release(slot)
+        # The tombstone outranks the key's older copies too.
+        self._release(slot, *self._older.pop(key, ()))
 
     def forget(self, key: str) -> None:
         """Drop ``key`` from the directory and reuse its slot, writing nothing.
@@ -174,7 +206,7 @@ class StableStore:
         )
         slot = self._directory.pop(key, None)
         if slot is not None:
-            self._release(slot)
+            self._release(slot, *self._older.pop(key, ()))
 
     def __contains__(self, key: str) -> bool:
         _monitor.active().key_read(
@@ -190,37 +222,31 @@ class StableStore:
     def recover(self) -> int:
         """Repair the mirrors after a crash; returns records repaired.
 
-        For every slot the directory knows, the newer valid copy is
-        rewritten over the stale or corrupt one.  Both mirrors must be
-        online (repaired) before calling.
+        For every key the directory knows, the copies are tried newest
+        first — the directory slot, then the superseded ones — and the
+        first that :meth:`_repair_slot` can heal is kept; every other
+        slot is free again.  A key with no copy left to heal never
+        completed its first careful write, and is dropped.  Falling
+        back to an older copy and dropping a key each count as one
+        repair.  Both mirrors must be online (repaired) before calling.
         """
         _monitor.active().write_all(self, name="directory", site="stable.recover")
         repaired = 0
-        for key, (start, n_sectors) in list(self._directory.items()):
-            old_slot = self._relocating.pop(key, None)
-            healed = self._repair_slot(key, start, n_sectors)
-            if healed is not None:
-                if old_slot is not None:
-                    # The move reached at least one mirror durably;
-                    # the pre-move slot is finally safe to reuse.
-                    self._release(old_slot)
-                repaired += healed
-                continue
-            if old_slot is not None:
-                fallback = self._repair_slot(key, old_slot[0], old_slot[1])
-                if fallback is not None:
-                    # The relocated copy never became durable: fall
-                    # back to the intact pre-move record.
-                    self._directory[key] = old_slot
-                    self._release((start, n_sectors))
-                    repaired += 1
-                    continue
-            # Both copies dead and no pre-move slot to fall back to:
-            # the record was being created when the crash hit; it
-            # never existed durably.  Its version counter survives, as
-            # it does a delete (see put).
-            del self._directory[key]
-            repaired += 1
+        for key, newest in list(self._directory.items()):
+            copies = [newest, *self._older.pop(key, ())]
+            kept = healed = None
+            for slot in copies:
+                healed = self._repair_slot(key, *slot)
+                if healed is not None:
+                    kept = slot
+                    break
+            repaired += healed if kept == newest else 1
+            self._release(*(slot for slot in copies if slot != kept))
+            if kept is None:
+                # Its version counter survives, as it does a delete.
+                del self._directory[key]
+            else:
+                self._directory[key] = kept
         return repaired
 
     def _repair_slot(self, key: str, start: int, n_sectors: int) -> Optional[int]:
@@ -232,23 +258,20 @@ class StableStore:
         the next write stays version-monotonic, and never lowers it: a
         relocation that tore left its newer version's header behind.
         """
-        copy_a = self._try_read(self.mirror_a, start, n_sectors)
-        copy_b = self._try_read(self.mirror_b, start, n_sectors)
-        ok_a = copy_a is not None and copy_a[0] == key
-        ok_b = copy_b is not None and copy_b[0] == key
-        if not ok_a and not ok_b:
+        copy_a, copy_b = self._copies(key, start, n_sectors)
+        if copy_a is None and copy_b is None:
             return None
-        if ok_a and ok_b and copy_a[1] == copy_b[1]:
+        if copy_a is not None and copy_b is not None and copy_a[0] == copy_b[0]:
             good, healed = copy_a, 0
         else:
-            if ok_a and (not ok_b or copy_a[1] > copy_b[1]):
+            if copy_a is not None and (copy_b is None or copy_a[0] > copy_b[0]):
                 source, target, good = self.mirror_a, self.mirror_b, copy_a
             else:
                 source, target, good = self.mirror_b, self.mirror_a, copy_b
             record = source.read_sectors(start, n_sectors)
             target.write_sectors(start, record)
             healed = 1
-        self._versions[key] = max(self._versions.get(key, 0), good[1])
+        self._versions[key] = max(self._versions.get(key, 0), good[0])
         return healed
 
     def verify_mirrors(self) -> list[str]:
@@ -261,21 +284,17 @@ class StableStore:
         """
         violations: list[str] = []
         for key, (start, n_sectors) in self._directory.items():
-            copy_a = self._try_read(self.mirror_a, start, n_sectors)
-            copy_b = self._try_read(self.mirror_b, start, n_sectors)
-            if copy_a is None or copy_a[0] != key:
-                violations.append(f"stable {key!r}: mirror A copy unreadable")
-                continue
-            if copy_b is None or copy_b[0] != key:
-                violations.append(f"stable {key!r}: mirror B copy unreadable")
-                continue
-            if copy_a[1] != copy_b[1]:
+            copy_a, copy_b = self._copies(key, start, n_sectors)
+            if copy_a is None or copy_b is None:
+                mirror = "A" if copy_a is None else "B"
+                violations.append(f"stable {key!r}: mirror {mirror} copy unreadable")
+            elif copy_a[0] != copy_b[0]:
                 violations.append(
-                    f"stable {key!r}: version skew (A v{copy_a[1]}, B v{copy_b[1]})"
+                    f"stable {key!r}: version skew (A v{copy_a[0]}, B v{copy_b[0]})"
                 )
-            elif copy_a[2] != copy_b[2]:
+            elif copy_a[1] != copy_b[1]:
                 violations.append(
-                    f"stable {key!r}: same version {copy_a[1]} but payloads differ"
+                    f"stable {key!r}: same version {copy_a[0]} but payloads differ"
                 )
         return violations
 
@@ -284,11 +303,12 @@ class StableStore:
 
         Used when the machine holding the in-memory state crashed; the
         mirrors themselves are the authority.  A key's newest live copy
-        becomes its entry and the next newest its relocation fallback,
-        so :meth:`recover` falls back to an intact older copy when the
-        newest one tore mid-move, or frees the older one when it did
-        not.  Older copies, and every copy a newer tombstone deletes,
-        are free again.  Returns the keys found.
+        becomes its entry and every other copy newer than the key's
+        tombstone its superseded list, newest first, for
+        :meth:`recover` to keep the first that heals and free the rest.
+        Every tombstone's slot, every copy a newer tombstone deletes,
+        and every sector where no header starts are free again.
+        Returns the keys found.
         """
         _monitor.active().write_all(
             self, name="directory", site="stable.rebuild_directory"
@@ -296,22 +316,25 @@ class StableStore:
         self._directory.clear()
         self._versions.clear()
         self._free.clear()
-        self._relocating.clear()
+        self._older.clear()
         copies: Dict[str, list[Tuple[int, Tuple[int, int]]]] = {}
         deleted: Dict[str, int] = {}  # key -> newest tombstone version
         sector = 0
         while sector < self._next_sector:
             entry = self._scan_slot(sector)
             if entry is None:
+                # No header starts here: a first write that tore before
+                # its header landed, or the tail of a slot that a
+                # smaller record reused in place.
+                self._release((sector, 1))
                 sector += 1
                 continue
             key, version, n_sectors, is_tombstone = entry
-            if not is_tombstone:
-                copies.setdefault(key, []).append((version, (sector, n_sectors)))
+            if is_tombstone:
+                deleted[key] = max(version, deleted.get(key, 0))
+                self._release((sector, n_sectors))
             else:
-                if key:
-                    deleted[key] = max(version, deleted.get(key, 0))
-                self._release((sector, 1))
+                copies.setdefault(key, []).append((version, (sector, n_sectors)))
             sector += n_sectors
         # Remember a deletion's version so an older live copy cannot
         # win, and a later re-put stays version-monotonic.
@@ -321,27 +344,21 @@ class StableStore:
             found.sort(key=lambda copy: copy[0], reverse=True)
             tombstone = deleted.get(key, 0)
             live = [slot for version, slot in found if version > tombstone]
-            deleted_copies = [slot for version, slot in found if version <= tombstone]
-            for slot in live[2:] + deleted_copies:
-                self._release(slot)
+            self._release(*(slot for version, slot in found if version <= tombstone))
             if live:
                 self._directory[key] = live[0]
                 self._versions[key] = found[0][0]
             if len(live) > 1:
-                self._relocating[key] = live[1]
+                self._older[key] = live[1:]
         return len(self._directory)
 
     # ------------------------------------------------------ internal
 
     def _slot_for(self, key: str, payload_len: int) -> Tuple[int, int]:
-        needed = 1 + -(-payload_len // SECTOR_SIZE) if payload_len else 1
+        needed = _sectors_for(payload_len)
         existing = self._directory.get(key)
         if existing is not None and existing[1] >= needed:
             return existing
-        if existing is not None:
-            # Relocation: keep the old slot allocated until the new
-            # record is durable on both mirrors (put/recover free it).
-            self._relocating[key] = existing
         free_list = self._free.get(needed)
         if free_list:
             start = heapq.heappop(free_list)
@@ -351,59 +368,45 @@ class StableStore:
             if start + needed > total:
                 raise BadAddressError("stable storage exhausted")
             self._next_sector = start + needed
+        if existing is not None:
+            # Relocation: the old slot stays allocated until the new
+            # record is durable on both mirrors (put/recover free it).
+            self._older.setdefault(key, []).insert(0, existing)
         slot = (start, needed)
         self._directory[key] = slot
         return slot
 
-    def _release(self, slot: Tuple[int, int]) -> None:
-        """Return ``slot`` (start, n_sectors) to its size's free heap."""
-        heapq.heappush(self._free.setdefault(slot[1], []), slot[0])
-
-    @staticmethod
-    def _encode(key: str, payload: bytes, version: int) -> bytes:
-        key_bytes = key.encode("utf-8")
-        if len(key_bytes) > _MAX_KEY:
-            raise ValueError(f"stable-storage key too long: {key!r}")
-        header = _HEADER.pack(
-            _MAGIC, version, len(payload), zlib.crc32(payload), len(key_bytes)
-        )
-        first = header + key_bytes
-        first += bytes(SECTOR_SIZE - len(first))
-        padded_len = -(-len(payload) // SECTOR_SIZE) * SECTOR_SIZE if payload else 0
-        return first + payload + bytes(padded_len - len(payload))
-
-    @staticmethod
-    def _encode_tombstone(key: str, version: int) -> bytes:
-        key_bytes = key.encode("utf-8")
-        header = _HEADER.pack(_TOMBSTONE, version, 0, 0, len(key_bytes))
-        record = header + key_bytes
-        return record + bytes(SECTOR_SIZE - len(record))
+    def _release(self, *slots: Tuple[int, int]) -> None:
+        """Return each ``slot`` (start, n_sectors) to its size's free heap."""
+        for start, n_sectors in slots:
+            heapq.heappush(self._free.setdefault(n_sectors, []), start)
 
     @staticmethod
     def _decode(record: bytes) -> Optional[Tuple[str, int, bytes]]:
-        if len(record) < SECTOR_SIZE:
+        header = _parse_head(record)
+        if header is None or header[0] != _MAGIC:
             return None
-        magic, version, payload_len, crc, key_len = _HEADER.unpack_from(record)
-        if magic != _MAGIC or key_len > _MAX_KEY:
-            return None
-        key_start = _HEADER.size
-        key = record[key_start : key_start + key_len].decode("utf-8", "replace")
+        _, key, version, payload_len, crc = header
         payload = record[SECTOR_SIZE : SECTOR_SIZE + payload_len]
         if len(payload) != payload_len or zlib.crc32(payload) != crc:
             return None
         return key, version, payload
 
-    def _try_read(
-        self, mirror: SimDisk, start: int, n_sectors: int
-    ) -> Optional[Tuple[str, int, bytes]]:
-        try:
-            record = mirror.read_sectors(start, n_sectors)
-        except (DiskError, DiskCrashedError):
-            return None
-        decoded = self._decode(record)
-        if decoded is None:
-            return None
-        return decoded
+    def _copies(
+        self, key: str, start: int, n_sectors: int
+    ) -> list[Optional[Tuple[int, bytes]]]:
+        """``key``'s copy in one slot on mirror A and on mirror B:
+        ``(version, payload)``, or None where unreadable, corrupt, or
+        another key's."""
+        copies: list[Optional[Tuple[int, bytes]]] = []
+        for mirror in (self.mirror_a, self.mirror_b):
+            try:
+                decoded = self._decode(mirror.read_sectors(start, n_sectors))
+            except (DiskError, DiskCrashedError):
+                decoded = None
+            ours = decoded is not None and decoded[0] == key
+            copies.append(decoded[1:] if ours else None)
+        return copies
 
     def _scan_slot(self, sector: int) -> Optional[Tuple[str, int, int, bool]]:
         """Read one slot's header from both mirrors and arbitrate.
@@ -420,24 +423,13 @@ class StableStore:
         candidates: list[Tuple[str, int, int, bool]] = []
         for mirror in (self.mirror_a, self.mirror_b):
             try:
-                head = mirror.read_sectors(sector, 1)
+                header = _parse_head(mirror.read_sectors(sector, 1))
             except (DiskError, DiskCrashedError):
                 continue
-            magic = head[:4]
-            if magic not in (_MAGIC, _TOMBSTONE):
-                continue
-            _, version, payload_len, crc, key_len = _HEADER.unpack_from(head)
-            if key_len > _MAX_KEY:
-                continue
-            is_tombstone = magic == _TOMBSTONE
-            n_sectors = (
-                1 if is_tombstone or not payload_len
-                else 1 + -(-payload_len // SECTOR_SIZE)
-            )
-            key = head[_HEADER.size : _HEADER.size + key_len].decode(
-                "utf-8", "replace"
-            )
-            candidates.append((key, version, n_sectors, is_tombstone))
+            if header is not None:
+                magic, key, version, payload_len, _ = header
+                n_sectors = _sectors_for(payload_len)
+                candidates.append((key, version, n_sectors, magic == _TOMBSTONE))
         if not candidates:
             return None
         if len(candidates) == 2 and candidates[0][0] == candidates[1][0]:

@@ -437,9 +437,12 @@ class TransactionCoordinator:
     def _recover_volume(self, volume_id: int) -> Tuple[int, int]:
         binding = self._binding(volume_id)
         disk = binding.file_server.disk
-        # Stable storage first: its recovery drops records that never
-        # completed their first careful write (both copies dead), which
-        # the file/disk recovery below must not trip over when it reads
+        # Stable storage first, over the in-memory directory (the chaos
+        # sweeps rebuild it from the mirrors first; both then run this
+        # one recover): each key keeps its newest copy that heals and
+        # frees the rest, and a key with no copy left to heal — a first
+        # careful write that never completed — is dropped, so the
+        # file/disk recovery below cannot trip over it when it reads
         # the free-space log.
         disk.stable.recover()
         binding.file_server.recover()

@@ -19,6 +19,19 @@ def build_store():
     return StableStore(mirror_a, mirror_b), mirror_a, mirror_b
 
 
+def store_with(n):
+    store, _, _ = build_store()
+    for index in range(n):
+        store.put(f"k{index}", b"v" * 9)  # 2 sectors each
+    return store
+
+
+def refill(store, n):
+    for index in range(n):
+        store.put(f"new{index}", b"w" * 9)
+    return [store._directory[f"new{index}"][0] for index in range(n)]
+
+
 class TestBasics:
     def test_put_get_round_trip(self):
         store, _, _ = build_store()
@@ -237,46 +250,130 @@ class TestDirectoryRebuild:
         store.recover()
         assert store.get("k") == b"y" * 2000
 
+    def test_two_torn_moves_fall_back_to_the_intact_copy_after_a_rebuild(self):
+        """Each torn move leaves a newer header behind; a rebuild must
+        try every live copy, newest first, not only the two newest."""
+        store, mirror_a, mirror_b = build_store()
+        store.put("k", b"oldoldold")  # 2 sectors at 0
+        for size, n_sectors in ((2000, 5), (3000, 7)):
+            monitor = CrashPointMonitor().attach(mirror_a, mirror_b)
+            monitor.arm(1)
+            with pytest.raises(DiskCrashedError):
+                store.put("k", b"n" * size)  # moves to a new slot
+            assert 0 < monitor.torn_sectors(1, n_sectors) < n_sectors
+            for mirror in (mirror_a, mirror_b):
+                mirror.repair()
+            store.recover()
+            assert store.get("k") == b"oldoldold"
+        assert store.rebuild_directory() == 1
+        store.recover()
+        assert store.get("k") == b"oldoldold"
+        assert store._free == {5: [2], 7: [7]}  # both torn slots
+        assert store._older == {}
+
+
+class TestNoSlotLeaks:
+    """Every slot a key stops needing is free again: after a delete
+    and a rebuild, after a torn first write, after repeated moves, and
+    after a delete or forget in the middle of a move."""
+
+    def test_a_rebuild_frees_every_sector_of_a_deleted_slot(self):
+        store = store_with(5)  # 2-sector slots at 0, 2, .., 8
+        for index in (1, 2, 3):
+            store.delete(f"k{index}")
+        store.rebuild_directory()
+        store.recover()
+        assert store._free == {2: [2, 4, 6]}
+        assert refill(store, 3) == [2, 4, 6]
+
+    @pytest.mark.parametrize("rebuilt", [False, True])
+    def test_a_torn_first_write_frees_its_slot(self, rebuilt):
+        store, mirror_a, mirror_b = build_store()
+        monitor = CrashPointMonitor().attach(mirror_a, mirror_b)
+        monitor.arm(1)
+        with pytest.raises(DiskCrashedError):
+            store.put("k", b"x" * 2000)  # 5 sectors at 0
+        assert 0 < monitor.torn_sectors(1, 5) < 5  # the header landed
+        for mirror in (mirror_a, mirror_b):
+            mirror.repair()
+        if rebuilt:
+            store.rebuild_directory()
+        store.recover()
+        assert "k" not in store
+        assert store._free == {5: [0]}
+        assert store._next_sector == 5
+
+    def test_a_first_write_with_no_header_frees_its_sectors_on_a_rebuild(self):
+        store, mirror_a, mirror_b = build_store()
+        store.put("j", b"")  # 1 sector at 0
+        mirror_a.faults.crash_after_writes(1)  # tears a 2-sector write to 0
+        with pytest.raises(DiskCrashedError):
+            store.put("k", b"x" * 9)  # 2 sectors at 1
+        assert store._scan_slot(1) is None  # no header on either mirror
+        for mirror in (mirror_a, mirror_b):
+            mirror.repair()
+        store.rebuild_directory()
+        store.recover()
+        assert sorted(store.keys()) == ["j"]
+        assert store._free == {1: [1, 2]}
+
+    def test_two_moves_before_recovery_free_both_old_slots(self):
+        """Mirror B is down for two moves of one key: both old slots
+        wait for the move that lands, and recovery frees both."""
+        store, mirror_a, mirror_b = build_store()
+        store.put("k", b"x" * 9)  # 2 sectors at 0
+        mirror_b.crash()
+        for size in (2000, 3000):  # 5 sectors at 2, then 7 at 7
+            with pytest.raises(DiskCrashedError):
+                store.put("k", b"y" * size)
+        mirror_b.repair()
+        store.recover()
+        assert store.get("k") == b"y" * 3000
+        assert store._free == {5: [2], 2: [0]}
+        assert store._older == {}
+
+    @pytest.mark.parametrize("drop", ["delete", "forget"])
+    def test_dropping_a_key_mid_move_frees_its_old_slot(self, drop):
+        store, mirror_a, mirror_b = build_store()
+        store.put("k", b"x" * 9)  # 2 sectors at 0
+        mirror_b.crash()
+        with pytest.raises(DiskCrashedError):
+            store.put("k", b"y" * 2000)  # 5 sectors at 2, on mirror A only
+        getattr(store, drop)("k")
+        mirror_b.repair()
+        store.recover()
+        assert "k" not in store
+        assert store._free == {2: [0], 5: [2]}
+
 
 class TestPlacement:
     """A put takes the lowest free slot of its size, whatever order the
     slots were freed in."""
 
-    def store_with(self, n):
-        store, _, _ = build_store()
-        for index in range(n):
-            store.put(f"k{index}", b"v" * 9)  # 2 sectors each
-        return store
-
-    def refill(self, store, n):
-        for index in range(n):
-            store.put(f"new{index}", b"w" * 9)
-        return [store._directory[f"new{index}"][0] for index in range(n)]
-
     @pytest.mark.parametrize("order", [(1, 2, 3), (3, 2, 1), (2, 3, 1)])
     def test_forgotten_slots_are_reused_lowest_first(self, order):
-        store = self.store_with(5)
+        store = store_with(5)
         for index in order:
             store.forget(f"k{index}")
-        assert self.refill(store, 3) == [2, 4, 6]
+        assert refill(store, 3) == [2, 4, 6]
 
     def test_deleted_slots_are_reused_lowest_first(self):
-        store = self.store_with(5)
+        store = store_with(5)
         for index in (1, 3):
             store.delete(f"k{index}")
-        assert self.refill(store, 2) == [2, 6]
+        assert refill(store, 2) == [2, 6]
 
     def test_a_completed_relocation_frees_its_old_slot_in_order(self):
-        store = self.store_with(3)
+        store = store_with(3)
         store.forget("k2")  # slot 4
         store.put("k0", b"x" * 2000)  # moves off slot 0
         store.forget("k1")  # slot 2
-        assert self.refill(store, 3) == [0, 2, 4]
+        assert refill(store, 3) == [0, 2, 4]
 
     def test_slots_freed_by_a_rebuild_are_reused_lowest_first(self):
-        store = self.store_with(5)
+        store = store_with(5)
         for index in (3, 1, 2):
             store.put(f"k{index}", b"x" * 2000)  # moves off its slot
         store.rebuild_directory()
         store.recover()
-        assert self.refill(store, 3) == [2, 4, 6]
+        assert refill(store, 3) == [2, 4, 6]
