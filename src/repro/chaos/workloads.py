@@ -273,33 +273,52 @@ class AppendOverwriteWorkload(ChaosWorkload):
 class CreateCloseWorkload(ChaosWorkload):
     """The close path: a completed ``close`` is the durability point.
 
-    Create; one multi-block write whose last block is fresh and
-    partial; close; a partial append into a fresh block; close; delete.
-    A close writes the file's dirty blocks back one put per contiguous
-    run, then stores the FIT if its structure moved since the last
-    store, so the sweep crashes inside a merged reference.
+    First a file of ``S`` bytes is written, closed and deleted, so its
+    bytes lie on the disk where the next file's blocks go.  Then:
+    create; one multi-block write whose last block is fresh and partial;
+    a neighbour's create, write and close (crash points between the
+    file's create and its first close); close; a partial append into a
+    fresh block; close; delete.  A close writes the file's dirty blocks
+    back one put per contiguous run, then stores the FIT if its
+    structure moved since the last store — in the same put as the run
+    that starts right after its fragment — so the sweep crashes inside
+    a merged reference.
 
-    Content promise, from the first completed close on: the recovered
-    file is one of the admissible outcomes.  The append lands in the
-    block the first write reserved, so no FIT store precedes its data
-    and a crash before the second close returns recovers the first
-    close's bytes or the second's; during the delete, the second's or
-    no file.
+    Content promise: until its first close begins, the file does not
+    survive a crash; from then on the recovered file is one of the
+    admissible outcomes.  The append lands in the block the first write
+    reserved, so no FIT store precedes its data and a crash before the
+    second close returns recovers the first close's bytes or the
+    second's; during the delete, the second's or no file.  At every
+    crash point, no byte below the recovered file's EOF comes from
+    outside it (the deleted file's ``S``).
     """
 
     name = "create-close"
 
+    #: What the deleted file leaves on the disk.
+    RESIDUE = b"S"
+
     def build(self) -> None:
         self.volume = self.add_volume(0)
         #: Admissible recovered contents (None: no file), or None while
-        #: nothing is promised yet.
+        #: the file does not exist yet.
         self.admissible: Optional[List[Optional[bytes]]] = None
 
     def run(self) -> None:
         server = self.volume.file_server
+        old = server.create()
+        server.write(old, 0, self.RESIDUE * (4 * BLOCK_SIZE))
+        server.close(old)
+        server.delete(old)
         self.file = server.create()
+        self.admissible = [None]
         first = b"C" * (2 * BLOCK_SIZE + 300)
         server.write(self.file, 0, first)
+        neighbour = server.create()
+        server.write(neighbour, 0, b"n" * 100)
+        server.close(neighbour)
+        self.admissible = [None, first]
         server.close(self.file)
         second = first + b"c" * BLOCK_SIZE
         self.admissible = [first, second]
@@ -318,16 +337,22 @@ class CreateCloseWorkload(ChaosWorkload):
             if server.exists(self.file)
             else None
         )
-        if content in self.admissible:
-            return []
+        violations = []
+        if content is not None and self.RESIDUE in content:
+            violations.append(
+                f"recovered file holds {content.count(self.RESIDUE)} bytes "
+                f"of a deleted file below its EOF"
+            )
+        if content not in self.admissible:
 
-        def show(option: Optional[bytes]) -> str:
-            return "no file" if option is None else _describe(option)
+            def show(option: Optional[bytes]) -> str:
+                return "no file" if option is None else _describe(option)
 
-        return [
-            f"closed file recovered as {show(content)}, admissible: "
-            + ", ".join(show(option) for option in self.admissible)
-        ]
+            violations.append(
+                f"closed file recovered as {show(content)}, admissible: "
+                + ", ".join(show(option) for option in self.admissible)
+            )
+        return violations
 
 
 class QueuedWriteWorkload(ChaosWorkload):

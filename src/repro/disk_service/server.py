@@ -63,6 +63,9 @@ class Stability(enum.Enum):
     ORIGINAL_ONLY = "original"
     STABLE_ONLY = "stable"  # shadow page
     BOTH = "both"  # file index table
+    #: Both for the extent's first fragment, original only for the rest:
+    #: a file index table and the run of its blocks that follows it.
+    HEAD_BOTH = "head-both"
 
 
 class SyncMode(enum.Enum):
@@ -398,7 +401,9 @@ class DiskServer:
     ) -> None:
         """Write a contiguous extent in one disk reference (paper: put-block).
 
-        ``stability`` selects original-only / stable-only / both;
+        ``stability`` selects original-only / stable-only / both, or
+        both for the first fragment only (``HEAD_BOTH``: a FIT written
+        in the same reference as the run that follows it);
         ``sync=BEFORE_STABLE`` defers the stable write (it happens at
         the next ``flush`` or stable read — a crash first loses it,
         which is the semantics the caller signed up for).
@@ -494,7 +499,7 @@ class DiskServer:
                 # orphans (an fsck warning), never lost blocks (an fsck
                 # error).
                 self.settle_free_space()
-            if stability in (Stability.ORIGINAL_ONLY, Stability.BOTH):
+            if stability is not Stability.STABLE_ONLY:
                 if self._cache is not None:
                     self._cache.write_through(extent.first_sector, data)
                 else:
@@ -504,9 +509,12 @@ class DiskServer:
             # stable copy is (re)confirmed equal to main below; a
             # STABLE_ONLY put (shadow page) ends it outright.
             self._unmark_mirrored(extent)
-            if stability in (Stability.STABLE_ONLY, Stability.BOTH):
+            if stability is Stability.HEAD_BOTH:
+                # The head then gets what a BOTH put of it alone gets.
+                extent, data = Extent(extent.start, 1), data[:_FRAGMENT_BYTES]
+            if stability is not Stability.ORIGINAL_ONLY:
                 key = _stable_key(extent)
-                mirror = stability is Stability.BOTH
+                mirror = stability is not Stability.STABLE_ONLY
                 if sync is SyncMode.AFTER_STABLE:
                     self.stable.put(key, data)
                     if mirror:

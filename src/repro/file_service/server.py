@@ -40,7 +40,7 @@ from repro.common.errors import (
 )
 from repro.common.ids import SystemName, monotonic_id_factory
 from repro.common.metrics import Metrics
-from repro.common.units import BLOCK_SIZE, FRAGMENTS_PER_BLOCK
+from repro.common.units import BLOCK_SIZE, FRAGMENT_SIZE, FRAGMENTS_PER_BLOCK
 from repro.common.weak import weak_method
 from repro.disk_service.addresses import Extent
 from repro.disk_service.server import DiskServer, Stability
@@ -169,8 +169,12 @@ class FileServer:
         contiguous five-fragment extent whenever possible (paper
         section 5: "the file index table and at least the first data
         block are always contiguous thus eliminating the seek time to
-        retrieve the first data block").  The FIT is written to both
-        its original location and stable storage.
+        retrieve the first data block").  A basic file's FIT is stored
+        (original location and stable storage) by its first close,
+        flush or FIT-cache eviction, after its data and in the same
+        reference as the data's first run; until then a crash leaves no
+        file.  A write-through or transaction file's FIT is stored at
+        once.
         """
         with self.metrics.timer(f"{self.name}.create_us", self.clock):
             return self._do_create(
@@ -199,7 +203,10 @@ class FileServer:
             fit.direct[0] = BlockDescriptor(first_block.start, 1)
         state = _OpenState(fit)
         self._install_state(fit_extent.start, state)
-        self._store_fit(fit_extent.start, state)
+        if self._writes_through(attrs):
+            self._store_fit(fit_extent.start, state)
+        else:
+            state.structure_moved()
         self.metrics.add(f"{self.name}.creates")
         return SystemName(self.volume_id, fit_extent.start, attrs.generation)
 
@@ -338,10 +345,7 @@ class FileServer:
         holes = set(
             self._allocate_missing(state, block_map, first_block, last_block)
         )
-        through = not delayed and (
-            self.write_policy is WritePolicy.WRITE_THROUGH
-            or attrs.service_type is ServiceType.TRANSACTION
-        )
+        through = not delayed and self._writes_through(attrs)
         old_size = attrs.file_size
         cursor = offset
         remaining = memoryview(bytes(data))
@@ -365,8 +369,11 @@ class FileServer:
         self._grow(state, block_map, end, first_block)
         attrs.last_write_us = self.clock.now_us
         state.fit_dirty = True
-        if holes:
-            # Vital structural information reaches stable storage at once.
+        if holes and (through or delayed):
+            # Vital structural information reaches stable storage at once,
+            # for a committed list's apply too: its redo starts from the
+            # stored map.  A basic delayed write's FIT waits for its data
+            # (flush_file).
             self._store_fit(name.fit_address, state)
         self.metrics.add(f"{self.name}.writes")
         self.metrics.add(f"{self.name}.bytes_written", len(data))
@@ -472,59 +479,108 @@ class FileServer:
         structure moved.
 
         The dirty blocks go back one ``put`` per run of adjacent disk
-        blocks.  A close and a transaction checkpoint call this:
-        contents, size and map are durable when it returns, and a FIT
-        that differs only in timestamps or open counts waits for the
-        next structural store, ``flush`` or FIT-cache eviction.
+        blocks, the FIT in the put of the run that follows its fragment
+        (:meth:`_store_after_data`).  A close and a transaction
+        checkpoint call this: contents, size and map are durable when
+        it returns, and a FIT that differs only in timestamps or open
+        counts waits for the next structural store, ``flush`` or
+        FIT-cache eviction.
         """
         state = self._load_state(name)
-        size = state.fit.attributes.file_size
-        if self._data_cache is not None and size > 0:
-            last = (size - 1) // BLOCK_SIZE
-            block_map = self._map_through(state, last)
-            self._write_back_runs(
-                {desc.address for desc in block_map[: last + 1] if desc is not None}
-            )
         if state.structure_dirty:
-            self._store_fit(name.fit_address, state)
+            self._store_after_data(name.fit_address, state)
+        else:
+            self._write_back_runs(self._mapped_below_eof(state))
 
     def flush(self) -> None:
-        """Write back all delayed data, FITs, and the disk server state."""
+        """Write back all delayed data, FITs, and the disk server state.
+
+        The whole block pool goes back first, then every FIT that
+        moved; one whose structure moved shares the put of the run
+        after its fragment, as at its close.
+        """
+        heads = {
+            fit_address + 1: self._mapped_below_eof(state)
+            for fit_address, state in self._files.items()
+            if state.structure_dirty and not state.tree_dirty
+        }
+        held: Dict[int, bytes] = {}
         if self._data_cache is not None:
-            self._write_back_runs(
-                {address for address, _ in self._data_cache.dirty_items()}
+            held = self._write_back_runs(
+                {address for address, _ in self._data_cache.dirty_items()}, heads
             )
         for fit_address, state in list(self._files.items()):
             if state.fit_dirty:
-                self._store_fit(fit_address, state)
+                self._store_fit(fit_address, state, held.get(fit_address + 1, b""))
         self.disk.flush()
         self.metrics.add(f"{self.name}.flushes")
         self.metrics.gauge(f"{self.name}.fits_cached", len(self._files))
         self.after_flush()
 
-    def _write_back_runs(self, addresses: Set[int]) -> None:
+    def _write_back_runs(
+        self, addresses: Set[int], heads: Optional[Dict[int, Set[int]]] = None
+    ) -> Dict[int, bytes]:
         """Write back the dirty blocks among ``addresses``, one disk
         reference per run of adjacent blocks (paper section 4: "any set
         of contiguous fragments/blocks" moves in one reference).
 
-        Flush, close and a transaction checkpoint all reach disk here; only
-        pool eviction writes back block by block."""
+        ``heads`` maps the block right after a FIT's fragment to the
+        blocks that FIT maps: a run starting there is not put, as far as
+        its blocks are that file's, but returned, keyed by its start,
+        for the FIT's own put.  Flush, close, a transaction checkpoint
+        and FIT-cache eviction all reach disk here; only pool eviction
+        writes back block by block."""
         pool = self._data_cache
-        assert pool is not None
+        if pool is None:
+            return {}
         dirty = pool.dirty_among(addresses)
+        held: Dict[int, bytes] = {}
         for start, n_blocks in self._group_consecutive(
             sorted(dirty), FRAGMENTS_PER_BLOCK
         ):
             run = range(
                 start, start + n_blocks * FRAGMENTS_PER_BLOCK, FRAGMENTS_PER_BLOCK
             )
-            self.disk.put(
-                Extent.for_block_run(start, n_blocks),
-                b"".join(dirty[address] for address in run),
+            own = (heads or {}).get(start, ())
+            mine = next(
+                (index for index, address in enumerate(run) if address not in own),
+                n_blocks,
             )
+            if mine:
+                held[start] = b"".join(dirty[address] for address in run[:mine])
+            if mine < n_blocks:
+                self.disk.put(
+                    Extent.for_block_run(run[mine], n_blocks - mine),
+                    b"".join(dirty[address] for address in run[mine:]),
+                )
             for address in run:
                 pool.mark_clean(address)
             self.metrics.add(f"{self.name}.block_pool.writebacks", n_blocks)
+        return held
+
+    def _store_after_data(self, fit_address: int, state: _OpenState) -> None:
+        """Store a FIT whose structure moved after the dirty blocks it
+        maps below EOF (DESIGN.md §3, "When a FIT is stored").
+
+        The run that starts right after the FIT's fragment — its first
+        block, allocated with it at create — goes to disk in the FIT's
+        own reference, FIT first; a FIT with tree blocks to store goes
+        alone, since they go between its data and it.
+        """
+        own = self._mapped_below_eof(state)
+        heads = {} if state.tree_dirty else {fit_address + 1: own}
+        held = self._write_back_runs(own, heads)
+        self._store_fit(fit_address, state, held.get(fit_address + 1, b""))
+
+    def _mapped_below_eof(self, state: _OpenState) -> Set[int]:
+        """Addresses of the blocks the file maps below its EOF (none
+        without a block pool: nothing is ever dirty then)."""
+        size = state.fit.attributes.file_size
+        if self._data_cache is None or size <= 0:
+            return set()
+        last = (size - 1) // BLOCK_SIZE
+        block_map = self._map_through(state, last)
+        return {desc.address for desc in block_map[: last + 1] if desc is not None}
 
     def crash(self) -> None:
         """Simulate the machine hosting this server crashing.
@@ -560,7 +616,10 @@ class FileServer:
         files.move_to_end(fit_address)
         while len(files) > self._fit_cache_entries:
             victim, victim_state = next(iter(files.items()))
-            if victim_state.fit_dirty:
+            if victim_state.structure_dirty:
+                # After its data, as at a close.
+                self._store_after_data(victim, victim_state)
+            elif victim_state.fit_dirty:
                 self._store_fit(victim, victim_state)
             del files[victim]
 
@@ -594,10 +653,27 @@ class FileServer:
                 raise FileNotFoundError_(
                     f"no file index table at fragment {fit_address}: {exc}"
                 ) from exc
+        else:
+            if not self.disk.is_mirrored_fragment(fit_address):
+                # Not known equal to its stable copy: stored since the
+                # last checkpoint before a crash, or never stored whole.
+                # A FIT reaches main storage ahead of the run that shares
+                # its reference and stable storage after both, so the
+                # stable copy is the one that counts.
+                fit = self._restore_fit_from_stable(extent, blob)
+                if fit is None:
+                    raise FileNotFoundError_(
+                        f"the file index table at fragment {fit_address} "
+                        f"was never stored whole"
+                    )
         self.metrics.add(f"{self.name}.fit_loads")
         return _OpenState(fit)
 
-    def _restore_fit_from_stable(self, extent: Extent) -> Optional[FileIndexTable]:
+    def _restore_fit_from_stable(
+        self, extent: Extent, main: bytes = b""
+    ) -> Optional[FileIndexTable]:
+        """The FIT's stable copy, also written over a ``main`` copy that
+        differs from it; None if there is no readable one."""
         from repro.disk_service.server import Source
 
         try:
@@ -605,12 +681,17 @@ class FileServer:
             fit = FileIndexTable.decode(blob)
         except (KeyError, FileSizeError, BadAddressError, MediaError):
             return None
-        self.disk.put(extent, blob)  # heal the main copy
-        self.metrics.add(f"{self.name}.fit_restores")
+        if blob != main:
+            self.disk.put(extent, blob)  # heal the main copy
+            self.metrics.add(f"{self.name}.fit_restores")
         return fit
 
-    def _store_fit(self, fit_address: int, state: _OpenState) -> None:
-        """Dirty tree blocks, then the FIT, to original + stable storage."""
+    def _store_fit(
+        self, fit_address: int, state: _OpenState, run: bytes = b""
+    ) -> None:
+        """Dirty tree blocks, then the FIT, to original + stable storage;
+        the FIT in one reference with ``run``, the bytes of the blocks
+        that follow its fragment, if any."""
         if state.tree_dirty and state.block_map is not None:
             for address, descriptors in self._tree_writes(state):
                 self.disk.put(
@@ -621,12 +702,20 @@ class FileServer:
                 self.metrics.add(f"{self.name}.indirect_stores")
         state.tree_dirty = False
         self.disk.put(
-            Extent(fit_address, 1),
-            state.fit.encode(),
-            stability=Stability.BOTH,
+            Extent(fit_address, 1 + len(run) // FRAGMENT_SIZE),
+            state.fit.encode() + run,
+            stability=Stability.HEAD_BOTH if run else Stability.BOTH,
         )
         state.fit_dirty = state.structure_dirty = False
         self.metrics.add(f"{self.name}.fit_stores")
+
+    def _writes_through(self, attrs: FileAttributes) -> bool:
+        """Write-through for transaction files, and for every file under
+        that policy; delayed write otherwise (paper section 5)."""
+        return (
+            self.write_policy is WritePolicy.WRITE_THROUGH
+            or attrs.service_type is ServiceType.TRANSACTION
+        )
 
     def _discard(self, extent: Extent) -> None:
         """Free an extent that was put with ``Stability.BOTH``."""

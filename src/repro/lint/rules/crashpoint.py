@@ -76,7 +76,8 @@ REGISTERED_WRITE_SITES: FrozenSet[Tuple[str, str]] = frozenset(
         ("repro.disk_service.cache", "TrackCache.write_through"),
         # put-block's direct path when the cache is disabled (the body
         # behind both the blocking wrapper and the queued pipeline, so
-        # crash points keep firing at queue-drain time)
+        # crash points keep firing at queue-drain time); a HEAD_BOTH put,
+        # a FIT and the run after it, is one write here, FIT first
         ("repro.disk_service.server", "DiskServer._do_put"),
         # the scrubber's repair write: mirrored extent rewritten from
         # its stable copy (DESIGN.md §11; the scrub-repair sweep

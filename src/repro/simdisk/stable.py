@@ -307,8 +307,8 @@ class StableStore:
         tombstone its superseded list, newest first, for
         :meth:`recover` to keep the first that heals and free the rest.
         Every tombstone's slot, every copy a newer tombstone deletes,
-        and every sector where no header starts are free again.
-        Returns the keys found.
+        and every run of sectors where no header starts (one slot per
+        run) are free again.  Returns the keys found.
         """
         _monitor.active().write_all(
             self, name="directory", site="stable.rebuild_directory"
@@ -319,6 +319,7 @@ class StableStore:
         self._older.clear()
         copies: Dict[str, list[Tuple[int, Tuple[int, int]]]] = {}
         deleted: Dict[str, int] = {}  # key -> newest tombstone version
+        gap = None  # first sector of the current run with no header
         sector = 0
         while sector < self._next_sector:
             entry = self._scan_slot(sector)
@@ -326,9 +327,13 @@ class StableStore:
                 # No header starts here: a first write that tore before
                 # its header landed, or the tail of a slot that a
                 # smaller record reused in place.
-                self._release((sector, 1))
+                if gap is None:
+                    gap = sector
                 sector += 1
                 continue
+            if gap is not None:
+                self._release((gap, sector - gap))
+                gap = None
             key, version, n_sectors, is_tombstone = entry
             if is_tombstone:
                 deleted[key] = max(version, deleted.get(key, 0))
@@ -336,6 +341,8 @@ class StableStore:
             else:
                 copies.setdefault(key, []).append((version, (sector, n_sectors)))
             sector += n_sectors
+        if gap is not None:
+            self._release((gap, sector - gap))
         # Remember a deletion's version so an older live copy cannot
         # win, and a later re-put stays version-monotonic.
         self._versions.update(deleted)

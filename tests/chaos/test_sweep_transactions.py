@@ -271,7 +271,7 @@ class TestShadowRecoveryCrashedAgain:
     def test_every_crashed_recovery_recovers_again_to_old_or_new(self):
         """All-or-nothing and a clean fsck at every second-order point."""
         second_order, failures = _recrash_every_recovery(ShadowCommitWorkload)
-        assert second_order == 455
+        assert second_order == 470
         assert failures == []
 
 
@@ -281,5 +281,5 @@ class TestPendingRecoveryCrashedAgain:
         pending lists and checkpoints them, crashed at each of its writes,
         recovers again to an admissible state."""
         second_order, failures = _recrash_every_recovery(PendingCommitWorkload)
-        assert second_order == 132
+        assert second_order == 115
         assert failures == []

@@ -1,18 +1,21 @@
 """Golden disk-service call log of a scripted file-service workload.
 
 ``golden_call_log.txt`` is the log of :func:`run_script` at the commit
-before free space went to stable storage as a base plus a tail of
-changes, marked up against the log since (a line-level diff): lines
-starting ``- `` existed only before, lines starting ``+ `` exist only
-since.  What may differ is counted in
+before a delayed write's FIT went to disk only after its data, marked
+up against the log since (a line-level diff): lines starting ``- ``
+existed only before, lines starting ``+ `` exist only since.  What may
+differ is counted in
 :func:`test_golden_log_differs_from_its_parent_only_as_listed`:
 
-* nothing the file server calls: the same calls with the same
-  arguments, in the same order;
-* a stable-bound put after an allocate or a free appends a small tail
-  record instead of rewriting the whole bitmap, so later writes happen
-  at earlier simulated times, and every FIT stored after the first
-  such put carries other timestamps (its payload CRC moves).
+* no call but a put comes or goes: the same allocations, frees, gets
+  and stable releases — though a leaf under a pointer block, allocated
+  when the tree is stored, now gets its block at the flush instead of
+  at the write that mapped it, so that allocation moves and some
+  addresses with it;
+* no FIT is stored at create or at a delayed write that maps blocks:
+  a FIT and its tree blocks are stored by a close, a flush or a
+  FIT-cache eviction, after the file's dirty blocks, and a FIT whose
+  fragment precedes a dirty run goes in one ``head-both`` put with it.
 
 The log of the checked-out code must match the ``  `` and ``+ `` lines
 exactly, arguments and payload CRCs included.  ``python -m
@@ -47,8 +50,8 @@ RECORDED = (
 )
 LEAF = DESCRIPTORS_PER_INDIRECT
 FIRST_DOUBLE = DIRECT_DESCRIPTORS + SINGLE_INDIRECT_SLOTS * LEAF
-CRC = re.compile(r"crc [0-9a-f]{8}")
-FIT_STORE = re.compile(r"put\(ext\(\d+,1\), <2048B crc [0-9a-f]{8}>, stability=both\)")
+ADDRESS = re.compile(r"ext\(\d+,")
+PUT = re.compile(r"put\(ext\(\d+,(\d+)\), <\d+B crc [0-9a-f]{8}>(?:, stability=(\S+))?\)")
 
 
 def _show(value) -> str:
@@ -171,23 +174,49 @@ def test_call_log_matches_the_golden_log():
     assert run_script() == expected
 
 
+def _puts(log: list[str]) -> dict[str, int]:
+    """How many puts of each kind: a FIT alone, a tree block, a data
+    run, a FIT with the run after it, or a deleted FIT's tombstone."""
+    kinds = {"fit": 0, "tree": 0, "data": 0, "fit+run": 0, "tombstone": 0}
+    for line in log:
+        put = PUT.fullmatch(line)
+        if put is None:
+            continue
+        length, stability = put.groups()
+        if stability == "head-both":
+            kinds["fit+run"] += 1
+        elif stability == "both":
+            kinds["fit" if length == "1" else "tree"] += 1
+        else:
+            kinds["tombstone" if length == "1" else "data"] += 1
+    return kinds
+
+
 def test_golden_log_differs_from_its_parent_only_as_listed():
     marked = GOLDEN.read_text().splitlines()
     assert all(line[:2] in ("  ", "- ", "+ ") for line in marked)
     parent = [line[2:] for line in marked if line[0] in " -"]
     now = [line[2:] for line in marked if line[0] in " +"]
 
-    def without_crc(line):
-        return CRC.sub("crc ?", line)
+    def others(log):
+        return sorted(
+            ADDRESS.sub("ext(?,", line)
+            for line in log
+            if not line.startswith("put(")
+        )
 
-    # The same calls with the same arguments, in the same order ...
-    assert [without_crc(line) for line in now] == [
-        without_crc(line) for line in parent
-    ]
-    # ... and only FIT stores changed their payload: 32 of them.
-    changed = [line[2:] for line in marked if line[0] == "+"]
-    assert len(changed) == 32
-    assert all(FIT_STORE.fullmatch(line) for line in changed)
+    # The same calls but puts, up to leaf addresses ...
+    assert others(now) == others(parent)
+    # ... 33 FIT stores become 17, ten of them in one put with the run
+    # after the FIT (ten data puts fewer), and each tree block is stored
+    # once per flush rather than at every write that mapped a block
+    # below it.
+    assert _puts(parent) == {
+        "fit": 33, "tree": 35, "data": 44, "fit+run": 0, "tombstone": 5
+    }
+    assert _puts(now) == {
+        "fit": 7, "tree": 28, "data": 34, "fit+run": 10, "tombstone": 5
+    }
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 """What a close costs: one put per contiguous run of dirty blocks, and
-a FIT store only when the file's structure moved since the last one.
-A flush writes the whole block pool back the same way, pipeline or not.
+a FIT store only when the file's structure moved since the last one —
+after the blocks, and in one put with the run that follows the FIT's
+fragment.  A flush writes the whole block pool back the same way,
+pipeline or not.
 
 A transaction checkpoint goes through the same ``flush_file``: its one
 put per run is pinned in ``tests/transactions/test_commit_cost.py``
@@ -16,6 +18,7 @@ from repro.common.clock import SimClock
 from repro.common.metrics import Metrics
 from repro.common.units import BLOCK_SIZE, FRAGMENTS_PER_BLOCK
 from repro.disk_service.addresses import Extent
+from repro.disk_service.server import Stability
 from repro.naming.attributed import AttributedName
 from tests.conftest import build_file_server
 
@@ -25,18 +28,22 @@ def server():
     return build_file_server(SimClock(), Metrics())
 
 
-def data_puts(server):
-    """Record the extent of every ORIGINAL_ONLY put: data blocks."""
+def recorded_puts(server):
+    """Record ``(extent, stability)`` of every put from now on."""
     puts = []
     put = server.disk.put
 
-    def recorded(extent, data, **kwargs):
-        if not kwargs:
-            puts.append(extent)
-        put(extent, data, **kwargs)
+    def recorded(extent, data, *, stability=Stability.ORIGINAL_ONLY, **kwargs):
+        puts.append((extent, stability))
+        put(extent, data, stability=stability, **kwargs)
 
     server.disk.put = recorded
     return puts
+
+
+def with_fit(name, n_blocks):
+    """The extent of a FIT and the ``n_blocks`` that follow it."""
+    return Extent(name.fit_address, 1 + n_blocks * FRAGMENTS_PER_BLOCK)
 
 
 def fit_stores(server):
@@ -47,10 +54,11 @@ class TestOnePutPerRun:
     def test_adjacent_dirty_blocks_go_back_in_one_put(self, server):
         name = server.create()
         server.write(name, 0, b"r" * (5 * BLOCK_SIZE + 7))
-        puts = data_puts(server)
+        puts = recorded_puts(server)
         server.close(name)
-        first = server.block_descriptor(name, 0).address
-        assert puts == [Extent.for_block_run(first, 6)]
+        # The FIT goes after its data: in the same put, ahead of block 0.
+        assert server.block_descriptor(name, 0).address == name.fit_address + 1
+        assert puts == [(with_fit(name, 6), Stability.HEAD_BOTH)]
 
     def test_a_run_ends_where_the_disk_blocks_stop_being_adjacent(self, server):
         name = server.create()
@@ -62,16 +70,14 @@ class TestOnePutPerRun:
         ]
         assert addresses[1] == addresses[0] + 2 * FRAGMENTS_PER_BLOCK
         assert addresses[2] != addresses[1] + 2 * FRAGMENTS_PER_BLOCK
-        puts = data_puts(server)
+        puts = recorded_puts(server)
         server.close(name)
-        # Blocks 0-2 and 5-6: block 3 went to disk, zeroed, when EOF
-        # passed it.
-        assert sorted(puts) == sorted(
-            [
-                Extent.for_block_run(addresses[0], 3),
-                Extent.for_block_run(addresses[2], 2),
-            ]
-        )
+        # Blocks 5-6, then the FIT with blocks 0-2: block 3 went to disk,
+        # zeroed, when EOF passed it.
+        assert puts == [
+            (Extent.for_block_run(addresses[2], 2), Stability.ORIGINAL_ONLY),
+            (with_fit(name, 3), Stability.HEAD_BOTH),
+        ]
 
 
 def data_disk_writes(server):
@@ -95,20 +101,17 @@ class TestFlushWritesBackRuns:
         server.write(name, 0, b"a" * (3 * BLOCK_SIZE))  # reserves block 3
         server.create()  # takes the fragments after block 3
         server.write(name, 5 * BLOCK_SIZE, b"b" * BLOCK_SIZE)
-        first, apart = (
-            server.block_descriptor(name, index).address for index in (0, 5)
-        )
-        runs = [Extent.for_block_run(first, 3), Extent.for_block_run(apart, 1)]
-        blocks = {
-            Extent.for_block_run(run.start + index * FRAGMENTS_PER_BLOCK, 1)
-            .first_sector
-            for run in runs
-            for index in range(run.whole_blocks)
-        }
+        apart = server.block_descriptor(name, 5).address
+        # The FIT was never stored: it goes with blocks 0-2.
+        runs = [with_fit(name, 3), Extent.for_block_run(apart, 1)]
         writes = data_disk_writes(server)
         server.flush()
         assert sorted(
-            (w.start, w.n_sectors) for w in writes if w.start in blocks
+            (w.start, w.n_sectors)
+            for w in writes
+            for run in runs
+            if w.start < run.first_sector + run.n_sectors
+            and run.first_sector < w.start + w.n_sectors
         ) == sorted(
             (run.first_sector, run.n_sectors) for run in runs
         )
@@ -156,9 +159,10 @@ class TestCloseStoresTheFitOnlyWhenStructureMoved:
 
 
 class TestOneHundredKilobyteCreate:
-    def test_create_write_close_costs_one_run_and_two_fit_stores(self):
-        """On a warm one-disk cluster: the FIT at create, the FIT once at
-        the write that maps the file, the data in one reference at close."""
+    def test_create_write_close_costs_one_reference_and_one_fit_store(self):
+        """On a warm one-disk cluster: nothing at create or write; at
+        close the FIT and the data in one reference, then the FIT's
+        stable copy (the free-space tail record before it)."""
         cluster = RhodosCluster(ClusterConfig())
         agent, metrics = cluster.machine.file_agent, cluster.metrics
         warm = agent.create(AttributedName.file("/warm"))
@@ -181,8 +185,9 @@ class TestOneHundredKilobyteCreate:
         data, stable, stores, elapsed_us = (
             after - was for after, was in zip(ledger(), before)
         )
-        # Block by block this was 19 / 18 / 5 and 413 ms.
-        assert data <= 3
-        assert stable <= 8
-        assert stores == 2
-        assert elapsed_us < 225_000
+        # Block by block this was 19 / 18 / 5 and 413 ms; with the FIT
+        # stored at create and again at the write, 3 / 8 / 2 and 103 ms.
+        assert data == 1
+        assert stable <= 4
+        assert stores == 1
+        assert elapsed_us < 50_000

@@ -2,14 +2,19 @@
 
 import pytest
 
+from repro.chaos.trace import CrashPointMonitor
+from repro.cluster.config import ClusterConfig
+from repro.cluster.system import RhodosCluster
 from repro.common.clock import SimClock
-from repro.common.errors import FileNotFoundError_, FileSizeError
+from repro.common.errors import DiskCrashedError, FileNotFoundError_, FileSizeError
 from repro.common.ids import SystemName
 from repro.common.metrics import Metrics
-from repro.common.units import BLOCK_SIZE
+from repro.common.units import BLOCK_SIZE, KIB, SECTORS_PER_BLOCK, SECTORS_PER_FRAGMENT
 from repro.file_service.attributes import LockingLevel, ServiceType
 from repro.file_service.cache import WritePolicy
 from repro.file_service.fit import DESCRIPTORS_PER_INDIRECT, DIRECT_COVERAGE_BYTES
+from repro.naming.attributed import AttributedName
+from repro.verify.fsck import fsck_volume
 from tests.conftest import build_file_server
 
 
@@ -210,6 +215,170 @@ class TestNoBytesOfADeletedFile:
         server.write(name, BLOCK_SIZE, b"h")
         assert server.block_descriptor(name, 2) is None
         assert server.read(name, 2 * BLOCK_SIZE, BLOCK_SIZE) == bytes(BLOCK_SIZE)
+
+    def test_a_write_that_fills_holes_leaves_the_stored_fit_alone(self):
+        # At the parent the write stored the FIT at once while block 3
+        # sat in the block pool: /victim read 30,100 bytes after the
+        # crash, 5,524 of them the deleted file's.
+        cluster = RhodosCluster(ClusterConfig(client_cache_blocks=0))
+        agent = cluster.machine.file_agent
+        old = AttributedName.file("/old")
+        descriptor = agent.create(old)
+        agent.write(descriptor, b"S" * (40 * KIB))
+        agent.close(descriptor)
+        agent.delete(old)
+        victim = AttributedName.file("/victim")
+        descriptor = agent.create(victim)
+        agent.write(descriptor, b"v" * 100)
+        agent.close(descriptor)
+        descriptor = agent.open(victim)
+        agent.pwrite(descriptor, b"w" * 100, 30_000)
+        cluster.fail_volume(0)
+        cluster.restart_volume(0)
+        descriptor = cluster.machine.file_agent.open(victim)
+        assert cluster.machine.file_agent.pread(descriptor, 40_000, 0) == b"v" * 100
+
+    def test_an_evicted_fit_goes_after_its_blocks(self):
+        # At the parent the eviction stored the FIT, size and all, while
+        # the reserved block's new bytes sat in the block pool: the file
+        # read 110 of the deleted file's bytes after the crash.
+        server = build_file_server(SimClock(), Metrics(), fit_cache_entries=8)
+        self.recycle(server, b"S" * (8 * BLOCK_SIZE))
+        name = server.create()
+        server.write(name, 0, pattern(2 * BLOCK_SIZE))  # reserves block 2
+        server.close(name)
+        reserved = server.block_descriptor(name, 2)
+        assert reserved is not None
+        server.write(name, 2 * BLOCK_SIZE + 100, b"x" * 10)
+        assert server.block_descriptor(name, 2) == reserved  # no allocation
+        for _ in range(8):
+            server.create()
+        assert name.fit_address not in server._files  # evicted
+        crash_and_recover(server)
+        assert server.read(name, 2 * BLOCK_SIZE, BLOCK_SIZE) == bytes(100) + b"x" * 10
+
+
+def crash_and_recover(server):
+    """The machine dies with every disk of the volume; then recovery."""
+    stable = server.disk.stable
+    server.crash()
+    for disk in (server.disk.disk, stable.mirror_a, stable.mirror_b):
+        disk.repair()
+    stable.rebuild_directory()
+    stable.recover()
+    server.recover()
+
+
+def recycled(server):
+    """Block addresses a deleted file left its ``S`` bytes in; its
+    delete is checkpointed, its FIT no mirrored fragment."""
+    old = TestNoBytesOfADeletedFile().recycle(server, b"S" * (4 * BLOCK_SIZE))
+    server.flush()
+    return old
+
+
+class _TearTheFitStore(CrashPointMonitor):
+    """Crashes the volume during the first data-disk write that starts
+    at ``name``'s FIT, ``survivors`` sectors of it landed."""
+
+    def __init__(self, server, name, survivors):
+        super().__init__()
+        stable = server.disk.stable
+        self.attach(server.disk.disk, stable.mirror_a, stable.mirror_b)
+        self.data_disk = server.disk.disk.disk_id
+        self.sector = name.fit_address * SECTORS_PER_FRAGMENT
+        self.survivors = survivors
+
+    def on_write(self, faults, disk_id, start, n_sectors):
+        if (disk_id, start) == (self.data_disk, self.sector) and (
+            self.fired_at is None
+        ):
+            self.arm(self.writes_seen + 1)
+        return super().on_write(faults, disk_id, start, n_sectors)
+
+    def torn_sectors(self, crash_point, n_sectors):
+        return self.survivors
+
+
+class TestAnUnclosedFileAfterACrash:
+    """A basic file's FIT is stored by its first close, flush or
+    eviction, after its data; a crash before that leaves no file."""
+
+    def test_a_created_and_written_file_is_gone(self, server):
+        old = recycled(server)
+        name = server.create()
+        server.write(name, 0, pattern(3 * BLOCK_SIZE))
+        assert server.block_descriptor(name, 1).address in old
+        crash_and_recover(server)
+        with pytest.raises(FileNotFoundError_):
+            server.open(name)
+        report = fsck_volume(server)
+        assert report.clean
+        assert report.orphaned_fragments == 0
+
+    def test_the_fit_is_stored_once_in_the_reference_of_its_first_run(self, server):
+        name = server.create()
+        server.write(name, 0, pattern(3 * BLOCK_SIZE))
+        assert server.metrics.get("file_server.0.fit_stores") == 0
+        server.close(name)
+        assert server.metrics.get("file_server.0.fit_stores") == 1
+        crash_and_recover(server)
+        assert server.read(name, 0, 4 * BLOCK_SIZE) == pattern(3 * BLOCK_SIZE)
+
+    def test_a_write_through_create_stores_at_once(self):
+        server = build_file_server(
+            SimClock(), Metrics(), write_policy=WritePolicy.WRITE_THROUGH
+        )
+        name = server.create()
+        transaction = server.create(service_type=ServiceType.TRANSACTION)
+        assert server.metrics.get("file_server.0.fit_stores") == 2
+        crash_and_recover(server)
+        assert server.get_attribute(name).file_size == 0
+        assert server.get_attribute(transaction).file_size == 0
+
+
+class TestATornFitAndRun:
+    """A FIT reaches main storage ahead of the run that shares its
+    reference, and stable storage after both: when a crash tears the
+    run, the FIT's main copy counts only if its stable copy agrees."""
+
+    #: The FIT and block 0 land; blocks 1 and 2 keep the deleted file's bytes.
+    SURVIVORS = SECTORS_PER_FRAGMENT + SECTORS_PER_BLOCK
+
+    def test_a_torn_first_store_leaves_no_file(self, server):
+        recycled(server)
+        name = server.create()
+        server.write(name, 0, pattern(3 * BLOCK_SIZE))
+        _TearTheFitStore(server, name, self.SURVIVORS)
+        with pytest.raises(DiskCrashedError):
+            server.close(name)
+        crash_and_recover(server)
+        with pytest.raises(FileNotFoundError_):
+            server.open(name)
+
+    @pytest.mark.parametrize("checkpointed", [False, True])
+    def test_a_torn_store_keeps_the_last_stored_fit(self, server, checkpointed):
+        # Checkpointed, the FIT is a mirrored fragment and the disk
+        # server's read repair rolls it back; stored since the last
+        # checkpoint, the file server takes the stable copy itself.
+        recycled(server)
+        name = server.create()
+        server.write(name, 0, b"v" * 100)
+        server.close(name)
+        if checkpointed:
+            server.flush()
+        server.write(name, 0, pattern(3 * BLOCK_SIZE))
+        _TearTheFitStore(server, name, self.SURVIVORS)
+        with pytest.raises(DiskCrashedError):
+            server.close(name)
+        crash_and_recover(server)
+        # The stored size, and block 0 as it landed in place — as it
+        # would have in a put of its own ahead of the FIT's.
+        restores = server.metrics.get("file_server.0.fit_restores")
+        assert server.read(name, 0, 4 * BLOCK_SIZE) == pattern(3 * BLOCK_SIZE)[:100]
+        assert server.metrics.get("file_server.0.fit_restores") == restores + (
+            not checkpointed
+        )
 
 
 class TestPaperClaimTwoReferences:

@@ -315,7 +315,11 @@ class TestNoSlotLeaks:
         store.rebuild_directory()
         store.recover()
         assert sorted(store.keys()) == ["j"]
-        assert store._free == {1: [1, 2]}
+        # One 2-sector slot, which the next 2-sector record reuses.
+        assert store._free == {2: [1]}
+        store.put("k", b"x" * 9)
+        assert store._directory["k"] == (1, 2)
+        assert store._free == {2: []}
 
     def test_two_moves_before_recovery_free_both_old_slots(self):
         """Mirror B is down for two moves of one key: both old slots
