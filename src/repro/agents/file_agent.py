@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.clock import SimClock
-from repro.common.errors import BadDescriptorError, FileSizeError
+from repro.common.errors import BadDescriptorError, FileNotFoundError_, FileSizeError
 from repro.common.ids import DEVICE_DESCRIPTOR_LIMIT, SystemName
 from repro.common.metrics import Metrics
 from repro.common.units import BLOCK_SIZE
@@ -145,10 +145,19 @@ class FileAgent:
         return self._open_system_name(system_name)
 
     def open(self, name: AttributedName) -> int:
-        """Resolve and open an existing file; returns an object descriptor."""
+        """Resolve and open an existing file; returns an object descriptor.
+
+        A name that outlived its file — bound by a create that no close,
+        flush or eviction stored before a crash (DESIGN.md §3) — is
+        unbound, and the server's :class:`FileNotFoundError_` raised.
+        """
         system_name = self.naming.resolve_file(name)
         self.metrics.add(f"{self._prefix}.opens")
-        return self._open_system_name(system_name)
+        try:
+            return self._open_system_name(system_name)
+        except FileNotFoundError_:
+            self.naming.unbind(name)
+            raise
 
     def close(self, descriptor: int) -> None:
         """Flush this file's delayed writes and release the descriptor."""

@@ -50,29 +50,32 @@ from repro.transactions.intentions import INLINE_LIMIT
 
 
 class AuditedDiskServer(DiskServer):
-    """A disk server that remembers every scratch extent it handed out.
+    """A disk server that remembers every tentative extent a transaction
+    took (scratch at the high end of free space).
 
     The tentative-extent leak check needs the whole history: an extent
     the run freed in memory before the crash is exactly the kind a
     stale bitmap checkpoint would leak.  An adopted extent leaves the
     history, along with any earlier grant of the same fragments — it is
     a block of a file from then on, and leaks (or not) as file space
-    does.
+    does.  A basic file's unstored blocks (scratch placed low) are file
+    space already: a crash may leave them allocated as the orphan of a
+    file deleted since the last settle whose fragments they reused.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.scratch_history: List[Extent] = []
 
-    def allocate(self, n_fragments, *, scratch=False):
-        got = super().allocate(n_fragments, scratch=scratch)
-        if scratch:
+    def allocate(self, n_fragments, *, scratch=False, high=None):
+        got = super().allocate(n_fragments, scratch=scratch, high=high)
+        if scratch and high is None:
             self.scratch_history.append(got)
         return got
 
-    def allocate_block(self, n_blocks=1, *, scratch=False):
-        got = super().allocate_block(n_blocks, scratch=scratch)
-        if scratch:
+    def allocate_block(self, n_blocks=1, *, scratch=False, high=None):
+        got = super().allocate_block(n_blocks, scratch=scratch, high=high)
+        if scratch and high is None:
             self.scratch_history.append(got)
         return got
 

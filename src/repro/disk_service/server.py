@@ -215,11 +215,13 @@ class DiskServer:
         self._space_delta: List[Tuple[bool, int, int]] = []
         #: start -> length of every extent handed out with
         #: ``scratch=True`` and neither freed nor adopted since: the
-        #: tentative data items of transactions in flight.  They are
-        #: allocated in the live bitmap and free in every checkpoint of
-        #: it, so neither taking nor returning one makes the checkpoint
-        #: stale; the intentions list that names them is their only
-        #: durable record (see :meth:`reclaim_scratch`).
+        #: tentative data items of transactions in flight, and the
+        #: blocks of basic files whose FIT has not been stored since
+        #: they were allocated.  They are allocated in the live bitmap
+        #: and free in every checkpoint of it, so neither taking nor
+        #: returning one makes the checkpoint stale; an intentions list
+        #: that names one is its only durable record (see
+        #: :meth:`reclaim_scratch`).
         self._scratch: Dict[int, int] = {}
         self._prefix = f"disk_server.{disk.disk_id}"
         # Pre-bound instrument handles for the two service entry points
@@ -251,6 +253,7 @@ class DiskServer:
         n_fragments: int,
         *,
         scratch: bool = False,
+        high: Optional[bool] = None,
     ) -> Extent:
         """Allocate one contiguous run of ``n_fragments`` fragments.
 
@@ -259,36 +262,50 @@ class DiskServer:
         contiguous runs; a caller that can live with less asks again
         for a shorter one.
 
-        ``scratch=True`` is for tentative data items and shadow pages.
-        The extent is placed at the high end of free space, so
-        short-lived allocations do not punch holes into the low region
-        where files grow contiguously, and it stays out of the durable
-        bitmap: a crash returns it to free space unless a surviving
-        intentions list has recovery :meth:`reclaim_scratch` it.  The
-        holder ends that state with :meth:`free` or :meth:`adopt`.
+        ``scratch=True`` keeps the extent out of the durable bitmap: a
+        crash returns it to free space unless it was adopted, or a
+        surviving intentions list has recovery :meth:`reclaim_scratch`
+        it.  The holder ends that state with :meth:`free` or
+        :meth:`adopt`, for the whole extent or piece by piece.
+        Transactions take their tentative data items and shadow pages
+        this way, at the high end of free space (``high`` defaults to
+        ``scratch``), so short-lived allocations do not punch holes
+        into the low region where files grow contiguously; the file
+        service takes a basic file's blocks this way with
+        ``high=False``, where an ordinary allocation would go, until
+        the FIT that maps them is stored.
         """
         if n_fragments < 1:
             raise BadAddressError("must allocate at least one fragment")
         self._serial()
         self.metrics.add(f"{self._prefix}.allocations")
-        return self._allocate_contiguous(n_fragments, scratch=scratch)
+        return self._allocate_contiguous(
+            n_fragments, scratch=scratch, high=scratch if high is None else high
+        )
 
-    def allocate_block(self, n_blocks: int = 1, *, scratch: bool = False) -> Extent:
+    def allocate_block(
+        self, n_blocks: int = 1, *, scratch: bool = False, high: Optional[bool] = None
+    ) -> Extent:
         """Allocate ``n_blocks`` contiguous 8 KB blocks (paper: allocate-block)."""
         if n_blocks < 1:
             raise BadAddressError("must allocate at least one block")
         self._serial()
         return self._allocate_contiguous(
-            n_blocks * FRAGMENTS_PER_BLOCK, scratch=scratch
+            n_blocks * FRAGMENTS_PER_BLOCK,
+            scratch=scratch,
+            high=scratch if high is None else high,
         )
 
-    def try_allocate_at(self, start: int, n_fragments: int) -> Optional[Extent]:
+    def try_allocate_at(
+        self, start: int, n_fragments: int, *, scratch: bool = False
+    ) -> Optional[Extent]:
         """Allocate exactly ``[start, start + n_fragments)`` if it is free.
 
         Used by the file service to grow a file contiguously with its
         existing blocks (which is what keeps the FIT contiguity counts
         large).  Returns None — without error — when any fragment of
-        the range is taken or out of bounds.
+        the range is taken or out of bounds.  ``scratch`` as for
+        :meth:`allocate`.
         """
         if start < 0 or start + n_fragments > self.n_fragments or n_fragments < 1:
             return None
@@ -296,19 +313,20 @@ class DiskServer:
         extent = Extent(start, n_fragments)
         if not self._claim(extent):
             return None
-        self._note_space_change(True, extent)
+        self._note_allocation(extent, scratch)
         self.metrics.add(f"{self._prefix}.allocations")
         return extent
 
     def adopt(self, extent: Extent) -> None:
-        """Turn a scratch extent into an ordinary allocation.
+        """Turn the scratch pieces of ``extent`` into ordinary allocations.
 
-        The shadow-page commit step on the free-space side: the
-        tentative item's extent is about to become a block of the file,
-        so it joins the durable free space at the next settle — and the
-        FIT that references the extent is a stable-bound put, so
-        free-space-before-structure holds.
-        Idempotent (crash redo adopts again): an extent that is not
+        The commit step on the free-space side: a tentative item's
+        extent is about to become a block of the file, or a basic
+        file's FIT is about to be stored, so the extent joins the
+        durable free space at the next settle — and the FIT that
+        references it is a stable-bound put, so free-space-before-
+        structure holds.
+        Idempotent (crash redo adopts again): a piece that is not
         scratch is already an ordinary allocation — recorded since the
         last settle, or durable, as when :meth:`reclaim_scratch` found
         it allocated — so adopting it records nothing.
@@ -316,8 +334,8 @@ class DiskServer:
         self._serial()
         if not self.bitmap.is_allocated_run(extent):
             raise BadAddressError(f"cannot adopt {extent}: not allocated")
-        if self._forget_scratch(extent):
-            self._note_space_change(True, extent)
+        for piece in self._forget_scratch(extent)[0]:
+            self._note_space_change(True, piece)
 
     def reclaim_scratch(self, extent: Extent) -> None:
         """Recovery: re-claim a scratch extent a surviving list names.
@@ -350,8 +368,8 @@ class DiskServer:
         """
         self._serial()
         self.bitmap.mark_free(extent)
-        if not self._forget_scratch(extent):
-            self._note_space_change(False, extent)
+        for piece in self._forget_scratch(extent)[1]:
+            self._note_space_change(False, piece)
         self.metrics.add(f"{self._prefix}.frees")
         # Freed fragments carry no protection: their recorded checksums
         # describe content that no longer exists, and verifying a later
@@ -690,22 +708,28 @@ class DiskServer:
             self._mark_mirrored(Extent(start, length))
         self.metrics.add(f"{self._prefix}.recoveries")
 
-    def repair_from_stable(self, extent: Extent) -> bytes:
-        """Overwrite a mirrored extent's main copy from its stable copy.
+    def repair_from_stable(
+        self, extent: Extent, main: Optional[bytes] = None
+    ) -> bytes:
+        """Overwrite an extent's main copy from its stable copy; returns it.
 
         The scrubber's repair path: the write goes through the normal
         put machinery, so it is a numbered crash point, refreshes the
         checksum, heals latent media errors on the rewritten sectors,
-        and updates any cached copy.  The extent is re-marked mirrored
-        (main now equals stable by construction).  Raises
+        and updates any cached copy.  A caller that read ``main`` and
+        found it may differ (a FIT load after a crash) passes it: when
+        it equals the stable copy, nothing is written.  Either way the
+        extent is marked mirrored (main equals stable).  Raises
         :class:`~repro.common.errors.StableKeyError` if no stable copy
         exists.
         """
         self._serial()
+        self._drain_pending()
         expected = self.stable.get(_stable_key(extent))
-        self._do_put(extent, expected, stability=Stability.ORIGINAL_ONLY)
+        if expected != main:
+            self._do_put(extent, expected, stability=Stability.ORIGINAL_ONLY)
+            self.metrics.add(f"{self._prefix}.stable_repairs")
         self._mark_mirrored(extent)
-        self.metrics.add(f"{self._prefix}.stable_repairs")
         return expected
 
     # ------------------------------------------------------- status
@@ -792,39 +816,37 @@ class DiskServer:
     # ------------------------------------------------------ internal
 
     def _allocate_contiguous(
-        self, n_fragments: int, *, scratch: bool = False
+        self, n_fragments: int, *, scratch: bool, high: bool
     ) -> Extent:
-        run = self.extent_table.take_run(
-            n_fragments, self.bitmap, prefer_high=scratch
-        )
+        run = self.extent_table.take_run(n_fragments, self.bitmap, prefer_high=high)
         if run is None:
             self.extent_table.refill(self.bitmap)
             self.metrics.add(f"{self._prefix}.table_refills")
             run = self.extent_table.take_run(
-                n_fragments, self.bitmap, prefer_high=scratch
+                n_fragments, self.bitmap, prefer_high=high
             )
         if run is None:
             raise DiskFullError(
                 f"no contiguous run of {n_fragments} fragments "
                 f"({self.bitmap.free_count} free in total)"
             )
-        if scratch:
+        if high:
             extent = Extent(run.end - n_fragments, n_fragments)
-            self.bitmap.mark_allocated(extent)
-            if run.length > n_fragments:
-                self.extent_table.insert_run(
-                    run.start, run.length - n_fragments
-                )
-            self._note_scratch(extent)
+            rest = run.start
         else:
             extent = run.take(n_fragments)
-            self.bitmap.mark_allocated(extent)
-            if run.length > n_fragments:
-                self.extent_table.insert_run(
-                    extent.end, run.length - n_fragments
-                )
-            self._note_space_change(True, extent)
+            rest = extent.end
+        self.bitmap.mark_allocated(extent)
+        if run.length > n_fragments:
+            self.extent_table.insert_run(rest, run.length - n_fragments)
+        self._note_allocation(extent, scratch)
         return extent
+
+    def _note_allocation(self, extent: Extent, scratch: bool) -> None:
+        if scratch:
+            self._note_scratch(extent)
+        else:
+            self._note_space_change(True, extent)
 
     def _claim(self, extent: Extent) -> bool:
         """Allocate exactly ``extent`` if all of it is free."""
@@ -869,22 +891,41 @@ class DiskServer:
         )
         self._scratch[extent.start] = extent.length
 
-    def _forget_scratch(self, extent: Extent) -> bool:
-        """Stop tracking ``extent``; False if it was not scratch.
+    def _forget_scratch(self, extent: Extent) -> Tuple[List[Extent], List[Extent]]:
+        """Stop tracking the scratch pieces of ``extent``: returns them
+        and its other pieces, the ordinary allocations, in address order.
 
-        A scratch extent is returned or adopted whole, as handed out.
+        The part of a scratch extent outside ``extent`` stays scratch.
         """
-        if extent.start not in self._scratch:
-            return False
+        overlapping = sorted(
+            (start, length)
+            for start, length in self._scratch.items()
+            if start < extent.end and extent.start < start + length
+        )
+        if not overlapping:
+            return [], [extent]
         _monitor.active().write(
             self, extent.start, extent.end, name="scratch",
             site="server.forget_scratch",
         )
-        length = self._scratch.pop(extent.start)
-        assert length == extent.length, (
-            f"scratch extent ({extent.start}, {length}) given up as {extent}"
-        )
-        return True
+        scratch: List[Extent] = []
+        ordinary: List[Extent] = []
+        cursor = extent.start
+        for start, length in overlapping:
+            end = start + length
+            del self._scratch[start]
+            if start < extent.start:
+                self._scratch[start] = extent.start - start
+            if end > extent.end:
+                self._scratch[extent.end] = end - extent.end
+            first, last = max(start, extent.start), min(end, extent.end)
+            if cursor < first:
+                ordinary.append(Extent(cursor, first - cursor))
+            scratch.append(Extent(first, last - first))
+            cursor = last
+        if cursor < extent.end:
+            ordinary.append(Extent(cursor, extent.end - cursor))
+        return scratch, ordinary
 
     def _drain_pending(self) -> None:
         _monitor.active().write_all(

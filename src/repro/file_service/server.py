@@ -75,7 +75,13 @@ class _OpenState:
     """Volatile bookkeeping for a file the server currently maps."""
 
     __slots__ = (
-        "fit", "fit_dirty", "structure_dirty", "block_map", "leaves", "tree_dirty"
+        "fit",
+        "fit_dirty",
+        "structure_dirty",
+        "block_map",
+        "leaves",
+        "tree_dirty",
+        "unstored",
     )
 
     def __init__(self, fit: FileIndexTable) -> None:
@@ -95,6 +101,10 @@ class _OpenState:
         # Set by every fold of the map back into the tree, which re-marks
         # *every* populated leaf; implies ``structure_dirty``.
         self.tree_dirty = False
+        # Scratch extents allocated to the file since its FIT was last
+        # stored: out of the durable free space, so a crash before the
+        # store frees them; the store adopts them (_store_fit).
+        self.unstored: List[Extent] = []
 
     def structure_moved(self) -> None:
         self.fit_dirty = self.structure_dirty = True
@@ -162,6 +172,7 @@ class FileServer:
         *,
         service_type: ServiceType = ServiceType.BASIC,
         locking_level: LockingLevel = LockingLevel.DEFAULT,
+        durable: bool = False,
     ) -> SystemName:
         """Create a file; returns its system name.
 
@@ -174,11 +185,14 @@ class FileServer:
         flush or FIT-cache eviction, after its data and in the same
         reference as the data's first run; until then a crash leaves no
         file.  A write-through or transaction file's FIT is stored at
-        once.
+        once, and so is a ``durable`` one's: a file that something
+        durable names before its first close can store it (a directory).
         """
         with self.metrics.timer(f"{self.name}.create_us", self.clock):
             return self._do_create(
-                service_type=service_type, locking_level=locking_level
+                service_type=service_type,
+                locking_level=locking_level,
+                durable=durable,
             )
 
     def _do_create(
@@ -186,13 +200,16 @@ class FileServer:
         *,
         service_type: ServiceType,
         locking_level: LockingLevel,
+        durable: bool,
     ) -> SystemName:
         first_block: Optional[Extent] = None
         try:
-            joint = self.disk.allocate(1 + FRAGMENTS_PER_BLOCK)
-            fit_extent, first_block = joint.split(1)
+            allocated = self.disk.allocate(
+                1 + FRAGMENTS_PER_BLOCK, scratch=True, high=False
+            )
+            fit_extent, first_block = allocated.split(1)
         except DiskFullError:
-            fit_extent = self.disk.allocate(1)
+            allocated = fit_extent = self.disk.allocate(1, scratch=True, high=False)
         fit = FileIndexTable()
         attrs = fit.attributes
         attrs.created_us = self.clock.now_us
@@ -202,8 +219,9 @@ class FileServer:
         if first_block is not None:
             fit.direct[0] = BlockDescriptor(first_block.start, 1)
         state = _OpenState(fit)
+        state.unstored.append(allocated)
         self._install_state(fit_extent.start, state)
-        if self._writes_through(attrs):
+        if durable or self._writes_through(attrs):
             self._store_fit(fit_extent.start, state)
         else:
             state.structure_moved()
@@ -497,80 +515,80 @@ class FileServer:
 
         The whole block pool goes back first, then every FIT that
         moved; one whose structure moved shares the put of the run
-        after its fragment, as at its close.
+        after its fragment, as at its close.  Every file's unstored
+        space is adopted up front, so one settle, at the first FIT's
+        put, covers them all.
         """
+        for state in self._files.values():
+            self._adopt_unstored(state)
         heads = {
-            fit_address + 1: self._mapped_below_eof(state)
+            fit_address: self._take_head(fit_address, state)
             for fit_address, state in self._files.items()
-            if state.structure_dirty and not state.tree_dirty
+            if state.structure_dirty
         }
-        held: Dict[int, bytes] = {}
         if self._data_cache is not None:
-            held = self._write_back_runs(
-                {address for address, _ in self._data_cache.dirty_items()}, heads
+            self._write_back_runs(
+                {address for address, _ in self._data_cache.dirty_items()}
             )
         for fit_address, state in list(self._files.items()):
             if state.fit_dirty:
-                self._store_fit(fit_address, state, held.get(fit_address + 1, b""))
+                self._store_fit(fit_address, state, heads.get(fit_address, b""))
         self.disk.flush()
         self.metrics.add(f"{self.name}.flushes")
         self.metrics.gauge(f"{self.name}.fits_cached", len(self._files))
         self.after_flush()
 
-    def _write_back_runs(
-        self, addresses: Set[int], heads: Optional[Dict[int, Set[int]]] = None
-    ) -> Dict[int, bytes]:
+    def _write_back_runs(self, addresses: Set[int]) -> None:
         """Write back the dirty blocks among ``addresses``, one disk
         reference per run of adjacent blocks (paper section 4: "any set
         of contiguous fragments/blocks" moves in one reference).
 
-        ``heads`` maps the block right after a FIT's fragment to the
-        blocks that FIT maps: a run starting there is not put, as far as
-        its blocks are that file's, but returned, keyed by its start,
-        for the FIT's own put.  Flush, close, a transaction checkpoint
-        and FIT-cache eviction all reach disk here; only pool eviction
-        writes back block by block."""
+        Flush, close, a transaction checkpoint and FIT-cache eviction
+        all reach disk here; only pool eviction writes back block by
+        block."""
         pool = self._data_cache
         if pool is None:
-            return {}
+            return
         dirty = pool.dirty_among(addresses)
-        held: Dict[int, bytes] = {}
         for start, n_blocks in self._group_consecutive(
             sorted(dirty), FRAGMENTS_PER_BLOCK
         ):
             run = range(
                 start, start + n_blocks * FRAGMENTS_PER_BLOCK, FRAGMENTS_PER_BLOCK
             )
-            own = (heads or {}).get(start, ())
-            mine = next(
-                (index for index, address in enumerate(run) if address not in own),
-                n_blocks,
+            self.disk.put(
+                Extent.for_block_run(start, n_blocks),
+                b"".join(dirty[address] for address in run),
             )
-            if mine:
-                held[start] = b"".join(dirty[address] for address in run[:mine])
-            if mine < n_blocks:
-                self.disk.put(
-                    Extent.for_block_run(run[mine], n_blocks - mine),
-                    b"".join(dirty[address] for address in run[mine:]),
-                )
             for address in run:
                 pool.mark_clean(address)
             self.metrics.add(f"{self.name}.block_pool.writebacks", n_blocks)
-        return held
 
     def _store_after_data(self, fit_address: int, state: _OpenState) -> None:
         """Store a FIT whose structure moved after the dirty blocks it
-        maps below EOF (DESIGN.md §3, "When a FIT is stored").
+        maps below EOF (DESIGN.md §3, "When a FIT is stored"), the run
+        that follows its fragment in the FIT's own reference."""
+        head = self._take_head(fit_address, state)
+        self._write_back_runs(self._mapped_below_eof(state))
+        self._store_fit(fit_address, state, head)
 
-        The run that starts right after the FIT's fragment — its first
-        block, allocated with it at create — goes to disk in the FIT's
-        own reference, FIT first; a FIT with tree blocks to store goes
-        alone, since they go between its data and it.
-        """
-        own = self._mapped_below_eof(state)
-        heads = {} if state.tree_dirty else {fit_address + 1: own}
-        held = self._write_back_runs(own, heads)
-        self._store_fit(fit_address, state, held.get(fit_address + 1, b""))
+    def _take_head(self, fit_address: int, state: _OpenState) -> bytes:
+        """Take the file's dirty blocks that lie in a run from right
+        after its FIT fragment out of the block pool, marked clean: the
+        data the FIT goes to disk with, FIT first.  None for a FIT with
+        tree blocks to store, which go between its data and it."""
+        if state.tree_dirty or self._data_cache is None:
+            return b""
+        dirty = self._data_cache.dirty_among(self._mapped_below_eof(state))
+        head = []
+        address = fit_address + 1
+        while address in dirty:
+            head.append(dirty[address])
+            self._data_cache.mark_clean(address)
+            address += FRAGMENTS_PER_BLOCK
+        if head:
+            self.metrics.add(f"{self.name}.block_pool.writebacks", len(head))
+        return b"".join(head)
 
     def _mapped_below_eof(self, state: _OpenState) -> Set[int]:
         """Addresses of the blocks the file maps below its EOF (none
@@ -659,7 +677,8 @@ class FileServer:
                 # last checkpoint before a crash, or never stored whole.
                 # A FIT reaches main storage ahead of the run that shares
                 # its reference and stable storage after both, so the
-                # stable copy is the one that counts.
+                # stable copy is the one that counts; checked once, the
+                # fragment is mirrored from then on.
                 fit = self._restore_fit_from_stable(extent, blob)
                 if fit is None:
                     raise FileNotFoundError_(
@@ -670,19 +689,17 @@ class FileServer:
         return _OpenState(fit)
 
     def _restore_fit_from_stable(
-        self, extent: Extent, main: bytes = b""
+        self, extent: Extent, main: Optional[bytes] = None
     ) -> Optional[FileIndexTable]:
-        """The FIT's stable copy, also written over a ``main`` copy that
-        differs from it; None if there is no readable one."""
-        from repro.disk_service.server import Source
-
+        """The FIT's stable copy, written over the main copy unless that
+        is ``main`` and equal to it; None if there is no readable one.
+        The fragment is mirrored from then on."""
         try:
-            blob = self.disk.get(extent, source=Source.STABLE)
+            blob = self.disk.repair_from_stable(extent, main)
             fit = FileIndexTable.decode(blob)
         except (KeyError, FileSizeError, BadAddressError, MediaError):
             return None
         if blob != main:
-            self.disk.put(extent, blob)  # heal the main copy
             self.metrics.add(f"{self.name}.fit_restores")
         return fit
 
@@ -691,7 +708,12 @@ class FileServer:
     ) -> None:
         """Dirty tree blocks, then the FIT, to original + stable storage;
         the FIT in one reference with ``run``, the bytes of the blocks
-        that follow its fragment, if any."""
+        that follow its fragment, if any.
+
+        What was allocated to the file since its last store joins the
+        durable free space first: the first stable-bound put settles it.
+        """
+        self._adopt_unstored(state)
         if state.tree_dirty and state.block_map is not None:
             for address, descriptors in self._tree_writes(state):
                 self.disk.put(
@@ -708,6 +730,11 @@ class FileServer:
         )
         state.fit_dirty = state.structure_dirty = False
         self.metrics.add(f"{self.name}.fit_stores")
+
+    def _adopt_unstored(self, state: _OpenState) -> None:
+        for extent in state.unstored:
+            self.disk.adopt(extent)
+        state.unstored.clear()
 
     def _writes_through(self, attrs: FileAttributes) -> bool:
         """Write-through for transaction files, and for every file under
@@ -770,10 +797,15 @@ class FileServer:
             outer = pointer_block_of(leaf)
             if outer is None:
                 if leaf not in state.leaves:
-                    address = self.disk.allocate_block(1).start
+                    address = self._allocate_tree_block(state)
                     state.leaves[leaf] = fit.single_indirect[leaf] = address
             elif fit.double_indirect[outer] is None:
-                fit.double_indirect[outer] = self.disk.allocate_block(1).start
+                fit.double_indirect[outer] = self._allocate_tree_block(state)
+
+    def _allocate_tree_block(self, state: _OpenState) -> int:
+        extent = self.disk.allocate_block(1, scratch=True, high=False)
+        state.unstored.append(extent)
+        return extent.start
 
     def _tree_writes(
         self, state: _OpenState
@@ -840,17 +872,21 @@ class FileServer:
             limit = DIRECT_DESCRIPTORS
         spare = range(-(-state.fit.attributes.file_size // BLOCK_SIZE), limit)
         for run_start, run_len in self._group_consecutive(missing):
-            self._allocate_run(block_map, run_start, run_len, spare)
+            self._allocate_run(state, block_map, run_start, run_len, spare)
         self._writeback_map(state, block_map)
         return missing
 
     def _allocate_run(
         self,
+        state: _OpenState,
         block_map: List[Optional[BlockDescriptor]],
         run_start: int,
         run_len: int,
         spare: range,
     ) -> None:
+        """Map ``run_len`` blocks from ``run_start``: scratch extents,
+        where an ordinary allocation would go, kept on ``state.unstored``
+        as far as they are mapped."""
         allocated: List[Extent] = []
         # Try to continue contiguously after the preceding mapped block,
         # reserving ahead of the immediate need so interleaved appenders
@@ -866,12 +902,14 @@ class FileServer:
             extent = self.disk.try_allocate_at(
                 predecessor.address + FRAGMENTS_PER_BLOCK,
                 want * FRAGMENTS_PER_BLOCK,
+                scratch=True,
             )
             while extent is None and want > 1:
                 want -= 1
                 extent = self.disk.try_allocate_at(
                     predecessor.address + FRAGMENTS_PER_BLOCK,
                     want * FRAGMENTS_PER_BLOCK,
+                    scratch=True,
                 )
             if extent is not None:
                 allocated.append(extent)
@@ -884,23 +922,30 @@ class FileServer:
                 # contiguous with *this* run.
                 try:
                     extent = self.disk.allocate(
-                        (remaining + fresh_reserve) * FRAGMENTS_PER_BLOCK
+                        (remaining + fresh_reserve) * FRAGMENTS_PER_BLOCK,
+                        scratch=True,
+                        high=False,
                     )
                 except DiskFullError:
                     if fresh_reserve == 0:
                         raise
                     fresh_reserve = 0
-                    extent = self.disk.allocate(remaining * FRAGMENTS_PER_BLOCK)
+                    extent = self.disk.allocate(
+                        remaining * FRAGMENTS_PER_BLOCK, scratch=True, high=False
+                    )
                 allocated.append(extent)
                 remaining = 0
             except DiskFullError:
                 # Scattered fallback: one block at a time.  A block still
                 # needs four contiguous fragments; if even that fails the
                 # disk genuinely cannot hold another data block.
-                allocated.append(self.disk.allocate_block(1))
+                allocated.append(
+                    self.disk.allocate_block(1, scratch=True, high=False)
+                )
                 remaining -= 1
         index = run_start
         for extent in allocated:
+            kept = extent.whole_blocks
             for block in range(extent.whole_blocks):
                 address = extent.start + block * FRAGMENTS_PER_BLOCK
                 if index < run_start + run_len:
@@ -923,7 +968,10 @@ class FileServer:
                             address, extent.whole_blocks - block
                         )
                     )
+                    kept = block
                     break
+            if kept:
+                state.unstored.append(Extent.for_block_run(extent.start, kept))
 
     @staticmethod
     def _group_consecutive(

@@ -324,7 +324,9 @@ class _RouterFiles:
         self.router = router
 
     def create(self, volume_id: int, **kwargs) -> SystemName:
-        return self.router.create(volume_id, **kwargs)
+        # Durable: an entry, or the root's binding, names the file at
+        # once, so a crash before its first close must not lose it.
+        return self.router.create(volume_id, durable=True, **kwargs)
 
     def read(self, name: SystemName) -> bytes:
         return self.router.read(name, 0, _MAX_DIRECTORY_BYTES)

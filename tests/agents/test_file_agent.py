@@ -6,7 +6,7 @@ import pytest
 
 from repro.agents.file_agent import FileAgent
 from repro.common.clock import SimClock
-from repro.common.errors import BadDescriptorError, FileSizeError
+from repro.common.errors import BadDescriptorError, FileNotFoundError_, FileSizeError
 from repro.common.ids import DEVICE_DESCRIPTOR_LIMIT
 from repro.common.metrics import Metrics
 from repro.common.units import BLOCK_SIZE
@@ -250,6 +250,20 @@ class TestAttributesAndDelete:
             agent.delete(AttributedName.file("/a"))
         agent.close(descriptor)
         agent.delete(AttributedName.file("/a"))
+
+    def test_open_unbinds_a_name_that_outlived_its_file(self):
+        # Created and written, never closed: the crash leaves no file.
+        agent, server, _ = build_agent()
+        descriptor = agent.create(AttributedName.file("/a"))
+        agent.write(descriptor, b"lost")
+        server.crash()
+        server.disk.disk.repair()
+        server.recover()
+        with pytest.raises(FileNotFoundError_):
+            agent.open(AttributedName.file("/a"))
+        assert AttributedName.file("/a") not in agent.naming
+        agent.close(agent.create(AttributedName.file("/a")))
+        assert agent.read(agent.open(AttributedName.file("/a")), 10) == b""
 
     def test_delete_removes_binding_and_file(self):
         agent, server, _ = build_agent()

@@ -52,8 +52,10 @@ class TestCountingRun:
 
     def test_the_neighbours_close_falls_between_create_and_first_close(self):
         """Five crash points where the file exists only in memory: the
-        free-space tail record (the file's allocation is in it), the
-        neighbour's FIT and block, and its FIT's stable copy."""
+        free-space tail record (the residue's frees and the neighbour's
+        allocation — the file's blocks are scratch until its close), the
+        neighbour's FIT and block, and its FIT's stable copy.  The file's
+        own close then appends its allocation to the tail."""
         workload = CreateCloseWorkload()
         workload.run()
         entries = workload.monitor.write_entries()
@@ -81,6 +83,8 @@ class TestCountingRun:
             ("chaos0", SECTORS_PER_FRAGMENT + SECTORS_PER_BLOCK),
             ("chaos0.stable_a", 5),
             ("chaos0.stable_b", 5),
+            ("chaos0.stable_a", 3),
+            ("chaos0.stable_b", 3),
         ]
 
 
@@ -88,7 +92,7 @@ class TestExhaustiveSweep:
     def test_every_crash_point_recovers_an_admissible_file(self):
         metrics = Metrics()
         report = CrashScheduler(CreateCloseWorkload, metrics=metrics).sweep()
-        assert report.points_run == report.total_points == 23
+        assert report.points_run == report.total_points == 25
         assert report.violations == []
         layers = {layer: points for layer, points, _ in report.layer_rows()}
         assert layers.get("data disk", 0) > 0

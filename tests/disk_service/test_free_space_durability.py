@@ -29,6 +29,8 @@ STEPS = st.one_of(
     st.tuples(st.just("alloc"), st.integers(1, 40)),
     st.tuples(st.just("burst"), st.integers(1, 40)),
     st.tuples(st.just("scratch"), st.integers(1, 12)),
+    st.tuples(st.just("low"), st.integers(1, 12)),
+    st.tuples(st.just("piece"), st.integers(0, 1000)),
     st.tuples(st.just("at"), st.integers(0, 30)),
     st.tuples(st.just("adopt"), st.integers(0, 1000)),
     st.tuples(st.just("free"), st.integers(0, 1000)),
@@ -98,6 +100,23 @@ def test_recovery_restores_exactly_the_durable_allocations(steps):
             live.extend(server.allocate(1) for _ in range(value))
         elif op == "scratch":
             scratch.append(server.allocate(value, scratch=True))
+        elif op == "low":
+            scratch.append(server.allocate(value, scratch=True, high=False))
+        elif op == "piece" and any(extent.length > 1 for extent in scratch):
+            # Adopt or free one end of a scratch extent; the rest stays
+            # scratch (a basic file's reservation surplus, or one block).
+            extent = [extent for extent in scratch if extent.length > 1][
+                value % sum(extent.length > 1 for extent in scratch)
+            ]
+            scratch.remove(extent)
+            head, tail = extent.split(1 + value % (extent.length - 1))
+            piece, rest = (head, tail) if value % 4 < 2 else (tail, head)
+            scratch.append(rest)
+            if value % 2:
+                server.adopt(piece)
+                live.append(piece)
+            else:
+                server.free(piece)
         elif op == "at" and live:
             extent = server.try_allocate_at(live[-1].end + value, 3)
             if extent is not None:

@@ -319,6 +319,29 @@ class TestScratchExtents:
         server.reclaim_scratch(scratch)  # already held: nothing changes
         assert server.scratch_extents() == [(scratch.start, 4)]
 
+    def test_low_scratch_goes_where_an_ordinary_allocation_would(self, server):
+        low = server.allocate(4, scratch=True, high=False)
+        high = server.allocate(4, scratch=True)
+        server.free(low)
+        assert server.allocate(4) == low
+        assert high.start > low.end
+
+    def test_free_and_adopt_take_scratch_piece_by_piece(self, server):
+        server.flush()
+        kept = server.allocate(4)
+        grown = server.try_allocate_at(kept.end, 8, scratch=True)
+        assert server.scratch_extents() == [(grown.start, 8)]
+        # One free across the ordinary extent and the scratch one's head.
+        server.free(Extent(kept.start, 6))
+        assert server.scratch_extents() == [(grown.start + 2, 6)]
+        server.adopt(Extent(grown.start + 2, 3))
+        assert server.scratch_extents() == [(grown.start + 5, 3)]
+        server.settle_free_space()
+        server.recover()
+        assert server.bitmap.is_allocated_run(Extent(grown.start + 2, 3))
+        assert server.free_fragments == server.n_fragments - 3
+        server.extent_table.check_against(server.bitmap)
+
     def test_adopt_makes_the_extent_durable_before_the_next_stable_put(self, server):
         scratch = server.allocate_block(1, scratch=True)
         server.adopt(scratch)

@@ -12,6 +12,10 @@ differ is counted in
   when the tree is stored, now gets its block at the flush instead of
   at the write that mapped it, so that allocation moves and some
   addresses with it;
+* a file's blocks and FIT fragment are allocated as scratch placed
+  low (``scratch=True, high=False``: out of the durable free space),
+  and each FIT store first adopts what was allocated to its file since
+  the last one;
 * no FIT is stored at create or at a delayed write that maps blocks:
   a FIT and its tree blocks are stored by a close, a flush or a
   FIT-cache eviction, after the file's dirty blocks, and a FIT whose
@@ -43,6 +47,7 @@ RECORDED = (
     "allocate",
     "allocate_block",
     "try_allocate_at",
+    "adopt",
     "free",
     "get",
     "put",
@@ -51,6 +56,7 @@ RECORDED = (
 LEAF = DESCRIPTORS_PER_INDIRECT
 FIRST_DOUBLE = DIRECT_DESCRIPTORS + SINGLE_INDIRECT_SLOTS * LEAF
 ADDRESS = re.compile(r"ext\(\d+,")
+SCRATCH = re.compile(r", scratch=True(?:, high=False)?")
 PUT = re.compile(r"put\(ext\(\d+,(\d+)\), <\d+B crc [0-9a-f]{8}>(?:, stability=(\S+))?\)")
 
 
@@ -200,13 +206,22 @@ def test_golden_log_differs_from_its_parent_only_as_listed():
 
     def others(log):
         return sorted(
-            ADDRESS.sub("ext(?,", line)
+            ADDRESS.sub("ext(?,", SCRATCH.sub("", line))
             for line in log
-            if not line.startswith("put(")
+            if not line.startswith(("put(", "adopt("))
         )
 
-    # The same calls but puts, up to leaf addresses ...
+    # The same calls but puts and adopts, up to leaf addresses and the
+    # scratch keywords of the file server's allocations ...
     assert others(now) == others(parent)
+    # ... each of which a FIT store adopts (23 extents, none at the
+    # parent): the 12 of the files' creates, and 11 growths or tree
+    # blocks.
+    assert sum(line.startswith("adopt(") for line in parent) == 0
+    assert sum(line.startswith("adopt(") for line in now) == 23
+    assert all(
+        SCRATCH.search(line) for line in now if line.startswith("try_allocate_at(")
+    )
     # ... 33 FIT stores become 17, ten of them in one put with the run
     # after the FIT (ten data puts fewer), and each tree block is stored
     # once per flush rather than at every write that mapped a block

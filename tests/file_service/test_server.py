@@ -336,6 +336,55 @@ class TestAnUnclosedFileAfterACrash:
         assert server.get_attribute(name).file_size == 0
         assert server.get_attribute(transaction).file_size == 0
 
+    def test_a_durable_create_stores_at_once(self, server):
+        name = server.create(durable=True)
+        assert server.metrics.get("file_server.0.fit_stores") == 1
+        crash_and_recover(server)
+        assert server.get_attribute(name).file_size == 0
+
+    def test_another_files_store_leaves_its_space_out_of_free_space(self, server):
+        # B's close settles free space; A's blocks stay out of it until
+        # A's FIT is stored, so the crash returns them.
+        a = server.create()
+        server.write(a, 0, pattern(3 * BLOCK_SIZE))
+        b = server.create()
+        server.write(b, 0, b"b" * 100)
+        server.close(b)
+        crash_and_recover(server)
+        with pytest.raises(FileNotFoundError_):
+            server.open(a)
+        assert server.read(b, 0, BLOCK_SIZE) == b"b" * 100
+        report = fsck_volume(server)
+        assert report.clean
+        assert report.orphaned_fragments == 0
+
+    def test_an_unstored_growth_is_returned_to_free_space(self, server):
+        a = server.create()
+        server.write(a, 0, b"a" * 100)
+        server.close(a)
+        # Past the growth reservation: fresh blocks no stored FIT maps.
+        server.write(a, 20 * BLOCK_SIZE, pattern(2 * BLOCK_SIZE))
+        b = server.create()
+        server.close(b)
+        crash_and_recover(server)
+        assert server.read(a, 0, 30 * BLOCK_SIZE) == b"a" * 100
+        report = fsck_volume(server)
+        assert report.clean
+        assert report.orphaned_fragments == 0
+
+    def test_a_fit_stored_since_the_checkpoint_is_checked_once(self, server):
+        name = server.create()
+        server.write(name, 0, b"v" * 100)
+        server.close(name)
+        crash_and_recover(server)
+        disk = server.disk
+        assert not disk.is_mirrored_fragment(name.fit_address)
+        assert server.read(name, 0, BLOCK_SIZE) == b"v" * 100
+        # Main equals stable: nothing rewritten, and mirrored from here on.
+        assert server.metrics.get("file_server.0.fit_restores") == 0
+        assert server.metrics.get("disk_server.0.stable_repairs") == 0
+        assert disk.is_mirrored_fragment(name.fit_address)
+
 
 class TestATornFitAndRun:
     """A FIT reaches main storage ahead of the run that shares its
@@ -379,6 +428,8 @@ class TestATornFitAndRun:
         assert server.metrics.get("file_server.0.fit_restores") == restores + (
             not checkpointed
         )
+        # Healed either way: main is the stable copy and mirrored again.
+        assert server.disk.is_mirrored_fragment(name.fit_address)
 
 
 class TestPaperClaimTwoReferences:

@@ -163,6 +163,19 @@ class TestDurability:
         resolved = fresh.resolve("/projects/paper.tex")
         assert cluster.file_servers[0].read(resolved, 0, 14) == b"\\documentclass"
 
+    def test_the_root_survives_a_volume_crash_before_any_flush(
+        self, cluster, directories
+    ):
+        # Directory files are created durable: the root's binding (and
+        # an entry) names one at once.  The entries written since the
+        # last flush are delayed writes, lost with the crash.
+        directories.mkdir("/a")
+        cluster.fail_volume(0)
+        cluster.restart_volume(0)
+        assert directories.list_directory("/") == []
+        directories.mkdir("/a")
+        assert [entry.name for entry in directories.list_directory("/")] == ["a"]
+
     def test_directory_shrink_leaves_valid_encoding(self, directories):
         """Removing entries shrinks the JSON; stale tail bytes must not
         corrupt later reads."""
