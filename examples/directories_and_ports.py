@@ -37,8 +37,8 @@ def main() -> None:
 
     # Crash volume 0 — the tree lives in files, so it recovers.
     cluster.flush_all()
-    cluster.crash_volume(0)
-    cluster.recover_volume(0)
+    cluster.fail_volume(0)
+    cluster.restart_volume(0)
     resolved = directories.resolve("/home/raj/icdcs94.tex")
     line = cluster.file_servers[resolved.volume_id].read(resolved, 0, 7)
     print(f"\nafter crash + recovery, /home/raj/icdcs94.tex starts: {line!r}")

@@ -140,7 +140,12 @@ class FileAgent:
             service_type=service_type,
             locking_level=locking_level,
         )
-        self.naming.bind(name, system_name)
+        try:
+            self.naming.bind(name, system_name)
+        except Exception:
+            # Nothing names the file: it must not outlive the failure.
+            self.router.delete(system_name)
+            raise
         self.metrics.add(f"{self._prefix}.creates")
         return self._open_system_name(system_name)
 

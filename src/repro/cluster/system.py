@@ -426,15 +426,6 @@ class RhodosCluster:
                 with fork.branch():
                     file_server.flush()
 
-    def crash_volume(self, volume_id: int) -> None:
-        """Crash one volume's data disk (stable mirrors stay up)."""
-        self.disks[volume_id].crash()
-
-    def recover_volume(self, volume_id: int) -> None:
-        """Repair and recover one volume (disk, caches, transactions)."""
-        self.disks[volume_id].repair()
-        self.coordinator.recover_volume(volume_id)
-
     # ------------------------------------------- crash/restart lifecycle
 
     def fail_volume(self, volume_id: int) -> None:

@@ -200,7 +200,7 @@ class TransactionAgentHost:
         transaction.created_files.append((name, system_name))
         level = self._effective_level(server.get_attribute(system_name))
         # Lock out everyone else until commit: a whole-range exclusive
-        # item in the level's own table (so page/record lockers conflict).
+        # item, which every locker of the file's bytes conflicts with.
         self._acquire(
             transaction,
             DataItem(system_name, level, 0, FILE_RANGE_END),
@@ -218,9 +218,10 @@ class TransactionAgentHost:
     ) -> int:
         """Open a file for transactional I/O; returns an object descriptor.
 
-        ``locking_level`` overrides the file's own level for this open —
-        meaningful with the cross-level relaxation, where concurrent
-        transactions may lock the same file at different granularities.
+        ``locking_level`` overrides the file's own level for this open;
+        concurrent transactions may so lock one file at different
+        granularities, and their locks conflict wherever the bytes
+        overlap.
         """
         transaction = self._live(tid)
         return self._open(transaction, self.naming.resolve_file(name), locking_level)

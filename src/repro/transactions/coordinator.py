@@ -151,8 +151,6 @@ class TransactionCoordinator:
             manager (experiments E8/A2 sweep it).
         technique: ``"auto"`` (the paper's contiguity rule), or force
             ``"wal"`` / ``"shadow"`` everywhere (experiment E9).
-        cross_level: enable the paper's deferred relaxation — conflict
-            detection across locking granularities (section 6.1).
     """
 
     def __init__(
@@ -162,13 +160,11 @@ class TransactionCoordinator:
         *,
         policy: Optional[TimeoutPolicy] = None,
         technique: TechniqueChoice = "auto",
-        cross_level: bool = False,
     ) -> None:
         self.clock = clock
         self.metrics = metrics
         self.policy = policy or TimeoutPolicy()
         self.technique: TechniqueChoice = technique
-        self.cross_level = cross_level
         self._volumes: Dict[int, _VolumeBinding] = {}
         self._next_tid = monotonic_id_factory()
         #: CHAOS-TEST-ONLY.  When True, recovery deliberately skips
@@ -191,7 +187,6 @@ class TransactionCoordinator:
             self.metrics,
             self.policy,
             name=f"lock_manager.{file_server.volume_id}",
-            cross_level=self.cross_level,
         )
         self._volumes[file_server.volume_id] = _VolumeBinding(file_server, locks)
         # The file service never imports this one: it calls back.

@@ -13,7 +13,12 @@ aborts.
 One function, :meth:`LockManager._may_grant`, decides every grant: a
 request arriving (``acquire``) and a queued one after a release
 (``_promote``).  It reads Table 1 only through
-:func:`~repro.transactions.locks.locks_compatible`.
+:func:`~repro.transactions.locks.locks_compatible`, against the granted
+records of all three tables that overlap the request's bytes: the
+tables and their FIFO queues are per level, but a record and the page
+holding it denote the same bytes, so they conflict (section 6.1 defers
+this relaxation; the facility needs it, since a ``DEFAULT`` file moves
+from page to record locking as it gets busy, section 7).
 
 Section 6.4 (deadlock): each granted lock is invulnerable for a
 period **LT**.  At each expiry, if another transaction is competing
@@ -182,19 +187,11 @@ class LockManager:
         policy: TimeoutPolicy | None = None,
         *,
         name: str = "lock_manager",
-        cross_level: bool = False,
     ) -> None:
         self.clock = clock
         self.metrics = metrics
         self.policy = policy or TimeoutPolicy()
         self.name = name
-        #: The paper assumes "a file cannot be subjected to more than one
-        #: level of locking by concurrent transactions" but notes the
-        #: constraint "can be relaxed, if required, at a later stage"
-        #: (section 6.1).  ``cross_level=True`` is that relaxation:
-        #: grants additionally conflict with overlapping byte ranges
-        #: held at *other* granularities.
-        self.cross_level = cross_level
         self.tables: Dict[LockingLevel, LockTable] = {
             LockingLevel.RECORD: LockTable(LockingLevel.RECORD),
             LockingLevel.PAGE: LockTable(LockingLevel.PAGE),
@@ -235,7 +232,7 @@ class LockManager:
         # A new request queues behind every waiter already there; a
         # conversion (paper 6.3: upgrade in place) jumps the queue.
         ahead = [] if existing is not None else table.waiting_on(item)
-        if self._may_grant(table, transaction, item, mode, ahead):
+        if self._may_grant(transaction, item, mode, ahead):
             if existing is None:
                 existing = self._new_record(transaction, item, mode, process_id)
                 table.add_granted(existing)
@@ -312,18 +309,18 @@ class LockManager:
     # ------------------------------------------------------- release
 
     def release_all(self, transaction: Transaction) -> None:
-        """The unlock phase: drop every lock and promote waiters."""
-        affected_levels = []
-        for level, table in self.tables.items():
-            removed = table.remove_transaction(transaction.tid)
-            if removed:
-                affected_levels.append(level)
-        if self.cross_level and affected_levels:
-            # A released record-level lock can unblock a page-level
-            # waiter (and vice versa): promote every table.
-            affected_levels = list(self.tables)
-        for level in affected_levels:
-            self._promote(self.tables[level])
+        """The unlock phase: drop every lock and promote waiters.
+
+        A released record lock can unblock a page waiter (and vice
+        versa), so every table is promoted.
+        """
+        removed = [
+            table.remove_transaction(transaction.tid)
+            for table in self.tables.values()
+        ]
+        if any(removed):
+            for table in self.tables.values():
+                self._promote(table)
         self.metrics.add(f"{self.name}.releases")
 
     # ------------------------------------------------------ timeouts
@@ -340,6 +337,9 @@ class LockManager:
     def expire(self, now_us: int) -> List[Transaction]:
         """Run the LT/N policy; returns transactions aborted by timeout.
 
+        A lock is competed for when a waiter at any level wants bytes it
+        covers.
+
         The aborted transactions' locks are broken and their waiters
         promoted; the owners' status is set to ABORTED so their next
         operation surfaces :class:`LockTimeoutError`.
@@ -349,7 +349,10 @@ class LockManager:
             for record in list(table.all_granted()):
                 if record.next_expiry_us > now_us or not record.transaction.is_live:
                     continue
-                competing = bool(table.waiting_on(record.item))
+                competing = any(
+                    other.waiting_on(record.item)
+                    for other in self.tables.values()
+                )
                 record.retry_count += 1
                 if competing or record.retry_count >= self.policy.max_renewals:
                     victims.append(record.transaction)
@@ -368,7 +371,6 @@ class LockManager:
 
     def _may_grant(
         self,
-        table: LockTable,
         transaction: Transaction,
         item: DataItem,
         mode: LockMode,
@@ -377,23 +379,22 @@ class LockManager:
         """The grant rule, for a request arriving and for one queued.
 
         Table 1 against every holder outside the requester's ancestry
-        (plus, under the cross-level relaxation, overlapping holders at
-        other granularities) — ``locks_compatible(IR, IR)`` is False,
-        so that is also the single-IR rule.  Then FIFO fairness against
-        ``ahead``, the waiters queued before the request: only a reader
-        may join readers past reader waiters (an IR/IW waiter ahead
-        blocks new ROs, the paper's anti-starvation rule generalised to
-        the queue).  A conversion has nobody ahead: making it wait behind
-        requests that cannot be granted while it holds its current lock
-        would deadlock it with them.
+        whose bytes overlap the request's, at any granularity —
+        ``locks_compatible(IR, IR)`` is False, so that is also the
+        single-IR rule.  Then FIFO fairness against ``ahead``, the
+        waiters queued before the request in its own level's queue: only
+        a reader may join readers past reader waiters (an IR/IW waiter
+        ahead blocks new ROs, the paper's anti-starvation rule
+        generalised to the queue).  A conversion has nobody ahead:
+        making it wait behind requests that cannot be granted while it
+        holds its current lock would deadlock it with them.
         """
         holders = [
             record
+            for table in self.tables.values()
             for record in table.granted_on(item)
             if not transaction.is_ancestor_or_self(record.transaction)
         ]
-        if self.cross_level:
-            holders += self._cross_level_holders(table, transaction, item)
         return all(
             locks_compatible(record.mode, mode) for record in holders
         ) and all(
@@ -408,29 +409,6 @@ class LockManager:
         record.granted_at_us = self.clock.now_us
         record.next_expiry_us = self.clock.now_us + self.policy.lt_us
         record.retry_count = 0
-
-    def _cross_level_holders(
-        self, home_table: LockTable, transaction: Transaction, item: DataItem
-    ) -> List[LockRecord]:
-        """Granted records at *other* levels overlapping ``item``'s bytes.
-
-        Waiters at other levels are deliberately ignored: cross-level
-        grants are blocked only by holders, which keeps the relaxation
-        sound (serializability comes from holder conflicts) without
-        entangling the per-level FIFO queues; a starving cross-level
-        waiter is eventually served by the LT/N timeout machinery.
-        """
-        holders: List[LockRecord] = []
-        for level, table in self.tables.items():
-            if table is home_table:
-                continue
-            for record in table.all_granted():
-                if (
-                    not transaction.is_ancestor_or_self(record.transaction)
-                    and record.item.conflicts_across_levels(item)
-                ):
-                    holders.append(record)
-        return holders
 
     def _new_record(
         self,
@@ -468,7 +446,7 @@ class LockManager:
                     queue = table.waiting_on(record.item)
                     ahead = queue[: queue.index(record)]
                 if self._may_grant(
-                    table, record.transaction, record.item, record.mode, ahead
+                    record.transaction, record.item, record.mode, ahead
                 ):
                     table.remove(record)
                     if held is None:

@@ -17,9 +17,11 @@ and **Iwrite (IW)**.
 Data items come in the three granularities of section 6.1: a record
 (an arbitrary byte range — "as fine as a single byte or as coarse as
 an entire file"), a page, or the complete file.  Two items conflict
-only if they denote overlapping data of the same file at the same
-granularity (the paper assumes concurrent transactions use one level
-per file; see section 6.1's closing constraint).
+when they denote overlapping bytes of the same file, whatever their
+granularities: section 6.1 assumes concurrent transactions lock a file
+at one level and defers relaxing that, but the facility itself locks a
+``DEFAULT`` file at page level and later at record level (section 7),
+and ``topen`` may override the level per open.
 """
 
 from __future__ import annotations
@@ -72,26 +74,10 @@ class DataItem:
             raise ValueError(f"bad data-item range [{self.lo}, {self.hi})")
 
     def conflicts_with(self, other: "DataItem") -> bool:
-        """True when the two items denote overlapping data of one file.
+        """True when the two items denote overlapping bytes of one file.
 
-        Same-level only: the paper's simplifying constraint that "a
-        file cannot be subjected to more than one level of locking by
-        concurrent transactions" (section 6.1).
-        """
-        return (
-            self.name == other.name
-            and self.level == other.level
-            and self.lo < other.hi
-            and other.lo < self.hi
-        )
-
-    def conflicts_across_levels(self, other: "DataItem") -> bool:
-        """Overlap test ignoring granularity.
-
-        Section 6.1 notes its one-level-per-file constraint "can be
-        relaxed, if required, at a later stage"; this predicate is that
-        relaxation: a record and the page containing it denote the same
-        bytes and therefore conflict.
+        The granularity plays no part: a record and the page containing
+        it denote the same bytes.
         """
         return (
             self.name == other.name

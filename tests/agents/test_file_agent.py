@@ -6,12 +6,19 @@ import pytest
 
 from repro.agents.file_agent import FileAgent
 from repro.common.clock import SimClock
-from repro.common.errors import BadDescriptorError, FileNotFoundError_, FileSizeError
+from repro.cluster.system import RhodosCluster
+from repro.common.errors import (
+    BadDescriptorError,
+    FileNotFoundError_,
+    FileSizeError,
+    NameExistsError,
+)
 from repro.common.ids import DEVICE_DESCRIPTOR_LIMIT
 from repro.common.metrics import Metrics
 from repro.common.units import BLOCK_SIZE
 from repro.naming.attributed import AttributedName
 from repro.naming.service import NamingService
+from repro.verify.fsck import fsck_volume
 from tests.conftest import build_direct_router, build_file_server
 
 
@@ -264,6 +271,18 @@ class TestAttributesAndDelete:
         assert AttributedName.file("/a") not in agent.naming
         agent.close(agent.create(AttributedName.file("/a")))
         assert agent.read(agent.open(AttributedName.file("/a")), 10) == b""
+
+    def test_a_create_whose_name_is_taken_leaves_no_file(self):
+        cluster = RhodosCluster()
+        agent = cluster.machine.file_agent
+        name = AttributedName.file("/x")
+        agent.close(agent.create(name))
+        with pytest.raises(NameExistsError):
+            agent.create(name)
+        cluster.flush_all()
+        report = fsck_volume(cluster.file_servers[0])
+        assert report.clean
+        assert report.files_found == 2  # the root directory and /x
 
     def test_delete_removes_binding_and_file(self):
         agent, server, _ = build_agent()

@@ -92,8 +92,8 @@ class TestEndToEnd:
         agent.write(descriptor, b"checkpointed")
         agent.close(descriptor)
         cluster.flush_all()
-        cluster.crash_volume(0)
-        cluster.recover_volume(0)
+        cluster.fail_volume(0)
+        cluster.restart_volume(0)
         descriptor = agent.open(AttributedName.file("/durable"))
         assert agent.read(descriptor, 12) == b"checkpointed"
 
@@ -146,14 +146,25 @@ class TestLifecycle:
         assert cluster.metrics.get("replication.resyncs_verified") == 1
 
     def test_fail_volume_invalidates_client_caches(self):
+        """Bytes an agent flushed to the server's block pool die with the
+        crash; the agent must not go on serving them from its cache."""
         cluster = RhodosCluster()
         agent = cluster.machine.file_agent
-        descriptor = agent.create(AttributedName.file("/cached"))
-        agent.write(descriptor, b"hot block")
-        agent.flush()
-        agent.pread(descriptor, 9, 0)  # block now cached client-side
+        name = AttributedName.file("/cached")
+        descriptor = agent.create(name)
+        agent.write(descriptor, b"A" * 8)
+        agent.close(descriptor)
+        cluster.flush_all()
+        descriptor = agent.open(name)
+        agent.pwrite(descriptor, b"Z" * 8, 0)
+        agent.flush()  # the server's block pool, not its disk
+        assert agent.pread(descriptor, 8, 0) == b"Z" * 8  # cached client-side
         cluster.fail_volume(0)
         assert cluster.metrics.get("file_agent.m0.cache.invalidations") >= 1
+        cluster.restart_volume(0)
+        system_name = agent.system_name(descriptor)
+        assert cluster.file_servers[0].read(system_name, 0, 8) == b"A" * 8
+        assert agent.pread(descriptor, 8, 0) == b"A" * 8
 
     def test_fail_volume_downs_the_bus_endpoint(self):
         cluster = RhodosCluster(

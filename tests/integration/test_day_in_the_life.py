@@ -78,10 +78,10 @@ def test_day_in_the_life():
 
     # 14:00 — disaster drill: volume 0 crashes mid-afternoon.
     cluster.flush_all()
-    cluster.crash_volume(0)
+    cluster.fail_volume(0)
     # Replicated config still readable (failover).
     assert cluster.replication.read(config_name, 0, 9) == b"quorum=2\n"
-    cluster.recover_volume(0)
+    cluster.restart_volume(0)
     cluster.replication.resync(config_name)
 
     # 15:00 — everything survived: directory tree, report, dataset.

@@ -77,8 +77,8 @@ class TestFullStackDurability:
         host.tend(tid)
 
         cluster.flush_all()
-        cluster.crash_volume(0)
-        cluster.recover_volume(0)
+        cluster.fail_volume(0)
+        cluster.restart_volume(0)
 
         descriptor = agent.open(basic_name)
         assert agent.read(descriptor, 10) == b"basic data"

@@ -66,13 +66,13 @@ class TestReplicationUnderVolumeCrash:
         cluster.replication.create(name, degree=3)
         cluster.replication.write(name, 0, b"generation-0")
         for generation in range(1, 3):
-            crash_volume = generation % 3
-            cluster.disks[crash_volume].crash()
+            crashed = generation % 3
+            cluster.disks[crashed].crash()
             payload = f"generation-{generation}".encode()
             cluster.replication.write(name, 0, payload)
             assert cluster.replication.read(name, 0, len(payload)) == payload
-            cluster.disks[crash_volume].repair()
-            cluster.file_servers[crash_volume].recover()
+            cluster.disks[crashed].repair()
+            cluster.file_servers[crashed].recover()
             cluster.replication.resync(name)
         assert cluster.replication.live_replicas(name) == 3
 

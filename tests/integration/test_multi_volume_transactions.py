@@ -86,9 +86,9 @@ class TestMultiVolumeCommit:
             ]
             assert leftovers == []
 
-    @pytest.mark.parametrize("crash_volume", [0, 1])
+    @pytest.mark.parametrize("crashed", [0, 1])
     @pytest.mark.parametrize("crash_at_write", [1, 2, 3])
-    def test_per_volume_crash_recovery(self, cluster, crash_volume, crash_at_write):
+    def test_per_volume_crash_recovery(self, cluster, crashed, crash_at_write):
         """Crash one of the two volumes during a cross-volume commit:
         after per-volume recovery, each volume individually holds its
         old or its new value (per-volume atomicity)."""
@@ -98,12 +98,12 @@ class TestMultiVolumeCommit:
         db = host.topen(tid, NAME_B)
         host.tpwrite(tid, da, b"N" * 64, 0)
         host.tpwrite(tid, db, b"M" * 64, 0)
-        cluster.disks[crash_volume].faults.crash_after_writes(crash_at_write)
+        cluster.disks[crashed].faults.crash_after_writes(crash_at_write)
         try:
             host.tend(tid)
         except DiskCrashedError:
             pass
-        cluster.disks[crash_volume].repair()
+        cluster.disks[crashed].repair()
         cluster.coordinator.recover_volume(0)
         cluster.coordinator.recover_volume(1)
         content_a = cluster.file_servers[0].read(

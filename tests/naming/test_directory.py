@@ -157,8 +157,8 @@ class TestDurability:
         target = directories.create_file("/projects/paper.tex")
         cluster.file_servers[0].write(target, 0, b"\\documentclass{article}")
         cluster.flush_all()
-        cluster.crash_volume(0)
-        cluster.recover_volume(0)
+        cluster.fail_volume(0)
+        cluster.restart_volume(0)
         fresh = DirectoryService(cluster.naming, cluster.router, cluster.metrics)
         resolved = fresh.resolve("/projects/paper.tex")
         assert cluster.file_servers[0].read(resolved, 0, 14) == b"\\documentclass"

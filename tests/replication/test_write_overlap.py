@@ -149,7 +149,7 @@ class TestFailurePaths:
         survivor = alone("plain", 2, 0, offset, data)
         rig = Rig("plain", 2)
         lost = rig.replicas[1].volume_id
-        rig.cluster.crash_volume(lost)
+        rig.cluster.fail_volume(lost)
         started = rig.clock.now_us
 
         assert rig.service.write(NAME, offset, data) == len(data)
@@ -163,7 +163,7 @@ class TestFailurePaths:
     def test_every_replica_failing_raises_and_closes_the_frame(self):
         rig = Rig("plain", 2)
         for replica in rig.replicas:
-            rig.cluster.crash_volume(replica.volume_id)
+            rig.cluster.fail_volume(replica.volume_id)
         started = rig.clock.now_us
 
         with pytest.raises(ReplicationError):

@@ -1,15 +1,16 @@
-"""The cross-level locking relaxation (section 6.1's deferred extension).
+"""Locks conflict across granularities (section 6.1's deferred relaxation).
 
 "To avoid complexity, we will assume that a file cannot be subjected
 to more than one level of locking by concurrent transactions.  This
-constraint can be relaxed, if required, at a later stage."  This test
-module covers that later stage: with ``cross_level=True`` a record
-lock conflicts with the page containing it and with a whole-file lock,
-so transactions may safely mix granularities on one file.
+constraint can be relaxed, if required, at a later stage."  The lock
+manager always applies that relaxation: a record lock conflicts with
+the page containing it and with a whole-file lock, so transactions may
+safely mix granularities on one file.
 """
 
 import pytest
 
+from repro.cluster.system import RhodosCluster
 from repro.common.clock import SimClock
 from repro.common.ids import SystemName
 from repro.common.metrics import Metrics
@@ -34,8 +35,8 @@ from tests.conftest import build_file_server
 NAME = SystemName(0, 10, 1)
 
 
-def manager(cross_level=True):
-    return LockManager(SimClock(), Metrics(), cross_level=cross_level)
+def manager():
+    return LockManager(SimClock(), Metrics())
 
 
 def txn(tid):
@@ -86,14 +87,6 @@ class TestCrossLevelConflicts:
         m.release_all(holder)
         assert m.is_granted(waiter, item, LockMode.IW)
 
-    def test_disabled_by_default(self):
-        """The paper's original constraint is the default behaviour."""
-        m = manager(cross_level=False)
-        m.acquire(txn(1), record_item(NAME, 100, 50), LockMode.IW)
-        assert m.acquire(
-            txn(2), page_item(NAME, 0, BLOCK_SIZE), LockMode.IW
-        ) is AcquireResult.GRANTED
-
     def test_same_transaction_may_mix_levels(self):
         m = manager()
         transaction = txn(1)
@@ -111,7 +104,7 @@ class TestEndToEnd:
         clock, metrics = SimClock(), Metrics()
         server = build_file_server(clock, metrics, geometry=DiskGeometry.small())
         naming = NamingService(metrics)
-        coordinator = TransactionCoordinator(clock, metrics, cross_level=True)
+        coordinator = TransactionCoordinator(clock, metrics)
         coordinator.register_volume(server)
         host = TransactionAgentHost("m0", naming, coordinator, clock, metrics)
         return host, server, naming
@@ -156,3 +149,46 @@ class TestEndToEnd:
         system_name = naming.resolve_file(name)
         assert server.read(system_name, 10, 1) == b"A"
         assert server.read(system_name, BLOCK_SIZE, 4) == b"BBBB"
+
+
+class TestADefaultFileChangingLevel:
+    """A ``DEFAULT`` file is locked at page level until its 8th open and
+    at record level after (section 7, "how frequently a file is used"):
+    transactions either side of the switch still conflict on one byte."""
+
+    def test_a_record_level_update_waits_for_a_page_level_one(self):
+        cluster = RhodosCluster()
+        host = cluster.machine.transactions
+        locks = cluster.coordinator.lock_manager(0)
+        name = AttributedName.file("/hot")
+        tid = host.tbegin()
+        host.twrite(tid, host.tcreate(tid, name), b"A" * BLOCK_SIZE)
+        host.tend(tid)
+        for _ in range(6):
+            tid = host.tbegin()
+            host.topen(tid, name)
+            host.tend(tid)
+
+        t_page = host.tbegin()  # the 8th open: page level
+        d_page = host.topen(t_page, name)
+        t_record = host.tbegin()  # the 9th: record level
+        d_record = host.topen(t_record, name)
+        assert host.tpread(t_page, d_page, 8, 0, for_update=True) == b"A" * 8
+        with pytest.raises(LockWaitPending):
+            host.tpread(t_record, d_record, 8, 0, for_update=True)
+        assert [r.tid for r in locks.tables[LockingLevel.PAGE].all_granted()] == [
+            t_page
+        ]
+        assert [r.tid for r in locks.tables[LockingLevel.RECORD].all_waiting()] == [
+            t_record
+        ]
+
+        host.tpwrite(t_page, d_page, b"B" * 8, 0)
+        host.tend(t_page)
+        # The waiter reads the committed update: it is not lost.
+        assert host.tpread(t_record, d_record, 8, 0, for_update=True) == b"B" * 8
+        host.tpwrite(t_record, d_record, b"C" * 4, 0)
+        host.tend(t_record)
+        tid = host.tbegin()
+        assert host.tpread(tid, host.topen(tid, name), 8, 0) == b"CCCCBBBB"
+        host.tend(tid)

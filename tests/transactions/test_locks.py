@@ -60,11 +60,14 @@ class TestDataItems:
             record_item(OTHER, 0, 10)
         )
 
-    def test_different_levels_never_conflict(self):
-        """Section 6.1's simplifying constraint: one level per file."""
-        record = record_item(NAME, 0, 8192)
+    def test_levels_conflict_where_bytes_overlap(self):
+        """A record and the page holding it denote the same bytes; the
+        granularity plays no part (section 6.1's deferred relaxation)."""
         page = page_item(NAME, 0, 8192)
-        assert not record.conflicts_with(page)
+        assert record_item(NAME, 100, 8).conflicts_with(page)
+        assert page.conflicts_with(record_item(NAME, 100, 8))
+        assert file_item(NAME).conflicts_with(page)
+        assert not record_item(NAME, 8192, 8).conflicts_with(page)
 
     def test_file_item_conflicts_with_itself(self):
         assert file_item(NAME).conflicts_with(file_item(NAME))
