@@ -42,6 +42,7 @@ from repro.common.clock import SimClock
 from repro.common.errors import (
     BadAddressError,
     ChecksumError,
+    DiskCrashedError,
     DiskError,
     DiskFullError,
 )
@@ -246,6 +247,12 @@ class DiskServer:
         """
         _monitor.active().chain(self)
 
+    def _check_up(self) -> None:
+        """Hand out no space while the drive is down: nothing could
+        store the structure that maps it, so it would be lost."""
+        if self.disk.crashed:
+            raise DiskCrashedError(f"{self.disk.disk_id}: disk is crashed")
+
     # ------------------------------------------------------ allocate
 
     def allocate(
@@ -277,6 +284,7 @@ class DiskServer:
         """
         if n_fragments < 1:
             raise BadAddressError("must allocate at least one fragment")
+        self._check_up()
         self._serial()
         self.metrics.add(f"{self._prefix}.allocations")
         return self._allocate_contiguous(
@@ -289,6 +297,7 @@ class DiskServer:
         """Allocate ``n_blocks`` contiguous 8 KB blocks (paper: allocate-block)."""
         if n_blocks < 1:
             raise BadAddressError("must allocate at least one block")
+        self._check_up()
         self._serial()
         return self._allocate_contiguous(
             n_blocks * FRAGMENTS_PER_BLOCK,
@@ -309,6 +318,7 @@ class DiskServer:
         """
         if start < 0 or start + n_fragments > self.n_fragments or n_fragments < 1:
             return None
+        self._check_up()
         self._serial()
         extent = Extent(start, n_fragments)
         if not self._claim(extent):

@@ -332,6 +332,12 @@ class _RouterFiles:
         return self.router.read(name, 0, _MAX_DIRECTORY_BYTES)
 
     def write(self, name: SystemName, blob: bytes) -> None:
+        # The close stores the table, then the FIT if it moved: a
+        # mutation that returned survives a crash.
+        self.write_delayed(name, blob)
+        self.router.close(name)
+
+    def write_delayed(self, name: SystemName, blob: bytes) -> None:
         current_size = self.router.get_attribute(name).file_size
         self.router.write(name, 0, _padded(blob, current_size))
 
@@ -357,7 +363,9 @@ class DirectoryService(DirectoryTree):
         if ROOT_BINDING in naming:
             root = naming.resolve_file(ROOT_BINDING)
         else:
+            # Not closed: the root's FIT is durable from its create,
+            # and a table never written reads as an empty file.
             root = files.create(_ROOT_VOLUME)
-            files.write(root, _encode_entries({}))
+            files.write_delayed(root, _encode_entries({}))
             naming.bind(ROOT_BINDING, root)
         super().__init__(files, root, _ROOT_VOLUME, metrics)

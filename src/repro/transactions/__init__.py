@@ -12,8 +12,9 @@ service".
 
 Concurrency control is strict two-phase locking with three lock modes
 (read-only, Iread, Iwrite; Table 1) at three optional granularities
-(record / page / file), one lock table per granularity per file
-server.  Deadlock is resolved by timeouts: a lock is invulnerable for
+(record / page / file), in one lock table per file server (the paper
+keeps one per granularity; see :mod:`repro.transactions.lock_manager`).
+Deadlock is resolved by timeouts: a lock is invulnerable for
 LT, renewable while uncontended up to N times, then broken and its
 holder aborted.  Recovery uses an intentions list whose tentative
 changes are made permanent by write-ahead logging when the file's data

@@ -1,24 +1,30 @@
-"""The lock tables and lock manager: Table 1, wait queues, timeouts.
+"""The lock table and lock manager: Table 1, wait queues, timeouts.
 
 Paper section 6.5: "A lock table is a list of records: process
 identifier, transaction descriptor, phase of the transaction, type of
 lock, lock granted or not, retry count, descriptor of data item, and
-references to the same transaction and same data items. ... For each
-level of locking, a file server maintains a separate lock table" —
-which "significantly reduces the number of records managed by each
-lock table".  Records waiting on the same data item form a FIFO queue
-so the first waiter acquires the lock as soon as the holder commits or
-aborts.
+references to the same transaction and same data items."  Records
+waiting on the same data item form a FIFO queue so the first waiter
+acquires the lock as soon as the holder commits or aborts.
+
+Deviation: section 6.5 keeps "a separate lock table" per level of
+locking, which "significantly reduces the number of records managed by
+each lock table".  Here one table serves the volume.  A record and the
+page holding it denote the same bytes, so they conflict (section 6.1
+defers this relaxation; the facility needs it, since a ``DEFAULT`` file
+moves from page to record locking as it gets busy, section 7), and a
+grant has to look at every level anyway.  Per-level FIFO queues would
+break the FIFO promise: page-level readers could pass a record-level
+writer queued on the same bytes for as long as they kept coming.  The
+table's per-file lists keep what the split saved: a grant scans only
+the records of its own file.
 
 One function, :meth:`LockManager._may_grant`, decides every grant: a
 request arriving (``acquire``) and a queued one after a release
 (``_promote``).  It reads Table 1 only through
 :func:`~repro.transactions.locks.locks_compatible`, against the granted
-records of all three tables that overlap the request's bytes: the
-tables and their FIFO queues are per level, but a record and the page
-holding it denote the same bytes, so they conflict (section 6.1 defers
-this relaxation; the facility needs it, since a ``DEFAULT`` file moves
-from page to record locking as it gets busy, section 7).
+records that overlap the request's bytes, and queues the request behind
+every earlier waiter on those bytes, at any level.
 
 Section 6.4 (deadlock): each granted lock is invulnerable for a
 period **LT**.  At each expiry, if another transaction is competing
@@ -38,7 +44,6 @@ from repro.common.clock import SimClock
 from repro.common.errors import SerializabilityError
 from repro.common.ids import SystemName
 from repro.common.metrics import Metrics
-from repro.file_service.attributes import LockingLevel
 from repro.transactions.locks import DataItem, LockMode, locks_compatible
 from repro.transactions.transaction import (
     Transaction,
@@ -93,12 +98,11 @@ class LockRecord:
 
 
 class LockTable:
-    """All lock records of one granularity level for one file server."""
+    """All lock records of one file server, at every granularity."""
 
-    def __init__(self, level: LockingLevel) -> None:
-        self.level = level
+    def __init__(self) -> None:
         # Per-file lists model the paper's same-data-item queues; order
-        # within the waiting list is FIFO.
+        # within the waiting list is FIFO across levels.
         self._granted: Dict[SystemName, List[LockRecord]] = {}
         self._waiting: Dict[SystemName, List[LockRecord]] = {}
 
@@ -119,11 +123,11 @@ class LockTable:
         ]
 
     def records_of(self, tid: int) -> List[LockRecord]:
-        found = []
-        for table in (self._granted, self._waiting):
-            for records in table.values():
-                found.extend(record for record in records if record.tid == tid)
-        return found
+        return [
+            record
+            for record in self.all_granted() + self.all_waiting()
+            if record.tid == tid
+        ]
 
     def all_granted(self) -> List[LockRecord]:
         return [record for records in self._granted.values() for record in records]
@@ -135,14 +139,11 @@ class LockTable:
         self, tid: int, item: DataItem, *, granted_only: bool = False
     ) -> Optional[LockRecord]:
         """The paper's get-lock-record operation."""
-        for record in self._granted.get(item.name, []):
-            if record.tid == tid and record.item == item:
-                return record
-        if granted_only:
-            return None
-        for record in self._waiting.get(item.name, []):
-            if record.tid == tid and record.item == item:
-                return record
+        tables = (self._granted,) if granted_only else (self._granted, self._waiting)
+        for table in tables:
+            for record in table.get(item.name, []):
+                if record.tid == tid and record.item == item:
+                    return record
         return None
 
     def record_count(self) -> int:
@@ -159,12 +160,11 @@ class LockTable:
         self._waiting.setdefault(record.item.name, []).append(record)
 
     def remove(self, record: LockRecord) -> None:
-        for table in (self._granted, self._waiting):
-            records = table.get(record.item.name)
-            if records and record in records:
-                records.remove(record)
-                if not records:
-                    del table[record.item.name]
+        table = self._granted if record.granted else self._waiting
+        records = table[record.item.name]
+        records.remove(record)
+        if not records:
+            del table[record.item.name]
 
     def remove_transaction(self, tid: int) -> List[LockRecord]:
         removed = self.records_of(tid)
@@ -176,8 +176,8 @@ class LockTable:
 class LockManager:
     """Lock acquisition, conversion, release, promotion and timeouts.
 
-    One lock manager serves one file server (volume); it keeps the
-    paper's three per-granularity lock tables.
+    One lock manager serves one file server (volume) from one lock
+    table.
     """
 
     def __init__(
@@ -192,11 +192,7 @@ class LockManager:
         self.metrics = metrics
         self.policy = policy or TimeoutPolicy()
         self.name = name
-        self.tables: Dict[LockingLevel, LockTable] = {
-            LockingLevel.RECORD: LockTable(LockingLevel.RECORD),
-            LockingLevel.PAGE: LockTable(LockingLevel.PAGE),
-            LockingLevel.FILE: LockTable(LockingLevel.FILE),
-        }
+        self.table = LockTable()
 
     # ------------------------------------------------------- acquire
 
@@ -218,21 +214,18 @@ class LockManager:
                 f"transaction {transaction.tid} cannot acquire locks in its "
                 f"unlocking phase (two-phase rule)"
             )
-        table = self.tables[item.level]
+        table = self.table
         existing = table.get_lock_record(transaction.tid, item, granted_only=True)
         if existing is not None and _STRENGTH[existing.mode] >= _STRENGTH[mode]:
             return AcquireResult.GRANTED
         if transaction.parent is not None and self._ancestry_covers(
-            table, transaction, item, mode
+            transaction, item, mode
         ):
             # A nested transaction inherits access to data its ancestors
             # hold locks on; the ancestor's lock protects the item until
             # the top-level commit, so no new record is needed.
             return AcquireResult.GRANTED
-        # A new request queues behind every waiter already there; a
-        # conversion (paper 6.3: upgrade in place) jumps the queue.
-        ahead = [] if existing is not None else table.waiting_on(item)
-        if self._may_grant(transaction, item, mode, ahead):
+        if self._may_grant(transaction, item, mode, self._ahead(transaction, item)):
             if existing is None:
                 existing = self._new_record(transaction, item, mode, process_id)
                 table.add_granted(existing)
@@ -253,23 +246,18 @@ class LockManager:
 
     def is_granted(self, transaction: Transaction, item: DataItem, mode: LockMode) -> bool:
         """Poll used by parked clients: has my queued request been granted?"""
-        table = self.tables[item.level]
-        record = table.get_lock_record(transaction.tid, item, granted_only=True)
+        record = self.table.get_lock_record(transaction.tid, item, granted_only=True)
         if record is not None and _STRENGTH[record.mode] >= _STRENGTH[mode]:
             return True
         return transaction.parent is not None and self._ancestry_covers(
-            table, transaction, item, mode
+            transaction, item, mode
         )
 
     def _ancestry_covers(
-        self,
-        table: LockTable,
-        transaction: Transaction,
-        item: DataItem,
-        mode: LockMode,
+        self, transaction: Transaction, item: DataItem, mode: LockMode
     ) -> bool:
         """Does an ancestor hold a lock covering ``item`` at >= ``mode``?"""
-        for record in table.granted_on(item):
+        for record in self.table.granted_on(item):
             if (
                 record.tid != transaction.tid
                 and transaction.is_ancestor_or_self(record.transaction)
@@ -288,50 +276,37 @@ class LockManager:
         mode); leftover waiting records are dropped.  Returns the
         number of records transferred or merged.
         """
+        table = self.table
         moved = 0
-        for table in self.tables.values():
-            for record in table.records_of(child.tid):
-                if not record.granted:
-                    table.remove(record)
-                    continue
-                parent_record = table.get_lock_record(
-                    parent.tid, record.item, granted_only=True
-                )
-                if parent_record is not None:
-                    if _STRENGTH[record.mode] > _STRENGTH[parent_record.mode]:
-                        parent_record.mode = record.mode
-                    table.remove(record)
-                else:
-                    record.transaction = parent
-                moved += 1
+        for record in table.records_of(child.tid):
+            if not record.granted:
+                table.remove(record)
+                continue
+            parent_record = table.get_lock_record(
+                parent.tid, record.item, granted_only=True
+            )
+            if parent_record is not None:
+                if _STRENGTH[record.mode] > _STRENGTH[parent_record.mode]:
+                    parent_record.mode = record.mode
+                table.remove(record)
+            else:
+                record.transaction = parent
+            moved += 1
         return moved
 
     # ------------------------------------------------------- release
 
     def release_all(self, transaction: Transaction) -> None:
-        """The unlock phase: drop every lock and promote waiters.
-
-        A released record lock can unblock a page waiter (and vice
-        versa), so every table is promoted.
-        """
-        removed = [
-            table.remove_transaction(transaction.tid)
-            for table in self.tables.values()
-        ]
-        if any(removed):
-            for table in self.tables.values():
-                self._promote(table)
+        """The unlock phase: drop every lock and promote waiters."""
+        if self.table.remove_transaction(transaction.tid):
+            self._promote()
         self.metrics.add(f"{self.name}.releases")
 
     # ------------------------------------------------------ timeouts
 
     def next_expiry_us(self) -> Optional[int]:
         """Earliest pending lock expiry, or None if nothing is granted."""
-        expiries = [
-            record.next_expiry_us
-            for table in self.tables.values()
-            for record in table.all_granted()
-        ]
+        expiries = [record.next_expiry_us for record in self.table.all_granted()]
         return min(expiries) if expiries else None
 
     def expire(self, now_us: int) -> List[Transaction]:
@@ -345,21 +320,17 @@ class LockManager:
         operation surfaces :class:`LockTimeoutError`.
         """
         victims: List[Transaction] = []
-        for table in self.tables.values():
-            for record in list(table.all_granted()):
-                if record.next_expiry_us > now_us or not record.transaction.is_live:
-                    continue
-                competing = any(
-                    other.waiting_on(record.item)
-                    for other in self.tables.values()
-                )
-                record.retry_count += 1
-                if competing or record.retry_count >= self.policy.max_renewals:
-                    victims.append(record.transaction)
-                    self.metrics.add(f"{self.name}.timeout_aborts")
-                else:
-                    record.next_expiry_us += self.policy.lt_us
-                    self.metrics.add(f"{self.name}.renewals")
+        for record in self.table.all_granted():
+            if record.next_expiry_us > now_us or not record.transaction.is_live:
+                continue
+            competing = bool(self.table.waiting_on(record.item))
+            record.retry_count += 1
+            if competing or record.retry_count >= self.policy.max_renewals:
+                victims.append(record.transaction)
+                self.metrics.add(f"{self.name}.timeout_aborts")
+            else:
+                record.next_expiry_us += self.policy.lt_us
+                self.metrics.add(f"{self.name}.renewals")
         for victim in victims:
             if victim.is_live:
                 victim.status = TransactionStatus.ABORTED
@@ -368,6 +339,25 @@ class LockManager:
         return victims
 
     # ------------------------------------------------------ internal
+
+    def _ahead(
+        self,
+        transaction: Transaction,
+        item: DataItem,
+        queued: Optional[LockRecord] = None,
+    ) -> List[LockRecord]:
+        """The waiters a request queues behind, ``queued`` its own record.
+
+        Every waiter queued earlier on overlapping bytes, at any level.
+        A conversion, a request on bytes its transaction already holds
+        (paper 6.3: upgrade in place), has nobody ahead: making it wait
+        behind requests that cannot be granted while it holds its
+        current lock would deadlock it with them.
+        """
+        if any(record.tid == transaction.tid for record in self.table.granted_on(item)):
+            return []
+        queue = self.table.waiting_on(item)
+        return queue if queued is None else queue[: queue.index(queued)]
 
     def _may_grant(
         self,
@@ -381,22 +371,15 @@ class LockManager:
         Table 1 against every holder outside the requester's ancestry
         whose bytes overlap the request's, at any granularity —
         ``locks_compatible(IR, IR)`` is False, so that is also the
-        single-IR rule.  Then FIFO fairness against ``ahead``, the
-        waiters queued before the request in its own level's queue: only
-        a reader may join readers past reader waiters (an IR/IW waiter
+        single-IR rule.  Then FIFO fairness against ``ahead``: only a
+        reader may join readers past reader waiters (an IR/IW waiter
         ahead blocks new ROs, the paper's anti-starvation rule
-        generalised to the queue).  A conversion has nobody ahead:
-        making it wait behind requests that cannot be granted while it
-        holds its current lock would deadlock it with them.
+        generalised to the queue).
         """
-        holders = [
-            record
-            for table in self.tables.values()
-            for record in table.granted_on(item)
-            if not transaction.is_ancestor_or_self(record.transaction)
-        ]
         return all(
-            locks_compatible(record.mode, mode) for record in holders
+            locks_compatible(record.mode, mode)
+            for record in self.table.granted_on(item)
+            if not transaction.is_ancestor_or_self(record.transaction)
         ) and all(
             mode is LockMode.RO and record.mode is LockMode.RO
             for record in ahead
@@ -427,27 +410,25 @@ class LockManager:
             item=item,
         )
 
-    def _promote(self, table: LockTable) -> None:
+    def _promote(self) -> None:
         """Grant queued requests that have become compatible, in FIFO order."""
+        table = self.table
         changed = True
         while changed:
             changed = False
-            for record in list(table.all_waiting()):
+            for record in table.all_waiting():
                 if not record.transaction.is_live:
                     table.remove(record)
                     changed = True
                     continue
-                held = table.get_lock_record(
-                    record.tid, record.item, granted_only=True
-                )
                 # Dead waiters ahead were dropped earlier in this pass.
-                ahead = []
-                if held is None:
-                    queue = table.waiting_on(record.item)
-                    ahead = queue[: queue.index(record)]
+                ahead = self._ahead(record.transaction, record.item, record)
                 if self._may_grant(
                     record.transaction, record.item, record.mode, ahead
                 ):
+                    held = table.get_lock_record(
+                        record.tid, record.item, granted_only=True
+                    )
                     table.remove(record)
                     if held is None:
                         held = record

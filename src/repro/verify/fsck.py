@@ -14,6 +14,8 @@ result against the allocation bitmap:
 * **stale contiguity counts** — a stored count field disagreeing with
   the actual layout (would make reads fetch wrong runs);
 * **size anomalies** — a recorded file size beyond the mapped blocks;
+* **wild addresses** — a tree pointer or block descriptor past the end
+  of the disk (a FIT stored before the tree blocks it names);
 * **latent corruption** (optional pass, ``verify_media=True``) — every
   recorded fragment checksum recomputed against the raw sectors; a
   mismatch or unreadable sector is *reported, never repaired* — repair
@@ -147,7 +149,13 @@ def fsck_volume(server: FileServer, *, verify_media: bool = False) -> FsckReport
     referenced.update(fits)
     untrusted: Dict[int, str] = {}  # tree block address -> why it was not read
 
+    def outside(address: int) -> bool:
+        return not 0 <= address <= disk.n_fragments - FRAGMENTS_PER_BLOCK
+
     def read(address: int) -> Optional[bytes]:
+        if outside(address):
+            untrusted[address] = f"outside the disk ({disk.n_fragments} fragments)"
+            return None
         if bitmap.is_free(address):
             untrusted[address] = "is free"
             return None
@@ -177,6 +185,12 @@ def fsck_volume(server: FileServer, *, verify_media: bool = False) -> FsckReport
                 desc.address, desc.address + FRAGMENTS_PER_BLOCK
             )
             referenced.update(block_fragments)
+            if outside(desc.address):
+                report.errors.append(
+                    f"FIT {fit_address}: block {index} at {desc.address} "
+                    f"is outside the disk ({disk.n_fragments} fragments)"
+                )
+                continue
             if any(bitmap.is_free(f) for f in block_fragments):
                 report.errors.append(
                     f"FIT {fit_address}: block {index} at {desc.address} "

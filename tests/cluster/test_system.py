@@ -7,6 +7,7 @@ import pytest
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.system import RhodosCluster
+from repro.common.errors import DiskCrashedError, NameNotFoundError
 from repro.file_service.cache import WritePolicy
 from repro.naming.attributed import AttributedName
 from repro.rpc.bus import FaultProfile
@@ -165,6 +166,23 @@ class TestLifecycle:
         system_name = agent.system_name(descriptor)
         assert cluster.file_servers[0].read(system_name, 0, 8) == b"A" * 8
         assert agent.pread(descriptor, 8, 0) == b"A" * 8
+
+    def test_a_failed_volume_hands_out_no_space(self):
+        """A create on a failed volume must fail, not hand out space
+        whose FIT cannot be stored and bind a name the restart loses."""
+        cluster = RhodosCluster()
+        agent = cluster.machine.file_agent
+        name = AttributedName.file("/x")
+        cluster.fail_volume(0)
+        with pytest.raises(DiskCrashedError):
+            cluster.file_servers[0].create()
+        with pytest.raises(DiskCrashedError):
+            agent.create(name, volume_id=0)
+        with pytest.raises(NameNotFoundError):
+            cluster.naming.resolve_file(name)
+        cluster.restart_volume(0)
+        agent.close(agent.create(name, volume_id=0))
+        agent.close(agent.open(name))
 
     def test_fail_volume_downs_the_bus_endpoint(self):
         cluster = RhodosCluster(

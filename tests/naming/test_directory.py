@@ -166,15 +166,13 @@ class TestDurability:
     def test_the_root_survives_a_volume_crash_before_any_flush(
         self, cluster, directories
     ):
-        # Directory files are created durable: the root's binding (and
-        # an entry) names one at once.  The entries written since the
-        # last flush are delayed writes, lost with the crash.
+        # Directory files are created durable, and each table write is
+        # closed: a mutation that returned survives the crash.
         directories.mkdir("/a")
         cluster.fail_volume(0)
         cluster.restart_volume(0)
-        assert directories.list_directory("/") == []
-        directories.mkdir("/a")
         assert [entry.name for entry in directories.list_directory("/")] == ["a"]
+        assert directories.list_directory("/a") == []
 
     def test_directory_shrink_leaves_valid_encoding(self, directories):
         """Removing entries shrinks the JSON; stale tail bytes must not

@@ -262,7 +262,10 @@ class TestDefaultLockingLevel:
         tid2 = host.tbegin()
         descriptor = host.topen(tid2, NAME)
         host.twrite(tid2, descriptor, b"x")
-        assert coordinator.lock_manager(0).tables[LockingLevel.PAGE].record_count() > 0
+        assert any(
+            record.item.level is LockingLevel.PAGE
+            for record in coordinator.lock_manager(0).table.all_granted()
+        )
         host.tend(tid2)
 
     def test_hot_files_default_to_record(self):
@@ -279,5 +282,8 @@ class TestDefaultLockingLevel:
         tid = host.tbegin()
         descriptor = host.topen(tid, NAME)
         host.twrite(tid, descriptor, b"y")
-        assert coordinator.lock_manager(0).tables[LockingLevel.RECORD].record_count() > 0
+        assert any(
+            record.item.level is LockingLevel.RECORD
+            for record in coordinator.lock_manager(0).table.all_granted()
+        )
         host.tend(tid)

@@ -98,6 +98,50 @@ class TestCrossLevelConflicts:
         ) is AcquireResult.GRANTED
 
 
+class TestOneQueueAcrossLevels:
+    """Waiters on the same bytes form one FIFO queue, whatever their
+    levels (section 6.5's queue; section 6.3's anti-starvation rule)."""
+
+    def test_a_page_reader_queues_behind_a_record_writer(self):
+        m = manager()
+        t1, t2, t3, t4 = txn(1), txn(2), txn(3), txn(4)
+        record = record_item(NAME, 0, 8)
+        page = page_item(NAME, 0, BLOCK_SIZE)
+        assert m.acquire(t1, record, LockMode.RO) is AcquireResult.GRANTED
+        assert m.acquire(t2, record, LockMode.IW) is AcquireResult.WAITING
+        assert m.acquire(t3, record, LockMode.RO) is AcquireResult.WAITING
+        # The same bytes at page level: behind the writer too.
+        assert m.acquire(t4, page, LockMode.RO) is AcquireResult.WAITING
+        m.release_all(t1)
+        assert m.is_granted(t2, record, LockMode.IW)
+        assert not m.is_granted(t3, record, LockMode.RO)
+        assert not m.is_granted(t4, page, LockMode.RO)
+        m.release_all(t2)
+        assert m.is_granted(t3, record, LockMode.RO)
+        assert m.is_granted(t4, page, LockMode.RO)
+
+    @pytest.mark.parametrize(
+        "waiter_item",
+        [record_item(NAME, 0, 8), page_item(NAME, 0, BLOCK_SIZE)],
+        ids=["record", "page"],
+    )
+    def test_a_holder_asking_at_another_level_does_not_queue(self, waiter_item):
+        """T holds page 0; U's writer waits behind it.  T's read of a
+        record on that page is granted at once: queueing it behind U,
+        who waits for T, would deadlock the two until LT expires."""
+        m = manager()
+        t, u = txn(1), txn(2)
+        assert m.acquire(t, page_item(NAME, 0, BLOCK_SIZE), LockMode.RO) is (
+            AcquireResult.GRANTED
+        )
+        assert m.acquire(u, waiter_item, LockMode.IW) is AcquireResult.WAITING
+        assert m.acquire(t, record_item(NAME, 0, 8), LockMode.RO) is (
+            AcquireResult.GRANTED
+        )
+        m.release_all(t)
+        assert m.is_granted(u, waiter_item, LockMode.IW)
+
+
 class TestEndToEnd:
     @pytest.fixture
     def stack(self):
@@ -176,12 +220,12 @@ class TestADefaultFileChangingLevel:
         assert host.tpread(t_page, d_page, 8, 0, for_update=True) == b"A" * 8
         with pytest.raises(LockWaitPending):
             host.tpread(t_record, d_record, 8, 0, for_update=True)
-        assert [r.tid for r in locks.tables[LockingLevel.PAGE].all_granted()] == [
-            t_page
-        ]
-        assert [r.tid for r in locks.tables[LockingLevel.RECORD].all_waiting()] == [
-            t_record
-        ]
+        assert [
+            (r.tid, r.item.level) for r in locks.table.all_granted()
+        ] == [(t_page, LockingLevel.PAGE)]
+        assert [
+            (r.tid, r.item.level) for r in locks.table.all_waiting()
+        ] == [(t_record, LockingLevel.RECORD)]
 
         host.tpwrite(t_page, d_page, b"B" * 8, 0)
         host.tend(t_page)

@@ -15,6 +15,7 @@ from repro.transactions.locks import (
     LockMode,
     file_item,
     locks_compatible,
+    page_item,
     record_item,
 )
 from repro.transactions.transaction import (
@@ -229,25 +230,25 @@ class TestTimeouts:
 
 
 class TestLockTableShape:
-    def test_separate_table_per_level(self):
-        """Paper section 6.5: one lock table per locking level."""
+    def test_one_table_for_every_level(self):
+        """One lock table per volume holds every granularity's records."""
         manager, _ = build()
         transaction = txn(1)
         manager.acquire(transaction, record_item(NAME, 0, 10), LockMode.RO)
+        manager.acquire(transaction, page_item(NAME, 0, 4096), LockMode.RO)
         manager.acquire(transaction, file_item(NAME), LockMode.RO)
-        from repro.file_service.attributes import LockingLevel
 
-        assert manager.tables[LockingLevel.RECORD].record_count() == 1
-        assert manager.tables[LockingLevel.FILE].record_count() == 1
-        assert manager.tables[LockingLevel.PAGE].record_count() == 0
+        assert manager.table.record_count() == 3
+        assert sorted(
+            record.item.level.name for record in manager.table.all_granted()
+        ) == ["FILE", "PAGE", "RECORD"]
 
     def test_get_lock_record_fields(self):
         manager, clock = build()
         transaction = txn(7)
         manager.acquire(transaction, ITEM, LockMode.IR, process_id=99)
-        from repro.file_service.attributes import LockingLevel
 
-        record = manager.tables[LockingLevel.RECORD].get_lock_record(7, ITEM)
+        record = manager.table.get_lock_record(7, ITEM)
         assert record is not None
         assert record.process_id == 99
         assert record.mode is LockMode.IR

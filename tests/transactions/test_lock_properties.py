@@ -58,10 +58,8 @@ def overlap(a: DataItem, b: DataItem) -> bool:
 
 
 def check_no_incompatible_grants(manager: LockManager) -> None:
-    """Over all three tables: overlapping bytes conflict at any level."""
-    granted = [
-        record for table in manager.tables.values() for record in table.all_granted()
-    ]
+    """Overlapping bytes conflict at any level."""
+    granted = manager.table.all_granted()
     for i, a in enumerate(granted):
         for b in granted[i + 1 :]:
             if a.tid == b.tid or not overlap(a.item, b.item):
@@ -120,9 +118,8 @@ class TestLockManagerInvariants:
                 manager.release_all(transaction)
         for transaction in transactions:
             manager.release_all(transaction)
-        for table in manager.tables.values():
-            assert table.all_waiting() == []
-            assert table.all_granted() == []
+        assert manager.table.all_waiting() == []
+        assert manager.table.all_granted() == []
 
     @given(schedules())
     @settings(max_examples=40, deadline=None)
@@ -140,12 +137,13 @@ class TestLockManagerInvariants:
                 manager.acquire(transaction, record_item(NAME, lo, length), mode)
             else:
                 manager.release_all(transaction)
-            for table in manager.tables.values():
-                granted = [r for r in table.all_granted() if r.mode is LockMode.IR]
-                for i, a in enumerate(granted):
-                    for b in granted[i + 1 :]:
-                        if a.tid != b.tid:
-                            assert not a.item.conflicts_with(b.item)
+            granted = [
+                r for r in manager.table.all_granted() if r.mode is LockMode.IR
+            ]
+            for i, a in enumerate(granted):
+                for b in granted[i + 1 :]:
+                    if a.tid != b.tid:
+                        assert not a.item.conflicts_with(b.item)
 
 
 FILES = [SystemName(0, 1, 1), SystemName(0, 2, 1)]
@@ -155,7 +153,8 @@ PAGE_SIZE = 16
 class GrantRuleMachine(RuleBasedStateMachine):
     """Four transactions lock records, pages and whole files of two
     files; a transaction that releases or times out is replaced by a
-    fresh one.  After every step the grants obey Table 1 across levels."""
+    fresh one.  After every step the grants obey Table 1 across levels,
+    and waiters were served in one FIFO order across levels."""
 
     def __init__(self):
         super().__init__()
@@ -165,6 +164,10 @@ class GrantRuleMachine(RuleBasedStateMachine):
         )
         self.next_tid = 1
         self.transactions = [self._fresh() for _ in range(4)]
+        # Step numbers; the records are kept so their ids stay unique.
+        self.step = 0
+        self.queued_at = {}  # id(record) -> (step first seen waiting, record)
+        self.granted_before = {}  # id(record) -> record, at the last step
 
     def _fresh(self) -> Transaction:
         transaction = Transaction(tid=self.next_tid, machine_id="m", process_id=0)
@@ -188,15 +191,18 @@ class GrantRuleMachine(RuleBasedStateMachine):
             item = page_item(name, lo // PAGE_SIZE, PAGE_SIZE)
         else:
             item = record_item(name, lo, length)
+        self.step += 1
         self.manager.acquire(self.transactions[slot], item, mode)
 
     @rule(slot=st.integers(0, 3))
     def release_all(self, slot):
+        self.step += 1
         self.manager.release_all(self.transactions[slot])
         self.transactions[slot] = self._fresh()
 
     @rule(elapsed_us=st.integers(1, 150))
     def expire(self, elapsed_us):
+        self.step += 1
         self.clock.advance_us(elapsed_us)
         victims = self.manager.expire(self.clock.now_us)
         self.transactions = [
@@ -207,6 +213,41 @@ class GrantRuleMachine(RuleBasedStateMachine):
     @invariant()
     def grants_obey_table_1_across_levels(self):
         check_no_incompatible_grants(self.manager)
+
+    @invariant()
+    def readers_do_not_pass_an_earlier_writer(self):
+        """No RO is granted while an unrelated transaction's IR or IW,
+        queued earlier on overlapping bytes at any level, still waits —
+        unless the reader already holds some of those bytes (a
+        conversion, which must not queue behind waiters for its own
+        locks)."""
+        granted = self.manager.table.all_granted()
+        waiting = self.manager.table.all_waiting()
+        for record in waiting:
+            self.queued_at.setdefault(id(record), (self.step, record))
+        for reader in granted:
+            if reader.mode is not LockMode.RO or id(reader) in self.granted_before:
+                continue
+            if any(
+                other is not reader
+                and other.tid == reader.tid
+                and overlap(other.item, reader.item)
+                for other in granted
+            ):
+                continue
+            queued = self.queued_at.get(id(reader), (self.step,))[0]
+            for writer in waiting:
+                assert not (
+                    writer.tid != reader.tid
+                    and writer.mode is not LockMode.RO
+                    and writer.transaction.is_live
+                    and overlap(writer.item, reader.item)
+                    and self.queued_at[id(writer)][0] < queued
+                ), (
+                    f"txn {reader.tid} granted RO on {reader.item} past txn "
+                    f"{writer.tid}'s earlier {writer.mode} on {writer.item}"
+                )
+        self.granted_before = {id(record): record for record in granted}
 
 
 class TestGrantRuleAcrossLevels:
