@@ -16,8 +16,9 @@ the property the paper's whole design is organised around.
 
 Free space reaches stable storage through a record log (DESIGN.md §3):
 the bitmap is its base, and settling free space — before any
-stable-bound put, and at ``flush`` — appends only the ordinary
-allocations and frees made since the last settle to its tail.
+stable-bound put's main copy, before any deferred stable copy, and at
+``flush`` — appends only the ordinary allocations and frees made since
+the last settle to its tail.
 
 Media-failure defence (DESIGN.md §11): every put records a per-fragment
 CRC-32 and every main-storage get verifies it, raising
@@ -204,10 +205,11 @@ class DiskServer:
         self._unreconciled: Set[int] = set()
         #: Free space on stable storage: the bitmap as a base plus a
         #: tail of the changes since.  Any stable-bound put settles it
-        #: first: vital structures (FITs, indirect blocks) must never
-        #: become durable while referencing fragments the durable free
-        #: space still considers free, or recovery would hand those
-        #: fragments out again (the crash sweep proves this ordering).
+        #: before the copy that counts after a crash (see :meth:`put`):
+        #: vital structures (FITs, indirect blocks) must never become
+        #: durable while referencing fragments the durable free space
+        #: still considers free, or recovery would hand those fragments
+        #: out again (the crash sweep proves this ordering).
         #: A new volume has no base: its first flush or stable-bound put
         #: writes the bitmap (its format).
         self.free_space_log = RecordLog(stable, FREE_SPACE_LOG)
@@ -433,8 +435,13 @@ class DiskServer:
         both for the first fragment only (``HEAD_BOTH``: a FIT written
         in the same reference as the run that follows it);
         ``sync=BEFORE_STABLE`` defers the stable write (it happens at
-        the next ``flush`` or stable read — a crash first loses it,
-        which is the semantics the caller signed up for).
+        :meth:`drain_stable`, the next ``flush`` or stable read — a
+        crash first loses it, which is the semantics the caller signed
+        up for).  Free space settles before the main copy of a put
+        that writes its stable copy now, and before a deferred stable
+        copy, not its main one: a caller defers the stable copy of a
+        record that counts only through it (a FIT) and settles beside
+        the main copy itself.
         """
         self._serial()
         self._do_put(extent, data, stability=stability, sync=sync)
@@ -520,6 +527,7 @@ class DiskServer:
             self._c_puts.add()
             if (
                 stability is not Stability.ORIGINAL_ONLY
+                and sync is SyncMode.AFTER_STABLE
                 and self._free_space_unsettled
             ):
                 # Free space first, then the structure referencing the
@@ -556,6 +564,11 @@ class DiskServer:
                     self.metrics.add(f"{self._prefix}.deferred_stable_puts")
         finally:
             self._h_put_us.observe(frame_now(self.clock) - started)
+
+    def drain_stable(self) -> None:
+        """Write every deferred stable copy now, free space first."""
+        self._serial()
+        self._drain_pending()
 
     def release_stable(self, extent: Extent) -> None:
         """Drop the stable-storage copy of an extent (e.g. committed shadow)."""
@@ -942,6 +955,8 @@ class DiskServer:
             self, name="pending_stable", site="server.drain_pending"
         )
         pending, self._pending_stable = self._pending_stable, []
+        if pending:
+            self.settle_free_space()
         for key, data, mirror in pending:
             self.stable.put(key, data)
             if mirror:

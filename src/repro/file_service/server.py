@@ -38,12 +38,13 @@ from repro.common.errors import (
     FileSizeError,
     MediaError,
 )
+from repro.common.frames import fan_out
 from repro.common.ids import SystemName, monotonic_id_factory
 from repro.common.metrics import Metrics
 from repro.common.units import BLOCK_SIZE, FRAGMENT_SIZE, FRAGMENTS_PER_BLOCK
 from repro.common.weak import weak_method
 from repro.disk_service.addresses import Extent
-from repro.disk_service.server import DiskServer, Stability
+from repro.disk_service.server import DiskServer, Stability, SyncMode
 from repro.file_service.attributes import FileAttributes, LockingLevel, ServiceType
 from repro.file_service.cache import BufferPool, WritePolicy
 from repro.file_service.fit import (
@@ -275,9 +276,15 @@ class FileServer:
             self._discard(Extent.for_block_run(address, 1))
         fit_extent = Extent(name.fit_address, 1)
         # Tombstone the fragment so a stale system name cannot resurrect
-        # the old FIT from residual disk bytes.
-        self.disk.put(fit_extent, bytes(fit_extent.byte_size))
-        self._discard(fit_extent)
+        # the old FIT from residual disk bytes.  The main copy counts
+        # only while its stable copy agrees, so the two go on their own
+        # spindles at once.
+        with fan_out(self.clock) as fork:
+            with fork.branch():
+                self.disk.release_stable(fit_extent)
+            with fork.branch():
+                self.disk.put(fit_extent, bytes(fit_extent.byte_size))
+        self.disk.free(fit_extent)
         self._files.pop(name.fit_address, None)
         self.metrics.add(f"{self.name}.deletes")
         self.metrics.add(f"{self.name}.blocks_freed", freed)
@@ -515,24 +522,27 @@ class FileServer:
 
         The whole block pool goes back first, then every FIT that
         moved; one whose structure moved shares the put of the run
-        after its fragment, as at its close.  Every file's unstored
-        space is adopted up front, so one settle, at the first FIT's
-        put, covers them all.
+        after its fragment, as at its close (:meth:`_store_fits`).
+        Every file's unstored space is adopted up front, so one settle
+        covers them all.
         """
         for state in self._files.values():
             self._adopt_unstored(state)
-        heads = {
-            fit_address: self._take_head(fit_address, state)
-            for fit_address, state in self._files.items()
-            if state.structure_dirty
-        }
-        if self._data_cache is not None:
-            self._write_back_runs(
-                {address for address, _ in self._data_cache.dirty_items()}
+        stores = [
+            (
+                fit_address,
+                state,
+                self._take_head(fit_address, state) if state.structure_dirty else b"",
             )
-        for fit_address, state in list(self._files.items()):
-            if state.fit_dirty:
-                self._store_fit(fit_address, state, heads.get(fit_address, b""))
+            for fit_address, state in self._files.items()
+            if state.fit_dirty
+        ]
+        dirty = (
+            {address for address, _ in self._data_cache.dirty_items()}
+            if self._data_cache is not None
+            else set()
+        )
+        self._store_fits(dirty, stores)
         self.disk.flush()
         self.metrics.add(f"{self.name}.flushes")
         self.metrics.gauge(f"{self.name}.fits_cached", len(self._files))
@@ -566,11 +576,45 @@ class FileServer:
 
     def _store_after_data(self, fit_address: int, state: _OpenState) -> None:
         """Store a FIT whose structure moved after the dirty blocks it
-        maps below EOF (DESIGN.md §3, "When a FIT is stored"), the run
-        that follows its fragment in the FIT's own reference."""
+        maps below EOF, the run that follows its fragment in the FIT's
+        own reference."""
         head = self._take_head(fit_address, state)
-        self._write_back_runs(self._mapped_below_eof(state))
-        self._store_fit(fit_address, state, head)
+        self._store_fits(
+            self._mapped_below_eof(state), [(fit_address, state, head)]
+        )
+
+    def _store_fits(
+        self, addresses: Set[int], stores: List[Tuple[int, _OpenState, bytes]]
+    ) -> None:
+        """Write back the dirty blocks among ``addresses``, then store
+        each ``(fit_address, state, head)`` of ``stores``, ``head`` the
+        run its FIT shares a reference with (:meth:`_take_head`).
+
+        A FIT counts through its stable copy (DESIGN.md §3, "When a FIT
+        is stored"), so the free-space settle goes to the stable mirrors
+        beside the data and the main copy of the first FIT without tree
+        blocks to store; every stable copy and every tree block, which a
+        crash leaves trusted from main, follows it.  The FITs store as
+        the branches of one fan-out: one's stable copy overlaps the next
+        one's main copy.
+        """
+        for _, state, _ in stores:
+            self._adopt_unstored(state)
+        early = next((store for store in stores if not store[1].tree_dirty), None)
+        with fan_out(self.clock) as fork:
+            with fork.branch():
+                self._write_back_runs(addresses)
+                if early is not None:
+                    self._store_fit(*early, sync=SyncMode.BEFORE_STABLE)
+            with fork.branch():
+                self.disk.settle_free_space()
+        with fan_out(self.clock) as fork:
+            for store in stores:
+                with fork.branch():
+                    if store is early:
+                        self.disk.drain_stable()
+                    else:
+                        self._store_fit(*store)
 
     def _take_head(self, fit_address: int, state: _OpenState) -> bytes:
         """Take the file's dirty blocks that lie in a run from right
@@ -704,14 +748,20 @@ class FileServer:
         return fit
 
     def _store_fit(
-        self, fit_address: int, state: _OpenState, run: bytes = b""
+        self,
+        fit_address: int,
+        state: _OpenState,
+        run: bytes = b"",
+        sync: SyncMode = SyncMode.AFTER_STABLE,
     ) -> None:
         """Dirty tree blocks, then the FIT, to original + stable storage;
         the FIT in one reference with ``run``, the bytes of the blocks
-        that follow its fragment, if any.
+        that follow its fragment, if any, and its stable copy as
+        ``sync`` says.
 
         What was allocated to the file since its last store joins the
-        durable free space first: the first stable-bound put settles it.
+        durable free space first: the first stable-bound put settles it
+        (a deferred one, at the stable copy).
         """
         self._adopt_unstored(state)
         if state.tree_dirty and state.block_map is not None:
@@ -727,6 +777,7 @@ class FileServer:
             Extent(fit_address, 1 + len(run) // FRAGMENT_SIZE),
             state.fit.encode() + run,
             stability=Stability.HEAD_BOTH if run else Stability.BOTH,
+            sync=sync,
         )
         state.fit_dirty = state.structure_dirty = False
         self.metrics.add(f"{self.name}.fit_stores")

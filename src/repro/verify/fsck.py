@@ -32,9 +32,9 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.common.errors import FileSizeError, MediaError
+from repro.common.errors import DiskError, FileSizeError, MediaError
 from repro.common.units import BLOCK_SIZE, FRAGMENTS_PER_BLOCK
-from repro.disk_service.server import DiskServer
+from repro.disk_service.server import DiskServer, Source
 from repro.disk_service.addresses import Extent
 from repro.file_service.fit import (
     FIT_MAGIC,
@@ -80,12 +80,16 @@ def scan_fits(
 ) -> Dict[int, FileIndexTable]:
     """Rediscover every FIT of a volume: fragment number -> decoded FIT.
 
-    Trusts nothing volatile: every allocated fragment is read and kept
-    if it carries the FIT magic, decodes, and is plausible for this
-    disk.  Fragments that could not be judged are described in
-    ``warnings``; a caller that passes no list (a backup must not
-    silently skip a file) gets an unreadable fragment's
-    :class:`MediaError` raised instead.
+    Trusts nothing volatile: every allocated fragment is read, and one
+    that carries the FIT magic is judged the way the file server loads
+    it.  A main copy that decodes and lies in a mirrored fragment is the
+    FIT; any other — stored since the last checkpoint, or torn — counts
+    only through the fragment's stable copy, which is the FIT if there
+    is one (the server writes it over main), and no file if not.  A FIT
+    is kept if it is plausible for this disk.  Fragments that could not
+    be judged are described in ``warnings``; a caller that passes no
+    list (a backup must not silently skip a file) gets an unreadable
+    fragment's :class:`MediaError` raised instead.
     """
     fits: Dict[int, FileIndexTable] = {}
     for run in disk.bitmap.allocated_runs():
@@ -101,22 +105,39 @@ def scan_fits(
                 continue
             if not blob.startswith(FIT_MAGIC):
                 continue
-            try:
-                fit = FileIndexTable.decode(blob)
-            except (FileSizeError, ValueError, struct.error):
-                # The concrete decode taxonomy: structural corruption
-                # (FileSizeError), malformed field values (ValueError), or
-                # a truncated layout (struct.error).  Anything else is a
-                # checker bug and must surface, not be swallowed.
-                if warnings is not None:
+            fit = _decode(blob)
+            if fit is None or not disk.is_mirrored_fragment(fragment):
+                stable = _stable_copy(disk, fragment)
+                if fit is None and stable is None and warnings is not None:
                     warnings.append(
                         f"fragment {fragment}: FIT magic but undecodable "
                         f"(torn write?)"
                     )
-                continue
-            if fit.plausible_on(disk.n_fragments):
+                fit = stable
+            if fit is not None and fit.plausible_on(disk.n_fragments):
                 fits[fragment] = fit
     return fits
+
+
+def _decode(blob: bytes) -> Optional[FileIndexTable]:
+    """The FIT ``blob`` holds, or None if it does not decode."""
+    try:
+        return FileIndexTable.decode(blob)
+    except (FileSizeError, ValueError, struct.error):
+        # The concrete decode taxonomy: structural corruption
+        # (FileSizeError), malformed field values (ValueError), or a
+        # truncated layout (struct.error).  Anything else is a checker
+        # bug and must surface, not be swallowed.
+        return None
+
+
+def _stable_copy(disk: DiskServer, fragment: int) -> Optional[FileIndexTable]:
+    """The FIT in ``fragment``'s stable copy, or None if it has none that
+    decodes (read only: nothing is written over the main copy)."""
+    try:
+        return _decode(disk.get(Extent(fragment, 1), source=Source.STABLE))
+    except (KeyError, DiskError):
+        return None
 
 
 def _kind(block: TreeBlock) -> str:

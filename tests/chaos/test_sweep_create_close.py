@@ -3,8 +3,11 @@
 The create-close workload makes ``close`` its durability point: each
 close writes the file's dirty blocks back one put per contiguous run
 and stores the FIT only when its structure moved — after the blocks,
-and in one put with the run that starts right after its fragment.
-Before its first close the file does not survive a crash.  Every
+and in one put with the run that starts right after its fragment.  The
+free-space tail record goes to the stable mirrors beside those data
+writes, issued after them, and the FIT's stable copy follows both; a
+delete releases the FIT's stable copy beside its tombstone, issued
+first.  Before its first close the file does not survive a crash.  Every
 physical write is crashed once and the recovered file must be one of
 the outcomes the script admits at that instant, hold no byte of the
 file deleted before it, and fsck must be clean.
@@ -52,10 +55,11 @@ class TestCountingRun:
 
     def test_the_neighbours_close_falls_between_create_and_first_close(self):
         """Five crash points where the file exists only in memory: the
-        free-space tail record (the residue's frees and the neighbour's
-        allocation — the file's blocks are scratch until its close), the
-        neighbour's FIT and block, and its FIT's stable copy.  The file's
-        own close then appends its allocation to the tail."""
+        neighbour's FIT and block, the free-space tail record (the
+        residue's frees and the neighbour's allocation — the file's
+        blocks are scratch until its close) and the neighbour's FIT's
+        stable copy.  The file's own close then appends its allocation
+        to the tail."""
         workload = CreateCloseWorkload()
         workload.run()
         entries = workload.monitor.write_entries()
@@ -70,21 +74,23 @@ class TestCountingRun:
                 SECTORS_PER_FRAGMENT + 3 * SECTORS_PER_BLOCK,
             )
         )
-        between = [
+        around = [
             (entry.disk_id, entry.n_sectors)
             for entry in entries
-            if tombstone < entry.index < first_close
+            if tombstone - 2 <= entry.index < first_close
         ]
-        # After the tombstone: the residue's stable copy is deleted (one
-        # sector per mirror), then the neighbour's close.
-        assert between[2:] == [
+        # The residue's stable copy is released (one sector per mirror)
+        # before its tombstone; then the neighbour's close: its FIT and
+        # block, the tail record, the FIT's stable copy.
+        assert around == [
+            ("chaos0.stable_a", 1),
+            ("chaos0.stable_b", 1),
+            ("chaos0", SECTORS_PER_FRAGMENT),
+            ("chaos0", SECTORS_PER_FRAGMENT + SECTORS_PER_BLOCK),
             ("chaos0.stable_a", 3),
             ("chaos0.stable_b", 3),
-            ("chaos0", SECTORS_PER_FRAGMENT + SECTORS_PER_BLOCK),
             ("chaos0.stable_a", 5),
             ("chaos0.stable_b", 5),
-            ("chaos0.stable_a", 3),
-            ("chaos0.stable_b", 3),
         ]
 
 

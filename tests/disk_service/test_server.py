@@ -211,6 +211,34 @@ def free_space_records(keys):
     return [key for key in keys if key in FREE_SPACE_KEYS]
 
 
+class TestADeferredStableCopySettlesFirst:
+    """Free space settles before the copy that counts: the main copy of
+    a put that writes its stable copy at once, the stable copy of one
+    that defers it (a FIT whose main copy goes beside the settle)."""
+
+    def test_a_deferred_put_leaves_the_settle_to_its_stable_copy(self, server):
+        server.flush()
+        extent = server.allocate(1)
+        keys = record_stable_keys(server)
+        server.put(
+            extent,
+            payload(extent),
+            stability=Stability.BOTH,
+            sync=SyncMode.BEFORE_STABLE,
+        )
+        assert keys == []
+        server.drain_stable()
+        assert keys == ["bitmap.tail", f"ext:{extent.start}:1"]
+        assert server.is_mirrored_fragment(extent.start)
+
+    def test_a_put_that_writes_its_stable_copy_settles_at_once(self, server):
+        server.flush()
+        extent = server.allocate(1)
+        keys = record_stable_keys(server)
+        server.put(extent, payload(extent), stability=Stability.BOTH)
+        assert keys == ["bitmap.tail", f"ext:{extent.start}:1"]
+
+
 class TestFlushSettlesFreeSpace:
     """Free space is written only when it changed: a tail record of the
     changes, or the whole bitmap as a base — a new volume's first flush

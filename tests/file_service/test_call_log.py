@@ -1,27 +1,23 @@
 """Golden disk-service call log of a scripted file-service workload.
 
 ``golden_call_log.txt`` is the log of :func:`run_script` at the commit
-before a delayed write's FIT went to disk only after its data, marked
-up against the log since (a line-level diff): lines starting ``- ``
-existed only before, lines starting ``+ `` exist only since.  What may
-differ is counted in
+before a FIT's stable copy could wait for the free-space settle that
+runs beside its main copy, marked up against the log since (a
+line-level diff): lines starting ``- `` existed only before, lines
+starting ``+ `` exist only since.  What may differ is counted in
 :func:`test_golden_log_differs_from_its_parent_only_as_listed`:
 
-* no call but a put comes or goes: the same allocations, frees, gets
-  and stable releases — though a leaf under a pointer block, allocated
-  when the tree is stored, now gets its block at the flush instead of
-  at the write that mapped it, so that allocation moves and some
-  addresses with it;
-* a file's blocks and FIT fragment are allocated as scratch placed
-  low (``scratch=True, high=False``: out of the durable free space),
-  and each FIT store first adopts what was allocated to its file since
-  the last one;
-* no FIT is stored at create or at a delayed write that maps blocks:
-  a FIT and its tree blocks are stored by a close, a flush or a
-  FIT-cache eviction, after the file's dirty blocks, and a FIT whose
-  fragment precedes a dirty run goes in one ``head-both`` put with it.
+* every FIT put names when its stable copy goes: ``sync=before`` for
+  the one FIT of a close or flush whose main copy goes beside the
+  settle (its stable copy follows the settle, at ``drain_stable``),
+  ``sync=after`` for every other;
+* the FITs hold simulated times (last write, last read), which moved
+  with the overlap, so those puts' payload CRCs moved too;
+* a delete releases the FIT's stable copy before it puts the
+  tombstone on the main copy, not after: the two overlap.
 
-The log of the checked-out code must match the ``  `` and ``+ `` lines
+No call comes or goes, and every other argument is the same.  The
+log of the checked-out code must match the ``  `` and ``+ `` lines
 exactly, arguments and payload CRCs included.  ``python -m
 tests.file_service.test_call_log`` prints it, which is how the golden
 file was produced.
@@ -57,7 +53,12 @@ LEAF = DESCRIPTORS_PER_INDIRECT
 FIRST_DOUBLE = DIRECT_DESCRIPTORS + SINGLE_INDIRECT_SLOTS * LEAF
 ADDRESS = re.compile(r"ext\(\d+,")
 SCRATCH = re.compile(r", scratch=True(?:, high=False)?")
-PUT = re.compile(r"put\(ext\(\d+,(\d+)\), <\d+B crc [0-9a-f]{8}>(?:, stability=(\S+))?\)")
+PUT = re.compile(
+    r"put\(ext\(\d+,(\d+)\), <\d+B crc [0-9a-f]{8}>"
+    r"(?:, stability=([a-z-]+))?(?:, sync=[a-z]+)?\)"
+)
+CRC = re.compile(r" crc [0-9a-f]{8}>")
+SYNC = re.compile(r", sync=[a-z]+")
 
 
 def _show(value) -> str:
@@ -204,32 +205,35 @@ def test_golden_log_differs_from_its_parent_only_as_listed():
     parent = [line[2:] for line in marked if line[0] in " -"]
     now = [line[2:] for line in marked if line[0] in " +"]
 
-    def others(log):
-        return sorted(
-            ADDRESS.sub("ext(?,", SCRATCH.sub("", line))
-            for line in log
-            if not line.startswith(("put(", "adopt("))
-        )
+    def plain(log):
+        return [SYNC.sub("", CRC.sub(">", line)) for line in log]
 
-    # The same calls but puts and adopts, up to leaf addresses and the
-    # scratch keywords of the file server's allocations ...
-    assert others(now) == others(parent)
-    # ... each of which a FIT store adopts (23 extents, none at the
-    # parent): the 12 of the files' creates, and 11 growths or tree
-    # blocks.
-    assert sum(line.startswith("adopt(") for line in parent) == 0
-    assert sum(line.startswith("adopt(") for line in now) == 23
-    assert all(
-        SCRATCH.search(line) for line in now if line.startswith("try_allocate_at(")
-    )
-    # ... 33 FIT stores become 17, ten of them in one put with the run
-    # after the FIT (ten data puts fewer), and each tree block is stored
-    # once per flush rather than at every write that mapped a block
-    # below it.
-    assert _puts(parent) == {
-        "fit": 33, "tree": 35, "data": 44, "fit+run": 0, "tombstone": 5
-    }
-    assert _puts(now) == {
+    def tombstone_first(log):
+        """``log`` with each delete's FIT release moved after its
+        tombstone and the fragment's free, as at the parent."""
+        moved = list(log)
+        for index, line in enumerate(log):
+            if line.startswith("release_stable(ext(") and line.endswith(",1))"):
+                extent = line[len("release_stable(") : -1]
+                if log[index + 1].startswith(f"put({extent}, "):
+                    moved[index : index + 3] = log[index + 1 : index + 3] + [line]
+        return moved
+
+    # The same calls, up to payload CRCs, the sync keyword and where a
+    # delete releases its FIT's stable copy: before the tombstone (all
+    # five deletes), where the parent released it after.
+    assert plain(tombstone_first(now)) == plain(parent)
+    assert sum(
+        line.startswith("release_stable(") and next_line.startswith("put(")
+        for line, next_line in zip(now, now[1:])
+    ) == 5
+    # Every FIT put names its sync: 3 FIT stores (each the first of a
+    # close or flush with no tree block to store) leave their stable
+    # copy to follow the settle; the other 14 write it at once.
+    assert not any("sync=" in line for line in parent)
+    assert sum("sync=before" in line for line in now) == 3
+    assert sum("sync=after" in line for line in now) == 14
+    assert _puts(now) == _puts(parent) == {
         "fit": 7, "tree": 28, "data": 34, "fit+run": 10, "tombstone": 5
     }
 

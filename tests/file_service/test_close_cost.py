@@ -1,8 +1,10 @@
 """What a close costs: one put per contiguous run of dirty blocks, and
 a FIT store only when the file's structure moved since the last one —
 after the blocks, and in one put with the run that follows the FIT's
-fragment.  A flush writes the whole block pool back the same way,
-pipeline or not.
+fragment.  The free-space settle goes to the stable mirrors beside
+those data-drive writes, and the FIT's stable copy follows both.  A
+flush writes the whole block pool back the same way, pipeline or not,
+and stores its FITs as the branches of one fan-out.
 
 A transaction checkpoint goes through the same ``flush_file``: its one
 put per run is pinned in ``tests/transactions/test_commit_cost.py``
@@ -15,6 +17,7 @@ from repro.chaos.trace import CrashPointMonitor
 from repro.cluster.config import ClusterConfig
 from repro.cluster.system import RhodosCluster
 from repro.common.clock import SimClock
+from repro.common.frames import Timeline
 from repro.common.metrics import Metrics
 from repro.common.units import BLOCK_SIZE, FRAGMENTS_PER_BLOCK
 from repro.disk_service.addresses import Extent
@@ -187,9 +190,115 @@ class TestOneHundredKilobyteCreate:
         )
         # Block by block this was 19 / 18 / 5 and 413 ms; with the FIT
         # stored at create and again at the write, 3 / 8 / 2 and 103 ms;
-        # now 1 / 4 / 1 and 65.3 ms (the FIT's stable copy lands where
-        # the slots the root directory's FIT took at bootstrap put it).
+        # with the free-space tail record before the data, 1 / 4 / 1 and
+        # 65.3 ms; now, the record beside the data, 1 / 4 / 1 and 44.2 ms
+        # (the FIT's stable copy lands where the slots the root
+        # directory's FIT took at bootstrap put it).
         assert data == 1
         assert stable <= 4
         assert stores == 1
-        assert elapsed_us < 70_000
+        assert elapsed_us < 45_000
+
+
+class _RecordingTimeline(Timeline):
+    __slots__ = ("spans",)
+
+    def charge_ceiled(self, busy):
+        span = super().charge_ceiled(busy)
+        self.spans.append(span)
+        return span
+
+
+def reference_spans(disk):
+    """``(start, end)`` of every reference ``disk`` serves from now on."""
+    recording = _RecordingTimeline(disk.clock)
+    recording.busy_until_us = disk.timeline.busy_until_us
+    recording.busy_total_us = disk.timeline.busy_total_us
+    recording.spans = []
+    disk.timeline = recording
+    return recording.spans
+
+
+def spans_of(server):
+    """The reference spans of the data drive and both stable mirrors."""
+    stable = server.disk.stable
+    return tuple(
+        reference_spans(disk)
+        for disk in (server.disk.disk, stable.mirror_a, stable.mirror_b)
+    )
+
+
+def settled_server():
+    """A server whose free space has a base: a settle is one tail record."""
+    server = build_file_server(SimClock(), Metrics())
+    warm = server.create()
+    server.write(warm, 0, b"w" * 5000)
+    server.close(warm)
+    return server
+
+
+class TestTheSettleGoesBesideTheData:
+    def test_the_settle_starts_with_the_data_and_the_stable_copy_follows(self):
+        server = settled_server()
+        name = server.create()
+        server.write(name, 0, bytes(range(256)) * 400)
+        data, mirror_a, mirror_b = spans_of(server)
+        started = server.clock.now_us
+        server.close(name)
+        # One data reference (the FIT and its blocks); on each mirror the
+        # tail record, then the FIT's stable copy.
+        assert len(data) == 1 and len(mirror_a) == len(mirror_b) == 2
+        (written,), (settle_a, fit_a), (settle_b, fit_b) = data, mirror_a, mirror_b
+        assert written[0] == settle_a[0] == started
+        assert fit_a[0] >= max(written[1], settle_b[1])
+        assert fit_a[1] <= fit_b[0]
+        assert server.clock.now_us == fit_b[1]
+
+    def test_a_delete_costs_the_longer_of_tombstone_and_release(self):
+        server = settled_server()
+        name = server.create()
+        server.write(name, 0, b"d" * BLOCK_SIZE)
+        server.close(name)
+        data, mirror_a, mirror_b = spans_of(server)
+        started = server.clock.now_us
+        server.delete(name)
+        (tombstone,), (release_a,), (release_b,) = data, mirror_a, mirror_b
+        assert tombstone[0] == release_a[0] == started
+        elapsed = server.clock.now_us - started
+        assert elapsed == max(tombstone[1], release_b[1]) - started
+        assert elapsed < (tombstone[1] - tombstone[0]) + (release_b[1] - release_a[0])
+
+    def test_a_tree_dirty_store_settles_before_its_first_tree_block_put(self):
+        server = settled_server()
+        name = server.create()
+        server.write(name, 0, b"t" * (70 * BLOCK_SIZE))  # past the direct area
+        puts = recorded_puts(server)
+        data, mirror_a, mirror_b = spans_of(server)
+        server.close(name)
+        runs = next(
+            index
+            for index, (_, stability) in enumerate(puts)
+            if stability is not Stability.ORIGINAL_ONLY
+        )
+        assert runs > 0 and puts[runs][1] is Stability.BOTH
+        # The settle is each mirror's first reference: it starts with the
+        # first run and ends before the first tree block's main copy.
+        assert data[0][0] == mirror_a[0][0]
+        assert data[runs][0] >= mirror_b[0][1]
+
+    def test_a_flush_of_several_fits_costs_less_than_storing_them_in_turn(self):
+        server = settled_server()
+        names = [server.create() for _ in range(4)]
+        for name in names:
+            server.write(name, 0, b"f" * 100)
+            server.close(name)
+        server.flush()
+        for name in names:
+            server.open(name)  # the FIT moved: its open count
+        spans = spans_of(server)
+        stores, started = fit_stores(server), server.clock.now_us
+        server.flush()
+        elapsed = server.clock.now_us - started
+        assert fit_stores(server) == stores + 4
+        # In turn, the flush would cost the sum of its references.
+        assert elapsed < sum(end - start for disk in spans for start, end in disk)

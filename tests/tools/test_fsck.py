@@ -5,10 +5,13 @@ import tracemalloc
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.errors import MediaError
+from repro.chaos.scheduler import CrashScheduler
+from repro.chaos.workloads import CreateCloseWorkload
+from repro.common.errors import DiskCrashedError, FileNotFoundError_, MediaError
 from repro.common.metrics import Metrics
 from repro.common.units import BLOCK_SIZE
 from repro.disk_service.addresses import Extent
+from repro.file_service.fit import FIT_MAGIC
 from repro.verify.fsck import fsck_volume, scan_fits, verify_checksums
 from tests.conftest import build_file_server
 
@@ -284,6 +287,52 @@ class TestScanFits:
         server.recover()
         with pytest.raises(MediaError):
             scan_fits(server.disk)
+
+
+def crashed_create_close(point):
+    """The create-close chaos workload, crashed at ``point`` and
+    recovered; returns its file server."""
+    workload = CreateCloseWorkload()
+    workload.monitor.arm(point)
+    with pytest.raises(DiskCrashedError):
+        workload.run()
+    workload.recover()
+    return workload.volume.file_server
+
+
+class TestScanFitsAfterACrash:
+    """A main copy that is not mirrored counts only through its stable
+    copy, for fsck and backup as for the file server."""
+
+    def test_scan_fits_returns_exactly_the_fits_the_file_server_loads(self):
+        total = CrashScheduler(CreateCloseWorkload).count_crash_points()
+        for point in range(1, total + 1):
+            server = crashed_create_close(point)
+            disk = server.disk
+            scanned = {
+                fragment: fit.encode() for fragment, fit in scan_fits(disk).items()
+            }
+            candidates = [
+                fragment
+                for run in disk.bitmap.allocated_runs()
+                for fragment in range(run.start, run.end)
+                if disk.get(Extent(fragment, 1)).startswith(FIT_MAGIC)
+            ]
+            loaded = {}
+            for fragment in candidates:
+                try:
+                    loaded[fragment] = server._read_fit_from_disk(fragment).fit.encode()
+                except FileNotFoundError_:
+                    continue
+            assert scanned == loaded, f"crash point {point}"
+
+    def test_an_unmirrored_main_copy_without_a_stable_one_is_an_orphan(self):
+        # Crash point 3 lands the residue's FIT on main, not on stable.
+        server = crashed_create_close(3)
+        report = fsck_volume(server)
+        assert report.clean, report.errors
+        assert report.files_found == 0
+        assert report.orphaned_fragments == 21
 
 
 class TestFootprint:
