@@ -18,7 +18,7 @@ from collections import OrderedDict
 from typing import Dict
 
 from repro.analysis import monitor as _monitor
-from repro.common.errors import SectorAlignmentError
+from repro.common.errors import MediaError, SectorAlignmentError
 from repro.common.metrics import Metrics
 from repro.simdisk.disk import SimDisk
 
@@ -63,7 +63,8 @@ class TrackCache:
         A fully cached request is a hit (no disk reference).  On a miss
         the needed range is read in one disk reference and, with
         readahead on, the remainder of the last track is captured in
-        passing and cached.
+        passing and cached; a media error there ends the readahead,
+        not the read.
         """
         _monitor.active().read(self, start, start + n_sectors, site="cache.read")
         if self._all_cached(start, n_sectors):
@@ -184,7 +185,13 @@ class TrackCache:
         first_uncovered = last_sector + 1
         if first_uncovered >= track_end:
             return
-        rest = self.disk.read_in_passing(first_uncovered, track_end - first_uncovered)
+        try:
+            rest = self.disk.read_in_passing(
+                first_uncovered, track_end - first_uncovered
+            )
+        except MediaError:
+            # A sector nobody asked for ends the readahead, not the read.
+            return
         self._store(first_uncovered, rest)
 
     def _evict_if_needed(self) -> None:

@@ -186,8 +186,9 @@ class DiskServer:
             if cache_tracks > 0
             else None
         )
-        # Deferred stable writes: (key, data, marks_mirrored).
-        self._pending_stable: List[Tuple[str, bytes, bool]] = []
+        # Deferred stable writes: key -> (extent, data, marks_mirrored),
+        # the newest deferral of a key replacing the one before.
+        self._pending_stable: Dict[str, Tuple[Extent, bytes, bool]] = {}
         #: fragment -> CRC-32 of its last successful main write.
         self._checksums: Dict[int, int] = {}
         #: Extents whose stable copy legitimately equals main (last put
@@ -560,7 +561,7 @@ class DiskServer:
                         self, key, name="pending_stable",
                         site="server.defer_stable",
                     )
-                    self._pending_stable.append((key, data, mirror))
+                    self._pending_stable[key] = (extent, data, mirror)
                     self.metrics.add(f"{self._prefix}.deferred_stable_puts")
         finally:
             self._h_put_us.observe(frame_now(self.clock) - started)
@@ -577,11 +578,7 @@ class DiskServer:
             self, _stable_key(extent), name="pending_stable",
             site="server.release_stable",
         )
-        self._pending_stable = [
-            entry
-            for entry in self._pending_stable
-            if entry[0] != _stable_key(extent)
-        ]
+        self._pending_stable.pop(_stable_key(extent), None)
         self._unmark_mirrored(extent)
         self.stable.delete(_stable_key(extent))
 
@@ -954,16 +951,15 @@ class DiskServer:
         _monitor.active().write_all(
             self, name="pending_stable", site="server.drain_pending"
         )
-        pending, self._pending_stable = self._pending_stable, []
+        pending, self._pending_stable = self._pending_stable, {}
         if pending:
             self.settle_free_space()
-        for key, data, mirror in pending:
+        for key, (extent, data, mirror) in pending.items():
             self.stable.put(key, data)
             if mirror:
                 # A deferred BOTH put: its stable copy just caught up
                 # with main, so the extent is mirrored from here on.
-                _, start, length = key.split(":")
-                self._mark_mirrored(Extent(int(start), int(length)))
+                self._mark_mirrored(extent)
 
     def _record_checksums(self, extent: Extent, data: bytes) -> None:
         _monitor.active().write(

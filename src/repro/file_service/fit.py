@@ -276,20 +276,6 @@ class FileIndexTable:
             address is not None for address in self.double_indirect
         )
 
-    def plausible_on(self, n_fragments: int) -> bool:
-        """Could this be a live FIT of a disk of ``n_fragments`` fragments?
-
-        Weeds out data blocks that merely contain FIT-like bytes.
-        """
-        attrs = self.attributes
-        if attrs.generation <= 0 or attrs.file_size > n_fragments * FRAGMENT_SIZE:
-            return False
-        addresses = [desc.address for desc in self.direct if desc is not None]
-        addresses += self.single_indirect + self.double_indirect
-        return all(
-            address is None or address < n_fragments for address in addresses
-        )
-
 
 def encode_indirect_block(
     descriptors: List[Optional[BlockDescriptor]],

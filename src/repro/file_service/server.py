@@ -44,7 +44,7 @@ from repro.common.metrics import Metrics
 from repro.common.units import BLOCK_SIZE, FRAGMENT_SIZE, FRAGMENTS_PER_BLOCK
 from repro.common.weak import weak_method
 from repro.disk_service.addresses import Extent
-from repro.disk_service.server import DiskServer, Stability, SyncMode
+from repro.disk_service.server import DiskServer, Source, Stability, SyncMode
 from repro.file_service.attributes import FileAttributes, LockingLevel, ServiceType
 from repro.file_service.cache import BufferPool, WritePolicy
 from repro.file_service.fit import (
@@ -70,6 +70,43 @@ DEFAULT_GROWTH_BATCH_BLOCKS = 8
 
 def _ignore(*_args: object) -> None:
     return None
+
+
+def stored_fit(
+    disk: DiskServer, fit_address: int, main: Optional[bytes], *, heal: bool
+) -> Tuple[Optional[FileIndexTable], bool]:
+    """The FIT stored at ``fit_address`` (None if none counts), and
+    whether ``main`` — its main copy as read, None if unreadable —
+    differed from it, or, when none counts, was no FIT at all.
+
+    The one rule for which copy of a FIT counts, for the file server,
+    fsck and backup alike.  "A copy of the file index table is always
+    available in stable storage" (paper section 5): a main copy that
+    decodes counts as is only in a mirrored fragment (known equal to
+    its stable copy).  Any other — stored since the last checkpoint
+    before a crash, torn, corrupt or unreadable — counts only through
+    the stable copy, since a FIT reaches main storage ahead of the run
+    that shares its reference and stable storage after both.  With
+    ``heal`` the stable copy is written over main unless equal to it,
+    and the fragment is mirrored from then on; without, nothing is
+    written.
+    """
+    try:
+        fit = None if main is None else FileIndexTable.decode(main)
+    except (FileSizeError, ValueError):
+        fit = None
+    if fit is not None and disk.is_mirrored_fragment(fit_address):
+        return fit, False
+    extent = Extent(fit_address, 1)
+    try:
+        blob = (
+            disk.repair_from_stable(extent, main)
+            if heal
+            else disk.get(extent, source=Source.STABLE)
+        )
+        return FileIndexTable.decode(blob), blob != main
+    except (KeyError, BadAddressError, MediaError, FileSizeError, ValueError):
+        return None, fit is None
 
 
 class _OpenState:
@@ -104,7 +141,10 @@ class _OpenState:
         self.tree_dirty = False
         # Scratch extents allocated to the file since its FIT was last
         # stored: out of the durable free space, so a crash before the
-        # store frees them; the store adopts them (_store_fit).
+        # store frees them; the store adopts them (_store_fit).  Only an
+        # allocation that moves the structure adds one, and only a store
+        # clears ``structure_dirty``, so a state with unstored space is
+        # structure-dirty, hence fit-dirty: every FIT store covers it.
         self.unstored: List[Extent] = []
 
     def structure_moved(self) -> None:
@@ -522,12 +562,10 @@ class FileServer:
 
         The whole block pool goes back first, then every FIT that
         moved; one whose structure moved shares the put of the run
-        after its fragment, as at its close (:meth:`_store_fits`).
-        Every file's unstored space is adopted up front, so one settle
+        after its fragment, as at its close (:meth:`_store_fits`), which
+        adopts every file's unstored space up front, so one settle
         covers them all.
         """
-        for state in self._files.values():
-            self._adopt_unstored(state)
         stores = [
             (
                 fit_address,
@@ -702,50 +740,19 @@ class FileServer:
         return state
 
     def _read_fit_from_disk(self, fit_address: int) -> _OpenState:
-        extent = Extent(fit_address, 1)
         try:
-            blob = self.disk.get(extent)
-            fit = FileIndexTable.decode(blob)
-        except (FileSizeError, BadAddressError, MediaError) as exc:
-            # "A copy of the file index table is always available in
-            # stable storage" (paper section 5) — a torn, corrupt, or
-            # checksum-failed main copy is repaired from it.
-            fit = self._restore_fit_from_stable(extent)
-            if fit is None:
-                raise FileNotFoundError_(
-                    f"no file index table at fragment {fit_address}: {exc}"
-                ) from exc
-        else:
-            if not self.disk.is_mirrored_fragment(fit_address):
-                # Not known equal to its stable copy: stored since the
-                # last checkpoint before a crash, or never stored whole.
-                # A FIT reaches main storage ahead of the run that shares
-                # its reference and stable storage after both, so the
-                # stable copy is the one that counts; checked once, the
-                # fragment is mirrored from then on.
-                fit = self._restore_fit_from_stable(extent, blob)
-                if fit is None:
-                    raise FileNotFoundError_(
-                        f"the file index table at fragment {fit_address} "
-                        f"was never stored whole"
-                    )
+            main: Optional[bytes] = self.disk.get(Extent(fit_address, 1))
+        except (BadAddressError, MediaError):
+            main = None
+        fit, differed = stored_fit(self.disk, fit_address, main, heal=True)
+        if fit is None:
+            raise FileNotFoundError_(
+                f"no file index table stored at fragment {fit_address}"
+            )
+        if differed:
+            self.metrics.add(f"{self.name}.fit_restores")
         self.metrics.add(f"{self.name}.fit_loads")
         return _OpenState(fit)
-
-    def _restore_fit_from_stable(
-        self, extent: Extent, main: Optional[bytes] = None
-    ) -> Optional[FileIndexTable]:
-        """The FIT's stable copy, written over the main copy unless that
-        is ``main`` and equal to it; None if there is no readable one.
-        The fragment is mirrored from then on."""
-        try:
-            blob = self.disk.repair_from_stable(extent, main)
-            fit = FileIndexTable.decode(blob)
-        except (KeyError, FileSizeError, BadAddressError, MediaError):
-            return None
-        if blob != main:
-            self.metrics.add(f"{self.name}.fit_restores")
-        return fit
 
     def _store_fit(
         self,

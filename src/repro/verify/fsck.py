@@ -2,10 +2,10 @@
 
 The checker works the way a real fsck must: it takes nothing on faith
 from the in-memory file server.  It scans every allocated fragment for
-file index tables (the FIT magic plus structural sanity checks), walks
-each FIT's block-map tree (through the one walker in
-:mod:`repro.file_service.fit`, reading blocks itself), and reconciles the
-result against the allocation bitmap:
+file index tables (judged by the file server's one rule for which copy
+of a FIT counts), walks each FIT's block-map tree (through the one
+walker in :mod:`repro.file_service.fit`, reading blocks itself), and
+reconciles the result against the allocation bitmap:
 
 * **cross-linked blocks** — two files claiming the same disk block;
 * **lost blocks** — referenced by a FIT but free in the bitmap;
@@ -27,14 +27,13 @@ The report distinguishes *errors* (integrity broken) from *warnings*
 
 from __future__ import annotations
 
-import struct
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.common.errors import DiskError, FileSizeError, MediaError
+from repro.common.errors import MediaError
 from repro.common.units import BLOCK_SIZE, FRAGMENTS_PER_BLOCK
-from repro.disk_service.server import DiskServer, Source
+from repro.disk_service.server import DiskServer
 from repro.disk_service.addresses import Extent
 from repro.file_service.fit import (
     FIT_MAGIC,
@@ -45,7 +44,7 @@ from repro.file_service.fit import (
     recompute_counts,
     walk_tree,
 )
-from repro.file_service.server import FileServer
+from repro.file_service.server import FileServer, stored_fit
 
 
 @dataclass
@@ -81,63 +80,38 @@ def scan_fits(
     """Rediscover every FIT of a volume: fragment number -> decoded FIT.
 
     Trusts nothing volatile: every allocated fragment is read, and one
-    that carries the FIT magic is judged the way the file server loads
-    it.  A main copy that decodes and lies in a mirrored fragment is the
-    FIT; any other — stored since the last checkpoint, or torn — counts
-    only through the fragment's stable copy, which is the FIT if there
-    is one (the server writes it over main), and no file if not.  A FIT
-    is kept if it is plausible for this disk.  Fragments that could not
-    be judged are described in ``warnings``; a caller that passes no
-    list (a backup must not silently skip a file) gets an unreadable
-    fragment's :class:`MediaError` raised instead.
+    whose main copy carries the FIT magic or cannot be read is judged
+    by the file server's own rule, read only
+    (:func:`repro.file_service.server.stored_fit`).  Fragments that
+    could not be judged are described in ``warnings``; a caller that
+    passes no list (a backup must not silently skip a file) gets an
+    unreadable fragment's :class:`MediaError` raised instead.
     """
     fits: Dict[int, FileIndexTable] = {}
     for run in disk.bitmap.allocated_runs():
         for fragment in range(run.start, run.end):
+            unreadable: Optional[MediaError] = None
             try:
-                blob = disk.get(Extent(fragment, 1))
+                main: Optional[bytes] = disk.get(Extent(fragment, 1))
             except MediaError as exc:
-                # An unreadable or rotten fragment cannot hold a live FIT
-                # candidate; the media pass (or the scrubber) names it.
-                if warnings is None:
-                    raise
-                warnings.append(f"fragment {fragment}: unreadable ({exc})")
+                main, unreadable = None, exc
+            if main is not None and not main.startswith(FIT_MAGIC):
                 continue
-            if not blob.startswith(FIT_MAGIC):
-                continue
-            fit = _decode(blob)
-            if fit is None or not disk.is_mirrored_fragment(fragment):
-                stable = _stable_copy(disk, fragment)
-                if fit is None and stable is None and warnings is not None:
-                    warnings.append(
-                        f"fragment {fragment}: FIT magic but undecodable "
-                        f"(torn write?)"
-                    )
-                fit = stable
-            if fit is not None and fit.plausible_on(disk.n_fragments):
+            fit, differed = stored_fit(disk, fragment, main, heal=False)
+            if fit is not None:
                 fits[fragment] = fit
+            elif unreadable is not None:
+                # Neither readable nor a FIT's stable copy: the media
+                # pass (or the scrubber) names it.
+                if warnings is None:
+                    raise unreadable
+                warnings.append(f"fragment {fragment}: unreadable ({unreadable})")
+            elif differed and warnings is not None:
+                warnings.append(
+                    f"fragment {fragment}: FIT magic but undecodable "
+                    f"(torn write?)"
+                )
     return fits
-
-
-def _decode(blob: bytes) -> Optional[FileIndexTable]:
-    """The FIT ``blob`` holds, or None if it does not decode."""
-    try:
-        return FileIndexTable.decode(blob)
-    except (FileSizeError, ValueError, struct.error):
-        # The concrete decode taxonomy: structural corruption
-        # (FileSizeError), malformed field values (ValueError), or a
-        # truncated layout (struct.error).  Anything else is a checker
-        # bug and must surface, not be swallowed.
-        return None
-
-
-def _stable_copy(disk: DiskServer, fragment: int) -> Optional[FileIndexTable]:
-    """The FIT in ``fragment``'s stable copy, or None if it has none that
-    decodes (read only: nothing is written over the main copy)."""
-    try:
-        return _decode(disk.get(Extent(fragment, 1), source=Source.STABLE))
-    except (KeyError, DiskError):
-        return None
 
 
 def _kind(block: TreeBlock) -> str:

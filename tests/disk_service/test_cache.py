@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.errors import ChecksumError, SectorAlignmentError
+from repro.common.errors import BadSectorError, ChecksumError, SectorAlignmentError
 from repro.common.metrics import Metrics
 from repro.disk_service.cache import TrackCache
 from repro.simdisk.disk import SimDisk
@@ -68,6 +68,18 @@ class TestReadPath:
         refs = metrics.get("disk.t.references")
         cache.read(0, 4)  # sectors 0-1 cached, 2-3 not: one more reference
         assert metrics.get("disk.t.references") == refs + 1
+
+    def test_a_bad_sector_ends_the_readahead_not_the_read(self):
+        cache, disk, metrics = build()
+        sectors = [bytes([index]) * 512 for index in range(16)]
+        disk.write_sectors(0, b"".join(sectors))
+        disk.faults.mark_bad(10)
+        # Sector 10 lies in the rest of the track, which nobody asked for.
+        assert cache.read(0, 4) == b"".join(sectors[:4])
+        assert metrics.get("disk.t.readahead_sectors") == 0
+        assert cache.read(4, 2) == b"".join(sectors[4:6])  # a miss, not poison
+        with pytest.raises(BadSectorError):
+            cache.read(10, 1)
 
 
 class TestWritePath:

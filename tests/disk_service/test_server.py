@@ -238,6 +238,23 @@ class TestADeferredStableCopySettlesFirst:
         server.put(extent, payload(extent), stability=Stability.BOTH)
         assert keys == ["bitmap.tail", f"ext:{extent.start}:1"]
 
+    def test_a_later_deferral_replaces_the_earlier_copy(self, server):
+        server.flush()
+        extent = server.allocate_block()
+        keys = record_stable_keys(server)
+        for fill in range(20):
+            server.put(
+                extent,
+                payload(extent, fill),
+                stability=Stability.BOTH,
+                sync=SyncMode.BEFORE_STABLE,
+            )
+        assert server.pending_stable_writes == 1
+        server.drain_stable()
+        assert keys == ["bitmap.tail", f"ext:{extent.start}:{extent.length}"]
+        assert server.get(extent, source=Source.STABLE) == payload(extent, 19)
+        assert server.is_mirrored_fragment(extent.start)
+
 
 class TestFlushSettlesFreeSpace:
     """Free space is written only when it changed: a tail record of the

@@ -105,17 +105,47 @@ class TestCatastrophe:
 
 class TestScanProblems:
     def test_unreadable_fragment_aborts_the_dump(self):
-        """A backup that skipped what it could not read would silently
-        lose a file; the scan's MediaError surfaces instead."""
-        source, _ = build_pair()
+        """An unreadable FIT counts through its stable copy; a data block
+        has none, and a backup that skipped it would silently lose a
+        file, so the scan's MediaError surfaces instead."""
+        source, target = build_pair()
         name = source.create()
-        source.write(name, 0, b"precious")
+        source.write(name, 0, b"precious" * BLOCK_SIZE)
         source.flush()
-        fit_sector = Extent(name.fit_address, 1).first_sector
-        source.disk.disk.faults.schedule_media_error(fit_sector)
+        faults = source.disk.disk.faults
+        faults.schedule_media_error(Extent(name.fit_address, 1).first_sector)
         source.recover()  # drop caches so the scan hits the platter
+        mapping = restore_volume(target, dump_volume(source))
+        restored = mapping[(name.fit_address, name.generation)]
+        assert target.read(restored, 0, 8) == b"precious"
+        data = source.block_descriptor(name, 6).address
+        faults.schedule_media_error(Extent(data, 1).first_sector)
+        source.recover()
         with pytest.raises(MediaError):
             dump_volume(source)
+
+    def test_three_files_dump_with_a_bad_sector_under_a_fit(self):
+        source, target = build_pair()
+        names = []
+        for index in range(3):
+            name = source.create()
+            source.write(name, 0, bytes([index + 1]) * (3 * BLOCK_SIZE))
+            source.close(name)
+            names.append(name)
+        source.flush()
+        source.disk.disk.faults.mark_bad(
+            Extent(names[1].fit_address, 1).first_sector
+        )
+        source.recover()  # a cold cache: the scan hits the platter
+        mapping = restore_volume(target, dump_volume(source))
+        assert sorted(mapping) == sorted(
+            (name.fit_address, name.generation) for name in names
+        )
+        for index, name in enumerate(names):
+            restored = mapping[(name.fit_address, name.generation)]
+            assert target.read(restored, 0, 3 * BLOCK_SIZE) == (
+                bytes([index + 1]) * (3 * BLOCK_SIZE)
+            )
 
     def test_undecodable_fit_candidate_is_skipped(self):
         source, target = build_pair()

@@ -333,6 +333,23 @@ class TestScanFitsAfterACrash:
         assert report.clean, report.errors
         assert report.files_found == 0
         assert report.orphaned_fragments == 21
+        # A main copy that decodes is no torn write, whatever counts.
+        assert not any("undecodable" in warning for warning in report.warnings)
+
+
+class TestAnUnreadableFitMainCopy:
+    """fsck counts a FIT the file server serves from its stable copy."""
+
+    def test_the_stable_copy_counts_with_a_cold_cache(self, server):
+        names = make_files(server, count=3)
+        fit_sector = Extent(names[1].fit_address, 1).first_sector
+        server.disk.disk.faults.mark_bad(fit_sector)
+        server.recover()  # drop the caches so the scan hits the platter
+        report = fsck_volume(server)
+        assert (report.files_found, report.orphaned_fragments) == (3, 0)
+        assert report.warnings == []
+        assert report.clean, report.errors
+        assert server.read(names[1], 0, 4) == b"\x02" * 4
 
 
 class TestFootprint:
