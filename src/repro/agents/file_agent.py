@@ -23,6 +23,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.clock import SimClock
 from repro.common.errors import BadDescriptorError, FileNotFoundError_, FileSizeError
+from repro.common.frames import fan_out
 from repro.common.ids import DEVICE_DESCRIPTOR_LIMIT, SystemName
 from repro.common.metrics import Metrics
 from repro.common.units import BLOCK_SIZE
@@ -243,9 +244,17 @@ class FileAgent:
         return attrs
 
     def flush(self) -> None:
-        """Write back every dirty cached block (all files)."""
-        for key in list(self._cache):
-            self._writeback(key)
+        """Write back every dirty cached block, file by file as at
+        close; each volume's files are one branch of a fan-out, so a
+        blocking caller waits for the slowest file server, not the sum."""
+        by_volume: Dict[int, List[SystemName]] = {}
+        for name in self._cached_blocks:
+            by_volume.setdefault(name.volume_id, []).append(name)
+        with fan_out(self.clock) as fork:
+            for volume_id in sorted(by_volume):
+                with fork.branch():
+                    for name in by_volume[volume_id]:
+                        self._flush_file(name)
         self.metrics.add(f"{self._prefix}.flushes")
 
     def invalidate_volume(self, volume_id: int) -> int:
@@ -340,7 +349,17 @@ class FileAgent:
                 return bytes(entry.data[lo:hi])
         self.metrics.add(f"{self._prefix}.cache.misses")
         block_lo = block_index * BLOCK_SIZE
-        fetched = self.router.read(state.name, block_lo, BLOCK_SIZE)
+        victim = self._dirty_victim(key)
+        if victim is None:
+            fetched = self.router.read(state.name, block_lo, BLOCK_SIZE)
+        else:
+            # The block this miss evicts goes back beside the fetch, not
+            # after it: on another volume the two overlap.
+            with fan_out(self.clock) as fork:
+                with fork.branch():
+                    fetched = self.router.read(state.name, block_lo, BLOCK_SIZE)
+                with fork.branch():
+                    self._writeback(victim)
         if fetched:
             state.known_size = max(state.known_size, block_lo + len(fetched))
         entry = self._entry(key)
@@ -417,6 +436,13 @@ class FileAgent:
         else:
             self._cache.move_to_end(key)
         return entry
+
+    def _dirty_victim(self, key: _CacheKey) -> Optional[_CacheKey]:
+        """The dirty block that caching ``key`` would evict, if any."""
+        if key in self._cache or len(self._cache) < self.cache_blocks:
+            return None
+        victim = next(iter(self._cache))
+        return victim if self._cache[victim].is_dirty else None
 
     def _writeback(self, key: _CacheKey) -> None:
         entry = self._cache.get(key)

@@ -16,7 +16,9 @@ schedules the completion on the event loop, and the loop advances the
 clock event-to-event.  With no frame open, charging falls back to
 inline clock advancement: a blocking caller waits for each delay in
 turn.  A reference's charge has one implementation,
-:meth:`Timeline.charge_ceiled`, which the disk's reference paths call.
+:meth:`Timeline.charge_ceiled`, which the disk's reference paths call;
+work a server does after its reply (a drive's track readahead) keeps
+it busy through :meth:`Timeline.occupy`, which charges nobody.
 
 Frames nest (the innermost wins) and are keyed by clock instance, so
 independent simulated systems in one process never share a frame
@@ -188,6 +190,25 @@ class Timeline:
             if end > now:
                 clock._now_us = end
         self.busy_until_us = end
+        self.busy_total_us += busy
+        return start, end
+
+    def occupy(self, busy: int) -> tuple[int, int]:
+        """Keep the server busy for ``busy`` whole us without the caller
+        waiting: work after the reply, such as a drive's track readahead.
+
+        The occupation starts at ``max(now, busy_until_us)`` like a
+        charge, and the server's next charge starts after it; but
+        neither the caller's frame cursor nor the clock moves.
+        """
+        mon = _monitor._active
+        if mon.enabled:
+            mon.chain(self)
+        stack = _FRAMES.get(self._frame_key)
+        now = stack[-1].cursor_us if stack else self.clock._now_us
+        busy_until = self.busy_until_us
+        start = busy_until if busy_until > now else now
+        self.busy_until_us = end = start + busy
         self.busy_total_us += busy
         return start, end
 

@@ -7,6 +7,14 @@ of a read request.  Then the disk service caches the rest of the data
 from the same track ... in order to satisfy any subsequent requests to
 read data from blocks/fragments pertaining to the same track."
 
+The requester waits only for the first part: the rest of the track is
+read in passing after the reply, keeping the drive busy until the
+track end (:meth:`~repro.simdisk.disk.SimDisk.read_in_passing`), so
+the drive's next reference waits behind it and the requester does not.
+A sector read in passing is cached at once but served no earlier than
+it passed the head: a hit on it waits until then, and the wait moves
+only the caller's time, not the drive's.
+
 The cache is sector-granular, evicted track-at-a-time in LRU order.
 Writes go through to the disk and update any cached copy, so the cache
 is never stale.
@@ -19,6 +27,7 @@ from typing import Dict
 
 from repro.analysis import monitor as _monitor
 from repro.common.errors import MediaError, SectorAlignmentError
+from repro.common.frames import charge_elapsed, frame_now
 from repro.common.metrics import Metrics
 from repro.simdisk.disk import SimDisk
 
@@ -54,22 +63,28 @@ class TrackCache:
         self._c_misses = metrics.counter(f"{name}.misses")
         # track -> {sector -> data}; OrderedDict gives LRU order.
         self._tracks: "OrderedDict[int, Dict[int, bytes]]" = OrderedDict()
+        # track -> {sector -> when it passed the head}, for the sectors
+        # of that track read in passing.
+        self._passed: Dict[int, Dict[int, int]] = {}
 
     # ------------------------------------------------------------ api
 
     def read(self, start: int, n_sectors: int) -> bytes:
         """Read sectors through the cache.
 
-        A fully cached request is a hit (no disk reference).  On a miss
-        the needed range is read in one disk reference and, with
-        readahead on, the remainder of the last track is captured in
-        passing and cached; a media error there ends the readahead,
-        not the read.
+        A fully cached request is a hit (no disk reference); it waits
+        until every sector of it read in passing has passed the head.
+        On a miss the needed range is read in one disk reference, the
+        one the caller waits for; with readahead on, the remainder of
+        the last track is then captured in passing and cached, after
+        the reply (the drive stays busy, the caller does not wait); a
+        media error there ends the readahead, not the read.
         """
         _monitor.active().read(self, start, start + n_sectors, site="cache.read")
         if self._all_cached(start, n_sectors):
             self._c_hits.add()
             self._touch(start, n_sectors)
+            self._wait_until_passed(start, n_sectors)
             return self._assemble(start, n_sectors)
         self._c_misses.add()
         data = self.disk.read_sectors(start, n_sectors)
@@ -109,6 +124,7 @@ class TrackCache:
         """Drop every cached sector (e.g. after disk recovery)."""
         _monitor.active().write_all(self, site="cache.invalidate")
         self._tracks.clear()
+        self._passed.clear()
 
     def drop_sectors(self, start: int, n_sectors: int) -> int:
         """Evict a sector range (a read of it failed verification).
@@ -128,8 +144,10 @@ class TrackCache:
             cached = self._tracks.get(track)
             if cached is not None and cached.pop(sector, None) is not None:
                 dropped += 1
+                self._passed.get(track, {}).pop(sector, None)
                 if not cached:
                     del self._tracks[track]
+                    self._passed.pop(track, None)
         if dropped:
             self.metrics.add(f"{self.name}.verification_drops", dropped)
         return dropped
@@ -185,16 +203,35 @@ class TrackCache:
         first_uncovered = last_sector + 1
         if first_uncovered >= track_end:
             return
+        n_rest = track_end - first_uncovered
         try:
-            rest = self.disk.read_in_passing(
-                first_uncovered, track_end - first_uncovered
-            )
+            rest = self.disk.read_in_passing(first_uncovered, n_rest)
         except MediaError:
             # A sector nobody asked for ends the readahead, not the read.
             return
         self._store(first_uncovered, rest)
+        self._passed.setdefault(track, {}).update(
+            zip(
+                range(first_uncovered, track_end),
+                self.disk.passing_times(first_uncovered, n_rest),
+            )
+        )
+
+    def _wait_until_passed(self, start: int, n_sectors: int) -> None:
+        """Move the caller's time to when the last of these sectors
+        read in passing passed the head (the drive is not charged)."""
+        ready = 0
+        for sector in range(start, start + n_sectors):
+            at = self._passed.get(self.disk.track_of(sector), {}).get(sector, 0)
+            if at > ready:
+                ready = at
+        clock = self.disk.clock
+        wait = ready - frame_now(clock)
+        if wait > 0:
+            charge_elapsed(clock, wait)
 
     def _evict_if_needed(self) -> None:
         while len(self._tracks) > self.capacity_tracks:
-            self._tracks.popitem(last=False)
+            track, _ = self._tracks.popitem(last=False)
+            self._passed.pop(track, None)
             self.metrics.add(f"{self.name}.evictions")

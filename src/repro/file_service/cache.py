@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, Iterable, Iterator, Optional, Tuple
+from itertools import islice
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.common.metrics import Metrics
 
@@ -34,8 +35,11 @@ class BufferPool:
 
     A dirty buffer is written back through ``writeback(key, data)`` when
     it is evicted; the owner writes back the rest (:meth:`dirty_items`,
-    then :meth:`mark_clean`).  The pool never loses data silently:
-    evicting a dirty buffer without a writeback callback is an error.
+    then :meth:`mark_clean`), and may have what an insertion would evict
+    written back ahead of it (:meth:`dirty_victims`, then
+    :meth:`write_back`).  The pool never loses
+    data silently: evicting a dirty buffer without a writeback callback
+    is an error.
 
     Args:
         name: metric prefix (``<name>.hits`` etc.).
@@ -107,6 +111,25 @@ class BufferPool:
         """The dirty buffers among ``keys`` (no LRU or metric effect)."""
         return {key: self._buffers[key] for key in keys if self._dirty.get(key)}
 
+    def dirty_victims(self, n: int) -> List[Hashable]:
+        """The keys of the dirty buffers that inserting ``n`` absent keys
+        would evict, in eviction order (no LRU or metric effect)."""
+        evicted = max(0, len(self._buffers) + n - self.capacity)
+        return [
+            key
+            for key in islice(self._buffers, evicted)
+            if self._dirty.get(key)
+        ]
+
+    def write_back(self, keys: Iterable[Hashable]) -> None:
+        """Write back the named dirty buffers now, in order, as their
+        eviction would; each is marked clean once it is down, so a
+        failing write-back leaves it dirty."""
+        for key in keys:
+            if self._dirty.get(key):
+                self._write_back(key, self._buffers[key])
+                self._dirty[key] = False
+
     def __len__(self) -> int:
         return len(self._buffers)
 
@@ -116,11 +139,13 @@ class BufferPool:
         while len(self._buffers) > self.capacity:
             key, data = self._buffers.popitem(last=False)
             if self._dirty.pop(key, False):
-                if self.writeback is None:
-                    raise RuntimeError(
-                        f"buffer pool {self.name}: dirty buffer {key!r} has "
-                        "no writeback"
-                    )
-                self.writeback(key, data)
-                self.metrics.add(f"{self.name}.writebacks")
+                self._write_back(key, data)
             self.metrics.add(f"{self.name}.evictions")
+
+    def _write_back(self, key: Hashable, data: bytes) -> None:
+        if self.writeback is None:
+            raise RuntimeError(
+                f"buffer pool {self.name}: dirty buffer {key!r} has no writeback"
+            )
+        self.writeback(key, data)
+        self.metrics.add(f"{self.name}.writebacks")

@@ -1098,7 +1098,18 @@ class FileServer:
                 address + (index + miss_len) * FRAGMENTS_PER_BLOCK
             ):
                 miss_len += 1
-            data = self.disk.get(Extent.for_block_run(block_addr, miss_len))
+            miss = Extent.for_block_run(block_addr, miss_len)
+            victims = self._data_cache.dirty_victims(miss_len)
+            if victims:
+                # What caching the miss evicts goes back beside the get,
+                # not after it: on an array the two overlap.
+                with fan_out(self.clock) as fork:
+                    with fork.branch():
+                        data = self.disk.get(miss)
+                    with fork.branch():
+                        self._data_cache.write_back(victims)
+            else:
+                data = self.disk.get(miss)
             for sub in range(miss_len):
                 self._data_cache.put(
                     block_addr + sub * FRAGMENTS_PER_BLOCK,

@@ -23,7 +23,7 @@ per-sector media scans entirely.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.common.clock import SimClock
 from repro.common.errors import (
@@ -79,6 +79,7 @@ class SimDisk:
         "_p_readahead",
         "_p_readahead_busy",
         "_p_service",
+        "_passing",
         "_c_reads",
         "_c_writes",
         "_c_references",
@@ -141,6 +142,9 @@ class SimDisk:
         self._p_readahead = 0
         self._p_readahead_busy = 0
         self._p_service: list = []
+        # The last read in passing: (first sector, sectors, start us,
+        # slot us), for passing_times.
+        self._passing: tuple = (0, 0, 0, 0.0)
         # Held weakly: the registry must not keep every disk that ever
         # charged it alive (DESIGN.md §13); __del__ drains what a
         # dropped disk still had pending.
@@ -261,15 +265,27 @@ class SimDisk:
         latency, and no additional disk reference**.  Callers must only
         use this for sectors on the track(s) the preceding read already
         positioned the head on.
+
+        The transfer comes *after* the reply ("only those blocks ...
+        necessary to immediately fulfill the requirement of a read
+        request.  Then ... the rest of the data from the same track"):
+        it occupies the drive (:meth:`Timeline.occupy`) until the track
+        end, so the drive's next reference waits behind it, but the
+        caller does not wait for it.  The bytes are returned at once;
+        :meth:`passing_times` says when each sector passed the head,
+        which is when a copy of it may be served.
         """
         faults = self.faults
         if faults.crashed:
             raise DiskCrashedError(f"{self.disk_id}: disk is crashed")
         self._check_range(start, n_sectors)
         if faults.bad_sectors or faults._media_errors:
+            self._passing = (start, 0, 0, 0.0)  # delivers nothing if it raises
             self._check_media(start, n_sectors)
-        elapsed = _TIMING.slot_time_us(self.geometry) * n_sectors
-        self.timeline.charge(elapsed)
+        slot = _TIMING.slot_time_us(self.geometry)
+        elapsed = slot * n_sectors
+        began, _ = self.timeline.occupy(ceil_us(elapsed))
+        self._passing = (start, n_sectors, began, slot)
         self._head_angular = (
             self._head_angular + n_sectors
         ) % self.geometry.sectors_per_track
@@ -282,6 +298,19 @@ class SimDisk:
         self._p_readahead += n_sectors
         self._p_readahead_busy += int(elapsed)
         return self._store_read(start, n_sectors)
+
+    def passing_times(self, start: int, n_sectors: int) -> List[int]:
+        """When each of these sectors passed the head in the last read
+        in passing: the occupation's start plus its slots up to and
+        including the sector's own; 0 for a sector that read did not
+        cover."""
+        first, count, began, slot = self._passing
+        return [
+            began + ceil_us(slot * (sector - first + 1))
+            if first <= sector < first + count
+            else 0
+            for sector in range(start, start + n_sectors)
+        ]
 
     # ------------------------------------------------------ geometry
 

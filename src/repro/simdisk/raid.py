@@ -231,8 +231,8 @@ class StripedVolume:
 
     Duck-types the :class:`~repro.simdisk.disk.SimDisk` surface the
     disk service consumes (``disk_id``, ``geometry``, ``read_sectors``,
-    ``write_sectors``, ``read_in_passing``, ``track_of``,
-    ``track_bounds``, ``head_cylinder``, ``crash``/``repair``/
+    ``write_sectors``, ``read_in_passing``, ``passing_times``,
+    ``track_of``, ``track_bounds``, ``head_cylinder``, ``crash``/``repair``/
     ``crashed``), so a :class:`~repro.disk_service.server.DiskServer`
     and its :class:`~repro.disk_service.pipeline.DiskPipeline` stack on
     an array exactly as on a single drive.
@@ -1045,6 +1045,32 @@ class StripedVolume:
         return self._serving(
             lambda: self._read_attempt(start, n_sectors, in_passing=True)
         )
+
+    def passing_times(self, start: int, n_sectors: int) -> List[int]:
+        """When each logical sector of the last read in passing had
+        passed the heads it needs: its member's, or for a stale
+        member's sector (degraded raid5) every surviving member's.
+
+        A sector a source did not deliver (a media error settled from
+        peers) is taken to pass when the last survivor falls idle:
+        later than exact, never early.
+        """
+        stale = self._stale_member()
+        survivors = [i for i in range(self._n) if i not in self._failed]
+        idle = max(self._members[i].timeline.busy_until_us for i in survivors)
+        out: List[int] = []
+        for member, physical, length, _ in self._segments(start, n_sectors):
+            sources = [member] if member != stale else survivors
+            out.extend(
+                max(times) if all(times) else idle
+                for times in zip(
+                    *(
+                        self._members[i].passing_times(physical, length)
+                        for i in sources
+                    )
+                )
+            )
+        return out
 
     def _read_attempt(
         self, start: int, n_sectors: int, *, in_passing: bool = False

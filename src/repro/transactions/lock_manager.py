@@ -348,16 +348,31 @@ class LockManager:
     ) -> List[LockRecord]:
         """The waiters a request queues behind, ``queued`` its own record.
 
-        Every waiter queued earlier on overlapping bytes, at any level.
-        A conversion, a request on bytes its transaction already holds
-        (paper 6.3: upgrade in place), has nobody ahead: making it wait
-        behind requests that cannot be granted while it holds its
-        current lock would deadlock it with them.
+        Every waiter queued earlier on overlapping bytes, at any level,
+        except one whose bytes in common with the request the requester
+        already holds some of.  A conversion (paper 6.3: upgrade in
+        place) thus has nobody ahead: making it wait behind requests
+        that cannot be granted while it holds its current lock would
+        deadlock it with them.  A waiter on bytes of the request that
+        the requester does not hold stays ahead of it.
         """
-        if any(record.tid == transaction.tid for record in self.table.granted_on(item)):
-            return []
         queue = self.table.waiting_on(item)
-        return queue if queued is None else queue[: queue.index(queued)]
+        if queued is not None:
+            queue = queue[: queue.index(queued)]
+        held = [
+            record.item
+            for record in self.table.granted_on(item)
+            if record.tid == transaction.tid
+        ]
+        return [
+            waiter
+            for waiter in queue
+            if not any(
+                mine.lo < min(waiter.item.hi, item.hi)
+                and max(waiter.item.lo, item.lo) < mine.hi
+                for mine in held
+            )
+        ]
 
     def _may_grant(
         self,

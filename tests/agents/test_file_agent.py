@@ -9,6 +9,7 @@ from repro.common.clock import SimClock
 from repro.cluster.system import RhodosCluster
 from repro.common.errors import (
     BadDescriptorError,
+    DiskCrashedError,
     FileNotFoundError_,
     FileSizeError,
     NameExistsError,
@@ -234,13 +235,115 @@ class TestCloseWritesBackRuns:
         )
         assert issued == 2
 
-    def test_flush_still_writes_back_block_by_block(self):
+    def test_flush_writes_back_runs_as_close_does(self):
         agent, _, metrics = build_agent()
         descriptor = agent.create(AttributedName.file("/a"))
         agent.write(descriptor, b"f" * (3 * BLOCK_SIZE))
         before = metrics.get("file_server.0.writes")
         agent.flush()
-        assert metrics.get("file_server.0.writes") - before == 3
+        assert metrics.get("file_server.0.writes") - before == 1
+        assert metrics.get("file_agent.m0.cache.writebacks") == 3
+
+
+def two_volume_agent(cache_blocks):
+    """An agent over volumes 0 and 1, whose file servers keep no block
+    pool: (agent, servers by volume)."""
+    clock, metrics = SimClock(), Metrics()
+    servers = {
+        volume_id: build_file_server(
+            clock, metrics, volume_id=volume_id, data_cache_blocks=0
+        )
+        for volume_id in (0, 1)
+    }
+    agent = FileAgent(
+        "m0", NamingService(metrics), build_direct_router(servers), clock,
+        metrics, cache_blocks=cache_blocks,
+    )
+    return agent, servers
+
+
+def evicting_rig(victim_volume):
+    """A one-block agent over two volumes without server block pools:
+    file /f (one block, closed, reopened) on volume 0, and a dirty block
+    of /v on ``victim_volume`` in the agent's only cache slot."""
+    agent, servers = two_volume_agent(cache_blocks=1)
+    fetched = agent.create(AttributedName.file("/f"), volume_id=0)
+    agent.write(fetched, b"f" * BLOCK_SIZE)
+    agent.close(fetched)
+    victim = agent.create(AttributedName.file("/v"), volume_id=victim_volume)
+    agent.write(victim, b"v" * BLOCK_SIZE)
+    return agent, servers, agent.open(AttributedName.file("/f")), victim
+
+
+def fetch_then_write_back(victim_volume):
+    """The parent's order on a twin rig: (fetch us, write-back us)."""
+    agent, _, fetched, _ = evicting_rig(victim_volume)
+    start = agent.clock.now_us
+    agent.router.read(agent.system_name(fetched), 0, BLOCK_SIZE)
+    middle = agent.clock.now_us
+    agent.flush()
+    return middle - start, agent.clock.now_us - middle
+
+
+class TestEvictionBesideTheFetch:
+    """A miss that evicts a dirty block writes it back beside the fetch,
+    fetch first: two volumes overlap, one volume serializes as before."""
+
+    def test_on_another_volume_the_miss_costs_the_longer(self):
+        fetch, write_back = fetch_then_write_back(victim_volume=1)
+        assert fetch > 0 and write_back > 0
+        agent, servers, fetched, victim = evicting_rig(victim_volume=1)
+        start = agent.clock.now_us
+        assert agent.pread(fetched, BLOCK_SIZE, 0) == b"f" * BLOCK_SIZE
+        assert agent.clock.now_us - start == max(fetch, write_back)
+        assert agent.metrics.get("file_agent.m0.cache.writebacks") == 2
+        name = agent.system_name(victim)
+        assert servers[1].read(name, 0, BLOCK_SIZE) == b"v" * BLOCK_SIZE
+
+    def test_on_the_same_volume_the_timing_is_the_sequential_one(self):
+        fetch, write_back = fetch_then_write_back(victim_volume=0)
+        agent, _, fetched, _ = evicting_rig(victim_volume=0)
+        start = agent.clock.now_us
+        agent.pread(fetched, BLOCK_SIZE, 0)
+        assert agent.clock.now_us - start == fetch + write_back
+
+    def test_a_failing_write_back_leaves_the_victim_dirty(self):
+        agent, servers, fetched, victim = evicting_rig(victim_volume=1)
+        agent.close(victim)
+        victim = agent.open(AttributedName.file("/v"))
+        agent.pwrite(victim, b"w" * BLOCK_SIZE, 0)
+        servers[1].crash()
+        with pytest.raises(DiskCrashedError):
+            agent.pread(fetched, BLOCK_SIZE, 0)
+        servers[1].disk.disk.repair()
+        servers[1].recover()
+        agent.flush()  # the victim is still cached, still dirty
+        name = agent.system_name(victim)
+        assert servers[1].read(name, 0, BLOCK_SIZE) == b"w" * BLOCK_SIZE
+
+
+def flush_us(dirty_volumes):
+    """What ``flush()`` costs with files /a0 (two blocks) on volume 0
+    and /a1 (one block) on volume 1, only those on ``dirty_volumes``
+    written."""
+    agent, _ = two_volume_agent(cache_blocks=8)
+    for volume_id in (0, 1):
+        descriptor = agent.create(
+            AttributedName.file(f"/a{volume_id}"), volume_id=volume_id
+        )
+        if volume_id in dirty_volumes:
+            agent.write(descriptor, b"a" * ((2 - volume_id) * BLOCK_SIZE))
+    start = agent.clock.now_us
+    agent.flush()
+    return agent.clock.now_us - start
+
+
+class TestFlushAcrossVolumes:
+    def test_flush_costs_the_slowest_volume_not_the_sum(self):
+        """Each volume's files are one branch of a fan-out."""
+        alone = [flush_us({0}), flush_us({1})]
+        assert min(alone) > 0
+        assert flush_us({0, 1}) == max(alone)
 
 
 class TestAttributesAndDelete:

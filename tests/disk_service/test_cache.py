@@ -4,11 +4,12 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.common.errors import BadSectorError, ChecksumError, SectorAlignmentError
+from repro.common.frames import service_frame
 from repro.common.metrics import Metrics
 from repro.disk_service.cache import TrackCache
 from repro.simdisk.disk import SimDisk
 from repro.simdisk.geometry import DiskGeometry
-from tests.conftest import build_disk_server
+from tests.conftest import build_disk_server, build_file_server
 
 
 def build(readahead=True, capacity_tracks=4):
@@ -80,6 +81,77 @@ class TestReadPath:
         assert cache.read(4, 2) == b"".join(sectors[4:6])  # a miss, not poison
         with pytest.raises(BadSectorError):
             cache.read(10, 1)
+
+
+class TestReadaheadAfterTheReply:
+    """Paper section 4: only what the request needs "immediately"; "then"
+    the rest of the track.  The reply does not wait for the readahead;
+    the drive does."""
+
+    def test_the_reply_does_not_wait_for_the_rest_of_the_track(self):
+        timed = {}
+        for readahead in (True, False):
+            cache, disk, metrics = build(readahead=readahead)
+            cache.read(0, 2)
+            timed[readahead] = (disk.clock.now_us, disk.timeline.busy_until_us)
+        (reply, busy), (plain_reply, plain_busy) = timed[True], timed[False]
+        assert reply == plain_reply == plain_busy
+        assert busy > reply  # the drive reads on: 14 sectors in passing
+
+    def test_the_next_reference_waits_behind_the_readahead(self):
+        cache, disk, metrics = build()
+        cache.read(0, 2)
+        track_end = disk.timeline.busy_until_us
+        assert disk.clock.now_us < track_end
+        start, _ = disk.timeline.charge(10)
+        assert start == track_end
+
+    def test_a_hit_waits_until_its_sectors_passed_the_head(self):
+        """A sector read in passing is cached at once but exists only once
+        the head has passed it: a hit on it waits until then, and the
+        wait is the caller's, not the drive's."""
+        cache, disk, metrics = build()
+        cache.read(0, 2)
+        reply, busy = disk.clock.now_us, disk.timeline.busy_until_us
+        total = disk.timeline.busy_total_us
+        cache.read(2, 2)  # the first two sectors after the reply
+        assert reply < disk.clock.now_us == disk.passing_times(3, 1)[0] < busy
+        cache.read(14, 2)  # the last two: the track end
+        assert disk.clock.now_us == busy
+        assert metrics.get("cache.hits") == 2
+        assert disk.timeline.busy_until_us == busy
+        assert disk.timeline.busy_total_us == total
+        cache.read(2, 2)  # long since passed: free
+        assert disk.clock.now_us == busy
+
+    def test_in_a_frame_the_hit_moves_the_cursor_not_the_clock(self):
+        cache, disk, metrics = build()
+        cache.read(0, 2)
+        reply, busy = disk.clock.now_us, disk.timeline.busy_until_us
+        with service_frame(disk.clock) as frame:
+            cache.read(14, 2)
+            assert frame.cursor_us == busy > reply
+        assert disk.clock.now_us == reply
+        assert disk.timeline.busy_until_us == busy
+
+    def test_a_cold_two_kilobyte_read_waits_for_its_data_block(self):
+        """E1's first row: one reference reads the FIT fragment (8,634 us
+        on the medium drive); the data block is the 16 sectors after it
+        on the track, read in passing, so the reply waits for them to
+        pass the head (+16 slots of 173.6 us), not for the track end
+        (+60 slots, where the reply was when it waited for the whole
+        readahead)."""
+        clock, metrics = SimClock(), Metrics()
+        server = build_file_server(clock, metrics)  # the medium drive
+        name = server.create()
+        server.write(name, 0, b"e" * 2048)
+        server.flush()
+        server.recover()
+        refs, start = metrics.get("disk.0.references"), clock.now_us
+        assert server.read(name, 0, 2048) == b"e" * 2048
+        assert metrics.get("disk.0.references") - refs == 1
+        assert clock.now_us - start == 8_634 + 2_778
+        assert server.disk.disk.timeline.busy_until_us - start == 8_634 + 10_417
 
 
 class TestWritePath:

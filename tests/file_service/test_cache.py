@@ -83,6 +83,43 @@ class TestEvictionAndDirt:
         assert written == []
 
 
+class TestDirtyVictims:
+    """What inserting absent keys would evict, named ahead of the insert."""
+
+    def test_names_the_dirty_buffers_in_eviction_order(self):
+        pool, written, _ = build(capacity=3)
+        pool.put("a", b"1", dirty=True)
+        assert pool.dirty_victims(2) == []  # room to spare
+        pool.put("b", b"2")
+        pool.put("c", b"3", dirty=True)
+        assert pool.dirty_victims(0) == []
+        assert pool.dirty_victims(1) == ["a"]
+        assert pool.dirty_victims(3) == ["a", "c"]
+        assert pool.dirty_victims(9) == ["a", "c"]
+        assert written == []
+
+    def test_written_back_victims_evict_without_a_writeback(self):
+        pool, written, metrics = build(capacity=1)
+        pool.put("a", b"1", dirty=True)
+        pool.write_back(pool.dirty_victims(1))
+        assert written == [("a", b"1")]
+        assert metrics.get("pool.writebacks") == 1
+        pool.put("b", b"2")
+        assert written == [("a", b"1")]
+        assert metrics.get("pool.writebacks") == 1
+        assert metrics.get("pool.evictions") == 1
+
+    def test_a_failing_write_back_leaves_the_buffer_dirty(self):
+        def failing(key, data):
+            raise OSError("disk gone")
+
+        pool = BufferPool("pool", Metrics(), 1, writeback=failing)
+        pool.put("a", b"1", dirty=True)
+        with pytest.raises(OSError):
+            pool.write_back(["a"])
+        assert pool.dirty_among(["a"]) == {"a": b"1"}
+
+
 class TestFlush:
     """The pool writes back only on eviction; its owner's flush writes
     back the rest."""

@@ -10,6 +10,7 @@ from repro.common.errors import DiskCrashedError, FileNotFoundError_, FileSizeEr
 from repro.common.ids import SystemName
 from repro.common.metrics import Metrics
 from repro.common.units import BLOCK_SIZE, KIB, SECTORS_PER_BLOCK, SECTORS_PER_FRAGMENT
+from repro.disk_service.addresses import Extent
 from repro.file_service.attributes import LockingLevel, ServiceType
 from repro.file_service.cache import WritePolicy
 from repro.file_service.fit import DESCRIPTORS_PER_INDIRECT, DIRECT_COVERAGE_BYTES
@@ -475,6 +476,59 @@ class TestBlockPool:
         assert server.read(name, 0, 256) == pattern(256)
         assert metrics.get("disk.0.references") == before
         assert metrics.get("file_server.0.block_pool.hits") > hits
+
+
+def pool_rig(**config):
+    """A one-buffer block pool holding block ``a`` dirty, over a volume
+    whose block ``b`` is on disk and uncached: (server, a, b, a's bytes)."""
+    server = RhodosCluster(ClusterConfig(server_cache_blocks=1, **config)).file_servers[0]
+    a = server.disk.allocate_block(1).start
+    for _ in range(6):  # put b on another stripe row
+        b = server.disk.allocate_block(1).start
+    server.write_block(b, pattern(BLOCK_SIZE, 2))
+    server.write_block(a, pattern(BLOCK_SIZE, 3), through=False)
+    return server, a, b, pattern(BLOCK_SIZE, 3)
+
+
+def get_then_put(**config):
+    """The parent's order, get then write-back, on a twin rig (us)."""
+    server, a, b, data = pool_rig(**config)
+    start = server.clock.now_us
+    server.disk.get(Extent.for_block_run(b, 1))
+    server.disk.put(Extent.for_block_run(a, 1), data)
+    return server.clock.now_us - start
+
+
+class TestPoolEvictionBesideTheGet:
+    """A pool miss writes back what it will evict beside its get, get
+    first: on raid5 the victim's read-modify-write overlaps the get."""
+
+    def fetch(self, **config):
+        server, a, b, data = pool_rig(**config)
+        metrics = server.metrics
+        writebacks = metrics.get("file_server.0.block_pool.writebacks")
+        start = server.clock.now_us
+        assert server.read_block(b) == pattern(BLOCK_SIZE, 2)
+        elapsed = server.clock.now_us - start
+        assert metrics.get("file_server.0.block_pool.writebacks") == writebacks + 1
+        assert server.disk.get(Extent.for_block_run(a, 1)) == data
+        return elapsed
+
+    def test_on_raid5_the_write_back_overlaps_the_get(self):
+        config = {"raid_level": "raid5", "raid_members": 4}
+        assert self.fetch(**config) < get_then_put(**config)
+
+    def test_on_one_spindle_the_timing_is_the_sequential_one(self):
+        assert self.fetch() == get_then_put()
+
+    def test_a_failing_write_back_leaves_the_victim_dirty(self):
+        server, a, b, data = pool_rig()
+        server.disk.disk.faults.crash_after_writes(1)
+        with pytest.raises(DiskCrashedError):
+            server.read_block(b)
+        pool = server._data_cache
+        assert pool.dirty_among([a]) == {a: data}
+        assert not pool.contains(b)
 
 
 class TestLargeFiles:

@@ -66,18 +66,29 @@ class TestReadInPassing:
         assert disk.metrics.get("disk.t.references") == before
         assert disk.metrics.get("disk.t.readahead_sectors") == 1
 
+    def test_passing_times_are_the_sectors_slots_after_the_reply(self, disk):
+        disk.read_sectors(0, 1)  # position the head
+        reply = disk.clock.now_us
+        disk.read_in_passing(1, 8)
+        times = disk.passing_times(0, 10)
+        slot = (disk.timeline.busy_until_us - reply) / 8
+        assert times[0] == times[9] == 0  # not read in passing
+        assert times[1:9] == [reply + -(-k * slot // 1) for k in range(1, 9)]
+        assert times[8] == disk.timeline.busy_until_us
+        assert disk.clock.now_us == reply
+
     def test_cheaper_than_full_read(self):
         metrics = Metrics()
         clock = SimClock()
         disk = SimDisk("a", DiskGeometry.small(), clock, metrics)
         disk.read_sectors(0, 1)  # position the head
-        t0 = clock.now_us
+        t0 = disk.timeline.busy_until_us
         disk.read_in_passing(1, 8)
-        passing_cost = clock.now_us - t0
-        t0 = clock.now_us
+        passing_cost = disk.timeline.busy_until_us - t0  # the drive's time
+        t0 = disk.timeline.busy_until_us
         disk.read_sectors(1000, 8)
-        full_cost = clock.now_us - t0
-        assert passing_cost < full_cost
+        full_cost = disk.timeline.busy_until_us - t0
+        assert 0 < passing_cost < full_cost
 
 
 class TestFaults:

@@ -450,6 +450,54 @@ class TestMediaRepair:
         assert array.failed_members == ()
         assert metrics.get("raid.t.media_repairs") == 0
 
+    @pytest.mark.parametrize("level,members", REDUNDANT + [("raid0", 2)])
+    def test_in_passing_read_occupies_members_after_the_reply(
+        self, level, members
+    ):
+        """The caller does not wait for track readahead; the members
+        it reads from stay busy until their track ends."""
+        array, drives, _, data, _, _ = filled_array(level, members)
+        now = array.clock.now_us
+        assert array.read_in_passing(0, 2) == data[: 2 * SECTOR]
+        assert array.clock.now_us == now
+        assert max(d.timeline.busy_until_us for d in drives) > now
+
+    @pytest.mark.parametrize("level,members", REDUNDANT + [("raid0", 2)])
+    def test_passing_times_are_the_reading_members(self, level, members):
+        """Each logical sector passed the head when its member's read
+        in passing reached it, after the reply and by the track end."""
+        array, drives, _, _, _, _ = filled_array(level, members)
+        now = array.clock.now_us
+        array.read_in_passing(0, 8)
+        times = array.passing_times(0, 8)
+        end = max(d.timeline.busy_until_us for d in drives)
+        assert len(times) == 8 and all(now < at <= end for at in times)
+        for member, physical, length, logical in array._segments(0, 8):
+            assert times[logical : logical + length] == (
+                drives[member].passing_times(physical, length)
+            )
+
+    @pytest.mark.parametrize("level,members", REDUNDANT)
+    def test_a_sector_settled_from_peers_is_never_served_early(
+        self, level, members
+    ):
+        array, drives, _, _, holder, physical = filled_array(level, members)
+        drives[holder].faults.schedule_media_error(physical + 1)
+        now = array.clock.now_us
+        array.read_in_passing(0, 4)
+        idle = max(d.timeline.busy_until_us for d in drives)
+        assert array.passing_times(0, 4)[1] == idle > now
+
+    def test_a_stale_sector_passed_when_every_survivor_passed_it(self):
+        array, drives, _, _, holder, physical = filled_array("raid5", 4)
+        array.fail_member(holder)
+        array.read_in_passing(0, 2)
+        survivors = [d for i, d in enumerate(drives) if i != holder]
+        assert array.passing_times(0, 2) == [
+            max(times)
+            for times in zip(*(d.passing_times(physical, 2) for d in survivors))
+        ]
+
     def test_in_passing_read_reraises_when_a_peer_fails_too(self):
         array, drives, metrics, _, holder, physical = filled_array("raid5", 4)
         drives[holder].faults.schedule_media_error(physical)

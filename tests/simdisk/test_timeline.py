@@ -159,6 +159,48 @@ class TestFanOut:
         assert clock.now_us == 500
 
 
+class TestOccupy:
+    """Work after the reply: the server is busy, the caller not waiting."""
+
+    def test_blocking_caller_does_not_wait(self):
+        clock = SimClock()
+        timeline = Timeline(clock)
+        timeline.charge(100)
+        assert timeline.occupy(400) == (100, 500)
+        assert clock.now_us == 100
+        assert timeline.busy_until_us == 500
+        assert timeline.busy_total_us == 500
+        assert timeline.charge(50) == (500, 550)
+        assert clock.now_us == 550
+
+    def test_frame_cursor_does_not_move(self):
+        clock = SimClock()
+        timeline = Timeline(clock)
+        with service_frame(clock) as frame:
+            timeline.charge(100)
+            assert timeline.occupy(400) == (100, 500)
+            assert frame.cursor_us == 100
+            assert timeline.busy_until_us == 500
+            assert timeline.charge(50) == (500, 550)
+            assert frame.cursor_us == 550
+        assert clock.now_us == 0
+
+    def test_starts_behind_what_the_server_already_holds(self):
+        clock = SimClock()
+        timeline = Timeline(clock)
+        with service_frame(clock):
+            timeline.charge(300)
+        assert timeline.occupy(100) == (300, 400)
+        assert clock.now_us == 0
+
+    def test_another_server_is_not_held_up(self):
+        clock = SimClock()
+        disk_a, disk_b = Timeline(clock), Timeline(clock)
+        disk_a.charge(100)
+        disk_a.occupy(1000)
+        assert disk_b.charge(50) == (100, 150)
+
+
 class TestUtilization:
     def test_fully_busy_disk_reads_100(self):
         clock = SimClock()

@@ -141,6 +141,28 @@ class TestOneQueueAcrossLevels:
         m.release_all(t)
         assert m.is_granted(u, waiter_item, LockMode.IW)
 
+    def test_a_partial_holder_queues_behind_a_writer_on_bytes_it_lacks(self):
+        """T holds record[0:8]; U's writer waits on record[10:20] behind
+        V's reader.  T's read of record[4:20] wants bytes U waits for
+        and T does not hold: it queues behind U, not past it."""
+        m = manager()
+        t, u, v = txn(1), txn(2), txn(3)
+        assert m.acquire(t, record_item(NAME, 0, 8), LockMode.RO) is (
+            AcquireResult.GRANTED
+        )
+        assert m.acquire(v, record_item(NAME, 10, 10), LockMode.RO) is (
+            AcquireResult.GRANTED
+        )
+        writer = record_item(NAME, 10, 10)
+        assert m.acquire(u, writer, LockMode.IW) is AcquireResult.WAITING
+        wide = record_item(NAME, 4, 16)
+        assert m.acquire(t, wide, LockMode.RO) is AcquireResult.WAITING
+        m.release_all(v)
+        assert m.is_granted(u, writer, LockMode.IW)
+        assert not m.is_granted(t, wide, LockMode.RO)
+        m.release_all(u)
+        assert m.is_granted(t, wide, LockMode.RO)
+
 
 class TestEndToEnd:
     @pytest.fixture

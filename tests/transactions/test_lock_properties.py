@@ -218,9 +218,9 @@ class GrantRuleMachine(RuleBasedStateMachine):
     def readers_do_not_pass_an_earlier_writer(self):
         """No RO is granted while an unrelated transaction's IR or IW,
         queued earlier on overlapping bytes at any level, still waits —
-        unless the reader already holds some of those bytes (a
-        conversion, which must not queue behind waiters for its own
-        locks)."""
+        unless the reader already holds some of the bytes the two have
+        in common (a conversion, which must not queue behind waiters
+        for its own locks)."""
         granted = self.manager.table.all_granted()
         waiting = self.manager.table.all_waiting()
         for record in waiting:
@@ -228,20 +228,27 @@ class GrantRuleMachine(RuleBasedStateMachine):
         for reader in granted:
             if reader.mode is not LockMode.RO or id(reader) in self.granted_before:
                 continue
-            if any(
-                other is not reader
-                and other.tid == reader.tid
-                and overlap(other.item, reader.item)
-                for other in granted
-            ):
-                continue
             queued = self.queued_at.get(id(reader), (self.step,))[0]
             for writer in waiting:
+                if not overlap(writer.item, reader.item):
+                    continue
+                common = DataItem(
+                    reader.item.name,
+                    reader.item.level,
+                    max(writer.item.lo, reader.item.lo),
+                    min(writer.item.hi, reader.item.hi),
+                )
+                if any(
+                    other is not reader
+                    and other.tid == reader.tid
+                    and overlap(other.item, common)
+                    for other in granted
+                ):
+                    continue
                 assert not (
                     writer.tid != reader.tid
                     and writer.mode is not LockMode.RO
                     and writer.transaction.is_live
-                    and overlap(writer.item, reader.item)
                     and self.queued_at[id(writer)][0] < queued
                 ), (
                     f"txn {reader.tid} granted RO on {reader.item} past txn "
