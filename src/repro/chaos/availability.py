@@ -1401,7 +1401,7 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     )
     parser.add_argument(
         "--out",
-        default="AVAILABILITY_pr46.json",
+        default="AVAILABILITY_pr49.json",
         help="output path (default: %(default)s)",
     )
     parser.add_argument(

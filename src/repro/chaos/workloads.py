@@ -806,13 +806,16 @@ class RecordCommitWorkload(TransactionCommitWorkload):
 class PendingCommitWorkload(_TransactionalWorkload):
     """Record commits left pending: redo runs in commit order.
 
-    Two pairs of RECORD-level transactions update the same record in
+    Three pairs of RECORD-level transactions update the same record in
     block 0, each pair begun in one order and committed in the other,
-    with a flush (a checkpoint) between the pairs: the watermark retires
-    the first pair's lists, and the second pair's are still pending when
-    the script ends.  Recovery must redo the pending lists in commit
-    (lsn) order; with ``--break-recovery`` it redoes them in tid order,
-    and the earlier-begun, later-committed value loses.
+    with a flush (a checkpoint) before the last pair: the watermark
+    retires the first two pairs' lists, and the last pair's are still
+    pending when the script ends.  The retired lists free more stable
+    sectors than the store holds, so it takes no fresh space by choice
+    and the last pair's lists go over retired lists' slots.  Recovery
+    must redo the pending lists in commit (lsn) order; with
+    ``--break-recovery`` it redoes them in tid order, and the
+    earlier-begun, later-committed value loses.
     """
 
     name = "txn-pending"
@@ -820,15 +823,16 @@ class PendingCommitWorkload(_TransactionalWorkload):
     BLOCKS = 1
     LEVEL = LockingLevel.RECORD
     BREAK = "unsafe_tid_order"
-    #: (offset, length) of the record every transaction rewrites.
-    RECORD = (100, 64)
+    #: (offset, length) of the record every transaction rewrites: near
+    #: the inline bound, so each list fills a 4-sector slot.
+    RECORD = (100, 900)
 
     def run(self) -> None:
         self._seed()
         (content,) = self.admissible[0]
-        fills = iter("abcd")
-        for pair in range(2):
-            if pair:
+        fills = iter("abcdef")
+        for pair in range(3):
+            if pair == 2:
                 self.volumes[0].file_server.flush()
             early, late = self.host.tbegin(), self.host.tbegin()
             for tid in (late, early):

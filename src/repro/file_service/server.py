@@ -567,11 +567,7 @@ class FileServer:
         covers them all.
         """
         stores = [
-            (
-                fit_address,
-                state,
-                self._take_head(fit_address, state) if state.structure_dirty else b"",
-            )
+            (fit_address, state, self._take_head(fit_address, state))
             for fit_address, state in self._files.items()
             if state.fit_dirty
         ]

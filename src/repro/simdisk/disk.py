@@ -94,6 +94,9 @@ class SimDisk:
         "__weakref__",
     )
 
+    #: The service-time model every reference is charged by.
+    timing = _TIMING
+
     def __init__(
         self,
         disk_id: str,
@@ -324,6 +327,20 @@ class SimDisk:
     def head_cylinder(self) -> int:
         """Cylinder the arm currently rests on (schedulers sort by it)."""
         return self._head_cylinder
+
+    @property
+    def head_angular(self) -> float:
+        """Angular slot under the head: the model leaves the platter
+        where the last reference left it, whatever time passed since."""
+        return self._head_angular
+
+    def service_time_us(self, start: int, n_sectors: int) -> int:
+        """What one reference to these sectors would be charged now,
+        from where the head rests; charges nothing and moves nothing."""
+        elapsed, _, _ = _TIMING.service_time_us(
+            self.geometry, self._head_cylinder, self._head_angular, start, n_sectors
+        )
+        return ceil_us(elapsed)
 
     # ------------------------------------------------------- faults
 

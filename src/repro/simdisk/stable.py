@@ -22,10 +22,10 @@ Records are addressed by a string key (e.g. ``"ext:1024:1"`` or
 
 from __future__ import annotations
 
-import heapq
 import struct
 import zlib
-from typing import Dict, Iterator, Optional, Tuple
+from bisect import bisect_left, insort
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis import monitor as _monitor
 from repro.common.errors import (
@@ -34,6 +34,7 @@ from repro.common.errors import (
     DiskError,
     StableKeyError,
 )
+from repro.common.frames import ceil_us
 from repro.common.units import SECTOR_SIZE
 from repro.simdisk.disk import SimDisk
 
@@ -73,13 +74,16 @@ def _parse_head(head: bytes) -> Optional[Tuple[bytes, str, int, int, int]]:
 class StableStore:
     """A careful-replicated record store over two mirror disks.
 
-    Both mirrors must have identical geometry.  A record takes the
-    lowest free slot of the size it needs, whatever order slots were
-    freed in, and a new slot past the last one only when none is free.
-    :meth:`delete` writes a tombstone covering the whole slot, so a
-    directory rebuild after a crash sees the deletion and frees the
-    slot; :meth:`forget` writes nothing, for a record something durable
-    already supersedes.
+    Both mirrors must have identical geometry.  A record goes to the
+    slot the mirrors reach first (:meth:`_slot_for`): its key's own
+    slot, a free slot of the size it needs, or fresh space past the
+    last slot, whichever the timing model prices lowest from mirror A's
+    head.  :meth:`delete` writes a tombstone covering the whole slot,
+    so a directory rebuild after a crash sees the deletion and frees
+    the slot; the tombstone's slot stays allocated while a freed slot
+    may still hold an older copy of the key, which a rebuild would
+    otherwise bring back.  :meth:`forget` writes nothing, for a record
+    something durable already supersedes.
 
     One rule governs a key's copies.  Its directory slot holds the
     newest; every superseded copy whose slot is still allocated waits in
@@ -98,9 +102,17 @@ class StableStore:
         self._directory: Dict[str, Tuple[int, int]] = {}  # key -> (start, n_sectors)
         self._versions: Dict[str, int] = {}
         self._next_sector = 0
-        #: n_sectors -> min-heap of free slot starts: a put takes the
-        #: lowest free slot of its size, whatever order slots were freed in.
-        self._free: Dict[int, list[int]] = {}
+        #: n_sectors -> cylinder -> sorted (angular slot, start) of the
+        #: free slots of that size, so a put walks one cylinder's slots
+        #: in the order the platter brings them under the head.
+        self._free: Dict[int, Dict[int, List[Tuple[int, int]]]] = {}
+        self._free_sectors = 0
+        #: slot start -> keys whose header a freed slot may still hold
+        #: on a mirror, until a put lands over it on both.
+        self._stale: Dict[int, Set[str]] = {}
+        self._stale_count: Dict[str, int] = {}  # key -> slots in _stale naming it
+        #: key -> its tombstone's slot, held while _stale names the key.
+        self._tombs: Dict[str, Tuple[int, int]] = {}
         #: key -> its superseded slots, newest first, kept allocated (and
         #: durable) until a newer copy lands on both mirrors — recovery
         #: falls back to them if it never does.
@@ -126,10 +138,11 @@ class StableStore:
         record += payload + bytes(-len(payload) % SECTOR_SIZE)
         self.mirror_a.write_sectors(slot[0], record)
         self.mirror_b.write_sectors(slot[0], record)
+        self._landed(slot[0])
         # Only now that both copies landed are the superseded slots
         # safe to reuse; freeing one earlier would let a crash during
         # the move destroy the sole durable copy of the record.
-        self._release(*self._older.pop(key, ()))
+        self._release(*self._older.pop(key, ()), copies_of=key)
         # Tell a chaos monitor (if one is attached to the mirrors) that
         # a careful write completed both copies: the trace marks these
         # sync boundaries between the numbered physical crash points.
@@ -189,8 +202,10 @@ class StableStore:
             # so the caller must not be told it succeeded.
             self._directory[key] = slot
             raise errors[0]
-        # The tombstone outranks the key's older copies too.
-        self._release(slot, *self._older.pop(key, ()))
+        # The tombstone outranks the key's older copies too, and is
+        # held while a freed slot may still hold one of them.
+        self._release(*self._older.pop(key, ()), copies_of=key)
+        self._hold_tombstone(key, slot)
 
     def forget(self, key: str) -> None:
         """Drop ``key`` from the directory and reuse its slot, writing nothing.
@@ -206,7 +221,7 @@ class StableStore:
         )
         slot = self._directory.pop(key, None)
         if slot is not None:
-            self._release(slot, *self._older.pop(key, ()))
+            self._release(slot, *self._older.pop(key, ()), copies_of=key)
 
     def __contains__(self, key: str) -> bool:
         _monitor.active().key_read(
@@ -222,10 +237,13 @@ class StableStore:
     def recover(self) -> int:
         """Repair the mirrors after a crash; returns records repaired.
 
-        For every key the directory knows, the copies are tried newest
-        first — the directory slot, then the superseded ones — and the
-        first that :meth:`_repair_slot` can heal is kept; every other
-        slot is free again.  A key with no copy left to heal never
+        For every key the directory knows, the slot kept is the one
+        whose intact copy carries the highest version — of the
+        directory slot and the superseded ones, newest first on a tie
+        — and :meth:`_repair_slot` heals its mirror pair; every other
+        slot is free again.  The version decides, not the slot: a put
+        that tore over a freed slot can leave an older copy of its own
+        key on the other mirror.  A key with no intact copy never
         completed its first careful write, and is dropped.  Falling
         back to an older copy and dropping a key each count as one
         repair.  Both mirrors must be online (repaired) before calling.
@@ -234,33 +252,41 @@ class StableStore:
         repaired = 0
         for key, newest in list(self._directory.items()):
             copies = [newest, *self._older.pop(key, ())]
-            kept = healed = None
+            kept, best, pair = None, -1, (None, None)
             for slot in copies:
-                healed = self._repair_slot(key, *slot)
-                if healed is not None:
-                    kept = slot
-                    break
+                found = self._copies(key, *slot)
+                version = max((copy[0] for copy in found if copy), default=-1)
+                if version > best:
+                    kept, best, pair = slot, version, found
+            healed = None if kept is None else self._repair_slot(key, *kept, *pair)
             repaired += healed if kept == newest else 1
-            self._release(*(slot for slot in copies if slot != kept))
+            self._release(*(slot for slot in copies if slot != kept), copies_of=key)
             if kept is None:
                 # Its version counter survives, as it does a delete.
                 del self._directory[key]
             else:
+                self._landed(kept[0])
                 self._directory[key] = kept
         return repaired
 
-    def _repair_slot(self, key: str, start: int, n_sectors: int) -> Optional[int]:
-        """Repair one slot's mirror pair in place.
+    def _repair_slot(
+        self,
+        key: str,
+        start: int,
+        n_sectors: int,
+        copy_a: Optional[Tuple[int, bytes]],
+        copy_b: Optional[Tuple[int, bytes]],
+    ) -> int:
+        """Repair one slot's mirror pair in place from its newer intact
+        copy (``copy_a`` / ``copy_b`` as :meth:`_copies` read them, at
+        least one intact).
 
-        Returns None when both copies are dead, 0 when the copies
-        already agree, 1 when one copy was rewritten from the other.
-        Raises the in-memory version counter to the surviving copy's so
-        the next write stays version-monotonic, and never lowers it: a
-        relocation that tore left its newer version's header behind.
+        Returns 0 when the copies already agree, 1 when one copy was
+        rewritten from the other.  Raises the in-memory version counter
+        to the surviving copy's so the next write stays
+        version-monotonic, and never lowers it: a relocation that tore
+        left its newer version's header behind.
         """
-        copy_a, copy_b = self._copies(key, start, n_sectors)
-        if copy_a is None and copy_b is None:
-            return None
         if copy_a is not None and copy_b is not None and copy_a[0] == copy_b[0]:
             good, healed = copy_a, 0
         else:
@@ -316,9 +342,14 @@ class StableStore:
         self._directory.clear()
         self._versions.clear()
         self._free.clear()
+        self._free_sectors = 0
+        self._stale.clear()
+        self._stale_count.clear()
+        self._tombs.clear()
         self._older.clear()
         copies: Dict[str, list[Tuple[int, Tuple[int, int]]]] = {}
-        deleted: Dict[str, int] = {}  # key -> newest tombstone version
+        # key -> its newest tombstone: (version, slot)
+        deleted: Dict[str, Tuple[int, Tuple[int, int]]] = {}
         gap = None  # first sector of the current run with no header
         sector = 0
         while sector < self._next_sector:
@@ -335,46 +366,74 @@ class StableStore:
                 self._release((gap, sector - gap))
                 gap = None
             key, version, n_sectors, is_tombstone = entry
-            if is_tombstone:
-                deleted[key] = max(version, deleted.get(key, 0))
-                self._release((sector, n_sectors))
+            slot = (sector, n_sectors)
+            if not is_tombstone:
+                copies.setdefault(key, []).append((version, slot))
+            elif key not in deleted or version > deleted[key][0]:
+                if key in deleted:
+                    self._release(deleted[key][1])
+                deleted[key] = (version, slot)
             else:
-                copies.setdefault(key, []).append((version, (sector, n_sectors)))
+                self._release(slot)
             sector += n_sectors
         if gap is not None:
             self._release((gap, sector - gap))
-        # Remember a deletion's version so an older live copy cannot
-        # win, and a later re-put stays version-monotonic.
-        self._versions.update(deleted)
         for key, found in copies.items():
             # Newest first; a tie keeps scan order (the lower sector).
             found.sort(key=lambda copy: copy[0], reverse=True)
-            tombstone = deleted.get(key, 0)
+            tombstone = deleted[key][0] if key in deleted else 0
             live = [slot for version, slot in found if version > tombstone]
-            self._release(*(slot for version, slot in found if version <= tombstone))
+            self._release(
+                *(slot for version, slot in found if version <= tombstone),
+                copies_of=key,
+            )
             if live:
                 self._directory[key] = live[0]
                 self._versions[key] = found[0][0]
             if len(live) > 1:
                 self._older[key] = live[1:]
+        for key, (version, slot) in deleted.items():
+            # Remember a deletion's version so an older live copy
+            # cannot win, and a later re-put stays version-monotonic.
+            self._versions[key] = max(version, self._versions.get(key, 0))
+            self._hold_tombstone(key, slot)
         return len(self._directory)
 
     # ------------------------------------------------------ internal
 
     def _slot_for(self, key: str, payload_len: int) -> Tuple[int, int]:
+        """The slot a put of ``payload_len`` bytes under ``key`` writes.
+
+        The slot the mirrors reach first: of the key's own slot (if big
+        enough), the free slots of the size the record needs and fresh
+        space at ``_next_sector``, the one the timing model charges
+        least to write from where mirror A's head rests
+        (:meth:`~repro.simdisk.disk.SimDisk.service_time_us`, the charge
+        the write then pays); equal charges go to the lowest start.  Fresh space is a
+        candidate while the area holds fewer free sectors than
+        allocated ones, and otherwise only when there is no other: the
+        area grows by choice only while it is under twice what it
+        holds.
+        """
         needed = _sectors_for(payload_len)
         existing = self._directory.get(key)
+        best = None  # (charge us, start)
         if existing is not None and existing[1] >= needed:
+            best = self._cheaper(best, existing[0], needed)
+        best = self._cheapest_free(needed, best)
+        fresh = self._next_sector
+        fits = fresh + needed <= self.mirror_a.geometry.total_sectors
+        if fits and (best is None or 2 * self._free_sectors < fresh):
+            best = self._cheaper(best, fresh, needed)
+        if best is None:
+            raise BadAddressError("stable storage exhausted")
+        start = best[1]
+        if existing is not None and start == existing[0]:
             return existing
-        free_list = self._free.get(needed)
-        if free_list:
-            start = heapq.heappop(free_list)
+        if start == fresh:
+            self._next_sector = fresh + needed
         else:
-            start = self._next_sector
-            total = self.mirror_a.geometry.total_sectors
-            if start + needed > total:
-                raise BadAddressError("stable storage exhausted")
-            self._next_sector = start + needed
+            self._take_free(start, needed)
         if existing is not None:
             # Relocation: the old slot stays allocated until the new
             # record is durable on both mirrors (put/recover free it).
@@ -383,10 +442,118 @@ class StableStore:
         self._directory[key] = slot
         return slot
 
-    def _release(self, *slots: Tuple[int, int]) -> None:
-        """Return each ``slot`` (start, n_sectors) to its size's free heap."""
+    def _cheapest_free(
+        self, n_sectors: int, best: Optional[Tuple[int, int]]
+    ) -> Optional[Tuple[int, int]]:
+        """The lower of ``best`` and the cheapest free ``n_sectors`` slot,
+        as ``(charge us, start)``.
+
+        Each cylinder's slots are walked in the order the platter brings
+        them under the head, and the walk stops at the first slot whose
+        charge, less any head switch, already exceeds the best: the
+        seek, the rotation to the slot and the transfer are a lower
+        bound on what the model charges, and they grow along the walk.
+        """
+        by_cylinder = self._free.get(n_sectors)
+        if not by_cylinder:
+            return best
+        disk = self.mirror_a
+        model, per_track = disk.timing, disk.geometry.sectors_per_track
+        slot_us = model.rotation_time_us / per_track
+        head_cylinder, head_angular = disk.head_cylinder, disk.head_angular
+        for cylinder, entries in by_cylinder.items():
+            # The terms in the order the model adds them, so a slot that
+            # crosses no track is bounded by exactly its charge.
+            base = model.controller_overhead_us + model.seek_time_us(
+                head_cylinder, cylinder
+            )
+            first = bisect_left(entries, (head_angular,))
+            for step in range(len(entries)):
+                angular, start = entries[(first + step) % len(entries)]
+                bound = (
+                    base
+                    + ((angular - head_angular) % per_track) * slot_us
+                    + n_sectors * slot_us
+                )
+                if best is not None and ceil_us(bound) > best[0]:
+                    break
+                best = self._cheaper(best, start, n_sectors)
+        return best
+
+    def _cheaper(
+        self, best: Optional[Tuple[int, int]], start: int, n_sectors: int
+    ) -> Tuple[int, int]:
+        """The lower ``(charge us, start)`` of ``best`` and a write of
+        ``n_sectors`` at ``start`` from where mirror A's head rests."""
+        charge = (self.mirror_a.service_time_us(start, n_sectors), start)
+        return charge if best is None or charge < best else best
+
+    def _take_free(self, start: int, n_sectors: int) -> None:
+        """Take the free slot (start, n_sectors) out of the index."""
+        geometry = self.mirror_a.geometry
+        by_cylinder = self._free[n_sectors]
+        cylinder = start // geometry.sectors_per_cylinder
+        entries = by_cylinder[cylinder]
+        del entries[bisect_left(entries, (start % geometry.sectors_per_track, start))]
+        if not entries:
+            del by_cylinder[cylinder]
+            if not by_cylinder:
+                del self._free[n_sectors]
+        self._free_sectors -= n_sectors
+
+    def _release(
+        self, *slots: Tuple[int, int], copies_of: Optional[str] = None
+    ) -> None:
+        """Return each ``slot`` (start, n_sectors) to the free index;
+        ``copies_of`` names the key whose copies they may still hold."""
+        geometry = self.mirror_a.geometry
         for start, n_sectors in slots:
-            heapq.heappush(self._free.setdefault(n_sectors, []), start)
+            cylinder = start // geometry.sectors_per_cylinder
+            insort(
+                self._free.setdefault(n_sectors, {}).setdefault(cylinder, []),
+                (start % geometry.sectors_per_track, start),
+            )
+            self._free_sectors += n_sectors
+            if copies_of is not None:
+                keys = self._stale.setdefault(start, set())
+                if copies_of not in keys:
+                    keys.add(copies_of)
+                    self._stale_count[copies_of] = (
+                        self._stale_count.get(copies_of, 0) + 1
+                    )
+
+    def _landed(self, start: int) -> None:
+        """A record landed on both mirrors at ``start``: no older header
+        is left there, and a tombstone held for it alone is freed."""
+        for key in self._stale.pop(start, ()):
+            left = self._stale_count.pop(key) - 1
+            if left:
+                self._stale_count[key] = left
+            else:
+                tomb = self._tombs.pop(key, None)
+                if tomb is not None:
+                    self._release(tomb)
+
+    def _hold_tombstone(self, key: str, slot: Tuple[int, int]) -> None:
+        """Keep ``key``'s newest tombstone slot allocated while a freed
+        slot may still hold an older copy of the key; free it otherwise,
+        and free an older tombstone held for the key in any case."""
+        older = self._tombs.pop(key, None)
+        if older is not None:
+            self._release(older)
+        if self._stale_count.get(key):
+            self._tombs[key] = slot
+        else:
+            self._release(slot)
+
+    def free_slots(self) -> List[Tuple[int, int]]:
+        """Every free slot as ``(start, n_sectors)``, by start."""
+        return sorted(
+            (start, n_sectors)
+            for n_sectors, by_cylinder in self._free.items()
+            for entries in by_cylinder.values()
+            for _, start in entries
+        )
 
     @staticmethod
     def _decode(record: bytes) -> Optional[Tuple[str, int, bytes]]:

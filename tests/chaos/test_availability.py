@@ -16,7 +16,7 @@ from repro.chaos.availability import (
 )
 
 GOLDEN = json.loads(
-    (Path(__file__).resolve().parents[2] / "AVAILABILITY_pr46.json").read_text()
+    (Path(__file__).resolve().parents[2] / "AVAILABILITY_pr49.json").read_text()
 )["scenarios"]
 
 

@@ -1,13 +1,14 @@
 """Golden disk-service call log of a scripted file-service workload.
 
 ``golden_call_log.txt`` is the log of :func:`run_script` at the commit
-before a drive's track readahead went after the reply and an evicted
-block beside the fetch that displaced it, marked up against the log
-since (a line-level diff): lines starting ``- `` existed only before,
-lines starting ``+ `` exist only since.  What may differ is counted in
+before each stable-storage put took the slot its mirrors reach first,
+marked up against the log since (a line-level diff): lines starting
+``- `` existed only before, lines starting ``+ `` exist only since.
+What may differ is counted in
 :func:`test_golden_log_differs_from_its_parent_only_as_listed`: the
-FITs hold simulated times (last write, last read), which moved with
-the shorter reads, so two FIT puts' payload CRCs moved.
+FITs hold simulated times (last write, last read), which moved with the
+shorter careful writes, so sixteen FIT puts' payload CRCs moved — six
+of a FIT alone, ten of a FIT with the run after it.
 
 No call comes or goes, and every other argument is the same.  The
 log of the checked-out code must match the ``  `` and ``+ `` lines
@@ -201,12 +202,12 @@ def test_golden_log_differs_from_its_parent_only_as_listed():
         return [CRC.sub(">", line) for line in log]
 
     # The same calls in the same order, with the same arguments, up to
-    # payload CRCs; and only two FIT puts' CRCs moved.
+    # payload CRCs; and only sixteen FIT puts' CRCs moved.
     assert plain(now) == plain(parent)
     moved = [line for line in now if line not in parent]
-    assert len(moved) == 2
-    assert all(
-        PUT.fullmatch(line).groups() == ("1", "both") for line in moved
+    assert len(moved) == 16
+    assert sorted(PUT.fullmatch(line).groups() for line in moved) == (
+        [("1", "both")] * 6 + [("5", "head-both")] * 10
     )
     assert _puts(now) == _puts(parent) == {
         "fit": 7, "tree": 28, "data": 34, "fit+run": 10, "tombstone": 5

@@ -122,6 +122,21 @@ class TestFlushWritesBackRuns:
             b"a" * (3 * BLOCK_SIZE) + bytes(2 * BLOCK_SIZE) + b"b" * BLOCK_SIZE
         )
 
+    def test_a_fit_that_moved_in_timestamps_only_goes_with_its_run(self, server):
+        """A write into block 0 of a closed file leaves its FIT dirty in
+        timestamps only; the flush stores it in the put of block 0, one
+        data reference, as a close does a FIT whose structure moved."""
+        name = server.create()
+        server.write(name, 0, b"a" * (2 * BLOCK_SIZE))
+        server.close(name)
+        server.write(name, 0, b"b" * 1024)
+        writes = data_disk_writes(server)
+        server.flush()
+        assert [(w.start, w.n_sectors) for w in writes] == [
+            (with_fit(name, 1).first_sector, with_fit(name, 1).n_sectors)
+        ]
+        assert server.read(name, 0, 1024) == b"b" * 1024
+
     def test_a_flush_fires_no_one_elses_event(self):
         cluster = RhodosCluster(ClusterConfig())
         server = cluster.file_servers[0]

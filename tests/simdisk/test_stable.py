@@ -1,5 +1,7 @@
 """Stable storage: careful replicated writes survive every single fault."""
 
+import random
+
 import pytest
 
 from repro.chaos.trace import CrashPointMonitor
@@ -183,7 +185,7 @@ class TestDirectoryRebuild:
             assert store.rebuild_directory() == 1
         store.recover()
         assert store.get("k") == b"oldoldold"
-        assert store._free == {5: [2]}  # the torn slot, free again
+        assert store.free_slots() == [(2, 5)]  # the torn slot, free again
 
     def test_a_put_after_a_fallback_outranks_the_torn_header(self):
         """The torn move's header stays in the slot recovery freed; the
@@ -211,10 +213,10 @@ class TestDirectoryRebuild:
         store.put("k", b"x" * 9)  # 2 sectors at 0
         store.put("k", b"y" * 2000)  # moves to 5 sectors at 2
         store.put("j", b"")  # 1 sector
-        assert store._free == {2: [0]}
+        assert store.free_slots() == [(0, 2)]
         assert store.rebuild_directory() == 2
         store.recover()
-        assert store._free == {2: [0]}
+        assert store.free_slots() == [(0, 2)]
         assert store.get("k") == b"y" * 2000
 
     def test_a_tombstone_frees_every_older_copy_of_its_key(self):
@@ -225,7 +227,40 @@ class TestDirectoryRebuild:
         assert store.rebuild_directory() == 0
         store.recover()
         assert "k" not in store
-        assert store._free[2] == [0]
+        assert store.free_slots() == [(0, 2)]
+        # Slot 0 still holds the first copy, so the tombstone stays.
+        assert store._tombs == {"k": (2, 5)}
+
+    def test_a_deleted_key_stays_deleted_when_an_old_copy_survives(self):
+        """A completed move frees the old slot with the first copy still
+        in it, so the tombstone's slot stays allocated: the next put of
+        its size cannot overwrite the tombstone, and a rebuild cannot
+        bring the key back."""
+        store, _, _ = build_store()
+        store.put("k0", b"x" * 10)  # 2 sectors at 0
+        store.put("k0", b"y" * 1500)  # moves to 4 sectors at 2; 0 freed
+        store.delete("k0")  # tombstones 2
+        assert store._tombs == {"k0": (2, 4)}
+        store.put("k1", b"z" * 1500)
+        assert store._directory["k1"] == (6, 4)
+        store.rebuild_directory()
+        store.recover()
+        assert "k0" not in store
+        assert store.get("k1") == b"z" * 1500
+
+    def test_a_held_tombstone_is_freed_once_a_put_lands_over_the_old_copy(self):
+        store, mirror_a, _ = build_store()
+        store.put("k0", b"x" * 10)
+        store.put("k0", b"y" * 1500)
+        store.delete("k0")
+        rest_head_at(mirror_a, 64)
+        store.put("j", b"w" * 10)  # over k0's first copy
+        assert store._directory["j"] == (0, 2)
+        assert store._tombs == {}
+        assert store.free_slots() == [(2, 4)]
+        store.rebuild_directory()
+        store.recover()
+        assert sorted(store.keys()) == ["j"]
 
     @pytest.mark.parametrize("rebuilt", [True, False])
     def test_a_key_whose_first_write_tore_survives_its_next_rebuild(self, rebuilt):
@@ -268,7 +303,7 @@ class TestDirectoryRebuild:
         assert store.rebuild_directory() == 1
         store.recover()
         assert store.get("k") == b"oldoldold"
-        assert store._free == {5: [2], 7: [7]}  # both torn slots
+        assert store.free_slots() == [(2, 5), (7, 7)]  # both torn slots
         assert store._older == {}
 
 
@@ -283,7 +318,7 @@ class TestNoSlotLeaks:
             store.delete(f"k{index}")
         store.rebuild_directory()
         store.recover()
-        assert store._free == {2: [2, 4, 6]}
+        assert store.free_slots() == [(2, 2), (4, 2), (6, 2)]
         assert refill(store, 3) == [2, 4, 6]
 
     @pytest.mark.parametrize("rebuilt", [False, True])
@@ -300,7 +335,7 @@ class TestNoSlotLeaks:
             store.rebuild_directory()
         store.recover()
         assert "k" not in store
-        assert store._free == {5: [0]}
+        assert store.free_slots() == [(0, 5)]
         assert store._next_sector == 5
 
     def test_a_first_write_with_no_header_frees_its_sectors_on_a_rebuild(self):
@@ -316,10 +351,10 @@ class TestNoSlotLeaks:
         store.recover()
         assert sorted(store.keys()) == ["j"]
         # One 2-sector slot, which the next 2-sector record reuses.
-        assert store._free == {2: [1]}
+        assert store.free_slots() == [(1, 2)]
         store.put("k", b"x" * 9)
         assert store._directory["k"] == (1, 2)
-        assert store._free == {2: []}
+        assert store.free_slots() == []
 
     def test_two_moves_before_recovery_free_both_old_slots(self):
         """Mirror B is down for two moves of one key: both old slots
@@ -333,7 +368,7 @@ class TestNoSlotLeaks:
         mirror_b.repair()
         store.recover()
         assert store.get("k") == b"y" * 3000
-        assert store._free == {5: [2], 2: [0]}
+        assert store.free_slots() == [(0, 2), (2, 5)]
         assert store._older == {}
 
     @pytest.mark.parametrize("drop", ["delete", "forget"])
@@ -347,37 +382,137 @@ class TestNoSlotLeaks:
         mirror_b.repair()
         store.recover()
         assert "k" not in store
-        assert store._free == {2: [0], 5: [2]}
+        if drop == "forget":
+            assert store.free_slots() == [(0, 2), (2, 5)]
+        else:  # slot 0 still holds the first copy, so the tombstone stays
+            assert store.free_slots() == [(0, 2)]
+            assert store._tombs == {"k": (2, 5)}
+
+
+def rest_head_at(mirror, sector):
+    """Leave ``mirror``'s head at ``sector`` of cylinder 0, the way a
+    one-sector read that ends there does."""
+    mirror.read_sectors(sector - 1, 1)
 
 
 class TestPlacement:
-    """A put takes the lowest free slot of its size, whatever order the
-    slots were freed in."""
+    """A put takes the slot the mirrors reach first: of its key's own
+    slot, the free slots of its size and fresh space past the last
+    slot, the one the timing model charges least from mirror A's head;
+    equal charges go to the lowest start."""
 
-    @pytest.mark.parametrize("order", [(1, 2, 3), (3, 2, 1), (2, 3, 1)])
-    def test_forgotten_slots_are_reused_lowest_first(self, order):
-        store = store_with(5)
-        for index in order:
+    @pytest.mark.parametrize(
+        "head, order", [(2, [2, 4, 6]), (3, [4, 6, 10]), (5, [6, 10, 12])]
+    )
+    def test_each_put_takes_the_slot_the_head_reaches_first(self, head, order):
+        store = store_with(5)  # 2-sector slots at 0, 2, .., 8
+        for index in (1, 2, 3):
             store.forget(f"k{index}")
-        assert refill(store, 3) == [2, 4, 6]
+        rest_head_at(store.mirror_a, head)
+        # Each put leaves the head at the end of the slot it took; fresh
+        # space at 10 is a candidate once no more than 4 sectors are free.
+        assert refill(store, 3) == order
 
-    def test_deleted_slots_are_reused_lowest_first(self):
+    def test_deleted_slots_are_reused_where_the_head_reaches_them(self):
         store = store_with(5)
         for index in (1, 3):
-            store.delete(f"k{index}")
-        assert refill(store, 2) == [2, 6]
+            store.delete(f"k{index}")  # no older copy: no tombstone held
+        rest_head_at(store.mirror_a, 6)
+        # Then fresh space at 10 is two slots of rotation from the head.
+        assert refill(store, 2) == [6, 10]
 
-    def test_a_completed_relocation_frees_its_old_slot_in_order(self):
-        store = store_with(3)
-        store.forget("k2")  # slot 4
-        store.put("k0", b"x" * 2000)  # moves off slot 0
-        store.forget("k1")  # slot 2
-        assert refill(store, 3) == [0, 2, 4]
-
-    def test_slots_freed_by_a_rebuild_are_reused_lowest_first(self):
+    def test_slots_freed_by_a_rebuild_are_reused_where_the_head_reaches_them(
+        self,
+    ):
         store = store_with(5)
         for index in (3, 1, 2):
             store.put(f"k{index}", b"x" * 2000)  # moves off its slot
         store.rebuild_directory()
         store.recover()
-        assert refill(store, 3) == [2, 4, 6]
+        assert [slot for slot in store.free_slots() if slot[1] == 2] == [
+            (2, 2), (4, 2), (6, 2)
+        ]
+        for head, start in ((5, 6), (1, 2), (3, 4)):
+            rest_head_at(store.mirror_a, head)
+            store.put(f"new{start}", b"w" * 9)
+            assert store._directory[f"new{start}"] == (start, 2)
+
+    def test_the_key_keeps_its_slot_when_it_is_the_cheapest(self):
+        store = store_with(3)  # k0 at 0, k1 at 2, k2 at 4
+        store.forget("k1")
+        rest_head_at(store.mirror_a, 64)  # angle 0: slot 0 comes first
+        store.put("k0", b"z" * 9)
+        assert store._directory["k0"] == (0, 2)
+        assert store.free_slots() == [(2, 2)]
+        assert store._older == {}
+
+    def test_a_put_moves_to_the_free_slot_the_head_reaches_first(self):
+        store = store_with(3)
+        store.forget("k1")
+        rest_head_at(store.mirror_a, 2)
+        store.put("k0", b"z" * 9)
+        assert store._directory["k0"] == (2, 2)
+        assert store.free_slots() == [(0, 2)]  # both new copies landed
+
+    def test_fresh_space_is_taken_when_the_head_rests_at_it(self):
+        store = store_with(3)  # the last put left the head at 6
+        store.forget("k1")
+        assert refill(store, 1) == [6]
+
+    @pytest.mark.parametrize("order", [("k1", "k33"), ("k33", "k1")])
+    def test_equal_charges_go_to_the_lowest_start(self, order):
+        store = store_with(36)  # 2-sector slots at 0, 2, .., 70
+        for key in order:
+            store.forget(key)  # slots 2 and 66: one angle, one cylinder
+        rest_head_at(store.mirror_a, 2)
+        assert refill(store, 1) == [2]
+
+
+class TestGrowthBound:
+    """Fresh space past the last slot is a candidate by choice only
+    while the area holds fewer free sectors than allocated ones; a
+    record whose size no free slot has takes it anyway."""
+
+    def test_relocating_puts_on_a_fixed_key_set_stay_within_the_bound(self):
+        """Churn-shaped: many FIT-sized records, a small tail rewritten
+        after each put and one large base every third, each record
+        keeping its size, with reads that move the head between puts."""
+        rng = random.Random(7)
+        store, _, _ = build_store()
+        sizes = {f"fit{index}": 2000 for index in range(60)}
+        sizes.update({"tail": 1000, "base": 60_000})
+        for key, size in sizes.items():
+            store.put(key, bytes(size))
+        live = sum(n_sectors for _, n_sectors in store._directory.values())
+        slot_sizes = {n_sectors for _, n_sectors in store._directory.values()}
+        moves = 0
+        for step in range(3000):
+            key = rng.choice(list(sizes)[:60]) if step % 3 else "base"
+            before = store._directory[key]
+            store.put(key, bytes([step % 256]) * sizes[key])
+            moves += store._directory[key] != before
+            store.put("tail", bytes([step % 256]) * sizes["tail"])
+            if rng.random() < 0.5:
+                store.get(rng.choice(list(sizes)))
+            assert store._next_sector <= 2 * live + sum(slot_sizes)
+        assert moves > 1000
+        assert store.rebuild_directory() == len(sizes)
+
+    def test_an_old_slot_is_reused_once_both_new_copies_land(self):
+        store, mirror_a, mirror_b = build_store()
+        store.put("k0", b"x" * 9)  # 2 sectors at 0
+        store.put("k1", b"x" * 9)  # 2 sectors at 2; the head rests at 4
+        mirror_b.crash()
+        with pytest.raises(DiskCrashedError):
+            store.put("k0", b"y" * 9)  # moves to fresh space at 4
+        assert store._older == {"k0": [(0, 2)]}
+        rest_head_at(mirror_a, 64)
+        mirror_b.repair()
+        store.put("j", b"z" * 9)  # slot 0 holds k0's only durable copy
+        assert store._directory["j"] == (6, 2)
+        store.recover()
+        assert store.free_slots() == [(0, 2)]
+        rest_head_at(mirror_a, 64)
+        store.put("j", b"w" * 9)
+        assert store._directory["j"] == (0, 2)
+        assert store.get("k0") == b"y" * 9

@@ -3,10 +3,11 @@
 The careful-write guarantee, fuzzed: whatever sequence of puts,
 deletes, scheduled mirror crashes, torn machine crashes and directory
 rebuilds occurs, after repair + recover a key with an acknowledged put
-and no later delete is present, every present key holds a value that
-was written to it, and every sector the store has handed out is in
-exactly one place: a directory slot, a superseded copy's slot, or a
-free heap.
+and no later delete is present, a key with an acknowledged delete and
+no later put is absent, every present key holds a value that was
+written to it, and every sector the store has handed out is in
+exactly one place: a directory slot, a superseded copy's slot, the
+slot of a tombstone held for its key's older copies, or a free slot.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -46,7 +47,8 @@ def build_store():
 def assert_every_sector_owned_once(store):
     slots = list(store._directory.values())
     slots += [slot for older in store._older.values() for slot in older]
-    slots += [(start, n) for n, starts in store._free.items() for start in starts]
+    slots += list(store._tombs.values())
+    slots += store.free_slots()
     owners = [0] * store._next_sector
     for start, n_sectors in slots:
         for sector in range(start, start + n_sectors):
@@ -64,6 +66,7 @@ class Schedule:
         self.monitor = CrashPointMonitor().attach(self.mirror_a, self.mirror_b)
         self.written: dict[str, list[bytes]] = {}
         self.acked: set[str] = set()  # acknowledged put, no delete since
+        self.deleted: set[str] = set()  # acknowledged delete, no put since
 
     def run(self, ops):
         for kind, key, value, size, crash_at in ops:
@@ -77,6 +80,8 @@ class Schedule:
                     self.store.delete(key)
                 except DiskCrashedError:
                     self.recover()
+                else:
+                    self.deleted.add(key)
             elif kind == "rebuild":
                 self.recover(rebuild=True)
             elif kind == "crash_a":
@@ -88,6 +93,7 @@ class Schedule:
 
     def put(self, key, payload):
         self.written.setdefault(key, []).append(payload)
+        self.deleted.discard(key)
         try:
             self.store.put(key, payload)
         except DiskCrashedError:
@@ -106,6 +112,8 @@ class Schedule:
         self.store.recover()
         for key in self.acked:
             assert key in self.store, f"{key} lost its acknowledged put"
+        for key in self.deleted:
+            assert key not in self.store, f"{key} came back after its delete"
         for key in self.store.keys():
             assert self.store.get(key) in self.written[key], (
                 f"{key} holds a value that was never written to it"

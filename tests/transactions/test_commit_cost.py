@@ -176,10 +176,10 @@ def commit_writes(geometry, level, writes, technique="auto"):
 
 TWO_RECORDS = [(40, b"\x01" * 8), (BLOCK_SIZE + 80, b"\x02" * 8)]
 
-#: What every checkpoint after a commit writes besides the blocks: the
-#: FIT (its timestamps moved), the protection map, the watermark.
+#: What every checkpoint after a commit writes after the blocks, which
+#: go in one put with the FIT (its timestamps moved): the FIT's stable
+#: copy, the protection map, the watermark.
 CHECKPOINT_TAIL = [
-    ("fit", "data", 4),
     ("ext", "stable_a", 5),
     ("ext", "stable_b", 5),
     ("protection", "stable_a", 2),
@@ -195,14 +195,14 @@ class TestWhatACommitWrites:
     GEOMETRIES = (DiskGeometry.small, DiskGeometry.medium)
 
     def test_a_two_record_commit_is_its_list_and_nothing_else(self):
-        # Blocks 0 and 1 are adjacent on disk: the checkpoint's one put
-        # writes both.
+        # Blocks 0 and 1 follow the FIT's fragment on disk: the
+        # checkpoint's one put writes the FIT and both.
         for geometry in self.GEOMETRIES:
             tend, checkpoint = commit_writes(
                 geometry(), LockingLevel.RECORD, TWO_RECORDS
             )
             assert tend == [("list", "stable_a", 2), ("list", "stable_b", 2)]
-            assert checkpoint == [("block", "data", 32)] + CHECKPOINT_TAIL
+            assert checkpoint == [("fit", "data", 4 + 32)] + CHECKPOINT_TAIL
 
     def test_a_record_above_the_bound_keeps_its_extent(self):
         big = [(40, b"\x03" * (INLINE_LIMIT + 1))]
@@ -214,7 +214,7 @@ class TestWhatACommitWrites:
             ("list", "stable_a", 2),
             ("list", "stable_b", 2),
         ]
-        assert checkpoint == [("block", "data", 16)] + CHECKPOINT_TAIL
+        assert checkpoint == [("fit", "data", 4 + 16)] + CHECKPOINT_TAIL
 
     def test_a_page_commit_is_its_after_image_and_its_list(self):
         page = [(0, b"N" * BLOCK_SIZE)]
@@ -225,7 +225,7 @@ class TestWhatACommitWrites:
                 ("list", "stable_a", 2),
                 ("list", "stable_b", 2),
             ]
-            assert checkpoint == [("block", "data", 16)] + CHECKPOINT_TAIL
+            assert checkpoint == [("fit", "data", 4 + 16)] + CHECKPOINT_TAIL
 
     def test_a_structural_commit_stores_the_fit_before_the_list_is_retired(self):
         small = DiskGeometry.small()
@@ -262,11 +262,13 @@ class TestWhatACommitWrites:
         assert committed == 5 * 2  # each tend: its list, on both mirrors
         cluster.flush_all()
         checkpoint = monitor.write_entries()[committed:]
-        block = server.block_descriptor(name, 0).address * SECTORS_PER_FRAGMENT
+        # Block 0 follows the FIT's fragment: one put writes both.
+        fit = name.fit_address * SECTORS_PER_FRAGMENT
+        assert server.block_descriptor(name, 0).address == name.fit_address + 1
         assert [
-            entry.n_sectors for entry in checkpoint
-            if entry.start == block and entry.disk_id == server.disk.disk.disk_id
-        ] == [16]
+            (entry.start, entry.n_sectors) for entry in checkpoint
+            if entry.disk_id == server.disk.disk.disk_id
+        ] == [(fit, SECTORS_PER_FRAGMENT + 16)]
         synced = [e.label for e in monitor.trace if e.kind == "stable-sync"]
         assert synced[5:].count(WATERMARK_KEY) == 1
         # No tombstone: every stable write of the checkpoint is a whole
