@@ -97,6 +97,8 @@ class ChaosVolume:
         clock: SimClock,
         metrics: Metrics,
         geometry: DiskGeometry,
+        *,
+        data_cache_blocks: int = 256,
     ) -> None:
         self.volume_id = volume_id
         self.disk = SimDisk(f"chaos{volume_id}", geometry, clock, metrics)
@@ -111,7 +113,11 @@ class ChaosVolume:
             self.disk, self.stable, clock, metrics
         )
         self.file_server = FileServer(
-            volume_id, self.disk_server, clock, metrics
+            volume_id,
+            self.disk_server,
+            clock,
+            metrics,
+            data_cache_blocks=data_cache_blocks,
         )
 
     @property
@@ -178,9 +184,9 @@ class ChaosWorkload:
 
     # ------------------------------------------------------- helpers
 
-    def add_volume(self, volume_id: int) -> ChaosVolume:
+    def add_volume(self, volume_id: int, **kwargs) -> ChaosVolume:
         volume = ChaosVolume(
-            volume_id, self.clock, self.metrics, DiskGeometry.small()
+            volume_id, self.clock, self.metrics, DiskGeometry.small(), **kwargs
         )
         self.monitor.attach(*volume.disks)
         self.volumes.append(volume)
@@ -188,7 +194,9 @@ class ChaosWorkload:
 
 
 class AppendOverwriteWorkload(ChaosWorkload):
-    """Basic file service: creates, appends, overwrites, deletes.
+    """Basic file service: creates, appends, overwrites, deletes, and
+    overwrites of fragment-aligned halves of blocks the pool does not
+    hold.
 
     Content promise: after each completed ``flush``, the flushed
     contents are durable and must survive any later crash exactly —
@@ -196,9 +204,12 @@ class AppendOverwriteWorkload(ChaosWorkload):
     """
 
     name = "append-overwrite"
+    #: Block pool capacity: small enough that the last overwrites land
+    #: on blocks the pool does not hold.
+    POOL_BLOCKS = 3
 
     def build(self) -> None:
-        self.volume = self.add_volume(0)
+        self.volume = self.add_volume(0, data_cache_blocks=self.POOL_BLOCKS)
         self.names: Dict[str, SystemName] = {}
         self.expected: Dict[str, bytes] = {}
         self.durable: Dict[str, Optional[bytes]] = {}  # None = deleted
@@ -220,6 +231,15 @@ class AppendOverwriteWorkload(ChaosWorkload):
         server.delete(self.names["b"])
         self.durable["b"] = None
         self.in_flux.discard("b")
+        self._flush()
+        # Fragment-aligned halves of blocks the pool does not hold: each
+        # keeps only its own fragments, and the flush writes back only
+        # those — block 1's second half and block 2's first in one put,
+        # block 3's first half in the next.
+        half = BLOCK_SIZE // 2
+        self._write("a", BLOCK_SIZE + half, b"h" * half)
+        self._write("a", 2 * BLOCK_SIZE, b"i" * half)
+        self._write("a", 3 * BLOCK_SIZE, b"j" * half)
         self._flush()
 
     def check_content(self) -> List[str]:

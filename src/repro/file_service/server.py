@@ -410,7 +410,8 @@ class FileServer:
         holes = set(
             self._allocate_missing(state, block_map, first_block, last_block)
         )
-        through = not delayed and self._writes_through(attrs)
+        unread = not self._writes_through(attrs)
+        through = not delayed and not unread
         old_size = attrs.file_size
         cursor = offset
         remaining = memoryview(bytes(data))
@@ -428,6 +429,7 @@ class FileServer:
                 # A hole, or a block wholly past EOF, holds no file bytes:
                 # what the write leaves of it is zeros, not the disk's.
                 blank=block_index in holes or block_index * BLOCK_SIZE >= old_size,
+                unread=unread,
             )
             remaining = remaining[chunk:]
             cursor += chunk
@@ -584,8 +586,10 @@ class FileServer:
 
     def _write_back_runs(self, addresses: Set[int]) -> None:
         """Write back the dirty blocks among ``addresses``, one disk
-        reference per run of adjacent blocks (paper section 4: "any set
-        of contiguous fragments/blocks" moves in one reference).
+        reference per run of adjacent fragments (paper section 4: "any
+        set of contiguous fragments/blocks" moves in one reference): a
+        partially known block contributes only its known fragments, so
+        it joins a run only where they touch its neighbour.
 
         Flush, close, a transaction checkpoint and FIT-cache eviction
         all reach disk here; only pool eviction writes back block by
@@ -594,19 +598,24 @@ class FileServer:
         if pool is None:
             return
         dirty = pool.dirty_among(addresses)
-        for start, n_blocks in self._group_consecutive(
-            sorted(dirty), FRAGMENTS_PER_BLOCK
-        ):
-            run = range(
-                start, start + n_blocks * FRAGMENTS_PER_BLOCK, FRAGMENTS_PER_BLOCK
-            )
-            self.disk.put(
-                Extent.for_block_run(start, n_blocks),
-                b"".join(dirty[address] for address in run),
-            )
-            for address in run:
+        runs: List[Tuple[int, List[int], List[bytes]]] = []
+        run_end = None
+        for address in sorted(dirty):
+            data, start, end = pool.partial(address) or (dirty[address], 0, BLOCK_SIZE)
+            first = address + start // FRAGMENT_SIZE
+            if first != run_end:
+                runs.append((first, [], []))
+            runs[-1][1].append(address)
+            runs[-1][2].append(data[start:end])
+            run_end = address + end // FRAGMENT_SIZE
+            if end - start < BLOCK_SIZE:
+                self.metrics.add(f"{self.name}.block_pool.partial_writebacks")
+        for first, blocks, pieces in runs:
+            payload = b"".join(pieces)
+            self.disk.put(Extent(first, len(payload) // FRAGMENT_SIZE), payload)
+            for address in blocks:
                 pool.mark_clean(address)
-            self.metrics.add(f"{self.name}.block_pool.writebacks", n_blocks)
+            self.metrics.add(f"{self.name}.block_pool.writebacks", len(blocks))
 
     def _store_after_data(self, fit_address: int, state: _OpenState) -> None:
         """Store a FIT whose structure moved after the dirty blocks it
@@ -654,15 +663,22 @@ class FileServer:
         """Take the file's dirty blocks that lie in a run from right
         after its FIT fragment out of the block pool, marked clean: the
         data the FIT goes to disk with, FIT first.  None for a FIT with
-        tree blocks to store, which go between its data and it."""
-        if state.tree_dirty or self._data_cache is None:
+        tree blocks to store, which go between its data and it.
+
+        A partially known first block is completed with one fetch (a
+        merge read) so the FIT keeps its reference with it; the run
+        stops before any later partially known block."""
+        pool = self._data_cache
+        if state.tree_dirty or pool is None:
             return b""
-        dirty = self._data_cache.dirty_among(self._mapped_below_eof(state))
+        dirty = pool.dirty_among(self._mapped_below_eof(state))
         head = []
         address = fit_address + 1
-        while address in dirty:
+        if address in dirty and pool.partial(address) is not None:
+            dirty[address] = self._fetch_run(address, 1)
+        while address in dirty and pool.partial(address) is None:
             head.append(dirty[address])
-            self._data_cache.mark_clean(address)
+            pool.mark_clean(address)
             address += FRAGMENTS_PER_BLOCK
         if head:
             self.metrics.add(f"{self.name}.block_pool.writebacks", len(head))
@@ -1028,14 +1044,12 @@ class FileServer:
                 state.unstored.append(Extent.for_block_run(extent.start, kept))
 
     @staticmethod
-    def _group_consecutive(
-        indices: List[int], step: int = 1
-    ) -> List[Tuple[int, int]]:
-        """``(first, length)`` of each run of ascending ``indices`` that
-        lie ``step`` apart."""
+    def _group_consecutive(indices: List[int]) -> List[Tuple[int, int]]:
+        """``(first, length)`` of each run of consecutive ascending
+        ``indices``."""
         runs: List[Tuple[int, int]] = []
         for index in indices:
-            if runs and index == runs[-1][0] + runs[-1][1] * step:
+            if runs and index == runs[-1][0] + runs[-1][1]:
                 runs[-1] = (runs[-1][0], runs[-1][1] + 1)
             else:
                 runs.append((index, 1))
@@ -1075,27 +1089,32 @@ class FileServer:
 
         Fully cached runs cost no disk reference; otherwise uncached
         sub-runs are fetched, each in one disk reference (the
-        contiguity-count payoff).
+        contiguity-count payoff).  A partially known block counts as
+        uncached: its fetch fills in what the pool does not hold, under
+        the pool's newer bytes (a merge read).
         """
-        if self._data_cache is None:
+        pool = self._data_cache
+        if pool is None:
             return self.disk.get(Extent.for_block_run(address, n_blocks))
         pieces: List[bytes] = []
         index = 0
         while index < n_blocks:
             block_addr = address + index * FRAGMENTS_PER_BLOCK
-            cached = self._data_cache.get(block_addr)
+            cached = pool.get(block_addr)
             if cached is not None:
                 pieces.append(cached)
                 index += 1
                 continue
             # Find the extent of the uncached sub-run.
             miss_len = 1
-            while index + miss_len < n_blocks and not self._data_cache.contains(
+            while index + miss_len < n_blocks and not pool.contains(
                 address + (index + miss_len) * FRAGMENTS_PER_BLOCK
             ):
                 miss_len += 1
             miss = Extent.for_block_run(block_addr, miss_len)
-            victims = self._data_cache.dirty_victims(miss_len)
+            keys = [block_addr + sub * FRAGMENTS_PER_BLOCK for sub in range(miss_len)]
+            partial = [key for key in keys if pool.partial(key) is not None]
+            victims = pool.dirty_victims(miss_len - len(partial), partial)
             if victims:
                 # What caching the miss evicts goes back beside the get,
                 # not after it: on an array the two overlap.
@@ -1103,15 +1122,15 @@ class FileServer:
                     with fork.branch():
                         data = self.disk.get(miss)
                     with fork.branch():
-                        self._data_cache.write_back(victims)
+                        pool.write_back(victims)
             else:
                 data = self.disk.get(miss)
-            for sub in range(miss_len):
-                self._data_cache.put(
-                    block_addr + sub * FRAGMENTS_PER_BLOCK,
-                    data[sub * BLOCK_SIZE : (sub + 1) * BLOCK_SIZE],
-                )
-            pieces.append(data)
+            pieces += pool.fill(
+                [
+                    (key, data[sub * BLOCK_SIZE : (sub + 1) * BLOCK_SIZE])
+                    for sub, key in enumerate(keys)
+                ]
+            )
             index += miss_len
         return b"".join(pieces)
 
@@ -1123,11 +1142,16 @@ class FileServer:
         *,
         through: bool,
         blank: bool = False,
+        unread: bool = False,
     ) -> None:
         """Put ``chunk`` at ``within`` of one block; a partial write merges
-        it into the block's current bytes — zeros if ``blank``, else read."""
+        it into the block's current bytes — zeros if ``blank``, else read,
+        unless ``unread`` lets whole fragments stay in the pool alone
+        (:meth:`_write_fragments`)."""
         if within == 0 and len(chunk) == BLOCK_SIZE:
             block = chunk
+        elif not blank and unread and self._write_fragments(address, within, chunk):
+            return
         else:
             current = bytes(BLOCK_SIZE) if blank else self._fetch_run(address, 1)
             block = current[:within] + chunk + current[within + len(chunk) :]
@@ -1138,8 +1162,40 @@ class FileServer:
         else:
             self._data_cache.put(address, block, dirty=True)
 
-    def _write_block_to_disk(self, address: int, block: bytes) -> None:
-        self.disk.put(Extent.for_block_run(address, 1), block)
+    def _write_fragments(self, address: int, within: int, chunk: bytes) -> bool:
+        """Keep a fragment-aligned partial write in the pool, dirty,
+        without reading the rest of its block (paper section 4: any set
+        of contiguous fragments moves in one reference): the block
+        becomes, or stays, partially known, and whole once its known
+        fragments cover it.  False, with nothing done, for a write that
+        is not fragment-aligned, a block the pool holds whole, or one
+        whose known range the write would leave a gap beside."""
+        pool = self._data_cache
+        end = within + len(chunk)
+        if pool is None or within % FRAGMENT_SIZE or end % FRAGMENT_SIZE:
+            return False
+        if pool.contains(address):
+            return False
+        held = pool.partial(address)
+        if held is None:
+            current, start, stop = bytes(BLOCK_SIZE), within, end
+        else:
+            current, start, stop = held
+            if within > stop or end < start:
+                return False
+            start, stop = min(start, within), max(stop, end)
+        block = current[:within] + chunk + current[end:]
+        whole = start == 0 and stop == BLOCK_SIZE
+        pool.put(address, block, dirty=True, known=None if whole else (start, stop))
+        return True
+
+    def _write_block_to_disk(self, address: int, data: bytes, start: int = 0) -> None:
+        """Write ``data`` at byte ``start`` of the block at ``address``
+        (whole fragments)."""
+        self.disk.put(
+            Extent(address + start // FRAGMENT_SIZE, len(data) // FRAGMENT_SIZE),
+            data,
+        )
 
     def __repr__(self) -> str:
         return f"FileServer(volume={self.volume_id}, files_cached={len(self._files)})"

@@ -11,6 +11,7 @@ from repro.chaos.scheduler import CrashScheduler
 from repro.chaos.trace import CrashPointMonitor
 from repro.chaos.workloads import AppendOverwriteWorkload
 from repro.common.metrics import Metrics
+from repro.common.units import SECTORS_PER_BLOCK, SECTORS_PER_FRAGMENT
 
 
 class TestCountingRun:
@@ -37,6 +38,29 @@ class TestCountingRun:
         assert layers == {"data disk", "stable mirror"}
         syncs = [e for e in workload.monitor.trace if e.kind == "stable-sync"]
         assert syncs, "careful writes must mark their sync boundaries"
+
+    def test_the_last_flush_writes_back_only_the_overwritten_fragments(self):
+        """The last overwrites land on blocks the small pool does not
+        hold: the flush writes block 1's second half and block 2's first
+        in one put and block 3's first half in the next, so crash points
+        fall inside a fragment-granular write-back and between it and
+        its neighbour."""
+        workload = AppendOverwriteWorkload()
+        workload.run()
+        name = workload.names["a"]
+        server = workload.volume.file_server
+        blocks = [server.block_descriptor(name, index).address for index in (1, 2, 3)]
+        data = [
+            (e.start, e.n_sectors)
+            for e in workload.monitor.write_entries()
+            if e.layer() == "data disk"
+        ]
+        half = SECTORS_PER_BLOCK // 2
+        sectors = [address * SECTORS_PER_FRAGMENT for address in blocks]
+        assert (sectors[0] + half, 2 * half) in data
+        assert (sectors[2], half) in data
+        assert workload.metrics.get("file_server.0.block_pool.partial_writebacks") == 3
+        assert workload.metrics.get("file_server.0.block_pool.merge_reads") == 0
 
     def test_torn_prefix_is_deterministic_and_in_range(self):
         for point in range(1, 200):

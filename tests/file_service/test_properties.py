@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.clock import SimClock
 from repro.common.metrics import Metrics
-from repro.common.units import BLOCK_SIZE
+from repro.common.units import BLOCK_SIZE, FRAGMENT_SIZE
 from repro.file_service.fit import (
     BlockDescriptor,
     FileIndexTable,
@@ -55,6 +55,91 @@ class TestFileServerOracle:
         server.flush()
         server.recover()
         assert server.read(name, 0, len(oracle)) == bytes(oracle)
+
+
+@st.composite
+def small_pool_scripts(draw):
+    """Operations on two files: fragment-aligned and unaligned writes,
+    reads, ``flush()`` + ``recover()``, and a delete followed by a
+    create that reuses the freed block addresses."""
+    fragments = 4 * BLOCK_SIZE // FRAGMENT_SIZE
+    aligned_write = st.tuples(
+        st.just("write"),
+        st.integers(0, 1),
+        st.integers(0, fragments - 1).map(lambda k: k * FRAGMENT_SIZE),
+        st.integers(1, 6).map(lambda k: k * FRAGMENT_SIZE),
+    )
+    unaligned_write = st.tuples(
+        st.just("write"),
+        st.integers(0, 1),
+        st.integers(0, 4 * BLOCK_SIZE),
+        st.integers(1, BLOCK_SIZE + 100),
+    )
+    read = st.tuples(
+        st.just("read"),
+        st.integers(0, 1),
+        st.integers(0, 4 * BLOCK_SIZE),
+        st.integers(1, 2 * BLOCK_SIZE),
+    )
+    others = st.one_of(
+        st.just(("flush_recover",)), st.tuples(st.just("recreate"), st.integers(0, 1))
+    )
+    return draw(
+        st.lists(
+            st.one_of(aligned_write, aligned_write, unaligned_write, read, others),
+            min_size=1,
+            max_size=40,
+        )
+    )
+
+
+class TestSmallPoolOracle:
+    """A two-block pool over two files of four blocks or more: nearly
+    every partial write lands on a block the pool does not hold, so
+    partially known buffers are made, evicted, written back, completed
+    by reads and dropped by deletes all the time, with the freed
+    addresses reused by the next create."""
+
+    @given(small_pool_scripts())
+    @settings(max_examples=100, deadline=None)
+    def test_partial_writes_match_a_bytearray_oracle(self, script):
+        server = build_file_server(SimClock(), Metrics(), data_cache_blocks=2)
+        names, oracles = [None, None], [bytearray(), bytearray()]
+
+        def create(index):
+            names[index] = server.create()
+            oracles[index] = bytearray([index + 1]) * (4 * BLOCK_SIZE)
+            server.write(names[index], 0, bytes(oracles[index]))
+
+        create(0)
+        create(1)
+        for step, op in enumerate(script):
+            kind, args = op[0], op[1:]
+            if kind == "write":
+                index, offset, length = args
+                payload = bytes((step * 13 + i) % 251 + 1 for i in range(length))
+                server.write(names[index], offset, payload)
+                oracle = oracles[index]
+                if len(oracle) < offset + length:
+                    oracle.extend(bytes(offset + length - len(oracle)))
+                oracle[offset : offset + length] = payload
+            elif kind == "read":
+                index, offset, length = args
+                expected = bytes(oracles[index][offset : offset + length])
+                assert server.read(names[index], offset, length) == expected
+            elif kind == "flush_recover":
+                server.flush()
+                server.recover()
+            else:
+                (index,) = args
+                server.delete(names[index])
+                create(index)
+        for name, oracle in zip(names, oracles):
+            assert server.read(name, 0, len(oracle) + 1) == bytes(oracle)
+        server.flush()
+        server.recover()
+        for name, oracle in zip(names, oracles):
+            assert server.read(name, 0, len(oracle) + 1) == bytes(oracle)
 
 
 class TestFitCodecProperties:

@@ -246,7 +246,7 @@ python -m repro.tools.bench --only ID --verbose
 
 ## 3. A contract
 
-`repro.tools.report` renders from `BENCH_pr49.json` (`src/repro/tools/`),
+`repro.tools.report` renders from `BENCH_pr50.json` (`src/repro/tools/`),
 as `tests/tools/test_report.py::TestRender` checks.
 
 Pinned by: `tests/tools/test_report.py::TestRender::test_a_second_run_is_a_no_op`.
@@ -262,7 +262,7 @@ generated
 
 FAULTS = {
     "missing test name": ("::TestRender` checks", "::TestGone` checks"),
-    "retired record": ("`BENCH_pr49.json`", "`BENCH_pr10.json`"),
+    "retired record": ("`BENCH_pr50.json`", "`BENCH_pr10.json`"),
     "empty Pinned by": (
         "Pinned by: `tests/tools/test_report.py::TestRender::test_a_second_run_is_a_no_op`.",
         "Pinned by: nothing yet.",
