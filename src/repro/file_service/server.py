@@ -315,15 +315,11 @@ class FileServer:
         for address in tree:
             self._discard(Extent.for_block_run(address, 1))
         fit_extent = Extent(name.fit_address, 1)
-        # Tombstone the fragment so a stale system name cannot resurrect
-        # the old FIT from residual disk bytes.  The main copy counts
-        # only while its stable copy agrees, so the two go on their own
-        # spindles at once.
-        with fan_out(self.clock) as fork:
-            with fork.branch():
-                self.disk.release_stable(fit_extent)
-            with fork.branch():
-                self.disk.put(fit_extent, bytes(fit_extent.byte_size))
+        # The stable copy's tombstone is the delete: a main copy counts
+        # only while its fragment is mirrored (stored_fit), and freeing
+        # the fragment unmarks it, so a stale system name finds no FIT
+        # in the bytes left on the data drive.
+        self.disk.release_stable(fit_extent)
         self.disk.free(fit_extent)
         self._files.pop(name.fit_address, None)
         self.metrics.add(f"{self.name}.deletes")

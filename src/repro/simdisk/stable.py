@@ -8,7 +8,7 @@ classic Lampson careful-replicated-storage discipline over two
 simulated disks:
 
 * every record is written **first to mirror A, then to mirror B**, each
-  copy carrying a version number and checksum;
+  copy carrying a store-wide sequence number and checksum;
 * a crash between the two writes (or a torn write within one) leaves at
   least one good copy;
 * reads verify the checksum of copy A and fall back to copy B;
@@ -78,12 +78,18 @@ class StableStore:
     slot the mirrors reach first (:meth:`_slot_for`): its key's own
     slot, a free slot of the size it needs, or fresh space past the
     last slot, whichever the timing model prices lowest from mirror A's
-    head.  :meth:`delete` writes a tombstone covering the whole slot,
-    so a directory rebuild after a crash sees the deletion and frees
-    the slot; the tombstone's slot stays allocated while a freed slot
-    may still hold an older copy of the key, which a rebuild would
-    otherwise bring back.  :meth:`forget` writes nothing, for a record
-    something durable already supersedes.
+    head.  :meth:`delete` writes a tombstone's header, covering a whole
+    slot of the key's size, to the slot of that size the mirrors reach
+    first: the key's own or a free one.  A directory rebuild after a
+    crash sees the deletion and frees the slot; the tombstone's slot
+    stays allocated while a freed slot may still hold an older copy of
+    the key, which a rebuild would otherwise bring back.
+    :meth:`forget` writes nothing, for a record something durable
+    already supersedes.
+
+    Every header's version is the next number of one store-wide
+    sequence, claimed before its first copy, so of two headers the
+    higher version is the later write, whatever their keys.
 
     One rule governs a key's copies.  Its directory slot holds the
     newest; every superseded copy whose slot is still allocated waits in
@@ -100,7 +106,7 @@ class StableStore:
         self.mirror_a = mirror_a
         self.mirror_b = mirror_b
         self._directory: Dict[str, Tuple[int, int]] = {}  # key -> (start, n_sectors)
-        self._versions: Dict[str, int] = {}
+        self._sequence = 0  # the last number a header claimed
         self._next_sector = 0
         #: n_sectors -> cylinder -> sorted (angular slot, start) of the
         #: free slots of that size, so a put walks one cylinder's slots
@@ -129,12 +135,11 @@ class StableStore:
         """
         _monitor.active().key_write(self, key, name="directory", site="stable.put")
         slot = self._slot_for(key, len(payload))
-        version = self._versions.get(key, 0) + 1
         # Claimed before the first copy: a torn write can leave this
-        # version's header on a mirror, and the key's next put must
+        # number's header on a mirror, and every later header must
         # outrank it when the directory is rebuilt from the headers.
-        self._versions[key] = version
-        record = _head(_MAGIC, key, version, len(payload), zlib.crc32(payload))
+        self._sequence += 1
+        record = _head(_MAGIC, key, self._sequence, len(payload), zlib.crc32(payload))
         record += payload + bytes(-len(payload) % SECTOR_SIZE)
         self.mirror_a.write_sectors(slot[0], record)
         self.mirror_b.write_sectors(slot[0], record)
@@ -171,14 +176,14 @@ class StableStore:
         raise DiskError(f"stable storage: both copies of {key!r} unreadable")
 
     def delete(self, key: str) -> None:
-        """Remove ``key``; its slot is tombstoned on both mirrors and reused.
+        """Remove ``key``: a tombstone's header goes to both mirrors.
 
-        The tombstone carries the key and the next version number, so a
-        directory rebuild can arbitrate the delete crash window: if the
-        tombstone tore on mirror A but landed on mirror B, the slot
-        reads (A = stale live record, B = newer tombstone) and the
-        higher version — the deletion — must win.  The version counter
-        also survives deletion so a later re-put stays monotonic.
+        It takes whichever the mirrors reach first of the key's slot and
+        the free slots of its size, and never fresh space; a slot it
+        leaves is freed as one that may still hold the key.  The
+        tombstone's version outranks every copy of the key, so a
+        directory rebuild keeps the deletion even where the tombstone
+        reached only one mirror.
         """
         _monitor.active().key_write(
             self, key, name="directory", site="stable.delete"
@@ -186,13 +191,16 @@ class StableStore:
         slot = self._directory.pop(key, None)
         if slot is None:
             return
-        version = self._versions.get(key, 0) + 1
-        self._versions[key] = version
-        tomb = _head(_TOMBSTONE, key, version, (slot[1] - 1) * SECTOR_SIZE, 0)
+        # Priced as a put of the slot's size would be, as _slot_for does.
+        start = self._cheapest_free(slot[1], self._cheaper(None, *slot))[1]
+        if start != slot[0]:
+            self._take_free(start, slot[1])
+        self._sequence += 1
+        tomb = _head(_TOMBSTONE, key, self._sequence, (slot[1] - 1) * SECTOR_SIZE, 0)
         errors: list[Exception] = []
         for mirror in (self.mirror_a, self.mirror_b):
             try:
-                mirror.write_sectors(slot[0], tomb)
+                mirror.write_sectors(start, tomb)
             except (DiskError, DiskCrashedError) as exc:
                 errors.append(exc)
         if len(errors) == 2:
@@ -201,11 +209,17 @@ class StableStore:
             # — a directory rebuild would resurrect the live record —
             # so the caller must not be told it succeeded.
             self._directory[key] = slot
+            if start != slot[0]:
+                self._release((start, slot[1]))
             raise errors[0]
+        if start != slot[0]:
+            self._release(slot, copies_of=key)
         # The tombstone outranks the key's older copies too, and is
         # held while a freed slot may still hold one of them.
         self._release(*self._older.pop(key, ()), copies_of=key)
-        self._hold_tombstone(key, slot)
+        if not errors:  # no older header is left at start
+            self._landed(start)
+        self._hold_tombstone(key, (start, slot[1]))
 
     def forget(self, key: str) -> None:
         """Drop ``key`` from the directory and reuse its slot, writing nothing.
@@ -258,11 +272,10 @@ class StableStore:
                 version = max((copy[0] for copy in found if copy), default=-1)
                 if version > best:
                     kept, best, pair = slot, version, found
-            healed = None if kept is None else self._repair_slot(key, *kept, *pair)
+            healed = None if kept is None else self._repair_slot(*kept, *pair)
             repaired += healed if kept == newest else 1
             self._release(*(slot for slot in copies if slot != kept), copies_of=key)
             if kept is None:
-                # Its version counter survives, as it does a delete.
                 del self._directory[key]
             else:
                 self._landed(kept[0])
@@ -271,7 +284,6 @@ class StableStore:
 
     def _repair_slot(
         self,
-        key: str,
         start: int,
         n_sectors: int,
         copy_a: Optional[Tuple[int, bytes]],
@@ -282,10 +294,9 @@ class StableStore:
         least one intact).
 
         Returns 0 when the copies already agree, 1 when one copy was
-        rewritten from the other.  Raises the in-memory version counter
-        to the surviving copy's so the next write stays
-        version-monotonic, and never lowers it: a relocation that tore
-        left its newer version's header behind.
+        rewritten from the other.  Raises the sequence to the surviving
+        copy's version, and never lowers it: a relocation that tore left
+        its newer version's header behind.
         """
         if copy_a is not None and copy_b is not None and copy_a[0] == copy_b[0]:
             good, healed = copy_a, 0
@@ -297,7 +308,7 @@ class StableStore:
             record = source.read_sectors(start, n_sectors)
             target.write_sectors(start, record)
             healed = 1
-        self._versions[key] = max(self._versions.get(key, 0), good[0])
+        self._sequence = max(self._sequence, good[0])
         return healed
 
     def verify_mirrors(self) -> list[str]:
@@ -334,13 +345,13 @@ class StableStore:
         :meth:`recover` to keep the first that heals and free the rest.
         Every tombstone's slot, every copy a newer tombstone deletes,
         and every run of sectors where no header starts (one slot per
-        run) are free again.  Returns the keys found.
+        run) are free again, and the sequence rises to the highest
+        version scanned.  Returns the keys found.
         """
         _monitor.active().write_all(
             self, name="directory", site="stable.rebuild_directory"
         )
         self._directory.clear()
-        self._versions.clear()
         self._free.clear()
         self._free_sectors = 0
         self._stale.clear()
@@ -366,6 +377,7 @@ class StableStore:
                 self._release((gap, sector - gap))
                 gap = None
             key, version, n_sectors, is_tombstone = entry
+            self._sequence = max(self._sequence, version)
             slot = (sector, n_sectors)
             if not is_tombstone:
                 copies.setdefault(key, []).append((version, slot))
@@ -389,13 +401,9 @@ class StableStore:
             )
             if live:
                 self._directory[key] = live[0]
-                self._versions[key] = found[0][0]
             if len(live) > 1:
                 self._older[key] = live[1:]
-        for key, (version, slot) in deleted.items():
-            # Remember a deletion's version so an older live copy
-            # cannot win, and a later re-put stays version-monotonic.
-            self._versions[key] = max(version, self._versions.get(key, 0))
+        for key, (_, slot) in deleted.items():
             self._hold_tombstone(key, slot)
         return len(self._directory)
 
@@ -586,13 +594,11 @@ class StableStore:
         """Read one slot's header from both mirrors and arbitrate.
 
         A write (record or tombstone) lands on mirror A before mirror
-        B, so the two copies can disagree after a crash.  When both
-        headers decode for the *same* key, the higher version is the
-        later write and wins — in particular a tombstone that tore on
-        mirror A but reached mirror B must beat A's stale live record.
-        For differing keys (a freed slot reused mid-put) the live
-        record is preferred; either outcome is admissible there, since
-        the interrupted put never completed both copies.
+        B, so the two copies can disagree after a crash.  The higher
+        version is the later write and wins, of one key or of two: a
+        tombstone that reached one mirror beats the stale live record on
+        the other, and a put or tombstone that moved into a freed slot
+        beats whatever header of another key the slot still holds.
         """
         candidates: list[Tuple[str, int, int, bool]] = []
         for mirror in (self.mirror_a, self.mirror_b):
@@ -604,9 +610,4 @@ class StableStore:
                 magic, key, version, payload_len, _ = header
                 n_sectors = _sectors_for(payload_len)
                 candidates.append((key, version, n_sectors, magic == _TOMBSTONE))
-        if not candidates:
-            return None
-        if len(candidates) == 2 and candidates[0][0] == candidates[1][0]:
-            return max(candidates, key=lambda entry: entry[1])
-        live = [entry for entry in candidates if not entry[3]]
-        return live[0] if live else candidates[0]
+        return max(candidates, key=lambda entry: entry[1], default=None)

@@ -1,18 +1,17 @@
 """Golden disk-service call log of a scripted file-service workload.
 
 ``golden_call_log.txt`` is the log of :func:`run_script` at the commit
-before each stable-storage put took the slot its mirrors reach first,
-marked up against the log since (a line-level diff): lines starting
-``- `` existed only before, lines starting ``+ `` exist only since.
-What may differ is counted in
-:func:`test_golden_log_differs_from_its_parent_only_as_listed`: the
-FITs hold simulated times (last write, last read), which moved with the
-shorter careful writes, so sixteen FIT puts' payload CRCs moved — six
-of a FIT alone, ten of a FIT with the run after it.
+before a delete stopped writing zeros over its FIT's main copy, marked
+up against the log since (a line-level diff): lines starting ``- ``
+existed only before, lines starting ``+ `` exist only since.  What may
+differ is counted in
+:func:`test_golden_log_differs_from_its_parent_only_as_listed`: each of
+the five deletes lost the one-fragment put of zeros that followed its
+FIT's ``release_stable``.
 
-No call comes or goes, and every other argument is the same.  The
-log of the checked-out code must match the ``  `` and ``+ `` lines
-exactly, arguments and payload CRCs included.  ``python -m
+No other call comes or goes, and every argument and payload CRC is the
+same.  The log of the checked-out code must match the ``  `` and ``+ ``
+lines exactly, arguments and payload CRCs included.  ``python -m
 tests.file_service.test_call_log`` prints it, which is how the golden
 file was produced.
 """
@@ -51,7 +50,6 @@ PUT = re.compile(
     r"put\(ext\(\d+,(\d+)\), <\d+B crc [0-9a-f]{8}>"
     r"(?:, stability=([a-z-]+))?(?:, sync=[a-z]+)?\)"
 )
-CRC = re.compile(r" crc [0-9a-f]{8}>")
 
 
 def _show(value) -> str:
@@ -197,21 +195,12 @@ def test_golden_log_differs_from_its_parent_only_as_listed():
     assert all(line[:2] in ("  ", "- ", "+ ") for line in marked)
     parent = [line[2:] for line in marked if line[0] in " -"]
     now = [line[2:] for line in marked if line[0] in " +"]
-
-    def plain(log):
-        return [CRC.sub(">", line) for line in log]
-
-    # The same calls in the same order, with the same arguments, up to
-    # payload CRCs; and only sixteen FIT puts' CRCs moved.
-    assert plain(now) == plain(parent)
-    moved = [line for line in now if line not in parent]
-    assert len(moved) == 16
-    assert sorted(PUT.fullmatch(line).groups() for line in moved) == (
-        [("1", "both")] * 6 + [("5", "head-both")] * 10
-    )
-    assert _puts(now) == _puts(parent) == {
-        "fit": 7, "tree": 28, "data": 34, "fit+run": 10, "tombstone": 5
-    }
+    # Nothing came; what went is each deleted FIT's zero put.
+    assert [line for line in marked if line[0] == "+"] == []
+    assert len(parent) - len(now) == 5
+    kinds = {"fit": 7, "tree": 28, "data": 34, "fit+run": 10}
+    assert _puts(parent) == {**kinds, "tombstone": 5}
+    assert _puts(now) == {**kinds, "tombstone": 0}
 
 
 if __name__ == "__main__":

@@ -21,7 +21,8 @@ from repro.common.frames import Timeline
 from repro.common.metrics import Metrics
 from repro.common.units import BLOCK_SIZE, FRAGMENTS_PER_BLOCK
 from repro.disk_service.addresses import Extent
-from repro.disk_service.server import Stability
+from repro.disk_service.server import PROTECTION_KEY, Stability, _decode_protection
+from repro.file_service.fit import FIT_MAGIC
 from repro.naming.attributed import AttributedName
 from tests.conftest import build_file_server
 
@@ -269,19 +270,55 @@ class TestTheSettleGoesBesideTheData:
         assert fit_a[1] <= fit_b[0]
         assert server.clock.now_us == fit_b[1]
 
-    def test_a_delete_costs_the_longer_of_tombstone_and_release(self):
+    def test_a_delete_writes_one_sector(self):
+        """On each mirror, A then B; nothing on the data drive."""
         server = settled_server()
         name = server.create()
         server.write(name, 0, b"d" * BLOCK_SIZE)
         server.close(name)
+        stable = server.disk.stable
+        monitor = CrashPointMonitor().attach(
+            server.disk.disk, stable.mirror_a, stable.mirror_b
+        )
         data, mirror_a, mirror_b = spans_of(server)
         started = server.clock.now_us
         server.delete(name)
-        (tombstone,), (release_a,), (release_b,) = data, mirror_a, mirror_b
-        assert tombstone[0] == release_a[0] == started
-        elapsed = server.clock.now_us - started
-        assert elapsed == max(tombstone[1], release_b[1]) - started
-        assert elapsed < (tombstone[1] - tombstone[0]) + (release_b[1] - release_a[0])
+        # The FIT's stable tombstone, on A and then on B; nothing else.
+        assert [
+            (entry.disk_id, entry.n_sectors) for entry in monitor.write_entries()
+        ] == [(stable.mirror_a.disk_id, 1), (stable.mirror_b.disk_id, 1)]
+        (tombstone_a,), (tombstone_b,) = mirror_a, mirror_b
+        assert data == [] and tombstone_a[0] == started
+        assert tombstone_a[1] <= tombstone_b[0]
+        assert server.clock.now_us == tombstone_b[1]
+
+    @pytest.mark.parametrize("rebuilt", [False, True])
+    def test_a_file_deleted_after_a_flush_stays_deleted_across_a_crash(
+        self, rebuilt
+    ):
+        """The protection checkpoint still lists the FIT's fragment as
+        mirrored and its main copy still holds the FIT: the stable
+        tombstone alone keeps the file deleted, whether recovery keeps
+        the stable directory or rebuilds it from the mirrors."""
+        server = settled_server()
+        name = server.create()
+        server.write(name, 0, b"d" * BLOCK_SIZE)
+        server.close(name)
+        server.flush()
+        server.delete(name)
+        stable = server.disk.stable
+        _, mirrored = _decode_protection(stable.get(PROTECTION_KEY))
+        assert (name.fit_address, 1) in mirrored
+        fit_sector = Extent(name.fit_address, 1).first_sector
+        assert server.disk.disk.read_sectors(fit_sector, 1).startswith(FIT_MAGIC)
+        server.crash()
+        for disk in (server.disk.disk, stable.mirror_a, stable.mirror_b):
+            disk.repair()
+        if rebuilt:
+            stable.rebuild_directory()
+            stable.recover()
+        server.recover()
+        assert not server.exists(name)
 
     def test_a_tree_dirty_store_settles_before_its_first_tree_block_put(self):
         server = settled_server()

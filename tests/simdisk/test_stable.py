@@ -10,7 +10,7 @@ from repro.common.errors import DiskCrashedError, DiskError
 from repro.common.metrics import Metrics
 from repro.simdisk.disk import SimDisk
 from repro.simdisk.geometry import DiskGeometry
-from repro.simdisk.stable import StableStore
+from repro.simdisk.stable import StableStore, _parse_head
 
 
 def build_store():
@@ -305,6 +305,57 @@ class TestDirectoryRebuild:
         assert store.get("k") == b"oldoldold"
         assert store.free_slots() == [(2, 5), (7, 7)]  # both torn slots
         assert store._older == {}
+
+
+def headers_at(store, start):
+    """``(magic, key, version)`` of the header at ``start`` on each mirror."""
+    return [
+        _parse_head(mirror.read_sectors(start, 1))[:3]
+        for mirror in (store.mirror_a, store.mirror_b)
+    ]
+
+
+class TestOneSequence:
+    """Every header's version is the next number of one store-wide
+    sequence, and the higher version wins a slot whatever its keys: a
+    tombstone that moved into a freed slot may reach one mirror only,
+    the other still holding another key's header.  The schedule is one
+    the fuzzer found: k1's tombstone lands in k1's slot at 0, which it
+    then frees; k0's tombstone moves there and mirror A dies under it."""
+
+    def run_schedule(self):
+        store, mirror_a, mirror_b = build_store()
+        store.put("k1", b"\x01" * 10)  # 2 sectors at 0
+        for value in (2, 3, 4):
+            store.put("k0", bytes([value]) * 10)
+        store.put("k0", b"\x05" * 1500)
+        store.put("k2", b"\x06" * 10)
+        for value in (7, 8):
+            store.put("k0", bytes([value]) * 10)
+        store.delete("k1")
+        mirror_a.faults.crash_after_writes(3)
+        for value in (9, 10):
+            store.put("k0", bytes([value]) * 10)
+        store.delete("k0")  # mirror B's copy is enough
+        for mirror in (mirror_a, mirror_b):
+            mirror.repair()
+        return store
+
+    def test_an_acknowledged_delete_survives_a_rebuild(self):
+        store = self.run_schedule()
+        assert store.rebuild_directory() == 1
+        store.recover()
+        assert sorted(store.keys()) == ["k2"]
+        assert store.get("k2") == b"\x06" * 10
+
+    def test_the_later_tombstone_wins_a_slot_of_two_keys(self):
+        """Mirror A holds k1's tombstone, B k0's later one: per-key
+        versions cannot order them, and preferring a live record or a
+        tombstone cannot choose between them."""
+        store = self.run_schedule()
+        (_, key_a, version_a), (_, key_b, version_b) = headers_at(store, 0)
+        assert (key_a, key_b) == ("k1", "k0") and version_a < version_b
+        assert store._scan_slot(0) == ("k0", version_b, 2, True)
 
 
 class TestNoSlotLeaks:

@@ -1,13 +1,14 @@
 """Property tests: stable storage under arbitrary crash schedules.
 
 The careful-write guarantee, fuzzed: whatever sequence of puts,
-deletes, scheduled mirror crashes, torn machine crashes and directory
-rebuilds occurs, after repair + recover a key with an acknowledged put
-and no later delete is present, a key with an acknowledged delete and
-no later put is absent, every present key holds a value that was
-written to it, and every sector the store has handed out is in
-exactly one place: a directory slot, a superseded copy's slot, the
-slot of a tombstone held for its key's older copies, or a free slot.
+deletes, scheduled mirror crashes, machine crashes mid-put or
+mid-tombstone and directory rebuilds occurs, after repair + recover a
+key with an acknowledged put and no later delete is present, a key with
+an acknowledged delete and no later put is absent, every present key
+holds a value that was written to it, and every sector the store has
+handed out is in exactly one place: a directory slot, a superseded
+copy's slot, the slot of a tombstone held for its key's older copies,
+or a free slot.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,10 @@ from repro.simdisk.disk import SimDisk
 from repro.simdisk.geometry import DiskGeometry
 from repro.simdisk.stable import StableStore
 
-OPS = ["put", "put", "put", "crash_a", "crash_b", "delete", "torn_put", "rebuild"]
+OPS = [
+    "put", "put", "put", "crash_a", "crash_b", "delete", "torn_put",
+    "torn_delete", "rebuild",
+]
 
 
 @st.composite
@@ -74,7 +78,10 @@ class Schedule:
                 if kind == "torn_put":  # the whole machine dies mid-put
                     self.monitor.arm(self.monitor.writes_seen + min(crash_at, 2))
                 self.put(key, bytes([value]) * size)
-            elif kind == "delete":
+            elif kind in ("delete", "torn_delete"):
+                if kind == "torn_delete" and key in self.store:
+                    # The whole machine dies mid-tombstone.
+                    self.monitor.arm(self.monitor.writes_seen + min(crash_at, 2))
                 self.acked.discard(key)
                 try:
                     self.store.delete(key)
